@@ -157,8 +157,8 @@ def cube_separation_formula(alpha, beta, n, tol=1e-12):
     """Inclusion-exclusion separation value for the cube walk from all-zeros.
 
     sum over nonempty coordinate subsets gamma of (-1)^(|gamma|-1)
-    (1 - s_gamma)^n with s_gamma the subset's total flip rate.  Subsets are
-    visited in Gray-code order so each step updates one rate.
+    (1 - s_gamma)^n with s_gamma the subset's total flip rate, as one dot
+    product over the subset rates and signs built by doubling.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -175,23 +175,8 @@ def cube_separation_formula(alpha, beta, n, tol=1e-12):
             f"total flip rate {rates.sum()!r} exceeds 1; the closed form needs "
             "nonnegative eigenvalues"
         )
-    total = 0.0
-    s = 0.0
-    bits = 0
-    gray_prev = 0
-    for m in range(1, 2**d):
-        gray = m ^ (m >> 1)
-        flip = (gray ^ gray_prev).bit_length() - 1
-        if gray & (1 << flip):
-            s += rates[flip]
-            bits += 1
-        else:
-            s -= rates[flip]
-            bits -= 1
-        gray_prev = gray
-        sign = 1.0 if bits % 2 == 1 else -1.0
-        total += sign * (1.0 - s) ** n
-    return total
+    sums, signs = _subset_rates(rates)
+    return float(signs[1:] @ (1.0 - sums[1:]) ** n)
 
 
 def cube_eigenvalues(alpha, beta):
@@ -204,10 +189,25 @@ def cube_eigenvalues(alpha, beta):
         raise DimensionTooLarge(
             f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
         )
-    sums = np.zeros(1)
-    for r in alpha + beta:
-        sums = np.concatenate([sums, sums + r])
+    sums, _ = _subset_rates(alpha + beta)
     return np.sort(1.0 - sums)[::-1]
+
+
+def _subset_rates(rates):
+    """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate subset.
+
+    Built by doubling: subset mask k holds coordinate i iff bit i of k is set,
+    so entry 0 is the empty subset.
+    """
+    size = 1 << len(rates)
+    sums = np.zeros(size)
+    signs = np.empty(size)
+    signs[0] = -1.0
+    for i, r in enumerate(rates.tolist()):
+        k = 1 << i
+        np.add(sums[:k], r, out=sums[k:2 * k])
+        np.negative(signs[:k], out=signs[k:2 * k])
+    return sums, signs
 
 
 def binomial_band(p, samples, confidence=0.99):

@@ -167,10 +167,8 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction)
     rev = reverse(c, law)
-    if direction == "down":
-        rev_report = monotonicity.mobius_monotone_down(rev, zm)
-    else:
-        rev_report = monotonicity.mobius_monotone_up(rev, zm)
+    core = monotonicity.mobius_transform(rev.P, zm, direction)
+    rev_report = monotonicity.transform_report(rev, zm, direction, core)
     if not force:
         if not g_report.verdict:
             raise PreconditionFailed(
@@ -188,11 +186,9 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
     cinvf = zm.Cinv.astype(float)
     if direction == "down":
         h = law.pi @ cf
-        core = cinvf @ rev.P @ cf
         nu_star = (g @ cinvf.T) * h
     else:
         h = law.pi @ cf.T
-        core = cinvf.T @ rev.P @ cf.T
         nu_star = (g @ cinvf) * h
     p_star = ((h[:, None] * core) / h[None, :]).T
     check = _nu_star_summation(g, h, zm, direction)

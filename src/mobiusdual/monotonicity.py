@@ -95,8 +95,12 @@ def _exact_transform_min(c, zm, direction):
     return worst, witness
 
 
-def _report_kernel(c, zm, direction, tol):
-    t = mobius_transform(c.P, zm, direction)
+def transform_report(c, zm, direction, t, tol=MONO_TOL):
+    """Mobius verdict of chain c from its transform t = mobius_transform(c.P, ...).
+
+    Lets a caller that needs the transform anyway compute it once.  The
+    transform is not kept on the report.
+    """
     flat = int(np.argmin(t))
     i, j = divmod(flat, t.shape[1])
     worst = float(t[i, j])
@@ -125,12 +129,12 @@ def mobius_monotone_down(c, zm, tol=MONO_TOL):
     Near-boundary verdicts (|worst| < 100 tol) are re-run in exact rational
     arithmetic when the chain carries exact entries.
     """
-    return _report_kernel(c, zm, "down", tol)
+    return transform_report(c, zm, "down", mobius_transform(c.P, zm, "down"), tol)
 
 
 def mobius_monotone_up(c, zm, tol=MONO_TOL):
     """Entrywise sign check of (C^T)^-1 P C^T."""
-    return _report_kernel(c, zm, "up", tol)
+    return transform_report(c, zm, "up", mobius_transform(c.P, zm, "up"), tol)
 
 
 def function_mobius_monotone(f, zm, direction, tol=MONO_TOL):

@@ -419,7 +419,9 @@ def label_str(e):
 def cover_pairs(p):
     """Transitive reduction of the strict order (the cover relation)."""
     strict = p.leq & ~np.eye(p.size, dtype=bool)
-    redundant = strict @ strict
+    # path counts through one intermediate state; exact in floating point
+    strict_f = strict.astype(float)
+    redundant = (strict_f @ strict_f) > 0
     cover = strict & ~redundant
     return [
         (p.elements[i], p.elements[j])
@@ -442,10 +444,11 @@ def serialize_chain(c, header=()):
     """Chain spec text (inline poset + dense rows + optional nu)."""
     text = serialize_poset(c.poset, header=header)
     lines = ["", "[chain]"]
+    # the same text as fmt on each float entry
     for row in c.P:
-        lines.append("row: " + " ".join(fmt(v) for v in row))
+        lines.append("row: " + " ".join(map("{:.17g}".format, row.tolist())))
     if c.nu is not None:
-        lines.append("nu: " + " ".join(fmt(v) for v in c.nu))
+        lines.append("nu: " + " ".join(map("{:.17g}".format, c.nu.tolist())))
     return text + "\n".join(lines) + "\n"
 
 

@@ -86,6 +86,17 @@ class TestCheck:
 
 
 class TestDual:
+    @pytest.mark.parametrize("name", ["two_cube", "four_cube"])
+    def test_dual_output_matches_golden_text(self, capsys, tmp_path, name):
+        out_path = str(tmp_path / "dual.spec")
+        code, _, _ = run(
+            capsys, "dual", "--input", spec(f"{name}.spec"), "--output", out_path
+        )
+        assert code == 0
+        text = open(out_path, encoding="utf-8").read()
+        golden = open(spec(f"golden/{name}.dual.spec"), encoding="utf-8").read()
+        assert text == golden
+
     def test_dual_output_reparses(self, capsys, tmp_path):
         out_path = str(tmp_path / "dual.spec")
         code, out, err = run(

@@ -39,6 +39,28 @@ def cube_chain(d, alpha, beta, start=0):
     return c, stationary(c)
 
 
+def separation_gray_loop(alpha, beta, n):
+    """Reference: the inclusion-exclusion sum visited in Gray-code order."""
+    rates = np.asarray(alpha, dtype=float) + np.asarray(beta, dtype=float)
+    total = 0.0
+    s = 0.0
+    bits = 0
+    gray_prev = 0
+    for k in range(1, 2 ** len(rates)):
+        gray = k ^ (k >> 1)
+        flip = (gray ^ gray_prev).bit_length() - 1
+        if gray & (1 << flip):
+            s += rates[flip]
+            bits += 1
+        else:
+            s -= rates[flip]
+            bits -= 1
+        gray_prev = gray
+        sign = 1.0 if bits % 2 == 1 else -1.0
+        total += sign * (1.0 - s) ** n
+    return total
+
+
 def two_state_dual(a, b):
     mat = np.array([[1 - a - b, a + b], [0.0, 1.0]])
     return DualChain(
@@ -208,6 +230,16 @@ class TestCubeClosedForms:
             [cube_separation_formula(alpha, beta, n) for n in range(101)]
         )
         assert np.abs(curve.values - formula).max() < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 10])
+    def test_matches_gray_code_loop(self, d):
+        rng = np.random.default_rng(50 + d)
+        parts = rng.dirichlet(np.ones(2 * d)) * rng.uniform(0.4, 1.0)
+        alpha, beta = parts[:d], parts[d:]
+        for n in (0, 1, 2, 7, 50, 200):
+            value = cube_separation_formula(alpha, beta, n)
+            assert isinstance(value, float)
+            assert abs(value - separation_gray_loop(alpha, beta, n)) < 1e-12
 
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):

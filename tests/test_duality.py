@@ -9,6 +9,8 @@ from mobiusdual import (
     build_ssd_linear,
     cube_poset,
     g_ratio,
+    mobius_monotone_down,
+    mobius_monotone_up,
     nearest_neighbor_walk,
     reverse,
     stationary,
@@ -160,6 +162,13 @@ class TestBuildSsdDown:
         assert exc.value.report is not None
         assert exc.value.report.notion == "mobius_down"
         assert exc.value.report.worst_value < 0
+        assert exc.value.report == mobius_monotone_down(reverse(c, law), zm)
+
+    def test_up_precondition_report_equals_reversed_kernel_report(self):
+        _, c, law, zm = cube_setup(2, (0.3, 0.3), (0.3, 0.3), nu=delta(4, 3))
+        with pytest.raises(PreconditionFailed) as exc:
+            build_ssd(c, law, zm, "up")
+        assert exc.value.report == mobius_monotone_up(reverse(c, law), zm)
 
     def test_force_returns_raw_signed_matrices(self):
         _, c, law, zm = cube_setup(2, (0.3, 0.3), (0.3, 0.3), nu=delta(4, 0))
@@ -286,8 +295,6 @@ class TestLinearOrderDual:
         law = stationary(c)
         zm = zeta_mobius(p)
         rev = reverse(c, law)
-        from mobiusdual import mobius_monotone_down
-
         if not mobius_monotone_down(rev, zm).verdict:
             pytest.skip("sampled birth-death kernel is not monotone")
         dual = build_ssd_linear(c, law, "down")

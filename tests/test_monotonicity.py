@@ -16,7 +16,12 @@ from mobiusdual import (
     zeta_mobius,
 )
 from mobiusdual.errors import UpSetExplosion
-from mobiusdual.monotonicity import enumerate_up_sets, exact_fractions, mobius_transform
+from mobiusdual.monotonicity import (
+    enumerate_up_sets,
+    exact_fractions,
+    mobius_transform,
+    transform_report,
+)
 
 # strongly stochastically monotone on the 2-cube yet Mobius monotone in
 # neither direction (seeded randomized search, frozen)
@@ -124,6 +129,9 @@ class TestMobiusKernels:
         assert rep.verdict
         assert rep.worst_value == 0.0
         assert rep.tolerance_used == 0.0
+        # a report from a given transform keeps the exact rerun
+        t = mobius_transform(c.P, zm, "down")
+        assert transform_report(c, zm, "down", t) == rep
 
 
 class TestFunctionMonotone:
