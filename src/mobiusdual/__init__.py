@@ -51,7 +51,6 @@ from .duality import (
     Link,
     build_link,
     build_ssd,
-    build_ssd_linear,
     g_ratio,
     verify_duality,
 )

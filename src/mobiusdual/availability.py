@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convergence, duality, monotonicity
-from .chain import Chain, StationaryLaw, stationary, validate_chain
+from .chain import Chain, StationaryLaw, reverse, stationary, validate_chain
 from .errors import (
     DimensionTooLarge,
     InputError,
     MissingSubsetValue,
+    PreconditionFailed,
     ZeroGenerator,
 )
 from .poset import cube_poset, zeta_mobius
@@ -188,7 +189,6 @@ class AvailabilityReport:
     law: StationaryLaw
     reports: tuple
     dual: object | None
-    residuals: object | None
     curve: object | None
     tail: object | None
     bound: object | None
@@ -222,8 +222,9 @@ def availability_pipeline(
 
     The initial law is the point mass at the empty down-set (all servers up),
     which always satisfies the start condition of the down-direction dual.
-    When the requested direction's reversed-kernel monotonicity fails, the
-    pipeline stops after the monotonicity stage and returns the verdicts.
+    The requested direction's reversed-kernel verdict comes from
+    ``build_ssd``; when it fails, the pipeline stops after the monotonicity
+    stage and returns the verdicts.
     Errors escaping a stage carry the stage name on their ``stage``
     attribute.
     """
@@ -237,39 +238,38 @@ def availability_pipeline(
     with _Stage("stationary"):
         law = stationary(c)
     zm = zeta_mobius(c.poset)
-    from .chain import reverse
-
     with _Stage("monotonicity"):
-        rev = reverse(c, law)
-        reports = (
+        kernel_reports = (
             monotonicity.mobius_monotone_down(c, zm),
             monotonicity.mobius_monotone_up(c, zm),
-            monotonicity.mobius_monotone_down(rev, zm),
-            monotonicity.mobius_monotone_up(rev, zm),
         )
-    rev_ok = reports[2] if direction == "down" else reports[3]
-    if not rev_ok.verdict:
-        return AvailabilityReport(
-            d=r.d,
-            rate=uni.rate,
-            chain=c,
-            law=law,
-            reports=reports,
-            dual=None,
-            residuals=None,
-            curve=None,
-            tail=None,
-            bound=None,
-            stopped_at="monotonicity",
+        other = (
+            monotonicity.mobius_monotone_up
+            if direction == "down"
+            else monotonicity.mobius_monotone_down
         )
+        other_report = other(reverse(c, law), zm)
+    dual = curve = tail = bound = stopped_at = None
     with _Stage("dual"):
-        dual = duality.build_ssd(c, law, zm, direction=direction)
-        link = duality.build_link(law, zm, direction=direction)
-        residuals = duality.verify_duality(link, c, dual)
-    with _Stage("convergence"):
-        curve = convergence.separation_curve(c, law, horizon, stop_below=stop_below)
-        tail = convergence.absorption_tail(dual, curve.horizon)
-        bound = convergence.sst_bound_check(curve, tail)
+        try:
+            dual = duality.build_ssd(c, law, zm, direction=direction)
+            rev_report = dual.reversed_report
+        except PreconditionFailed as exc:
+            if exc.report.notion != f"mobius_{direction}":
+                raise
+            rev_report = exc.report
+            stopped_at = "monotonicity"
+    if direction == "down":
+        reports = kernel_reports + (rev_report, other_report)
+    else:
+        reports = kernel_reports + (other_report, rev_report)
+    if dual is not None:
+        with _Stage("convergence"):
+            curve = convergence.separation_curve(
+                c, law, horizon, stop_below=stop_below
+            )
+            tail = convergence.absorption_tail(dual, curve.horizon)
+            bound = convergence.sst_bound_check(curve, tail)
     return AvailabilityReport(
         d=r.d,
         rate=uni.rate,
@@ -277,9 +277,8 @@ def availability_pipeline(
         law=law,
         reports=reports,
         dual=dual,
-        residuals=residuals,
         curve=curve,
         tail=tail,
         bound=bound,
-        stopped_at=None,
+        stopped_at=stopped_at,
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import convergence, duality, monotonicity
 from .availability import availability_pipeline
-from .chain import Chain, reverse, stationary, validate_chain
+from .chain import Chain, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
@@ -34,7 +34,6 @@ from .errors import (
     MobiusDualError,
     PreconditionError,
     PreconditionFailed,
-    SchemaError,
     exit_code,
 )
 from .poset import zeta_mobius
@@ -43,6 +42,7 @@ from .specfile import (
     label_str,
     load_model,
     nu_vector,
+    parse_sweep,
     serialize_dual,
 )
 
@@ -263,16 +263,13 @@ def cmd_check(args):
 def _build_dual(chain, args):
     law = stationary(chain)
     zm = zeta_mobius(chain.poset)
-    dual = duality.build_ssd(chain, law, zm, direction=args.direction)
-    link = duality.build_link(law, zm, direction=args.direction)
-    return law, zm, dual, link
+    return duality.build_ssd(chain, law, zm, direction=args.direction)
 
 
 def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _ = _resolve_chain(loaded, args, need_nu=True)
-    law, zm, dual, link = _build_dual(chain, args)
-    _emit(args, serialize_dual(dual, chain.poset))
+    _emit(args, serialize_dual(_build_dual(chain, args), chain.poset))
     return 0
 
 
@@ -314,7 +311,7 @@ def cmd_eig(args):
     else:
         if chain.nu is None:
             chain = chain.with_nu(stationary(chain).pi)
-        law, zm, dual, _ = _build_dual(chain, args)
+        dual = _build_dual(chain, args)
         lower = np.tril(dual.P_star, -1)
         if np.abs(lower).max() > args.tolerance_mono:
             raise PreconditionFailed(
@@ -438,36 +435,8 @@ def cmd_avail(args):
     return 0
 
 
-def _parse_sweep(path):
-    from .specfile import _number, _sections
-
-    with open(path, encoding="utf-8") as fh:
-        sections = _sections(fh.read())
-    if set(sections) != {"sweep"}:
-        raise SchemaError("sweep input must hold exactly a [sweep] section")
-    d = None
-    grids = {}
-    for n, key, tokens in sections["sweep"]:
-        if key == "d":
-            d = int(tokens[0])
-        elif key in ("alpha", "beta", "kappa"):
-            if len(tokens) != 3:
-                raise SchemaError(
-                    f"line {n}: {key} needs 'start stop count'", line=n
-                )
-            start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
-            count = int(tokens[2])
-            grids[key] = np.linspace(start, stop, count)
-        else:
-            raise SchemaError(f"line {n}: unknown key {key!r} in [sweep]", line=n)
-    if d is None or "alpha" not in grids or "beta" not in grids:
-        raise SchemaError("[sweep] needs d, alpha and beta grids")
-    kappas = grids.get("kappa", np.array([0.0]))
-    return d, grids["alpha"], grids["beta"], kappas
-
-
 def cmd_sweep(args):
-    d, alphas, betas, kappas = _parse_sweep(args.input)
+    d, alphas, betas, kappas = parse_sweep(args.input)
     rows = []
     for a in alphas:
         for b in betas:
@@ -496,14 +465,15 @@ def _sweep_point(d, a, b, k, args):
         chain = chain.with_nu(nu_vector("delta_min", chain.poset))
         law = stationary(chain)
         zm = zeta_mobius(chain.poset)
-        rev = reverse(chain, law)
-        rep = monotonicity.mobius_monotone_down(rev, zm, tol=args.tolerance_mono)
         try:
-            duality.build_ssd(chain, law, zm, direction="down")
+            rep = duality.build_ssd(chain, law, zm, direction="down").reversed_report
             dual_ok = "true"
-        except MobiusDualError:
-            dual_ok = "false"
-        out += ["ok", "true" if rep.verdict else "false",
+        except PreconditionFailed as exc:
+            # g = nu/pi passes from delta_min, so the failing report is the
+            # reversal's
+            rep, dual_ok = exc.report, "false"
+        verdict = rep.worst_value >= -args.tolerance_mono
+        out += ["ok", "true" if verdict else "false",
                 fmt(rep.worst_value), dual_ok]
     except MobiusDualError as exc:
         out += [type(exc).__name__, "-", "nan", "false"]
@@ -513,7 +483,7 @@ def _sweep_point(d, a, b, k, args):
 def cmd_simulate(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _ = _resolve_chain(loaded, args, need_nu=True)
-    law, zm, dual, _ = _build_dual(chain, args)
+    dual = _build_dual(chain, args)
     result = convergence.simulate_absorption(
         dual, args.samples, args.seed, horizon=args.horizon
     )

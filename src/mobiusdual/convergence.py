@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     DimensionMismatch,
@@ -212,6 +211,9 @@ def _subset_rates(rates):
 
 def binomial_band(p, samples, confidence=0.99):
     """Two-sided binomial confidence band for a tail probability."""
+    # imported here: scipy.stats would dominate the package's import time
+    from scipy.stats import binom
+
     lo, hi = binom.interval(confidence, samples, np.clip(p, 0.0, 1.0))
     return lo / samples, hi / samples
 

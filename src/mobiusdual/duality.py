@@ -20,11 +20,10 @@ from .chain import IDENTITY_TOL, Chain, reverse, validate_chain
 from .errors import (
     DimensionMismatch,
     NoUniqueExtremalState,
-    NotTotalOrder,
     NumericalFailure,
     PreconditionFailed,
 )
-from .poset import is_total_order, maximal_indices, minimal_indices
+from .poset import maximal_indices, minimal_indices
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +49,9 @@ class Link:
 
 @dataclass(frozen=True)
 class DualChain:
+    """Dual kernel and initial law; ``reversed_report`` is the Mobius report
+    of the time-reversed kernel in ``direction`` that decided the build."""
+
     nu_star: np.ndarray
     P_star: np.ndarray
     absorbing_index: int
@@ -58,6 +60,7 @@ class DualChain:
     intertwine_residual: float = float("nan")
     clamp_magnitude: float = 0.0
     forced: bool = False
+    reversed_report: monotonicity.MonotonicityReport | None = None
 
     def __post_init__(self):
         self.nu_star.flags.writeable = False
@@ -126,20 +129,6 @@ def _unique_extremal(poset, direction):
     return idx[0]
 
 
-def _nu_star_summation(g, h, zm, direction):
-    """Entrywise summation form of the dual initial law (cross-check)."""
-    m = len(g)
-    cinv = zm.Cinv
-    out = np.zeros(m)
-    for i in range(m):
-        if direction == "down":
-            acc = sum(float(cinv[i, k]) * g[k] for k in range(i, m) if cinv[i, k])
-        else:
-            acc = sum(float(cinv[k, i]) * g[k] for k in range(0, i + 1) if cinv[k, i])
-        out[i] = h[i] * acc
-    return out
-
-
 def _clamp(vec_or_mat, tol):
     """Zero out negative float noise in (-tol, 0); return (array, magnitude)."""
     arr = np.array(vec_or_mat, dtype=float)
@@ -152,8 +141,9 @@ def _clamp(vec_or_mat, tol):
 def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
     """Construct the strong stationary dual chain (nu*, P*).
 
-    Verifies the two Mobius-monotonicity preconditions (raising
-    PreconditionFailed with the offending report unless ``force``), requires a
+    Decides the two Mobius-monotonicity preconditions (raising
+    PreconditionFailed with the offending report unless ``force``; the
+    reversed-kernel report is kept as ``reversed_report``), requires a
     unique extremal state, and certifies the duality identities
     nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries in
     (-1e-10, 0) are clamped to zero and rows renormalized; the clamp
@@ -191,11 +181,6 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
         h = law.pi @ cf.T
         nu_star = (g @ cinvf) * h
     p_star = ((h[:, None] * core) / h[None, :]).T
-    check = _nu_star_summation(g, h, zm, direction)
-    if np.abs(check - nu_star).max() > 1e-12:
-        raise NumericalFailure(
-            "dual initial law: matrix and summation forms disagree beyond 1e-12"
-        )
     if force:
         return DualChain(
             nu_star=nu_star,
@@ -203,6 +188,7 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
             absorbing_index=absorbing,
             direction=direction,
             forced=True,
+            reversed_report=rev_report,
         )
     nu_star, m_nu = _clamp(nu_star, CLAMP_TOL)
     p_star, m_p = _clamp(p_star, CLAMP_TOL)
@@ -239,58 +225,7 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
         nu_residual=nu_res,
         intertwine_residual=tw_res,
         clamp_magnitude=clamp_magnitude,
-    )
-
-
-def build_ssd_linear(c, law, direction="down", tol=IDENTITY_TOL):
-    """Birth-death dual on a totally ordered space via the explicit formulas.
-
-    down: P*(i,j) = H(j)/H(i) (Prev(j, [1..i]) - Prev(j+1, [1..i])) with
-    nu*(i) = H(i)(g(i) - g(i+1)); up mirrors with tail sums.  The result is
-    asserted equal (<= 1e-12) to the general construction on the same input.
-    """
-    from .poset import zeta_mobius
-
-    p = c.poset
-    if not is_total_order(p):
-        raise NotTotalOrder("state space is not totally ordered")
-    zm = zeta_mobius(p)
-    general = build_ssd(c, law, zm, direction=direction, tol=tol)
-    g = g_ratio(c, law)
-    rev = reverse(c, law)
-    m = c.size
-    pi = law.pi
-    if direction == "down":
-        h = np.cumsum(pi)
-        cdf = np.cumsum(rev.P, axis=1)      # cdf[j, i] = Prev(j, [1..i])
-        shifted = np.vstack([cdf[1:, :], np.zeros(m)])
-        p_star = ((cdf - shifted) * h[:, None]).T / h[:, None]
-        g_next = np.append(g[1:], 0.0)
-        nu_star = h * (g - g_next)
-    else:
-        h = np.cumsum(pi[::-1])[::-1]
-        tail = np.cumsum(rev.P[:, ::-1], axis=1)[:, ::-1]   # tail[j, i] = Prev(j, [i..M])
-        shifted = np.vstack([np.zeros(m), tail[:-1, :]])
-        p_star = ((tail - shifted) * h[:, None]).T / h[:, None]
-        g_prev = np.append(0.0, g[:-1])
-        nu_star = h * (g - g_prev)
-    p_star, _ = _clamp(p_star, CLAMP_TOL)
-    nu_star, _ = _clamp(nu_star, CLAMP_TOL)
-    if (
-        np.abs(p_star - general.P_star).max() > 1e-12
-        or np.abs(nu_star - general.nu_star).max() > 1e-12
-    ):
-        raise NumericalFailure(
-            "linear-order dual disagrees with the general construction beyond 1e-12"
-        )
-    return DualChain(
-        nu_star=nu_star,
-        P_star=p_star,
-        absorbing_index=general.absorbing_index,
-        direction=direction,
-        nu_residual=general.nu_residual,
-        intertwine_residual=general.intertwine_residual,
-        clamp_magnitude=general.clamp_magnitude,
+        reversed_report=rev_report,
     )
 
 

@@ -116,10 +116,6 @@ class NoUniqueExtremalState(PreconditionError):
     pass
 
 
-class NotTotalOrder(PreconditionError):
-    pass
-
-
 class NotLattice(PreconditionError):
     pass
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DimensionMismatch,
@@ -269,6 +268,9 @@ def weak_monotone(c, zm, direction, tol=MONO_TOL, size_cap=LP_SIZE_CAP):
     d in [-1, 1]^M.  The kernel weakly preserves the order iff every minimum
     is >= 0 (up to tolerance).
     """
+    # imported here: scipy.optimize would dominate the package's import time
+    from scipy.optimize import linprog
+
     m = zm.C.shape[0]
     _check_square(c.P, m)
     if m > size_cap:

@@ -21,7 +21,6 @@ from .errors import (
 )
 
 DENSE_CUBE_LIMIT = 14   # dense relation matrices only up to 2^14 states
-LAZY_CUBE_LIMIT = 20
 
 
 class Poset:
@@ -181,11 +180,6 @@ def zeta_mobius(p):
     plus an exact product check C Cinv = I, and any failure falls back to
     arbitrary-precision integers.
     """
-    if isinstance(p, LazyCubePoset):
-        raise DimensionTooLarge(
-            f"dense zeta/Mobius matrices are only available up to dimension "
-            f"{DENSE_CUBE_LIMIT}"
-        )
     c = p.leq.astype(np.int64)
     m = c.shape[0]
     cf = c.astype(np.float64)
@@ -227,13 +221,11 @@ def cube_poset(d):
     """The cube {0,1}^d with coordinatewise order.
 
     Elements are d-bit tuples enumerated by (weight, numeric value), which is
-    a linear extension.  Dense relation matrices are built for d <= 14; for
-    14 < d <= 20 a lazy bit-level poset is returned instead.
+    a linear extension.  The relation matrix is dense, so d above
+    DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is allocated.
     """
-    if not 1 <= d <= LAZY_CUBE_LIMIT:
-        raise DimensionTooLarge(f"cube dimension must be in [1, {LAZY_CUBE_LIMIT}]")
-    if d > DENSE_CUBE_LIMIT:
-        return LazyCubePoset(d)
+    if not 1 <= d <= DENSE_CUBE_LIMIT:
+        raise DimensionTooLarge(f"cube dimension must be in [1, {DENSE_CUBE_LIMIT}]")
     masks = _cube_masks(d)
     elements = [_mask_to_bits(v, d) for v in masks]
     m = len(masks)
@@ -243,42 +235,6 @@ def cube_poset(d):
         hi = min(lo + block, m)
         leq[lo:hi, :] = (masks[lo:hi, None] & masks[None, :]) == masks[lo:hi, None]
     return Poset(elements, leq, cube_dim=d)
-
-
-class LazyCubePoset:
-    """Cube poset for 14 < d <= 20: bit-level comparisons, no dense matrices."""
-
-    def __init__(self, d):
-        self.d = d
-        self.cube_dim = d
-        self._masks = _cube_masks(d)
-        self._pos = np.empty(2**d, dtype=np.int64)
-        self._pos[self._masks] = np.arange(2**d)
-
-    @property
-    def size(self):
-        return 2**self.d
-
-    def element(self, i):
-        return _mask_to_bits(self._masks[i], self.d)
-
-    def index(self, e):
-        mask = _bits_to_mask(e, self.d)
-        return int(self._pos[mask])
-
-    def leq_labels(self, x, y):
-        mx = _bits_to_mask(x, self.d)
-        my = _bits_to_mask(y, self.d)
-        return (mx & my) == mx
-
-    @property
-    def leq(self):
-        raise DimensionTooLarge(
-            f"dense relation matrix unavailable above dimension {DENSE_CUBE_LIMIT}"
-        )
-
-    def __repr__(self):
-        return f"LazyCubePoset(d={self.d})"
 
 
 def _bits_to_mask(e, d):
@@ -299,26 +255,12 @@ def weight(e):
 
 def up_set(p, e):
     """All states e' with e <= e', in enumeration order."""
-    if isinstance(p, LazyCubePoset):
-        m = _bits_to_mask(e, p.d)
-        return tuple(
-            p.element(i)
-            for i in range(p.size)
-            if (m & int(p._masks[i])) == m
-        )
     i = p.index(e)
     return tuple(p.elements[j] for j in np.flatnonzero(p.leq[i, :]))
 
 
 def down_set(p, e):
     """All states e' with e' <= e, in enumeration order."""
-    if isinstance(p, LazyCubePoset):
-        m = _bits_to_mask(e, p.d)
-        return tuple(
-            p.element(i)
-            for i in range(p.size)
-            if (int(p._masks[i]) & m) == int(p._masks[i])
-        )
     i = p.index(e)
     return tuple(p.elements[j] for j in np.flatnonzero(p.leq[:, i]))
 
@@ -346,8 +288,6 @@ def meet_join(p, x, y):
         d = p.cube_dim
         mx = _bits_to_mask(x, d)
         my = _bits_to_mask(y, d)
-        if isinstance(p, LazyCubePoset):
-            return _mask_to_bits(mx & my, d), _mask_to_bits(mx | my, d)
         # still resolve through the index so unknown states raise
         p.index(x), p.index(y)
         return _mask_to_bits(mx & my, d), _mask_to_bits(mx | my, d)

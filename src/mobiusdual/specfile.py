@@ -400,6 +400,37 @@ def parse_spec(path):
     return load_model(path).primary
 
 
+def parse_sweep(path):
+    """Parse a ``[sweep]`` file into (d, alphas, betas, kappas).
+
+    Keys: ``d``, and ``alpha``/``beta``/``kappa`` as ``start stop count``
+    linspace grids; kappa defaults to the single value 0.
+    """
+    with open(path, encoding="utf-8") as fh:
+        sections = _sections(fh.read())
+    if set(sections) != {"sweep"}:
+        raise SchemaError("sweep input must hold exactly a [sweep] section")
+    d = None
+    grids = {}
+    for n, key, tokens in sections["sweep"]:
+        if key == "d":
+            d = int(tokens[0])
+        elif key in ("alpha", "beta", "kappa"):
+            if len(tokens) != 3:
+                raise SchemaError(
+                    f"line {n}: {key} needs 'start stop count'", line=n
+                )
+            start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
+            count = int(tokens[2])
+            grids[key] = np.linspace(start, stop, count)
+        else:
+            raise SchemaError(f"line {n}: unknown key {key!r} in [sweep]", line=n)
+    if d is None or "alpha" not in grids or "beta" not in grids:
+        raise SchemaError("[sweep] needs d, alpha and beta grids")
+    kappas = grids.get("kappa", np.array([0.0]))
+    return d, grids["alpha"], grids["beta"], kappas
+
+
 # --- serialization ------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from mobiusdual import (
     stationary,
     uniformize,
 )
+from mobiusdual import cli, duality, monotonicity
 from mobiusdual.availability import Generator
 from mobiusdual.errors import InputError, MissingSubsetValue, ZeroGenerator
+
+FOUR_CUBE = os.path.join(os.path.dirname(__file__), "data", "four_cube.spec")
 
 
 class TestRateFunctions:
@@ -210,3 +215,43 @@ class TestPipeline:
         assert report.stopped_at is None
         assert report.dual.absorbing_index == 0
         assert report.chain.nu[-1] == 1.0
+
+
+class TestWorkRunsOnce:
+    """Each Mobius transform and the link are computed once per run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for module, name in ((monotonicity, "mobius_transform"), (duality, "build_link")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_full_single_move_run(self, calls):
+        r = RateFunctions(
+            d=4,
+            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
+            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
+        )
+        report = availability_pipeline(r, multiplier=2.0, single_moves_only=True)
+        assert report.stopped_at is None
+        assert report.reports[2] is report.dual.reversed_report
+        assert calls == {"mobius_transform": 4, "build_link": 1}
+
+    def test_run_stopped_at_monotonicity(self, calls):
+        r = RateFunctions(d=4, psi=power_family(4, 0.05), phi=power_family(4, 0.08))
+        report = availability_pipeline(r)
+        assert report.stopped_at == "monotonicity"
+        assert not report.reports[2].verdict
+        assert calls == {"mobius_transform": 4}
+
+    def test_dual_command_builds_one_link(self, calls, tmp_path):
+        out = str(tmp_path / "dual.spec")
+        assert cli.main(["dual", "--input", FOUR_CUBE, "--output", out]) == 0
+        assert calls["build_link"] == 1

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +197,15 @@ class TestCube:
         code, out, err = run(capsys, "cube", "--input", spec("bad_row.spec"))
         assert code == 1
 
+    def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
+        big = tmp_path / "cube15.spec"
+        rates = " ".join(["0.01"] * 15)
+        big.write_text(f"[cube]\nd: 15\nalpha: {rates}\nbeta: {rates}\nnu: delta_min\n")
+        code, out, err = run(capsys, "cube", "--input", str(big))
+        assert code == 1
+        assert json.loads(err)["error"] == "DimensionTooLarge"
+        assert "Traceback" not in err
+
 
 class TestAvail:
     def test_pipeline_report(self, capsys):
@@ -297,6 +308,24 @@ class TestExitCodes:
         assert exit_code(LPFailure("x")) == 3
         assert exit_code(SingularFundamentalMatrix("x")) == 3
         assert exit_code(NumericalFailure("x")) == 3
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, mobiusdual.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestOutputRouting:

@@ -6,7 +6,6 @@ from mobiusdual import (
     build_link,
     build_poset,
     build_ssd,
-    build_ssd_linear,
     cube_poset,
     g_ratio,
     mobius_monotone_down,
@@ -20,10 +19,10 @@ from mobiusdual import (
 )
 from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
-    NotTotalOrder,
     NoUniqueExtremalState,
     PreconditionFailed,
 )
+from mobiusdual.poset import is_total_order
 
 
 def delta(m, k):
@@ -53,6 +52,56 @@ def closed_form_cube_dual(p, alpha, beta):
             up[k] = 1
             out[i, p.index(tuple(up))] = alpha[k] + beta[k]
     return out
+
+
+def nu_star_summation(g, h, zm, direction):
+    """Entrywise summation form of the dual initial law (oracle):
+    nu*(e_i) = H(e_i) sum over e >= e_i (down; e <= e_i up) of mu g(e)."""
+    m = len(g)
+    cinv = zm.Cinv
+    out = np.zeros(m)
+    for i in range(m):
+        if direction == "down":
+            acc = sum(float(cinv[i, k]) * g[k] for k in range(i, m) if cinv[i, k])
+        else:
+            acc = sum(float(cinv[k, i]) * g[k] for k in range(0, i + 1) if cinv[k, i])
+        out[i] = h[i] * acc
+    return out
+
+
+def birth_death_dual(c, law, direction):
+    """(nu*, P*) on a totally ordered space from the explicit formulas (oracle).
+
+    down: P*(i,j) = H(j)/H(i) (Prev(j, [1..i]) - Prev(j+1, [1..i])) with
+    nu*(i) = H(i)(g(i) - g(i+1)); up mirrors with tail sums.
+    """
+    assert is_total_order(c.poset)
+    g = g_ratio(c, law)
+    rev = reverse(c, law)
+    m = c.size
+    pi = law.pi
+    if direction == "down":
+        h = np.cumsum(pi)
+        cdf = np.cumsum(rev.P, axis=1)      # cdf[j, i] = Prev(j, [1..i])
+        shifted = np.vstack([cdf[1:, :], np.zeros(m)])
+        p_star = ((cdf - shifted) * h[:, None]).T / h[:, None]
+        nu_star = h * (g - np.append(g[1:], 0.0))
+    else:
+        h = np.cumsum(pi[::-1])[::-1]
+        tail = np.cumsum(rev.P[:, ::-1], axis=1)[:, ::-1]   # tail[j, i] = Prev(j, [i..M])
+        shifted = np.vstack([np.zeros(m), tail[:-1, :]])
+        p_star = ((tail - shifted) * h[:, None]).T / h[:, None]
+        nu_star = h * (g - np.append(0.0, g[:-1]))
+    return nu_star, p_star
+
+
+def assert_matches_birth_death(c, law, direction):
+    """Run the general construction, check it against the explicit formulas."""
+    dual = build_ssd(c, law, zeta_mobius(c.poset), direction)
+    nu_star, p_star = birth_death_dual(c, law, direction)
+    assert np.abs(p_star - dual.P_star).max() < 1e-12
+    assert np.abs(nu_star - dual.nu_star).max() < 1e-12
+    return dual
 
 
 def random_admissible(d, rng, total=None):
@@ -265,6 +314,38 @@ class TestBuildSsdUp:
         assert np.allclose(dual.nu_star, delta(4, 0), atol=1e-12)
 
 
+class TestDualInitialLaw:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_summation_oracle_with_nonconstant_ratio(self, direction):
+        # g = C w (down) or C^T w (up) with w > 0 is Mobius monotone and
+        # not constant
+        rng = np.random.default_rng(17)
+        alpha, beta = random_admissible(3, rng)
+        _, c, law, zm = cube_setup(3, alpha, beta)
+        cf = zm.C.astype(float)
+        w = rng.uniform(0.1, 1.0, size=8)
+        g = cf @ w if direction == "down" else cf.T @ w
+        g = g / (law.pi @ g)
+        c = c.with_nu(law.pi * g)
+        dual = build_ssd(c, law, zm, direction)
+        h = build_link(law, zm, direction).H
+        expected = nu_star_summation(g_ratio(c, law), h, zm, direction)
+        assert np.ptp(g) > 0.1
+        assert np.abs(expected - dual.nu_star).max() < 1e-12
+
+
+class TestReversedReport:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_dual_carries_reversed_kernel_report(self, direction, force):
+        start = 0 if direction == "down" else 7
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
+        dual = build_ssd(c, law, zm, direction, force=force)
+        check = mobius_monotone_down if direction == "down" else mobius_monotone_up
+        assert dual.reversed_report == check(reverse(c, law), zm)
+        assert dual.reversed_report.verdict
+
+
 class TestLinearOrderDual:
     def test_two_state_hand_computation(self):
         a, b = 0.3, 0.1
@@ -272,7 +353,7 @@ class TestLinearOrderDual:
         mat = np.array([[1 - a, a], [b, 1 - b]])
         c = validate_chain(mat, p, nu=np.array([1.0, 0.0]))
         law = stationary(c)
-        dual = build_ssd_linear(c, law, "down")
+        dual = assert_matches_birth_death(c, law, "down")
         assert dual.P_star[0, 1] == pytest.approx(a + b, abs=1e-12)
         assert dual.P_star[1, 1] == pytest.approx(1.0, abs=1e-12)
         assert dual.P_star[0, 0] == pytest.approx(1 - a - b, abs=1e-12)
@@ -297,10 +378,7 @@ class TestLinearOrderDual:
         rev = reverse(c, law)
         if not mobius_monotone_down(rev, zm).verdict:
             pytest.skip("sampled birth-death kernel is not monotone")
-        dual = build_ssd_linear(c, law, "down")
-        general = build_ssd(c, law, zm, "down")
-        assert np.abs(dual.P_star - general.P_star).max() < 1e-12
-        assert np.abs(dual.nu_star - general.nu_star).max() < 1e-12
+        assert_matches_birth_death(c, law, "down")
 
     def test_up_linear_formulas_with_increasing_ratio(self):
         a, b = 0.25, 0.15
@@ -308,20 +386,11 @@ class TestLinearOrderDual:
         mat = np.array([[1 - a, a], [b, 1 - b]])
         c = validate_chain(mat, p, nu=np.array([0.0, 1.0]))
         law = stationary(c)
-        dual = build_ssd_linear(c, law, "up")
+        dual = assert_matches_birth_death(c, law, "up")
         assert dual.absorbing_index == 0
         # tail cumulative masses: Hbar = (1, pi_2)
         assert dual.nu_star[1] == pytest.approx(1.0, abs=1e-12)
         assert dual.P_star[1, 0] == pytest.approx(a + b, abs=1e-12)
-
-    def test_not_total_order(self):
-        p = cube_poset(2)
-        c = validate_chain(np.eye(4), p, nu=delta(4, 0))
-        law_pi = np.full(4, 0.25)
-        from mobiusdual.chain import StationaryLaw
-
-        with pytest.raises(NotTotalOrder):
-            build_ssd_linear(c, StationaryLaw(pi=law_pi, residual=0.0), "down")
 
 
 class TestVerifyDuality:

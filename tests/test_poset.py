@@ -9,7 +9,6 @@ from mobiusdual.errors import (
     UnknownState,
 )
 from mobiusdual.poset import (
-    LazyCubePoset,
     is_total_order,
     maximal_indices,
     minimal_indices,
@@ -178,23 +177,9 @@ class TestCubePoset:
         with pytest.raises(DimensionTooLarge):
             cube_poset(0)
         with pytest.raises(DimensionTooLarge):
+            cube_poset(15)
+        with pytest.raises(DimensionTooLarge):
             cube_poset(21)
-
-    def test_lazy_mode_above_dense_limit(self):
-        p = cube_poset(15)
-        assert isinstance(p, LazyCubePoset)
-        assert p.size == 2**15
-        e = p.element(1)
-        assert weight(e) == 1
-        assert p.leq_labels((0,) * 15, (1,) * 15)
-        assert not p.leq_labels((1,) + (0,) * 14, (0,) + (1,) * 14)
-        with pytest.raises(DimensionTooLarge):
-            _ = p.leq
-        with pytest.raises(DimensionTooLarge):
-            zeta_mobius(p)
-        mt, jn = meet_join(p, (1,) + (0,) * 14, (0,) + (1,) * 14)
-        assert weight(mt) == 0 and weight(jn) == 15
-        assert is_lattice(p)
 
 
 class TestUpDownSets:
