@@ -16,15 +16,13 @@ import numpy as np
 from . import convergence, duality, monotonicity
 from .chain import Chain, StationaryLaw, reverse, stationary, validate_chain
 from .errors import (
-    DimensionTooLarge,
     InputError,
     MissingSubsetValue,
     PreconditionFailed,
     ZeroGenerator,
 )
-from .poset import cube_poset, zeta_mobius
+from .poset import check_cube_dim, cube_bits, cube_poset, zeta_mobius
 
-PIPELINE_DIM_LIMIT = 14
 DEFAULT_MULTIPLIER = 1.05
 
 
@@ -81,9 +79,7 @@ def rates_from_tables(d, psi_table, phi_table):
 
 def power_family(d, c):
     """Set function D -> c^|D|."""
-    masks = np.arange(2**d)
-    sizes = np.array([int(v).bit_count() for v in masks])
-    return np.asarray(float(c) ** sizes, dtype=float)
+    return float(c) ** cube_bits(d).sum(axis=1)
 
 
 def pernode_family(d, values):
@@ -91,19 +87,12 @@ def pernode_family(d, values):
     values = np.asarray(values, dtype=float)
     if values.shape != (d,):
         raise MissingSubsetValue(f"need {d} per-node values, got {values.shape}")
-    out = np.ones(2**d)
-    for mask in range(2**d):
-        prod = 1.0
-        for i in range(d):
-            if mask >> i & 1:
-                prod *= values[i]
-        out[mask] = prod
-    return out
+    return np.prod(np.where(cube_bits(d), values, 1.0), axis=1)
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Conservative rate matrix on the subset poset (cube enumeration order)."""
+    """Conservative rate matrix on the subset poset; state k is node mask k."""
 
     Q: np.ndarray
     d: int
@@ -129,27 +118,19 @@ def availability_generator(r, single_moves_only=False):
     regime in which uniformization reproduces the nearest-neighbor walk.
     """
     d = r.d
-    if d > PIPELINE_DIM_LIMIT:
-        raise DimensionTooLarge(
-            f"availability chains are built densely only up to d={PIPELINE_DIM_LIMIT}"
-        )
-    p = cube_poset(d)
-    m = p.size
-    masks = [sum(b << i for i, b in enumerate(e)) for e in p.elements]
-    pos = {mask: i for i, mask in enumerate(masks)}
-    full = 2**d - 1
+    check_cube_dim(d)
+    m = 2**d
     q = np.zeros((m, m))
-    for a, dmask in enumerate(masks):
-        comp = full & ~dmask
-        for imask in _submasks(comp):
-            if single_moves_only and int(imask).bit_count() != 1:
+    for dmask in range(m):
+        for imask in _submasks((m - 1) & ~dmask):
+            if single_moves_only and imask.bit_count() != 1:
                 continue
-            q[a, pos[dmask | imask]] = r.psi[dmask | imask] / r.psi[dmask]
+            q[dmask, dmask | imask] = r.psi[dmask | imask] / r.psi[dmask]
         for hmask in _submasks(dmask):
-            if single_moves_only and int(hmask).bit_count() != 1:
+            if single_moves_only and hmask.bit_count() != 1:
                 continue
-            q[a, pos[dmask & ~hmask]] = r.phi[dmask] / r.phi[dmask & ~hmask]
-        q[a, a] = -q[a].sum()
+            q[dmask, dmask & ~hmask] = r.phi[dmask] / r.phi[dmask & ~hmask]
+        q[dmask, dmask] = -q[dmask].sum()
     return Generator(Q=q, d=d)
 
 
@@ -217,6 +198,7 @@ def availability_pipeline(
     horizon=200,
     stop_below=convergence.STOP_BELOW_DEFAULT,
     single_moves_only=False,
+    mono_tol=monotonicity.MONO_TOL,
 ):
     """Generator -> uniformize -> stationary -> monotonicity -> dual -> curves.
 
@@ -224,7 +206,8 @@ def availability_pipeline(
     which always satisfies the start condition of the down-direction dual.
     The requested direction's reversed-kernel verdict comes from
     ``build_ssd``; when it fails, the pipeline stops after the monotonicity
-    stage and returns the verdicts.
+    stage and returns the verdicts.  Every Mobius verdict, the dual's
+    preconditions included, is decided at tolerance ``mono_tol``.
     Errors escaping a stage carry the stage name on their ``stage``
     attribute.
     """
@@ -240,19 +223,21 @@ def availability_pipeline(
     zm = zeta_mobius(c.poset)
     with _Stage("monotonicity"):
         kernel_reports = (
-            monotonicity.mobius_monotone_down(c, zm),
-            monotonicity.mobius_monotone_up(c, zm),
+            monotonicity.mobius_monotone_down(c, zm, mono_tol),
+            monotonicity.mobius_monotone_up(c, zm, mono_tol),
         )
         other = (
             monotonicity.mobius_monotone_up
             if direction == "down"
             else monotonicity.mobius_monotone_down
         )
-        other_report = other(reverse(c, law), zm)
+        other_report = other(reverse(c, law), zm, mono_tol)
     dual = curve = tail = bound = stopped_at = None
     with _Stage("dual"):
         try:
-            dual = duality.build_ssd(c, law, zm, direction=direction)
+            dual = duality.build_ssd(
+                c, law, zm, direction=direction, mono_tol=mono_tol
+            )
             rev_report = dual.reversed_report
         except PreconditionFailed as exc:
             if exc.report.notion != f"mobius_{direction}":

@@ -260,10 +260,15 @@ def cmd_check(args):
     return 0
 
 
+def _ssd(chain, law, zm, args):
+    """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``."""
+    return duality.build_ssd(
+        chain, law, zm, direction=args.direction, mono_tol=args.tolerance_mono
+    )
+
+
 def _build_dual(chain, args):
-    law = stationary(chain)
-    zm = zeta_mobius(chain.poset)
-    return duality.build_ssd(chain, law, zm, direction=args.direction)
+    return _ssd(chain, stationary(chain), zeta_mobius(chain.poset), args)
 
 
 def cmd_dual(args):
@@ -284,7 +289,7 @@ def cmd_sep(args):
     tail = formula = None
     zm = zeta_mobius(chain.poset)
     try:
-        dual = duality.build_ssd(chain, law, zm, direction=args.direction)
+        dual = _ssd(chain, law, zm, args)
         tail = convergence.absorption_tail(dual, curve.horizon).tail
     except PreconditionError:
         tail = None     # curve is still valid without a dual
@@ -351,7 +356,7 @@ def cmd_cube(args):
             params.alpha, params.beta)),
     ]
     try:
-        dual = duality.build_ssd(chain, law, zm, direction=args.direction)
+        dual = _ssd(chain, law, zm, args)
     except PreconditionFailed as exc:
         sections += ["", f"# dual: precondition failed ({exc.report.notion})"]
         dual = None
@@ -396,6 +401,7 @@ def cmd_avail(args):
         if args.stop_below is not None
         else convergence.STOP_BELOW_DEFAULT,
         single_moves_only=loaded.rates_single_moves,
+        mono_tol=args.tolerance_mono,
     )
     sections = [
         f"# mobiusdual avail d={report.d}",
@@ -466,14 +472,15 @@ def _sweep_point(d, a, b, k, args):
         law = stationary(chain)
         zm = zeta_mobius(chain.poset)
         try:
-            rep = duality.build_ssd(chain, law, zm, direction="down").reversed_report
+            rep = duality.build_ssd(
+                chain, law, zm, direction="down", mono_tol=args.tolerance_mono
+            ).reversed_report
             dual_ok = "true"
         except PreconditionFailed as exc:
             # g = nu/pi passes from delta_min, so the failing report is the
             # reversal's
             rep, dual_ok = exc.report, "false"
-        verdict = rep.worst_value >= -args.tolerance_mono
-        out += ["ok", "true" if verdict else "false",
+        out += ["ok", "true" if rep.verdict else "false",
                 fmt(rep.worst_value), dual_ok]
     except MobiusDualError as exc:
         out += [type(exc).__name__, "-", "nan", "false"]

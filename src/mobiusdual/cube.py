@@ -21,7 +21,7 @@ from .errors import (
     NotLattice,
     NumericalFailure,
 )
-from .poset import cube_poset, meet_join
+from .poset import cube_bits, cube_poset, meet_join
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,21 @@ def nearest_neighbor_walk(params, nu=None):
     """Single-coordinate-flip walk on the d-cube.
 
     Rejects parameter sets that drive any holding probability negative (with
-    the offending state as witness).
+    the first offending state as witness).
     """
     p = cube_poset(params.d)
-    m = p.size
-    mat = np.zeros((m, m))
-    alpha = params.alpha
-    beta = params.beta
-    for i, e in enumerate(p.elements):
-        for k in range(params.d):
-            flipped = list(e)
-            flipped[k] = 1 - flipped[k]
-            j = p.index(tuple(flipped))
-            mat[i, j] = beta[k] if e[k] else alpha[k]
-        stay = 1.0 - mat[i].sum()
-        if stay < -1e-12:
-            raise NegativeHoldingProbability(
-                f"holding probability at state {e!r} is {stay!r}"
-            )
-        mat[i, i] = max(stay, 0.0)
+    rates = np.where(cube_bits(params.d), params.beta, params.alpha)
+    stay = 1.0 - rates.sum(axis=1)
+    bad = np.flatnonzero(stay < -1e-12)
+    if bad.size:
+        i = int(bad[0])
+        raise NegativeHoldingProbability(
+            f"holding probability at state {p.elements[i]!r} is {stay[i]!r}"
+        )
+    x = np.arange(p.size)
+    mat = np.zeros((p.size, p.size))
+    mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates
+    mat[x, x] = np.maximum(stay, 0.0)
     return validate_chain(mat, p, nu=nu)
 
 
@@ -99,16 +95,10 @@ def cube_stationary_product(params):
     beta_i/(alpha_i+beta_i) over unset ones; exact closed form used as an
     oracle for the dense solver.
     """
-    p = cube_poset(params.d)
     alpha = np.asarray(params.alpha, dtype=float)
     beta = np.asarray(params.beta, dtype=float)
-    ratio_one = alpha / (alpha + beta)
-    ratio_zero = beta / (alpha + beta)
-    pi = np.empty(p.size)
-    for i, e in enumerate(p.elements):
-        bits = np.asarray(e)
-        pi[i] = np.prod(np.where(bits == 1, ratio_one, ratio_zero))
-    return pi
+    bits = cube_bits(params.d)
+    return np.prod(np.where(bits, alpha, beta) / (alpha + beta), axis=1)
 
 
 def power_chain(c, k):
@@ -221,30 +211,25 @@ def _random_supermodular(p, d, rng):
     passes.
     """
     m = p.size
+    bits = cube_bits(d)
     f = np.zeros(m)
-    terms = rng.integers(1, 4)
-    for _ in range(terms):
+    for _ in range(rng.integers(1, 4)):
         w = rng.uniform(0.2, 1.0)
         u0 = rng.uniform(0.0, 1.0, size=d)
         u1 = u0 + rng.uniform(0.0, 1.0, size=d)
-        for i, e in enumerate(p.elements):
-            prod = 1.0
-            for k in range(d):
-                prod *= u1[k] if e[k] else u0[k]
-            f[i] += w * prod
+        f += w * np.prod(np.where(bits, u1, u0), axis=1)
     mod = rng.normal(0.0, 0.5, size=d + 1)
-    for i, e in enumerate(p.elements):
-        f[i] += mod[0] + sum(mod[1 + k] * e[k] for k in range(d))
+    f += mod[0] + bits @ mod[1:]
     if rng.random() < 0.5:
         f += rng.normal(0.0, 0.05, size=m)
         for _ in range(4 * m):
             fixed = True
             for i in range(m):
                 for j in range(i + 1, m):
-                    meet, join = meet_join(p, p.elements[i], p.elements[j])
-                    gap = f[i] + f[j] - f[p.index(meet)] - f[p.index(join)]
+                    # meet and join of masks i, j are i & j and i | j
+                    gap = f[i] + f[j] - f[i & j] - f[i | j]
                     if gap > 0:
-                        f[p.index(join)] += gap
+                        f[i | j] += gap
                         fixed = False
             if fixed:
                 break
@@ -262,7 +247,7 @@ def supermodular_order_witness(p1_row, p2_row, poset, trials, seed):
     are normalized to unit max magnitude, and every candidate passes the
     exhaustive pair check before use.
     """
-    d = getattr(poset, "cube_dim", None)
+    d = poset.cube_dim
     if d is None:
         raise NotLattice(
             "supermodular sampling is implemented for cube lattices only"

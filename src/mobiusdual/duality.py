@@ -138,13 +138,16 @@ def _clamp(vec_or_mat, tol):
     return arr, magnitude
 
 
-def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
+def build_ssd(
+    c, law, zm, direction="down", tol=IDENTITY_TOL, force=False,
+    mono_tol=monotonicity.MONO_TOL,
+):
     """Construct the strong stationary dual chain (nu*, P*).
 
-    Decides the two Mobius-monotonicity preconditions (raising
-    PreconditionFailed with the offending report unless ``force``; the
-    reversed-kernel report is kept as ``reversed_report``), requires a
-    unique extremal state, and certifies the duality identities
+    Decides the two Mobius-monotonicity preconditions at tolerance
+    ``mono_tol`` (raising PreconditionFailed with the offending report unless
+    ``force``; the reversed-kernel report is kept as ``reversed_report``),
+    requires a unique extremal state, and certifies the duality identities
     nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries in
     (-1e-10, 0) are clamped to zero and rows renormalized; the clamp
     magnitude is logged and recorded.  With ``force`` the raw, possibly
@@ -155,10 +158,10 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     absorbing = _unique_extremal(c.poset, direction)
     g = g_ratio(c, law)
-    g_report = monotonicity.function_mobius_monotone(g, zm, direction)
+    g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)
     core = monotonicity.mobius_transform(rev.P, zm, direction)
-    rev_report = monotonicity.transform_report(rev, zm, direction, core)
+    rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
     if not force:
         if not g_report.verdict:
             raise PreconditionFailed(
@@ -172,14 +175,10 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
                 f"(worst {rev_report.worst_value!r})",
                 report=rev_report,
             )
-    cf = zm.C.astype(float)
+    link = build_link(law, zm, direction)
+    h = link.H
     cinvf = zm.Cinv.astype(float)
-    if direction == "down":
-        h = law.pi @ cf
-        nu_star = (g @ cinvf.T) * h
-    else:
-        h = law.pi @ cf.T
-        nu_star = (g @ cinvf) * h
+    nu_star = (g @ (cinvf.T if direction == "down" else cinvf)) * h
     p_star = ((h[:, None] * core) / h[None, :]).T
     if force:
         return DualChain(
@@ -210,7 +209,6 @@ def build_ssd(c, law, zm, direction="down", tol=IDENTITY_TOL, force=False):
     unit = np.zeros(c.size)
     unit[absorbing] = 1.0
     p_star[absorbing, :] = unit
-    link = build_link(law, zm, direction)
     nu_res = float(np.abs(c.nu - nu_star @ link.Lambda).max())
     tw_res = float(np.abs(link.Lambda @ c.P - p_star @ link.Lambda).max())
     if nu_res > tol or tw_res > tol:

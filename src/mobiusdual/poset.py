@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -175,12 +176,18 @@ def _invert_unitriangular(cf, block=256):
 def zeta_mobius(p):
     """Zeta matrix C(i,j) = 1 iff e_i <= e_j, and its exact integer inverse.
 
-    Back-substitution on the unitriangular C runs in float64, which is exact
+    On a cube poset (bitmask order) C is the Kronecker power of [[1,1],[0,1]]
+    and Cinv that of [[1,-1],[0,1]]: (A x B)(C x D) = AC x BD makes their
+    product the identity, so Cinv is exact with no further check.  Otherwise
+    back-substitution on the unitriangular C runs in float64, which is exact
     for integers below 2**53; the result is certified by a magnitude bound
     plus an exact product check C Cinv = I, and any failure falls back to
     arbitrary-precision integers.
     """
     c = p.leq.astype(np.int64)
+    if p.cube_dim is not None:
+        factors = [np.array([[1, -1], [0, 1]], dtype=np.int64)] * p.cube_dim
+        return ZetaMobius(C=c, Cinv=reduce(np.kron, factors))
     m = c.shape[0]
     cf = c.astype(np.float64)
     x = _invert_unitriangular(cf)
@@ -205,47 +212,31 @@ def _invert_unitriangular_exact(c):
     return np.array([[int(v) for v in row] for row in xobj], dtype=np.int64)
 
 
-def _cube_masks(d):
-    """All d-bit masks sorted by (popcount, value); bit i is coordinate i+1."""
-    masks = np.arange(2**d, dtype=np.int64)
-    weights = np.array([int(v).bit_count() for v in masks], dtype=np.int64)
-    order = np.lexsort((masks, weights))
-    return masks[order]
+def check_cube_dim(d):
+    """Raise DimensionTooLarge unless 1 <= d <= DENSE_CUBE_LIMIT."""
+    if not 1 <= d <= DENSE_CUBE_LIMIT:
+        raise DimensionTooLarge(f"cube dimension must be in [1, {DENSE_CUBE_LIMIT}]")
 
 
-def _mask_to_bits(mask, d):
-    return tuple((int(mask) >> i) & 1 for i in range(d))
+def cube_bits(d):
+    """(2^d, d) 0/1 matrix: row k holds the coordinates of mask k (bit i is
+    coordinate i+1)."""
+    return (np.arange(2**d)[:, None] >> np.arange(d)) & 1
 
 
 def cube_poset(d):
     """The cube {0,1}^d with coordinatewise order.
 
-    Elements are d-bit tuples enumerated by (weight, numeric value), which is
-    a linear extension.  The relation matrix is dense, so d above
-    DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is allocated.
+    State k is the d-bit tuple of mask k (bit i is coordinate i+1); this
+    bitmask order is a linear extension, since A <= B implies
+    mask(A) <= mask(B), and makes the relation matrix the Kronecker power of
+    [[1,1],[0,1]].  The matrix is dense, so d above DENSE_CUBE_LIMIT raises
+    DimensionTooLarge before anything is allocated.
     """
-    if not 1 <= d <= DENSE_CUBE_LIMIT:
-        raise DimensionTooLarge(f"cube dimension must be in [1, {DENSE_CUBE_LIMIT}]")
-    masks = _cube_masks(d)
-    elements = [_mask_to_bits(v, d) for v in masks]
-    m = len(masks)
-    leq = np.zeros((m, m), dtype=bool)
-    block = max(1, 2**22 // m)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        leq[lo:hi, :] = (masks[lo:hi, None] & masks[None, :]) == masks[lo:hi, None]
+    check_cube_dim(d)
+    elements = [tuple(row) for row in cube_bits(d).tolist()]
+    leq = reduce(np.kron, [np.array([[True, True], [False, True]])] * d)
     return Poset(elements, leq, cube_dim=d)
-
-
-def _bits_to_mask(e, d):
-    if len(e) != d:
-        raise UnknownState(f"expected a {d}-bit state, got {e!r}")
-    mask = 0
-    for i, b in enumerate(e):
-        if b not in (0, 1):
-            raise UnknownState(f"non-binary coordinate in {e!r}")
-        mask |= int(b) << i
-    return mask
 
 
 def weight(e):
@@ -284,14 +275,9 @@ def _least(p, mask):
 
 def meet_join(p, x, y):
     """(meet, join) of x and y; each side is None when it does not exist."""
-    if getattr(p, "cube_dim", None) is not None:
-        d = p.cube_dim
-        mx = _bits_to_mask(x, d)
-        my = _bits_to_mask(y, d)
-        # still resolve through the index so unknown states raise
-        p.index(x), p.index(y)
-        return _mask_to_bits(mx & my, d), _mask_to_bits(mx | my, d)
     i, j = p.index(x), p.index(y)
+    if p.cube_dim is not None:
+        return p.elements[i & j], p.elements[i | j]
     lower = p.leq[:, i] & p.leq[:, j]
     upper = p.leq[i, :] & p.leq[j, :]
     mi = _greatest(p, lower)
@@ -303,7 +289,7 @@ def meet_join(p, x, y):
 
 def is_lattice(p):
     """True iff every pair of states has both a meet and a join."""
-    if getattr(p, "cube_dim", None) is not None:
+    if p.cube_dim is not None:
         return True
     for i in range(p.size):
         for j in range(i + 1, p.size):

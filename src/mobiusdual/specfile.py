@@ -30,6 +30,11 @@ Cube walks use a generator stanza instead of a dense matrix::
     beta: 1/5 1/5
     nu: delta_min
 
+Cube and availability states are in bitmask order: entry k of an explicit
+``[cube]`` ``nu:`` vector, ``psi[k]``/``phi[k]`` and row k of a serialized
+dual all belong to the state with mask k (bit i is coordinate i+1, or node
+i down).
+
 Availability rate functions (``table`` entries keyed by node bitmask, or the
 families ``power c`` for c^|D| and ``pernode v1 .. vd``; explicit table
 entries override family values)::

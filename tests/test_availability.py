@@ -41,6 +41,20 @@ class TestRateFunctions:
         phi = pernode_family(2, (2.0, 3.0))
         assert np.allclose(phi, [1.0, 2.0, 3.0, 6.0])
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_families_match_mask_loops(self, d):
+        values = np.random.default_rng(d).uniform(0.5, 2.0, d)
+        power, pernode = np.empty(2**d), np.empty(2**d)
+        for mask in range(2**d):
+            power[mask] = 0.7 ** mask.bit_count()
+            prod = 1.0
+            for i in range(d):
+                if mask >> i & 1:
+                    prod *= values[i]
+            pernode[mask] = prod
+        assert np.abs(power_family(d, 0.7) / power - 1).max() <= d * 2.0**-53
+        assert np.abs(pernode_family(d, values) / pernode - 1).max() <= d * 2.0**-53
+
 
 class TestGenerator:
     def test_single_node_rates(self):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import mobiusdual as md
 from mobiusdual.cli import main
 from mobiusdual.specfile import load_model_text
 
@@ -144,6 +145,32 @@ class TestSep:
             assert abs(s - f) <= 1e-10
             assert abs(s - t) <= 1e-10
 
+    def test_explicit_cube_nu_is_indexed_by_mask(self, capsys, tmp_path):
+        # entry k of a [cube] nu vector is the mass of mask k: entry 3 is
+        # state 110 (coordinates 1 and 2 set), not 001 as in an order by
+        # weight
+        cube = tmp_path / "cube.spec"
+        cube.write_text(
+            "[cube]\nd: 3\nalpha: 0.02 0.05 0.08\nbeta: 0.03 0.06 0.04\n"
+            "nu: 1/2 0 0 1/2 0 0 0 0\n"
+        )
+        code, out, err = run(capsys, "sep", "--input", str(cube), "--horizon", "5")
+        assert code == 0
+        header, rows = parse_table(out)
+        s = np.array([float(row[header.index("s")]) for row in rows])
+        walk = md.nearest_neighbor_walk(
+            md.CubeWalkParams(d=3, alpha=(0.02, 0.05, 0.08), beta=(0.03, 0.06, 0.04))
+        )
+        law = md.stationary(walk)
+
+        def curve_from(state):
+            nu = np.zeros(walk.size)
+            nu[walk.poset.index((0, 0, 0))] = nu[walk.poset.index(state)] = 0.5
+            return md.separation_curve(walk.with_nu(nu), law, 5).values
+
+        assert np.abs(s - curve_from((1, 1, 0))).max() <= 1e-15
+        assert np.abs(s - curve_from((0, 0, 1))).max() > 1e-2
+
     def test_chain_without_nu_exits_one(self, capsys, tmp_path):
         no_nu = tmp_path / "no_nu.spec"
         no_nu.write_text(
@@ -164,7 +191,6 @@ class TestEig:
     def test_dual_diagonal_for_explicit_chain(self, capsys, tmp_path):
         # serialize the admissible cube walk as a dense chain, then read the
         # eigenvalues off the dual's diagonal
-        import mobiusdual as md
         from mobiusdual.specfile import serialize_chain
 
         params = md.CubeWalkParams(d=2, alpha=(0.15, 0.1), beta=(0.1, 0.05))
@@ -242,6 +268,26 @@ class TestAvail:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
+        big = tmp_path / "rates15.spec"
+        big.write_text("[rates]\nd: 15\npsi: power 0.5\nphi: power 2\n")
+        code, out, err = run(capsys, "avail", "--input", str(big))
+        assert code == 1
+        block = json.loads(err)
+        assert block["error"] == "DimensionTooLarge"
+        assert block["stage"] == "'generator'"
+        assert "Traceback" not in err
+
+    def test_tolerance_mono_reaches_every_verdict(self, capsys):
+        code, out, err = run(
+            capsys, "avail", "--input", spec("rates_single.spec"),
+            "--multiplier", "2.0", "--tolerance-mono", "1e-9",
+        )
+        assert code == 0
+        header, rows = parse_table(out.split("\n\n")[1])
+        assert len(rows) == 4
+        assert all(float(row[4]) == 1e-9 for row in rows)
+
 
 class TestSweep:
     def test_grid_runs_in_order(self, capsys, tmp_path):
@@ -261,6 +307,27 @@ class TestSweep:
             if float(row[2]) == 0.0:
                 assert row[4] == "true" and row[6] == "true"
             assert row[4] in ("true", "false")
+
+    def test_verdict_and_dual_agree_at_loose_tolerance(self, capsys, tmp_path):
+        # at --tolerance-mono 0.2 the dual's preconditions are decided at 0.2
+        # too, so a true reversed-kernel verdict never sits beside a failed
+        # dual; points that pass only thanks to the loose tolerance give a
+        # dual with negative mass, reported in the status column
+        sweep = tmp_path / "sweep.spec"
+        sweep.write_text(
+            "[sweep]\nd: 3\nalpha: 0.02 0.08 3\nbeta: 0.02 0.08 3\nkappa: 0 0.02 3\n"
+        )
+        code, out, err = run(
+            capsys, "sweep", "--input", str(sweep), "--tolerance-mono", "0.2"
+        )
+        assert code == 0
+        assert "mono=0.20000000000000001" in out
+        header, rows = parse_table(out)
+        assert len(rows) == 27
+        for row in rows:
+            assert (row[4] == "true") == (row[6] == "true"), row
+        assert {"ok", "NumericalFailure"} <= {row[3] for row in rows}
+        assert any(row[3] == "ok" and row[4] == "false" for row in rows)
 
 
 class TestSimulate:

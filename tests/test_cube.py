@@ -36,6 +36,29 @@ def delta(m, k):
     return out
 
 
+def walk_by_flips(params):
+    """Reference walk: flip each coordinate of each state tuple, look it up."""
+    p = cube_poset(params.d)
+    mat = np.zeros((p.size, p.size))
+    for i, e in enumerate(p.elements):
+        for k in range(params.d):
+            flipped = list(e)
+            flipped[k] = 1 - flipped[k]
+            mat[i, p.index(tuple(flipped))] = params.beta[k] if e[k] else params.alpha[k]
+        mat[i, i] = 1.0 - mat[i].sum()
+    return mat
+
+
+def product_law_by_state(params):
+    """Reference product-form law, one state tuple at a time."""
+    alpha = np.asarray(params.alpha)
+    beta = np.asarray(params.beta)
+    return np.array([
+        np.prod(np.where(np.asarray(e) == 1, alpha / (alpha + beta), beta / (alpha + beta)))
+        for e in cube_poset(params.d).elements
+    ])
+
+
 class TestWalkGenerator:
     def test_two_cube_matrix_entries(self):
         a1, a2, b1, b2 = 0.11, 0.21, 0.08, 0.13
@@ -70,6 +93,23 @@ class TestWalkGenerator:
     def test_admissibility_flag(self):
         assert CubeWalkParams(d=2, alpha=(0.2, 0.2), beta=(0.2, 0.2)).admissible
         assert not CubeWalkParams(d=2, alpha=(0.3, 0.3), beta=(0.3, 0.3)).admissible
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_vectorised_walk_and_law_match_state_loops(self, d):
+        rng = np.random.default_rng(d)
+        params = CubeWalkParams(
+            d=d,
+            alpha=tuple(rng.uniform(0.01, 0.5 / d, d)),
+            beta=tuple(rng.uniform(0.01, 0.5 / d, d)),
+        )
+        P = nearest_neighbor_walk(params).P
+        ref = walk_by_flips(params)
+        off = ~np.eye(P.shape[0], dtype=bool)
+        assert (P[off] == ref[off]).all()
+        # the holding mass sums the same rates in another order
+        assert np.abs(np.diag(P) - np.diag(ref)).max() <= 4 * d * 2.0**-53
+        law = cube_stationary_product(params)
+        assert np.abs(law - product_law_by_state(params)).max() <= 2 * d * 2.0**-53
 
     def test_stationary_is_product_form(self):
         params = CubeWalkParams(d=3, alpha=(0.02, 0.08, 0.05), beta=(0.06, 0.03, 0.09))

@@ -3,6 +3,7 @@ import pytest
 
 from mobiusdual import (
     CubeWalkParams,
+    axis_transformed_walk,
     build_link,
     build_poset,
     build_ssd,
@@ -20,6 +21,7 @@ from mobiusdual import (
 from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
     NoUniqueExtremalState,
+    NumericalFailure,
     PreconditionFailed,
 )
 from mobiusdual.poset import is_total_order
@@ -344,6 +346,24 @@ class TestReversedReport:
         check = mobius_monotone_down if direction == "down" else mobius_monotone_up
         assert dual.reversed_report == check(reverse(c, law), zm)
         assert dual.reversed_report.verdict
+
+    def test_preconditions_use_the_given_tolerance(self):
+        # transformed walk whose reversal has a transform entry near -0.063
+        params = CubeWalkParams(d=3, alpha=(0.02,) * 3, beta=(0.08,) * 3)
+        c = axis_transformed_walk(params, 0.01, nu=delta(8, 0))
+        law = stationary(c)
+        zm = zeta_mobius(c.poset)
+        with pytest.raises(PreconditionFailed) as exc:
+            build_ssd(c, law, zm)
+        assert exc.value.report.tolerance_used == 1e-10
+        assert -0.07 < exc.value.report.worst_value < -0.06
+        # at 0.2 both preconditions pass and the dual itself carries the
+        # negative mass
+        with pytest.raises(NumericalFailure, match="negative mass"):
+            build_ssd(c, law, zm, mono_tol=0.2)
+        forced = build_ssd(c, law, zm, force=True, mono_tol=0.2)
+        assert forced.reversed_report.verdict
+        assert forced.reversed_report.tolerance_used == 0.2
 
 
 class TestLinearOrderDual:

@@ -9,6 +9,8 @@ from mobiusdual.errors import (
     UnknownState,
 )
 from mobiusdual.poset import (
+    Poset,
+    cube_bits,
     is_total_order,
     maximal_indices,
     minimal_indices,
@@ -109,6 +111,16 @@ class TestZetaMobius:
                     )
         assert (zm.Cinv == closed).all()
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_cube_kronecker_matches_general_inversion(self, d):
+        # the same relation without cube_dim takes the back-substitution path
+        p = cube_poset(d)
+        general = zeta_mobius(Poset(p.elements, p.leq))
+        zm = zeta_mobius(p)
+        assert zm.Cinv.dtype == general.Cinv.dtype
+        assert (zm.C == general.C).all()
+        assert (zm.Cinv == general.Cinv).all()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_inverse_on_random_posets(self, seed):
         rng = np.random.default_rng(seed)
@@ -161,17 +173,27 @@ class TestCubePoset:
     def test_d2_enumeration_weight_then_value(self):
         assert cube_poset(2).elements == ((0, 0), (1, 0), (0, 1), (1, 1))
 
-    def test_d3_enumeration_weight_then_value(self):
+    def test_d3_enumeration_by_bitmask(self):
         assert cube_poset(3).elements == (
             (0, 0, 0),
             (1, 0, 0),
             (0, 1, 0),
-            (0, 0, 1),
             (1, 1, 0),
+            (0, 0, 1),
             (1, 0, 1),
             (0, 1, 1),
             (1, 1, 1),
         )
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_state_index_is_the_bitmask(self, d):
+        p = cube_poset(d)
+        k = np.arange(2**d)
+        assert (p.leq == ((k[:, None] & k[None, :]) == k[:, None])).all()
+        bits = cube_bits(d)
+        assert bits.shape == (2**d, d)
+        assert [tuple(row) for row in bits.tolist()] == list(p.elements)
+        assert (bits @ (1 << np.arange(d)) == k).all()
 
     def test_dimension_guards(self):
         with pytest.raises(DimensionTooLarge):
