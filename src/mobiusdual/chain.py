@@ -213,23 +213,19 @@ def _as_row(f, m):
 
 def sum_down(f, zm):
     """Down-cumulative sums F(e_i) = sum of f over {e : e <= e_i}."""
-    m = zm.C.shape[0]
-    return _as_row(f, m) @ zm.C
+    return _as_row(f, zm.size) @ zm.zeta("down")
 
 
 def sum_up(f, zm):
     """Up-cumulative sums over {e : e >= e_i}."""
-    m = zm.C.shape[0]
-    return _as_row(f, m) @ zm.C.T
+    return _as_row(f, zm.size) @ zm.zeta("up")
 
 
 def diff_down(f, zm):
     """Inverse of sum_down (Mobius inversion from below)."""
-    m = zm.C.shape[0]
-    return _as_row(f, m) @ zm.Cinv
+    return _as_row(f, zm.size) @ zm.mobius("down")
 
 
 def diff_up(f, zm):
     """Inverse of sum_up (Mobius inversion from above)."""
-    m = zm.C.shape[0]
-    return _as_row(f, m) @ zm.Cinv.T
+    return _as_row(f, zm.size) @ zm.mobius("up")

@@ -278,6 +278,19 @@ def cmd_dual(args):
     return 0
 
 
+def _formula_column(params, chain, horizon):
+    """Closed-form separation values for n = 0..horizon, or None.
+
+    Only an admissible cube walk started from all-zeros has the closed form.
+    """
+    if params is None or chain.nu[0] != 1.0 or not params.admissible:
+        return None
+    return [
+        convergence.cube_separation_formula(params.alpha, params.beta, n)
+        for n in range(horizon + 1)
+    ]
+
+
 def cmd_sep(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, params = _resolve_chain(loaded, args, need_nu=True)
@@ -286,19 +299,13 @@ def cmd_sep(args):
         chain, law, args.horizon, stop_below=args.stop_below
     )
     n_values = range(curve.horizon + 1)
-    tail = formula = None
     zm = zeta_mobius(chain.poset)
     try:
         dual = _ssd(chain, law, zm, args)
         tail = convergence.absorption_tail(dual, curve.horizon).tail
     except PreconditionError:
         tail = None     # curve is still valid without a dual
-    if params is not None and chain.nu is not None and chain.nu[0] == 1.0:
-        if sum(params.alpha) + sum(params.beta) <= 1.0:
-            formula = [
-                convergence.cube_separation_formula(params.alpha, params.beta, n)
-                for n in n_values
-            ]
+    formula = _formula_column(params, chain, curve.horizon)
     header = _mono_header(
         args, extra=(f"horizon: {curve.horizon}",), loaded=loaded
     )
@@ -317,8 +324,11 @@ def cmd_eig(args):
         if chain.nu is None:
             chain = chain.with_nu(stationary(chain).pi)
         dual = _build_dual(chain, args)
-        lower = np.tril(dual.P_star, -1)
-        if np.abs(lower).max() > args.tolerance_mono:
+        # a down dual moves up the enumeration and an up dual down it, so
+        # either triangle may hold the transitions
+        off = min(np.abs(np.tril(dual.P_star, -1)).max(),
+                  np.abs(np.triu(dual.P_star, 1)).max())
+        if off > args.tolerance_mono:
             raise PreconditionFailed(
                 "dual is not triangular; eigenvalue read-off unavailable"
             )
@@ -372,12 +382,7 @@ def cmd_cube(args):
             chain, law, args.horizon, stop_below=args.stop_below
         )
         tail = convergence.absorption_tail(dual, curve.horizon)
-        formula = None
-        if chain.nu[0] == 1.0 and params.admissible:
-            formula = [
-                convergence.cube_separation_formula(params.alpha, params.beta, n)
-                for n in range(curve.horizon + 1)
-            ]
+        formula = _formula_column(params, chain, curve.horizon)
         sections += [
             "",
             _curve_table(args, (f"curve horizon={curve.horizon}",),

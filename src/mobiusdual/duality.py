@@ -23,7 +23,6 @@ from .errors import (
     NumericalFailure,
     PreconditionFailed,
 )
-from .poset import maximal_indices, minimal_indices
 
 log = logging.getLogger(__name__)
 
@@ -102,31 +101,23 @@ def build_link(law, zm, direction="down"):
     equals pi exactly.
     """
     pi = law.pi
-    cf = zm.C.astype(float)
-    if direction == "down":
-        h = pi @ cf
-        lam = (cf.T * pi[None, :]) / h[:, None]
-    elif direction == "up":
-        h = pi @ cf.T
-        lam = (cf * pi[None, :]) / h[:, None]
-    else:
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    cz = zm.zeta(direction)
+    h = pi @ cz
+    lam = (cz.T * pi[None, :]) / h[:, None]
     return Link(Lambda=lam, H=h, direction=direction)
 
 
-def _unique_extremal(poset, direction):
-    if direction == "down":
-        idx = maximal_indices(poset)
-        kind = "maximal"
-    else:
-        idx = minimal_indices(poset)
-        kind = "minimal"
+def _unique_extremal(poset, zm, direction):
+    """Index of the one state with nothing above it in the oriented order
+    (maximal for down, minimal for up)."""
+    idx = np.flatnonzero(zm.zeta(direction, bool).sum(axis=1) == 1)
     if len(idx) != 1:
+        kind = "maximal" if direction == "down" else "minimal"
         labels = [poset.elements[i] for i in idx]
         raise NoUniqueExtremalState(
             f"the construction requires a unique {kind} state; found {labels!r}"
         )
-    return idx[0]
+    return int(idx[0])
 
 
 def _clamp(vec_or_mat, tol):
@@ -154,9 +145,7 @@ def build_ssd(
     signed, matrices are returned unclamped and unverified (marked
     ``forced=True``).
     """
-    if direction not in ("down", "up"):
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    absorbing = _unique_extremal(c.poset, direction)
+    absorbing = _unique_extremal(c.poset, zm, direction)
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)
@@ -177,8 +166,7 @@ def build_ssd(
             )
     link = build_link(law, zm, direction)
     h = link.H
-    cinvf = zm.Cinv.astype(float)
-    nu_star = (g @ (cinvf.T if direction == "down" else cinvf)) * h
+    nu_star = g_report.transformed * h
     p_star = ((h[:, None] * core) / h[None, :]).T
     if force:
         return DualChain(

@@ -55,43 +55,43 @@ def _check_square(P, m):
         raise DimensionMismatch(f"kernel must be {m}x{m}, got {P.shape}")
 
 
-def mobius_transform(P, zm, direction):
+def _report(notion, worst, witness, tol, exact=False, transformed=None):
+    """Report on ``worst``: true iff worst >= -tol, where tol is 0 when exact.
+
+    An exact ``worst`` is a Fraction, compared before it is rounded to float.
+    """
+    tol = 0.0 if exact else tol
+    return MonotonicityReport(
+        notion=notion,
+        verdict=bool(worst >= -tol),
+        worst_value=float(worst),
+        witness=witness,
+        tolerance_used=tol,
+        transformed=transformed,
+        exact=exact,
+    )
+
+
+def _rerun_exactly(c, worst, tol):
+    """Whether a float verdict of chain c is near enough the boundary
+    (|worst| < 100 tol) to be re-run on the chain's exact entries."""
+    return c.exact is not None and abs(worst) < EXACT_RERUN_FACTOR * tol
+
+
+def mobius_transform(P, zm, direction, dtype=float):
     """Similarity transform whose entrywise sign decides Mobius monotonicity.
 
-    down: Cinv P C; up: (C^T)^-1 P C^T.
+    down: Cinv P C; up: (C^T)^-1 P C^T.  With ``dtype=object`` and a
+    kernel of Fractions the transform is exact.
     """
-    m = zm.C.shape[0]
-    _check_square(P, m)
-    cf = zm.C.astype(float)
-    cinvf = zm.Cinv.astype(float)
-    if direction == "down":
-        return cinvf @ P @ cf
-    if direction == "up":
-        return cinvf.T @ P @ cf.T
-    raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    _check_square(P, zm.size)
+    return zm.mobius(direction, dtype) @ P @ zm.zeta(direction, dtype)
 
 
-def _exact_transform_min(c, zm, direction):
-    """Exact rational recomputation of the transform's minimum entry."""
-    m = zm.C.shape[0]
-    C = [[int(v) for v in row] for row in zm.C]
-    Ci = [[int(v) for v in row] for row in zm.Cinv]
-    P = c.exact
-    if direction == "up":
-        C = [list(col) for col in zip(*C)]
-        Ci = [list(col) for col in zip(*Ci)]
-    pc = [
-        [sum(P[i][k] * C[k][j] for k in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
-    worst = None
-    witness = None
-    for i in range(m):
-        for j in range(m):
-            v = sum(Ci[i][k] * pc[k][j] for k in range(m))
-            if worst is None or v < worst:
-                worst, witness = v, (i, j)
-    return worst, witness
+def _min_entry(t):
+    """Smallest entry of matrix t and its first (row-major) position."""
+    i, j = divmod(int(np.argmin(t)), t.shape[1])
+    return t[i, j], (i, j)
 
 
 def transform_report(c, zm, direction, t, tol=MONO_TOL):
@@ -100,26 +100,13 @@ def transform_report(c, zm, direction, t, tol=MONO_TOL):
     Lets a caller that needs the transform anyway compute it once.  The
     transform is not kept on the report.
     """
-    flat = int(np.argmin(t))
-    i, j = divmod(flat, t.shape[1])
-    worst = float(t[i, j])
-    exact = False
-    if c.exact is not None and abs(worst) < EXACT_RERUN_FACTOR * tol:
-        worst_q, (i, j) = _exact_transform_min(c, zm, direction)
-        worst = float(worst_q)
-        verdict = worst_q >= 0
-        exact = True
-    else:
-        verdict = worst >= -tol
+    worst, (i, j) = _min_entry(t)
+    exact = _rerun_exactly(c, worst, tol)
+    if exact:
+        exact_p = np.array(c.exact, dtype=object)
+        worst, (i, j) = _min_entry(mobius_transform(exact_p, zm, direction, object))
     witness = (c.poset.elements[i], c.poset.elements[j])
-    return MonotonicityReport(
-        notion=f"mobius_{direction}",
-        verdict=bool(verdict),
-        worst_value=worst,
-        witness=witness,
-        tolerance_used=0.0 if exact else tol,
-        exact=exact,
-    )
+    return _report(f"mobius_{direction}", worst, witness, tol, exact)
 
 
 def mobius_monotone_down(c, zm, tol=MONO_TOL):
@@ -138,26 +125,12 @@ def mobius_monotone_up(c, zm, tol=MONO_TOL):
 
 def function_mobius_monotone(f, zm, direction, tol=MONO_TOL):
     """Sign check of f (C^T)^-1 (down) or f Cinv (up); keeps the transform."""
-    m = zm.C.shape[0]
     f = np.asarray(f, dtype=float)
-    if f.shape != (m,):
-        raise DimensionMismatch(f"vector must have length {m}, got {f.shape}")
-    if direction == "down":
-        t = f @ zm.Cinv.T.astype(float)
-    elif direction == "up":
-        t = f @ zm.Cinv.astype(float)
-    else:
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    if f.shape != (zm.size,):
+        raise DimensionMismatch(f"vector must have length {zm.size}, got {f.shape}")
+    t = f @ zm.mobius(direction).T
     j = int(np.argmin(t))
-    worst = float(t[j])
-    return MonotonicityReport(
-        notion=f"function_mobius_{direction}",
-        verdict=bool(worst >= -tol),
-        worst_value=worst,
-        witness=j,
-        tolerance_used=tol,
-        transformed=t,
-    )
+    return _report(f"function_mobius_{direction}", t[j], j, tol, transformed=t)
 
 
 def enumerate_up_sets(p, cap=UPSET_CAP):
@@ -191,71 +164,42 @@ def enumerate_up_sets(p, cap=UPSET_CAP):
     return out
 
 
-def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
-    """P(e_i, A) <= P(e_j, A) over all up-sets A and comparable pairs e_i <= e_j."""
-    p = c.poset
-    m = p.size
-    upsets = enumerate_up_sets(p, cap=cap)
-    strict = p.leq & ~np.eye(m, dtype=bool)
-    pairs = np.argwhere(strict)
-    if pairs.size == 0:
-        # no comparable pairs: the condition is vacuous
-        return MonotonicityReport(
-            notion="strong_stochastic",
-            verdict=True,
-            worst_value=0.0,
-            witness=None,
-            tolerance_used=tol,
-        )
-    worst = np.inf
-    witness = None
-    exact_rows = c.exact
+def _worst_margin(P, upsets, pairs, elements):
+    """Smallest P(e_j, A) - P(e_i, A) over the nonempty proper up-sets A and
+    the pairs (i, j), with the first witness reaching it; (inf, None) when
+    no such up-set exists.  P holds floats, or Fractions for an exact rerun.
+    """
+    worst, witness = np.inf, None
     for u in upsets:
-        if not u or len(u) == m:
+        if not u or len(u) == len(elements):
             continue
-        mass = c.P[:, list(u)].sum(axis=1)
+        mass = P[:, list(u)].sum(axis=1)
         margins = mass[pairs[:, 1]] - mass[pairs[:, 0]]
         k = int(np.argmin(margins))
         if margins[k] < worst:
-            worst = float(margins[k])
-            i, j = int(pairs[k, 0]), int(pairs[k, 1])
-            witness = (
-                p.elements[i],
-                p.elements[j],
-                tuple(p.elements[x] for x in u),
-            )
+            worst = margins[k]
+            i, j = pairs[k]
+            witness = (elements[i], elements[j], tuple(elements[x] for x in u))
+    return worst, witness
+
+
+def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
+    """P(e_i, A) <= P(e_j, A) over all up-sets A and comparable pairs e_i <= e_j."""
+    p = c.poset
+    upsets = enumerate_up_sets(p, cap=cap)
+    pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
+    if len(pairs) == 0:
+        witness = None
+    else:
+        worst, witness = _worst_margin(c.P, upsets, pairs, p.elements)
     if witness is None:
-        # chains with no comparable pairs or only trivial up-sets
-        worst = 0.0
-    exact = False
-    verdict = worst >= -tol
-    if exact_rows is not None and abs(worst) < EXACT_RERUN_FACTOR * tol and witness:
-        worst_q = None
-        for u in upsets:
-            if not u or len(u) == m:
-                continue
-            cols = list(u)
-            masses = [sum(row[x] for x in cols) for row in exact_rows]
-            for a, b in pairs:
-                mq = masses[int(b)] - masses[int(a)]
-                if worst_q is None or mq < worst_q:
-                    worst_q = mq
-                    witness = (
-                        p.elements[int(a)],
-                        p.elements[int(b)],
-                        tuple(p.elements[x] for x in u),
-                    )
-        worst = float(worst_q)
-        verdict = worst_q >= 0
-        exact = True
-    return MonotonicityReport(
-        notion="strong_stochastic",
-        verdict=bool(verdict),
-        worst_value=worst,
-        witness=witness,
-        tolerance_used=0.0 if exact else tol,
-        exact=exact,
-    )
+        # no comparable pairs or only trivial up-sets: the condition is vacuous
+        return _report("strong_stochastic", 0.0, None, tol)
+    exact = _rerun_exactly(c, worst, tol)
+    if exact:
+        exact_p = np.array(c.exact, dtype=object)
+        worst, witness = _worst_margin(exact_p, upsets, pairs, p.elements)
+    return _report("strong_stochastic", worst, witness, tol, exact)
 
 
 def weak_monotone(c, zm, direction, tol=MONO_TOL, size_cap=LP_SIZE_CAP):
@@ -271,22 +215,16 @@ def weak_monotone(c, zm, direction, tol=MONO_TOL, size_cap=LP_SIZE_CAP):
     # imported here: scipy.optimize would dominate the package's import time
     from scipy.optimize import linprog
 
-    m = zm.C.shape[0]
+    m = zm.size
     _check_square(c.P, m)
     if m > size_cap:
         raise UpSetExplosion(
             f"state count {m} exceeds the LP weak-monotonicity cap {size_cap}"
         )
-    cf = zm.C.astype(float)
-    if direction == "up":
-        cone = cf          # (cone @ d)_k = mass of d on {e_k}^up
-        images = c.P @ cf.T
-    elif direction == "down":
-        cone = cf.T
-        images = c.P @ cf
-    else:
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    a_ub = -cone
+    cz = zm.zeta(direction)
+    # (cz.T @ d)_k = mass of d on {e_k}'s down-set ({e_k}^up for up)
+    images = c.P @ cz
+    a_ub = -cz.T
     b_ub = np.zeros(m)
     a_eq = np.ones((1, m))
     b_eq = np.zeros(1)
@@ -309,13 +247,7 @@ def weak_monotone(c, zm, direction, tol=MONO_TOL, size_cap=LP_SIZE_CAP):
         if res.fun < worst:
             worst = float(res.fun)
             witness = c.poset.elements[k]
-    return MonotonicityReport(
-        notion=f"weak_{direction}",
-        verdict=bool(worst >= -tol),
-        worst_value=worst,
-        witness=witness,
-        tolerance_used=tol,
-    )
+    return _report(f"weak_{direction}", worst, witness, tol)
 
 
 def exact_fractions(rows):

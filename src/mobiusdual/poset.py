@@ -73,9 +73,24 @@ class Poset:
         return f"Poset({self.size} states)"
 
 
+def _oriented(a, direction):
+    """``a`` for direction "down", its transpose for "up"."""
+    if direction == "down":
+        return a
+    if direction == "up":
+        return a.T
+    raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+
+
 @dataclass(frozen=True)
 class ZetaMobius:
-    """Zeta matrix C and its exact integer inverse Cinv (the Mobius matrix)."""
+    """Zeta matrix C and its exact integer inverse Cinv (the Mobius matrix).
+
+    Consumers read the pair through ``zeta``/``mobius``, oriented by a
+    direction: "down" is (C, Cinv) and "up" is the transposed pair, that is
+    the down pair of the reversed order, so every construction is written
+    once as its down formula.
+    """
 
     C: np.ndarray
     Cinv: np.ndarray
@@ -83,6 +98,18 @@ class ZetaMobius:
     def __post_init__(self):
         for a in (self.C, self.Cinv):
             a.flags.writeable = False
+
+    @property
+    def size(self):
+        return self.C.shape[0]
+
+    def zeta(self, direction, dtype=float):
+        """C ("down") or C^T ("up"), cast to ``dtype`` on each call."""
+        return _oriented(self.C, direction).astype(dtype)
+
+    def mobius(self, direction, dtype=float):
+        """Cinv ("down") or Cinv^T ("up"), cast to ``dtype`` on each call."""
+        return _oriented(self.Cinv, direction).astype(dtype)
 
 
 def _transitive_closure(rel):

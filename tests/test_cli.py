@@ -8,7 +8,7 @@ import pytest
 
 import mobiusdual as md
 from mobiusdual.cli import main
-from mobiusdual.specfile import load_model_text
+from mobiusdual.specfile import load_model_text, serialize_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -205,6 +205,26 @@ class TestEig:
         values = [float(x) for x in out.splitlines() if not x.startswith("#")]
         expected = sorted(md.cube_eigenvalues(params.alpha, params.beta), reverse=True)
         assert values == pytest.approx(expected, abs=1e-12)
+
+    def test_up_dual_is_lower_triangular(self, capsys, tmp_path):
+        # an up dual moves down the enumeration; its diagonal is the spectrum
+        # all the same
+        params = md.CubeWalkParams(d=3, alpha=(0.05, 0.1, 0.08), beta=(0.07, 0.04, 0.1))
+        path = tmp_path / "chain.spec"
+        path.write_text(serialize_chain(md.nearest_neighbor_walk(params)))
+        values = {}
+        for direction in ("down", "up"):
+            code, out, err = run(
+                capsys, "eig", "--input", str(path), "--direction", direction
+            )
+            assert code == 0, err
+            assert "dual_diagonal" in out
+            values[direction] = [
+                float(x) for x in out.splitlines() if not x.startswith("#")
+            ]
+        assert values["up"] == pytest.approx(values["down"], abs=1e-12)
+        expected = sorted(md.cube_eigenvalues(params.alpha, params.beta), reverse=True)
+        assert values["up"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCube:

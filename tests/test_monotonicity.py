@@ -1,15 +1,22 @@
+import json
+import os
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mobiusdual import (
     CubeWalkParams,
+    build_link,
     build_poset,
+    build_ssd,
     cube_poset,
     function_mobius_monotone,
     mobius_monotone_down,
     mobius_monotone_up,
     nearest_neighbor_walk,
     power_chain,
+    stationary,
     strong_stochastic_monotone,
     validate_chain,
     weak_monotone,
@@ -17,11 +24,16 @@ from mobiusdual import (
 )
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.monotonicity import (
+    _worst_margin,
     enumerate_up_sets,
     exact_fractions,
     mobius_transform,
     transform_report,
 )
+from mobiusdual.specfile import load_model, load_model_text
+
+HERE = os.path.dirname(__file__)
+DATA = os.path.join(HERE, "data")
 
 # strongly stochastically monotone on the 2-cube yet Mobius monotone in
 # neither direction (seeded randomized search, frozen)
@@ -368,3 +380,176 @@ class TestClosureAndEquivalences:
             ev_t = np.sort_complex(np.linalg.eigvals(t))
             ev_p = np.sort_complex(np.linalg.eigvals(c.P))
             assert np.abs(ev_t - ev_p).max() < 1e-8
+
+
+def exact_transform_min(c, zm, direction):
+    """Oracle: minimum entry of the exact Mobius transform and its first
+    position in row-major order, by plain Fraction loops."""
+    m = zm.C.shape[0]
+    C = [[int(v) for v in row] for row in zm.C]
+    Ci = [[int(v) for v in row] for row in zm.Cinv]
+    P = c.exact
+    if direction == "up":
+        C = [list(col) for col in zip(*C)]
+        Ci = [list(col) for col in zip(*Ci)]
+    pc = [
+        [sum(P[i][k] * C[k][j] for k in range(m)) for j in range(m)]
+        for i in range(m)
+    ]
+    worst = None
+    witness = None
+    for i in range(m):
+        for j in range(m):
+            v = sum(Ci[i][k] * pc[k][j] for k in range(m))
+            if worst is None or v < worst:
+                worst, witness = v, (i, j)
+    return worst, witness
+
+
+def exact_strong_min(c):
+    """Oracle: smallest exact margin P(e_j, A) - P(e_i, A) over nonempty
+    proper up-sets A and comparable pairs e_i < e_j, with its first witness."""
+    p = c.poset
+    m = p.size
+    pairs = np.argwhere(p.leq & ~np.eye(m, dtype=bool))
+    worst_q = None
+    witness = None
+    for u in enumerate_up_sets(p):
+        if not u or len(u) == m:
+            continue
+        cols = list(u)
+        masses = [sum(row[x] for x in cols) for row in c.exact]
+        for a, b in pairs:
+            mq = masses[int(b)] - masses[int(a)]
+            if worst_q is None or mq < worst_q:
+                worst_q = mq
+                witness = (
+                    p.elements[int(a)],
+                    p.elements[int(b)],
+                    tuple(p.elements[x] for x in u),
+                )
+    return worst_q, witness
+
+
+def exact_walk(d, rates):
+    """A cube walk with equal up and down rates, carrying its Fraction
+    entries; it is admissible, so its Mobius and strong worst values are
+    exactly zero."""
+    params = CubeWalkParams(d=d, alpha=tuple(map(float, rates)),
+                            beta=tuple(map(float, rates)))
+    walk = nearest_neighbor_walk(params)
+    m = walk.size
+    q = [[Fraction(0)] * m for _ in range(m)]
+    for x in range(m):
+        for k in range(d):
+            q[x][x ^ (1 << k)] = rates[k]
+        q[x][x] = 1 - sum(q[x])
+    return validate_chain(walk.P, walk.poset, exact=exact_fractions(q))
+
+
+def rational_chains():
+    """Random rational kernels on the tests/data posets and on every fourth
+    perfbench pool poset, plus two exact admissible cube walks."""
+    posets = []
+    for name in ("strong_not_mobius", "two_cube", "three_cube", "four_cube"):
+        loaded = load_model(os.path.join(DATA, f"{name}.spec"))
+        posets.append(
+            cube_poset(loaded.cube.d) if loaded.kind == "cube" else loaded.chain.poset
+        )
+    with open(os.path.join(HERE, os.pardir, "perfbench", "pool.json")) as fh:
+        pool = json.load(fh)["posets"]
+    posets += [load_model_text(e["spec"]).chain.poset for e in pool[::4]]
+    rng = np.random.default_rng(20261018)
+    for k, p in enumerate(posets):
+        m = p.size
+        weights = rng.integers(0, 4, size=(m, m)) * (rng.random((m, m)) < 0.5)
+        weights[np.arange(m), np.arange(m)] += 1
+        q = exact_fractions(
+            [[Fraction(int(w), int(row.sum())) for w in row] for row in weights]
+        )
+        P = np.array([[float(v) for v in row] for row in q])
+        yield f"random{k}", validate_chain(P, p, exact=q)
+    yield "walk2", exact_walk(2, [Fraction(1, 6), Fraction(1, 3)])
+    yield "walk3", exact_walk(3, [Fraction(1, 8), Fraction(1, 12), Fraction(1, 4)])
+
+
+RATIONAL_CHAINS = dict(rational_chains())
+
+
+class TestExactReruns:
+    """The exact reruns against the plain Fraction loops they replaced.
+
+    A tolerance of 1 puts every worst value here inside the rerun window
+    (|worst| < 100 tol), so each report below is an exact rerun.
+    """
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", sorted(RATIONAL_CHAINS))
+    def test_mobius_rerun_matches_fraction_loops(self, name, direction):
+        c = RATIONAL_CHAINS[name]
+        zm = zeta_mobius(c.poset)
+        worst_q, (i, j) = exact_transform_min(c, zm, direction)
+        t = mobius_transform(np.array(c.exact, dtype=object), zm, direction, object)
+        assert isinstance(t.min(), Fraction)
+        assert t.min() == worst_q
+        float_t = mobius_transform(c.P, zm, direction)
+        rep = transform_report(c, zm, direction, float_t, tol=1.0)
+        assert rep.exact and rep.tolerance_used == 0.0
+        assert rep.worst_value == float(worst_q)
+        assert rep.verdict == (worst_q >= 0)
+        assert rep.witness == (c.poset.elements[i], c.poset.elements[j])
+
+    @pytest.mark.parametrize("name", sorted(RATIONAL_CHAINS))
+    def test_strong_rerun_matches_fraction_loop(self, name):
+        c = RATIONAL_CHAINS[name]
+        p = c.poset
+        worst_q, witness = exact_strong_min(c)
+        pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
+        got = _worst_margin(
+            np.array(c.exact, dtype=object), enumerate_up_sets(p), pairs, p.elements
+        )
+        assert isinstance(got[0], Fraction)
+        assert got == (worst_q, witness)
+        rep = strong_stochastic_monotone(c, tol=1.0)
+        assert rep.exact and rep.tolerance_used == 0.0
+        assert rep.worst_value == float(worst_q)
+        assert rep.verdict == (worst_q >= 0)
+        assert rep.witness == witness
+
+    def test_admissible_walks_rerun_to_exact_zero(self):
+        for name in ("walk2", "walk3"):
+            c = RATIONAL_CHAINS[name]
+            zm = zeta_mobius(c.poset)
+            for rep in (
+                mobius_monotone_down(c, zm),
+                mobius_monotone_up(c, zm),
+                strong_stochastic_monotone(c, tol=1.0),
+            ):
+                assert rep.exact and rep.verdict and rep.worst_value == 0.0
+
+
+def _sideways_call(name):
+    c = two_cube_chain(0.12, 0.2, 0.07, 0.17).with_nu(np.full(4, 0.25))
+    zm = zeta_mobius(c.poset)
+    law = stationary(c)
+    calls = {
+        "mobius_transform": lambda: mobius_transform(c.P, zm, "sideways"),
+        "function_mobius_monotone": lambda: function_mobius_monotone(
+            np.ones(4), zm, "sideways"
+        ),
+        "weak_monotone": lambda: weak_monotone(c, zm, "sideways"),
+        "build_link": lambda: build_link(law, zm, "sideways"),
+        "build_ssd": lambda: build_ssd(c, law, zm, direction="sideways"),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mobius_transform", "function_mobius_monotone", "weak_monotone",
+     "build_link", "build_ssd"],
+)
+def test_unknown_direction_raises(name):
+    call = _sideways_call(name)
+    with pytest.raises(ValueError, match="direction must be 'down' or 'up'"):
+        call()

@@ -1,3 +1,7 @@
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -162,6 +166,52 @@ class TestZetaMobius:
         mat = np.triu((rng.random((m, m)) < 0.3).astype(float), 1) + np.eye(m)
         inv = _invert_unitriangular(mat, block=8)
         assert np.abs(mat @ inv - np.eye(m)).max() == 0.0
+
+
+class TestOrientedPair:
+    def test_down_is_the_pair_and_up_its_transpose(self):
+        zm = zeta_mobius(diamond())
+        assert zm.size == 4
+        assert np.array_equal(zm.zeta("down"), zm.C)
+        assert np.array_equal(zm.mobius("down"), zm.Cinv)
+        assert np.array_equal(zm.zeta("up"), zm.C.T)
+        assert np.array_equal(zm.mobius("up"), zm.Cinv.T)
+        for direction in ("down", "up"):
+            assert np.array_equal(zm.zeta(direction) @ zm.mobius(direction), np.eye(4))
+
+    def test_cast_on_each_call(self):
+        zm = zeta_mobius(cube_poset(2))
+        assert zm.zeta("down").dtype == np.float64
+        assert zm.C.dtype == np.int64
+        assert zm.zeta("down") is not zm.zeta("down")
+        exact = zm.mobius("up", object)
+        assert exact.dtype == object and type(exact[0, 0]) is int
+        zm.zeta("down")[0, 0] = 7.0          # a copy, not the stored pair
+        assert zm.C[0, 0] == 1
+
+    def test_unknown_direction(self):
+        zm = zeta_mobius(diamond())
+        for accessor in (zm.zeta, zm.mobius):
+            with pytest.raises(ValueError, match="direction must be"):
+                accessor("sideways")
+
+    def test_only_poset_reads_the_dense_pair(self):
+        # every other module reads the pair through zeta()/mobius(), so a
+        # structured transform can replace the dense matrices in one place
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mobiusdual")
+        readers = []
+        for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+            if os.path.basename(path) == "poset.py":
+                continue
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            readers += [
+                f"{os.path.basename(path)}:{node.lineno} .{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("C", "Cinv")
+            ]
+        assert len(glob.glob(os.path.join(src, "*.py"))) > 1
+        assert readers == []
 
 
 class TestCubePoset:
