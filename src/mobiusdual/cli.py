@@ -324,11 +324,7 @@ def cmd_eig(args):
         if chain.nu is None:
             chain = chain.with_nu(stationary(chain).pi)
         dual = _build_dual(chain, args)
-        # a down dual moves up the enumeration and an up dual down it, so
-        # either triangle may hold the transitions
-        off = min(np.abs(np.tril(dual.P_star, -1)).max(),
-                  np.abs(np.triu(dual.P_star, 1)).max())
-        if off > args.tolerance_mono:
+        if convergence.triangular_side(dual.P_star, args.tolerance_mono) is None:
             raise PreconditionFailed(
                 "dual is not triangular; eigenvalue read-off unavailable"
             )

@@ -18,6 +18,7 @@ from .errors import (
 MAX_HORIZON = 10_000_000
 STOP_BELOW_DEFAULT = 1e-14
 SUBSET_ENUM_LIMIT = 20
+TRIANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,10 @@ def absorption_tail(dual, horizon):
     """Tail P(T* > n) and mean absorption time from the transient block.
 
     Deleting the absorbing row/column leaves Q; the tail is nu*_t Q^n 1 and
-    the mean solves through the fundamental matrix (I - Q)^-1.  A singular
-    fundamental matrix signals a second absorbing class, i.e. an invalid
-    dual.
+    the mean solves through the fundamental matrix (I - Q)^-1, by
+    substitution when Q is triangular (a dual built in a linear extension
+    is) and by LU otherwise.  A singular fundamental matrix signals a second
+    absorbing class, i.e. an invalid dual.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
@@ -118,14 +120,10 @@ def absorption_tail(dual, horizon):
     for n in range(1, horizon + 1):
         cur = cur @ q
         tail[n] = cur.sum()
+    fundamental = np.eye(len(keep)) - q
     ones = np.ones(len(keep))
-    try:
-        expected_steps = np.linalg.solve(np.eye(len(keep)) - q, ones)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFundamentalMatrix(
-            "fundamental matrix is singular; the dual has a second absorbing class"
-        ) from exc
-    residual = np.abs((np.eye(len(keep)) - q) @ expected_steps - ones).max()
+    expected_steps = _solve_fundamental(fundamental, ones)
+    residual = np.abs(fundamental @ expected_steps - ones).max(initial=0.0)
     if not np.isfinite(expected_steps).all() or residual > 1e-8:
         raise SingularFundamentalMatrix(
             "fundamental matrix solve lost accuracy; the dual has a second "
@@ -133,6 +131,55 @@ def absorption_tail(dual, horizon):
         )
     mean = float(v @ expected_steps)
     return AbsorptionLaw(tail=tail, mean=mean)
+
+
+def triangular_side(mat, tol):
+    """Return "upper" if the strict lower triangle of square ``mat`` is
+    within ``tol`` in absolute value, else "lower" if the strict upper one
+    is, else None.
+
+    A down dual moves up the enumeration and an up dual down it, so either
+    triangle may hold the transitions.
+    """
+    below = np.tri(*mat.shape, k=-1, dtype=bool)
+    if np.abs(mat[below]).max(initial=0.0) <= tol:
+        return "upper"
+    if np.abs(mat[below.T]).max(initial=0.0) <= tol:
+        return "lower"
+    return None
+
+
+def _solve_fundamental(a, b):
+    """Solve a x = b by back substitution if ``a`` is triangular up to
+    TRIANGLE_TOL (the far triangle is dropped; the caller's residual check
+    covers it), by LU otherwise."""
+    side = triangular_side(a, TRIANGLE_TOL)
+    if side is None:
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFundamentalMatrix(
+                "fundamental matrix is singular; the dual has a second "
+                "absorbing class"
+            ) from exc
+    if side == "lower":
+        # reversing both axes turns a lower triangle into an upper one
+        return _back_substitute(a[::-1, ::-1], b[::-1])[::-1]
+    return _back_substitute(a, b)
+
+
+def _back_substitute(u, b):
+    """Solve u x = b for upper-triangular ``u``, ignoring its lower triangle."""
+    diag = np.diag(u)
+    if (diag == 0).any():
+        raise SingularFundamentalMatrix(
+            "fundamental matrix has a zero pivot; the dual has a second "
+            "absorbing class"
+        )
+    x = np.empty_like(b)
+    for i in range(len(b) - 1, -1, -1):
+        x[i] = (b[i] - u[i, i + 1:] @ x[i + 1:]) / diag[i]
+    return x
 
 
 def sst_bound_check(curve, absorption, tol=1e-10):
@@ -210,51 +257,134 @@ def _subset_rates(rates):
 
 
 def binomial_band(p, samples, confidence=0.99):
-    """Two-sided binomial confidence band for a tail probability."""
-    # imported here: scipy.stats would dominate the package's import time
-    from scipy.stats import binom
+    """Two-sided binomial confidence band for a tail probability.
 
-    lo, hi = binom.interval(confidence, samples, np.clip(p, 0.0, 1.0))
-    return lo / samples, hi / samples
+    The equal-tail interval of Binomial(samples, p), divided by ``samples``:
+    each end is the smallest k in [0, samples] with CDF(k) >= q, for
+    q = (1 -+ confidence)/2, found by bisection over the binomial CDF (the
+    quantile rule of ``scipy.stats.binom.interval``, which would dominate
+    the ``simulate`` command's import time).  q == 0 gives -1 and q == 1
+    gives ``samples``.
+    """
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError("confidence must be in [0, 1]")
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    # an empirical tail repeats its values; search each distinct one once
+    values, where = np.unique(p.ravel(), return_inverse=True)
+    lo, hi = (
+        _binomial_quantile(q, samples, values)[where].reshape(p.shape) / samples
+        for q in ((1.0 - confidence) / 2, (1.0 + confidence) / 2)
+    )
+    return lo, hi
+
+
+def _binomial_quantile(q, samples, p):
+    """Smallest k with Binomial(samples, p) CDF(k) >= q, elementwise over p."""
+    if q == 0.0:
+        return np.full(p.shape, -1, dtype=np.int64)
+    if q == 1.0:
+        return np.full(p.shape, samples, dtype=np.int64)
+    from scipy.special import bdtr
+
+    # invariant: CDF(below) < q <= CDF(above), with CDF(-1) = 0; a settled
+    # entry probes mid == below (bdtr gives NaN at -1) and stays
+    below = np.full(p.shape, -1, dtype=np.int64)
+    above = np.full(p.shape, samples, dtype=np.int64)
+    while (above - below > 1).any():
+        mid = (below + above) // 2
+        reached = bdtr(mid, samples, p) >= q
+        above = np.where(reached, mid, above)
+        below = np.where(reached, below, mid)
+    return above
+
+
+def _sparse_rows(P):
+    """Row layout for sampling among each row's nonzeros.
+
+    ``cum[s]`` holds the full-row cumulative sums of ``P[s]`` taken at the
+    row's nonzero columns (column 0 always included, so u == 0 lands on
+    state 0), padded with +inf to the widest row.  ``cols[s, k]`` is the
+    column of block entry k, and ``m - 1`` from the end of the block on, so
+    ``cols[s, (u > cum[s]).sum()]`` is the state that comparing u with all m
+    cumulants of a nonnegative row would pick: the first column whose
+    cumulant reaches u, or m - 1 if none does.
+    """
+    m = P.shape[0]
+    full = np.cumsum(P, axis=1)
+    keep = P != 0
+    keep[:, 0] = True
+    counts = keep.sum(axis=1)
+    width = int(counts.max())
+    rows, columns = np.nonzero(keep)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cum = np.full((m, width), np.inf)
+    cum[rows, slot] = full[rows, columns]
+    cols = np.full((m, width + 1), m - 1, dtype=np.int64)
+    cols[rows, slot] = columns
+    return cum, cols
+
+
+def _count_below(cum, rows, u):
+    """``(u[:, None] > cum[rows]).sum(axis=1)``, by binary search.
+
+    Each block of ``cum`` is nondecreasing, so the count is the position of u
+    in its block; a branchless search finds it in log2(width) gathers.
+    """
+    width = cum.shape[1]
+    k = np.zeros(rows.size, dtype=np.int64)
+    half = 1 << (width.bit_length() - 1)
+    while half:
+        probe = np.minimum(k + half, width)
+        k = np.where(u > cum[rows, probe - 1], probe, k)
+        half >>= 1
+    return k
 
 
 def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
     """Simulate absorption times by inverse-CDF categorical sampling.
 
-    All trajectories advance in lockstep; the generator is seeded, so output
-    is bit-reproducible for a fixed (seed, samples).  Returns the empirical
-    tail for n = 0..horizon (default: largest observed time) with binomial
-    confidence bands around the empirical values.
+    All trajectories advance in lockstep, each step placing one uniform draw
+    among the cumulants of its row at the row's nonzero columns; the
+    generator is seeded, so output is bit-reproducible for a fixed
+    (seed, samples).  Returns the empirical tail for n = 0..horizon
+    (default: largest observed time) with binomial confidence bands around
+    the empirical values.  The dual must be nonnegative, as any dual that
+    ``build_ssd`` returns without ``force`` is.
     """
     if samples < 1:
         raise PreconditionFailed("samples must be >= 1")
+    if horizon is not None and (horizon < 0 or horizon > MAX_HORIZON):
+        raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
+    if not ((dual.P_star >= 0).all() and (dual.nu_star >= 0).all()):
+        raise PreconditionFailed(
+            "simulation needs a nonnegative dual; P* or nu* has a negative "
+            "or NaN entry"
+        )
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(dual.P_star, axis=1)
+    cum, cols = _sparse_rows(dual.P_star)
     start_cum = np.cumsum(dual.nu_star)
     state = np.searchsorted(start_cum, rng.random(samples), side="right")
     state = np.minimum(state, dual.size - 1)
     times = np.zeros(samples, dtype=np.int64)
-    alive = state != dual.absorbing_index
+    idx = np.flatnonzero(state != dual.absorbing_index)
+    state = state[idx]
     step = 0
-    while alive.any():
+    while idx.size:
         step += 1
         if step > MAX_HORIZON:
             raise HorizonTooLarge(
                 f"simulation exceeded {MAX_HORIZON} steps before absorption"
             )
-        idx = np.flatnonzero(alive)
         u = rng.random(idx.size)
-        rows = cum[state[idx]]
-        nxt = (u[:, None] > rows).sum(axis=1)
-        nxt = np.minimum(nxt, dual.size - 1)
-        state[idx] = nxt
-        absorbed = nxt == dual.absorbing_index
-        times[idx[absorbed]] = step
-        alive[idx[absorbed]] = False
+        state = cols[state, _count_below(cum, state, u)]
+        live = state != dual.absorbing_index
+        times[idx[~live]] = step
+        idx = idx[live]
+        state = state[live]
     if horizon is None:
         horizon = int(times.max())
-    ns = np.arange(horizon + 1)
-    empirical = (times[None, :] > ns[:, None]).mean(axis=1)
+    absorbed_by = np.cumsum(np.bincount(times, minlength=horizon + 1)[:horizon + 1])
+    empirical = (samples - absorbed_by) / samples
     lower, upper = binomial_band(empirical, samples, confidence)
     return EmpiricalTail(
         tail=empirical,

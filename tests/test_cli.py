@@ -398,21 +398,35 @@ class TestExitCodes:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def run_fresh(code):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        code = (
-            "import sys, mobiusdual.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        last = self.run_fresh(
+            "import sys, mobiusdual.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert last == "[]"
+
+    def test_simulate_never_imports_scipy_stats(self):
+        last = self.run_fresh(
+            "import sys\n"
+            "from mobiusdual.cli import main\n"
+            f"code = main(['simulate', '--input', {spec('two_cube.spec')!r}, "
+            "'--samples', '500', '--seed', '3', '--horizon', '10'])\n"
+            "print(code, [m for m in sys.modules if m.startswith('scipy.stats')])"
+        )
+        assert last == "0 []"
 
 
 class TestOutputRouting:

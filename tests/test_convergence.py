@@ -1,5 +1,9 @@
+import os
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from mobiusdual import (
     CubeWalkParams,
@@ -17,7 +21,13 @@ from mobiusdual import (
     validate_chain,
     zeta_mobius,
 )
-from mobiusdual.convergence import binomial_band
+from mobiusdual.convergence import (
+    MAX_HORIZON,
+    _count_below,
+    _sparse_rows,
+    binomial_band,
+    triangular_side,
+)
 from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
     DimensionMismatch,
@@ -25,6 +35,10 @@ from mobiusdual.errors import (
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
+from mobiusdual.specfile import load_model
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def delta(m, k):
@@ -59,6 +73,73 @@ def separation_gray_loop(alpha, beta, n):
         sign = 1.0 if bits % 2 == 1 else -1.0
         total += sign * (1.0 - s) ** n
     return total
+
+
+def extreme_walk_dual(d, direction, mixed=False, seed=0):
+    """Dual of a random admissible d-cube walk started from the extremal
+    state of ``direction`` (all-zeros down, all-ones up), or from the
+    half-half mixture of that point mass and pi."""
+    rng = np.random.default_rng([d, seed])
+    a = rng.uniform(0.5, 1.5, d)
+    b = rng.uniform(0.5, 1.5, d)
+    scale = 0.8 / (a.sum() + b.sum())
+    params = CubeWalkParams(d=d, alpha=tuple(a * scale), beta=tuple(b * scale))
+    m = 2**d
+    nu = delta(m, 0 if direction == "down" else m - 1)
+    c = nearest_neighbor_walk(params, nu=nu)
+    law = stationary(c)
+    if mixed:
+        c = c.with_nu(0.5 * nu + 0.5 * law.pi)
+    return params, build_ssd(c, law, zeta_mobius(c.poset), direction)
+
+
+def inclusion_exclusion_mean(params):
+    """E T* = sum over nonempty coordinate subsets of (-1)^(|g|-1) / s_g,
+    the sum over n of the cube walk's closed-form separation."""
+    rates = np.add(params.alpha, params.beta)
+    total = 0.0
+    for k in range(1, params.d + 1):
+        for gamma in combinations(range(params.d), k):
+            total += (-1) ** (k - 1) / rates[list(gamma)].sum()
+    return total
+
+
+def dense_simulate(dual, samples, seed, horizon=None, confidence=0.99):
+    """Reference: every draw compared with all m cumulants of its row, the
+    tail as the mean of a (horizon+1) x samples indicator matrix and the
+    band from scipy.stats."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(dual.P_star, axis=1)
+    start_cum = np.cumsum(dual.nu_star)
+    state = np.searchsorted(start_cum, rng.random(samples), side="right")
+    state = np.minimum(state, dual.size - 1)
+    times = np.zeros(samples, dtype=np.int64)
+    alive = state != dual.absorbing_index
+    step = 0
+    while alive.any():
+        step += 1
+        idx = np.flatnonzero(alive)
+        u = rng.random(idx.size)
+        nxt = (u[:, None] > cum[state[idx]]).sum(axis=1)
+        nxt = np.minimum(nxt, dual.size - 1)
+        state[idx] = nxt
+        absorbed = nxt == dual.absorbing_index
+        times[idx[absorbed]] = step
+        alive[idx[absorbed]] = False
+    if horizon is None:
+        horizon = int(times.max())
+    ns = np.arange(horizon + 1)
+    empirical = (times[None, :] > ns[:, None]).mean(axis=1)
+    lo, hi = binom.interval(confidence, samples, np.clip(empirical, 0.0, 1.0))
+    return empirical, lo / samples, hi / samples
+
+
+def assert_same_simulation(dual, samples, seed, horizon=None):
+    result = simulate_absorption(dual, samples, seed, horizon=horizon)
+    tail, lower, upper = dense_simulate(dual, samples, seed, horizon=horizon)
+    assert result.tail.tobytes() == tail.tobytes()
+    assert result.lower.tobytes() == lower.tobytes()
+    assert result.upper.tobytes() == upper.tobytes()
 
 
 def two_state_dual(a, b):
@@ -131,6 +212,13 @@ class TestAbsorptionTail:
         assert np.abs(law.tail).max() == 0.0
         assert law.mean == 0.0
 
+    def test_single_state_dual_is_absorbed_at_once(self):
+        dual = DualChain(nu_star=np.array([1.0]), P_star=np.array([[1.0]]),
+                         absorbing_index=0, direction="down")
+        law = absorption_tail(dual, 3)
+        assert law.tail.tolist() == [0.0] * 4
+        assert law.mean == 0.0
+
     def test_two_state_geometric_law(self):
         a, b = 0.25, 0.15
         law = absorption_tail(two_state_dual(a, b), 30)
@@ -173,6 +261,54 @@ class TestAbsorptionTail:
             direction="down",
         )
         with pytest.raises(SingularFundamentalMatrix):
+            absorption_tail(bad, 5)
+
+
+class TestAbsorptionMean:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_matches_lu_and_inclusion_exclusion(self, d, direction):
+        params, dual = extreme_walk_dual(d, direction)
+        keep = [i for i in range(dual.size) if i != dual.absorbing_index]
+        q = dual.P_star[np.ix_(keep, keep)]
+        lu = dual.nu_star[keep] @ np.linalg.solve(np.eye(len(keep)) - q,
+                                                  np.ones(len(keep)))
+        mean = absorption_tail(dual, 0).mean
+        assert mean == pytest.approx(lu, rel=1e-10)
+        assert mean == pytest.approx(inclusion_exclusion_mean(params), rel=1e-10)
+
+    def test_walk_duals_take_the_triangular_path(self):
+        # a down dual moves up the mask enumeration, an up dual down it
+        for direction, side in (("down", "upper"), ("up", "lower")):
+            _, dual = extreme_walk_dual(5, direction)
+            assert triangular_side(dual.P_star, 1e-12) == side
+
+    def test_dense_transient_block_falls_back_to_lu(self):
+        p_star = np.array([
+            [0.5, 0.2, 0.3],
+            [0.4, 0.4, 0.2],
+            [0.0, 0.0, 1.0],
+        ])
+        dual = DualChain(nu_star=np.array([0.6, 0.4, 0.0]), P_star=p_star,
+                         absorbing_index=2, direction="down")
+        assert triangular_side(p_star, 1e-12) is None
+        q = p_star[:2, :2]
+        expected = np.array([0.6, 0.4]) @ np.linalg.solve(np.eye(2) - q, np.ones(2))
+        assert absorption_tail(dual, 3).mean == pytest.approx(expected, rel=1e-14)
+
+    def test_triangular_second_absorbing_state_is_a_zero_pivot(self):
+        # state 1 absorbs as well as state 2
+        bad = DualChain(
+            nu_star=np.array([0.5, 0.5, 0.0]),
+            P_star=np.array([
+                [0.5, 0.25, 0.25],
+                [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0],
+            ]),
+            absorbing_index=2,
+            direction="down",
+        )
+        with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
             absorption_tail(bad, 5)
 
 
@@ -317,3 +453,127 @@ class TestSimulation:
         result = simulate_absorption(two_state_dual(0.3, 0.1), 5000, seed=3, horizon=20)
         assert (result.lower <= result.tail + 1e-12).all()
         assert (result.tail <= result.upper + 1e-12).all()
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
+    def test_sparse_sampler_matches_dense_comparison(self, d, direction):
+        for mixed in (False, True):
+            _, dual = extreme_walk_dual(d, direction, mixed=mixed)
+            for seed in (1, 2, 3):
+                for horizon in (None, 50):
+                    assert_same_simulation(dual, 2000, seed, horizon)
+
+    @pytest.mark.parametrize("name", ["two_cube", "three_cube", "four_cube"])
+    def test_sparse_sampler_matches_dense_on_fixture_duals(self, name):
+        params = load_model(os.path.join(DATA, f"{name}.spec")).cube
+        m = 2**params.d
+        for direction, start in (("down", 0), ("up", m - 1)):
+            c = nearest_neighbor_walk(params, nu=delta(m, start))
+            dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), direction)
+            for seed, horizon in ((5, 25), (9, None)):
+                assert_same_simulation(dual, 3000, seed, horizon)
+
+    def test_row_blocks_keep_column_zero(self):
+        _, dual = extreme_walk_dual(4, "down")
+        assert (dual.P_star[1:, 0] == 0).all()
+        cum, cols = _sparse_rows(dual.P_star)
+        assert (cols[:, 0] == 0).all()
+        # a draw of exactly 0 lands on state 0 whatever the row
+        assert (cols[np.arange(dual.size), (0.0 > cum).sum(axis=1)] == 0).all()
+
+    def test_search_counts_ties_like_the_full_comparison(self):
+        _, dual = extreme_walk_dual(5, "down")
+        cum, _ = _sparse_rows(dual.P_star)
+        rows = np.repeat(np.arange(dual.size), cum.shape[1] + 2)
+        finite = np.where(np.isfinite(cum), cum, 1.0)
+        # every cumulant itself, 0 and values just past the row's cumulants
+        u = np.concatenate([finite, np.zeros((dual.size, 1)),
+                            np.nextafter(finite[:, -1:], 2.0)], axis=1).ravel()
+        assert (_count_below(cum, rows, u)
+                == (u[:, None] > cum[rows]).sum(axis=1)).all()
+
+    def test_draw_beyond_last_cumulant_lands_on_last_state(self):
+        p_star = np.array([
+            [0.0, 0.25, 0.0, 0.25],
+            [0.0, 0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        cum, cols = _sparse_rows(p_star)
+        assert cols[0, (0.75 > cum[0]).sum()] == 3
+        assert cols[1, (0.75 > cum[1]).sum()] == 2
+        # row 0 sums to 1/2; the dense comparison clamps its overflow to m - 1
+        dual = DualChain(nu_star=np.array([1.0, 0.0, 0.0, 0.0]), P_star=p_star,
+                         absorbing_index=3, direction="down")
+        assert_same_simulation(dual, 2000, 4)
+
+    def test_dense_dual_gets_full_width(self):
+        p_star = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.0, 0.0, 1.0]])
+        cum, cols = _sparse_rows(p_star)
+        assert cum.shape == (3, 3)
+        assert cols.shape == (3, 4)
+        dual = DualChain(nu_star=np.array([0.5, 0.5, 0.0]), P_star=p_star,
+                         absorbing_index=2, direction="down")
+        assert_same_simulation(dual, 2000, 6, 10)
+
+    @pytest.mark.parametrize("horizon", [-1, MAX_HORIZON + 1])
+    def test_horizon_outside_range_raises(self, horizon):
+        with pytest.raises(HorizonTooLarge):
+            simulate_absorption(two_state_dual(0.2, 0.2), 10, seed=1,
+                                horizon=horizon)
+
+    def test_signed_forced_dual_is_refused(self):
+        model = load_model(os.path.join(DATA, "strong_not_mobius.spec"))
+        c = model.chain
+        dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down",
+                         force=True)
+        assert dual.forced and (dual.P_star < 0).any()
+        with pytest.raises(PreconditionFailed, match="nonnegative"):
+            simulate_absorption(dual, 10, seed=1)
+
+    def test_negative_initial_mass_is_refused(self):
+        dual = DualChain(nu_star=np.array([1.25, -0.25]),
+                         P_star=two_state_dual(0.2, 0.2).P_star,
+                         absorbing_index=1, direction="down")
+        with pytest.raises(PreconditionFailed, match="nonnegative"):
+            simulate_absorption(dual, 10, seed=1)
+
+
+class TestBinomialBand:
+    @staticmethod
+    def assert_same_band(p, n, confidence):
+        lo, hi = binomial_band(p, n, confidence)
+        ref_lo, ref_hi = binom.interval(confidence, n, np.clip(p, 0.0, 1.0))
+        assert lo.tobytes() == (ref_lo / n).tobytes()
+        assert hi.tobytes() == (ref_hi / n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 2000, 5000, 20000])
+    def test_matches_scipy_on_every_empirical_value(self, n):
+        p = np.arange(n + 1) / n
+        for confidence in (0.0, 0.99, 1.0):
+            self.assert_same_band(p, n, confidence)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 2000, 10000, 20000, 100000])
+    def test_matches_scipy_on_random_probabilities(self, n):
+        rng = np.random.default_rng(n)
+        tiny = 10.0 ** rng.uniform(-15, -1, 500)
+        p = np.concatenate([rng.uniform(0, 1, 1000), tiny, 1.0 - tiny,
+                            [0.0, 1.0]])
+        for confidence in (0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0):
+            self.assert_same_band(p, n, confidence)
+
+    def test_edge_quantiles(self):
+        lo, hi = binomial_band(np.array([0.0, 0.3, 1.0]), 10, 1.0)
+        assert (lo == -0.1).all()
+        assert (hi == 1.0).all()
+
+    def test_quantile_reached_exactly(self):
+        # Binomial(2, 1/2) has CDF 1/4 and 3/4, exactly the quantiles of a
+        # 50 % band, and the smallest k reaching each is taken
+        lo, hi = binomial_band(np.array([0.5]), 2, 0.5)
+        assert (lo[0], hi[0]) == (0.0, 0.5)
+        self.assert_same_band(np.array([0.5]), 2, 0.5)
+
+    def test_confidence_outside_unit_interval_raises(self):
+        with pytest.raises(ValueError):
+            binomial_band(np.array([0.5]), 10, 1.5)
