@@ -139,7 +139,12 @@ def _witness_str(witness):
 
 
 def _resolve_chain(loaded, args, need_nu):
-    """Turn a loaded model into (chain, cube_params_or_None)."""
+    """Turn a loaded model into (chain, cube_params_or_None, law_or_None).
+
+    The law is the stationary law when ``nu: stationary`` needed it, so a
+    command that needs it too reuses that solve.
+    """
+    law = None
     if loaded.kind == "cube":
         params = loaded.cube
         chain = nearest_neighbor_walk(params)
@@ -150,21 +155,23 @@ def _resolve_chain(loaded, args, need_nu):
         elif token in ("delta_min", "delta_max", "uniform"):
             nu = nu_vector(token, chain.poset)
         elif token == "stationary":
-            nu = stationary(chain).pi
+            law = stationary(chain)
+            nu = law.pi
         elif need_nu:
             nu = nu_vector("delta_min", chain.poset)
         if nu is not None:
             chain = chain.with_nu(nu, row_tol=args.tolerance_row)
-        return chain, params
+        return chain, params, law
     if loaded.kind == "chain":
         chain = loaded.chain
         if loaded.nu_token == "stationary":
-            chain = chain.with_nu(stationary(chain).pi, row_tol=args.tolerance_row)
+            law = stationary(chain)
+            chain = chain.with_nu(law.pi, row_tol=args.tolerance_row)
         if not args.exact and chain.exact is not None:
             chain = Chain(poset=chain.poset, P=chain.P, nu=chain.nu)
         if need_nu and chain.nu is None:
             raise InputError("this command needs an initial law: add a nu line")
-        return chain, None
+        return chain, None, law
     raise InputError(f"command {args.command!r} needs a chain or cube spec")
 
 
@@ -223,14 +230,15 @@ def _mono_header(args, extra=(), loaded=None):
 
 
 def _all_notion_reports(chain, zm, args):
+    """Mobius down/up, weak down/up and strong rows; the Mobius and weak rows
+    of a direction read its one transform."""
     tol = args.tolerance_mono
-    return (
-        monotonicity.mobius_monotone_down(chain, zm, tol=tol),
-        monotonicity.mobius_monotone_up(chain, zm, tol=tol),
-        monotonicity.weak_monotone(chain, zm, "down", tol=tol),
-        monotonicity.weak_monotone(chain, zm, "up", tol=tol),
-        monotonicity.strong_stochastic_monotone(chain, tol=tol),
-    )
+    mobius, weak = [], []
+    for direction in ("down", "up"):
+        t = monotonicity.mobius_transform(chain.P, zm, direction)
+        mobius.append(monotonicity.transform_report(chain, zm, direction, t, tol))
+        weak.append(monotonicity.weak_report(chain, zm, direction, t, tol))
+    return (*mobius, *weak, monotonicity.strong_stochastic_monotone(chain, tol=tol))
 
 
 def _report_rows(reports):
@@ -248,7 +256,7 @@ def _report_rows(reports):
 
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _ = _resolve_chain(loaded, args, need_nu=False)
+    chain, _, _ = _resolve_chain(loaded, args, need_nu=False)
     zm = zeta_mobius(chain.poset)
     reports = _all_notion_reports(chain, zm, args)
     text = _table(
@@ -267,14 +275,15 @@ def _ssd(chain, law, zm, args):
     )
 
 
-def _build_dual(chain, args):
-    return _ssd(chain, stationary(chain), zeta_mobius(chain.poset), args)
+def _build_dual(chain, law, args):
+    return _ssd(chain, law, zeta_mobius(chain.poset), args)
 
 
 def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _ = _resolve_chain(loaded, args, need_nu=True)
-    _emit(args, serialize_dual(_build_dual(chain, args), chain.poset))
+    chain, _, law = _resolve_chain(loaded, args, need_nu=True)
+    dual = _build_dual(chain, law or stationary(chain), args)
+    _emit(args, serialize_dual(dual, chain.poset))
     return 0
 
 
@@ -293,8 +302,8 @@ def _formula_column(params, chain, horizon):
 
 def cmd_sep(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, params = _resolve_chain(loaded, args, need_nu=True)
-    law = stationary(chain)
+    chain, params, law = _resolve_chain(loaded, args, need_nu=True)
+    law = law or stationary(chain)
     curve = convergence.separation_curve(
         chain, law, args.horizon, stop_below=args.stop_below
     )
@@ -316,14 +325,15 @@ def cmd_sep(args):
 
 def cmd_eig(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, params = _resolve_chain(loaded, args, need_nu=False)
+    chain, params, law = _resolve_chain(loaded, args, need_nu=False)
     if params is not None:
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
         source = "cube_closed_form"
     else:
+        law = law or stationary(chain)
         if chain.nu is None:
-            chain = chain.with_nu(stationary(chain).pi)
-        dual = _build_dual(chain, args)
+            chain = chain.with_nu(law.pi)
+        dual = _build_dual(chain, law, args)
         if convergence.triangular_side(dual.P_star, args.tolerance_mono) is None:
             raise PreconditionFailed(
                 "dual is not triangular; eigenvalue read-off unavailable"
@@ -340,8 +350,8 @@ def cmd_cube(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     if loaded.kind != "cube":
         raise InputError("the cube command needs a [cube] generator spec")
-    chain, params = _resolve_chain(loaded, args, need_nu=True)
-    law = stationary(chain)
+    chain, params, law = _resolve_chain(loaded, args, need_nu=True)
+    law = law or stationary(chain)
     zm = zeta_mobius(chain.poset)
     product_law = cube_stationary_product(params)
     reports = _all_notion_reports(chain, zm, args)
@@ -490,8 +500,8 @@ def _sweep_point(d, a, b, k, args):
 
 def cmd_simulate(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _ = _resolve_chain(loaded, args, need_nu=True)
-    dual = _build_dual(chain, args)
+    chain, _, law = _resolve_chain(loaded, args, need_nu=True)
+    dual = _build_dual(chain, law or stationary(chain), args)
     result = convergence.simulate_absorption(
         dual, args.samples, args.seed, horizon=args.horizon
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monotonicity
-from .chain import IDENTITY_TOL, Chain, reverse, validate_chain
+from .chain import IDENTITY_TOL, reverse
 from .errors import (
     DimensionMismatch,
     NoUniqueExtremalState,
@@ -121,12 +121,12 @@ def _unique_extremal(poset, zm, direction):
 
 
 def _clamp(vec_or_mat, tol):
-    """Zero out negative float noise in (-tol, 0); return (array, magnitude)."""
+    """Zero out float noise in (-tol, tol); return (array, largest |x| zeroed)."""
     arr = np.array(vec_or_mat, dtype=float)
-    mask = (arr < 0) & (arr > -tol)
-    magnitude = float(-arr[mask].min()) if mask.any() else 0.0
+    mask = (arr > -tol) & (arr < tol)
+    magnitude = max(arr.max(initial=0.0, where=mask), -arr.min(initial=0.0, where=mask))
     arr[mask] = 0.0
-    return arr, magnitude
+    return arr, float(magnitude)
 
 
 def build_ssd(
@@ -139,11 +139,11 @@ def build_ssd(
     ``mono_tol`` (raising PreconditionFailed with the offending report unless
     ``force``; the reversed-kernel report is kept as ``reversed_report``),
     requires a unique extremal state, and certifies the duality identities
-    nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries in
-    (-1e-10, 0) are clamped to zero and rows renormalized; the clamp
-    magnitude is logged and recorded.  With ``force`` the raw, possibly
-    signed, matrices are returned unclamped and unverified (marked
-    ``forced=True``).
+    nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries of
+    magnitude below 1e-10, of either sign, are zeroed and rows renormalized;
+    the largest zeroed magnitude is logged and recorded.  With ``force`` the
+    raw, possibly signed, matrices are returned unclamped and unverified
+    (marked ``forced=True``).
     """
     absorbing = _unique_extremal(c.poset, zm, direction)
     g = g_ratio(c, law)
@@ -181,7 +181,7 @@ def build_ssd(
     p_star, m_p = _clamp(p_star, CLAMP_TOL)
     clamp_magnitude = max(m_nu, m_p)
     if clamp_magnitude > 0:
-        log.info("clamped dual negatives up to %.3e", clamp_magnitude)
+        log.info("zeroed dual noise up to %.3e", clamp_magnitude)
     if (nu_star < 0).any() or (p_star < 0).any():
         worst = min(float(nu_star.min()), float(p_star.min()))
         raise NumericalFailure(
@@ -233,7 +233,3 @@ def verify_duality(link, c, dual):
         min_P_star=float(dual.P_star.min()),
     )
 
-
-def dual_as_chain(dual, poset, row_tol=1e-12):
-    """Repackage a dual as a Chain for downstream analysis and serialization."""
-    return validate_chain(dual.P_star, poset, nu=dual.nu_star, row_tol=row_tol)

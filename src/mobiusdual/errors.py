@@ -130,10 +130,6 @@ class InsufficientMass(PreconditionError):
 
 # --- numerical ----------------------------------------------------------------
 
-class LPFailure(NumericalError):
-    pass
-
-
 class SingularFundamentalMatrix(NumericalError):
     pass
 

@@ -1,9 +1,9 @@
 """Monotonicity notions for kernels and functions on a poset.
 
 Each decision returns a :class:`MonotonicityReport` carrying the verdict, the
-most negative value seen (or the worst LP objective), a witness locating it,
-and the tolerance used.  Verdicts are one-sided sign checks: a report is true
-iff ``worst_value >= -tolerance_used``.
+most negative value seen, a witness locating it, and the tolerance used.
+Verdicts are one-sided sign checks: a report is true iff
+``worst_value >= -tolerance_used``.
 """
 
 from __future__ import annotations
@@ -13,26 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LPFailure,
-    UpSetExplosion,
-)
+from .errors import DimensionMismatch, UpSetExplosion
 
 MONO_TOL = 1e-10
 EXACT_RERUN_FACTOR = 100.0
 UPSET_CAP = 2**20
-LP_SIZE_CAP = 256
-
-NOTIONS = (
-    "mobius_down",
-    "mobius_up",
-    "weak_down",
-    "weak_up",
-    "strong_stochastic",
-    "function_mobius_down",
-    "function_mobius_up",
-)
 
 
 @dataclass(frozen=True)
@@ -202,52 +187,58 @@ def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
     return _report("strong_stochastic", worst, witness, tol, exact)
 
 
-def weak_monotone(c, zm, direction, tol=MONO_TOL, size_cap=LP_SIZE_CAP):
-    """Cone-preservation check of the weak (cumulative-mass) orderings.
+def _ray_minimum(t, a):
+    """Smallest value of the columns of t on the extreme rays of the cone
+    {w >= 0 : a . w = 0}, with its column; (0, None) when the cone is {0}.
 
-    The ordering compares laws through the point-generated up-sets (up case)
-    or down-sets (down case).  For each generator, a linear program minimizes
-    the image mass difference over normalized signed differences of laws:
-    minimize d . (P u) subject to d C^T >= 0 (up; d C >= 0 down), d . 1 = 0,
-    d in [-1, 1]^M.  The kernel weakly preserves the order iff every minimum
-    is >= 0 (up to tolerance).
+    The rays are e_x for a_x = 0 and e_x/a_x + e_y/|a_y| for a_x > 0 > a_y.
+    t holds floats, or Fractions for an exact rerun.
     """
-    # imported here: scipy.optimize would dominate the package's import time
-    from scipy.optimize import linprog
+    zero, pos, neg = a == 0, a > 0, a < 0
+    values = []
+    if zero.any():
+        values.append(t[zero].min(axis=0))
+    if neg.any():
+        values.append(
+            (t[pos] / a[pos, None]).min(axis=0) + (t[neg] / -a[neg, None]).min(axis=0)
+        )
+    if not values:
+        return 0.0, None
+    col = np.minimum.reduce(values)
+    k = int(np.argmin(col))
+    return col[k], k
 
-    m = zm.size
-    _check_square(c.P, m)
-    if m > size_cap:
-        raise UpSetExplosion(
-            f"state count {m} exceeds the LP weak-monotonicity cap {size_cap}"
-        )
-    cz = zm.zeta(direction)
-    # (cz.T @ d)_k = mass of d on {e_k}'s down-set ({e_k}^up for up)
-    images = c.P @ cz
-    a_ub = -cz.T
-    b_ub = np.zeros(m)
-    a_eq = np.ones((1, m))
-    b_eq = np.zeros(1)
-    worst = np.inf
-    witness = None
-    for k in range(m):
-        res = linprog(
-            images[:, k],
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(-1.0, 1.0),
-            method="highs",
-        )
-        if res.status != 0:
-            raise LPFailure(
-                f"weak-{direction} LP failed for generator {k}: {res.message}"
-            )
-        if res.fun < worst:
-            worst = float(res.fun)
-            witness = c.poset.elements[k]
-    return _report(f"weak_{direction}", worst, witness, tol)
+
+def weak_report(c, zm, direction, t, tol=MONO_TOL):
+    """Weak verdict of chain c from its transform t = mobius_transform(c.P, ...).
+
+    The weak (cumulative-mass) order compares laws through the
+    point-generated up-sets (up) or down-sets (down).  Write w = zeta^T d for
+    the cumulative masses of a signed difference d of laws: then d . 1 = a . w
+    with a the row sums of the oriented Mobius matrix, and the mass that d P
+    puts on generator k's set is w . t[:, k].  The kernel preserves the order
+    iff every generator is nonnegative on the cone {w >= 0 : a . w = 0}, that
+    is on its extreme rays; the worst value is the smallest ray value and the
+    witness its generator.
+    """
+    a = zm.mobius(direction, np.int64).sum(axis=1)
+    worst, k = _ray_minimum(t, a)
+    exact = _rerun_exactly(c, worst, tol)
+    if exact:
+        exact_p = np.array(c.exact, dtype=object)
+        worst, k = _ray_minimum(mobius_transform(exact_p, zm, direction, object), a)
+    witness = None if k is None else c.poset.elements[k]
+    return _report(f"weak_{direction}", worst, witness, tol, exact)
+
+
+def weak_monotone(c, zm, direction, tol=MONO_TOL):
+    """Weak monotonicity in ``direction``, decided on the Mobius transform.
+
+    Near-boundary verdicts are re-run in exact arithmetic, as the Mobius
+    ones.  On a poset with one extremal element (a cube) the verdict is the
+    Mobius verdict without the extremal row.
+    """
+    return weak_report(c, zm, direction, mobius_transform(c.P, zm, direction), tol)
 
 
 def exact_fractions(rows):

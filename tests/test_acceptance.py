@@ -332,7 +332,7 @@ class TestAcceptance:
 
     def test_criterion_08_implication_and_separation(self):
         rng = np.random.default_rng(8)
-        lp_failures = 0
+        weak_failures = 0
         instances = 0
         for d in (2, 3):
             p = md.cube_poset(d)
@@ -345,9 +345,9 @@ class TestAcceptance:
                 assert mono.mobius_monotone_up(c, zm).verdict
                 assert mono.mobius_monotone_down(c, zm).verdict
                 if not mono.weak_monotone(c, zm, "up").verdict:
-                    lp_failures += 1
+                    weak_failures += 1
                 if not mono.weak_monotone(c, zm, "down").verdict:
-                    lp_failures += 1
+                    weak_failures += 1
                 instances += 1
         loaded = md.load_model(os.path.join(DATA, "strong_not_mobius.spec"))
         c = loaded.chain
@@ -358,9 +358,9 @@ class TestAcceptance:
         separated = strong.verdict and not down.verdict and not up.verdict
         report(
             8,
-            lp_failures == 0 and separated,
-            f"weak LP passes on {instances} Mobius-monotone instances "
-            f"({lp_failures} failures); curated fixture is strongly monotone "
+            weak_failures == 0 and separated,
+            f"weak passes on {instances} Mobius-monotone instances "
+            f"({weak_failures} failures); curated fixture is strongly monotone "
             f"(true) but Mobius monotone (down {down.worst_value:.3f}, "
             f"up {up.worst_value:.3f}) in neither direction",
         )

@@ -380,7 +380,6 @@ class TestSimulate:
 class TestExitCodes:
     def test_error_classes_partition_codes(self):
         from mobiusdual.errors import (
-            LPFailure,
             NotIrreducible,
             NumericalFailure,
             SchemaError,
@@ -392,7 +391,6 @@ class TestExitCodes:
         assert exit_code(SchemaError("x")) == 1
         assert exit_code(NotIrreducible("x")) == 2
         assert exit_code(UpSetExplosion("x")) == 2
-        assert exit_code(LPFailure("x")) == 3
         assert exit_code(SingularFundamentalMatrix("x")) == 3
         assert exit_code(NumericalFailure("x")) == 3
 
@@ -427,6 +425,75 @@ class TestImport:
             "print(code, [m for m in sys.modules if m.startswith('scipy.stats')])"
         )
         assert last == "0 []"
+
+    def test_check_and_cube_never_import_scipy(self):
+        last = self.run_fresh(
+            "import sys\n"
+            "from mobiusdual.cli import main\n"
+            f"codes = [main(['check', '--input', {spec('strong_not_mobius.spec')!r}]), "
+            f"main(['cube', '--input', {spec('three_cube.spec')!r}])]\n"
+            "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        assert last == "[0, 0] []"
+
+
+CUBE_3 = """[cube]
+d: 3
+alpha: 0.05 0.07 0.03
+beta: 0.04 0.08 0.02
+"""
+
+CHAIN_2 = """[poset]
+states: 00 10 01 11
+cover: 00 10
+cover: 00 01
+cover: 10 11
+cover: 01 11
+
+[chain]
+row: 0.7 0.1 0.2 0
+row: 0.15 0.65 0 0.2
+row: 0.25 0 0.65 0.1
+row: 0 0.25 0.15 0.6
+"""
+
+MODELS = {
+    "cube_stationary": CUBE_3 + "nu: stationary\n",
+    "chain_stationary": CHAIN_2 + "nu: stationary\n",
+    "chain_no_nu": CHAIN_2,
+}
+
+
+class TestStationaryOnce:
+    """Each command solves for the stationary law once, also when the spec's
+    ``nu: stationary`` needs it before the command does."""
+
+    @pytest.mark.parametrize("command, model", [
+        ("sep", "cube_stationary"),
+        ("dual", "cube_stationary"),
+        ("cube", "cube_stationary"),
+        ("simulate", "cube_stationary"),
+        ("sep", "chain_stationary"),
+        ("dual", "chain_stationary"),
+        ("simulate", "chain_stationary"),
+        ("eig", "chain_stationary"),
+        ("eig", "chain_no_nu"),
+    ])
+    def test_one_solve(self, capsys, monkeypatch, tmp_path, command, model):
+        from mobiusdual import cli
+
+        calls = []
+
+        def counted(chain):
+            calls.append(chain)
+            return md.stationary(chain)
+
+        monkeypatch.setattr(cli, "stationary", counted)
+        path = tmp_path / "model.spec"
+        path.write_text(MODELS[model])
+        code, _, err = run(capsys, command, "--input", str(path), "--samples", "200")
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestOutputRouting:

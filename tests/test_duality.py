@@ -248,6 +248,28 @@ class TestBuildSsdDown:
             build_ssd(c, law, zm, "down")
 
 
+class TestDualNoise:
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_walk_dual_keeps_only_its_moves(self, d, direction):
+        # P*(x, x + k) = s_k plus the diagonal: d 2^(d-1) + 2^d nonzeros, so
+        # every float-noise entry of either sign is zeroed
+        rng = np.random.default_rng(40 + d)
+        alpha, beta = random_admissible(d, rng)
+        start = 0 if direction == "down" else 2**d - 1
+        _, c, law, zm = cube_setup(d, alpha, beta, nu=delta(2**d, start))
+        dual = build_ssd(c, law, zm, direction)
+        assert (dual.P_star != 0).sum() == d * 2 ** (d - 1) + 2**d
+        assert (dual.nu_star != 0).sum() == 1
+        assert dual.clamp_magnitude < 1e-14
+
+    def test_forced_build_stays_raw(self):
+        _, c, law, zm = cube_setup(4, (0.05,) * 4, (0.07,) * 4, nu=delta(16, 0))
+        raw = build_ssd(c, law, zm, "down", force=True)
+        assert raw.clamp_magnitude == 0.0
+        assert ((raw.P_star != 0) & (np.abs(raw.P_star) < 1e-14)).any()
+
+
 class TestBuildSsdUp:
     def test_cube_up_dual_absorbs_at_minimum(self):
         rng = np.random.default_rng(13)

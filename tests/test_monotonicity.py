@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from mobiusdual import (
     CubeWalkParams,
@@ -24,6 +25,8 @@ from mobiusdual import (
 )
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.monotonicity import (
+    MONO_TOL,
+    _report,
     _worst_margin,
     enumerate_up_sets,
     exact_fractions,
@@ -237,6 +240,74 @@ class TestStrongStochastic:
         pytest.fail("no strongly-monotone non-Mobius kernel found in search budget")
 
 
+FIXTURES = ("two_cube", "three_cube", "four_cube", "strong_not_mobius")
+
+
+def load_pool():
+    """The benchmark's random posets and stored weak verdicts."""
+    with open(os.path.join(HERE, os.pardir, "perfbench", "pool.json")) as fh:
+        return json.load(fh)
+
+
+def lp_weak_monotone(c, zm, direction, tol=MONO_TOL):
+    """Oracle: the weak verdict by one HiGHS linear program per generator.
+
+    For each generator, minimize the image mass difference over normalized
+    signed differences of laws: minimize d . (P u) subject to d C^T >= 0
+    (up; d C >= 0 down), d . 1 = 0, d in [-1, 1]^M.  The kernel weakly
+    preserves the order iff every minimum is >= 0 (up to tolerance).
+    """
+    m = zm.size
+    cz = zm.zeta(direction)
+    # (cz.T @ d)_k = mass of d on {e_k}'s down-set ({e_k}^up for up)
+    images = c.P @ cz
+    a_ub = -cz.T
+    b_ub = np.zeros(m)
+    a_eq = np.ones((1, m))
+    b_eq = np.zeros(1)
+    worst = np.inf
+    witness = None
+    for k in range(m):
+        res = linprog(
+            images[:, k],
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=(-1.0, 1.0),
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        if res.fun < worst:
+            worst = float(res.fun)
+            witness = c.poset.elements[k]
+    return _report(f"weak_{direction}", worst, witness, tol)
+
+
+def multi_minimum_chains(count, seed):
+    """Seeded kernels on random posets with two or three minimal elements:
+    independent rows, a shared row (weakly monotone), or a shared row
+    perturbed towards the boundary."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 8))
+        minima = int(rng.integers(2, 4))
+        covers = []
+        for i in range(minima, n):
+            below = rng.choice(i, size=min(i, int(rng.integers(1, 4))), replace=False)
+            covers += [(int(j), i) for j in below]
+        kind = int(rng.integers(3))
+        if kind == 0:
+            moves = rng.dirichlet(np.ones(n), size=n)
+        else:
+            moves = np.tile(rng.dirichlet(np.ones(n)), (n, 1))
+            if kind == 2:
+                moves += rng.uniform(0, 0.02, size=(n, n))
+        hold = rng.choice([0.0, 0.5, 0.9])
+        rows = hold * np.eye(n) + (1 - hold) * moves / moves.sum(axis=1, keepdims=True)
+        yield validate_chain(rows, build_poset(list(range(n)), covers))
+
+
 class TestWeakMonotone:
     def test_identity_weakly_monotone(self):
         p = cube_poset(2)
@@ -314,11 +385,67 @@ class TestWeakMonotone:
             ray_ok = (rays @ c.P @ cf).min() >= -1e-10
             assert weak_monotone(c, zm, "down").verdict == ray_ok
 
-    def test_size_cap(self):
-        p = build_poset(list(range(5)), [(i, i + 1) for i in range(4)])
-        c = validate_chain(np.eye(5), p)
-        with pytest.raises(UpSetExplosion):
-            weak_monotone(c, zeta_mobius(p), "up", size_cap=4)
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_lp_oracle(self, name, direction):
+        loaded = load_model(os.path.join(DATA, f"{name}.spec"))
+        if loaded.kind == "cube":
+            c = nearest_neighbor_walk(loaded.cube)
+        else:
+            c = loaded.chain
+        zm = zeta_mobius(c.poset)
+        verdict = weak_monotone(c, zm, direction).verdict
+        assert verdict == lp_weak_monotone(c, zm, direction).verdict
+        stored = load_pool()["fixtures"].get(name)
+        if stored is not None:
+            assert verdict == stored[f"weak_{direction}"]
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_pool_posets_match_lp_oracle_and_stored_verdicts(self, direction):
+        for entry in load_pool()["posets"]:
+            # the stored verdicts are float verdicts: drop the exact entries
+            loaded = load_model_text(entry["spec"]).chain
+            c = validate_chain(loaded.P, loaded.poset)
+            zm = zeta_mobius(c.poset)
+            verdict = weak_monotone(c, zm, direction).verdict
+            assert verdict == lp_weak_monotone(c, zm, direction).verdict
+            assert verdict == entry[f"weak_{direction}"]
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_random_multi_minimum_posets_match_lp_oracle(self, direction):
+        verdicts = []
+        for c in multi_minimum_chains(200, seed=1987):
+            zm = zeta_mobius(c.poset)
+            rep = weak_monotone(c, zm, direction)
+            assert rep.verdict == lp_weak_monotone(c, zm, direction).verdict
+            verdicts.append(rep.verdict)
+        # both verdicts occur often, so the comparison is not vacuous
+        assert 40 <= sum(verdicts) <= 160
+
+    def test_d10_walk_equals_mobius(self):
+        rng = np.random.default_rng(10)
+        for total in (0.6, 1.3):
+            parts = rng.dirichlet(np.ones(20)) * total
+            params = CubeWalkParams(
+                d=10, alpha=tuple(parts[:10]), beta=tuple(parts[10:])
+            )
+            c = nearest_neighbor_walk(params)
+            zm = zeta_mobius(c.poset)
+            for direction in ("down", "up"):
+                t = mobius_transform(c.P, zm, direction)
+                mob = transform_report(c, zm, direction, t)
+                wk = weak_monotone(c, zm, direction)
+                assert wk.verdict == mob.verdict == (total <= 1)
+                if not wk.verdict:
+                    assert wk.worst_value == mob.worst_value
+
+    def test_no_rays_means_vacuous(self):
+        # an antichain: w = d >= 0 with d . 1 = 0 leaves only d = 0
+        p = build_poset(["a", "b", "c"], [])
+        c = validate_chain(np.full((3, 3), 1 / 3), p)
+        for direction in ("down", "up"):
+            rep = weak_monotone(c, zeta_mobius(p), direction)
+            assert rep.verdict and rep.worst_value == 0.0 and rep.witness is None
 
 
 class TestClosureAndEquivalences:
@@ -431,6 +558,39 @@ def exact_strong_min(c):
     return worst_q, witness
 
 
+def exact_weak_min(c, zm, direction):
+    """Oracle: smallest exact objective d . P u_k of the weak LP over the
+    extreme rays d of its cone and the generators k, with the first k
+    reaching it, by plain Fraction loops; (0, None) when the cone is {0}.
+
+    With w = zeta^T d the cone is {w >= 0 : a . w = 0}, a the row sums of the
+    oriented Mobius matrix M, and d = M^T w.
+    """
+    m = zm.size
+    Z = [[int(v) for v in row] for row in zm.zeta(direction, int)]
+    M = [[int(v) for v in row] for row in zm.mobius(direction, int)]
+    a = [sum(row) for row in M]
+    rays = [{x: Fraction(1)} for x in range(m) if a[x] == 0]
+    rays += [
+        {x: Fraction(1, a[x]), y: Fraction(1, -a[y])}
+        for x in range(m) if a[x] > 0
+        for y in range(m) if a[y] < 0
+    ]
+    P = c.exact
+    pz = [
+        [sum(P[i][j] * Z[j][k] for j in range(m)) for k in range(m)] for i in range(m)
+    ]
+    worst, witness = Fraction(0), None
+    for k in range(m):
+        for w in rays:
+            d = [sum(M[x][i] * wx for x, wx in w.items()) for i in range(m)]
+            assert sum(d) == 0
+            v = sum(d[i] * pz[i][k] for i in range(m))
+            if witness is None or v < worst:
+                worst, witness = v, k
+    return worst, witness
+
+
 def exact_walk(d, rates):
     """A cube walk with equal up and down rates, carrying its Fraction
     entries; it is admissible, so its Mobius and strong worst values are
@@ -456,8 +616,7 @@ def rational_chains():
         posets.append(
             cube_poset(loaded.cube.d) if loaded.kind == "cube" else loaded.chain.poset
         )
-    with open(os.path.join(HERE, os.pardir, "perfbench", "pool.json")) as fh:
-        pool = json.load(fh)["posets"]
+    pool = load_pool()["posets"]
     posets += [load_model_text(e["spec"]).chain.poset for e in pool[::4]]
     rng = np.random.default_rng(20261018)
     for k, p in enumerate(posets):
@@ -516,6 +675,18 @@ class TestExactReruns:
         assert rep.verdict == (worst_q >= 0)
         assert rep.witness == witness
 
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", sorted(RATIONAL_CHAINS))
+    def test_weak_rerun_matches_fraction_rays(self, name, direction):
+        c = RATIONAL_CHAINS[name]
+        zm = zeta_mobius(c.poset)
+        worst_q, k = exact_weak_min(c, zm, direction)
+        rep = weak_monotone(c, zm, direction, tol=1.0)
+        assert rep.exact and rep.tolerance_used == 0.0
+        assert rep.worst_value == float(worst_q)
+        assert rep.verdict == (worst_q >= 0)
+        assert rep.witness == (None if k is None else c.poset.elements[k])
+
     def test_admissible_walks_rerun_to_exact_zero(self):
         for name in ("walk2", "walk3"):
             c = RATIONAL_CHAINS[name]
@@ -523,6 +694,8 @@ class TestExactReruns:
             for rep in (
                 mobius_monotone_down(c, zm),
                 mobius_monotone_up(c, zm),
+                weak_monotone(c, zm, "down"),
+                weak_monotone(c, zm, "up"),
                 strong_stochastic_monotone(c, tol=1.0),
             ):
                 assert rep.exact and rep.verdict and rep.worst_value == 0.0
