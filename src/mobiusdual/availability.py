@@ -101,14 +101,6 @@ class Generator:
         self.Q.flags.writeable = False
 
 
-def _submasks(mask):
-    """Nonempty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
 def availability_generator(r, single_moves_only=False):
     """Breakdown/repair generator from the rate functions.
 
@@ -116,21 +108,25 @@ def availability_generator(r, single_moves_only=False):
     phi(D)/phi(D \\ H) for nonempty down groups H; diagonal balances each
     row.  ``single_moves_only`` keeps only |I| = |H| = 1 transitions, the
     regime in which uniformization reproduces the nearest-neighbor walk.
+    Both ratio tables are written in one pass each, over the pairs of masks
+    related by inclusion.
     """
     d = r.d
     check_cube_dim(d)
-    m = 2**d
-    q = np.zeros((m, m))
-    for dmask in range(m):
-        for imask in _submasks((m - 1) & ~dmask):
-            if single_moves_only and imask.bit_count() != 1:
-                continue
-            q[dmask, dmask | imask] = r.psi[dmask | imask] / r.psi[dmask]
-        for hmask in _submasks(dmask):
-            if single_moves_only and hmask.bit_count() != 1:
-                continue
-            q[dmask, dmask & ~hmask] = r.phi[dmask] / r.phi[dmask & ~hmask]
-        q[dmask, dmask] = -q[dmask].sum()
+    masks = np.arange(2**d, dtype=np.int16)  # d <= DENSE_CUBE_LIMIT = 14
+    row, col = masks[:, None], masks[None, :]
+    meet = row & col
+    breakdown, repair = meet == row, meet == col
+    if single_moves_only:
+        flip = row ^ col
+        one = (flip & (flip - 1)) == 0
+        breakdown &= one
+        repair &= one
+    q = np.zeros((masks.size, masks.size))
+    np.divide(r.psi[None, :], r.psi[:, None], out=q, where=breakdown)
+    np.divide(r.phi[:, None], r.phi[None, :], out=q, where=repair)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
     return Generator(Q=q, d=d)
 
 

@@ -213,19 +213,19 @@ def _as_row(f, m):
 
 def sum_down(f, zm):
     """Down-cumulative sums F(e_i) = sum of f over {e : e <= e_i}."""
-    return _as_row(f, zm.size) @ zm.zeta("down")
+    return zm.zeta_right(_as_row(f, zm.size), "down")
 
 
 def sum_up(f, zm):
     """Up-cumulative sums over {e : e >= e_i}."""
-    return _as_row(f, zm.size) @ zm.zeta("up")
+    return zm.zeta_right(_as_row(f, zm.size), "up")
 
 
 def diff_down(f, zm):
     """Inverse of sum_down (Mobius inversion from below)."""
-    return _as_row(f, zm.size) @ zm.mobius("down")
+    return zm.mobius_right(_as_row(f, zm.size), "down")
 
 
 def diff_up(f, zm):
     """Inverse of sum_up (Mobius inversion from above)."""
-    return _as_row(f, zm.size) @ zm.mobius("up")
+    return zm.mobius_right(_as_row(f, zm.size), "up")

@@ -81,10 +81,11 @@ def separation_curve(c, law, horizon, stop_below=None):
     if horizon < 0 or horizon > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
     pi = law.pi
+    step = _stepper(c.P)
     dist = c.nu.astype(float)
     values = [float((1.0 - dist / pi).max())]
     for _ in range(horizon):
-        dist = dist @ c.P
+        dist = step(dist)
         values.append(float((1.0 - dist / pi).max()))
         if stop_below is not None and values[-1] < stop_below:
             break
@@ -97,6 +98,19 @@ def separation_curve(c, law, horizon, stop_below=None):
             stacklevel=2,
         )
     return SeparationCurve(values=values, horizon=len(values) - 1)
+
+
+def _stepper(mat):
+    """The map x -> x @ mat, taken over the nonzeros of ``mat`` only.
+
+    The COO triple is built once; each step is one gather, one product and
+    one ``np.bincount`` over the nonzeros, so a sparse kernel (a walk or its
+    dual) costs O(nnz) per step instead of O(m^2).
+    """
+    rows, cols = np.nonzero(mat)
+    vals = mat[rows, cols]
+    m = mat.shape[1]
+    return lambda x: np.bincount(cols, weights=x[rows] * vals, minlength=m)
 
 
 def absorption_tail(dual, horizon):
@@ -114,11 +128,12 @@ def absorption_tail(dual, horizon):
     keep = [i for i in range(m) if i != dual.absorbing_index]
     q = dual.P_star[np.ix_(keep, keep)]
     v = dual.nu_star[keep].astype(float)
+    step = _stepper(q)
     tail = np.empty(horizon + 1)
     cur = v
     tail[0] = cur.sum()
     for n in range(1, horizon + 1):
-        cur = cur @ q
+        cur = step(cur)
         tail[n] = cur.sum()
     fundamental = np.eye(len(keep)) - q
     ones = np.ones(len(keep))

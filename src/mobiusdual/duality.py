@@ -110,7 +110,8 @@ def build_link(law, zm, direction="down"):
 def _unique_extremal(poset, zm, direction):
     """Index of the one state with nothing above it in the oriented order
     (maximal for down, minimal for up)."""
-    idx = np.flatnonzero(zm.zeta(direction, bool).sum(axis=1) == 1)
+    above = zm.zeta_left(np.ones(zm.size, dtype=np.int64), direction, np.int64)
+    idx = np.flatnonzero(above == 1)
     if len(idx) != 1:
         kind = "maximal" if direction == "down" else "minimal"
         labels = [poset.elements[i] for i in idx]
@@ -164,10 +165,10 @@ def build_ssd(
                 f"(worst {rev_report.worst_value!r})",
                 report=rev_report,
             )
-    link = build_link(law, zm, direction)
-    h = link.H
+    h = zm.zeta_right(law.pi, direction)
     nu_star = g_report.transformed * h
     p_star = ((h[:, None] * core) / h[None, :]).T
+    del rev, core  # free two m x m arrays before the clamp and the residuals
     if force:
         return DualChain(
             nu_star=nu_star,
@@ -197,8 +198,7 @@ def build_ssd(
     unit = np.zeros(c.size)
     unit[absorbing] = 1.0
     p_star[absorbing, :] = unit
-    nu_res = float(np.abs(c.nu - nu_star @ link.Lambda).max())
-    tw_res = float(np.abs(link.Lambda @ c.P - p_star @ link.Lambda).max())
+    nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
     if nu_res > tol or tw_res > tol:
         raise NumericalFailure(
             f"duality residuals exceed {tol}: nu {nu_res!r}, intertwining {tw_res!r}"
@@ -213,6 +213,32 @@ def build_ssd(
         clamp_magnitude=clamp_magnitude,
         reversed_report=rev_report,
     )
+
+
+def _residuals(c, law, zm, direction, h, nu_star, p_star):
+    """max|nu - nu* Lambda| and max|Lambda P - P* Lambda| for the link
+    Lambda = diag(1/H) Z^T diag(pi) of ``build_link``.
+
+    On a cube the link is never formed: Z^T, the zeta matrix of the other
+    direction, acts by butterflies, Lambda P is diag(1/H) (Z^T (diag(pi) P))
+    and P* Lambda is ((P* diag(1/H)) Z^T) diag(pi).  Other posets use the
+    dense link.
+    """
+    if zm.cube_dim is None:
+        lam = build_link(law, zm, direction).Lambda
+        return (
+            float(np.abs(c.nu - nu_star @ lam).max()),
+            float(np.abs(lam @ c.P - p_star @ lam).max()),
+        )
+    pi = law.pi
+    other = "up" if direction == "down" else "down"
+    nu_lam = zm.zeta_right(nu_star / h, other) * pi
+    lam_p = zm.zeta_left(pi[:, None] * c.P, other)
+    lam_p /= h[:, None]
+    p_lam = zm.zeta_right(p_star / h, other)
+    p_lam *= pi
+    lam_p -= p_lam
+    return float(np.abs(c.nu - nu_lam).max()), float(np.abs(lam_p, out=lam_p).max())
 
 
 def verify_duality(link, c, dual):

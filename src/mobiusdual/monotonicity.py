@@ -66,17 +66,35 @@ def _rerun_exactly(c, worst, tol):
 def mobius_transform(P, zm, direction, dtype=float):
     """Similarity transform whose entrywise sign decides Mobius monotonicity.
 
-    down: Cinv P C; up: (C^T)^-1 P C^T.  With ``dtype=object`` and a
-    kernel of Fractions the transform is exact.
+    down: Cinv P C; up: (C^T)^-1 P C^T, applied through the zeta/Mobius
+    actions (butterflies on a cube).  With ``dtype=object`` and a kernel of
+    Fractions the transform is exact.
     """
     _check_square(P, zm.size)
-    return zm.mobius(direction, dtype) @ P @ zm.zeta(direction, dtype)
+    return zm.zeta_right(zm.mobius_left(P, direction, dtype), direction, dtype)
 
 
-def _min_entry(t):
-    """Smallest entry of matrix t and its first (row-major) position."""
-    i, j = divmod(int(np.argmin(t)), t.shape[1])
-    return t[i, j], (i, j)
+def _near_min(values, tol=0.0):
+    """Smallest entry of a 1-D array and its index: the first argmin, or,
+    when the smallest entry is zero up to ``tol``, the first index within
+    ``tol`` of it.
+
+    Entries that are zero up to float noise (the boundary of a true
+    verdict) are told apart by the order of the arithmetic alone; naming
+    the first of them keeps the witness where that order moves the noise.
+    """
+    k = int(np.argmin(values))
+    worst = values[k]
+    if 0 < tol and abs(worst) <= tol:
+        k = int(np.argmax(values <= worst + tol))
+    return worst, k
+
+
+def _min_entry(t, tol=0.0):
+    """Smallest entry of matrix t and its (row-major) position by
+    ``_near_min``."""
+    worst, k = _near_min(t.ravel(), tol)
+    return worst, divmod(k, t.shape[1])
 
 
 def transform_report(c, zm, direction, t, tol=MONO_TOL):
@@ -85,7 +103,7 @@ def transform_report(c, zm, direction, t, tol=MONO_TOL):
     Lets a caller that needs the transform anyway compute it once.  The
     transform is not kept on the report.
     """
-    worst, (i, j) = _min_entry(t)
+    worst, (i, j) = _min_entry(t, tol)
     exact = _rerun_exactly(c, worst, tol)
     if exact:
         exact_p = np.array(c.exact, dtype=object)
@@ -113,9 +131,9 @@ def function_mobius_monotone(f, zm, direction, tol=MONO_TOL):
     f = np.asarray(f, dtype=float)
     if f.shape != (zm.size,):
         raise DimensionMismatch(f"vector must have length {zm.size}, got {f.shape}")
-    t = f @ zm.mobius(direction).T
-    j = int(np.argmin(t))
-    return _report(f"function_mobius_{direction}", t[j], j, tol, transformed=t)
+    t = zm.mobius_left(f, direction)
+    worst, j = _near_min(t, tol)
+    return _report(f"function_mobius_{direction}", worst, j, tol, transformed=t)
 
 
 def enumerate_up_sets(p, cap=UPSET_CAP):
@@ -187,9 +205,10 @@ def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
     return _report("strong_stochastic", worst, witness, tol, exact)
 
 
-def _ray_minimum(t, a):
+def _ray_minimum(t, a, tol=0.0):
     """Smallest value of the columns of t on the extreme rays of the cone
-    {w >= 0 : a . w = 0}, with its column; (0, None) when the cone is {0}.
+    {w >= 0 : a . w = 0}, with its column by ``_near_min``; (0, None) when
+    the cone is {0}.
 
     The rays are e_x for a_x = 0 and e_x/a_x + e_y/|a_y| for a_x > 0 > a_y.
     t holds floats, or Fractions for an exact rerun.
@@ -204,9 +223,7 @@ def _ray_minimum(t, a):
         )
     if not values:
         return 0.0, None
-    col = np.minimum.reduce(values)
-    k = int(np.argmin(col))
-    return col[k], k
+    return _near_min(np.minimum.reduce(values), tol)
 
 
 def weak_report(c, zm, direction, t, tol=MONO_TOL):
@@ -221,8 +238,8 @@ def weak_report(c, zm, direction, t, tol=MONO_TOL):
     is on its extreme rays; the worst value is the smallest ray value and the
     witness its generator.
     """
-    a = zm.mobius(direction, np.int64).sum(axis=1)
-    worst, k = _ray_minimum(t, a)
+    a = zm.mobius_left(np.ones(zm.size, dtype=np.int64), direction, np.int64)
+    worst, k = _ray_minimum(t, a, tol)
     exact = _rerun_exactly(c, worst, tol)
     if exact:
         exact_p = np.array(c.exact, dtype=object)

@@ -17,6 +17,7 @@ from mobiusdual import (
 )
 from mobiusdual import cli, duality, monotonicity
 from mobiusdual.availability import Generator
+from mobiusdual.poset import ZetaMobius
 from mobiusdual.errors import InputError, MissingSubsetValue, ZeroGenerator
 
 FOUR_CUBE = os.path.join(os.path.dirname(__file__), "data", "four_cube.spec")
@@ -56,7 +57,41 @@ class TestRateFunctions:
         assert np.abs(pernode_family(d, values) / pernode - 1).max() <= d * 2.0**-53
 
 
+def submask_loop_generator(r, single_moves_only=False):
+    """Oracle: the generator filled state by state over submask loops."""
+
+    def submasks(mask):
+        sub = mask
+        while sub:
+            yield sub
+            sub = (sub - 1) & mask
+
+    m = 2**r.d
+    q = np.zeros((m, m))
+    for dmask in range(m):
+        for imask in submasks((m - 1) & ~dmask):
+            if single_moves_only and imask.bit_count() != 1:
+                continue
+            q[dmask, dmask | imask] = r.psi[dmask | imask] / r.psi[dmask]
+        for hmask in submasks(dmask):
+            if single_moves_only and hmask.bit_count() != 1:
+                continue
+            q[dmask, dmask & ~hmask] = r.phi[dmask] / r.phi[dmask & ~hmask]
+        q[dmask, dmask] = -q[dmask].sum()
+    return q
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
+    def test_matches_submask_loop_bit_for_bit(self, d, single):
+        rng = np.random.default_rng(d)
+        r = RateFunctions(
+            d=d, psi=np.exp(rng.normal(size=2**d)), phi=np.exp(rng.normal(size=2**d))
+        )
+        q = availability_generator(r, single_moves_only=single).Q
+        assert np.array_equal(q, submask_loop_generator(r, single))
+
     def test_single_node_rates(self):
         # d = 1: breakdown rate a = psi({1})/psi({}) and repair rate b
         r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
@@ -232,7 +267,9 @@ class TestPipeline:
 
 
 class TestWorkRunsOnce:
-    """Each Mobius transform and the link are computed once per run."""
+    """Each Mobius transform is computed once per run, and the dense link at
+    most once: a cube dual applies it through butterflies and never forms it.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -256,7 +293,7 @@ class TestWorkRunsOnce:
         report = availability_pipeline(r, multiplier=2.0, single_moves_only=True)
         assert report.stopped_at is None
         assert report.reports[2] is report.dual.reversed_report
-        assert calls == {"mobius_transform": 4, "build_link": 1}
+        assert calls == {"mobius_transform": 4}
 
     def test_run_stopped_at_monotonicity(self, calls):
         r = RateFunctions(d=4, psi=power_family(4, 0.05), phi=power_family(4, 0.08))
@@ -266,6 +303,46 @@ class TestWorkRunsOnce:
         assert calls == {"mobius_transform": 4}
 
     def test_dual_command_builds_one_link(self, calls, tmp_path):
+        # the 2-cube walk given as a general poset, so the dense path runs
+        spec = tmp_path / "walk.spec"
+        spec.write_text(
+            "[poset]\nstates: 00 10 01 11\ncover: 00 10\ncover: 00 01\n"
+            "cover: 10 11\ncover: 01 11\n\n[chain]\nrow: 0.8 0.1 0.1 0\n"
+            "row: 0.1 0.8 0 0.1\nrow: 0.1 0 0.8 0.1\nrow: 0 0.1 0.1 0.8\n"
+            "nu: delta_min\n"
+        )
+        out = str(tmp_path / "dual.spec")
+        assert cli.main(["dual", "--input", str(spec), "--output", out]) == 0
+        assert calls["build_link"] == 1
+
+    def test_cube_dual_command_builds_no_dense_link(self, calls, tmp_path):
         out = str(tmp_path / "dual.spec")
         assert cli.main(["dual", "--input", FOUR_CUBE, "--output", out]) == 0
-        assert calls["build_link"] == 1
+        assert "build_link" not in calls
+
+
+class TestCubePathsSkipDensePair:
+    """On a cube every zeta/Mobius product runs as butterflies: the dense
+    oriented pair is never read."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_pair(self, monkeypatch):
+        def refuse(self, direction, dtype=float):
+            raise AssertionError("dense zeta/Mobius matrix read on a cube")
+
+        monkeypatch.setattr(ZetaMobius, "zeta", refuse)
+        monkeypatch.setattr(ZetaMobius, "mobius", refuse)
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_pipeline(self, single):
+        r = RateFunctions(
+            d=4,
+            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
+            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
+        )
+        report = availability_pipeline(r, multiplier=2.0, single_moves_only=single)
+        assert report.stopped_at == (None if single else "monotonicity")
+
+    @pytest.mark.parametrize("command", ["check", "cube", "sep", "dual"])
+    def test_cli(self, command):
+        assert cli.main([command, "--input", FOUR_CUBE]) == 0

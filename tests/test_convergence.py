@@ -152,6 +152,55 @@ def two_state_dual(a, b):
     )
 
 
+def dense_curve_loop(c, law, horizon):
+    """Oracle: s(n) with nu P^n stepped by dense products."""
+    dist = c.nu.astype(float)
+    values = [float((1.0 - dist / law.pi).max())]
+    for _ in range(horizon):
+        dist = dist @ c.P
+        values.append(float((1.0 - dist / law.pi).max()))
+    return np.array(values)
+
+
+def dense_tail_loop(dual, horizon):
+    """Oracle: nu*_t Q^n 1 with the transient block Q stepped densely."""
+    keep = [i for i in range(dual.size) if i != dual.absorbing_index]
+    q = dual.P_star[np.ix_(keep, keep)]
+    cur = dual.nu_star[keep]
+    tail = [cur.sum()]
+    for _ in range(horizon):
+        cur = cur @ q
+        tail.append(cur.sum())
+    return np.array(tail)
+
+
+class TestNonzeroSteps:
+    """Curves and tails step over the kernel's nonzeros; the dense loops they
+    replaced are the oracles."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [3, 6, 10])
+    def test_walk_curve_and_tail_match_dense_loops(self, d, direction):
+        params, dual = extreme_walk_dual(d, direction, mixed=d == 6)
+        c = nearest_neighbor_walk(params)
+        m = c.size
+        c = c.with_nu(delta(m, 0 if direction == "down" else m - 1))
+        law = stationary(c)
+        curve = separation_curve(c, law, 200, stop_below=None)
+        assert np.abs(curve.values - dense_curve_loop(c, law, 200)).max() <= 1e-15
+        tail = absorption_tail(dual, 200)
+        assert np.abs(tail.tail - dense_tail_loop(dual, 200)).max() <= 1e-15
+
+    def test_dense_general_kernel(self):
+        c = load_model(os.path.join(DATA, "strong_not_mobius.spec")).chain
+        law = stationary(c)
+        curve = separation_curve(c, law, 50, stop_below=None)
+        assert np.abs(curve.values - dense_curve_loop(c, law, 50)).max() <= 1e-15
+        dual = build_ssd(c, law, zeta_mobius(c.poset), "down", force=True)
+        tail = absorption_tail(dual, 50)
+        assert np.abs(tail.tail - dense_tail_loop(dual, 50)).max() <= 1e-15
+
+
 class TestSeparationCurve:
     def test_stationary_start_is_flat_zero(self):
         c, law = cube_chain(2, (0.1, 0.15), (0.12, 0.2))

@@ -18,13 +18,13 @@ from mobiusdual import (
     verify_duality,
     zeta_mobius,
 )
-from mobiusdual.duality import DualChain
+from mobiusdual.duality import DualChain, _residuals
 from mobiusdual.errors import (
     NoUniqueExtremalState,
     NumericalFailure,
     PreconditionFailed,
 )
-from mobiusdual.poset import is_total_order
+from mobiusdual.poset import Poset, is_total_order
 
 
 def delta(m, k):
@@ -501,3 +501,54 @@ class TestSpectralStructure:
         # no strictly-downward mass in the order sense either
         strict_down = c.poset.leq.T & ~np.eye(2**d, dtype=bool)
         assert np.abs(dual.P_star[strict_down]).max() < 1e-12
+
+
+def dense_twin(c):
+    """The chain on the same order without ``cube_dim``: the dense path."""
+    p = c.poset
+    return validate_chain(c.P, Poset(p.elements, p.leq), nu=c.nu)
+
+
+class TestButterflyPath:
+    """A cube dual (butterflies) against the same chain on the dense path."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [3, 6, 10])
+    def test_matches_the_dense_path(self, d, direction):
+        rng = np.random.default_rng(d)
+        alpha, beta = random_admissible(d, rng, total=0.6)
+        m = 2**d
+        start = delta(m, 0 if direction == "down" else m - 1)
+        _, c, law, zm = cube_setup(d, alpha, beta)
+        c = c.with_nu(0.5 * start + 0.5 * law.pi)
+        twin = dense_twin(c)
+        twin_zm = zeta_mobius(twin.poset)
+        assert zm.cube_dim == d and twin_zm.cube_dim is None
+        dual = build_ssd(c, law, zm, direction)
+        dense = build_ssd(twin, law, twin_zm, direction)
+        assert dual.absorbing_index == dense.absorbing_index
+        assert np.abs(dual.nu_star - dense.nu_star).max() <= 1e-13
+        assert np.abs(dual.P_star - dense.P_star).max() <= 1e-13
+        assert abs(dual.nu_residual - dense.nu_residual) <= 1e-13
+        assert abs(dual.intertwine_residual - dense.intertwine_residual) <= 1e-13
+        rep, dense_rep = dual.reversed_report, dense.reversed_report
+        assert rep.verdict == dense_rep.verdict
+        assert abs(rep.worst_value - dense_rep.worst_value) <= 1e-13
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_residuals_match_the_dense_link(self, d, direction):
+        # perturb the dual so the residuals measure something beyond noise
+        rng = np.random.default_rng(40 + d)
+        alpha, beta = random_admissible(d, rng)
+        m = 2**d
+        _, c, law, zm = cube_setup(d, alpha, beta, nu=rng.dirichlet(np.ones(m)))
+        link = build_link(law, zm, direction)
+        nu_star = rng.random(m)
+        p_star = rng.random((m, m))
+        got = _residuals(c, law, zm, direction, link.H, nu_star, p_star)
+        want = (
+            np.abs(c.nu - nu_star @ link.Lambda).max(),
+            np.abs(link.Lambda @ c.P - p_star @ link.Lambda).max(),
+        )
+        assert got == pytest.approx(want, rel=1e-13)

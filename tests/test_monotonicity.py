@@ -32,7 +32,9 @@ from mobiusdual.monotonicity import (
     exact_fractions,
     mobius_transform,
     transform_report,
+    weak_report,
 )
+from mobiusdual.poset import ZetaMobius
 from mobiusdual.specfile import load_model, load_model_text
 
 HERE = os.path.dirname(__file__)
@@ -147,6 +149,52 @@ class TestMobiusKernels:
         # a report from a given transform keeps the exact rerun
         t = mobius_transform(c.P, zm, "down")
         assert transform_report(c, zm, "down", t) == rep
+
+
+def random_cube_chain(d, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.random((2**d, 2**d)) * (rng.random((2**d, 2**d)) < 0.3)
+    weights[np.arange(2**d), np.arange(2**d)] += 1.0
+    return validate_chain(weights / weights.sum(axis=1)[:, None], cube_poset(d))
+
+
+class TestCubeTransforms:
+    """Butterfly transforms on cubes against the dense similarity products."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [1, 3, 6, 10])
+    def test_match_the_dense_product(self, d, direction):
+        c = random_cube_chain(d, d)
+        zm = zeta_mobius(c.poset)
+        dense = zm.mobius(direction) @ c.P @ zm.zeta(direction)
+        t = mobius_transform(c.P, zm, direction)
+        assert np.abs(t - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_noise_ties_name_the_same_witness_either_way(self, d):
+        # an admissible walk: a true verdict whose worst value is float noise
+        c = nearest_neighbor_walk(
+            CubeWalkParams(d=d, alpha=(0.3 / d,) * d, beta=(0.2 / d,) * d)
+        )
+        zm = zeta_mobius(c.poset)
+        f = np.random.default_rng(d).random(c.size)
+        for direction in ("down", "up"):
+            t = mobius_transform(c.P, zm, direction)
+            dense = zm.mobius(direction) @ c.P @ zm.zeta(direction)
+            rep = transform_report(c, zm, direction, t)
+            assert rep.verdict and abs(rep.worst_value) <= MONO_TOL
+            assert rep.witness == transform_report(c, zm, direction, dense).witness
+            i, j = (c.poset.index(e) for e in rep.witness)
+            assert t[i, j] <= rep.worst_value + MONO_TOL
+            assert (t.ravel()[: i * c.size + j] > rep.worst_value + MONO_TOL).all()
+            weak = weak_report(c, zm, direction, t)
+            assert weak.witness == weak_report(c, zm, direction, dense).witness
+            # the Mobius transform of 1 is the point mass at the extremal
+            # state (the last for down, the first for up): the first zero
+            flat = function_mobius_monotone(np.ones(c.size), zm, direction)
+            assert flat.verdict and flat.witness == (0 if direction == "down" else 1)
+            g = function_mobius_monotone(f, zm, direction)
+            assert g.witness == int(np.argmin(zm.mobius(direction) @ f))
 
 
 class TestFunctionMonotone:
@@ -686,6 +734,28 @@ class TestExactReruns:
         assert rep.worst_value == float(worst_q)
         assert rep.verdict == (worst_q >= 0)
         assert rep.witness == (None if k is None else c.poset.elements[k])
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_cube_reruns_run_as_butterflies(self, direction, monkeypatch):
+        cubes = {n: c for n, c in RATIONAL_CHAINS.items() if c.poset.cube_dim}
+        assert {"walk2", "walk3"} < set(cubes) and len(cubes) >= 5
+        expected = {}
+        for name, c in cubes.items():
+            zm = zeta_mobius(c.poset)
+            worst_q, (i, j) = exact_transform_min(c, zm, direction)
+            expected[name] = (zm, worst_q, (c.poset.elements[i], c.poset.elements[j]))
+
+        def refuse(self, direction, dtype=float):
+            raise AssertionError("dense zeta/Mobius matrix read on a cube")
+
+        monkeypatch.setattr(ZetaMobius, "zeta", refuse)
+        monkeypatch.setattr(ZetaMobius, "mobius", refuse)
+        for name, c in cubes.items():
+            zm, worst_q, witness = expected[name]
+            rep = transform_report(c, zm, direction, mobius_transform(c.P, zm, direction), 1.0)
+            assert rep.exact and rep.worst_value == float(worst_q)
+            assert rep.verdict == (worst_q >= 0) and rep.witness == witness
+            assert weak_monotone(c, zm, direction, tol=1.0).exact
 
     def test_admissible_walks_rerun_to_exact_zero(self):
         for name in ("walk2", "walk3"):

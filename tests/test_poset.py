@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,87 @@ class TestOrientedPair:
             ]
         assert len(glob.glob(os.path.join(src, "*.py"))) > 1
         assert readers == []
+
+
+ACTIONS = ("zeta_left", "zeta_right", "mobius_left", "mobius_right")
+
+
+def dense_action(zm, name, x, direction, dtype=float):
+    """The action ``name`` as a product with the dense oriented matrix."""
+    kind, side = name.split("_")
+    mat = getattr(zm, kind)(direction, dtype)
+    return mat @ x if side == "left" else x @ mat
+
+
+class TestActions:
+    """zeta/Mobius actions: butterflies on cubes, dense products elsewhere."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
+    def test_cube_butterflies_match_dense_matrices(self, d, name, direction):
+        zm = zeta_mobius(cube_poset(d))
+        assert zm.cube_dim == d
+        m = zm.size
+        rng = np.random.default_rng(d)
+        block = rng.standard_normal((m, 3) if name.endswith("left") else (3, m))
+        for x in (rng.standard_normal(m), block):
+            got = getattr(zm, name)(x, direction)
+            want = dense_action(zm, name, x, direction)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_cube_butterflies_are_exact_over_fractions(self, d, name, direction):
+        zm = zeta_mobius(cube_poset(d))
+        m = zm.size
+        rng = np.random.default_rng(100 + d)
+        num, den = rng.integers(-9, 10, (m, m)), rng.integers(1, 7, (m, m))
+        x = np.array(
+            [[Fraction(int(a), int(b)) for a, b in zip(*rows)] for rows in zip(num, den)],
+            dtype=object,
+        )
+        got = getattr(zm, name)(x, direction, object)
+        assert got.dtype == object
+        assert (got == dense_action(zm, name, x, direction, object)).all()
+        assert all(type(v) is Fraction for v in got.ravel())
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    def test_integer_actions_stay_integer(self, name, direction):
+        zm = zeta_mobius(cube_poset(5))
+        ones = np.ones(zm.size, dtype=np.int64)
+        got = getattr(zm, name)(ones, direction, np.int64)
+        assert got.dtype == np.int64
+        assert (got == dense_action(zm, name, ones, direction, np.int64)).all()
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    def test_general_posets_keep_the_dense_products(self, name, direction):
+        rng = np.random.default_rng(8)
+        for p in (diamond(), random_poset(12, rng)):
+            zm = zeta_mobius(p)
+            assert zm.cube_dim is None
+            x = rng.random((p.size, p.size))
+            for arg in (x, x[0]):
+                got = getattr(zm, name)(arg, direction)
+                assert np.array_equal(got, dense_action(zm, name, arg, direction))
+
+    def test_input_is_not_modified(self):
+        zm = zeta_mobius(cube_poset(4))
+        x = np.random.default_rng(1).random((16, 16))
+        before = x.copy()
+        for name in ACTIONS:
+            getattr(zm, name)(x, "down")
+        assert np.array_equal(x, before)
+
+    def test_unknown_direction_on_a_cube(self):
+        zm = zeta_mobius(cube_poset(2))
+        for name in ACTIONS:
+            with pytest.raises(ValueError, match="direction must be"):
+                getattr(zm, name)(np.ones(4), "sideways")
 
 
 class TestCubePoset:
