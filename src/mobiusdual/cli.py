@@ -30,10 +30,12 @@ from .cube import (
     nearest_neighbor_walk,
 )
 from .errors import (
+    InexactSum,
     InputError,
     MobiusDualError,
     PreconditionError,
     PreconditionFailed,
+    UpSetExplosion,
     exit_code,
 )
 from .poset import zeta_mobius
@@ -111,7 +113,7 @@ def _error_block(exc):
         "exit": exit_code(exc),
         "detail": str(exc),
     }
-    for attr in ("line", "field", "witness", "pair", "period", "stage"):
+    for attr in ("line", "field", "witness", "pair", "period", "stage", "row", "exact_sum"):
         value = getattr(exc, attr, None)
         if value is not None:
             block[attr] = repr(value)
@@ -167,12 +169,33 @@ def _resolve_chain(loaded, args, need_nu):
         if loaded.nu_token == "stationary":
             law = stationary(chain)
             chain = chain.with_nu(law.pi, row_tol=args.tolerance_row)
-        if not args.exact and chain.exact is not None:
+        if args.exact:
+            _check_exact_sums(loaded)
+        elif chain.exact is not None:
             chain = Chain(poset=chain.poset, P=chain.P, nu=chain.nu)
         if need_nu and chain.nu is None:
             raise InputError("this command needs an initial law: add a nu line")
         return chain, None, law
     raise InputError(f"command {args.command!r} needs a chain or cube spec")
+
+
+def _check_exact_sums(loaded):
+    """Raise InexactSum at the first row (in file order), then nu, of a
+    [chain] whose exact entries do not sum to exactly 1: decimal rows that
+    sum to 1 only within float rounding would make exact reruns decide on a
+    kernel that is not stochastic."""
+    named = [(label, loaded.exact_rows[loaded.poset.index(label)])
+             for label in loaded.states_order]
+    if loaded.exact_nu is not None:
+        named.append(("nu", loaded.exact_nu))
+    for name, values in named:
+        total = sum(values)
+        if total != 1:
+            raise InexactSum(
+                f"--exact needs entries that sum to exactly 1: {name} sums to {total}",
+                row=name,
+                exact_sum=str(total),
+            )
 
 
 def _table(header_lines, columns, rows):
@@ -229,16 +252,26 @@ def _mono_header(args, extra=(), loaded=None):
     return tuple(lines)
 
 
-def _all_notion_reports(chain, zm, args):
-    """Mobius down/up, weak down/up and strong rows; the Mobius and weak rows
-    of a direction read its one transform."""
+def _all_notion_rows(chain, zm, args):
+    """Mobius down/up, weak down/up and strong table rows, with header notes;
+    the Mobius and weak rows of a direction read its one transform.
+
+    A strong verdict past the up-set cap is a ``skipped`` row and a note
+    naming the reason, so the other rows are still reported.
+    """
     tol = args.tolerance_mono
     mobius, weak = [], []
     for direction in ("down", "up"):
         t = monotonicity.mobius_transform(chain.P, zm, direction)
         mobius.append(monotonicity.transform_report(chain, zm, direction, t, tol))
         weak.append(monotonicity.weak_report(chain, zm, direction, t, tol))
-    return (*mobius, *weak, monotonicity.strong_stochastic_monotone(chain, tol=tol))
+    rows, notes = _report_rows(mobius + weak), []
+    try:
+        rows += _report_rows([monotonicity.strong_stochastic_monotone(chain, tol=tol)])
+    except UpSetExplosion as exc:
+        rows.append(["strong_stochastic", "skipped", fmt(float("nan")), "-", fmt(tol)])
+        notes.append(f"skipped: strong_stochastic ({type(exc).__name__}: {exc})")
+    return rows, notes
 
 
 def _report_rows(reports):
@@ -257,12 +290,11 @@ def _report_rows(reports):
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, _ = _resolve_chain(loaded, args, need_nu=False)
-    zm = zeta_mobius(chain.poset)
-    reports = _all_notion_reports(chain, zm, args)
+    rows, notes = _all_notion_rows(chain, zeta_mobius(chain.poset), args)
     text = _table(
-        _mono_header(args, loaded=loaded),
+        _mono_header(args, extra=notes, loaded=loaded),
         ("notion", "verdict", "worst_value", "witness", "tolerance"),
-        _report_rows(reports),
+        rows,
     )
     _emit(args, text)
     return 0
@@ -354,7 +386,7 @@ def cmd_cube(args):
     law = law or stationary(chain)
     zm = zeta_mobius(chain.poset)
     product_law = cube_stationary_product(params)
-    reports = _all_notion_reports(chain, zm, args)
+    rows, notes = _all_notion_rows(chain, zm, args)
     sections = [
         f"# mobiusdual cube d={params.d}",
         "# alpha: " + " ".join(fmt(a) for a in params.alpha),
@@ -363,9 +395,9 @@ def cmd_cube(args):
         f"# stationary_residual: {fmt(law.residual)}",
         f"# product_form_deviation: {fmt(float(np.abs(law.pi - product_law).max()))}",
         "",
-        _table(("monotonicity",),
+        _table(("monotonicity", *notes),
                ("notion", "verdict", "worst_value", "witness", "tolerance"),
-               _report_rows(reports)).rstrip("\n"),
+               rows).rstrip("\n"),
         "",
         "# eigenvalues (closed form, descending)",
         " ".join(fmt(v) for v in convergence.cube_eigenvalues(

@@ -98,12 +98,12 @@ def build_link(law, zm, direction="down"):
 
     For direction "up" the indicator and the cumulative masses flip to
     up-sets.  Rows are probability vectors by construction; the extremal row
-    equals pi exactly.
+    equals pi exactly.  H = pi Z and Lambda = diag(1/H) Z^T diag(pi), with
+    Z^T the other direction's zeta action, so no dense matrix is read.
     """
-    pi = law.pi
-    cz = zm.zeta(direction)
-    h = pi @ cz
-    lam = (cz.T * pi[None, :]) / h[:, None]
+    h = zm.zeta_right(law.pi, direction)
+    other = "up" if direction == "down" else "down"
+    lam = zm.zeta_left(np.diag(law.pi), other) / h[:, None]
     return Link(Lambda=lam, H=h, direction=direction)
 
 
@@ -217,19 +217,11 @@ def build_ssd(
 
 def _residuals(c, law, zm, direction, h, nu_star, p_star):
     """max|nu - nu* Lambda| and max|Lambda P - P* Lambda| for the link
-    Lambda = diag(1/H) Z^T diag(pi) of ``build_link``.
-
-    On a cube the link is never formed: Z^T, the zeta matrix of the other
-    direction, acts by butterflies, Lambda P is diag(1/H) (Z^T (diag(pi) P))
-    and P* Lambda is ((P* diag(1/H)) Z^T) diag(pi).  Other posets use the
-    dense link.
+    Lambda = diag(1/H) Z^T diag(pi) of ``build_link``, never formed: with
+    Z^T the other direction's zeta action (butterflies on a cube), Lambda P
+    is diag(1/H) (Z^T (diag(pi) P)) and P* Lambda is ((P* diag(1/H)) Z^T)
+    diag(pi).
     """
-    if zm.cube_dim is None:
-        lam = build_link(law, zm, direction).Lambda
-        return (
-            float(np.abs(c.nu - nu_star @ lam).max()),
-            float(np.abs(lam @ c.P - p_star @ lam).max()),
-        )
     pi = law.pi
     other = "up" if direction == "down" else "down"
     nu_lam = zm.zeta_right(nu_star / h, other) * pi

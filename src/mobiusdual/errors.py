@@ -53,6 +53,16 @@ class NotStochastic(InputError):
         self.violations = violations or []
 
 
+class InexactSum(InputError):
+    """An exact run's kernel row or nu does not sum to exactly 1; ``row``
+    names it and ``exact_sum`` is its rational sum."""
+
+    def __init__(self, message, row=None, exact_sum=None):
+        super().__init__(message)
+        self.row = row
+        self.exact_sum = exact_sum
+
+
 class NegativeHoldingProbability(InputError):
     pass
 

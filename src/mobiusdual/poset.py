@@ -2,14 +2,14 @@
 
 A :class:`Poset` stores its elements in a fixed order-consistent enumeration
 (a linear extension), so the zeta matrix is upper unitriangular and its
-inverse, the Mobius matrix, is integer valued.  Both matrices are computed
-exactly.
+inverse, the Mobius matrix, is integer valued.  Both are exact and built on
+first read; a cube's actions never read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def _oriented(a, direction):
 
 @dataclass(frozen=True)
 class ZetaMobius:
-    """Zeta matrix C and its exact integer inverse Cinv (the Mobius matrix).
+    """Zeta matrix C of ``leq`` and its exact inverse Cinv, built on first read.
 
     Consumers read the pair through ``zeta``/``mobius``, oriented by a
     direction: "down" is (C, Cinv) and "up" is the transposed pair, that is
@@ -99,17 +99,24 @@ class ZetaMobius:
     O(d 2^d) per vector, without reading the dense pair.
     """
 
-    C: np.ndarray
-    Cinv: np.ndarray
+    leq: np.ndarray
     cube_dim: int | None = None
 
-    def __post_init__(self):
-        for a in (self.C, self.Cinv):
-            a.flags.writeable = False
+    @cached_property
+    def C(self):
+        c = self.leq.astype(np.int64)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def Cinv(self):
+        inv = _mobius_matrix(self.C, self.cube_dim)
+        inv.flags.writeable = False
+        return inv
 
     @property
     def size(self):
-        return self.C.shape[0]
+        return self.leq.shape[0]
 
     def zeta(self, direction, dtype=float):
         """C ("down") or C^T ("up"), cast to ``dtype`` on each call."""
@@ -253,21 +260,18 @@ def _invert_unitriangular(cf, block=256):
 
 
 def zeta_mobius(p):
-    """Zeta matrix C(i,j) = 1 iff e_i <= e_j, and its exact integer inverse.
+    """The pair C(i,j) = 1 iff e_i <= e_j and Cinv of p, built on first read."""
+    return ZetaMobius(leq=p.leq, cube_dim=p.cube_dim)
 
-    On a cube poset (bitmask order) C is the Kronecker power of [[1,1],[0,1]]
-    and Cinv that of [[1,-1],[0,1]]: (A x B)(C x D) = AC x BD makes their
-    product the identity, so Cinv is exact with no further check; the pair
-    carries ``cube_dim``, so its actions run as butterflies.  Otherwise
-    back-substitution on the unitriangular C runs in float64, which is exact
-    for integers below 2**53; the result is certified by a magnitude bound
-    plus an exact product check C Cinv = I, and any failure falls back to
-    arbitrary-precision integers.
-    """
-    c = p.leq.astype(np.int64)
-    if p.cube_dim is not None:
-        factors = [np.array([[1, -1], [0, 1]], dtype=np.int64)] * p.cube_dim
-        return ZetaMobius(C=c, Cinv=reduce(np.kron, factors), cube_dim=p.cube_dim)
+
+def _mobius_matrix(c, cube_dim):
+    """The exact int64 inverse of the zeta matrix c: on a cube the Kronecker
+    power of [[1,-1],[0,1]], as (A x B)(C x D) = AC x BD; otherwise float64
+    back-substitution, certified exact by a magnitude bound below 2**53 plus
+    the exact product C Cinv = I, with arbitrary-precision integers when that
+    fails."""
+    if cube_dim is not None:
+        return reduce(np.kron, [np.array([[1, -1], [0, 1]], dtype=np.int64)] * cube_dim)
     m = c.shape[0]
     cf = c.astype(np.float64)
     x = _invert_unitriangular(cf)
@@ -278,8 +282,8 @@ def zeta_mobius(p):
         # (a right inverse of a square matrix is the inverse).
         magnitude = float(cf.sum(axis=1).max()) * float(np.abs(x).sum(axis=0).max())
         if magnitude < 2.0**53 and not (cf @ x - np.eye(m)).any():
-            return ZetaMobius(C=c, Cinv=np.rint(x).astype(np.int64))
-    return ZetaMobius(C=c, Cinv=_invert_unitriangular_exact(c))
+            return np.rint(x).astype(np.int64)
+    return _invert_unitriangular_exact(c)
 
 
 def _invert_unitriangular_exact(c):

@@ -15,7 +15,7 @@ from mobiusdual import (
     stationary,
     uniformize,
 )
-from mobiusdual import cli, duality, monotonicity
+from mobiusdual import availability, cli, duality, monotonicity
 from mobiusdual.availability import Generator
 from mobiusdual.poset import ZetaMobius
 from mobiusdual.errors import InputError, MissingSubsetValue, ZeroGenerator
@@ -267,8 +267,8 @@ class TestPipeline:
 
 
 class TestWorkRunsOnce:
-    """Each Mobius transform is computed once per run, and the dense link at
-    most once: a cube dual applies it through butterflies and never forms it.
+    """Each Mobius transform is computed once per run, and the dense link
+    never: a dual applies it through the zeta actions on every poset.
     """
 
     @pytest.fixture
@@ -302,8 +302,9 @@ class TestWorkRunsOnce:
         assert not report.reports[2].verdict
         assert calls == {"mobius_transform": 4}
 
-    def test_dual_command_builds_one_link(self, calls, tmp_path):
-        # the 2-cube walk given as a general poset, so the dense path runs
+    @pytest.mark.parametrize("poset", ["general", "cube"])
+    def test_dual_command_builds_no_dense_link(self, calls, tmp_path, poset):
+        # the 2-cube walk given as a general poset runs the dense actions
         spec = tmp_path / "walk.spec"
         spec.write_text(
             "[poset]\nstates: 00 10 01 11\ncover: 00 10\ncover: 00 01\n"
@@ -311,13 +312,9 @@ class TestWorkRunsOnce:
             "row: 0.1 0.8 0 0.1\nrow: 0.1 0 0.8 0.1\nrow: 0 0.1 0.1 0.8\n"
             "nu: delta_min\n"
         )
+        source = str(spec) if poset == "general" else FOUR_CUBE
         out = str(tmp_path / "dual.spec")
-        assert cli.main(["dual", "--input", str(spec), "--output", out]) == 0
-        assert calls["build_link"] == 1
-
-    def test_cube_dual_command_builds_no_dense_link(self, calls, tmp_path):
-        out = str(tmp_path / "dual.spec")
-        assert cli.main(["dual", "--input", FOUR_CUBE, "--output", out]) == 0
+        assert cli.main(["dual", "--input", source, "--output", out]) == 0
         assert "build_link" not in calls
 
 
@@ -346,3 +343,41 @@ class TestCubePathsSkipDensePair:
     @pytest.mark.parametrize("command", ["check", "cube", "sep", "dual"])
     def test_cli(self, command):
         assert cli.main([command, "--input", FOUR_CUBE]) == 0
+
+
+class TestCubePairStaysUnbuilt:
+    """A cube's ZetaMobius never builds its dense C or Cinv on these paths."""
+
+    @pytest.fixture
+    def pairs(self, monkeypatch):
+        made = []
+        for module in (cli, availability):
+            original = module.zeta_mobius
+
+            def recording(p, _original=original):
+                made.append(_original(p))
+                return made[-1]
+
+            monkeypatch.setattr(module, "zeta_mobius", recording)
+        return made
+
+    @staticmethod
+    def assert_unbuilt(pairs):
+        assert len(pairs) == 1 and pairs[0].cube_dim == 4
+        assert "C" not in vars(pairs[0]) and "Cinv" not in vars(pairs[0])
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_pipeline(self, pairs, single):
+        r = RateFunctions(
+            d=4,
+            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
+            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
+        )
+        availability_pipeline(r, multiplier=2.0, single_moves_only=single)
+        self.assert_unbuilt(pairs)
+
+    @pytest.mark.parametrize("command", ["check", "cube", "sep", "dual"])
+    def test_cli(self, pairs, command, tmp_path):
+        out = str(tmp_path / "out.txt")
+        assert cli.main([command, "--input", FOUR_CUBE, "--output", out]) == 0
+        self.assert_unbuilt(pairs)

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
+from mobiusdual import monotonicity
 from mobiusdual.cli import main
+from mobiusdual.errors import UpSetExplosion
 from mobiusdual.specfile import load_model_text, serialize_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -86,6 +89,103 @@ class TestCheck:
         assert rows["mobius_down"][1] == "true"
         assert rows["mobius_down"][2] == "0"     # exactly zero, not noise
         assert rows["mobius_down"][4] == "0"     # exact arithmetic, no tolerance
+
+
+class TestStrongSkipped:
+    """A strong verdict past the up-set cap is a skipped row, not an exit 2."""
+
+    @pytest.mark.parametrize("command", ["check", "cube"])
+    def test_other_rows_are_reported(self, capsys, monkeypatch, tmp_path, command):
+        def explode(*args, **kwargs):
+            raise UpSetExplosion("more than 1048576 up-sets")
+
+        monkeypatch.setattr(monotonicity, "strong_stochastic_monotone", explode)
+        cube = tmp_path / "d6.spec"
+        cube.write_text("[cube]\nd: 6\nalpha: " + "0.04 " * 6 + "\nbeta: " + "0.04 " * 6 + "\n")
+        code, out, err = run(capsys, command, "--input", str(cube), "--horizon", "5")
+        assert code == 0 and err == ""
+        assert (
+            "# skipped: strong_stochastic (UpSetExplosion: more than 1048576 up-sets)"
+            in out.splitlines()
+        )
+        lines = out.splitlines()
+        start = lines.index("notion\tverdict\tworst_value\twitness\ttolerance")
+        rows = {ln.split("\t")[0]: ln.split("\t") for ln in lines[start + 1:start + 6]}
+        assert list(rows) == [
+            "mobius_down", "mobius_up", "weak_down", "weak_up", "strong_stochastic"
+        ]
+        assert rows["strong_stochastic"] == ["strong_stochastic", "skipped", "nan", "-", "1e-10"]
+        assert all(rows[n][1] == "true" for n in ("mobius_down", "mobius_up", "weak_down"))
+
+    def test_no_note_below_the_cap(self, capsys):
+        code, out, _ = run(capsys, "check", "--input", spec("two_cube.spec"))
+        assert code == 0 and "skipped" not in out
+
+
+def pool_spec(k):
+    with open(os.path.join(DATA, os.pardir, os.pardir, "perfbench", "pool.json")) as fh:
+        return json.load(fh)["posets"][k]["spec"]
+
+
+BOUNDARY_POSET = (
+    "[poset]\nstates: 11 01 10 00\n"
+    "cover: 00 10\ncover: 00 01\ncover: 10 11\ncover: 01 11\n\n[chain]\n"
+)
+
+
+class TestExactSums:
+    """--exact refuses a [chain] whose exact rows or nu do not sum to 1."""
+
+    def test_decimal_pool_rows_are_refused(self, capsys, tmp_path):
+        text = pool_spec(1)
+        path = tmp_path / "pool1.spec"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--input", str(path), "--exact")
+        assert code == 1 and out == ""
+        block = json.loads(err)
+        assert block["error"] == "InexactSum" and block["exit"] == 1
+        states = next(ln for ln in text.splitlines() if ln.startswith("states:")).split()[1:]
+        rows = [ln.split()[1:] for ln in text.splitlines() if ln.startswith("row:")]
+        sums = [sum(Fraction(v) for v in row) for row in rows]
+        first = next(k for k, total in enumerate(sums) if total != 1)
+        assert block["row"] == repr(states[first])
+        assert block["exact_sum"] == repr(str(sums[first]))
+        assert str(sums[first]) in block["detail"]
+
+    def test_float_run_is_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "pool1.spec"
+        path.write_text(pool_spec(1))
+        code, out, _ = run(capsys, "check", "--input", str(path))
+        assert code == 0
+        verdicts = {row[0]: row[1] for row in parse_table(out)[1]}
+        assert verdicts["weak_down"] == verdicts["strong_stochastic"] == "true"
+
+    def test_first_row_in_file_order_is_named(self, capsys, tmp_path):
+        # the file lists 11 first, the enumeration 00; both rows are off by
+        # less than the row tolerance
+        path = tmp_path / "rows.spec"
+        path.write_text(
+            BOUNDARY_POSET + "row: 0.5 0.2 0.3 1e-13\nrow: 0.3 0.5 0 0.2\n"
+            "row: 0.3 0 0.5 0.2\nrow: 0.1 0.1 0.1 0.7000000000000001\n"
+        )
+        code, _, err = run(capsys, "check", "--input", str(path), "--exact")
+        assert code == 1
+        block = json.loads(err)
+        assert block["row"] == "'11'"
+        assert block["exact_sum"] == "'10000000000001/10000000000000'"
+
+    def test_explicit_nu_is_checked(self, capsys, tmp_path):
+        rows = "row: 1/2 1/6 1/3 0\nrow: 1/6 1/2 0 1/3\nrow: 1/3 0 1/2 1/6\nrow: 0 1/3 1/6 1/2\n"
+        path = tmp_path / "nu.spec"
+        path.write_text(BOUNDARY_POSET + rows + "nu: 0.25 0.25 0.25 0.2500000000001\n")
+        code, _, err = run(capsys, "dual", "--input", str(path), "--exact")
+        assert code == 1
+        block = json.loads(err)
+        assert block["row"] == "'nu'"
+        assert block["exact_sum"] == "'10000000000001/10000000000000'"
+        path.write_text(BOUNDARY_POSET + rows + "nu: 0.1 0.2 0.3 0.4\n")
+        code, out, err = run(capsys, "check", "--input", str(path), "--exact")
+        assert code == 0 and err == ""
 
 
 class TestDual:

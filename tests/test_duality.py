@@ -1,3 +1,7 @@
+import glob
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,9 @@ from mobiusdual.errors import (
     PreconditionFailed,
 )
 from mobiusdual.poset import Poset, is_total_order
+from mobiusdual.specfile import load_model, load_model_text
+
+HERE = os.path.dirname(__file__)
 
 
 def delta(m, k):
@@ -552,3 +559,72 @@ class TestButterflyPath:
             np.abs(link.Lambda @ c.P - p_star @ link.Lambda).max(),
         )
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def dense_link(law, zm, direction):
+    """(Lambda, H) by the dense formula Lambda = (Z^T * pi) / H (oracle)."""
+    cz = zm.zeta(direction)
+    h = law.pi @ cz
+    return (cz.T * law.pi[None, :]) / h[:, None], h
+
+
+def general_chains():
+    """The chain fixtures, the cube fixtures on their dense twin posets and
+    the perfbench pool posets, each with a start law."""
+    chains = []
+    for path in sorted(glob.glob(os.path.join(HERE, "data", "*.spec"))):
+        if os.path.basename(path) == "bad_row.spec":
+            continue
+        loaded = load_model(path)
+        if loaded.kind == "chain":
+            chains.append(loaded.chain)
+        elif loaded.kind == "cube":
+            chains.append(dense_twin(nearest_neighbor_walk(loaded.cube)))
+    with open(os.path.join(HERE, os.pardir, "perfbench", "pool.json")) as fh:
+        chains += [load_model_text(e["spec"]).chain for e in json.load(fh)["posets"]]
+    rng = np.random.default_rng(5)
+    return [c.with_nu(rng.dirichlet(np.ones(c.size))) for c in chains]
+
+
+class TestLinkActions:
+    """build_link through the zeta actions against the dense formula."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_general_posets_are_byte_identical(self, direction):
+        chains = general_chains()
+        assert len(chains) == 28
+        for c in chains:
+            law = stationary(c)
+            zm = zeta_mobius(c.poset)
+            assert zm.cube_dim is None
+            link = build_link(law, zm, direction)
+            lam, h = dense_link(law, zm, direction)
+            assert link.Lambda.tobytes() == lam.tobytes()
+            assert link.H.tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 10])
+    def test_cubes_match_within_1e13(self, d, direction):
+        alpha, beta = random_admissible(d, np.random.default_rng(60 + d))
+        _, _, law, zm = cube_setup(d, alpha, beta)
+        link = build_link(law, zm, direction)
+        lam, h = dense_link(law, zm, direction)
+        assert np.abs(link.H - h).max() <= 1e-13
+        assert np.abs(link.Lambda - lam).max() <= 1e-13
+        assert (link.Lambda == 0).tolist() == (lam == 0).tolist()
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_general_residuals_match_the_dense_link(self, direction):
+        # perturbed duals, so the residuals measure something beyond noise
+        rng = np.random.default_rng(9)
+        for c in general_chains():
+            law = stationary(c)
+            zm = zeta_mobius(c.poset)
+            lam, h = dense_link(law, zm, direction)
+            nu_star, p_star = rng.random(c.size), rng.random((c.size, c.size))
+            got = _residuals(c, law, zm, direction, h, nu_star, p_star)
+            want = (
+                np.abs(c.nu - nu_star @ lam).max(),
+                np.abs(lam @ c.P - p_star @ lam).max(),
+            )
+            assert got == pytest.approx(want, rel=1e-13)

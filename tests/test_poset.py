@@ -215,6 +215,36 @@ class TestOrientedPair:
         assert readers == []
 
 
+class TestLazyPair:
+    """zeta_mobius only wraps the relation; C and Cinv are built on first read."""
+
+    def test_cube_pair_builds_nothing(self):
+        p = cube_poset(12)
+        zm = zeta_mobius(p)
+        assert zm.leq is p.leq and zm.size == 4096
+        ones = np.ones(zm.size)
+        assert zm.mobius_left(zm.zeta_left(ones, "down"), "down").tolist() == ones.tolist()
+        assert "C" not in vars(zm) and "Cinv" not in vars(zm)
+
+    @pytest.mark.parametrize("make", [diamond, lambda: cube_poset(3)])
+    def test_read_once_and_kept_read_only(self, make):
+        zm = zeta_mobius(make())
+        assert vars(zm).keys() == {"leq", "cube_dim"}
+        c, cinv = zm.C, zm.Cinv
+        assert {"C", "Cinv"} <= vars(zm).keys()
+        assert zm.C is c and zm.Cinv is cinv
+        assert c.dtype == cinv.dtype == np.int64
+        assert not c.flags.writeable and not cinv.flags.writeable
+        assert (c @ cinv == np.eye(zm.size, dtype=np.int64)).all()
+
+    def test_general_actions_read_the_pair(self):
+        zm = zeta_mobius(diamond())
+        zm.zeta_right(np.ones(4), "up")
+        assert "C" in vars(zm) and "Cinv" not in vars(zm)
+        zm.mobius_left(np.ones(4), "down")
+        assert "Cinv" in vars(zm)
+
+
 ACTIONS = ("zeta_left", "zeta_right", "mobius_left", "mobius_right")
 
 
