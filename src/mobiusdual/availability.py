@@ -202,8 +202,12 @@ def availability_pipeline(
     which always satisfies the start condition of the down-direction dual.
     The requested direction's reversed-kernel verdict comes from
     ``build_ssd``; when it fails, the pipeline stops after the monotonicity
-    stage and returns the verdicts.  Every Mobius verdict, the dual's
-    preconditions included, is decided at tolerance ``mono_tol``.
+    stage and returns the verdicts.  When the law certifies detailed balance
+    (every availability chain is reversible, with pi proportional to
+    psi/phi), the reversal is the chain: its reports are the kernel's, and
+    each direction's Mobius transform is computed once.  Every Mobius
+    verdict, the dual's preconditions included, is decided at tolerance
+    ``mono_tol``.
     Errors escaping a stage carry the stage name on their ``stage``
     attribute.
     """
@@ -217,33 +221,34 @@ def availability_pipeline(
     with _Stage("stationary"):
         law = stationary(c)
     zm = zeta_mobius(c.poset)
+    mobius = {
+        "down": monotonicity.mobius_monotone_down,
+        "up": monotonicity.mobius_monotone_up,
+    }
+    other = "up" if direction == "down" else "down"
     with _Stage("monotonicity"):
-        kernel_reports = (
-            monotonicity.mobius_monotone_down(c, zm, mono_tol),
-            monotonicity.mobius_monotone_up(c, zm, mono_tol),
-        )
-        other = (
-            monotonicity.mobius_monotone_up
-            if direction == "down"
-            else monotonicity.mobius_monotone_down
-        )
-        other_report = other(reverse(c, law), zm, mono_tol)
+        rev = reverse(c, law)
+        kernel = {other: mobius[other](c, zm, mono_tol)}
+        if rev is c:
+            # build_ssd's reversed report is the kernel's in ``direction``
+            reversed_ = {other: kernel[other]}
+        else:
+            kernel[direction] = mobius[direction](c, zm, mono_tol)
+            reversed_ = {other: mobius[other](rev, zm, mono_tol)}
     dual = curve = tail = bound = stopped_at = None
     with _Stage("dual"):
         try:
             dual = duality.build_ssd(
                 c, law, zm, direction=direction, mono_tol=mono_tol
             )
-            rev_report = dual.reversed_report
+            reversed_[direction] = dual.reversed_report
         except PreconditionFailed as exc:
             if exc.report.notion != f"mobius_{direction}":
                 raise
-            rev_report = exc.report
+            reversed_[direction] = exc.report
             stopped_at = "monotonicity"
-    if direction == "down":
-        reports = kernel_reports + (rev_report, other_report)
-    else:
-        reports = kernel_reports + (other_report, rev_report)
+    kernel.setdefault(direction, reversed_[direction])
+    reports = (kernel["down"], kernel["up"], reversed_["down"], reversed_["up"])
     if dual is not None:
         with _Stage("convergence"):
             curve = convergence.separation_curve(

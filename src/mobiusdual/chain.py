@@ -23,6 +23,9 @@ ROW_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 # States eliminated per block of the state reduction in ``stationary``.
 GTH_BLOCK = 32
+# Largest detailed-balance residual max |pi_x P(x,y) - pi_y P(y,x)| / pi_x
+# at which ``stationary`` accepts the law it builds along a spanning tree.
+BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,25 @@ class Chain:
 
 @dataclass(frozen=True)
 class StationaryLaw:
-    """Stationary law pi with the achieved residual max|pi P - pi|."""
+    """Stationary law pi with the achieved residual max|pi P - pi|.
+
+    ``balance`` is the detailed-balance certificate of the spanning-tree law,
+    max |pi_x P(x,y) - pi_y P(y,x)| / pi_x over the nonzeros of P (inf when
+    a tree edge has no reverse move).  ``path`` names the solve that gave pi:
+    "detailed_balance" when the certificate is within BALANCE_TOL, "gth"
+    otherwise.
+    """
 
     pi: np.ndarray
     residual: float
+    balance: float = float("inf")
 
     def __post_init__(self):
         self.pi.flags.writeable = False
+
+    @property
+    def path(self):
+        return "detailed_balance" if self.balance <= BALANCE_TOL else "gth"
 
 
 def _check_prob_vector(v, m, what, row_tol, violations):
@@ -104,23 +119,29 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
     return Chain(poset=poset, P=P, nu=nu_arr, exact=exact)
 
 
-def _support_levels(adj):
-    """BFS levels from state 0 over the support digraph (-1 if unreachable)."""
-    m = adj.shape[0]
+def _support_levels(src, dst, m):
+    """BFS levels from state 0 along the edges src[k] -> dst[k] of an
+    m-state digraph (-1 if unreachable), one pass over the edges per level."""
     level = np.full(m, -1, dtype=np.int64)
     level[0] = 0
     frontier = level == 0
     depth = 0
     while frontier.any():
         depth += 1
-        frontier = adj[frontier].any(axis=0) & (level < 0)
+        reached = np.zeros(m, dtype=bool)
+        reached[dst[frontier[src]]] = True
+        frontier = reached & (level < 0)
         level[frontier] = depth
     return level
 
 
 def _check_ergodic(P, poset):
-    adj = P > 0
-    fwd = _support_levels(adj)
+    """Raise unless the support digraph of P is strongly connected and
+    aperiodic; return the BFS levels from state 0 and the nonzeros
+    (rows, cols) of P, row-major."""
+    m = P.shape[0]
+    rows, cols = np.nonzero(P > 0)
+    fwd = _support_levels(rows, cols, m)
     if (fwd < 0).any():
         j = int(np.flatnonzero(fwd < 0)[0])
         raise NotIrreducible(
@@ -128,7 +149,7 @@ def _check_ergodic(P, poset):
             f"{poset.elements[0]!r}",
             pair=(poset.elements[0], poset.elements[j]),
         )
-    bwd = _support_levels(adj.T)
+    bwd = _support_levels(cols, rows, m)
     if (bwd < 0).any():
         j = int(np.flatnonzero(bwd < 0)[0])
         raise NotIrreducible(
@@ -136,32 +157,49 @@ def _check_ergodic(P, poset):
             f"{poset.elements[j]!r}",
             pair=(poset.elements[j], poset.elements[0]),
         )
-    rows, cols = np.nonzero(adj)
     period = int(np.gcd.reduce(fwd[rows] + 1 - fwd[cols]))
     if period != 1:
         raise NotAperiodic(f"chain has period {period}", period=period)
+    return fwd, rows, cols
 
 
-def stationary(c, residual_tol=IDENTITY_TOL):
-    """Stationary law of an ergodic chain, solved dense by state reduction.
+def _tree_law(P, level, rows, cols):
+    """Unnormalised law by detailed balance along a BFS spanning tree, or
+    None when a tree edge has no reverse move.
 
-    Irreducibility (strong connectivity of the support digraph) and
-    aperiodicity (gcd of cycle lengths) are verified structurally first.
-    The solve censors states from the top down and back-substitutes
-    (Grassmann-Taksar-Heyman); it is subtraction-free, so every stationary
-    mass carries full relative accuracy even when masses span many orders of
-    magnitude.  That accuracy is what keeps the time reversal row-stochastic
-    to within ROW_TOL downstream.
-
-    The reduction is blocked and right-looking: states are censored in
-    blocks of GTH_BLOCK, each step updating only the block's row and column
-    panels, and the leading block receives the block's deferred rank
-    updates as one matrix product.  The Schur complements are those of the
-    one-state-at-a-time reduction and every update still adds nonnegative
-    terms; a chain of at most GTH_BLOCK states runs exactly the unblocked
-    arithmetic.
+    Each state y past level 0 hangs from the first state x one level above
+    it with P(x, y) > 0, and pi(y) / pi(x) = P(x, y) / P(y, x) with
+    pi(0) = 1.  The products along the tree paths are taken by pointer
+    jumping, log2(depth) passes.  P holds floats, or Fractions for an exact
+    check.
     """
-    _check_ergodic(c.P, c.poset)
+    m = P.shape[0]
+    tree = level[rows] + 1 == level[cols]
+    parent = np.full(m, m)
+    np.minimum.at(parent, cols[tree], rows[tree])
+    parent[0] = 0
+    y, x = np.arange(1, m), parent[1:]
+    back = P[y, x]
+    if not back.all():
+        return None
+    pi = np.ones(m, dtype=P.dtype)
+    pi[1:] = P[x, y] / back
+    for _ in range(int(level.max()).bit_length()):
+        pi = pi * pi[parent]
+        parent = parent[parent]
+    return pi
+
+
+def _balance(P, pi, rows, cols):
+    """max |pi_x P(x,y) - pi_y P(y,x)| / pi_x over the nonzeros (x, y), the
+    diagonal ones adding exact zeros; inf where pi under- or overflowed."""
+    gap = pi[rows] * P[rows, cols] - pi[cols] * P[cols, rows]
+    worst = float((np.abs(gap) / pi[rows]).max())
+    return float("inf") if np.isnan(worst) else worst
+
+
+def _gth(c):
+    """Blocked Grassmann-Taksar-Heyman state reduction (see ``stationary``)."""
     m = c.size
     a = c.P.copy()
     for hi in range(m, 0, -GTH_BLOCK):
@@ -182,7 +220,47 @@ def stationary(c, residual_tol=IDENTITY_TOL):
     pi[0] = 1.0
     for k in range(1, m):
         pi[k] = pi[:k] @ a[:k, k]
-    pi = pi / pi.sum()
+    return pi / pi.sum()
+
+
+def stationary(c, residual_tol=IDENTITY_TOL):
+    """Stationary law of an ergodic chain: by detailed balance along a
+    spanning tree when that certifies, by dense state reduction otherwise.
+
+    Irreducibility (strong connectivity of the support digraph) and
+    aperiodicity (gcd of cycle lengths) are verified structurally first.
+    A reversible chain's law follows from detailed balance along any
+    spanning tree of its support (Kolmogorov's criterion): the BFS tree of
+    the ergodicity check gives a candidate in O(nnz), accepted when its
+    detailed-balance certificate (``StationaryLaw.balance``) is within
+    BALANCE_TOL.  Cube walks and availability chains pass it.
+
+    Otherwise the solve censors states from the top down and
+    back-substitutes (Grassmann-Taksar-Heyman); it is subtraction-free, so
+    every stationary mass carries full relative accuracy even when masses
+    span many orders of magnitude.  That accuracy is what keeps the time
+    reversal row-stochastic to within ROW_TOL downstream.  The reduction is
+    blocked and right-looking: states are censored in blocks of GTH_BLOCK,
+    each step updating only the block's row and column panels, and the
+    leading block receives the block's deferred rank updates as one matrix
+    product.  The Schur complements are those of the one-state-at-a-time
+    reduction and every update still adds nonnegative terms; a chain of at
+    most GTH_BLOCK states runs exactly the unblocked arithmetic.
+
+    Both paths check the residual max|pi P - pi| against ``residual_tol``.
+    """
+    level, rows, cols = _check_ergodic(c.P, c.poset)
+    balance = float("inf")
+    # the certificate does not depend on the scale of pi, which is
+    # normalised only once accepted
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pi = _tree_law(c.P, level, rows, cols)
+        if pi is not None:
+            balance = _balance(c.P, pi, rows, cols)
+    if balance <= BALANCE_TOL:
+        pi = pi / pi.sum()
+    else:
+        pi = _gth(c)
     if (pi <= 0).any():
         j = int(np.argmin(pi))
         raise NumericalFailure(
@@ -194,11 +272,37 @@ def stationary(c, residual_tol=IDENTITY_TOL):
         raise NumericalFailure(
             f"stationary residual {residual!r} exceeds {residual_tol}"
         )
-    return StationaryLaw(pi=pi, residual=residual)
+    return StationaryLaw(pi=pi, residual=residual, balance=balance)
+
+
+def _exactly_balanced(c):
+    """Whether the exact entries of c satisfy detailed balance exactly over
+    their nonzeros, along the tree ``stationary`` uses, in Fractions."""
+    exact = np.array(c.exact, dtype=object)
+    rows, cols = np.nonzero(c.P > 0)
+    level = _support_levels(rows, cols, c.size)
+    if (level < 0).any():
+        return False
+    pi = _tree_law(exact, level, rows, cols)
+    return pi is not None and bool(
+        (pi[rows] * exact[rows, cols] == pi[cols] * exact[cols, rows]).all()
+    )
 
 
 def reverse(c, law, row_tol=ROW_TOL):
-    """Time reversal diag(pi)^-1 P^T diag(pi), revalidated as stochastic."""
+    """Time reversal diag(pi)^-1 P^T diag(pi), revalidated as stochastic.
+
+    A law solved by detailed balance certifies that the reversal is P
+    itself, so the chain is returned: ``c`` when it carries no exact entries
+    or they balance exactly (an exact rerun on the reversal then reruns on
+    them), else ``c`` without them.  Computing the reversal would only add
+    rounding.  Every other law gives the computed reversal, without exact
+    entries.
+    """
+    if law.path == "detailed_balance":
+        if c.exact is None or _exactly_balanced(c):
+            return c
+        return Chain(poset=c.poset, P=c.P, nu=c.nu)
     pi = law.pi
     rev = (c.P.T * pi[None, :]) / pi[:, None]
     return validate_chain(rev, c.poset, nu=c.nu, row_tol=row_tol)

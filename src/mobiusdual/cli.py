@@ -239,11 +239,27 @@ def _model_line(loaded):
     return None
 
 
+def _exact_notes(args, loaded):
+    """The header note of an --exact run on a kernel generated from rates
+    ([cube], [rates], or sweep points when ``loaded`` is None), which has no
+    exact entries to rerun on; else []."""
+    if args.exact and (loaded is None or loaded.kind in ("cube", "rates")):
+        return ["exact: not available for generated kernels; float verdicts"]
+    return []
+
+
+def _law_lines(law):
+    """The stationary law's residual and the path that solved it."""
+    return [f"stationary_residual: {fmt(law.residual)}",
+            f"stationary_path: {law.path}"]
+
+
 def _mono_header(args, extra=(), loaded=None):
     lines = [
         f"mobiusdual {args.command}",
         f"input: {args.input}",
         f"tolerances: row={fmt(args.tolerance_row)} mono={fmt(args.tolerance_mono)}",
+        *_exact_notes(args, loaded),
     ]
     model = _model_line(loaded)
     if model is not None:
@@ -315,7 +331,8 @@ def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, law = _resolve_chain(loaded, args, need_nu=True)
     dual = _build_dual(chain, law or stationary(chain), args)
-    _emit(args, serialize_dual(dual, chain.poset))
+    notes = "".join(f"# {h}\n" for h in _exact_notes(args, loaded))
+    _emit(args, notes + serialize_dual(dual, chain.poset))
     return 0
 
 
@@ -348,7 +365,8 @@ def cmd_sep(args):
         tail = None     # curve is still valid without a dual
     formula = _formula_column(params, chain, curve.horizon)
     header = _mono_header(
-        args, extra=(f"horizon: {curve.horizon}",), loaded=loaded
+        args, extra=(f"horizon: {curve.horizon}", *_law_lines(law)),
+        loaded=loaded,
     )
     _emit(args, _curve_table(args, header, n_values, s=curve.values,
                              tail=tail, formula=formula))
@@ -392,7 +410,7 @@ def cmd_cube(args):
         "# alpha: " + " ".join(fmt(a) for a in params.alpha),
         "# beta: " + " ".join(fmt(b) for b in params.beta),
         f"# admissible: {str(params.admissible).lower()}",
-        f"# stationary_residual: {fmt(law.residual)}",
+        *(f"# {h}" for h in _exact_notes(args, loaded) + _law_lines(law)),
         f"# product_form_deviation: {fmt(float(np.abs(law.pi - product_law).max()))}",
         "",
         _table(("monotonicity", *notes),
@@ -450,7 +468,7 @@ def cmd_avail(args):
         f"# mobiusdual avail d={report.d}",
         f"# uniformization_rate: {fmt(report.rate)}",
         f"# multiplier: {fmt(args.multiplier)}",
-        f"# stationary_residual: {fmt(report.law.residual)}",
+        *(f"# {h}" for h in _exact_notes(args, loaded) + _law_lines(report.law)),
         "# stationary: " + " ".join(fmt(v) for v in report.law.pi),
         "",
         _table(

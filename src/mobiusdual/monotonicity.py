@@ -186,8 +186,26 @@ def _worst_margin(P, upsets, pairs, elements):
     return worst, witness
 
 
+def _first_margin_within(P, upsets, pairs, elements, bound):
+    """The first (up-set, pair) witness of ``_worst_margin``'s loop, up-sets
+    before pairs, whose margin is at most ``bound``."""
+    for u in upsets:
+        if not u or len(u) == len(elements):
+            continue
+        mass = P[:, list(u)].sum(axis=1)
+        below = mass[pairs[:, 1]] - mass[pairs[:, 0]] <= bound
+        if below.any():
+            i, j = pairs[int(np.argmax(below))]
+            return (elements[i], elements[j], tuple(elements[x] for x in u))
+    return None
+
+
 def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
-    """P(e_i, A) <= P(e_j, A) over all up-sets A and comparable pairs e_i <= e_j."""
+    """P(e_i, A) <= P(e_j, A) over all up-sets A and comparable pairs e_i <= e_j.
+
+    When the float worst value is zero up to ``tol``, the witness is the
+    first (up-set, pair) within ``tol`` of it, by the ``_near_min`` rule.
+    """
     p = c.poset
     upsets = enumerate_up_sets(p, cap=cap)
     pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
@@ -202,6 +220,8 @@ def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
     if exact:
         exact_p = np.array(c.exact, dtype=object)
         worst, witness = _worst_margin(exact_p, upsets, pairs, p.elements)
+    elif 0 < tol and abs(worst) <= tol:
+        witness = _first_margin_within(c.P, upsets, pairs, p.elements, worst + tol)
     return _report("strong_stochastic", worst, witness, tol, exact)
 
 

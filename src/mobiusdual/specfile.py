@@ -453,7 +453,15 @@ def label_str(e):
 
 
 def cover_pairs(p):
-    """Transitive reduction of the strict order (the cover relation)."""
+    """Transitive reduction of the strict order (the cover relation), in
+    row-major order; on a cube, the single-bit flips."""
+    if p.cube_dim is not None:
+        return [
+            (p.elements[i], p.elements[i | 1 << b])
+            for i in range(p.size)
+            for b in range(p.cube_dim)
+            if not i >> b & 1
+        ]
     strict = p.leq & ~np.eye(p.size, dtype=bool)
     # path counts through one intermediate state; exact in floating point
     strict_f = strict.astype(float)
@@ -480,9 +488,13 @@ def serialize_chain(c, header=()):
     """Chain spec text (inline poset + dense rows + optional nu)."""
     text = serialize_poset(c.poset, header=header)
     lines = ["", "[chain]"]
-    # the same text as fmt on each float entry
+    # the same text as fmt on each float entry: every +0.0 is "0", and only
+    # the other entries (-0.0 included) are formatted
     for row in c.P:
-        lines.append("row: " + " ".join(map("{:.17g}".format, row.tolist())))
+        tokens = ["0"] * row.size
+        for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+            tokens[j] = "{:.17g}".format(float(row[j]))
+        lines.append("row: " + " ".join(tokens))
     if c.nu is not None:
         lines.append("nu: " + " ".join(map("{:.17g}".format, c.nu.tolist())))
     return text + "\n".join(lines) + "\n"

@@ -293,14 +293,14 @@ class TestWorkRunsOnce:
         report = availability_pipeline(r, multiplier=2.0, single_moves_only=True)
         assert report.stopped_at is None
         assert report.reports[2] is report.dual.reversed_report
-        assert calls == {"mobius_transform": 4}
+        assert calls == {"mobius_transform": 2}
 
     def test_run_stopped_at_monotonicity(self, calls):
         r = RateFunctions(d=4, psi=power_family(4, 0.05), phi=power_family(4, 0.08))
         report = availability_pipeline(r)
         assert report.stopped_at == "monotonicity"
         assert not report.reports[2].verdict
-        assert calls == {"mobius_transform": 4}
+        assert calls == {"mobius_transform": 2}
 
     @pytest.mark.parametrize("poset", ["general", "cube"])
     def test_dual_command_builds_no_dense_link(self, calls, tmp_path, poset):

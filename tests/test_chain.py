@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,14 @@ from mobiusdual import (
     validate_chain,
     zeta_mobius,
 )
-from mobiusdual.chain import GTH_BLOCK, StationaryLaw, _support_levels
+from mobiusdual.availability import (
+    RateFunctions,
+    availability_generator,
+    uniformize,
+)
+from mobiusdual.chain import BALANCE_TOL, GTH_BLOCK, StationaryLaw, _support_levels
+from mobiusdual.cube import axis_transformed_walk
+from mobiusdual.specfile import load_model, load_model_text
 from mobiusdual.errors import (
     DimensionMismatch,
     NotAperiodic,
@@ -179,7 +189,8 @@ class TestStationary:
         rng = np.random.default_rng(700 + seed)
         adj = rng.random((60, 60)) < 0.04
         for graph in (adj, adj.T):
-            assert np.array_equal(_support_levels(graph), bfs_levels_loop(graph))
+            levels = _support_levels(*np.nonzero(graph), graph.shape[0])
+            assert np.array_equal(levels, bfs_levels_loop(graph))
 
     def test_two_cycle_not_aperiodic(self):
         p = build_poset(["x", "y"], [("x", "y")])
@@ -285,6 +296,97 @@ class TestReverse:
         law = stationary(c)
         rev = reverse(c, law)
         assert np.abs(law.pi @ rev.P - law.pi).max() < 1e-10
+
+
+
+def pool_chains():
+    """The chains of the benchmark's pool of random posets."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pool.json")
+    with open(path, encoding="utf-8") as fh:
+        pool = json.load(fh)["posets"]
+    return [load_model_text(e["spec"]).chain for e in pool]
+
+
+def shared_row(P):
+    """Whether P = h I + (1 - h) 1 q: each column is constant off the
+    diagonal."""
+    off = np.where(np.eye(P.shape[0], dtype=bool), np.nan, P)
+    return bool((np.nanmax(off, axis=0) - np.nanmin(off, axis=0) < 1e-12).all())
+
+
+class TestDetailedBalance:
+    """Reversible chains take their law from detailed balance along a BFS
+    tree and are their own reversal; every other chain falls back to the
+    state reduction."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 10, 12])
+    def test_walk_law_is_the_product_form(self, d):
+        rng = np.random.default_rng([d, 11])
+        alpha, beta = 0.5 / d * rng.uniform(0.2, 1.0, (2, d))
+        params = CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))
+        c = nearest_neighbor_walk(params)
+        law = stationary(c)
+        assert law.path == "detailed_balance" and law.balance <= BALANCE_TOL
+        assert law.residual <= 1e-15
+        product = cube_stationary_product(params)
+        assert np.abs(law.pi / product - 1.0).max() <= 1e-14
+        assert reverse(c, law) is c
+
+    @pytest.mark.parametrize("single", [True, False])
+    @pytest.mark.parametrize("d", [2, 6, 10])
+    def test_network_law_is_psi_over_phi(self, d, single):
+        # any positive psi and phi, product form or not, give a reversible
+        # chain with pi proportional to psi/phi
+        rng = np.random.default_rng([d, int(single), 12])
+        psi, phi = rng.uniform(0.5, 2.0, (2, 2**d))
+        gen = availability_generator(RateFunctions(d=d, psi=psi, phi=phi), single)
+        c = uniformize(gen, multiplier=2.0).chain
+        law = stationary(c)
+        assert law.path == "detailed_balance" and law.balance <= BALANCE_TOL
+        target = psi / phi / (psi / phi).sum()
+        assert np.abs(law.pi / target - 1.0).max() <= 1e-14
+        assert reverse(c, law) is c
+
+    def test_irreversible_chains_fall_back_to_gth(self):
+        params = CubeWalkParams(d=3, alpha=(0.1,) * 3, beta=(0.15,) * 3)
+        strong = load_model(os.path.join(os.path.dirname(__file__), "data",
+                                         "strong_not_mobius.spec")).chain
+        chains = [axis_transformed_walk(params, 0.02), strong]
+        chains += [c for c in pool_chains() if not shared_row(c.P)]
+        assert len(chains) > 5
+        for c in chains:
+            law = stationary(c)
+            assert law.path == "gth" and law.balance > BALANCE_TOL
+            assert np.abs(law.pi - gth_unblocked(c.P)).max() < 1e-15
+            rev = reverse(c, law)
+            assert rev is not c
+            assert np.array_equal(rev.P, (c.P.T * law.pi[None, :]) / law.pi[:, None])
+
+    def test_shared_row_pool_chains_are_reversible(self):
+        # h I + (1 - h) 1 q balances with pi = q
+        chains = [c for c in pool_chains() if shared_row(c.P)]
+        assert len(chains) > 5
+        for c in chains:
+            law = stationary(c)
+            assert law.path == "detailed_balance"
+            q = c.P[1, 0], *c.P[0, 1:]
+            assert np.abs(law.pi / (q / np.sum(q)) - 1.0).max() < 1e-14
+            # the chain itself, without its decimal entries where those
+            # balance only up to rounding
+            rev = reverse(c, law)
+            assert rev.P is c.P and (rev is c or rev.exact is None)
+            assert reverse(rev, law) is rev
+
+    def test_tree_edge_without_reverse_move(self):
+        p = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
+        mat = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        law = stationary(validate_chain(mat, p))
+        assert law.path == "gth" and law.balance == np.inf
+        assert np.abs(law.pi - 1 / 3).max() < 1e-15
+
+    def test_hand_built_law_is_not_certified(self):
+        law = StationaryLaw(pi=np.full(3, 1 / 3), residual=0.0)
+        assert law.path == "gth"
 
 
 class TestSumDiffOperators:

@@ -91,6 +91,82 @@ class TestCheck:
         assert rows["mobius_down"][4] == "0"     # exact arithmetic, no tolerance
 
 
+
+class TestExactOnGeneratedKernels:
+    """A kernel generated from rates carries no exact entries: an --exact run
+    on it says so in the header instead of ignoring the flag silently."""
+
+    NOTE = "# exact: not available for generated kernels; float verdicts"
+
+    @pytest.mark.parametrize("command", ["check", "sep", "cube", "eig", "simulate", "dual"])
+    def test_cube_spec_notes_float_verdicts(self, capsys, command):
+        argv = (command, "--input", spec("two_cube.spec"), "--samples", "100")
+        code, out, err = run(capsys, *argv, "--exact")
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and self.NOTE not in out
+
+    def test_rates_spec_notes_float_verdicts(self, capsys):
+        code, out, err = run(capsys, "avail", "--input", spec("rates.spec"), "--exact")
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+
+    def test_sweep_notes_float_verdicts(self, capsys, tmp_path):
+        path = tmp_path / "grid.spec"
+        path.write_text("[sweep]\nd: 3\nalpha: 0.05 0.1 2\nbeta: 0.05 0.05 1\n")
+        code, out, err = run(capsys, "sweep", "--input", str(path), "--exact")
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+
+    def test_exact_chain_has_no_note(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--input", spec("strong_not_mobius.spec"), "--exact"
+        )
+        assert code == 0, err
+        assert self.NOTE not in out
+
+
+class TestStationaryPath:
+    """cube, avail and sep name the path that solved the stationary law."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("cube", "two_cube.spec"),
+        ("sep", "two_cube.spec"),
+        ("avail", "rates.spec"),
+        ("avail", "rates_single.spec"),
+    ])
+    def test_reversible_models_use_detailed_balance(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--input", spec(name))
+        assert code == 0, err
+        lines = out.splitlines()
+        at = lines.index("# stationary_path: detailed_balance")
+        assert lines[at - 1].startswith("# stationary_residual: ")
+
+    def test_irreversible_chain_uses_gth(self, capsys):
+        code, out, err = run(capsys, "sep", "--input", spec("strong_not_mobius.spec"))
+        assert code == 0, err
+        assert "# stationary_path: gth" in out.splitlines()
+
+
+class TestStrongNoiseWitness:
+    def test_true_walk_verdict_names_the_first_zero_margin(self, capsys, tmp_path):
+        # the strong minimum of this walk is -2.2e-16 at 10100<=10111; every
+        # margin within the tolerance of it is zero up to noise, and the
+        # witness is the first of them, as for the Mobius rows
+        path = tmp_path / "cube5.spec"
+        path.write_text(
+            "[cube]\nd: 5\nalpha: 0.05 0.06 0.04 0.05 0.03\n"
+            "beta: 0.04 0.05 0.06 0.03 0.05\n"
+        )
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 0, err
+        rows = {row[0]: row for row in parse_table(out)[1]}
+        strong = rows["strong_stochastic"]
+        assert strong[1] == "true" and abs(float(strong[2])) < 1e-15
+        assert strong[3] == "00000<=10000:{11111}"
+
+
 class TestStrongSkipped:
     """A strong verdict past the up-set cap is a skipped row, not an exit 2."""
 

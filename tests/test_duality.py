@@ -271,10 +271,21 @@ class TestDualNoise:
         assert dual.clamp_magnitude < 1e-14
 
     def test_forced_build_stays_raw(self):
-        _, c, law, zm = cube_setup(4, (0.05,) * 4, (0.07,) * 4, nu=delta(16, 0))
-        raw = build_ssd(c, law, zm, "down", force=True)
+        # a g+ walk is not reversible, so its dual is built from the computed
+        # reversal and carries float noise
+        params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.07,) * 3)
+        c = axis_transformed_walk(params, 0.01).with_nu(delta(8, 0))
+        law = stationary(c)
+        raw = build_ssd(c, law, zeta_mobius(c.poset), "down", force=True)
         assert raw.clamp_magnitude == 0.0
         assert ((raw.P_star != 0) & (np.abs(raw.P_star) < 1e-14)).any()
+
+    def test_reversible_walk_dual_has_no_noise(self):
+        # the reversal of a detailed-balance law is the kernel itself, so the
+        # raw dual of a walk is its move pattern exactly
+        _, c, law, zm = cube_setup(4, (0.05,) * 4, (0.07,) * 4, nu=delta(16, 0))
+        raw = build_ssd(c, law, zm, "down", force=True)
+        assert (raw.P_star != 0).sum() == 4 * 2**3 + 2**4
 
 
 class TestBuildSsdUp:

@@ -17,6 +17,7 @@ from mobiusdual import (
     mobius_monotone_up,
     nearest_neighbor_walk,
     power_chain,
+    reverse,
     stationary,
     strong_stochastic_monotone,
     validate_chain,
@@ -769,6 +770,52 @@ class TestExactReruns:
                 strong_stochastic_monotone(c, tol=1.0),
             ):
                 assert rep.exact and rep.verdict and rep.worst_value == 0.0
+
+
+class TestExactReversal:
+    """An exact chain whose entries satisfy detailed balance exactly is its
+    own reversal, exact entries included, so the dual's reversed verdict
+    reruns exactly; any other exact chain loses them, as before."""
+
+    @pytest.mark.parametrize("name", ["walk2", "walk3"])
+    def test_exact_walk_is_its_own_reversal(self, name):
+        c = RATIONAL_CHAINS[name]
+        law = stationary(c)
+        assert law.path == "detailed_balance"
+        assert reverse(c, law) is c
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ["walk2", "walk3"])
+    def test_reversed_verdict_reruns_exactly(self, name, direction):
+        c = RATIONAL_CHAINS[name]
+        c = c.with_nu(np.eye(c.size)[0 if direction == "down" else -1])
+        dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), direction,
+                         mono_tol=1.0)
+        rep = dual.reversed_report
+        assert rep.exact and rep.tolerance_used == 0.0 and rep.worst_value == 0.0
+
+    @pytest.mark.parametrize("name", ["random2", "random3", "random5"])
+    def test_irreversible_exact_kernel_loses_exact(self, name):
+        c = RATIONAL_CHAINS[name]
+        law = stationary(c)
+        assert law.path == "gth"
+        rev = reverse(c, law)
+        assert rev.exact is None
+        assert np.array_equal(rev.P, (c.P.T * law.pi[None, :]) / law.pi[:, None])
+
+    def test_balance_only_in_floats_drops_exact(self):
+        # 1e-18 moved from a holding entry to a move keeps the exact rows
+        # stochastic and the float kernel unchanged, but breaks the exact
+        # balance
+        c = RATIONAL_CHAINS["walk3"]
+        q = [list(row) for row in c.exact]
+        q[0][0] -= Fraction(1, 10**18)
+        q[0][1] += Fraction(1, 10**18)
+        c = validate_chain(c.P, c.poset, exact=exact_fractions(q))
+        law = stationary(c)
+        assert law.path == "detailed_balance"
+        rev = reverse(c, law)
+        assert rev is not c and rev.exact is None and rev.P is c.P
 
 
 def _sideways_call(name):

@@ -4,13 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mobiusdual as md
 from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset
 from mobiusdual.chain import Chain
 from mobiusdual.cube import CubeWalkParams
 from mobiusdual.errors import NotStochastic, SchemaError
 from mobiusdual.poset import Poset
 from mobiusdual.availability import RateFunctions
-from mobiusdual.specfile import cover_pairs, fmt, load_model_text, serialize_dual
+from mobiusdual.duality import DualChain
+from mobiusdual.specfile import (
+    cover_pairs,
+    fmt,
+    label_str,
+    load_model_text,
+    serialize_dual,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -200,3 +208,77 @@ class TestRoundTrip:
         assert np.abs(loaded.chain.P - dual.P_star).max() < 1e-16
         assert "absorbing_state: 11" in text
         assert "direction: down" in text
+
+
+def dense_cover_pairs(p):
+    """Oracle: the cover relation as the strict order minus its square."""
+    strict = p.leq & ~np.eye(p.size, dtype=bool)
+    strict_f = strict.astype(float)
+    cover = strict & ~((strict_f @ strict_f) > 0)
+    return [(p.elements[i], p.elements[j]) for i, j in np.argwhere(cover)]
+
+
+def serialize_dual_every_entry(dual, poset):
+    """Oracle: ``serialize_dual`` formatting every entry of the dense dual
+    and taking the covers from the dense order."""
+    header = [
+        "dual chain",
+        f"direction: {dual.direction}",
+        f"absorbing_index: {dual.absorbing_index}",
+        f"absorbing_state: {label_str(poset.elements[dual.absorbing_index])}",
+        f"nu_residual: {fmt(dual.nu_residual)}",
+        f"intertwine_residual: {fmt(dual.intertwine_residual)}",
+        f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
+    ]
+    if dual.forced:
+        header.append("forced: raw unverified matrices (research inspection)")
+    lines = [f"# {h}" for h in header] + ["[poset]"]
+    lines.append("states: " + " ".join(label_str(e) for e in poset.elements))
+    for x, y in sorted(dense_cover_pairs(poset),
+                       key=lambda xy: (poset.index(xy[0]), poset.index(xy[1]))):
+        lines.append(f"cover: {label_str(x)} {label_str(y)}")
+    lines += ["", "[chain]"]
+    for row in dual.P_star:
+        lines.append("row: " + " ".join(fmt(v) for v in row))
+    lines.append("nu: " + " ".join(fmt(v) for v in dual.nu_star))
+    return "\n".join(lines) + "\n"
+
+
+class TestSerializeNonzeros:
+    """``serialize_dual`` formats only the nonzeros and reads a cube's covers
+    as its single-bit flips; the text is the one every entry gives."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_cube_covers_are_single_bit_flips(self, d):
+        p = md.cube_poset(d)
+        assert cover_pairs(p) == dense_cover_pairs(p)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("force", [False, True])
+    def test_walk_duals_match_every_entry_text(self, d, force):
+        rng = np.random.default_rng([d, 5])
+        alpha, beta = 0.25 / d * rng.uniform(0.7, 1.3, (2, d))
+        nu = np.zeros(2**d)
+        nu[0] = 1.0
+        c = md.nearest_neighbor_walk(
+            md.CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta)), nu=nu
+        )
+        dual = md.build_ssd(c, md.stationary(c), md.zeta_mobius(c.poset), force=force)
+        assert serialize_dual(dual, c.poset) == serialize_dual_every_entry(dual, c.poset)
+
+    @pytest.mark.parametrize("name", ["two_cube", "four_cube", "three_cube"])
+    def test_fixture_duals_match_every_entry_text(self, name):
+        loaded = load_model(os.path.join(DATA, f"{name}.spec"))
+        c = md.nearest_neighbor_walk(loaded.cube).with_nu(
+            np.eye(2**loaded.cube.d)[0])
+        dual = md.build_ssd(c, md.stationary(c), md.zeta_mobius(c.poset), force=True)
+        assert serialize_dual(dual, c.poset) == serialize_dual_every_entry(dual, c.poset)
+
+    def test_signed_zeros_keep_their_sign(self):
+        p = md.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        P = np.array([[0.5, -0.0, 0.5], [0.0, 1.0, -0.0], [1e-300, 0.25, 0.75]])
+        dual = DualChain(nu_star=np.array([-0.0, 1.0, 0.0]), P_star=P,
+                         absorbing_index=1, direction="down", forced=True)
+        text = serialize_dual(dual, p)
+        assert text == serialize_dual_every_entry(dual, p)
+        assert "row: 0.5 -0 0.5\n" in text and "nu: -0 1 0\n" in text
