@@ -23,8 +23,8 @@ ROW_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 # States eliminated per block of the state reduction in ``stationary``.
 GTH_BLOCK = 32
-# Largest detailed-balance residual max |pi_x P(x,y) - pi_y P(y,x)| / pi_x
-# at which ``stationary`` accepts the law it builds along a spanning tree.
+# Largest detailed-balance defect |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y))
+# over the moves of P at which a stationary law certifies P as reversible.
 BALANCE_TOL = 1e-12
 
 
@@ -59,23 +59,21 @@ class Chain:
 class StationaryLaw:
     """Stationary law pi with the achieved residual max|pi P - pi|.
 
-    ``balance`` is the detailed-balance certificate of the spanning-tree law,
-    max |pi_x P(x,y) - pi_y P(y,x)| / pi_x over the nonzeros of P (inf when
-    a tree edge has no reverse move).  ``path`` names the solve that gave pi:
-    "detailed_balance" when the certificate is within BALANCE_TOL, "gth"
-    otherwise.
+    ``balance`` is the detailed-balance certificate of pi, the largest
+    |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y)) over the nonzeros (x, y) of
+    P: a move without its reverse scores 1, and inf means not computed (or
+    pi under- or overflowed).  Within BALANCE_TOL it certifies that P is
+    its own time reversal, move by move, to that relative precision.
+    ``path`` names the solve that gave pi, "detailed_balance" or "gth".
     """
 
     pi: np.ndarray
     residual: float
     balance: float = float("inf")
+    path: str = "gth"
 
     def __post_init__(self):
         self.pi.flags.writeable = False
-
-    @property
-    def path(self):
-        return "detailed_balance" if self.balance <= BALANCE_TOL else "gth"
 
 
 def _check_prob_vector(v, m, what, row_tol, violations):
@@ -191,10 +189,11 @@ def _tree_law(P, level, rows, cols):
 
 
 def _balance(P, pi, rows, cols):
-    """max |pi_x P(x,y) - pi_y P(y,x)| / pi_x over the nonzeros (x, y), the
-    diagonal ones adding exact zeros; inf where pi under- or overflowed."""
-    gap = pi[rows] * P[rows, cols] - pi[cols] * P[cols, rows]
-    worst = float((np.abs(gap) / pi[rows]).max())
+    """max |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y)) over the nonzeros
+    (x, y) of P: 0 on the diagonal, 1 for a move without its reverse, inf
+    where pi under- or overflowed.  Free of the scale of pi."""
+    flow = pi[rows] * P[rows, cols]
+    worst = float((np.abs(flow - pi[cols] * P[cols, rows]) / flow).max())
     return float("inf") if np.isnan(worst) else worst
 
 
@@ -229,38 +228,46 @@ def stationary(c, residual_tol=IDENTITY_TOL):
 
     Irreducibility (strong connectivity of the support digraph) and
     aperiodicity (gcd of cycle lengths) are verified structurally first.
-    A reversible chain's law follows from detailed balance along any
-    spanning tree of its support (Kolmogorov's criterion): the BFS tree of
-    the ergodicity check gives a candidate in O(nnz), accepted when its
-    detailed-balance certificate (``StationaryLaw.balance``) is within
-    BALANCE_TOL.  Cube walks and availability chains pass it.
 
-    Otherwise the solve censors states from the top down and
-    back-substitutes (Grassmann-Taksar-Heyman); it is subtraction-free, so
-    every stationary mass carries full relative accuracy even when masses
-    span many orders of magnitude.  That accuracy is what keeps the time
-    reversal row-stochastic to within ROW_TOL downstream.  The reduction is
-    blocked and right-looking: states are censored in blocks of GTH_BLOCK,
-    each step updating only the block's row and column panels, and the
-    leading block receives the block's deferred rank updates as one matrix
-    product.  The Schur complements are those of the one-state-at-a-time
-    reduction and every update still adds nonnegative terms; a chain of at
-    most GTH_BLOCK states runs exactly the unblocked arithmetic.
+    A reversible chain's law follows from detailed balance along any
+    spanning tree of its support (Kolmogorov's criterion).  For a chain of
+    more than GTH_BLOCK states the BFS tree of the ergodicity check gives a
+    candidate in O(nnz), accepted when its certificate
+    (``StationaryLaw.balance``) is within BALANCE_TOL; cube walks and
+    availability chains pass it.  An accepted pi is the exact law of a
+    reversible kernel whose moves are within a relative BALANCE_TOL of
+    those of P, so by the Markov chain tree theorem each mass is within a
+    relative 2 m BALANCE_TOL of P's own law at worst; on walks and networks
+    up to 4096 states it is within 1e-14 of the product form.
+
+    Every other chain, and every chain of at most GTH_BLOCK states, where
+    the reduction is one unblocked pass, is solved by censoring states from
+    the top down and back-substituting (Grassmann-Taksar-Heyman).  The
+    solve is subtraction-free, so every stationary mass carries full
+    relative accuracy even when masses span many orders of magnitude; that
+    accuracy is what keeps the time reversal row-stochastic to within
+    ROW_TOL downstream.  The reduction is blocked and right-looking: states
+    are censored in blocks of GTH_BLOCK, each step updating only the
+    block's row and column panels, and the leading block receives the
+    block's deferred rank updates as one matrix product.  The Schur
+    complements are those of the one-state-at-a-time reduction and every
+    update still adds nonnegative terms.  The certificate is then taken on
+    the reduced law, so a small reversible chain is certified too.
 
     Both paths check the residual max|pi P - pi| against ``residual_tol``.
     """
     level, rows, cols = _check_ergodic(c.P, c.poset)
     balance = float("inf")
-    # the certificate does not depend on the scale of pi, which is
-    # normalised only once accepted
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pi = _tree_law(c.P, level, rows, cols)
-        if pi is not None:
+        if c.size > GTH_BLOCK:
+            pi = _tree_law(c.P, level, rows, cols)
+            if pi is not None:
+                balance = _balance(c.P, pi, rows, cols)
+        if balance <= BALANCE_TOL:
+            pi, path = pi / pi.sum(), "detailed_balance"
+        else:
+            pi, path = _gth(c), "gth"
             balance = _balance(c.P, pi, rows, cols)
-    if balance <= BALANCE_TOL:
-        pi = pi / pi.sum()
-    else:
-        pi = _gth(c)
     if (pi <= 0).any():
         j = int(np.argmin(pi))
         raise NumericalFailure(
@@ -272,7 +279,7 @@ def stationary(c, residual_tol=IDENTITY_TOL):
         raise NumericalFailure(
             f"stationary residual {residual!r} exceeds {residual_tol}"
         )
-    return StationaryLaw(pi=pi, residual=residual, balance=balance)
+    return StationaryLaw(pi=pi, residual=residual, balance=balance, path=path)
 
 
 def _exactly_balanced(c):
@@ -292,14 +299,15 @@ def _exactly_balanced(c):
 def reverse(c, law, row_tol=ROW_TOL):
     """Time reversal diag(pi)^-1 P^T diag(pi), revalidated as stochastic.
 
-    A law solved by detailed balance certifies that the reversal is P
-    itself, so the chain is returned: ``c`` when it carries no exact entries
-    or they balance exactly (an exact rerun on the reversal then reruns on
-    them), else ``c`` without them.  Computing the reversal would only add
+    A law whose certificate ``balance`` is within BALANCE_TOL makes the
+    reversal P itself, move by move, to that relative precision, so the
+    chain is returned: ``c`` when it carries no exact entries or they
+    balance exactly (an exact rerun on the reversal then reruns on them),
+    else ``c`` without them.  Computing the reversal would only add
     rounding.  Every other law gives the computed reversal, without exact
     entries.
     """
-    if law.path == "detailed_balance":
+    if law.balance <= BALANCE_TOL:
         if c.exact is None or _exactly_balanced(c):
             return c
         return Chain(poset=c.poset, P=c.P, nu=c.nu)

@@ -10,6 +10,7 @@ build through the residuals ||nu - nu* Lambda|| and ||Lambda P - P* Lambda||.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .errors import (
     NumericalFailure,
     PreconditionFailed,
 )
+
+log = logging.getLogger(__name__)
 
 CLAMP_TOL = 1e-10
 
@@ -139,9 +142,9 @@ def build_ssd(
     requires a unique extremal state, and certifies the duality identities
     nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries of
     magnitude below 1e-10, of either sign, are zeroed and rows renormalized;
-    the largest zeroed magnitude is recorded as ``clamp_magnitude``.  With
-    ``force`` the raw, possibly signed, matrices are returned unclamped and
-    unverified (marked ``forced=True``).
+    the largest zeroed magnitude is logged and recorded.  With ``force`` the
+    raw, possibly signed, matrices are returned unclamped and unverified
+    (marked ``forced=True``).
     """
     absorbing = _unique_extremal(c.poset, zm, direction)
     g = g_ratio(c, law)
@@ -178,6 +181,8 @@ def build_ssd(
     nu_star, m_nu = _clamp(nu_star, CLAMP_TOL)
     p_star, m_p = _clamp(p_star, CLAMP_TOL)
     clamp_magnitude = max(m_nu, m_p)
+    if clamp_magnitude > 0:
+        log.info("zeroed dual noise up to %.3e", clamp_magnitude)
     if (nu_star < 0).any() or (p_star < 0).any():
         worst = min(float(nu_star.min()), float(p_star.min()))
         raise NumericalFailure(

@@ -167,10 +167,12 @@ def enumerate_up_sets(p, cap=UPSET_CAP):
     return out
 
 
-def _worst_margin(P, upsets, pairs, elements):
+def _worst_margin(P, upsets, pairs, elements, bound=None):
     """Smallest P(e_j, A) - P(e_i, A) over the nonempty proper up-sets A and
     the pairs (i, j), with the first witness reaching it; (inf, None) when
-    no such up-set exists.  P holds floats, or Fractions for an exact rerun.
+    no such up-set exists.  With ``bound``, the first margin at most
+    ``bound`` instead, up-sets before pairs.  P holds floats, or Fractions
+    for an exact rerun.
     """
     worst, witness = np.inf, None
     for u in upsets:
@@ -178,26 +180,19 @@ def _worst_margin(P, upsets, pairs, elements):
             continue
         mass = P[:, list(u)].sum(axis=1)
         margins = mass[pairs[:, 1]] - mass[pairs[:, 0]]
-        k = int(np.argmin(margins))
+        if bound is None:
+            k = int(np.argmin(margins))
+        else:
+            k = int(np.argmax(margins <= bound))
+            if margins[k] > bound:
+                continue
         if margins[k] < worst:
             worst = margins[k]
             i, j = pairs[k]
             witness = (elements[i], elements[j], tuple(elements[x] for x in u))
+            if bound is not None:
+                break
     return worst, witness
-
-
-def _first_margin_within(P, upsets, pairs, elements, bound):
-    """The first (up-set, pair) witness of ``_worst_margin``'s loop, up-sets
-    before pairs, whose margin is at most ``bound``."""
-    for u in upsets:
-        if not u or len(u) == len(elements):
-            continue
-        mass = P[:, list(u)].sum(axis=1)
-        below = mass[pairs[:, 1]] - mass[pairs[:, 0]] <= bound
-        if below.any():
-            i, j = pairs[int(np.argmax(below))]
-            return (elements[i], elements[j], tuple(elements[x] for x in u))
-    return None
 
 
 def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
@@ -221,7 +216,7 @@ def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
         exact_p = np.array(c.exact, dtype=object)
         worst, witness = _worst_margin(exact_p, upsets, pairs, p.elements)
     elif 0 < tol and abs(worst) <= tol:
-        witness = _first_margin_within(c.P, upsets, pairs, p.elements, worst + tol)
+        _, witness = _worst_margin(c.P, upsets, pairs, p.elements, worst + tol)
     return _report("strong_stochastic", worst, witness, tol, exact)
 
 

@@ -24,7 +24,14 @@ from mobiusdual.availability import (
     availability_generator,
     uniformize,
 )
-from mobiusdual.chain import BALANCE_TOL, GTH_BLOCK, StationaryLaw, _support_levels
+from mobiusdual.chain import (
+    BALANCE_TOL,
+    GTH_BLOCK,
+    StationaryLaw,
+    _balance,
+    _support_levels,
+    _tree_law,
+)
 from mobiusdual.cube import axis_transformed_walk
 from mobiusdual.specfile import load_model, load_model_text
 from mobiusdual.errors import (
@@ -314,10 +321,25 @@ def shared_row(P):
     return bool((np.nanmax(off, axis=0) - np.nanmin(off, axis=0) < 1e-12).all())
 
 
+def solved_path(c):
+    """The path ``stationary`` takes on a reversible chain: the spanning tree
+    above GTH_BLOCK states, the state reduction at or below it."""
+    return "detailed_balance" if c.size > GTH_BLOCK else "gth"
+
+
+def with_one_way_move(c, x, y, p):
+    """c with probability p moved from the hold at x to a move x -> y."""
+    P = c.P.copy()
+    P[x, y] += p
+    P[x, x] -= p
+    return validate_chain(P, c.poset)
+
+
 class TestDetailedBalance:
-    """Reversible chains take their law from detailed balance along a BFS
-    tree and are their own reversal; every other chain falls back to the
-    state reduction."""
+    """Chains above GTH_BLOCK states take their law from detailed balance
+    along a BFS tree when it certifies; every other chain falls back to the
+    state reduction.  A law that certifies detailed balance, by either path,
+    makes the chain its own reversal."""
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8, 10, 12])
     def test_walk_law_is_the_product_form(self, d):
@@ -326,7 +348,7 @@ class TestDetailedBalance:
         params = CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))
         c = nearest_neighbor_walk(params)
         law = stationary(c)
-        assert law.path == "detailed_balance" and law.balance <= BALANCE_TOL
+        assert law.path == solved_path(c) and law.balance <= BALANCE_TOL
         assert law.residual <= 1e-15
         product = cube_stationary_product(params)
         assert np.abs(law.pi / product - 1.0).max() <= 1e-14
@@ -342,10 +364,17 @@ class TestDetailedBalance:
         gen = availability_generator(RateFunctions(d=d, psi=psi, phi=phi), single)
         c = uniformize(gen, multiplier=2.0).chain
         law = stationary(c)
-        assert law.path == "detailed_balance" and law.balance <= BALANCE_TOL
+        assert law.path == solved_path(c) and law.balance <= BALANCE_TOL
         target = psi / phi / (psi / phi).sum()
         assert np.abs(law.pi / target - 1.0).max() <= 1e-14
         assert reverse(c, law) is c
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_small_chains_keep_the_state_reduction(self, d):
+        params = CubeWalkParams(d=d, alpha=(0.05,) * d, beta=(0.07,) * d)
+        c = nearest_neighbor_walk(params)
+        law = stationary(c)
+        assert np.array_equal(law.pi, gth_unblocked(c.P))
 
     def test_irreversible_chains_fall_back_to_gth(self):
         params = CubeWalkParams(d=3, alpha=(0.1,) * 3, beta=(0.15,) * 3)
@@ -368,7 +397,7 @@ class TestDetailedBalance:
         assert len(chains) > 5
         for c in chains:
             law = stationary(c)
-            assert law.path == "detailed_balance"
+            assert law.balance <= BALANCE_TOL
             q = c.P[1, 0], *c.P[0, 1:]
             assert np.abs(law.pi / (q / np.sum(q)) - 1.0).max() < 1e-14
             # the chain itself, without its decimal entries where those
@@ -380,13 +409,44 @@ class TestDetailedBalance:
     def test_tree_edge_without_reverse_move(self):
         p = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
         mat = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        rows, cols = np.nonzero(mat)
+        assert _tree_law(mat, _support_levels(rows, cols, 3), rows, cols) is None
         law = stationary(validate_chain(mat, p))
-        assert law.path == "gth" and law.balance == np.inf
+        assert law.path == "gth" and law.balance == 1.0
         assert np.abs(law.pi - 1 / 3).max() < 1e-15
+
+    def test_certificate_is_relative_to_each_move(self):
+        # moves of order 1e-13 out of balance: max |pi_x P(x,y) - pi_y P(y,x)|
+        # / pi_x is about 1e-13, yet the tree law is a third off at state 2
+        # and the reversal moves 2 -> 0 with 1/6, not 1/4
+        p = build_poset(["a", "b", "c"], [])
+        mat = np.array([[0.5 - 1e-13, 0.5, 1e-13],
+                        [0.5, 0.5 - 2e-13, 2e-13],
+                        [0.25, 0.25, 0.5]])
+        c = validate_chain(mat, p)
+        rows, cols = np.nonzero(mat)
+        tree = _tree_law(mat, _support_levels(rows, cols, 3), rows, cols)
+        assert _balance(mat, tree, rows, cols) > 0.3
+        law = stationary(c)
+        assert law.path == "gth" and law.balance > 0.3
+        assert np.array_equal(law.pi, gth_unblocked(mat))
+        rev = reverse(c, law)
+        assert rev is not c and abs(rev.P[2, 0] - 1 / 6) < 1e-12
+
+    @pytest.mark.parametrize("p", [1e-13, 1e-300])
+    def test_one_way_move_falls_back_to_gth(self, p):
+        # a walk above GTH_BLOCK states with one faint move that has no
+        # reverse: its tree law balances every tree edge, but not that move
+        params = CubeWalkParams(d=6, alpha=(0.05,) * 6, beta=(0.07,) * 6)
+        c = with_one_way_move(nearest_neighbor_walk(params), 0, 63, p)
+        law = stationary(c)
+        assert law.path == "gth" and law.balance == 1.0
+        assert np.abs(law.pi - gth_unblocked(c.P)).max() < 1e-15
+        assert reverse(c, law) is not c
 
     def test_hand_built_law_is_not_certified(self):
         law = StationaryLaw(pi=np.full(3, 1 / 3), residual=0.0)
-        assert law.path == "gth"
+        assert law.path == "gth" and law.balance == np.inf
 
 
 class TestSumDiffOperators:

@@ -130,21 +130,39 @@ class TestExactOnGeneratedKernels:
 class TestStationaryPath:
     """cube, avail and sep name the path that solved the stationary law."""
 
+    SPECS = {
+        "cube": "[cube]\nd: 6\nalpha: 0.06 0.05 0.07 0.06 0.05 0.07\n"
+                "beta: 0.07 0.06 0.05 0.07 0.06 0.05\nnu: delta_min\n",
+        "rates": "[rates]\nd: 6\npsi: pernode 0.03 0.05 0.04 0.03 0.05 0.04\n"
+                 "phi: pernode 0.04 0.06 0.05 0.04 0.06 0.05\n",
+        "rates_single": "[rates]\nd: 6\nmoves: single\n"
+                        "psi: pernode 0.03 0.05 0.04 0.03 0.05 0.04\n"
+                        "phi: pernode 0.04 0.06 0.05 0.04 0.06 0.05\n",
+    }
+
     @pytest.mark.parametrize("command, name", [
-        ("cube", "two_cube.spec"),
-        ("sep", "two_cube.spec"),
-        ("avail", "rates.spec"),
-        ("avail", "rates_single.spec"),
+        ("cube", "cube"),
+        ("sep", "cube"),
+        ("avail", "rates"),
+        ("avail", "rates_single"),
     ])
-    def test_reversible_models_use_detailed_balance(self, capsys, command, name):
-        code, out, err = run(capsys, command, "--input", spec(name))
+    def test_reversible_models_use_detailed_balance(self, capsys, tmp_path,
+                                                    command, name):
+        path = tmp_path / "model.spec"
+        path.write_text(self.SPECS[name])
+        code, out, err = run(capsys, command, "--input", str(path))
         assert code == 0, err
         lines = out.splitlines()
         at = lines.index("# stationary_path: detailed_balance")
         assert lines[at - 1].startswith("# stationary_residual: ")
 
-    def test_irreversible_chain_uses_gth(self, capsys):
-        code, out, err = run(capsys, "sep", "--input", spec("strong_not_mobius.spec"))
+    @pytest.mark.parametrize("command, name", [
+        ("cube", "two_cube.spec"),
+        ("avail", "rates_single.spec"),
+        ("sep", "strong_not_mobius.spec"),
+    ])
+    def test_small_or_irreversible_chains_use_gth(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--input", spec(name))
         assert code == 0, err
         assert "# stationary_path: gth" in out.splitlines()
 

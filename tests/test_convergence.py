@@ -187,9 +187,7 @@ class TestNonzeroSteps:
         c = c.with_nu(delta(m, 0 if direction == "down" else m - 1))
         law = stationary(c)
         curve = separation_curve(c, law, 200, stop_below=None)
-        # the curves run to the noise floor s ~ 4e-15 at d=3, where the two
-        # summation orders differ by a few ulps of 1
-        assert np.abs(curve.values - dense_curve_loop(c, law, 200)).max() <= 2e-15
+        assert np.abs(curve.values - dense_curve_loop(c, law, 200)).max() <= 1e-15
         tail = absorption_tail(dual, 200)
         assert np.abs(tail.tail - dense_tail_loop(dual, 200)).max() <= 1e-15
 

@@ -24,6 +24,7 @@ from mobiusdual import (
     weak_monotone,
     zeta_mobius,
 )
+from mobiusdual.chain import BALANCE_TOL
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.monotonicity import (
     MONO_TOL,
@@ -781,7 +782,7 @@ class TestExactReversal:
     def test_exact_walk_is_its_own_reversal(self, name):
         c = RATIONAL_CHAINS[name]
         law = stationary(c)
-        assert law.path == "detailed_balance"
+        assert law.balance <= BALANCE_TOL
         assert reverse(c, law) is c
 
     @pytest.mark.parametrize("direction", ["down", "up"])
@@ -798,7 +799,7 @@ class TestExactReversal:
     def test_irreversible_exact_kernel_loses_exact(self, name):
         c = RATIONAL_CHAINS[name]
         law = stationary(c)
-        assert law.path == "gth"
+        assert law.balance > BALANCE_TOL
         rev = reverse(c, law)
         assert rev.exact is None
         assert np.array_equal(rev.P, (c.P.T * law.pi[None, :]) / law.pi[:, None])
@@ -813,7 +814,7 @@ class TestExactReversal:
         q[0][1] += Fraction(1, 10**18)
         c = validate_chain(c.P, c.poset, exact=exact_fractions(q))
         law = stationary(c)
-        assert law.path == "detailed_balance"
+        assert law.balance <= BALANCE_TOL
         rev = reverse(c, law)
         assert rev is not c and rev.exact is None and rev.P is c.P
 
