@@ -145,8 +145,8 @@ def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
     above 1 keep every holding probability strictly positive.  The stationary
     law is preserved: pi Q = 0 iff pi P = pi.
     """
-    if multiplier < 1.0:
-        raise InputError(f"multiplier must be >= 1, got {multiplier!r}")
+    if not 1.0 <= multiplier < np.inf:
+        raise InputError(f"multiplier must be finite and >= 1, got {multiplier!r}")
     exit_max = float(np.abs(np.diag(gen.Q)).max())
     if exit_max == 0.0:
         raise ZeroGenerator("all transition rates are zero")

@@ -79,6 +79,8 @@ class StationaryLaw:
 def _check_prob_vector(v, m, what, row_tol, violations):
     if v.shape != (m,):
         raise DimensionMismatch(f"{what} must have length {m}, got {v.shape}")
+    for j in np.flatnonzero(~np.isfinite(v)):
+        violations.append((what, f"entry {int(j)} is not finite ({v[j]!r})"))
     neg = np.flatnonzero(v < 0)
     for j in neg:
         violations.append((what, f"entry {int(j)} is negative ({v[j]!r})"))
@@ -99,9 +101,12 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
         raise DimensionMismatch(f"kernel must be {m}x{m}, got {P.shape}")
     violations = []
     neg = P < 0
+    bad = ~np.isfinite(P)
     sums = P.sum(axis=1)
     off = np.abs(sums - 1.0) > row_tol
-    for i in np.flatnonzero(neg.any(axis=1) | off).tolist():
+    for i in np.flatnonzero(neg.any(axis=1) | bad.any(axis=1) | off).tolist():
+        for j in np.flatnonzero(bad[i]).tolist():
+            violations.append((i, f"entry ({i},{j}) is not finite ({P[i, j]!r})"))
         for j in np.flatnonzero(neg[i]).tolist():
             violations.append((i, f"entry ({i},{j}) is negative ({P[i, j]!r})"))
         if off[i]:
@@ -275,7 +280,7 @@ def stationary(c, residual_tol=IDENTITY_TOL):
             f"positive ({pi[j]!r})"
         )
     residual = float(np.abs(pi @ c.P - pi).max())
-    if residual > residual_tol:
+    if not residual <= residual_tol:
         raise NumericalFailure(
             f"stationary residual {residual!r} exceeds {residual_tol}"
         )

@@ -384,7 +384,8 @@ def cmd_eig(args):
         if chain.nu is None:
             chain = chain.with_nu(law.pi)
         dual = _build_dual(chain, law, args)
-        if convergence.triangular_side(dual.P_star, args.tolerance_mono) is None:
+        rows, cols = np.nonzero(np.abs(dual.P_star) > args.tolerance_mono)
+        if convergence.move_order(rows, cols) is None:
             raise PreconditionFailed(
                 "dual is not triangular; eigenvalue read-off unavailable"
             )

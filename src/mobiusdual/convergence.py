@@ -18,7 +18,6 @@ from .errors import (
 MAX_HORIZON = 10_000_000
 STOP_BELOW_DEFAULT = 1e-14
 SUBSET_ENUM_LIMIT = 20
-TRIANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def separation_curve(c, law, horizon, stop_below=None):
     if horizon < 0 or horizon > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
     pi = law.pi
-    step = _stepper(c.P)
+    step = _stepper(*_moves(c.P), c.size)
     dist = c.nu.astype(float)
     values = [float((1.0 - dist / pi).max())]
     for _ in range(horizon):
@@ -100,46 +99,72 @@ def separation_curve(c, law, horizon, stop_below=None):
     return SeparationCurve(values=values, horizon=len(values) - 1)
 
 
-def _stepper(mat):
-    """The map x -> x @ mat, taken over the nonzeros of ``mat`` only.
+def _moves(mat):
+    """The nonzeros of ``mat`` as a row-major COO triple (rows, cols, values),
+    found through the mask ``mat != 0``, faster than a float ``np.nonzero``."""
+    rows, cols = np.nonzero(mat != 0)
+    return rows, cols, mat[rows, cols]
 
-    The COO triple is built once; each step is one gather, one product and
-    one ``np.bincount`` over the nonzeros, so a sparse kernel (a walk or its
-    dual) costs O(nnz) per step instead of O(m^2).
-    """
-    rows, cols = np.nonzero(mat)
-    vals = mat[rows, cols]
-    m = mat.shape[1]
+
+def _stepper(rows, cols, vals, m):
+    """The map x -> x @ mat over the nonzero triple of an m-column ``mat``:
+    one gather, one product and one ``np.bincount`` per step, O(nnz)."""
     return lambda x: np.bincount(cols, weights=x[rows] * vals, minlength=m)
 
 
-def absorption_tail(dual, horizon):
-    """Tail P(T* > n) and mean absorption time from the transient block.
+def move_order(rows, cols):
+    """"ascending" if no move rows[k] -> cols[k] goes down the enumeration
+    (a down dual's), else "descending" if none goes up it (an up dual's),
+    else None: the moves go both ways."""
+    if (cols >= rows).all():
+        return "ascending"
+    if (cols <= rows).all():
+        return "descending"
+    return None
 
-    Deleting the absorbing row/column leaves Q; the tail is nu*_t Q^n 1 and
-    the mean solves through the fundamental matrix (I - Q)^-1, by
-    substitution when Q is triangular (a dual built in a linear extension
-    is) and by LU otherwise.  A singular fundamental matrix signals a second
-    absorbing class, i.e. an invalid dual.
+
+def absorption_tail(dual, horizon):
+    """Tail P(T* > n) and mean absorption time from the transient moves.
+
+    The moves of P* off the absorbing state, read once as a nonzero triple,
+    form the transient block Q.  The tail is nu*_t Q^n 1, and the mean is
+    nu*_t x for (I - Q) x = 1, solved by substitution in the order the moves
+    go, or by LU on a dense I - Q when they go both ways.  A zero pivot or a
+    singular I - Q signals a second absorbing class, i.e. an invalid dual.
     """
     if horizon < 0 or horizon > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
-    m = dual.size
-    keep = [i for i in range(m) if i != dual.absorbing_index]
-    q = dual.P_star[np.ix_(keep, keep)]
-    v = dual.nu_star[keep].astype(float)
-    step = _stepper(q)
+    a = dual.absorbing_index
+    rows, cols, vals = _moves(dual.P_star)
+    transient = (rows != a) & (cols != a)
+    rows, cols, vals = rows[transient], cols[transient], vals[transient]
+    rows -= rows > a
+    cols -= cols > a
+    n = dual.size - 1
+    v = np.delete(dual.nu_star, a).astype(float)
+    step = _stepper(rows, cols, vals, n)
     tail = np.empty(horizon + 1)
     cur = v
     tail[0] = cur.sum()
-    for n in range(1, horizon + 1):
+    for k in range(1, horizon + 1):
         cur = step(cur)
-        tail[n] = cur.sum()
-    fundamental = np.eye(len(keep)) - q
-    ones = np.ones(len(keep))
-    expected_steps = _solve_fundamental(fundamental, ones)
-    residual = np.abs(fundamental @ expected_steps - ones).max(initial=0.0)
-    if not np.isfinite(expected_steps).all() or residual > 1e-8:
+        tail[k] = cur.sum()
+    order = move_order(rows, cols)
+    if order is None:
+        fundamental = np.eye(n)
+        fundamental[rows, cols] -= vals
+        try:
+            expected_steps = np.linalg.solve(fundamental, np.ones(n))
+        except np.linalg.LinAlgError as exc:
+            raise SingularFundamentalMatrix(
+                "fundamental matrix is singular; the dual has a second "
+                "absorbing class"
+            ) from exc
+    else:
+        expected_steps = _substitute(rows, cols, vals, n, order)
+    q_x = np.bincount(rows, weights=vals * expected_steps[cols], minlength=n)
+    residual = np.abs(expected_steps - q_x - 1.0).max(initial=0.0)
+    if not np.isfinite(expected_steps).all() or not residual <= 1e-8:
         raise SingularFundamentalMatrix(
             "fundamental matrix solve lost accuracy; the dual has a second "
             "absorbing class"
@@ -148,52 +173,22 @@ def absorption_tail(dual, horizon):
     return AbsorptionLaw(tail=tail, mean=mean)
 
 
-def triangular_side(mat, tol):
-    """Return "upper" if the strict lower triangle of square ``mat`` is
-    within ``tol`` in absolute value, else "lower" if the strict upper one
-    is, else None.
-
-    A down dual moves up the enumeration and an up dual down it, so either
-    triangle may hold the transitions.
-    """
-    below = np.tri(*mat.shape, k=-1, dtype=bool)
-    if np.abs(mat[below]).max(initial=0.0) <= tol:
-        return "upper"
-    if np.abs(mat[below.T]).max(initial=0.0) <= tol:
-        return "lower"
-    return None
-
-
-def _solve_fundamental(a, b):
-    """Solve a x = b by back substitution if ``a`` is triangular up to
-    TRIANGLE_TOL (the far triangle is dropped; the caller's residual check
-    covers it), by LU otherwise."""
-    side = triangular_side(a, TRIANGLE_TOL)
-    if side is None:
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFundamentalMatrix(
-                "fundamental matrix is singular; the dual has a second "
-                "absorbing class"
-            ) from exc
-    if side == "lower":
-        # reversing both axes turns a lower triangle into an upper one
-        return _back_substitute(a[::-1, ::-1], b[::-1])[::-1]
-    return _back_substitute(a, b)
-
-
-def _back_substitute(u, b):
-    """Solve u x = b for upper-triangular ``u``, ignoring its lower triangle."""
-    diag = np.diag(u)
-    if (diag == 0).any():
+def _substitute(rows, cols, vals, n, order):
+    """Solve (I - Q) x = 1 over the row-major triple of a one-way Q:
+    x_i = (1 + sum_j Q_ij x_j) / (1 - Q_ii), after every x_j it reads."""
+    on = rows == cols
+    pivots = 1.0 - np.bincount(rows[on], weights=vals[on], minlength=n)
+    if (pivots == 0).any():
         raise SingularFundamentalMatrix(
             "fundamental matrix has a zero pivot; the dual has a second "
             "absorbing class"
         )
-    x = np.empty_like(b)
-    for i in range(len(b) - 1, -1, -1):
-        x[i] = (b[i] - u[i, i + 1:] @ x[i + 1:]) / diag[i]
+    rows, cols, vals = rows[~on], cols[~on], vals[~on]
+    starts = np.searchsorted(rows, np.arange(n + 1))
+    x = np.empty(n)
+    for i in range(n - 1, -1, -1) if order == "ascending" else range(n):
+        lo, hi = starts[i], starts[i + 1]
+        x[i] = (1.0 + vals[lo:hi] @ x[cols[lo:hi]]) / pivots[i]
     return x
 
 

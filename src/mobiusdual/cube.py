@@ -8,6 +8,7 @@ its meet and join, which increases the row law in the supermodular order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .chain import validate_chain
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
+    InputError,
     InsufficientMass,
     NegativeHoldingProbability,
     NotLattice,
@@ -42,7 +44,10 @@ class CubeWalkParams:
             raise DimensionMismatch(
                 f"alpha and beta must have length d={self.d}"
             )
-        if any(a <= 0 for a in self.alpha) or any(b <= 0 for b in self.beta):
+        rates = (*self.alpha, *self.beta)
+        if not all(math.isfinite(r) for r in rates):
+            raise InputError(f"flip rates must be finite, got {rates!r}")
+        if any(r <= 0 for r in rates):
             raise NegativeHoldingProbability(
                 "flip rates must be strictly positive"
             )

@@ -199,7 +199,7 @@ def build_ssd(
     unit[absorbing] = 1.0
     p_star[absorbing, :] = unit
     nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
-    if nu_res > tol or tw_res > tol:
+    if not (nu_res <= tol and tw_res <= tol):
         raise NumericalFailure(
             f"duality residuals exceed {tol}: nu {nu_res!r}, intertwining {tw_res!r}"
         )

@@ -181,6 +181,12 @@ class TestUniformize:
         with pytest.raises(InputError):
             uniformize(availability_generator(r), multiplier=0.5)
 
+    @pytest.mark.parametrize("multiplier", [np.nan, np.inf])
+    def test_non_finite_multiplier_rejected(self, multiplier):
+        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        with pytest.raises(InputError, match="finite"):
+            uniformize(availability_generator(r), multiplier=multiplier)
+
 
 class TestWalkReduction:
     @pytest.mark.parametrize("d", [1, 2, 3, 6])

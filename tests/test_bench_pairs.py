@@ -1,0 +1,53 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+from bench_pairs import parse_seeds, summarise, untracked  # noqa: E402
+
+
+def run(side, seed, analysis, failed=0, workload="cube_walk"):
+    return {"side": side, "workload": workload, "seed": seed, "result": {
+        "correct": True, "attempted": 4, "failed": failed, "exit": 0,
+        "metrics": {"analysis_s": {"value": analysis, "unit": "s"}}}}
+
+
+class TestSummarise:
+    def test_pairs_medians_and_parent_spread(self):
+        runs = [run("parent", 1, 1.0), run("change", 1, 0.5),
+                run("change", 2, 1.2), run("parent", 2, 1.1),
+                run("parent", 3, 1.4), run("change", 3, 1.4),
+                run("parent", 4, 1.2), run("change", 4, 0.9, failed=1)]
+        entry = summarise(runs)["cube_walk"]
+        assert entry["seeds"] == [1, 2, 3, 4]
+        assert entry["failed_operations"] == {"parent": 0, "change": 1}
+        assert entry["attempted_operations"] == {"parent": 16, "change": 16}
+        metric = entry["analysis_s"]
+        assert metric["median_parent"] == pytest.approx(1.15)
+        assert metric["median_change"] == pytest.approx(1.05)
+        assert metric["relative_median_change"] == pytest.approx(-0.1 / 1.15)
+        # inclusive quartiles of 1.0, 1.1, 1.2, 1.4: 1.075 and 1.25
+        assert metric["parent_iqr"] == pytest.approx(0.175)
+        assert metric["change_lower_in_pairs"] == 2     # a tie counts for neither
+        assert metric["pairs"] == 4
+
+    def test_unpaired_run_is_left_out(self):
+        runs = [run("parent", 1, 1.0), run("change", 1, 0.5), run("parent", 2, 9.0)]
+        metric = summarise(runs)["cube_walk"]["analysis_s"]
+        assert metric["pairs"] == 1
+        assert metric["median_parent"] == 1.0
+
+
+def test_seed_range():
+    assert parse_seeds("801-804") == [801, 802, 803, 804]
+
+
+def test_untracked_files_are_found_under_the_given_paths(tmp_path):
+    subprocess.run(("git", "init", "-q", str(tmp_path)), check=True)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "new.py").write_text("")
+    (tmp_path / "notes.txt").write_text("")
+    assert untracked(str(tmp_path), ["src", "perfbench"]) == ["src/new.py"]
+    assert untracked(str(tmp_path), ["perfbench"]) == []

@@ -26,6 +26,7 @@ from mobiusdual.availability import (
 )
 from mobiusdual.chain import (
     BALANCE_TOL,
+    Chain,
     GTH_BLOCK,
     StationaryLaw,
     _balance,
@@ -150,6 +151,23 @@ class TestValidateChain:
         with pytest.raises(NotStochastic):
             validate_chain(np.eye(4), diamond(), nu=np.array([0.5, 0, 0, 0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_reported(self, value):
+        # a NaN fails neither the sign test nor the row-sum test
+        mat = two_cube_matrix(0.2, 0.2, 0.2, 0.2)
+        mat[1, 2] = value
+        with pytest.raises(NotStochastic) as exc:
+            validate_chain(mat, cube_poset(2))
+        assert any("(1,2) is not finite" in msg for _, msg in exc.value.violations)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_nu_rejected(self, value):
+        nu = np.array([1.0, 0.0, 0.0, value])
+        with pytest.raises(NotStochastic) as exc:
+            validate_chain(np.eye(4), diamond(), nu=nu)
+        assert any(what == "nu" and msg.startswith("entry 3 is not finite")
+                   for what, msg in exc.value.violations)
+
     def test_violations_in_several_rows_keep_loop_order(self):
         m = 12
         mat = random_positive(m, np.random.default_rng(7))
@@ -184,6 +202,14 @@ class TestStationary:
         c = nearest_neighbor_walk(params)
         law = stationary(c)
         assert np.abs(law.pi - cube_stationary_product(params)).max() < 1e-12
+
+    def test_nan_residual_is_refused(self):
+        # the NaN sits on the diagonal, which the ergodicity check and GTH
+        # never read; only the residual sees it
+        mat = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        c = Chain(poset=build_poset(["x", "y"], [("x", "y")]), P=mat)
+        with pytest.raises(NumericalFailure, match="residual nan"):
+            stationary(c)
 
     def test_identity_not_irreducible(self):
         c = validate_chain(np.eye(4), diamond())

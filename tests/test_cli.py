@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
-from mobiusdual import monotonicity
+from mobiusdual import convergence, monotonicity
 from mobiusdual.cli import main
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.specfile import load_model_text, serialize_chain
@@ -147,7 +147,14 @@ class TestStationaryPath:
         ("avail", "rates_single"),
     ])
     def test_reversible_models_use_detailed_balance(self, capsys, tmp_path,
-                                                    command, name):
+                                                    monkeypatch, command, name):
+        # the 6-cube has 7,828,354 up-sets: a small cap reaches the same
+        # skipped strong row without enumerating 2^20 of them first
+        strong = monotonicity.strong_stochastic_monotone
+        monkeypatch.setattr(
+            monotonicity, "strong_stochastic_monotone",
+            lambda c, tol: strong(c, tol=tol, cap=1000),
+        )
         path = tmp_path / "model.spec"
         path.write_text(self.SPECS[name])
         code, out, err = run(capsys, command, "--input", str(path))
@@ -155,6 +162,9 @@ class TestStationaryPath:
         lines = out.splitlines()
         at = lines.index("# stationary_path: detailed_balance")
         assert lines[at - 1].startswith("# stationary_residual: ")
+        if command == "cube":
+            assert ("# skipped: strong_stochastic (UpSetExplosion: more than "
+                    "1000 up-sets)") in lines
 
     @pytest.mark.parametrize("command, name", [
         ("cube", "two_cube.spec"),
@@ -420,6 +430,28 @@ class TestEig:
         expected = sorted(md.cube_eigenvalues(params.alpha, params.beta), reverse=True)
         assert values["up"] == pytest.approx(expected, abs=1e-12)
 
+    def test_dual_moving_both_ways_is_refused(self, capsys, tmp_path, monkeypatch):
+        # the down dual of a birth-death chain on a < b < c moves both up and
+        # down the order (Diaconis and Fill 1990): no triangle to read
+        path = tmp_path / "birth_death.spec"
+        path.write_text(
+            "[poset]\nstates: a b c\ncover: a b\ncover: b c\n\n"
+            "[chain]\nrow: 0.6 0.4 0\nrow: 0.3 0.4 0.3\nrow: 0 0.4 0.6\n"
+            "nu: delta_min\n"
+        )
+        orders = []
+        move_order = convergence.move_order
+        monkeypatch.setattr(
+            convergence, "move_order",
+            lambda rows, cols: orders.append(move_order(rows, cols)) or orders[-1],
+        )
+        code, out, err = run(capsys, "eig", "--input", str(path))
+        assert code == 2
+        block = json.loads(err)
+        assert block["error"] == "PreconditionFailed"
+        assert "dual is not triangular" in block["detail"]
+        assert orders == [None]
+
 
 class TestCube:
     def test_full_report_sections(self, capsys):
@@ -448,6 +480,17 @@ class TestCube:
 
 
 class TestAvail:
+    @pytest.mark.parametrize("multiplier", ["nan", "inf"])
+    def test_non_finite_multiplier_is_an_input_error(self, capsys, multiplier):
+        code, out, err = run(
+            capsys, "avail", "--input", spec("rates_single.spec"),
+            "--multiplier", multiplier,
+        )
+        assert code == 1
+        block = json.loads(err)
+        assert block["error"] == "InputError"
+        assert "finite" in block["detail"]
+
     def test_pipeline_report(self, capsys):
         code, out, err = run(
             capsys, "avail", "--input", spec("rates.spec"), "--multiplier", "2.0"

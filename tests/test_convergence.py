@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +25,10 @@ from mobiusdual import (
 from mobiusdual.convergence import (
     MAX_HORIZON,
     _count_below,
+    _moves,
     _sparse_rows,
     binomial_band,
-    triangular_side,
+    move_order,
 )
 from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
@@ -35,10 +37,17 @@ from mobiusdual.errors import (
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
-from mobiusdual.specfile import load_model
+from mobiusdual.specfile import load_model, load_model_text
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+# birth-death chain on the total order a < b < c; its down dual (Diaconis
+# and Fill 1990) moves both up and down the order
+BIRTH_DEATH = (
+    "[poset]\nstates: a b c\ncover: a b\ncover: b c\n\n"
+    "[chain]\nrow: 0.6 0.4 0\nrow: 0.3 0.4 0.3\nrow: 0 0.4 0.6\n"
+    "nu: delta_min\n"
+)
 
 
 def delta(m, k):
@@ -328,11 +337,34 @@ class TestAbsorptionMean:
 
     def test_walk_duals_take_the_triangular_path(self):
         # a down dual moves up the mask enumeration, an up dual down it
-        for direction, side in (("down", "upper"), ("up", "lower")):
+        for direction, order in (("down", "ascending"), ("up", "descending")):
             _, dual = extreme_walk_dual(5, direction)
-            assert triangular_side(dual.P_star, 1e-12) == side
+            rows, cols, _ = _moves(dual.P_star)
+            assert move_order(rows, cols) == order
 
-    def test_dense_transient_block_falls_back_to_lu(self):
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_walk_duals_never_call_lu(self, monkeypatch, direction):
+        params, dual = extreme_walk_dual(6, direction)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LU solve on a one-way dual")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        mean = absorption_tail(dual, 10).mean
+        assert mean == pytest.approx(inclusion_exclusion_mean(params), rel=1e-12)
+
+    def test_walk_dual_never_forms_the_dense_block(self):
+        # the dense I - Q and its copies peaked at 25 MiB here
+        _, dual = extreme_walk_dual(10, "down")
+        tracemalloc.start()
+        try:
+            absorption_tail(dual, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_dense_transient_block_falls_back_to_lu(self, monkeypatch):
         p_star = np.array([
             [0.5, 0.2, 0.3],
             [0.4, 0.4, 0.2],
@@ -340,10 +372,33 @@ class TestAbsorptionMean:
         ])
         dual = DualChain(nu_star=np.array([0.6, 0.4, 0.0]), P_star=p_star,
                          absorbing_index=2, direction="down")
-        assert triangular_side(p_star, 1e-12) is None
+        rows, cols, _ = _moves(p_star)
+        assert move_order(rows, cols) is None
         q = p_star[:2, :2]
         expected = np.array([0.6, 0.4]) @ np.linalg.solve(np.eye(2) - q, np.ones(2))
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda *a: solves.append(a) or solve(*a)
+        )
         assert absorption_tail(dual, 3).mean == pytest.approx(expected, rel=1e-14)
+        assert len(solves) == 1
+
+    def test_birth_death_dual_moves_both_ways(self):
+        # Diaconis-Fill dual of a birth-death chain on a total order: its
+        # moves go both ways, so the mean takes the LU path
+        c = load_model_text(BIRTH_DEATH).chain
+        dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down")
+        rows, cols, _ = _moves(dual.P_star)
+        assert move_order(rows, cols) is None
+        law = absorption_tail(dual, 40)
+        assert np.abs(law.tail - dense_tail_loop(dual, 40)).max() <= 1e-15
+        keep = [i for i in range(dual.size) if i != dual.absorbing_index]
+        q = dual.P_star[np.ix_(keep, keep)]
+        expected = dual.nu_star[keep] @ np.linalg.solve(
+            np.eye(len(keep)) - q, np.ones(len(keep))
+        )
+        assert law.mean == pytest.approx(expected, rel=1e-14)
 
     def test_triangular_second_absorbing_state_is_a_zero_pivot(self):
         # state 1 absorbs as well as state 2

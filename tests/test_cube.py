@@ -24,6 +24,7 @@ from mobiusdual.cube import is_supermodular, _random_supermodular
 from mobiusdual.errors import (
     DimensionMismatch,
     IncomparableRequired,
+    InputError,
     InsufficientMass,
     NegativeHoldingProbability,
     NotLattice,
@@ -76,6 +77,11 @@ class TestWalkGenerator:
         rate = (1 - r) / d
         c = nearest_neighbor_walk(CubeWalkParams(d=d, alpha=(rate,) * d, beta=(rate,) * d))
         assert np.abs(np.diag(c.P) - r).max() < 1e-14
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(InputError, match="finite"):
+            CubeWalkParams(d=2, alpha=(0.1, rate), beta=(0.1, 0.1))
 
     def test_negative_holding_rejected_with_witness(self):
         with pytest.raises(NegativeHoldingProbability) as exc:

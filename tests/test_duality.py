@@ -22,6 +22,7 @@ from mobiusdual import (
     verify_duality,
     zeta_mobius,
 )
+from mobiusdual import duality
 from mobiusdual.duality import DualChain, _residuals
 from mobiusdual.errors import (
     NoUniqueExtremalState,
@@ -160,6 +161,12 @@ class TestBuildSsdDown:
         assert dual.absorbing_index == 2**d - 1
         assert dual.nu_residual <= 1e-10
         assert dual.intertwine_residual <= 1e-10
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        _, c, law, zm = cube_setup(2, (0.1, 0.1), (0.2, 0.2), nu=delta(4, 0))
+        monkeypatch.setattr(duality, "_residuals", lambda *a: (np.nan, 0.0))
+        with pytest.raises(NumericalFailure, match="nu nan"):
+            build_ssd(c, law, zm, "down")
 
     def test_delta_min_start_gives_delta_min_dual_start(self):
         _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.06,) * 3, nu=delta(8, 0))
