@@ -64,7 +64,6 @@ from .monotonicity import (
 )
 from .poset import (
     Poset,
-    ZetaMobius,
     build_poset,
     cube_poset,
     down_set,

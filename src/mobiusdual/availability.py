@@ -21,7 +21,7 @@ from .errors import (
     PreconditionFailed,
     ZeroGenerator,
 )
-from .poset import check_cube_dim, cube_bits, cube_poset, zeta_mobius
+from .poset import check_cube_dim, cube_bits, cube_poset
 
 DEFAULT_MULTIPLIER = 1.05
 
@@ -220,7 +220,6 @@ def availability_pipeline(
     c = uni.chain.with_nu(nu)
     with _Stage("stationary"):
         law = stationary(c)
-    zm = zeta_mobius(c.poset)
     mobius = {
         "down": monotonicity.mobius_monotone_down,
         "up": monotonicity.mobius_monotone_up,
@@ -228,18 +227,18 @@ def availability_pipeline(
     other = "up" if direction == "down" else "down"
     with _Stage("monotonicity"):
         rev = reverse(c, law)
-        kernel = {other: mobius[other](c, zm, mono_tol)}
+        kernel = {other: mobius[other](c, c.poset, mono_tol)}
         if rev is c:
             # build_ssd's reversed report is the kernel's in ``direction``
             reversed_ = {other: kernel[other]}
         else:
-            kernel[direction] = mobius[direction](c, zm, mono_tol)
-            reversed_ = {other: mobius[other](rev, zm, mono_tol)}
+            kernel[direction] = mobius[direction](c, c.poset, mono_tol)
+            reversed_ = {other: mobius[other](rev, c.poset, mono_tol)}
     dual = curve = tail = bound = stopped_at = None
     with _Stage("dual"):
         try:
             dual = duality.build_ssd(
-                c, law, zm, direction=direction, mono_tol=mono_tol
+                c, law, c.poset, direction=direction, mono_tol=mono_tol
             )
             reversed_[direction] = dual.reversed_report
         except PreconditionFailed as exc:

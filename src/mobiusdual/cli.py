@@ -38,7 +38,6 @@ from .errors import (
     UpSetExplosion,
     exit_code,
 )
-from .poset import zeta_mobius
 from .specfile import (
     fmt,
     label_str,
@@ -51,8 +50,16 @@ from .specfile import (
 CURVE_COLUMNS = ("n", "s", "tail", "formula", "empirical", "band_lo", "band_hi")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they exit 1 with a JSON block; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mobiusdual",
         description=(
             "Mobius-monotonicity analysis and strong stationary duals for "
@@ -108,6 +115,7 @@ def _emit(args, text):
 
 
 def _error_block(exc):
+    """The JSON error block; a label pair is a list of label strings."""
     block = {
         "error": type(exc).__name__,
         "exit": exit_code(exc),
@@ -116,7 +124,8 @@ def _error_block(exc):
     for attr in ("line", "field", "witness", "pair", "period", "stage", "row", "exact_sum"):
         value = getattr(exc, attr, None)
         if value is not None:
-            block[attr] = repr(value)
+            pair = attr in ("witness", "pair")
+            block[attr] = [label_str(e) for e in value] if pair else value
     report = getattr(exc, "report", None)
     if report is not None:
         block["notion"] = report.notion
@@ -268,19 +277,19 @@ def _mono_header(args, extra=(), loaded=None):
     return tuple(lines)
 
 
-def _all_notion_rows(chain, zm, args):
+def _all_notion_rows(chain, args):
     """Mobius down/up, weak down/up and strong table rows, with header notes;
     the Mobius and weak rows of a direction read its one transform.
 
     A strong verdict past the up-set cap is a ``skipped`` row and a note
     naming the reason, so the other rows are still reported.
     """
-    tol = args.tolerance_mono
+    tol, p = args.tolerance_mono, chain.poset
     mobius, weak = [], []
     for direction in ("down", "up"):
-        t = monotonicity.mobius_transform(chain.P, zm, direction)
-        mobius.append(monotonicity.transform_report(chain, zm, direction, t, tol))
-        weak.append(monotonicity.weak_report(chain, zm, direction, t, tol))
+        t = monotonicity.mobius_transform(chain.P, p, direction)
+        mobius.append(monotonicity.transform_report(chain, p, direction, t, tol))
+        weak.append(monotonicity.weak_report(chain, p, direction, t, tol))
     rows, notes = _report_rows(mobius + weak), []
     try:
         rows += _report_rows([monotonicity.strong_stochastic_monotone(chain, tol=tol)])
@@ -306,7 +315,7 @@ def _report_rows(reports):
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, _ = _resolve_chain(loaded, args, need_nu=False)
-    rows, notes = _all_notion_rows(chain, zeta_mobius(chain.poset), args)
+    rows, notes = _all_notion_rows(chain, args)
     text = _table(
         _mono_header(args, extra=notes, loaded=loaded),
         ("notion", "verdict", "worst_value", "witness", "tolerance"),
@@ -316,21 +325,17 @@ def cmd_check(args):
     return 0
 
 
-def _ssd(chain, law, zm, args):
+def _ssd(chain, law, args):
     """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``."""
     return duality.build_ssd(
-        chain, law, zm, direction=args.direction, mono_tol=args.tolerance_mono
+        chain, law, chain.poset, args.direction, mono_tol=args.tolerance_mono
     )
-
-
-def _build_dual(chain, law, args):
-    return _ssd(chain, law, zeta_mobius(chain.poset), args)
 
 
 def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, law = _resolve_chain(loaded, args, need_nu=True)
-    dual = _build_dual(chain, law or stationary(chain), args)
+    dual = _ssd(chain, law or stationary(chain), args)
     notes = "".join(f"# {h}\n" for h in _exact_notes(args, loaded))
     _emit(args, notes + serialize_dual(dual, chain.poset))
     return 0
@@ -357,9 +362,8 @@ def cmd_sep(args):
         chain, law, args.horizon, stop_below=args.stop_below
     )
     n_values = range(curve.horizon + 1)
-    zm = zeta_mobius(chain.poset)
     try:
-        dual = _ssd(chain, law, zm, args)
+        dual = _ssd(chain, law, args)
         tail = convergence.absorption_tail(dual, curve.horizon).tail
     except PreconditionError:
         tail = None     # curve is still valid without a dual
@@ -383,7 +387,7 @@ def cmd_eig(args):
         law = law or stationary(chain)
         if chain.nu is None:
             chain = chain.with_nu(law.pi)
-        dual = _build_dual(chain, law, args)
+        dual = _ssd(chain, law, args)
         rows, cols = np.nonzero(np.abs(dual.P_star) > args.tolerance_mono)
         if convergence.move_order(rows, cols) is None:
             raise PreconditionFailed(
@@ -403,9 +407,8 @@ def cmd_cube(args):
         raise InputError("the cube command needs a [cube] generator spec")
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
     law = law or stationary(chain)
-    zm = zeta_mobius(chain.poset)
     product_law = cube_stationary_product(params)
-    rows, notes = _all_notion_rows(chain, zm, args)
+    rows, notes = _all_notion_rows(chain, args)
     sections = [
         f"# mobiusdual cube d={params.d}",
         "# alpha: " + " ".join(fmt(a) for a in params.alpha),
@@ -423,7 +426,7 @@ def cmd_cube(args):
             params.alpha, params.beta)),
     ]
     try:
-        dual = _ssd(chain, law, zm, args)
+        dual = _ssd(chain, law, args)
     except PreconditionFailed as exc:
         sections += ["", f"# dual: precondition failed ({exc.report.notion})"]
         dual = None
@@ -530,12 +533,12 @@ def _sweep_point(d, a, b, k, args):
             chain = axis_transformed_walk(params, k)
         else:
             chain = nearest_neighbor_walk(params)
-        chain = chain.with_nu(nu_vector("delta_min", chain.poset))
+        chain = chain.with_nu(nu_vector("delta_min", chain.poset),
+                              row_tol=args.tolerance_row)
         law = stationary(chain)
-        zm = zeta_mobius(chain.poset)
         try:
             rep = duality.build_ssd(
-                chain, law, zm, direction="down", mono_tol=args.tolerance_mono
+                chain, law, chain.poset, "down", mono_tol=args.tolerance_mono
             ).reversed_report
             dual_ok = "true"
         except PreconditionFailed as exc:
@@ -552,7 +555,7 @@ def _sweep_point(d, a, b, k, args):
 def cmd_simulate(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, law = _resolve_chain(loaded, args, need_nu=True)
-    dual = _build_dual(chain, law or stationary(chain), args)
+    dual = _ssd(chain, law or stationary(chain), args)
     result = convergence.simulate_absorption(
         dual, args.samples, args.seed, horizon=args.horizon
     )
@@ -588,8 +591,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except MobiusDualError as exc:
         sys.stderr.write(_error_block(exc) + "\n")

@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     HorizonTooLarge,
+    InputError,
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
@@ -362,7 +363,7 @@ def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
     ``build_ssd`` returns without ``force`` is.
     """
     if samples < 1:
-        raise PreconditionFailed("samples must be >= 1")
+        raise InputError("samples must be >= 1")
     if horizon is not None and (horizon < 0 or horizon > MAX_HORIZON):
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
     if not ((dual.P_star >= 0).all() and (dual.nu_star >= 0).all()):

@@ -107,14 +107,14 @@ def build_link(law, zm, direction="down"):
     return Link(Lambda=lam, H=h, direction=direction)
 
 
-def _unique_extremal(poset, zm, direction):
+def _unique_extremal(p, direction):
     """Index of the one state with nothing above it in the oriented order
     (maximal for down, minimal for up)."""
-    above = zm.zeta_left(np.ones(zm.size, dtype=np.int64), direction, np.int64)
+    above = p.zeta_left(np.ones(p.size, dtype=np.int64), direction, np.int64)
     idx = np.flatnonzero(above == 1)
     if len(idx) != 1:
         kind = "maximal" if direction == "down" else "minimal"
-        labels = [poset.elements[i] for i in idx]
+        labels = [p.elements[i] for i in idx]
         raise NoUniqueExtremalState(
             f"the construction requires a unique {kind} state; found {labels!r}"
         )
@@ -146,7 +146,7 @@ def build_ssd(
     raw, possibly signed, matrices are returned unclamped and unverified
     (marked ``forced=True``).
     """
-    absorbing = _unique_extremal(c.poset, zm, direction)
+    absorbing = _unique_extremal(zm, direction)
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)

@@ -3,12 +3,11 @@
 A :class:`Poset` stores its elements in a fixed order-consistent enumeration
 (a linear extension), so the zeta matrix is upper unitriangular and its
 inverse, the Mobius matrix, is integer valued.  Both are exact and built on
-first read; a cube's actions never read them.
+first read, as is a cube's relation; a cube's actions read none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -21,30 +20,44 @@ from .errors import (
     UnknownState,
 )
 
-DENSE_CUBE_LIMIT = 14   # dense relation matrices only up to 2^14 states
+DENSE_CUBE_LIMIT = 14   # dense cube kernels only up to 2^14 states
 
 
 class Poset:
-    """Finite poset with an order-consistent enumeration.
+    """Finite poset with an order-consistent enumeration and its zeta/Mobius
+    pair.
 
     ``elements[i]`` is the i-th state e_{i+1}; ``leq[i, j]`` is True iff
     ``elements[i]`` precedes ``elements[j]``.  The enumeration is a linear
-    extension: ``leq[i, j]`` implies ``i <= j``.  Instances are immutable.
+    extension: ``leq[i, j]`` implies ``i <= j``.  A cube (``cube_dim`` set)
+    is given without ``leq``: its mask order is a linear extension by
+    construction, and ``leq`` is built on first read.
+
+    The zeta matrix ``C`` (C[i, j] = 1 iff e_i <= e_j) and its exact inverse
+    ``Cinv`` are built on first read, and read through ``zeta``/``mobius``
+    oriented by a direction: "down" is (C, Cinv) and "up" the transposed
+    pair, the down pair of the reversed order, so every construction is
+    written once as its down formula.  The actions ``zeta_left``/
+    ``zeta_right``/``mobius_left``/``mobius_right`` apply the oriented matrix
+    on either side of a vector or a matrix: a dense product in general, and
+    on a cube in-place Yates butterflies, O(d 2^d) per vector, that read no
+    dense matrix.  Instances are immutable.
     """
 
-    def __init__(self, elements, leq, cube_dim=None):
-        leq = np.asarray(leq, dtype=bool)
-        m = len(elements)
-        if leq.shape != (m, m):
-            raise DimensionMismatch(f"relation must be {m}x{m}, got {leq.shape}")
+    def __init__(self, elements, leq=None, cube_dim=None):
         self.elements = tuple(elements)
-        leq = leq.copy()
-        leq.flags.writeable = False
-        self.leq = leq
         self.cube_dim = cube_dim
         self._index = {e: i for i, e in enumerate(self.elements)}
+        m = len(self.elements)
         if len(self._index) != m:
             raise DuplicateLabel("duplicate state labels")
+        if cube_dim is not None:
+            return
+        leq = np.array(leq, dtype=bool)
+        if leq.shape != (m, m):
+            raise DimensionMismatch(f"relation must be {m}x{m}, got {leq.shape}")
+        leq.flags.writeable = False
+        self.leq = leq
         lower = np.tril(leq, -1)
         if lower.any():
             i, j = np.argwhere(lower)[0]
@@ -52,6 +65,29 @@ class Poset:
                 f"enumeration is not a linear extension at {elements[int(i)]!r}, "
                 f"{elements[int(j)]!r}"
             )
+
+    @cached_property
+    def leq(self):
+        """A cube's relation, the Kronecker power of [[1,1],[0,1]]."""
+        leq = reduce(np.kron, [np.array([[True, True], [False, True]])] * self.cube_dim)
+        leq.flags.writeable = False
+        return leq
+
+    @cached_property
+    def C(self):
+        c = self.leq.astype(np.int64)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def Cinv(self):
+        if self.cube_dim is None:
+            inv = _mobius_matrix(self.C)
+        else:
+            # the Kronecker power of [[1,-1],[0,1]], as (A x B)(C x D) = AC x BD
+            inv = reduce(np.kron, [np.array([[1, -1], [0, 1]], dtype=np.int64)] * self.cube_dim)
+        inv.flags.writeable = False
+        return inv
 
     @property
     def size(self):
@@ -63,60 +99,11 @@ class Poset:
         except KeyError:
             raise UnknownState(f"unknown state {e!r}") from None
 
-    def contains(self, e):
-        return e in self._index
-
     def leq_labels(self, x, y):
         return bool(self.leq[self.index(x), self.index(y)])
 
     def __repr__(self):
         return f"Poset({self.size} states)"
-
-
-def _is_down(direction):
-    """True for direction "down", False for "up"; ValueError otherwise."""
-    if direction not in ("down", "up"):
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-    return direction == "down"
-
-
-def _oriented(a, direction):
-    """``a`` for direction "down", its transpose for "up"."""
-    return a if _is_down(direction) else a.T
-
-
-@dataclass(frozen=True)
-class ZetaMobius:
-    """Zeta matrix C of ``leq`` and its exact inverse Cinv, built on first read.
-
-    Consumers read the pair through ``zeta``/``mobius``, oriented by a
-    direction: "down" is (C, Cinv) and "up" is the transposed pair, that is
-    the down pair of the reversed order, so every construction is written
-    once as its down formula.  The actions ``zeta_left``/``zeta_right``/
-    ``mobius_left``/``mobius_right`` apply the oriented matrix on either side
-    of a vector or a matrix: as a dense product in general, and on a cube
-    (``cube_dim`` set) as in-place Yates butterflies, one pass per bit,
-    O(d 2^d) per vector, without reading the dense pair.
-    """
-
-    leq: np.ndarray
-    cube_dim: int | None = None
-
-    @cached_property
-    def C(self):
-        c = self.leq.astype(np.int64)
-        c.flags.writeable = False
-        return c
-
-    @cached_property
-    def Cinv(self):
-        inv = _mobius_matrix(self.C, self.cube_dim)
-        inv.flags.writeable = False
-        return inv
-
-    @property
-    def size(self):
-        return self.leq.shape[0]
 
     def zeta(self, direction, dtype=float):
         """C ("down") or C^T ("up"), cast to ``dtype`` on each call."""
@@ -169,6 +156,18 @@ class ZetaMobius:
             else:
                 dst -= src
         return out
+
+
+def _is_down(direction):
+    """True for direction "down", False for "up"; ValueError otherwise."""
+    if direction not in ("down", "up"):
+        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    return direction == "down"
+
+
+def _oriented(a, direction):
+    """``a`` for direction "down", its transpose for "up"."""
+    return a if _is_down(direction) else a.T
 
 
 def _transitive_closure(rel):
@@ -260,18 +259,16 @@ def _invert_unitriangular(cf, block=256):
 
 
 def zeta_mobius(p):
-    """The pair C(i,j) = 1 iff e_i <= e_j and Cinv of p, built on first read."""
-    return ZetaMobius(leq=p.leq, cube_dim=p.cube_dim)
+    """The poset itself, which carries its zeta/Mobius pair; kept as the
+    traced name of that layer."""
+    return p
 
 
-def _mobius_matrix(c, cube_dim):
-    """The exact int64 inverse of the zeta matrix c: on a cube the Kronecker
-    power of [[1,-1],[0,1]], as (A x B)(C x D) = AC x BD; otherwise float64
-    back-substitution, certified exact by a magnitude bound below 2**53 plus
-    the exact product C Cinv = I, with arbitrary-precision integers when that
-    fails."""
-    if cube_dim is not None:
-        return reduce(np.kron, [np.array([[1, -1], [0, 1]], dtype=np.int64)] * cube_dim)
+def _mobius_matrix(c):
+    """The exact int64 inverse of the zeta matrix c of a general poset:
+    float64 back-substitution, certified exact by a magnitude bound below
+    2**53 plus the exact product C Cinv = I, with arbitrary-precision
+    integers when that fails."""
     m = c.shape[0]
     cf = c.astype(np.float64)
     x = _invert_unitriangular(cf)
@@ -314,13 +311,12 @@ def cube_poset(d):
     State k is the d-bit tuple of mask k (bit i is coordinate i+1); this
     bitmask order is a linear extension, since A <= B implies
     mask(A) <= mask(B), and makes the relation matrix the Kronecker power of
-    [[1,1],[0,1]].  The matrix is dense, so d above DENSE_CUBE_LIMIT raises
-    DimensionTooLarge before anything is allocated.
+    [[1,1],[0,1]], built only when read.  The walk and generator kernels on
+    a cube are dense, so d above DENSE_CUBE_LIMIT raises DimensionTooLarge
+    before anything is allocated.
     """
     check_cube_dim(d)
-    elements = [tuple(row) for row in cube_bits(d).tolist()]
-    leq = reduce(np.kron, [np.array([[True, True], [False, True]])] * d)
-    return Poset(elements, leq, cube_dim=d)
+    return Poset([tuple(row) for row in cube_bits(d).tolist()], cube_dim=d)
 
 
 def weight(e):

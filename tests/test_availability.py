@@ -16,8 +16,9 @@ from mobiusdual import (
     uniformize,
 )
 from mobiusdual import availability, cli, duality, monotonicity
+from mobiusdual import cube as cube_module
 from mobiusdual.availability import Generator
-from mobiusdual.poset import ZetaMobius
+from mobiusdual.poset import Poset
 from mobiusdual.errors import InputError, MissingSubsetValue, ZeroGenerator
 
 FOUR_CUBE = os.path.join(os.path.dirname(__file__), "data", "four_cube.spec")
@@ -333,8 +334,8 @@ class TestCubePathsSkipDensePair:
         def refuse(self, direction, dtype=float):
             raise AssertionError("dense zeta/Mobius matrix read on a cube")
 
-        monkeypatch.setattr(ZetaMobius, "zeta", refuse)
-        monkeypatch.setattr(ZetaMobius, "mobius", refuse)
+        monkeypatch.setattr(Poset, "zeta", refuse)
+        monkeypatch.setattr(Poset, "mobius", refuse)
 
     @pytest.mark.parametrize("single", [True, False])
     def test_pipeline(self, single):
@@ -352,38 +353,41 @@ class TestCubePathsSkipDensePair:
 
 
 class TestCubePairStaysUnbuilt:
-    """A cube's ZetaMobius never builds its dense C or Cinv on these paths."""
+    """A cube poset never builds its dense C or Cinv on these paths, and
+    builds its relation only where up-sets are enumerated (the strong row of
+    ``check`` and ``cube``)."""
 
     @pytest.fixture
-    def pairs(self, monkeypatch):
+    def posets(self, monkeypatch):
         made = []
-        for module in (cli, availability):
-            original = module.zeta_mobius
+        for module in (cube_module, availability):
+            original = module.cube_poset
 
-            def recording(p, _original=original):
-                made.append(_original(p))
+            def recording(d, _original=original):
+                made.append(_original(d))
                 return made[-1]
 
-            monkeypatch.setattr(module, "zeta_mobius", recording)
+            monkeypatch.setattr(module, "cube_poset", recording)
         return made
 
     @staticmethod
-    def assert_unbuilt(pairs):
-        assert len(pairs) == 1 and pairs[0].cube_dim == 4
-        assert "C" not in vars(pairs[0]) and "Cinv" not in vars(pairs[0])
+    def assert_unbuilt(posets, built=()):
+        assert posets and all(p.cube_dim == 4 for p in posets)
+        for p in posets:
+            assert {"leq", "C", "Cinv"} & vars(p).keys() == set(built)
 
     @pytest.mark.parametrize("single", [True, False])
-    def test_pipeline(self, pairs, single):
+    def test_pipeline(self, posets, single):
         r = RateFunctions(
             d=4,
             psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
             phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
         )
         availability_pipeline(r, multiplier=2.0, single_moves_only=single)
-        self.assert_unbuilt(pairs)
+        self.assert_unbuilt(posets)
 
-    @pytest.mark.parametrize("command", ["check", "cube", "sep", "dual"])
-    def test_cli(self, pairs, command, tmp_path):
+    @pytest.mark.parametrize("command", ["check", "cube", "sep", "dual", "eig", "simulate"])
+    def test_cli(self, posets, command, tmp_path):
         out = str(tmp_path / "out.txt")
         assert cli.main([command, "--input", FOUR_CUBE, "--output", out]) == 0
-        self.assert_unbuilt(pairs)
+        self.assert_unbuilt(posets, {"leq"} if command in ("check", "cube") else ())

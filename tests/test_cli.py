@@ -62,6 +62,24 @@ class TestCheck:
         assert block["error"] == "NotStochastic"
         assert "row 0" in block["detail"]
 
+    @pytest.mark.parametrize("body, command, field", [
+        ("[poset]\nstates: a b\ncover: a b\ncover: b a\n\n[chain]\n"
+         "row: 1 0\nrow: 0 1\n", "check", {"error": "CycleError", "witness": ["a", "b"]}),
+        ("[poset]\nstates: a b\ncover: a b\n\n[chain]\nrow: 1 0\nrow: 0 1\n"
+         "nu: delta_min\n", "sep", {"error": "NotIrreducible", "pair": ["a", "b"]}),
+        ("[poset]\nstates: a b\ncover: a b\n\n[chain]\nrow: 0 1\nrow: 1 0\n"
+         "nu: delta_min\n", "sep", {"error": "NotAperiodic", "period": 2}),
+        ("[poset]\nstates: a b\nbogus line\n", "check", {"error": "SchemaError", "line": 3}),
+    ])
+    def test_error_block_fields_are_json_values(self, capsys, tmp_path, body, command, field):
+        # integers are numbers and label pairs lists of label strings, not reprs
+        path = tmp_path / "bad.spec"
+        path.write_text(body)
+        code, out, err = run(capsys, command, "--input", str(path))
+        block = json.loads(err)
+        assert code == block["exit"] and out == ""
+        assert {key: block[key] for key in field} == field
+
     def test_missing_file_exits_one(self, capsys):
         code, out, err = run(capsys, "check", "--input", spec("nope.spec"))
         assert code == 1
@@ -252,8 +270,8 @@ class TestExactSums:
         rows = [ln.split()[1:] for ln in text.splitlines() if ln.startswith("row:")]
         sums = [sum(Fraction(v) for v in row) for row in rows]
         first = next(k for k, total in enumerate(sums) if total != 1)
-        assert block["row"] == repr(states[first])
-        assert block["exact_sum"] == repr(str(sums[first]))
+        assert block["row"] == states[first]
+        assert block["exact_sum"] == str(sums[first])
         assert str(sums[first]) in block["detail"]
 
     def test_float_run_is_unchanged(self, capsys, tmp_path):
@@ -275,8 +293,8 @@ class TestExactSums:
         code, _, err = run(capsys, "check", "--input", str(path), "--exact")
         assert code == 1
         block = json.loads(err)
-        assert block["row"] == "'11'"
-        assert block["exact_sum"] == "'10000000000001/10000000000000'"
+        assert block["row"] == "11"
+        assert block["exact_sum"] == "10000000000001/10000000000000"
 
     def test_explicit_nu_is_checked(self, capsys, tmp_path):
         rows = "row: 1/2 1/6 1/3 0\nrow: 1/6 1/2 0 1/3\nrow: 1/3 0 1/2 1/6\nrow: 0 1/3 1/6 1/2\n"
@@ -285,8 +303,8 @@ class TestExactSums:
         code, _, err = run(capsys, "dual", "--input", str(path), "--exact")
         assert code == 1
         block = json.loads(err)
-        assert block["row"] == "'nu'"
-        assert block["exact_sum"] == "'10000000000001/10000000000000'"
+        assert block["row"] == "nu"
+        assert block["exact_sum"] == "10000000000001/10000000000000"
         path.write_text(BOUNDARY_POSET + rows + "nu: 0.1 0.2 0.3 0.4\n")
         code, out, err = run(capsys, "check", "--input", str(path), "--exact")
         assert code == 0 and err == ""
@@ -532,7 +550,7 @@ class TestAvail:
         assert code == 1
         block = json.loads(err)
         assert block["error"] == "DimensionTooLarge"
-        assert block["stage"] == "'generator'"
+        assert block["stage"] == "generator"
         assert "Traceback" not in err
 
     def test_tolerance_mono_reaches_every_verdict(self, capsys):
@@ -585,6 +603,41 @@ class TestSweep:
             assert (row[4] == "true") == (row[6] == "true"), row
         assert {"ok", "NumericalFailure"} <= {row[3] for row in rows}
         assert any(row[3] == "ok" and row[4] == "false" for row in rows)
+
+    def test_row_tolerance_is_honoured(self, capsys, tmp_path):
+        # the walk's rows sum to 1 only within rounding, as check reports
+        sweep = tmp_path / "sweep.spec"
+        sweep.write_text("[sweep]\nd: 3\nalpha: 0.1 0.1 1\nbeta: 0.05 0.05 1\n")
+        rows = {}
+        for tol in ("1e-12", "0"):
+            code, out, _ = run(capsys, "sweep", "--input", str(sweep), "--tolerance-row", tol)
+            assert code == 0
+            rows[tol] = parse_table(out)[1]
+        assert rows["1e-12"][0][3:5] == ["ok", "true"]
+        assert rows["0"][0][3:] == ["NotStochastic", "-", "nan", "false"]
+
+
+class TestUsageErrors:
+    """Usage errors are input errors: exit 1 with a JSON block."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (("check",), "required: --input"),
+        (("check", "--input", "x.spec", "--direction", "sideways"), "invalid choice"),
+        ((), "required: command"),
+        (("simulate", "--input", spec("two_cube.spec"), "--samples", "0"),
+         "samples must be >= 1"),
+    ])
+    def test_exit_one_with_error_block(self, capsys, argv, detail):
+        code, out, err = run(capsys, *argv)
+        block = json.loads(err)
+        assert code == block["exit"] == 1 and out == ""
+        assert block["error"] == "InputError" and detail in block["detail"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert "--input" in capsys.readouterr().out
 
 
 class TestSimulate:

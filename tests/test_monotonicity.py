@@ -36,7 +36,7 @@ from mobiusdual.monotonicity import (
     transform_report,
     weak_report,
 )
-from mobiusdual.poset import ZetaMobius
+from mobiusdual.poset import Poset
 from mobiusdual.specfile import load_model, load_model_text
 
 HERE = os.path.dirname(__file__)
@@ -750,8 +750,8 @@ class TestExactReruns:
         def refuse(self, direction, dtype=float):
             raise AssertionError("dense zeta/Mobius matrix read on a cube")
 
-        monkeypatch.setattr(ZetaMobius, "zeta", refuse)
-        monkeypatch.setattr(ZetaMobius, "mobius", refuse)
+        monkeypatch.setattr(Poset, "zeta", refuse)
+        monkeypatch.setattr(Poset, "mobius", refuse)
         for name, c in cubes.items():
             zm, worst_q, witness = expected[name]
             rep = transform_report(c, zm, direction, mobius_transform(c.P, zm, direction), 1.0)

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -216,20 +217,27 @@ class TestOrientedPair:
 
 
 class TestLazyPair:
-    """zeta_mobius only wraps the relation; C and Cinv are built on first read."""
+    """The poset carries its pair: zeta_mobius returns it, and C and Cinv
+    are built on first read, as is a cube's relation."""
+
+    @pytest.mark.parametrize("make", [diamond, lambda: cube_poset(3)])
+    def test_zeta_mobius_is_the_poset(self, make):
+        p = make()
+        assert zeta_mobius(p) is p
 
     def test_cube_pair_builds_nothing(self):
         p = cube_poset(12)
         zm = zeta_mobius(p)
-        assert zm.leq is p.leq and zm.size == 4096
+        assert zm.size == 4096
         ones = np.ones(zm.size)
         assert zm.mobius_left(zm.zeta_left(ones, "down"), "down").tolist() == ones.tolist()
-        assert "C" not in vars(zm) and "Cinv" not in vars(zm)
+        assert {"leq", "C", "Cinv"}.isdisjoint(vars(zm))
 
     @pytest.mark.parametrize("make", [diamond, lambda: cube_poset(3)])
     def test_read_once_and_kept_read_only(self, make):
         zm = zeta_mobius(make())
-        assert vars(zm).keys() == {"leq", "cube_dim"}
+        stored = {"elements", "_index", "cube_dim"}
+        assert vars(zm).keys() == (stored if zm.cube_dim else stored | {"leq"})
         c, cinv = zm.C, zm.Cinv
         assert {"C", "Cinv"} <= vars(zm).keys()
         assert zm.C is c and zm.Cinv is cinv
@@ -244,6 +252,34 @@ class TestLazyPair:
         zm.mobius_left(np.ones(4), "down")
         assert "Cinv" in vars(zm)
 
+
+class TestLazyCubeRelation:
+    """A cube stores its labels, index and dimension; its relation is the
+    Kronecker power of [[1,1],[0,1]], built on first read."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_relation_is_the_kronecker_power_and_a_linear_extension(self, d):
+        p = cube_poset(d)
+        assert "leq" not in vars(p)
+        leq = p.leq
+        assert p.leq is leq and not leq.flags.writeable
+        one = np.array([[True, True], [False, True]])
+        kron = one
+        for _ in range(d - 1):
+            kron = np.kron(kron, one)
+        assert leq.dtype == bool and np.array_equal(leq, kron)
+        masks = np.arange(2**d)
+        assert np.array_equal(leq, (masks[:, None] & masks[None, :]) == masks[:, None])
+        assert not np.tril(leq, -1).any()
+
+    def test_twelve_cube_allocates_no_relation(self):
+        tracemalloc.start()
+        try:
+            cube_poset(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20       # the relation alone is 16 MiB
 
 ACTIONS = ("zeta_left", "zeta_right", "mobius_left", "mobius_right")
 
