@@ -22,11 +22,12 @@ import numpy as np
 
 from . import convergence, duality, monotonicity
 from .availability import availability_pipeline
-from .chain import Chain, stationary
+from .chain import ROW_TOL, Chain, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
     cube_stationary_product,
+    holding_probabilities,
     nearest_neighbor_walk,
 )
 from .errors import (
@@ -58,7 +59,27 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+# Every optional flag in help order; COMMANDS names those each command reads.
+FLAGS = {
+    "--direction": dict(choices=("down", "up"), default="down"),
+    "--horizon": dict(type=int, default=200),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=10000),
+    "--tolerance-row": dict(type=float, default=ROW_TOL),
+    "--tolerance-mono": dict(type=float, default=monotonicity.MONO_TOL),
+    "--exact": dict(action="store_true",
+                    help="re-run near-boundary verdicts in exact arithmetic"),
+    "--multiplier": dict(type=float, default=1.05,
+                         help="uniformization multiplier"),
+    "--stop-below": dict(type=float, default=None,
+                         help="truncate curves once s(n) falls below this"),
+}
+
+
 def build_parser():
+    """Each subcommand takes --input, --output and only the flags it reads,
+    spelled in full, so any other flag is a usage error (a prefix could
+    stand for a flag another command reads)."""
     parser = _Parser(
         prog="mobiusdual",
         description=(
@@ -67,31 +88,14 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("check", "decide all monotonicity notions for a kernel"),
-        ("dual", "construct and serialize the strong stationary dual"),
-        ("sep", "separation-distance curve (plus dual tail when available)"),
-        ("eig", "eigenvalues via the cube closed form or the dual diagonal"),
-        ("cube", "generate a cube walk and run the full analysis"),
-        ("avail", "availability pipeline from breakdown/repair rates"),
-        ("sweep", "map admissibility over an (alpha, beta, kappa) grid"),
-        ("simulate", "Monte Carlo absorption-time tail of the dual"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for name, text, handler, flags in COMMANDS:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="model spec file")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--direction", choices=("down", "up"), default="down")
-        p.add_argument("--horizon", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--tolerance-row", type=float, default=1e-12)
-        p.add_argument("--tolerance-mono", type=float, default=1e-10)
-        p.add_argument("--exact", action="store_true",
-                       help="re-run near-boundary verdicts in exact arithmetic")
-        p.add_argument("--multiplier", type=float, default=1.05,
-                       help="uniformization multiplier (avail)")
-        p.add_argument("--stop-below", type=float, default=None,
-                       help="truncate curves once s(n) falls below this")
+        for flag, kwargs in FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -215,7 +219,7 @@ def _table(header_lines, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _curve_table(args, header, n_values, s=None, tail=None, formula=None,
+def _curve_table(header, n_values, s=None, tail=None, formula=None,
                  empirical=None, lo=None, hi=None):
     cols = {"s": s, "tail": tail, "formula": formula,
             "empirical": empirical, "band_lo": lo, "band_hi": hi}
@@ -372,18 +376,20 @@ def cmd_sep(args):
         args, extra=(f"horizon: {curve.horizon}", *_law_lines(law)),
         loaded=loaded,
     )
-    _emit(args, _curve_table(args, header, n_values, s=curve.values,
+    _emit(args, _curve_table(header, n_values, s=curve.values,
                              tail=tail, formula=formula))
     return 0
 
 
 def cmd_eig(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, params, law = _resolve_chain(loaded, args, need_nu=False)
-    if params is not None:
+    if loaded.kind == "cube":
+        params = loaded.cube
+        holding_probabilities(params)   # refuse what the walk would refuse
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
         source = "cube_closed_form"
     else:
+        chain, _, law = _resolve_chain(loaded, args, need_nu=False)
         law = law or stationary(chain)
         if chain.nu is None:
             chain = chain.with_nu(law.pi)
@@ -445,7 +451,7 @@ def cmd_cube(args):
         formula = _formula_column(params, chain, curve.horizon)
         sections += [
             "",
-            _curve_table(args, (f"curve horizon={curve.horizon}",),
+            _curve_table((f"curve horizon={curve.horizon}",),
                          range(curve.horizon + 1), s=curve.values,
                          tail=tail.tail, formula=formula).rstrip("\n"),
         ]
@@ -454,7 +460,7 @@ def cmd_cube(args):
 
 
 def cmd_avail(args):
-    loaded = load_model(args.input, row_tol=args.tolerance_row)
+    loaded = load_model(args.input)
     if loaded.kind != "rates":
         raise InputError("the avail command needs a [rates] spec")
     report = availability_pipeline(
@@ -497,7 +503,7 @@ def cmd_avail(args):
             f"# mean_absorption: {fmt(report.tail.mean)}",
             f"# sst_bound_ok: {str(report.bound.ok).lower()}",
             "",
-            _curve_table(args, (f"curve horizon={report.curve.horizon}",),
+            _curve_table((f"curve horizon={report.curve.horizon}",),
                          range(report.curve.horizon + 1),
                          s=report.curve.values,
                          tail=report.tail.tail).rstrip("\n"),
@@ -570,7 +576,7 @@ def cmd_simulate(args):
         loaded=loaded,
     )
     text = _curve_table(
-        args, header, range(args.horizon + 1),
+        header, range(args.horizon + 1),
         tail=analytic.tail, empirical=result.tail,
         lo=result.lower, hi=result.upper,
     )
@@ -578,22 +584,34 @@ def cmd_simulate(args):
     return 0
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "dual": cmd_dual,
-    "sep": cmd_sep,
-    "eig": cmd_eig,
-    "cube": cmd_cube,
-    "avail": cmd_avail,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-}
+_VERDICTS = ("--tolerance-row", "--tolerance-mono", "--exact")
+_CURVES = ("--direction", "--horizon", "--stop-below")
+
+# (name, help, handler, the flags besides --input and --output it reads)
+COMMANDS = (
+    ("check", "decide all monotonicity notions for a kernel", cmd_check,
+     _VERDICTS),
+    ("dual", "construct and serialize the strong stationary dual", cmd_dual,
+     ("--direction", *_VERDICTS)),
+    ("sep", "separation-distance curve (plus dual tail when available)",
+     cmd_sep, (*_CURVES, *_VERDICTS)),
+    ("eig", "eigenvalues via the cube closed form or the dual diagonal",
+     cmd_eig, ("--direction", *_VERDICTS)),
+    ("cube", "generate a cube walk and run the full analysis", cmd_cube,
+     (*_CURVES, *_VERDICTS)),
+    ("avail", "availability pipeline from breakdown/repair rates", cmd_avail,
+     (*_CURVES, "--multiplier", "--tolerance-mono", "--exact")),
+    ("sweep", "map admissibility over an (alpha, beta, kappa) grid", cmd_sweep,
+     _VERDICTS),
+    ("simulate", "Monte Carlo absorption-time tail of the dual", cmd_simulate,
+     ("--direction", "--horizon", "--seed", "--samples", *_VERDICTS)),
+)
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except MobiusDualError as exc:
         sys.stderr.write(_error_block(exc) + "\n")
         return exit_code(exc)

@@ -23,7 +23,7 @@ from .errors import (
     NotLattice,
     NumericalFailure,
 )
-from .poset import cube_bits, cube_poset, meet_join
+from .poset import check_cube_dim, cube_bits, cube_poset, meet_join
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,29 @@ class GPlusMove:
     kappa: float
 
 
-def nearest_neighbor_walk(params, nu=None):
-    """Single-coordinate-flip walk on the d-cube.
-
-    Rejects parameter sets that drive any holding probability negative (with
-    the first offending state as witness).
-    """
-    p = cube_poset(params.d)
-    rates = np.where(cube_bits(params.d), params.beta, params.alpha)
+def holding_probabilities(params):
+    """(rates, stay): the (2^d, d) flip rates and the holding probability of
+    each state, in mask order.  Raises DimensionTooLarge above
+    DENSE_CUBE_LIMIT, and NegativeHoldingProbability (with the first
+    offending state as witness) when a holding probability is negative."""
+    check_cube_dim(params.d)
+    bits = cube_bits(params.d)
+    rates = np.where(bits, params.beta, params.alpha)
     stay = 1.0 - rates.sum(axis=1)
     bad = np.flatnonzero(stay < -1e-12)
     if bad.size:
         i = int(bad[0])
         raise NegativeHoldingProbability(
-            f"holding probability at state {p.elements[i]!r} is {stay[i]!r}"
+            f"holding probability at state {tuple(bits[i].tolist())!r} is {stay[i]!r}"
         )
+    return rates, stay
+
+
+def nearest_neighbor_walk(params, nu=None):
+    """Single-coordinate-flip walk on the d-cube (see holding_probabilities
+    for the parameter sets it rejects)."""
+    rates, stay = holding_probabilities(params)
+    p = cube_poset(params.d)
     x = np.arange(p.size)
     mat = np.zeros((p.size, p.size))
     mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates

@@ -9,7 +9,6 @@ Verdicts are one-sided sign checks: a report is true iff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -271,8 +270,3 @@ def weak_monotone(c, zm, direction, tol=MONO_TOL):
     Mobius verdict without the extremal row.
     """
     return weak_report(c, zm, direction, mobius_transform(c.P, zm, direction), tol)
-
-
-def exact_fractions(rows):
-    """Normalize a nested sequence into a tuple-of-tuples of Fractions."""
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)

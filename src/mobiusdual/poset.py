@@ -99,9 +99,6 @@ class Poset:
         except KeyError:
             raise UnknownState(f"unknown state {e!r}") from None
 
-    def leq_labels(self, x, y):
-        return bool(self.leq[self.index(x), self.index(y)])
-
     def __repr__(self):
         return f"Poset({self.size} states)"
 
@@ -319,11 +316,6 @@ def cube_poset(d):
     return Poset([tuple(row) for row in cube_bits(d).tolist()], cube_dim=d)
 
 
-def weight(e):
-    """Number of set coordinates of a cube state."""
-    return sum(int(b) for b in e)
-
-
 def up_set(p, e):
     """All states e' with e <= e', in enumeration order."""
     i = p.index(e)
@@ -378,19 +370,3 @@ def is_lattice(p):
             if meet is None or join is None:
                 return False
     return True
-
-
-def maximal_indices(p):
-    """Indices of maximal elements (no strictly greater state)."""
-    strict = p.leq & ~np.eye(p.size, dtype=bool)
-    return [i for i in range(p.size) if not strict[i, :].any()]
-
-
-def minimal_indices(p):
-    strict = p.leq & ~np.eye(p.size, dtype=bool)
-    return [i for i in range(p.size) if not strict[:, i].any()]
-
-
-def is_total_order(p):
-    comparable = p.leq | p.leq.T
-    return bool(comparable.all())

@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .availability import RateFunctions, pernode_family, power_family
-from .chain import Chain, validate_chain
+from .chain import ROW_TOL, Chain, validate_chain
 from .cube import CubeWalkParams
 from .errors import SchemaError
 from .poset import Poset, build_poset
@@ -327,14 +327,14 @@ def _parse_rates(entries):
     return rates, single_moves
 
 
-def load_model(path, row_tol=1e-12):
+def load_model(path, row_tol=ROW_TOL):
     """Parse a spec file into a LoadedModel (strict schema)."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return load_model_text(text, base_dir=os.path.dirname(path), row_tol=row_tol)
 
 
-def load_model_text(text, base_dir="", row_tol=1e-12):
+def load_model_text(text, base_dir="", row_tol=ROW_TOL):
     sections = _sections(text)
     known = {"poset", "chain", "cube", "rates"}
     unknown = set(sections) - known

@@ -20,9 +20,14 @@ from mobiusdual.availability import (
 )
 from mobiusdual.convergence import binomial_band
 from mobiusdual.errors import MobiusDualError
-from mobiusdual.poset import maximal_indices
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def maximal_indices(p):
+    """Indices of maximal elements (no strictly greater state)."""
+    strict = p.leq & ~np.eye(p.size, dtype=bool)
+    return [i for i in range(p.size) if not strict[i, :].any()]
 
 
 def report(number, ok, detail):

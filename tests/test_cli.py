@@ -9,9 +9,9 @@ import pytest
 
 import mobiusdual as md
 from mobiusdual import convergence, monotonicity
-from mobiusdual.cli import main
-from mobiusdual.errors import UpSetExplosion
-from mobiusdual.specfile import load_model_text, serialize_chain
+from mobiusdual.cli import build_parser, main
+from mobiusdual.errors import InputError, NegativeHoldingProbability, UpSetExplosion
+from mobiusdual.specfile import load_model, load_model_text, serialize_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -118,7 +118,9 @@ class TestExactOnGeneratedKernels:
 
     @pytest.mark.parametrize("command", ["check", "sep", "cube", "eig", "simulate", "dual"])
     def test_cube_spec_notes_float_verdicts(self, capsys, command):
-        argv = (command, "--input", spec("two_cube.spec"), "--samples", "100")
+        argv = (command, "--input", spec("two_cube.spec"))
+        if command == "simulate":
+            argv += ("--samples", "100")
         code, out, err = run(capsys, *argv, "--exact")
         assert code == 0, err
         assert self.NOTE in out.splitlines()
@@ -224,7 +226,8 @@ class TestStrongSkipped:
         monkeypatch.setattr(monotonicity, "strong_stochastic_monotone", explode)
         cube = tmp_path / "d6.spec"
         cube.write_text("[cube]\nd: 6\nalpha: " + "0.04 " * 6 + "\nbeta: " + "0.04 " * 6 + "\n")
-        code, out, err = run(capsys, command, "--input", str(cube), "--horizon", "5")
+        horizon = ("--horizon", "5") if command == "cube" else ()
+        code, out, err = run(capsys, command, "--input", str(cube), *horizon)
         assert code == 0 and err == ""
         assert (
             "# skipped: strong_stochastic (UpSetExplosion: more than 1048576 up-sets)"
@@ -409,6 +412,49 @@ class TestEig:
         values = [float(x) for x in out.splitlines() if not x.startswith("#")]
         assert values == pytest.approx([1.0, 0.6, 0.6, 0.2])
         assert "cube_closed_form" in out
+
+    def test_cube_builds_no_walk_and_solves_no_law(self, capsys, monkeypatch):
+        from mobiusdual import cli, cube
+
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def recording(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+        for module in (cli, cube):
+            spy(module, "nearest_neighbor_walk")
+        spy(cli, "stationary")
+        code, out, err = run(capsys, "eig", "--input", spec("four_cube.spec"))
+        assert code == 0, err
+        assert calls == []
+        params = load_model(spec("four_cube.spec")).cube
+        values = [float(x) for x in out.splitlines() if not x.startswith("#")]
+        assert values == pytest.approx(
+            convergence.cube_eigenvalues(params.alpha, params.beta), abs=1e-15
+        )
+
+    def test_cube_refuses_what_the_walk_refuses(self, capsys, tmp_path):
+        negative = tmp_path / "negative.spec"
+        negative.write_text("[cube]\nd: 2\nalpha: 0.6 0.6\nbeta: 0.1 0.1\n")
+        with pytest.raises(NegativeHoldingProbability) as exc:
+            md.nearest_neighbor_walk(load_model(str(negative)).cube)
+        big = tmp_path / "cube15.spec"
+        rates = " ".join(["0.01"] * 15)
+        big.write_text(f"[cube]\nd: 15\nalpha: {rates}\nbeta: {rates}\n")
+        for path, error, detail in (
+            (negative, "NegativeHoldingProbability", str(exc.value)),
+            (big, "DimensionTooLarge", "cube dimension must be in [1, 14]"),
+        ):
+            code, out, err = run(capsys, "eig", "--input", str(path))
+            block = json.loads(err)
+            assert code == block["exit"] == 1 and out == ""
+            assert block["error"] == error and block["detail"] == detail
 
     def test_dual_diagonal_for_explicit_chain(self, capsys, tmp_path):
         # serialize the admissible cube walk as a dense chain, then read the
@@ -622,10 +668,14 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, detail", [
         (("check",), "required: --input"),
-        (("check", "--input", "x.spec", "--direction", "sideways"), "invalid choice"),
+        (("dual", "--input", "x.spec", "--direction", "sideways"), "invalid choice"),
         ((), "required: command"),
         (("simulate", "--input", spec("two_cube.spec"), "--samples", "0"),
          "samples must be >= 1"),
+        (("check", "--input", spec("two_cube.spec"), "--horizon", "5"),
+         "unrecognized arguments: --horizon 5"),
+        (("avail", "--input", spec("rates.spec"), "--tolerance", "1e-3"),
+         "unrecognized arguments: --tolerance 1e-3"),
     ])
     def test_exit_one_with_error_block(self, capsys, argv, detail):
         code, out, err = run(capsys, *argv)
@@ -638,6 +688,65 @@ class TestUsageErrors:
             main(["check", "--help"])
         assert exc.value.code == 0
         assert "--input" in capsys.readouterr().out
+
+
+# The flags each command reads besides --input and --output; every other
+# flag is a usage error.
+VERDICT_FLAGS = ("--tolerance-row", "--tolerance-mono", "--exact")
+CURVE_FLAGS = ("--direction", "--horizon", "--stop-below")
+COMMAND_FLAGS = {
+    "check": VERDICT_FLAGS,
+    "dual": ("--direction", *VERDICT_FLAGS),
+    "sep": (*CURVE_FLAGS, *VERDICT_FLAGS),
+    "eig": ("--direction", *VERDICT_FLAGS),
+    "cube": (*CURVE_FLAGS, *VERDICT_FLAGS),
+    "avail": (*CURVE_FLAGS, "--multiplier", "--tolerance-mono", "--exact"),
+    "sweep": VERDICT_FLAGS,
+    "simulate": ("--direction", "--horizon", "--seed", "--samples", *VERDICT_FLAGS),
+}
+FLAG_VALUES = {
+    "--input": "model.spec", "--output": "out.txt", "--direction": "up",
+    "--horizon": "7", "--seed": "3", "--samples": "9",
+    "--tolerance-row": "1e-09", "--tolerance-mono": "1e-08", "--exact": None,
+    "--multiplier": "2.5", "--stop-below": "0.001",
+}
+
+
+class TestFlagContract:
+    """Each command accepts --input, --output and the flags it reads."""
+
+    @staticmethod
+    def accepts(command, flag):
+        return flag in ("--input", "--output") or flag in COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("flag", list(FLAG_VALUES))
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_pair(self, command, flag):
+        value = FLAG_VALUES[flag]
+        argv = [command, "--input", "model.spec"]
+        if flag != "--input":
+            argv += [flag] if value is None else [flag, value]
+        if not self.accepts(command, flag):
+            with pytest.raises(InputError, match=f"unrecognized arguments: {flag}"):
+                build_parser().parse_args(argv)
+            return
+        args = build_parser().parse_args(argv)
+        parsed = getattr(args, flag[2:].replace("-", "_"))
+        assert parsed is True if value is None else str(parsed) == value
+
+    def test_fifty_five_accepted_pairs(self):
+        pairs = [(c, f) for c in COMMAND_FLAGS for f in FLAG_VALUES if self.accepts(c, f)]
+        assert len(COMMAND_FLAGS) * len(FLAG_VALUES) == 88
+        assert len(pairs) == 55
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_only_the_command_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        listed = {f for f in FLAG_VALUES if f in words}
+        assert listed == {f for f in FLAG_VALUES if self.accepts(command, f)}
 
 
 class TestSimulate:
@@ -781,7 +890,8 @@ class TestStationaryOnce:
         monkeypatch.setattr(cli, "stationary", counted)
         path = tmp_path / "model.spec"
         path.write_text(MODELS[model])
-        code, _, err = run(capsys, command, "--input", str(path), "--samples", "200")
+        samples = ("--samples", "200") if command == "simulate" else ()
+        code, _, err = run(capsys, command, "--input", str(path), *samples)
         assert code == 0, err
         assert len(calls) == 1
 

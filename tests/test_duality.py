@@ -29,7 +29,7 @@ from mobiusdual.errors import (
     NumericalFailure,
     PreconditionFailed,
 )
-from mobiusdual.poset import Poset, is_total_order
+from mobiusdual.poset import Poset
 from mobiusdual.specfile import load_model, load_model_text
 
 HERE = os.path.dirname(__file__)
@@ -77,6 +77,10 @@ def nu_star_summation(g, h, zm, direction):
             acc = sum(float(cinv[k, i]) * g[k] for k in range(0, i + 1) if cinv[k, i])
         out[i] = h[i] * acc
     return out
+
+
+def is_total_order(p):
+    return bool((p.leq | p.leq.T).all())
 
 
 def birth_death_dual(c, law, direction):

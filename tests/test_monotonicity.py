@@ -31,7 +31,6 @@ from mobiusdual.monotonicity import (
     _report,
     _worst_margin,
     enumerate_up_sets,
-    exact_fractions,
     mobius_transform,
     transform_report,
     weak_report,
@@ -41,6 +40,12 @@ from mobiusdual.specfile import load_model, load_model_text
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
+
+
+def exact_fractions(rows):
+    """Normalize a nested sequence into a tuple-of-tuples of Fractions."""
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
 
 # strongly stochastically monotone on the 2-cube yet Mobius monotone in
 # neither direction (seeded randomized search, frozen)
