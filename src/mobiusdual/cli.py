@@ -267,13 +267,15 @@ def _law_lines(law):
             f"stationary_path: {law.path}"]
 
 
-def _mono_header(args, extra=(), loaded=None):
-    lines = [
-        f"mobiusdual {args.command}",
-        f"input: {args.input}",
-        f"tolerances: row={fmt(args.tolerance_row)} mono={fmt(args.tolerance_mono)}",
-        *_exact_notes(args, loaded),
-    ]
+def _mono_header(args, extra=(), loaded=None, tolerances=True):
+    """Header lines; ``tolerances=False`` leaves out the tolerance line of a
+    result that reads neither tolerance."""
+    lines = [f"mobiusdual {args.command}", f"input: {args.input}"]
+    if tolerances:
+        lines.append(
+            f"tolerances: row={fmt(args.tolerance_row)} mono={fmt(args.tolerance_mono)}"
+        )
+    lines += _exact_notes(args, loaded)
     model = _model_line(loaded)
     if model is not None:
         lines.insert(2, model)
@@ -401,7 +403,8 @@ def cmd_eig(args):
             )
         values = np.sort(np.diag(dual.P_star))[::-1]
         source = "dual_diagonal"
-    header = _mono_header(args, extra=(f"source: {source}",), loaded=loaded)
+    header = _mono_header(args, extra=(f"source: {source}",), loaded=loaded,
+                          tolerances=source != "cube_closed_form")
     lines = [f"# {h}" for h in header] + [fmt(v) for v in values]
     _emit(args, "\n".join(lines) + "\n")
     return 0

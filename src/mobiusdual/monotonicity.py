@@ -8,7 +8,9 @@ Verdicts are one-sided sign checks: a report is true iff
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .errors import DimensionMismatch, UpSetExplosion
 MONO_TOL = 1e-10
 EXACT_RERUN_FACTOR = 100.0
 UPSET_CAP = 2**20
+MARGIN_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -136,62 +139,74 @@ def function_mobius_monotone(f, zm, direction, tol=MONO_TOL):
 
 
 def enumerate_up_sets(p, cap=UPSET_CAP):
-    """All up-closed subsets as sorted index tuples, deterministically.
+    """All up-closed subsets as the rows of a read-only boolean matrix, one
+    column per state, deterministically.
 
-    States are decided in decreasing enumeration order; a state may join only
-    if every state strictly above it is already in, which generates each
-    up-set exactly once.  Raises UpSetExplosion past ``cap``.
+    States are decided in decreasing enumeration order; a state may join a
+    row only if every state strictly above it is already in, which generates
+    each up-set exactly once.  Each row is followed by its copy with the
+    state added, so the rows come in depth-first order: the empty set first,
+    the full set last.  Raises UpSetExplosion before a level grows past
+    ``cap``.
     """
     m = p.size
     strict = p.leq & ~np.eye(m, dtype=bool)
-    above = [np.flatnonzero(strict[i, :]) for i in range(m)]
-    out = []
-    members = np.zeros(m, dtype=bool)
-
-    def rec(i):
-        if len(out) > cap:
+    rows = np.zeros((1, m), dtype=bool)
+    for i in range(m - 1, -1, -1):
+        joins = rows[:, strict[i]].all(axis=1)
+        if len(rows) + np.count_nonzero(joins) > cap:
             raise UpSetExplosion(f"more than {cap} up-sets")
-        if i < 0:
-            out.append(tuple(np.flatnonzero(members)))
-            return
-        rec(i - 1)
-        if members[above[i]].all():
-            members[i] = True
-            rec(i - 1)
-            members[i] = False
-
-    rec(m - 1)
-    if len(out) > cap:
-        raise UpSetExplosion(f"more than {cap} up-sets")
-    return out
+        copies = np.cumsum(1 + joins)[joins] - 1
+        rows = np.repeat(rows, 1 + joins, axis=0)
+        rows[copies, i] = True
+    rows.flags.writeable = False
+    return rows
 
 
 def _worst_margin(P, upsets, pairs, elements, bound=None):
-    """Smallest P(e_j, A) - P(e_i, A) over the nonempty proper up-sets A and
-    the pairs (i, j), with the first witness reaching it; (inf, None) when
-    no such up-set exists.  With ``bound``, the first margin at most
-    ``bound`` instead, up-sets before pairs.  P holds floats, or Fractions
-    for an exact rerun.
+    """Smallest P(e_j, A) - P(e_i, A) over the nonempty proper up-sets A
+    (the rows of ``upsets`` but the first and the last) and the pairs
+    (i, j), with the first witness reaching it, up-sets before pairs;
+    (inf, None) when no such up-set exists.  With ``bound``, the first
+    margin at most ``bound`` instead.  P holds floats, or Python ints for an
+    exact rerun.  The up-sets are read in blocks of about ``MARGIN_BLOCK``
+    margins.
     """
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    proper = upsets[1:-1]
+    step = max(1, MARGIN_BLOCK // len(pairs))
     worst, witness = np.inf, None
-    for u in upsets:
-        if not u or len(u) == len(elements):
-            continue
-        mass = P[:, list(u)].sum(axis=1)
-        margins = mass[pairs[:, 1]] - mass[pairs[:, 0]]
+    for start in range(0, len(proper), step):
+        block = proper[start:start + step]
+        mass = block.astype(P.dtype) @ P.T
+        margins = (mass[:, hi] - mass[:, lo]).ravel()
         if bound is None:
             k = int(np.argmin(margins))
+            found = margins[k] < worst
         else:
             k = int(np.argmax(margins <= bound))
-            if margins[k] > bound:
-                continue
-        if margins[k] < worst:
+            found = margins[k] <= bound
+        if found:
             worst = margins[k]
-            i, j = pairs[k]
-            witness = (elements[i], elements[j], tuple(elements[x] for x in u))
+            u, q = divmod(k, len(pairs))
+            i, j = pairs[q]
+            witness = (elements[i], elements[j],
+                       tuple(elements[x] for x in np.flatnonzero(block[u])))
             if bound is not None:
                 break
     return worst, witness
+
+
+def _exact_margin(exact, upsets, pairs, elements):
+    """``_worst_margin`` of exact entries, run over their integer numerators
+    on the least common denominator; the worst value is a Fraction."""
+    den = math.lcm(*(v.denominator for row in exact for v in row))
+    numerators = np.array(
+        [[v.numerator * (den // v.denominator) for v in row] for row in exact],
+        dtype=object,
+    )
+    worst, witness = _worst_margin(numerators, upsets, pairs, elements)
+    return Fraction(worst, den), witness
 
 
 def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
@@ -212,8 +227,7 @@ def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
         return _report("strong_stochastic", 0.0, None, tol)
     exact = _rerun_exactly(c, worst, tol)
     if exact:
-        exact_p = np.array(c.exact, dtype=object)
-        worst, witness = _worst_margin(exact_p, upsets, pairs, p.elements)
+        worst, witness = _exact_margin(c.exact, upsets, pairs, p.elements)
     elif 0 < tol and abs(worst) <= tol:
         _, witness = _worst_margin(c.P, upsets, pairs, p.elements, worst + tol)
     return _report("strong_stochastic", worst, witness, tol, exact)

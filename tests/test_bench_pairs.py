@@ -1,10 +1,13 @@
+import glob
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 from bench_pairs import parse_seeds, summarise, untracked  # noqa: E402
 
 
@@ -51,3 +54,30 @@ def test_untracked_files_are_found_under_the_given_paths(tmp_path):
     (tmp_path / "notes.txt").write_text("")
     assert untracked(str(tmp_path), ["src", "perfbench"]) == ["src/new.py"]
     assert untracked(str(tmp_path), ["perfbench"]) == []
+
+
+def metric_blocks(node, names):
+    """The summary blocks of the end-to-end metrics ``names``, at any depth
+    (a file may hold several batches)."""
+    for key, value in node.items():
+        if key in names:
+            yield value
+        elif isinstance(value, dict):
+            yield from metric_blocks(value, names)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json"))), ids=os.path.basename
+)
+def test_every_bench_summary_uses_one_schema(path):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = {m["name"] for m in json.load(fh)["end_to_end"]}
+    with open(path, encoding="utf-8") as fh:
+        blocks = list(metric_blocks(json.load(fh)["summary"], names))
+    assert blocks
+    for block in blocks:
+        assert not {"parent_median", "change_median", "relative_change_of_median"} & set(block)
+        for key in ("median_parent", "median_change", "relative_median_change"):
+            assert type(block[key]) in (int, float), key
+        lower, pairs = block["change_lower_in_pairs"], block["pairs"]
+        assert type(lower) is int and type(pairs) is int and 0 <= lower <= pairs

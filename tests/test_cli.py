@@ -242,6 +242,19 @@ class TestStrongSkipped:
         assert rows["strong_stochastic"] == ["strong_stochastic", "skipped", "nan", "-", "1e-10"]
         assert all(rows[n][1] == "true" for n in ("mobius_down", "mobius_up", "weak_down"))
 
+    def test_six_cube_reaches_the_real_cap(self, capsys, tmp_path):
+        # the 6-cube has 7,828,354 up-sets; the enumeration stops at 2^20
+        cube = tmp_path / "d6.spec"
+        cube.write_text("[cube]\nd: 6\nalpha: " + "0.04 " * 6 + "\nbeta: " + "0.04 " * 6 + "\n")
+        code, out, err = run(capsys, "check", "--input", str(cube))
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert (
+            "# skipped: strong_stochastic (UpSetExplosion: more than 1048576 up-sets)"
+            in lines
+        )
+        assert "strong_stochastic\tskipped\tnan\t-\t1e-10" in lines
+
     def test_no_note_below_the_cap(self, capsys):
         code, out, _ = run(capsys, "check", "--input", spec("two_cube.spec"))
         assert code == 0 and "skipped" not in out
@@ -412,6 +425,14 @@ class TestEig:
         values = [float(x) for x in out.splitlines() if not x.startswith("#")]
         assert values == pytest.approx([1.0, 0.6, 0.6, 0.2])
         assert "cube_closed_form" in out
+        # the closed form reads neither tolerance, so the header names none
+        assert not any(ln.startswith("# tolerances:") for ln in out.splitlines())
+        code, flagged, err = run(
+            capsys, "eig", "--input", spec("two_cube.spec"),
+            "--tolerance-row", "0.5", "--tolerance-mono", "0.3", "--direction", "up",
+        )
+        assert code == 0, err
+        assert flagged == out
 
     def test_cube_builds_no_walk_and_solves_no_law(self, capsys, monkeypatch):
         from mobiusdual import cli, cube
@@ -470,6 +491,7 @@ class TestEig:
         code, out, err = run(capsys, "eig", "--input", str(path))
         assert code == 0
         assert "dual_diagonal" in out
+        assert "# tolerances: row=9.9999999999999998e-13 mono=1e-10" in out.splitlines()
         values = [float(x) for x in out.splitlines() if not x.startswith("#")]
         expected = sorted(md.cube_eigenvalues(params.alpha, params.beta), reverse=True)
         assert values == pytest.approx(expected, abs=1e-12)

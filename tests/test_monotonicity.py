@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 from fractions import Fraction
@@ -24,12 +25,14 @@ from mobiusdual import (
     weak_monotone,
     zeta_mobius,
 )
+from mobiusdual import monotonicity
 from mobiusdual.chain import BALANCE_TOL
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.monotonicity import (
     MONO_TOL,
+    _exact_margin,
     _report,
-    _worst_margin,
+    _rerun_exactly,
     enumerate_up_sets,
     mobius_transform,
     transform_report,
@@ -238,9 +241,11 @@ class TestStrongStochastic:
     def test_up_set_enumeration_on_diamond(self):
         p = cube_poset(2)
         ups = enumerate_up_sets(p)
-        assert len(ups) == 6
-        assert () in ups and (0, 1, 2, 3) in ups
-        assert (1, 3) in ups and (2, 3) in ups and (3,) in ups and (1, 2, 3) in ups
+        assert ups.shape == (6, 4) and ups.dtype == bool
+        assert not ups.flags.writeable
+        assert [tuple(np.flatnonzero(row)) for row in ups] == [
+            (), (3,), (1, 3), (2, 3), (1, 2, 3), (0, 1, 2, 3)
+        ]
 
     def test_cap_raises(self):
         p = build_poset(list(range(9)), [])   # antichain: 2^9 up-sets
@@ -596,10 +601,8 @@ def exact_strong_min(c):
     pairs = np.argwhere(p.leq & ~np.eye(m, dtype=bool))
     worst_q = None
     witness = None
-    for u in enumerate_up_sets(p):
-        if not u or len(u) == m:
-            continue
-        cols = list(u)
+    for row in enumerate_up_sets(p)[1:-1]:
+        cols = np.flatnonzero(row)
         masses = [sum(row[x] for x in cols) for row in c.exact]
         for a, b in pairs:
             mq = masses[int(b)] - masses[int(a)]
@@ -608,7 +611,7 @@ def exact_strong_min(c):
                 witness = (
                     p.elements[int(a)],
                     p.elements[int(b)],
-                    tuple(p.elements[x] for x in u),
+                    tuple(p.elements[x] for x in cols),
                 )
     return worst_q, witness
 
@@ -719,9 +722,7 @@ class TestExactReruns:
         p = c.poset
         worst_q, witness = exact_strong_min(c)
         pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
-        got = _worst_margin(
-            np.array(c.exact, dtype=object), enumerate_up_sets(p), pairs, p.elements
-        )
+        got = _exact_margin(c.exact, enumerate_up_sets(p), pairs, p.elements)
         assert isinstance(got[0], Fraction)
         assert got == (worst_q, witness)
         rep = strong_stochastic_monotone(c, tol=1.0)
@@ -776,6 +777,201 @@ class TestExactReruns:
                 strong_stochastic_monotone(c, tol=1.0),
             ):
                 assert rep.exact and rep.verdict and rep.worst_value == 0.0
+
+
+def recursive_up_sets(p):
+    """Oracle: the up-sets as sorted index tuples by the depth-first
+    recursion the boolean matrix replaced, in its order (kept per relation,
+    which the walks of one dimension share)."""
+    return _recursion(p.size, p.leq.tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _recursion(m, leq_bytes):
+    leq = np.frombuffer(leq_bytes, dtype=bool).reshape(m, m)
+    strict = leq & ~np.eye(m, dtype=bool)
+    above = [np.flatnonzero(strict[i, :]) for i in range(m)]
+    out = []
+    members = np.zeros(m, dtype=bool)
+
+    def rec(i):
+        if i < 0:
+            out.append(tuple(np.flatnonzero(members)))
+            return
+        rec(i - 1)
+        if members[above[i]].all():
+            members[i] = True
+            rec(i - 1)
+            members[i] = False
+
+    rec(m - 1)
+    return out
+
+
+def loop_worst_margin(P, upsets, pairs, elements, bound=None):
+    """Oracle: ``_worst_margin`` by one column sum per up-set tuple, over
+    floats or Fractions."""
+    worst, witness = np.inf, None
+    for u in upsets:
+        if not u or len(u) == len(elements):
+            continue
+        mass = P[:, list(u)].sum(axis=1)
+        margins = mass[pairs[:, 1]] - mass[pairs[:, 0]]
+        if bound is None:
+            k = int(np.argmin(margins))
+        else:
+            k = int(np.argmax(margins <= bound))
+            if margins[k] > bound:
+                continue
+        if margins[k] < worst:
+            worst = margins[k]
+            i, j = pairs[k]
+            witness = (elements[i], elements[j], tuple(elements[x] for x in u))
+            if bound is not None:
+                break
+    return worst, witness
+
+
+def loop_strong(c, tol=MONO_TOL):
+    """Oracle: the strong report from the recursive up-sets and the
+    per-up-set loop, the exact rerun over Fraction entries."""
+    p = c.poset
+    upsets = recursive_up_sets(p)
+    pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
+    worst, witness = np.inf, None
+    if len(pairs):
+        worst, witness = loop_worst_margin(c.P, upsets, pairs, p.elements)
+    if witness is None:
+        return _report("strong_stochastic", 0.0, None, tol)
+    exact = _rerun_exactly(c, worst, tol)
+    if exact:
+        exact_p = np.array(c.exact, dtype=object)
+        worst, witness = loop_worst_margin(exact_p, upsets, pairs, p.elements)
+    elif 0 < tol and abs(worst) <= tol:
+        _, witness = loop_worst_margin(c.P, upsets, pairs, p.elements, worst + tol)
+    return _report("strong_stochastic", worst, witness, tol, exact)
+
+
+def random_poset(rng):
+    """A poset of 1 to 12 shuffled labels under random relations x < y."""
+    m = int(rng.integers(1, 13))
+    labels = [f"v{k}" for k in rng.permutation(m)]
+    density = rng.uniform(0.05, 0.5)
+    relations = [
+        (labels[i], labels[j])
+        for i in range(m) for j in range(i + 1, m) if rng.random() < density
+    ]
+    return build_poset(labels, relations)
+
+
+def random_kernel(p, rng):
+    """Independent rows, one shared row (margins exactly zero) or a shared
+    row perturbed towards the boundary, with a random holding share."""
+    m = p.size
+    kind = int(rng.integers(3))
+    if kind == 0:
+        moves = rng.dirichlet(np.ones(m), size=m)
+    else:
+        moves = np.tile(rng.dirichlet(np.ones(m)), (m, 1))
+        if kind == 2:
+            moves += rng.uniform(0, 1e-3, size=(m, m))
+    hold = rng.choice([0.0, 0.5, 0.9])
+    rows = hold * np.eye(m) + (1 - hold) * moves / moves.sum(axis=1, keepdims=True)
+    return validate_chain(rows, p)
+
+
+def strong_corpus():
+    """Named chains: the diamond, the tests/data fixtures, the pool posets'
+    own chains, cubes d = 1..5 and 50 random posets under random kernels,
+    and 20 seeded walks for each of d = 3, 4, 5."""
+    rng = np.random.default_rng(20261019)
+    yield "diamond", random_kernel(cube_poset(2), rng)
+    for name in FIXTURES:
+        loaded = load_model(os.path.join(DATA, f"{name}.spec"))
+        cube = loaded.kind == "cube"
+        yield name, nearest_neighbor_walk(loaded.cube) if cube else loaded.chain
+    for k, entry in enumerate(load_pool()["posets"]):
+        yield f"pool{k}", load_model_text(entry["spec"]).chain
+    for d in range(1, 6):
+        yield f"cube{d}", random_kernel(cube_poset(d), rng)
+    for k in range(50):
+        yield f"poset{k}", random_kernel(random_poset(rng), rng)
+    for d in (3, 4, 5):
+        for k in range(20):
+            rates = rng.uniform(0.01, 0.9 / (2 * d), size=2 * d)
+            params = CubeWalkParams(d=d, alpha=tuple(rates[:d]), beta=tuple(rates[d:]))
+            yield f"walk{d}_{k}", nearest_neighbor_walk(params)
+
+
+STRONG_CORPUS = dict(strong_corpus())
+ENUMERATION_CORPUS = sorted(n for n in STRONG_CORPUS if not n.startswith("walk"))
+
+
+class TestStrongArrayPasses:
+    """The up-set matrix and the blocked margins against the recursion and
+    the per-up-set loop they replaced."""
+
+    @pytest.mark.parametrize("name", ENUMERATION_CORPUS)
+    def test_rows_follow_the_recursion(self, name):
+        p = STRONG_CORPUS[name].poset
+        ups = enumerate_up_sets(p)
+        expected = recursive_up_sets(p)
+        assert ups.shape == (len(expected), p.size) and ups.dtype == bool
+        assert not ups.flags.writeable
+        assert [tuple(np.flatnonzero(row)) for row in ups] == expected
+
+    @pytest.mark.parametrize("name", ENUMERATION_CORPUS)
+    def test_cap_raises_past_the_count(self, name):
+        p = STRONG_CORPUS[name].poset
+        n = len(enumerate_up_sets(p))
+        assert len(enumerate_up_sets(p, cap=n)) == n
+        with pytest.raises(UpSetExplosion, match=f"more than {n - 1} up-sets"):
+            enumerate_up_sets(p, cap=n - 1)
+
+    @pytest.mark.parametrize("name", sorted(STRONG_CORPUS))
+    def test_report_matches_the_loop(self, name):
+        c = STRONG_CORPUS[name]
+        rep = strong_stochastic_monotone(c)
+        expected = loop_strong(c)
+        assert (rep.verdict, rep.witness, rep.exact, rep.tolerance_used) == (
+            expected.verdict, expected.witness, expected.exact, expected.tolerance_used
+        )
+        if rep.exact:
+            assert rep.worst_value == expected.worst_value
+        else:
+            assert abs(rep.worst_value - expected.worst_value) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, c in STRONG_CORPUS.items() if c.exact is not None)
+    )
+    def test_exact_margin_matches_the_fraction_loop(self, name):
+        c = STRONG_CORPUS[name]
+        p = c.poset
+        pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
+        if len(pairs) == 0:
+            return
+        worst, witness = _exact_margin(c.exact, enumerate_up_sets(p), pairs, p.elements)
+        expected = loop_worst_margin(
+            np.array(c.exact, dtype=object), recursive_up_sets(p), pairs, p.elements
+        )
+        assert isinstance(worst, Fraction)
+        assert (worst, witness) == expected
+
+    def test_corpus_reaches_every_branch(self):
+        reports = [strong_stochastic_monotone(c) for c in STRONG_CORPUS.values()]
+        assert any(r.exact for r in reports)
+        assert any(r.verdict and not r.exact and r.witness is not None for r in reports)
+        assert any(not r.verdict for r in reports)
+        assert any(r.witness is None for r in reports)
+
+    @pytest.mark.parametrize("name, tol", [("walk4_0", MONO_TOL), ("pool17", 1.0)])
+    def test_blocks_split_the_up_sets(self, monkeypatch, name, tol):
+        # one up-set per block gives the report of a few large blocks, for
+        # the noise witness of a walk and for an exact rerun alike
+        c = STRONG_CORPUS[name]
+        whole = strong_stochastic_monotone(c, tol=tol)
+        monkeypatch.setattr(monotonicity, "MARGIN_BLOCK", 1)
+        assert strong_stochastic_monotone(c, tol=tol) == whole
 
 
 class TestExactReversal:
