@@ -7,7 +7,7 @@ ROW_TOL for validation and IDENTITY_TOL for derived identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +51,13 @@ class Chain:
         return self.P.shape[0]
 
     def with_nu(self, nu, row_tol=ROW_TOL):
-        return validate_chain(self.P, self.poset, nu=nu, row_tol=row_tol,
-                              exact=self.exact)
+        """This chain started from ``nu``, which alone is checked, at
+        ``row_tol``: P was validated when the chain was built."""
+        nu = np.array(nu, dtype=float)
+        violations = []
+        _check_prob_vector(nu, self.size, "nu", row_tol, violations)
+        _raise_violations(violations)
+        return replace(self, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,15 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
     if nu is not None:
         nu_arr = np.array(nu, dtype=float)
         _check_prob_vector(nu_arr, m, "nu", row_tol, violations)
+    _raise_violations(violations)
+    return Chain(poset=poset, P=P, nu=nu_arr, exact=exact)
+
+
+def _raise_violations(violations):
+    """Raise NotStochastic listing ``violations``, if there are any."""
     if violations:
         detail = "; ".join(msg for _, msg in violations)
         raise NotStochastic(f"kernel is not stochastic: {detail}", violations)
-    return Chain(poset=poset, P=P, nu=nu_arr, exact=exact)
 
 
 def _support_levels(src, dst, m):

@@ -162,7 +162,7 @@ def _resolve_chain(loaded, args, need_nu):
     law = None
     if loaded.kind == "cube":
         params = loaded.cube
-        chain = nearest_neighbor_walk(params)
+        chain = nearest_neighbor_walk(params, row_tol=args.tolerance_row)
         token = loaded.nu_token
         nu = None
         if loaded.exact_nu is not None:
@@ -284,16 +284,17 @@ def _mono_header(args, extra=(), loaded=None, tolerances=True):
 
 
 def _all_notion_rows(chain, args):
-    """Mobius down/up, weak down/up and strong table rows, with header notes;
-    the Mobius and weak rows of a direction read its one transform.
+    """Mobius down/up, weak down/up and strong table rows, with header notes,
+    and the Mobius transform of each direction, which its Mobius and weak
+    rows both read.
 
     A strong verdict past the up-set cap is a ``skipped`` row and a note
     naming the reason, so the other rows are still reported.
     """
     tol, p = args.tolerance_mono, chain.poset
-    mobius, weak = [], []
+    mobius, weak, transforms = [], [], {}
     for direction in ("down", "up"):
-        t = monotonicity.mobius_transform(chain.P, p, direction)
+        t = transforms[direction] = monotonicity.mobius_transform(chain.P, p, direction)
         mobius.append(monotonicity.transform_report(chain, p, direction, t, tol))
         weak.append(monotonicity.weak_report(chain, p, direction, t, tol))
     rows, notes = _report_rows(mobius + weak), []
@@ -302,7 +303,7 @@ def _all_notion_rows(chain, args):
     except UpSetExplosion as exc:
         rows.append(["strong_stochastic", "skipped", fmt(float("nan")), "-", fmt(tol)])
         notes.append(f"skipped: strong_stochastic ({type(exc).__name__}: {exc})")
-    return rows, notes
+    return rows, notes, transforms
 
 
 def _report_rows(reports):
@@ -321,7 +322,7 @@ def _report_rows(reports):
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, _ = _resolve_chain(loaded, args, need_nu=False)
-    rows, notes = _all_notion_rows(chain, args)
+    rows, notes, _ = _all_notion_rows(chain, args)
     text = _table(
         _mono_header(args, extra=notes, loaded=loaded),
         ("notion", "verdict", "worst_value", "witness", "tolerance"),
@@ -331,10 +332,12 @@ def cmd_check(args):
     return 0
 
 
-def _ssd(chain, law, args):
-    """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``."""
+def _ssd(chain, law, args, transform=None):
+    """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``;
+    ``transform`` is the chain's Mobius transform in that direction, if made."""
     return duality.build_ssd(
-        chain, law, chain.poset, args.direction, mono_tol=args.tolerance_mono
+        chain, law, chain.poset, args.direction, mono_tol=args.tolerance_mono,
+        transform=transform,
     )
 
 
@@ -417,7 +420,7 @@ def cmd_cube(args):
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
     law = law or stationary(chain)
     product_law = cube_stationary_product(params)
-    rows, notes = _all_notion_rows(chain, args)
+    rows, notes, transforms = _all_notion_rows(chain, args)
     sections = [
         f"# mobiusdual cube d={params.d}",
         "# alpha: " + " ".join(fmt(a) for a in params.alpha),
@@ -435,7 +438,7 @@ def cmd_cube(args):
             params.alpha, params.beta)),
     ]
     try:
-        dual = _ssd(chain, law, args)
+        dual = _ssd(chain, law, args, transforms[args.direction])
     except PreconditionFailed as exc:
         sections += ["", f"# dual: precondition failed ({exc.report.notion})"]
         dual = None
@@ -539,9 +542,9 @@ def _sweep_point(d, a, b, k, args):
         if k > 0:
             if d != 3:
                 raise InputError("kappa > 0 needs d = 3 (symmetry-axis moves)")
-            chain = axis_transformed_walk(params, k)
+            chain = axis_transformed_walk(params, k, row_tol=args.tolerance_row)
         else:
-            chain = nearest_neighbor_walk(params)
+            chain = nearest_neighbor_walk(params, row_tol=args.tolerance_row)
         chain = chain.with_nu(nu_vector("delta_min", chain.poset),
                               row_tol=args.tolerance_row)
         law = stationary(chain)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ from .errors import (
 MAX_HORIZON = 10_000_000
 STOP_BELOW_DEFAULT = 1e-14
 SUBSET_ENUM_LIMIT = 20
+# Entries per block of the binomial CDF sums behind ``binomial_band``.
+QUANTILE_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -272,41 +275,86 @@ def binomial_band(p, samples, confidence=0.99):
 
     The equal-tail interval of Binomial(samples, p), divided by ``samples``:
     each end is the smallest k in [0, samples] with CDF(k) >= q, for
-    q = (1 -+ confidence)/2, found by bisection over the binomial CDF (the
-    quantile rule of ``scipy.stats.binom.interval``, which would dominate
-    the ``simulate`` command's import time).  q == 0 gives -1 and q == 1
-    gives ``samples``.
+    q = (1 -+ confidence)/2, the quantile rule of
+    ``scipy.stats.binom.interval``.  q == 0 gives -1 and q == 1 gives
+    ``samples``.
     """
     if not 0.0 <= confidence <= 1.0:
         raise ValueError("confidence must be in [0, 1]")
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     # an empirical tail repeats its values; search each distinct one once
     values, where = np.unique(p.ravel(), return_inverse=True)
+    qs = ((1.0 - confidence) / 2, (1.0 + confidence) / 2)
     lo, hi = (
-        _binomial_quantile(q, samples, values)[where].reshape(p.shape) / samples
-        for q in ((1.0 - confidence) / 2, (1.0 + confidence) / 2)
+        k[where].reshape(p.shape) / samples
+        for k in _binomial_quantiles(qs, samples, values)
     )
     return lo, hi
 
 
-def _binomial_quantile(q, samples, p):
-    """Smallest k with Binomial(samples, p) CDF(k) >= q, elementwise over p."""
-    if q == 0.0:
-        return np.full(p.shape, -1, dtype=np.int64)
-    if q == 1.0:
-        return np.full(p.shape, samples, dtype=np.int64)
-    from scipy.special import bdtr
+def _binomial_quantiles(qs, n, p):
+    """For each q in ``qs``, the smallest k with Binomial(n, p) CDF(k) >= q,
+    elementwise over the 1-D array p.
 
-    # invariant: CDF(below) < q <= CDF(above), with CDF(-1) = 0; a settled
-    # entry probes mid == below (bdtr gives NaN at -1) and stays
-    below = np.full(p.shape, -1, dtype=np.int64)
-    above = np.full(p.shape, samples, dtype=np.int64)
-    while (above - below > 1).any():
-        mid = (below + above) // 2
-        reached = bdtr(mid, samples, p) >= q
-        above = np.where(reached, mid, above)
-        below = np.where(reached, below, mid)
-    return above
+    The CDF is the running sum of the pmf taken relative to the mode m,
+    t(m) = 1, stepped outward by the exact ratios
+    t(j+1)/t(j) = (n-j)/(j+1) * p/(1-p), so a dyadic pmf sums exactly
+    (Binomial(2, 1/2) reaches 1/4 and 3/4).  Each p is summed over
+    m -+ h, which covers np -+ t as |m - np| <= 1, where by Bernstein's
+    inequality each tail beyond np -+ t holds mass below e^-lam, under
+    2^-56 of the smallest q or 1 - q searched.  The p are grouped by the
+    octave of h and summed over the group's largest h, in blocks of about
+    QUANTILE_BLOCK entries.
+    """
+    out = [np.full(p.shape, -1 if q == 0.0 else n, dtype=np.int64) for q in qs]
+    searched = [(q, k) for q, k in zip(qs, out) if 0.0 < q < 1.0]
+    for _, k in searched:
+        k[p == 0.0] = 0
+    mid = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if not searched or not mid.size:
+        return out
+    lam = 56 * math.log(2) - math.log(min(min(q, 1.0 - q) for q, _ in searched))
+    var = n * p[mid] * (1.0 - p[mid])
+    half = np.ceil(lam / 3 + np.sqrt(lam * lam / 9 + 2 * lam * var)) + 2
+    group = np.floor(np.log2(half))
+    for g in np.unique(group):
+        rows = mid[group == g]
+        h = int(half[group == g].max())
+        block = max(1, QUANTILE_BLOCK // (2 * h + 1))
+        for start in range(0, rows.size, block):
+            r = rows[start:start + block]
+            cdf, base = _binomial_cdf(n, p[r], h)
+            for q, k in searched:
+                k[r] = base + np.count_nonzero(cdf < q * cdf[-1], axis=0)
+    return out
+
+
+def _binomial_cdf(n, p, h):
+    """(sums, m - h): the running sums of the Binomial(n, p) pmf over
+    j = m - h .. m + h, one column per p in (0, 1), scaled so that the pmf
+    at the mode m is 1, and the first j of each column.  Terms outside
+    [0, n] are zero, so the last row is the total.
+    """
+    mode = np.minimum(np.floor((n + 1) * p), n)
+    odds = p / (1.0 - p)
+    steps = np.arange(1.0, h + 1.0)[:, None]
+    t = np.empty((2 * h + 1, p.size))
+    t[h] = 1.0
+    # row h + s: t(j)/t(j-1) = (n+1-j)/j * odds at j = m + s
+    right = t[h + 1:]
+    np.subtract(n + 1 - mode, steps, out=right)
+    np.maximum(right, 0.0, out=right)
+    right /= mode + steps
+    right *= odds
+    np.multiply.accumulate(right, axis=0, out=right)
+    # row h - s: t(j)/t(j+1) = (j+1)/(n-j) / odds at j = m - s
+    left = t[h - 1::-1]
+    np.subtract(mode + 1, steps, out=left)
+    np.maximum(left, 0.0, out=left)
+    left /= n - mode + steps
+    left /= odds
+    np.multiply.accumulate(left, axis=0, out=left)
+    return np.cumsum(t, axis=0, out=t), mode - h
 
 
 def _sparse_rows(P):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import validate_chain
+from .chain import ROW_TOL, Chain, validate_chain
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
@@ -89,16 +89,22 @@ def holding_probabilities(params):
     return rates, stay
 
 
-def nearest_neighbor_walk(params, nu=None):
+def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     """Single-coordinate-flip walk on the d-cube (see holding_probabilities
-    for the parameter sets it rejects)."""
+    for the parameter sets it rejects), validated at ``row_tol``."""
+    mat, p = _walk_kernel(params)
+    return validate_chain(mat, p, nu=nu, row_tol=row_tol)
+
+
+def _walk_kernel(params):
+    """(dense walk kernel, cube poset), not yet validated."""
     rates, stay = holding_probabilities(params)
     p = cube_poset(params.d)
     x = np.arange(p.size)
     mat = np.zeros((p.size, p.size))
     mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates
     mat[x, x] = np.maximum(stay, 0.0)
-    return validate_chain(mat, p, nu=nu)
+    return mat, p
 
 
 def cube_stationary_product(params):
@@ -123,41 +129,45 @@ def power_chain(c, k):
     )
 
 
-def gplus_transform(c, move, row_tol=1e-12):
-    """Apply one pairwise g+ move to a single row of the kernel.
+def gplus_transform(c, *moves, row_tol=1e-12):
+    """Apply pairwise g+ moves, in order, to one copy of the kernel.
 
-    Requires x and y incomparable with an existing meet and join, and at
-    least ``kappa`` mass on each of x and y in the row.  Row mass is
-    conserved exactly.
+    Each move requires x and y incomparable with an existing meet and join,
+    and at least ``kappa`` mass on each of x and y in its row of the kernel
+    as the earlier moves left it.  Row mass is conserved exactly.  The
+    result is validated once, after the last move.
     """
     p = c.poset
-    r = p.index(move.row)
-    xi = p.index(move.x)
-    yi = p.index(move.y)
-    if move.kappa < 0:
-        raise InsufficientMass(f"mass moved must be >= 0, got {move.kappa!r}")
-    if p.leq[xi, yi] or p.leq[yi, xi]:
-        raise IncomparableRequired(
-            f"{move.x!r} and {move.y!r} are comparable; the transform needs "
-            "an incomparable pair"
-        )
-    meet, join = meet_join(p, move.x, move.y)
-    if meet is None or join is None:
-        raise NotLattice(
-            f"{move.x!r} and {move.y!r} lack a meet or join; the transform "
-            "needs a lattice"
-        )
-    kappa = float(move.kappa)
-    if kappa > min(c.P[r, xi], c.P[r, yi]) + 1e-15:
-        raise InsufficientMass(
-            f"kappa {kappa!r} exceeds available mass "
-            f"min({c.P[r, xi]!r}, {c.P[r, yi]!r}) in row {move.row!r}"
-        )
     mat = c.P.copy()
-    mat[r, xi] -= kappa
-    mat[r, yi] -= kappa
-    mat[r, p.index(join)] += kappa
-    mat[r, p.index(meet)] += kappa
+    for move in moves:
+        r = p.index(move.row)
+        xi = p.index(move.x)
+        yi = p.index(move.y)
+        if move.kappa < 0:
+            raise InsufficientMass(f"mass moved must be >= 0, got {move.kappa!r}")
+        meet, join = meet_join(p, move.x, move.y)
+        # a pair is comparable iff its meet is one of them (on a cube, read
+        # from the masks)
+        if meet in (move.x, move.y):
+            raise IncomparableRequired(
+                f"{move.x!r} and {move.y!r} are comparable; the transform needs "
+                "an incomparable pair"
+            )
+        if meet is None or join is None:
+            raise NotLattice(
+                f"{move.x!r} and {move.y!r} lack a meet or join; the transform "
+                "needs a lattice"
+            )
+        kappa = float(move.kappa)
+        if kappa > min(mat[r, xi], mat[r, yi]) + 1e-15:
+            raise InsufficientMass(
+                f"kappa {kappa!r} exceeds available mass "
+                f"min({mat[r, xi]!r}, {mat[r, yi]!r}) in row {move.row!r}"
+            )
+        mat[r, xi] -= kappa
+        mat[r, yi] -= kappa
+        mat[r, p.index(join)] += kappa
+        mat[r, p.index(meet)] += kappa
     return validate_chain(mat, p, nu=c.nu, row_tol=row_tol)
 
 
@@ -176,14 +186,14 @@ def axis_moves(kappa):
     )
 
 
-def axis_transformed_walk(params, kappa, nu=None):
-    """3-cube walk with the four symmetry-axis rows g+ transformed."""
+def axis_transformed_walk(params, kappa, nu=None, row_tol=ROW_TOL):
+    """3-cube walk with the four symmetry-axis rows g+ transformed; the
+    transformed kernel is validated once, at ``row_tol``."""
     if params.d != 3:
         raise DimensionMismatch("the symmetry-axis transform is defined on the 3-cube")
-    c = nearest_neighbor_walk(params, nu=nu)
-    for move in axis_moves(kappa):
-        c = gplus_transform(c, move)
-    return c
+    mat, p = _walk_kernel(params)
+    c = gplus_transform(Chain(poset=p, P=mat), *axis_moves(kappa), row_tol=row_tol)
+    return c if nu is None else c.with_nu(nu, row_tol)
 
 
 @dataclass(frozen=True)

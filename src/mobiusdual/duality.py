@@ -132,7 +132,7 @@ def _clamp(vec_or_mat, tol):
 
 def build_ssd(
     c, law, zm, direction="down", tol=IDENTITY_TOL, force=False,
-    mono_tol=monotonicity.MONO_TOL,
+    mono_tol=monotonicity.MONO_TOL, transform=None,
 ):
     """Construct the strong stationary dual chain (nu*, P*).
 
@@ -145,12 +145,19 @@ def build_ssd(
     the largest zeroed magnitude is logged and recorded.  With ``force`` the
     raw, possibly signed, matrices are returned unclamped and unverified
     (marked ``forced=True``).
+
+    ``transform``, the caller's ``mobius_transform(c.P, zm, direction)``,
+    is used when the time reversal is P itself (see ``reverse``), instead of
+    transforming P again.
     """
     absorbing = _unique_extremal(zm, direction)
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)
-    core = monotonicity.mobius_transform(rev.P, zm, direction)
+    if transform is not None and rev.P is c.P:
+        core = transform
+    else:
+        core = monotonicity.mobius_transform(rev.P, zm, direction)
     rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
     if not force:
         if not g_report.verdict:

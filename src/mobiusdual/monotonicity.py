@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, UpSetExplosion
 MONO_TOL = 1e-10
 EXACT_RERUN_FACTOR = 100.0
 UPSET_CAP = 2**20
+# Largest up-set matrix, rows times states in bytes (2^20 rows at 64 states).
+UPSET_BYTES = 2**26
 MARGIN_BLOCK = 2**17
 
 
@@ -147,15 +149,15 @@ def enumerate_up_sets(p, cap=UPSET_CAP):
     each up-set exactly once.  Each row is followed by its copy with the
     state added, so the rows come in depth-first order: the empty set first,
     the full set last.  Raises UpSetExplosion before a level grows past
-    ``cap``.
+    ``cap`` rows or past UPSET_BYTES, one byte per state and row.
     """
     m = p.size
-    strict = p.leq & ~np.eye(m, dtype=bool)
+    limit = min(cap, UPSET_BYTES // m)
     rows = np.zeros((1, m), dtype=bool)
     for i in range(m - 1, -1, -1):
-        joins = rows[:, strict[i]].all(axis=1)
-        if len(rows) + np.count_nonzero(joins) > cap:
-            raise UpSetExplosion(f"more than {cap} up-sets")
+        joins = rows[:, p.strictly_above(i)].all(axis=1)
+        if len(rows) + np.count_nonzero(joins) > limit:
+            raise UpSetExplosion(f"more than {limit} up-sets")
         copies = np.cumsum(1 + joins)[joins] - 1
         rows = np.repeat(rows, 1 + joins, axis=0)
         rows[copies, i] = True

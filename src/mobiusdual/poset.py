@@ -102,6 +102,16 @@ class Poset:
     def __repr__(self):
         return f"Poset({self.size} states)"
 
+    def strictly_above(self, i):
+        """Boolean mask of the states strictly above state i; on a cube the
+        proper supermasks of mask i, read from the masks, not from ``leq``."""
+        if self.cube_dim is None:
+            above = self.leq[i].copy()
+        else:
+            above = (np.arange(self.size) & i) == i
+        above[i] = False
+        return above
+
     def zeta(self, direction, dtype=float):
         """C ("down") or C^T ("up"), cast to ``dtype`` on each call."""
         return _oriented(self.C, direction).astype(dtype)

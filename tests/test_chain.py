@@ -184,6 +184,25 @@ class TestValidateChain:
         assert exc.value.violations[-1][0] == "nu"
 
 
+class TestWithNu:
+    def test_checks_nu_alone_and_shares_the_kernel(self):
+        c = validate_chain(np.eye(4), diamond())
+        started = c.with_nu([0.25] * 4)
+        assert started.P is c.P and started.poset is c.poset
+        assert started.nu.tolist() == [0.25] * 4 and not started.nu.flags.writeable
+        with pytest.raises(NotStochastic) as exc:
+            c.with_nu(np.array([0.5, 0.0, 0.0, 0.0]))
+        assert [what for what, _ in exc.value.violations] == ["nu"]
+        assert "sums to 0.5" in str(exc.value)
+
+    def test_row_tolerance_applies_to_nu(self):
+        c = validate_chain(np.eye(4), diamond())
+        nu = np.array([0.25, 0.25, 0.25, 0.25 + 1e-9])
+        with pytest.raises(NotStochastic):
+            c.with_nu(nu)
+        assert c.with_nu(nu, row_tol=1e-8).nu[3] == nu[3]
+
+
 class TestStationary:
     def test_symmetric_two_cube_is_uniform(self):
         params = CubeWalkParams(d=2, alpha=(0.2, 0.3), beta=(0.2, 0.3))

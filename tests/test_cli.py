@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 import mobiusdual as md
 from mobiusdual import convergence, monotonicity
-from mobiusdual.cli import build_parser, main
+from mobiusdual.cli import COMMANDS, build_parser, main
 from mobiusdual.errors import InputError, NegativeHoldingProbability, UpSetExplosion
 from mobiusdual.specfile import load_model, load_model_text, serialize_chain
 
@@ -685,6 +686,31 @@ class TestSweep:
         assert rows["0"][0][3:] == ["NotStochastic", "-", "nan", "false"]
 
 
+class TestCubeTransforms:
+    def test_cube_transforms_the_kernel_once_per_direction(self, capsys, monkeypatch):
+        # the dual reads the verdict rows' transform, as the walk is its own
+        # time reversal
+        calls = []
+        transform = monotonicity.mobius_transform
+        monkeypatch.setattr(monotonicity, "mobius_transform",
+                            lambda *a, **k: calls.append(a[2]) or transform(*a, **k))
+        code, out, err = run(capsys, "cube", "--input", spec("four_cube.spec"))
+        assert code == 0, err
+        assert calls == ["down", "up"]
+        assert "# dual direction=down absorbing=1111" in out.splitlines()
+
+
+class TestCubeRowTolerance:
+    @pytest.mark.parametrize("command", ["check", "sep"])
+    def test_walk_validated_at_the_row_tolerance(self, capsys, tmp_path, command):
+        # these walk rows sum to 1 only within rounding
+        path = tmp_path / "cube.spec"
+        path.write_text("[cube]\nd: 3\nalpha: 0.1 0.1 0.1\nbeta: 0.05 0.05 0.05\n")
+        assert run(capsys, command, "--input", str(path))[0] == 0
+        code, _, err = run(capsys, command, "--input", str(path), "--tolerance-row", "0")
+        assert code == 1 and json.loads(err)["error"] == "NotStochastic"
+
+
 class TestUsageErrors:
     """Usage errors are input errors: exit 1 with a JSON block."""
 
@@ -816,17 +842,38 @@ class TestExitCodes:
         assert exit_code(NumericalFailure("x")) == 3
 
 
+# Runs each argv list of argv[2] (JSON) through main in one process, with
+# scipy unimportable when argv[1] is "blocked", and prints [exit code or
+# uncaught exception, stdout, stderr] per run as one JSON line.
+CLI_DRIVER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from mobiusdual.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = repr(exc)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
 class TestImport:
     @staticmethod
-    def run_fresh(code):
+    def run_fresh(code, *args):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True,
+            [sys.executable, "-c", code, *args], env=env, capture_output=True,
+            text=True, check=True,
         )
         return done.stdout.strip().splitlines()[-1]
 
@@ -843,9 +890,26 @@ class TestImport:
             "from mobiusdual.cli import main\n"
             f"code = main(['simulate', '--input', {spec('two_cube.spec')!r}, "
             "'--samples', '500', '--seed', '3', '--horizon', '10'])\n"
-            "print(code, [m for m in sys.modules if m.startswith('scipy.stats')])"
+            "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         )
         assert last == "0 []"
+
+    def test_every_command_gives_the_same_output_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable every
+        # command prints what it prints with scipy installed
+        sweep = tmp_path / "sweep.spec"
+        sweep.write_text("[sweep]\nd: 3\nalpha: 0.02 0.08 2\nbeta: 0.02 0.08 2\n"
+                         "kappa: 0 0.01 2\n")
+        inputs = sorted(glob.glob(os.path.join(DATA, "*.spec"))) + [str(sweep)]
+        runs = [[name, "--input", path] for name, *_ in COMMANDS for path in inputs]
+        blocked, present = (
+            json.loads(self.run_fresh(CLI_DRIVER, side, json.dumps(runs)))
+            for side in ("blocked", "present")
+        )
+        assert blocked == present
+        assert {argv[0] for argv, (code, _, _) in zip(runs, blocked) if code == 0} == {
+            name for name, *_ in COMMANDS
+        }
 
     def test_check_and_cube_never_import_scipy(self):
         last = self.run_fresh(

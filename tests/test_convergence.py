@@ -22,6 +22,7 @@ from mobiusdual import (
     validate_chain,
     zeta_mobius,
 )
+from mobiusdual import convergence
 from mobiusdual.convergence import (
     MAX_HORIZON,
     _count_below,
@@ -687,3 +688,36 @@ class TestBinomialBand:
     def test_confidence_outside_unit_interval_raises(self):
         with pytest.raises(ValueError):
             binomial_band(np.array([0.5]), 10, 1.5)
+
+
+class TestBinomialQuantiles:
+    """The numpy CDF behind ``binomial_band``, against scipy's quantiles."""
+
+    @staticmethod
+    def scipy_quantiles(qs, n, p):
+        return [np.full(p.shape, -1.0) if q == 0.0 else binom.ppf(q, n, p) for q in qs]
+
+    def test_blocks_of_one_column_give_the_same_quantiles(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        p = np.unique(np.concatenate([rng.uniform(0, 1, 50), 10.0 ** rng.uniform(-9, -1, 20)]))
+        qs = (0.005, 0.995)
+        whole = convergence._binomial_quantiles(qs, 20000, p)
+        monkeypatch.setattr(convergence, "QUANTILE_BLOCK", 1)
+        for k, one, ref in zip(whole, convergence._binomial_quantiles(qs, 20000, p),
+                               self.scipy_quantiles(qs, 20000, p)):
+            assert np.array_equal(k, one) and np.array_equal(k, ref)
+
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    def test_extreme_probabilities(self, n):
+        # a subnormal odds p/(1-p) and the largest p below 1 stay finite
+        p = np.array([5e-324, 1e-310, 1e-300, 0.5, 1.0 - 2.0**-53])
+        qs = (1e-12, 0.3, 0.5, 1.0 - 1e-12)
+        for k, ref in zip(convergence._binomial_quantiles(qs, n, p),
+                          self.scipy_quantiles(qs, n, p)):
+            assert np.array_equal(k, ref)
+
+    def test_odd_symmetric_median_is_reached_exactly(self):
+        # Binomial(n, 1/2) with n odd has CDF((n-1)/2) = 1/2 exactly
+        for n in (1, 3, 5, 7, 9, 11):
+            (k,) = convergence._binomial_quantiles((0.5,), n, np.array([0.5]))
+            assert k[0] == (n - 1) // 2 == binom.ppf(0.5, n, 0.5)

@@ -20,6 +20,7 @@ from mobiusdual import (
     validate_chain,
     zeta_mobius,
 )
+from mobiusdual import cube
 from mobiusdual.cube import is_supermodular, _random_supermodular
 from mobiusdual.errors import (
     DimensionMismatch,
@@ -28,6 +29,7 @@ from mobiusdual.errors import (
     InsufficientMass,
     NegativeHoldingProbability,
     NotLattice,
+    NotStochastic,
 )
 
 
@@ -186,6 +188,26 @@ class TestGPlusTransform:
         with pytest.raises(InsufficientMass):
             gplus_transform(self.chain, move)
 
+    def test_several_moves_match_one_at_a_time(self):
+        moves = axis_moves(0.02)
+        one_at_a_time = self.chain
+        for move in moves:
+            one_at_a_time = gplus_transform(one_at_a_time, move)
+        assert np.array_equal(gplus_transform(self.chain, *moves).P, one_at_a_time.P)
+
+    def test_each_move_reads_the_mass_earlier_moves_left(self):
+        move = GPlusMove(row=(0, 0, 0), x=(1, 0, 0), y=(0, 0, 1), kappa=0.04)
+        gplus_transform(self.chain, move)
+        with pytest.raises(InsufficientMass):
+            gplus_transform(self.chain, move, move)
+
+    def test_cube_comparability_from_the_masks(self):
+        move = GPlusMove(row=(0, 0, 0), x=(1, 0, 0), y=(1, 1, 0), kappa=0.01)
+        with pytest.raises(IncomparableRequired):
+            gplus_transform(self.chain, move)
+        gplus_transform(self.chain, axis_moves(0.01)[0])
+        assert "leq" not in vars(self.chain.poset)
+
     def test_non_lattice_rejected(self):
         p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
         mat = np.full((4, 4), 0.25)
@@ -224,6 +246,20 @@ class TestAxisTransformedWalk:
         params = CubeWalkParams(d=2, alpha=(0.1, 0.1), beta=(0.1, 0.1))
         with pytest.raises(DimensionMismatch):
             axis_transformed_walk(params, 0.01)
+
+    def test_validated_once_at_the_row_tolerance(self, monkeypatch):
+        calls = []
+        validate = cube.validate_chain
+        monkeypatch.setattr(cube, "validate_chain",
+                            lambda *a, **k: calls.append(k["row_tol"]) or validate(*a, **k))
+        params = CubeWalkParams(d=3, alpha=(0.1,) * 3, beta=(0.05,) * 3)
+        c = axis_transformed_walk(params, 0.02, nu=delta(8, 0), row_tol=1e-9)
+        assert calls == [1e-9]
+        assert c.nu.tolist() == delta(8, 0).tolist()
+        assert "leq" not in vars(c.poset)
+        # these rows sum to 1 only within rounding
+        with pytest.raises(NotStochastic):
+            axis_transformed_walk(params, 0.02, row_tol=0.0)
 
 
 class TestSupermodularOrder:

@@ -22,8 +22,9 @@ from mobiusdual import (
     verify_duality,
     zeta_mobius,
 )
-from mobiusdual import duality
+from mobiusdual import duality, monotonicity
 from mobiusdual.duality import DualChain, _residuals
+from mobiusdual.monotonicity import mobius_transform
 from mobiusdual.errors import (
     NoUniqueExtremalState,
     NumericalFailure,
@@ -415,6 +416,37 @@ class TestReversedReport:
         forced = build_ssd(c, law, zm, force=True, mono_tol=0.2)
         assert forced.reversed_report.verdict
         assert forced.reversed_report.tolerance_used == 0.2
+
+
+class TestCallerTransform:
+    """``build_ssd(transform=...)`` stands in for the transform of P only
+    when the reversal is P itself."""
+
+    def test_reversible_walk_takes_the_caller_transform(self, monkeypatch):
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, 7))
+        expected = build_ssd(c, law, zm, "up")
+        t = mobius_transform(c.P, zm, "up")
+        calls = []
+        transform = monotonicity.mobius_transform
+        monkeypatch.setattr(monotonicity, "mobius_transform",
+                            lambda *a, **k: calls.append(a) or transform(*a, **k))
+        dual = build_ssd(c, law, zm, "up", transform=t)
+        assert calls == []
+        assert np.array_equal(dual.P_star, expected.P_star)
+        assert np.array_equal(dual.nu_star, expected.nu_star)
+        assert dual.reversed_report == expected.reversed_report
+
+    def test_computed_reversal_ignores_it(self):
+        # a g+ walk is not reversible: its reversal is transformed anew
+        params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.07,) * 3)
+        c = axis_transformed_walk(params, 0.01, nu=delta(8, 0))
+        law = stationary(c)
+        zm = zeta_mobius(c.poset)
+        assert reverse(c, law).P is not c.P
+        expected = build_ssd(c, law, zm, force=True)
+        dual = build_ssd(c, law, zm, force=True, transform=np.zeros((8, 8)))
+        assert np.array_equal(dual.P_star, expected.P_star)
+        assert dual.reversed_report == expected.reversed_report
 
 
 class TestLinearOrderDual:

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from mobiusdual.chain import BALANCE_TOL
 from mobiusdual.errors import UpSetExplosion
 from mobiusdual.monotonicity import (
     MONO_TOL,
+    UPSET_BYTES,
     _exact_margin,
     _report,
     _rerun_exactly,
@@ -251,6 +253,26 @@ class TestStrongStochastic:
         p = build_poset(list(range(9)), [])   # antichain: 2^9 up-sets
         with pytest.raises(UpSetExplosion):
             enumerate_up_sets(p, cap=100)
+
+    def test_byte_cap_refuses_a_13_cube_within_two_levels(self):
+        # 2^26 bytes hold 8192 rows of 8192 states; the row cap alone let a
+        # level grow to gigabytes before it refused
+        p = cube_poset(13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UpSetExplosion, match="more than 8192 up-sets"):
+                enumerate_up_sets(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * UPSET_BYTES
+        assert "leq" not in vars(p)
+
+    def test_row_cap_still_bounds_small_posets(self):
+        # at m <= 64 the 2^20-row cap is the tighter one, as before
+        p = build_poset(list(range(21)), [])   # antichain: 2^21 up-sets
+        with pytest.raises(UpSetExplosion, match="more than 1048576 up-sets"):
+            enumerate_up_sets(p)
 
     def test_identity_strongly_monotone(self):
         p = cube_poset(2)
