@@ -215,6 +215,7 @@ def availability_pipeline(
         gen = availability_generator(r, single_moves_only=single_moves_only)
     with _Stage("uniformize"):
         uni = uniformize(gen, multiplier=multiplier)
+    del gen  # the dense generator is not read again: keep it out of every later peak
     nu = np.zeros(uni.chain.size)
     nu[0 if direction == "down" else uni.chain.size - 1] = 1.0
     c = uni.chain.with_nu(nu)

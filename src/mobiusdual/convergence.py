@@ -105,8 +105,16 @@ def separation_curve(c, law, horizon, stop_below=None):
 
 def _moves(mat):
     """The nonzeros of ``mat`` as a row-major COO triple (rows, cols, values),
-    found through the mask ``mat != 0``, faster than a float ``np.nonzero``."""
-    rows, cols = np.nonzero(mat != 0)
+    found through the mask ``mat != 0``, faster than a float ``np.nonzero``.
+    A Fortran-ordered ``mat`` (a dual's P*) is scanned through its C-ordered
+    transpose, column by column, and a stable sort on the rows restores the
+    row-major order."""
+    if mat.flags.c_contiguous or not mat.flags.f_contiguous:
+        rows, cols = np.nonzero(mat != 0)
+    else:
+        cols, rows = np.nonzero(mat.T != 0)
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
     return rows, cols, mat[rows, cols]
 
 

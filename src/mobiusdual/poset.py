@@ -8,6 +8,7 @@ first read, as is a cube's relation; a cube's actions read none of them.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import cached_property, reduce
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
 )
 
 DENSE_CUBE_LIMIT = 14   # dense cube kernels only up to 2^14 states
+PANEL = 2**16           # float64 entries per cache block of the cube butterflies
 
 
 class Poset:
@@ -145,24 +147,77 @@ class Poset:
         transpose swaps the two.  Per bit, with lo/hi the masks without/with
         it, a superset pass is x[lo] += x[hi] and a subset pass
         x[hi] += x[lo] (-= for Mobius), over the axis the matrix acts on.
+        The passes run in bit order on blocks of at most ``PANEL`` entries
+        (``_row_blocks``, ``_column_panels``), so every entry takes the same
+        additions in the same order as one pass per bit over the whole array.
         """
         if self.cube_dim is None:
             mat = self.zeta(direction, dtype) if sign > 0 else self.mobius(direction, dtype)
             return mat @ x if left else x @ mat
         supersets = left == _is_down(direction)
         out = np.array(x, dtype=dtype)
-        axis = 0 if left else out.ndim - 1
-        head, tail = out.shape[:axis], out.shape[axis + 1:]
-        at = (slice(None),) * (axis + 1)
-        for i in range(self.cube_dim):
-            v = out.reshape(head + (self.size >> (i + 1), 2, 1 << i) + tail)
-            lo, hi = v[at + (0,)], v[at + (1,)]
+        if not (out.flags.c_contiguous or out.flags.f_contiguous):
+            out = np.ascontiguousarray(out)
+        # a Fortran-ordered array is the C-ordered transpose acted on from
+        # the other side, and a vector is acted on alike from either side
+        flip = not out.flags.c_contiguous
+        a = out.T if flip else out
+        m = self.size
+        if left != flip or out.ndim == 1:
+            _row_blocks(a.reshape(m, -1), self.cube_dim, supersets, sign)
+        else:
+            _column_panels(a.reshape(-1, m), self.cube_dim, supersets, sign)
+        return out
+
+
+def _butterflies(v, bits, supersets, sign):
+    """The Yates passes of ``bits``, in order, along axis 0 of the
+    C-ordered 2-D array ``v``, in place."""
+    n, k = v.shape
+    # numpy's ufuncs copy a strided operand through their buffer (8192
+    # entries by default) when its contiguous runs, here multiples of k, are
+    # shorter than the buffer; with a buffer no longer than a run they read
+    # v in place
+    short_runs = 16 <= k < 8192 < v.size
+    with np.errstate() if short_runs else nullcontext():
+        if short_runs:
+            np.setbufsize(k - k % 16)
+        for i in bits:
+            w = v.reshape(n >> (i + 1), 2, k << i)
+            lo, hi = w[:, 0], w[:, 1]
             dst, src = (lo, hi) if supersets else (hi, lo)
             if sign > 0:
                 dst += src
             else:
                 dst -= src
-        return out
+
+
+def _row_blocks(a, d, supersets, sign):
+    """Passes along axis 0 of a C-ordered (2^d, k) array: the low bits on
+    blocks of 2^b rows, at most ``PANEL`` entries each, then the bits from
+    b on over the whole array."""
+    b = min(d, max(0, (PANEL // max(a.shape[1], 1)).bit_length() - 1))
+    if b == d:
+        return _butterflies(a, range(d), supersets, sign)
+    for r in range(0, a.shape[0], 1 << b):
+        _butterflies(a[r:r + (1 << b)], range(b), supersets, sign)
+    _butterflies(a, range(b, d), supersets, sign)
+
+
+def _column_panels(a, d, supersets, sign):
+    """Passes along axis 1 of a C-ordered (n, 2^d) array: ``PANEL // 2^d``
+    rows at a time are copied, transposed, into one contiguous scratch
+    panel, where all d passes run along axis 0 with inner loops over whole
+    panel rows, and are written back."""
+    n, m = a.shape
+    w = max(1, PANEL // m)
+    scratch = np.empty(m * min(w, n), dtype=a.dtype)
+    for r in range(0, n, w):
+        rows = a[r:r + w]
+        panel = scratch[:m * rows.shape[0]].reshape(m, rows.shape[0])
+        panel[...] = rows.T
+        _butterflies(panel, range(d), supersets, sign)
+        rows[...] = panel.T
 
 
 def _is_down(direction):

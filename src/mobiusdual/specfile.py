@@ -474,13 +474,12 @@ def cover_pairs(p):
 
 
 def serialize_poset(p, header=()):
+    labels = [label_str(e) for e in p.elements]
     lines = [f"# {h}" for h in header]
     lines.append("[poset]")
-    lines.append("states: " + " ".join(label_str(e) for e in p.elements))
-    for x, y in sorted(
-        cover_pairs(p), key=lambda xy: (p.index(xy[0]), p.index(xy[1]))
-    ):
-        lines.append(f"cover: {label_str(x)} {label_str(y)}")
+    lines.append("states: " + " ".join(labels))
+    covers = sorted((p.index(x), p.index(y)) for x, y in cover_pairs(p))
+    lines.extend(f"cover: {labels[i]} {labels[j]}" for i, j in covers)
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -323,6 +324,32 @@ class TestWorkRunsOnce:
         out = str(tmp_path / "dual.spec")
         assert cli.main(["dual", "--input", source, "--output", out]) == 0
         assert "build_link" not in calls
+
+
+class TestGeneratorFreed:
+    @pytest.mark.parametrize("single", [True, False])
+    def test_no_later_stage_holds_the_dense_generator(self, monkeypatch, single):
+        made = []
+        generator, stationary = availability.availability_generator, availability.stationary
+
+        def recording(*args, **kwargs):
+            gen = generator(*args, **kwargs)
+            made.append(weakref.ref(gen))
+            return gen
+
+        def checked(*args, **kwargs):
+            assert made and made[0]() is None, "the generator outlived uniformize"
+            return stationary(*args, **kwargs)
+
+        monkeypatch.setattr(availability, "availability_generator", recording)
+        monkeypatch.setattr(availability, "stationary", checked)
+        r = RateFunctions(
+            d=4,
+            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
+            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
+        )
+        availability_pipeline(r, multiplier=2.0, single_moves_only=single)
+        assert len(made) == 1
 
 
 class TestCubePathsSkipDensePair:

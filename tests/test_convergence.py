@@ -342,6 +342,18 @@ class TestAbsorptionMean:
         assert mean == pytest.approx(lu, rel=1e-10)
         assert mean == pytest.approx(inclusion_exclusion_mean(params), rel=1e-10)
 
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_moves_are_row_major_in_either_memory_order(self, d, direction):
+        _, dual = extreme_walk_dual(d, direction, mixed=True)
+        assert dual.P_star.flags.f_contiguous and not dual.P_star.flags.c_contiguous
+        rows, cols = np.nonzero(dual.P_star != 0)
+        for mat in (dual.P_star, np.ascontiguousarray(dual.P_star)):
+            got = _moves(mat)
+            want = (rows, cols, mat[rows, cols])
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_walk_duals_take_the_triangular_path(self):
         # a down dual moves up the mask enumeration, an up dual down it
         for direction, order in (("down", "ascending"), ("up", "descending")):

@@ -14,6 +14,7 @@ from mobiusdual.errors import (
     DuplicateLabel,
     UnknownState,
 )
+from mobiusdual import poset as poset_module
 from mobiusdual.poset import Poset, cube_bits
 
 def leq_labels(p, x, y):
@@ -290,6 +291,130 @@ def dense_action(zm, name, x, direction, dtype=float):
     kind, side = name.split("_")
     mat = getattr(zm, kind)(direction, dtype)
     return mat @ x if side == "left" else x @ mat
+
+
+def per_bit_oracle(zm, name, x, direction, dtype=float):
+    """The action ``name`` on a cube as one Yates pass per bit over the
+    whole array, bit 0 first: the arithmetic that the blocked passes must
+    reproduce bit for bit."""
+    kind, side = name.split("_")
+    supersets = (side == "left") == (direction == "down")
+    out = np.array(x, dtype=dtype)
+    axis = 0 if side == "left" else out.ndim - 1
+    head, tail = out.shape[:axis], out.shape[axis + 1:]
+    at = (slice(None),) * (axis + 1)
+    for i in range(zm.cube_dim):
+        v = out.reshape(head + (zm.size >> (i + 1), 2, 1 << i) + tail)
+        lo, hi = v[at + (0,)], v[at + (1,)]
+        dst, src = (lo, hi) if supersets else (hi, lo)
+        if kind == "zeta":
+            dst += src
+        else:
+            dst -= src
+    return out
+
+
+def acted_inputs(m, name, rng, dtype=float):
+    """1-D, (m, k) or (k, m) blocks in C and Fortran order, with k past one
+    panel width and not a multiple of it."""
+    k = 3 * max(1, poset_module.PANEL // m) // 2 + 3
+    block = rng.standard_normal((m, k) if name.endswith("left") else (k, m))
+    if dtype is not float:
+        block = np.rint(8 * block).astype(dtype)
+    return block[:, 0] if name.endswith("left") else block[0], block, np.asfortranarray(block)
+
+
+def assert_same_action(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert np.array_equal(got, want)
+
+
+class TestBlockedButterflies:
+    """The cube actions run their passes on cache-sized blocks; every entry
+    is the per-bit oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_blocks_and_vectors_match_the_oracle(self, d, name, direction):
+        zm = cube_poset(d)
+        rng = np.random.default_rng([d, 7])
+        for x in acted_inputs(zm.size, name, rng):
+            before = x.copy()
+            got = getattr(zm, name)(x, direction)
+            assert_same_action(got, per_bit_oracle(zm, name, x, direction))
+            assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", [1, 4, 7, 10])
+    def test_square_kernels_in_both_orders(self, d, name, direction):
+        zm = cube_poset(d)
+        x = np.random.default_rng(d).random((zm.size, zm.size))
+        for arg in (x, np.asfortranarray(x)):
+            got = getattr(zm, name)(arg, direction)
+            assert_same_action(got, per_bit_oracle(zm, name, arg, direction))
+
+    @pytest.mark.parametrize("panel", [16, 48, 2**10])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    def test_many_partial_panels(self, monkeypatch, panel, name, direction):
+        # small panels split a 6-cube's kernel into many blocks, the last
+        # of them partial, and leave bits for the whole-array passes
+        monkeypatch.setattr(poset_module, "PANEL", panel)
+        zm = cube_poset(6)
+        rng = np.random.default_rng(panel)
+        for x in (*acted_inputs(zm.size, name, rng), rng.random((64, 64))):
+            for arg in (x, np.asfortranarray(x)):
+                got = getattr(zm, name)(arg, direction)
+                assert_same_action(got, per_bit_oracle(zm, name, arg, direction))
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", [1, 5, 9])
+    def test_int64_inputs(self, d, name, direction):
+        zm = cube_poset(d)
+        rng = np.random.default_rng([d, 64])
+        for x in acted_inputs(zm.size, name, rng, np.int64):
+            got = getattr(zm, name)(x, direction, np.int64)
+            assert_same_action(got, per_bit_oracle(zm, name, x, direction, np.int64))
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("name", ACTIONS)
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_fraction_inputs(self, monkeypatch, d, name, direction):
+        monkeypatch.setattr(poset_module, "PANEL", 64)
+        zm = cube_poset(d)
+        rng = np.random.default_rng([d, 3])
+        num, den = rng.integers(-9, 10, (zm.size, 5)), rng.integers(1, 7, (zm.size, 5))
+        x = np.array([[Fraction(int(a), int(b)) for a, b in zip(*rows)]
+                      for rows in zip(num, den)], dtype=object)
+        if name.endswith("right"):
+            x = x.T.copy()
+        for arg in (x, np.asfortranarray(x)):
+            before = arg.copy()
+            got = getattr(zm, name)(arg, direction, object)
+            assert_same_action(got, per_bit_oracle(zm, name, arg, direction, object))
+            assert all(type(v) is Fraction for v in got.ravel())
+            assert np.array_equal(arg, before)
+
+    @pytest.mark.parametrize("name", ACTIONS)
+    def test_three_axes_in_any_memory_order(self, name):
+        zm = cube_poset(5)
+        rng = np.random.default_rng(3)
+        if name.endswith("left"):
+            x = rng.random((32, 2, 3))
+            mixed = rng.random((2, 32, 3)).transpose(1, 0, 2)
+        else:
+            x = rng.random((2, 3, 32))
+            mixed = rng.random((3, 2, 32)).transpose(1, 0, 2)
+        copied = np.array(mixed)
+        assert not (copied.flags.c_contiguous or copied.flags.f_contiguous)
+        for arg in (x, np.asfortranarray(x), mixed):
+            got = getattr(zm, name)(arg, "down")
+            assert np.array_equal(got, per_bit_oracle(zm, name, arg, "down"))
 
 
 class TestActions:

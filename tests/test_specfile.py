@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
-from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset
+from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset, specfile
 from mobiusdual.chain import Chain
 from mobiusdual.cube import CubeWalkParams
 from mobiusdual.errors import NotStochastic, SchemaError
@@ -273,6 +273,21 @@ class TestSerializeNonzeros:
             np.eye(2**loaded.cube.d)[0])
         dual = md.build_ssd(c, md.stationary(c), md.zeta_mobius(c.poset), force=True)
         assert serialize_dual(dual, c.poset) == serialize_dual_every_entry(dual, c.poset)
+
+    @pytest.mark.parametrize("make", [
+        lambda: md.cube_poset(6),
+        lambda: md.build_poset(["a", "b", "c", "d"],
+                               [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+    ], ids=["cube", "diamond"])
+    def test_poset_text_formats_each_label_once(self, monkeypatch, make):
+        p = make()
+        lines = ["# h", "[poset]", "states: " + " ".join(label_str(e) for e in p.elements)]
+        for x, y in sorted(dense_cover_pairs(p), key=lambda xy: (p.index(xy[0]), p.index(xy[1]))):
+            lines.append(f"cover: {label_str(x)} {label_str(y)}")
+        calls = []
+        monkeypatch.setattr(specfile, "label_str", lambda e: calls.append(e) or label_str(e))
+        assert serialize_poset(p, header=["h"]) == "\n".join(lines) + "\n"
+        assert calls == list(p.elements)
 
     def test_signed_zeros_keep_their_sign(self):
         p = md.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -20,8 +20,11 @@ the parent first on odd seeds and the change first on even ones.
 The output holds one summary per workload and metric (``median_parent``,
 ``median_change``, ``relative_median_change``, ``parent_iqr``,
 ``change_lower_in_pairs`` and ``pairs``), the failed and attempted
-operation counts per side, and the raw result line of every run.  The file
-is rewritten after each run, so an interrupted batch keeps what it has.
+operation counts per side, and the raw result line of every run.  With
+``--traced-seed N``, one run per side and workload with ``--trace 1`` on
+seed N follows the pairs; its result lines, per-layer self times included,
+go under ``traced`` and into no summary.  The file is rewritten after each
+run, so an interrupted batch keeps what it has.
 """
 
 from __future__ import annotations
@@ -67,14 +70,14 @@ def extract(repo, commit, dest):
         raise RuntimeError(f"git archive {commit} failed")
 
 
-def run_once(root, command, workload, seed, seconds):
+def run_once(root, command, workload, seed, seconds, trace=0):
     """One benchmark run in ``root``; its last stdout line, parsed, with the
     exit code (an unparsable or failed run counts as failed)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
         (*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"),
+         "--seconds", str(seconds), "--trace", str(trace)),
         cwd=root, env=env, text=True, capture_output=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -137,6 +140,11 @@ def summarise(runs):
     return summary
 
 
+def write(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
 def parse_seeds(text):
     first, last = (int(x) for x in text.split("-", 1))
     return list(range(first, last + 1))
@@ -149,6 +157,8 @@ def main(argv=None):
     parser.add_argument("--change-note", default="", help="what the change does")
     parser.add_argument("--seeds", required=True, help="FIRST-LAST")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--traced-seed", type=int,
+                        help="seed of one traced run per side and workload")
     args = parser.parse_args(argv)
 
     repo = git("rev-parse", "--show-toplevel", cwd=os.getcwd())
@@ -197,10 +207,17 @@ def main(argv=None):
                     doc["runs"].append({"side": side, "workload": workload,
                                         "seed": seed, "result": result})
                     doc["summary"] = summarise(doc["runs"])
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        json.dump(doc, fh, indent=1)
+                    write(doc, args.out)
                     print(f"{workload} seed {seed} {side}: exit {result['exit']}, "
                           f"failed {result.get('failed')}", flush=True)
+        if args.traced_seed is not None:
+            doc["traced"] = {"seed": args.traced_seed}
+            for workload in (w["name"] for w in bench["workloads"]):
+                for side in SIDES:
+                    doc["traced"].setdefault(workload, {})[side] = run_once(
+                        roots[side], command, workload, args.traced_seed, seconds,
+                        trace=1)
+                    write(doc, args.out)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
