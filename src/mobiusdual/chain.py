@@ -85,10 +85,10 @@ def _check_prob_vector(v, m, what, row_tol, violations):
     if v.shape != (m,):
         raise DimensionMismatch(f"{what} must have length {m}, got {v.shape}")
     for j in np.flatnonzero(~np.isfinite(v)):
-        violations.append((what, f"entry {int(j)} is not finite ({v[j]!r})"))
+        violations.append((what, f"entry {int(j)} is not finite ({float(v[j])!r})"))
     neg = np.flatnonzero(v < 0)
     for j in neg:
-        violations.append((what, f"entry {int(j)} is negative ({v[j]!r})"))
+        violations.append((what, f"entry {int(j)} is negative ({float(v[j])!r})"))
     total = float(v.sum())
     if abs(total - 1.0) > row_tol:
         violations.append((what, f"sums to {total!r}, off by more than {row_tol}"))
@@ -111,9 +111,9 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
     off = np.abs(sums - 1.0) > row_tol
     for i in np.flatnonzero(neg.any(axis=1) | bad.any(axis=1) | off).tolist():
         for j in np.flatnonzero(bad[i]).tolist():
-            violations.append((i, f"entry ({i},{j}) is not finite ({P[i, j]!r})"))
+            violations.append((i, f"entry ({i},{j}) is not finite ({float(P[i, j])!r})"))
         for j in np.flatnonzero(neg[i]).tolist():
-            violations.append((i, f"entry ({i},{j}) is negative ({P[i, j]!r})"))
+            violations.append((i, f"entry ({i},{j}) is negative ({float(P[i, j])!r})"))
         if off[i]:
             s = float(sums[i])
             violations.append((i, f"row {i} sums to {s!r}, off by more than {row_tol}"))
@@ -287,7 +287,7 @@ def stationary(c, residual_tol=IDENTITY_TOL):
         j = int(np.argmin(pi))
         raise NumericalFailure(
             f"computed stationary mass at {c.poset.elements[j]!r} is not "
-            f"positive ({pi[j]!r})"
+            f"positive ({float(pi[j])!r})"
         )
     residual = float(np.abs(pi @ c.P - pi).max())
     if not residual <= residual_tol:
@@ -327,7 +327,7 @@ def reverse(c, law, row_tol=ROW_TOL):
             return c
         return Chain(poset=c.poset, P=c.P, nu=c.nu)
     pi = law.pi
-    rev = (c.P.T * pi[None, :]) / pi[:, None]
+    rev = np.divide(c.P.T * pi[None, :], pi[:, None], order="C")
     return validate_chain(rev, c.poset, nu=c.nu, row_tol=row_tol)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import convergence, duality, monotonicity
 from .availability import availability_pipeline
-from .chain import ROW_TOL, Chain, stationary
+from .chain import ROW_TOL, Chain, reverse, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
@@ -153,13 +153,13 @@ def _witness_str(witness):
     return label_str(witness)
 
 
-def _resolve_chain(loaded, args, need_nu):
-    """Turn a loaded model into (chain, cube_params_or_None, law_or_None).
+def _resolve_chain(loaded, args, need_nu, need_law=True):
+    """Turn a loaded model into (chain, cube_params_or_None, law).
 
-    The law is the stationary law when ``nu: stationary`` needed it, so a
-    command that needs it too reuses that solve.
+    The law is the stationary law, solved once when ``nu: stationary`` or
+    ``need_law`` needs it, else None.
     """
-    law = None
+    law = params = None
     if loaded.kind == "cube":
         params = loaded.cube
         chain = nearest_neighbor_walk(params, row_tol=args.tolerance_row)
@@ -176,8 +176,7 @@ def _resolve_chain(loaded, args, need_nu):
             nu = nu_vector("delta_min", chain.poset)
         if nu is not None:
             chain = chain.with_nu(nu, row_tol=args.tolerance_row)
-        return chain, params, law
-    if loaded.kind == "chain":
+    elif loaded.kind == "chain":
         chain = loaded.chain
         if loaded.nu_token == "stationary":
             law = stationary(chain)
@@ -188,8 +187,11 @@ def _resolve_chain(loaded, args, need_nu):
             chain = Chain(poset=chain.poset, P=chain.P, nu=chain.nu)
         if need_nu and chain.nu is None:
             raise InputError("this command needs an initial law: add a nu line")
-        return chain, None, law
-    raise InputError(f"command {args.command!r} needs a chain or cube spec")
+    else:
+        raise InputError(f"command {args.command!r} needs a chain or cube spec")
+    if need_law and law is None:
+        law = stationary(chain)
+    return chain, params, law
 
 
 def _check_exact_sums(loaded):
@@ -197,7 +199,7 @@ def _check_exact_sums(loaded):
     [chain] whose exact entries do not sum to exactly 1: decimal rows that
     sum to 1 only within float rounding would make exact reruns decide on a
     kernel that is not stochastic."""
-    named = [(label, loaded.exact_rows[loaded.poset.index(label)])
+    named = [(label, loaded.chain.exact[loaded.poset.index(label)])
              for label in loaded.states_order]
     if loaded.exact_nu is not None:
         named.append(("nu", loaded.exact_nu))
@@ -252,12 +254,19 @@ def _model_line(loaded):
     return None
 
 
-def _exact_notes(args, loaded):
-    """The header note of an --exact run on a kernel generated from rates
-    ([cube], [rates], or sweep points when ``loaded`` is None), which has no
-    exact entries to rerun on; else []."""
-    if args.exact and (loaded is None or loaded.kind in ("cube", "rates")):
+def _exact_notes(args, loaded, chain=None, law=None):
+    """The header note of an --exact run that decides in floats: on a kernel
+    generated from rates ([cube], [rates], or sweep points when ``loaded``
+    is None), which has no exact entries to rerun on, or, given the chain
+    and law of a dual, on a [chain] whose time reversal has none (see
+    ``reverse``) for the dual's reversed-kernel precondition; else []."""
+    if not args.exact:
+        return []
+    if loaded is None or loaded.kind in ("cube", "rates"):
         return ["exact: not available for generated kernels; float verdicts"]
+    if law is not None and reverse(chain, law).exact is None:
+        return ["exact: not available for the computed time reversal; "
+                "float verdict on the reversed kernel"]
     return []
 
 
@@ -267,15 +276,16 @@ def _law_lines(law):
             f"stationary_path: {law.path}"]
 
 
-def _mono_header(args, extra=(), loaded=None, tolerances=True):
+def _mono_header(args, extra=(), loaded=None, tolerances=True, dual_of=()):
     """Header lines; ``tolerances=False`` leaves out the tolerance line of a
-    result that reads neither tolerance."""
+    result that reads neither tolerance, and ``dual_of`` holds the chain and
+    law of the dual a result is read from."""
     lines = [f"mobiusdual {args.command}", f"input: {args.input}"]
     if tolerances:
         lines.append(
             f"tolerances: row={fmt(args.tolerance_row)} mono={fmt(args.tolerance_mono)}"
         )
-    lines += _exact_notes(args, loaded)
+    lines += _exact_notes(args, loaded, *dual_of)
     model = _model_line(loaded)
     if model is not None:
         lines.insert(2, model)
@@ -321,7 +331,7 @@ def _report_rows(reports):
 
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _, _ = _resolve_chain(loaded, args, need_nu=False)
+    chain, _, _ = _resolve_chain(loaded, args, need_nu=False, need_law=False)
     rows, notes, _ = _all_notion_rows(chain, args)
     text = _table(
         _mono_header(args, extra=notes, loaded=loaded),
@@ -344,8 +354,8 @@ def _ssd(chain, law, args, transform=None):
 def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, law = _resolve_chain(loaded, args, need_nu=True)
-    dual = _ssd(chain, law or stationary(chain), args)
-    notes = "".join(f"# {h}\n" for h in _exact_notes(args, loaded))
+    dual = _ssd(chain, law, args)
+    notes = "".join(f"# {h}\n" for h in _exact_notes(args, loaded, chain, law))
     _emit(args, notes + serialize_dual(dual, chain.poset))
     return 0
 
@@ -366,7 +376,6 @@ def _formula_column(params, chain, horizon):
 def cmd_sep(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
-    law = law or stationary(chain)
     curve = convergence.separation_curve(
         chain, law, args.horizon, stop_below=args.stop_below
     )
@@ -379,7 +388,7 @@ def cmd_sep(args):
     formula = _formula_column(params, chain, curve.horizon)
     header = _mono_header(
         args, extra=(f"horizon: {curve.horizon}", *_law_lines(law)),
-        loaded=loaded,
+        loaded=loaded, dual_of=(chain, law),
     )
     _emit(args, _curve_table(header, n_values, s=curve.values,
                              tail=tail, formula=formula))
@@ -392,10 +401,9 @@ def cmd_eig(args):
         params = loaded.cube
         holding_probabilities(params)   # refuse what the walk would refuse
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
-        source = "cube_closed_form"
+        source, dual_of = "cube_closed_form", ()
     else:
         chain, _, law = _resolve_chain(loaded, args, need_nu=False)
-        law = law or stationary(chain)
         if chain.nu is None:
             chain = chain.with_nu(law.pi)
         dual = _ssd(chain, law, args)
@@ -405,9 +413,9 @@ def cmd_eig(args):
                 "dual is not triangular; eigenvalue read-off unavailable"
             )
         values = np.sort(np.diag(dual.P_star))[::-1]
-        source = "dual_diagonal"
+        source, dual_of = "dual_diagonal", (chain, law)
     header = _mono_header(args, extra=(f"source: {source}",), loaded=loaded,
-                          tolerances=source != "cube_closed_form")
+                          tolerances=source != "cube_closed_form", dual_of=dual_of)
     lines = [f"# {h}" for h in header] + [fmt(v) for v in values]
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -418,7 +426,6 @@ def cmd_cube(args):
     if loaded.kind != "cube":
         raise InputError("the cube command needs a [cube] generator spec")
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
-    law = law or stationary(chain)
     product_law = cube_stationary_product(params)
     rows, notes, transforms = _all_notion_rows(chain, args)
     sections = [
@@ -567,7 +574,7 @@ def _sweep_point(d, a, b, k, args):
 def cmd_simulate(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, law = _resolve_chain(loaded, args, need_nu=True)
-    dual = _ssd(chain, law or stationary(chain), args)
+    dual = _ssd(chain, law, args)
     result = convergence.simulate_absorption(
         dual, args.samples, args.seed, horizon=args.horizon
     )
@@ -579,7 +586,7 @@ def cmd_simulate(args):
             f"seed: {args.seed}",
             f"confidence: {fmt(result.confidence)}",
         ),
-        loaded=loaded,
+        loaded=loaded, dual_of=(chain, law),
     )
     text = _curve_table(
         header, range(args.horizon + 1),

@@ -105,16 +105,9 @@ def separation_curve(c, law, horizon, stop_below=None):
 
 def _moves(mat):
     """The nonzeros of ``mat`` as a row-major COO triple (rows, cols, values),
-    found through the mask ``mat != 0``, faster than a float ``np.nonzero``.
-    A Fortran-ordered ``mat`` (a dual's P*) is scanned through its C-ordered
-    transpose, column by column, and a stable sort on the rows restores the
-    row-major order."""
-    if mat.flags.c_contiguous or not mat.flags.f_contiguous:
-        rows, cols = np.nonzero(mat != 0)
-    else:
-        cols, rows = np.nonzero(mat.T != 0)
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
+    found through the mask ``mat != 0``, faster than a float ``np.nonzero``,
+    in one scan of a dual's C-ordered P*."""
+    rows, cols = np.nonzero(mat != 0)
     return rows, cols, mat[rows, cols]
 
 
@@ -240,7 +233,7 @@ def cube_separation_formula(alpha, beta, n, tol=1e-12):
     rates = alpha + beta
     if rates.sum() > 1.0 + tol:
         raise PreconditionFailed(
-            f"total flip rate {rates.sum()!r} exceeds 1; the closed form needs "
+            f"total flip rate {float(rates.sum())!r} exceeds 1; the closed form needs "
             "nonnegative eigenvalues"
         )
     sums, signs = _subset_rates(rates)

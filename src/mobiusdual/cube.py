@@ -84,7 +84,7 @@ def holding_probabilities(params):
     if bad.size:
         i = int(bad[0])
         raise NegativeHoldingProbability(
-            f"holding probability at state {tuple(bits[i].tolist())!r} is {stay[i]!r}"
+            f"holding probability at state {tuple(bits[i].tolist())!r} is {float(stay[i])!r}"
         )
     return rates, stay
 
@@ -162,7 +162,7 @@ def gplus_transform(c, *moves, row_tol=1e-12):
         if kappa > min(mat[r, xi], mat[r, yi]) + 1e-15:
             raise InsufficientMass(
                 f"kappa {kappa!r} exceeds available mass "
-                f"min({mat[r, xi]!r}, {mat[r, yi]!r}) in row {move.row!r}"
+                f"min({float(mat[r, xi])!r}, {float(mat[r, yi])!r}) in row {move.row!r}"
             )
         mat[r, xi] -= kappa
         mat[r, yi] -= kappa

@@ -146,6 +146,10 @@ def build_ssd(
     raw, possibly signed, matrices are returned unclamped and unverified
     (marked ``forced=True``).
 
+    The construction gives P* transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i)
+    with R the time reversal: it is clamped and column-summed as it is, and
+    P* is written C-ordered by the normalising division (forced, by a copy).
+
     ``transform``, the caller's ``mobius_transform(c.P, zm, direction)``,
     is used when the time reversal is P itself (see ``reverse``), instead of
     transforming P again.
@@ -174,37 +178,37 @@ def build_ssd(
             )
     h = zm.zeta_right(law.pi, direction)
     nu_star = g_report.transformed * h
-    p_star = ((h[:, None] * core) / h[None, :]).T
+    p_t = (h[:, None] * core) / h[None, :]   # P* transposed
     del rev, core  # free two m x m arrays before the clamp and the residuals
     if force:
         return DualChain(
             nu_star=nu_star,
-            P_star=p_star,
+            P_star=p_t.T.copy(),
             absorbing_index=absorbing,
             direction=direction,
             forced=True,
             reversed_report=rev_report,
         )
     nu_star, m_nu = _clamp(nu_star, CLAMP_TOL)
-    p_star, m_p = _clamp(p_star, CLAMP_TOL)
+    p_t, m_p = _clamp(p_t, CLAMP_TOL)
     clamp_magnitude = max(m_nu, m_p)
     if clamp_magnitude > 0:
         log.info("zeroed dual noise up to %.3e", clamp_magnitude)
-    if (nu_star < 0).any() or (p_star < 0).any():
-        worst = min(float(nu_star.min()), float(p_star.min()))
+    if (nu_star < 0).any() or (p_t < 0).any():
+        worst = min(float(nu_star.min()), float(p_t.min()))
         raise NumericalFailure(
             f"dual has negative mass {worst!r} beyond the clamp tolerance"
         )
     nu_star = nu_star / nu_star.sum()
-    p_star = p_star / p_star.sum(axis=1)[:, None]
+    p_star = np.divide(p_t.T, p_t.sum(axis=0)[:, None], order="C")
+    del p_t
     if abs(p_star[absorbing, absorbing] - 1.0) > tol:
         raise NumericalFailure(
             f"extremal state is not absorbing: diagonal "
-            f"{p_star[absorbing, absorbing]!r}"
+            f"{float(p_star[absorbing, absorbing])!r}"
         )
-    unit = np.zeros(c.size)
-    unit[absorbing] = 1.0
-    p_star[absorbing, :] = unit
+    p_star[absorbing] = 0.0
+    p_star[absorbing, absorbing] = 1.0
     nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
     if not (nu_res <= tol and tw_res <= tol):
         raise NumericalFailure(
@@ -232,10 +236,10 @@ def _residuals(c, law, zm, direction, h, nu_star, p_star):
     pi = law.pi
     other = "up" if direction == "down" else "down"
     nu_lam = zm.zeta_right(nu_star / h, other) * pi
-    lam_p = zm.zeta_left(pi[:, None] * c.P, other)
-    lam_p /= h[:, None]
     p_lam = zm.zeta_right(p_star / h, other)
     p_lam *= pi
+    lam_p = zm.zeta_left(pi[:, None] * c.P, other)
+    lam_p /= h[:, None]
     lam_p -= p_lam
     return float(np.abs(c.nu - nu_lam).max()), float(np.abs(lam_p, out=lam_p).max())
 

@@ -147,26 +147,23 @@ class Poset:
         transpose swaps the two.  Per bit, with lo/hi the masks without/with
         it, a superset pass is x[lo] += x[hi] and a subset pass
         x[hi] += x[lo] (-= for Mobius), over the axis the matrix acts on.
-        The passes run in bit order on blocks of at most ``PANEL`` entries
-        (``_row_blocks``, ``_column_panels``), so every entry takes the same
-        additions in the same order as one pass per bit over the whole array.
+        The passes run in bit order on blocks of at most ``PANEL`` entries,
+        so every entry takes the same additions in the same order as one
+        pass per bit over the whole array.  The result is C-ordered whatever
+        the layout of x: a left action or a vector runs on row blocks
+        (``_row_blocks``), a right action on transposed column panels
+        (``_column_panels``).
         """
         if self.cube_dim is None:
             mat = self.zeta(direction, dtype) if sign > 0 else self.mobius(direction, dtype)
             return mat @ x if left else x @ mat
         supersets = left == _is_down(direction)
-        out = np.array(x, dtype=dtype)
-        if not (out.flags.c_contiguous or out.flags.f_contiguous):
-            out = np.ascontiguousarray(out)
-        # a Fortran-ordered array is the C-ordered transpose acted on from
-        # the other side, and a vector is acted on alike from either side
-        flip = not out.flags.c_contiguous
-        a = out.T if flip else out
+        out = np.array(x, dtype=dtype, order="C")
         m = self.size
-        if left != flip or out.ndim == 1:
-            _row_blocks(a.reshape(m, -1), self.cube_dim, supersets, sign)
+        if left or out.ndim == 1:
+            _row_blocks(out.reshape(m, -1), self.cube_dim, supersets, sign)
         else:
-            _column_panels(a.reshape(-1, m), self.cube_dim, supersets, sign)
+            _column_panels(out.reshape(-1, m), self.cube_dim, supersets, sign)
         return out
 
 

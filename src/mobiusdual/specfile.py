@@ -71,7 +71,6 @@ class LoadedModel:
     cube: CubeWalkParams | None = None
     rates: RateFunctions | None = None
     nu_token: str | None = None
-    exact_rows: tuple | None = None
     exact_nu: tuple | None = None
     states_order: tuple | None = None   # labels in file order
     rates_single_moves: bool = False
@@ -219,7 +218,7 @@ def _parse_chain(entries, poset, states_order, row_tol):
     elif nu_token in ("delta_min", "delta_max", "uniform"):
         nu = nu_vector(nu_token, poset)
     chain = validate_chain(mat, poset, nu=nu, row_tol=row_tol, exact=exact)
-    return chain, nu_token, exact, nu_exact
+    return chain, nu_token, nu_exact
 
 
 def _parse_cube(entries):
@@ -381,7 +380,7 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
             poset, states_order = _parse_poset(sections["poset"])
         else:
             raise SchemaError("[chain] needs an inline [poset] or poset_file")
-        chain, nu_token, exact, nu_exact = _parse_chain(
+        chain, nu_token, nu_exact = _parse_chain(
             sections["chain"], poset, states_order, row_tol
         )
         return LoadedModel(
@@ -389,7 +388,6 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
             poset=poset,
             chain=chain,
             nu_token=nu_token,
-            exact_rows=exact,
             exact_nu=nu_exact,
             states_order=states_order,
         )
@@ -512,5 +510,5 @@ def serialize_dual(dual, poset):
     ]
     if dual.forced:
         header.append("forced: raw unverified matrices (research inspection)")
-    chain = Chain(poset=poset, P=dual.P_star.copy(), nu=dual.nu_star.copy())
+    chain = Chain(poset=poset, P=dual.P_star, nu=dual.nu_star)
     return serialize_chain(chain, header=header)

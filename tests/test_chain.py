@@ -33,6 +33,7 @@ from mobiusdual.chain import (
     _support_levels,
     _tree_law,
 )
+from mobiusdual import chain as chain_module
 from mobiusdual.cube import axis_transformed_walk
 from mobiusdual.specfile import load_model, load_model_text
 from mobiusdual.errors import (
@@ -105,7 +106,7 @@ def validate_rows_loop(P, row_tol=1e-12):
     for i in range(P.shape[0]):
         row = P[i]
         for j in np.flatnonzero(row < 0):
-            violations.append((i, f"entry ({i},{int(j)}) is negative ({row[j]!r})"))
+            violations.append((i, f"entry ({i},{int(j)}) is negative ({float(row[j])!r})"))
         s = float(row.sum())
         if abs(s - 1.0) > row_tol:
             violations.append((i, f"row {i} sums to {s!r}, off by more than {row_tol}"))
@@ -131,6 +132,17 @@ class TestValidateChain:
         with pytest.raises(NotStochastic) as exc:
             validate_chain(mat, diamond())
         assert any("(1,0)" in msg for _, msg in exc.value.violations)
+
+    @pytest.mark.parametrize("kernel, nu, message", [
+        ([[np.nan, 1.0], [0.5, 0.5]], None, "entry (0,0) is not finite (nan)"),
+        ([[1.1, -0.1], [0.5, 0.5]], None, "entry (0,1) is negative (-0.1)"),
+        ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 1.0], "entry 0 is not finite (nan)"),
+        ([[0.5, 0.5], [0.5, 0.5]], [1.1, -0.1], "entry 1 is negative (-0.1)"),
+    ])
+    def test_messages_show_plain_floats(self, kernel, nu, message):
+        with pytest.raises(NotStochastic) as exc:
+            validate_chain(kernel, cube_poset(1), nu=nu)
+        assert message in str(exc.value) and "np." not in str(exc.value)
 
     def test_all_violations_collected(self):
         mat = np.zeros((4, 4))
@@ -304,6 +316,14 @@ class TestStationary:
         with pytest.raises(NumericalFailure, match="stalled at 's20'"):
             stationary(c)
 
+    def test_nonpositive_mass_shows_a_plain_float(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "_gth", lambda c: np.array([1.0, 0.0]))
+        c = validate_chain([[0.5, 0.5], [0.5, 0.5]], cube_poset(1))
+        with pytest.raises(NumericalFailure) as exc:
+            stationary(c)
+        assert str(exc.value).endswith("is not positive (0.0)")
+        assert "np." not in str(exc.value)
+
     def test_residual_recorded(self):
         c = validate_chain(random_ergodic(6, np.random.default_rng(1)),
                            build_poset(list(range(6)), []))
@@ -348,6 +368,14 @@ class TestReverse:
         law = stationary(c)
         rev = reverse(c, law)
         assert np.abs(law.pi @ rev.P - law.pi).max() < 1e-10
+
+    def test_computed_reversal_is_row_major(self):
+        # the g+ walk of unequal rates is not reversible, so its reversal
+        # is computed from the transpose of P
+        params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.1,) * 3)
+        c = axis_transformed_walk(params, 0.01)
+        rev = reverse(c, stationary(c))
+        assert rev is not c and rev.P.flags.c_contiguous
 
 
 

@@ -148,6 +148,61 @@ class TestExactOnGeneratedKernels:
         assert self.NOTE not in out
 
 
+CHAIN_POSET = "[poset]\nstates: a b c\ncover: a b\ncover: b c\n\n[chain]\n"
+
+
+class TestExactOnComputedReversal:
+    """The time reversal of a kernel that is not reversible is computed in
+    floats and carries no exact entries, so under --exact the dual's
+    reversed-kernel precondition is still a float verdict, and the header
+    says so."""
+
+    NOTE = ("# exact: not available for the computed time reversal; "
+            "float verdict on the reversed kernel")
+    # not reversible (its stationary flows a -> c and c -> a differ); in
+    # Fractions the worst entry of the reversal's down transform is 0, and
+    # the float reversal computes it as -1.1e-16
+    NEAR_BOUNDARY = CHAIN_POSET + (
+        "row: 5/8 1/4 1/8\nrow: 1/4 1/4 1/2\nrow: 1/4 1/8 5/8\nnu: 1 0 0\n"
+    )
+    # the symmetric walk on the 2-cube, exactly balanced
+    WALK = (
+        "[poset]\nstates: 00 10 01 11\ncover: 00 10\ncover: 00 01\n"
+        "cover: 10 11\ncover: 01 11\n\n[chain]\nrow: 3/5 1/5 1/5 0\n"
+        "row: 1/5 3/5 0 1/5\nrow: 1/5 0 3/5 1/5\nrow: 0 1/5 1/5 3/5\n"
+        "nu: 1 0 0 0\n"
+    )
+
+    @staticmethod
+    def argv(command, path):
+        extra = ("--samples", "100") if command == "simulate" else ()
+        return (command, "--input", str(path), *extra)
+
+    @pytest.mark.parametrize("command", ["dual", "sep", "eig", "simulate"])
+    def test_near_boundary_chain_notes_float_reversal(self, capsys, tmp_path, command):
+        path = tmp_path / "near.spec"
+        path.write_text(self.NEAR_BOUNDARY)
+        loaded = load_model(str(path))
+        law = md.stationary(loaded.chain)
+        rev = md.reverse(loaded.chain, law)
+        assert rev.exact is None
+        worst = monotonicity.mobius_monotone_down(rev, loaded.poset).worst_value
+        assert -1e-15 < worst < 0
+        code, out, err = run(capsys, *self.argv(command, path), "--exact")
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+        code, out, err = run(capsys, *self.argv(command, path))
+        assert code == 0 and self.NOTE not in out
+
+    @pytest.mark.parametrize("command", ["dual", "sep", "eig", "simulate"])
+    def test_reversible_chain_has_no_note(self, capsys, tmp_path, command):
+        path = tmp_path / "walk.spec"
+        path.write_text(self.WALK)
+        code, out, err = run(capsys, *self.argv(command, path), "--exact")
+        assert code == 0, err
+        assert self.NOTE not in out
+
+
 class TestStationaryPath:
     """cube, avail and sep name the path that solved the stationary law."""
 

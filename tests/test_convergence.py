@@ -346,9 +346,9 @@ class TestAbsorptionMean:
     @pytest.mark.parametrize("d", [3, 8])
     def test_moves_are_row_major_in_either_memory_order(self, d, direction):
         _, dual = extreme_walk_dual(d, direction, mixed=True)
-        assert dual.P_star.flags.f_contiguous and not dual.P_star.flags.c_contiguous
+        assert dual.P_star.flags.c_contiguous
         rows, cols = np.nonzero(dual.P_star != 0)
-        for mat in (dual.P_star, np.ascontiguousarray(dual.P_star)):
+        for mat in (dual.P_star, np.asfortranarray(dual.P_star)):
             got = _moves(mat)
             want = (rows, cols, mat[rows, cols])
             for g, w in zip(got, want):
@@ -503,6 +503,11 @@ class TestCubeClosedForms:
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             cube_separation_formula((0.4, 0.4), (0.3, 0.3), 2)
+
+    def test_precondition_shows_a_plain_float(self):
+        with pytest.raises(PreconditionFailed) as exc:
+            cube_separation_formula((0.5, 0.5), (0.25, 0.25), 2)
+        assert str(exc.value).startswith("total flip rate 1.5 exceeds 1")
 
     def test_dimension_cap(self):
         from mobiusdual.errors import DimensionTooLarge

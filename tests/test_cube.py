@@ -63,6 +63,12 @@ def product_law_by_state(params):
 
 
 class TestWalkGenerator:
+    def test_negative_holding_shows_a_plain_float(self):
+        params = CubeWalkParams(d=3, alpha=(0.5,) * 3, beta=(0.5,) * 3)
+        with pytest.raises(NegativeHoldingProbability) as exc:
+            nearest_neighbor_walk(params)
+        assert str(exc.value) == "holding probability at state (0, 0, 0) is -0.5"
+
     def test_two_cube_matrix_entries(self):
         a1, a2, b1, b2 = 0.11, 0.21, 0.08, 0.13
         c = nearest_neighbor_walk(CubeWalkParams(d=2, alpha=(a1, a2), beta=(b1, b2)))
@@ -187,6 +193,12 @@ class TestGPlusTransform:
         move = GPlusMove(row=(0, 0, 0), x=(1, 0, 0), y=(0, 0, 1), kappa=0.5)
         with pytest.raises(InsufficientMass):
             gplus_transform(self.chain, move)
+
+    def test_insufficient_mass_shows_plain_floats(self):
+        move = GPlusMove(row=(0, 0, 0), x=(1, 0, 0), y=(0, 0, 1), kappa=0.5)
+        with pytest.raises(InsufficientMass) as exc:
+            gplus_transform(self.chain, move)
+        assert "min(0.06, 0.06)" in str(exc.value) and "np." not in str(exc.value)
 
     def test_several_moves_match_one_at_a_time(self):
         moves = axis_moves(0.02)

@@ -269,6 +269,21 @@ class TestBuildSsdDown:
 
 
 class TestDualNoise:
+    def test_diagonal_message_shows_a_plain_float(self):
+        # a negative tolerance fails every diagonal, here the exact 1.0
+        _, c, law, zm = cube_setup(2, (0.1, 0.1), (0.1, 0.1), nu=delta(4, 0))
+        with pytest.raises(NumericalFailure) as exc:
+            build_ssd(c, law, zm, "down", tol=-1.0)
+        assert str(exc.value).endswith("diagonal 1.0")
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_dual_is_row_major(self, direction, force):
+        start = 0 if direction == "down" else 7
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
+        dual = build_ssd(c, law, zm, direction, force=force)
+        assert dual.P_star.flags.c_contiguous and dual.forced == force
+
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("d", range(3, 9))
     def test_walk_dual_keeps_only_its_moves(self, d, direction):

@@ -63,7 +63,7 @@ class TestParsing:
     def test_rational_tokens_parsed_exactly(self, tmp_path):
         path = write(tmp_path, "c.spec", DIAMOND_CHAIN)
         loaded = load_model(path)
-        assert loaded.exact_rows[2][0] == Fraction(1, 5)
+        assert loaded.chain.exact[2][0] == Fraction(1, 5)
         assert loaded.chain.P[2, 0] == pytest.approx(0.2)
 
     def test_rows_follow_states_line_order(self, tmp_path):
