@@ -33,13 +33,18 @@ class Chain:
     """Row-stochastic kernel P over a poset, with optional initial law nu.
 
     ``exact`` optionally carries the kernel entries as Fractions (same shape)
-    when the input was given in exact rational form.
+    when the input was given in exact rational form.  ``walk`` carries the
+    flip rates (a ``CubeWalkParams``) of a nearest-neighbor cube walk, from
+    which its Mobius reports and dual are read in closed form: only
+    ``nearest_neighbor_walk`` sets it, and ``with_nu`` and a ``reverse``
+    that returns the chain itself keep it.
     """
 
     poset: object
     P: np.ndarray
     nu: np.ndarray | None = None
     exact: tuple | None = None
+    walk: object | None = None
 
     def __post_init__(self):
         self.P.flags.writeable = False

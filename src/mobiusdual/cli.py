@@ -294,17 +294,16 @@ def _mono_header(args, extra=(), loaded=None, tolerances=True, dual_of=()):
 
 
 def _all_notion_rows(chain, args):
-    """Mobius down/up, weak down/up and strong table rows, with header notes,
-    and the Mobius transform of each direction, which its Mobius and weak
-    rows both read.
+    """Mobius down/up, weak down/up and strong table rows, with header notes;
+    the Mobius and weak rows of a direction read one Mobius transform.
 
     A strong verdict past the up-set cap is a ``skipped`` row and a note
     naming the reason, so the other rows are still reported.
     """
     tol, p = args.tolerance_mono, chain.poset
-    mobius, weak, transforms = [], [], {}
+    mobius, weak = [], []
     for direction in ("down", "up"):
-        t = transforms[direction] = monotonicity.mobius_transform(chain.P, p, direction)
+        t = monotonicity.mobius_transform(chain.P, p, direction)
         mobius.append(monotonicity.transform_report(chain, p, direction, t, tol))
         weak.append(monotonicity.weak_report(chain, p, direction, t, tol))
     rows, notes = _report_rows(mobius + weak), []
@@ -313,7 +312,7 @@ def _all_notion_rows(chain, args):
     except UpSetExplosion as exc:
         rows.append(["strong_stochastic", "skipped", fmt(float("nan")), "-", fmt(tol)])
         notes.append(f"skipped: strong_stochastic ({type(exc).__name__}: {exc})")
-    return rows, notes, transforms
+    return rows, notes
 
 
 def _report_rows(reports):
@@ -332,7 +331,7 @@ def _report_rows(reports):
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, _ = _resolve_chain(loaded, args, need_nu=False, need_law=False)
-    rows, notes, _ = _all_notion_rows(chain, args)
+    rows, notes = _all_notion_rows(chain, args)
     text = _table(
         _mono_header(args, extra=notes, loaded=loaded),
         ("notion", "verdict", "worst_value", "witness", "tolerance"),
@@ -342,12 +341,10 @@ def cmd_check(args):
     return 0
 
 
-def _ssd(chain, law, args, transform=None):
-    """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``;
-    ``transform`` is the chain's Mobius transform in that direction, if made."""
+def _ssd(chain, law, args):
+    """The dual in ``--direction``, preconditions decided at ``--tolerance-mono``."""
     return duality.build_ssd(
-        chain, law, chain.poset, args.direction, mono_tol=args.tolerance_mono,
-        transform=transform,
+        chain, law, chain.poset, args.direction, mono_tol=args.tolerance_mono
     )
 
 
@@ -427,7 +424,7 @@ def cmd_cube(args):
         raise InputError("the cube command needs a [cube] generator spec")
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
     product_law = cube_stationary_product(params)
-    rows, notes, transforms = _all_notion_rows(chain, args)
+    rows, notes = _all_notion_rows(chain, args)
     sections = [
         f"# mobiusdual cube d={params.d}",
         "# alpha: " + " ".join(fmt(a) for a in params.alpha),
@@ -445,7 +442,7 @@ def cmd_cube(args):
             params.alpha, params.beta)),
     ]
     try:
-        dual = _ssd(chain, law, args, transforms[args.direction])
+        dual = _ssd(chain, law, args)
     except PreconditionFailed as exc:
         sections += ["", f"# dual: precondition failed ({exc.report.notion})"]
         dual = None
@@ -454,6 +451,7 @@ def cmd_cube(args):
             "",
             f"# dual direction={dual.direction} absorbing="
             f"{label_str(chain.poset.elements[dual.absorbing_index])}",
+            f"# dual_path: {dual.path}",
             f"# nu_residual: {fmt(dual.nu_residual)}",
             f"# intertwine_residual: {fmt(dual.intertwine_residual)}",
         ]
@@ -511,6 +509,7 @@ def cmd_avail(args):
             "",
             f"# dual absorbing_index={report.dual.absorbing_index} "
             f"direction={report.dual.direction}",
+            f"# dual_path: {report.dual.path}",
             f"# nu_residual: {fmt(report.dual.nu_residual)}",
             f"# intertwine_residual: {fmt(report.dual.intertwine_residual)}",
             f"# mean_absorption: {fmt(report.tail.mean)}",

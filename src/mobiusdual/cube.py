@@ -9,7 +9,7 @@ its meet and join, which increases the row law in the supermodular order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,9 +91,33 @@ def holding_probabilities(params):
 
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     """Single-coordinate-flip walk on the d-cube (see holding_probabilities
-    for the parameter sets it rejects), validated at ``row_tol``."""
+    for the parameter sets it rejects), validated at ``row_tol``; the chain
+    carries ``params`` as its ``walk``."""
     mat, p = _walk_kernel(params)
-    return validate_chain(mat, p, nu=nu, row_tol=row_tol)
+    return replace(validate_chain(mat, p, nu=nu, row_tol=row_tol), walk=params)
+
+
+def walk_entries(params, direction):
+    """(rows, cols, dual, transform): the entries of the walk's strong
+    stationary dual in ``direction`` that can be nonzero,
+    P*(rows, cols) = dual, and its Mobius transform in ``direction``, which
+    holds ``transform`` at (cols, rows) and 0 elsewhere.
+
+    The diagonal comes first, 1 - sum of s_k = alpha_k + beta_k over the
+    flips of x in both, then each flip x -> y of a coordinate k that goes
+    up in ``direction``'s order (k unset in x for "down", set for "up"),
+    by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
+    or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
+    ``holding_probabilities`` clamps a stay within 1e-12 below 0.
+    """
+    free = cube_bits(params.d) == (direction == "up")
+    x, k = np.nonzero(free)
+    diag = np.arange(2**params.d)
+    rest = 1.0 - (free * params.rates).sum(axis=1)
+    toward = np.asarray(params.beta if direction == "down" else params.alpha)
+    return (np.concatenate((diag, x)), np.concatenate((diag, x ^ (1 << k))),
+            np.concatenate((rest, params.rates[k])),
+            np.concatenate((rest, toward[k])))
 
 
 def _walk_kernel(params):

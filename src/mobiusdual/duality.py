@@ -17,6 +17,7 @@ import numpy as np
 
 from . import monotonicity
 from .chain import IDENTITY_TOL, reverse
+from .cube import walk_entries
 from .errors import (
     DimensionMismatch,
     NoUniqueExtremalState,
@@ -49,7 +50,9 @@ class Link:
 @dataclass(frozen=True)
 class DualChain:
     """Dual kernel and initial law; ``reversed_report`` is the Mobius report
-    of the time-reversed kernel in ``direction`` that decided the build."""
+    of the time-reversed kernel in ``direction`` that decided the build, and
+    ``path`` names how P* was built: "closed_form" from a walk's flip rates,
+    or "transform" from the reversal's Mobius transform."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -60,6 +63,7 @@ class DualChain:
     clamp_magnitude: float = 0.0
     forced: bool = False
     reversed_report: monotonicity.MonotonicityReport | None = None
+    path: str = "transform"
 
     def __post_init__(self):
         self.nu_star.flags.writeable = False
@@ -121,18 +125,18 @@ def _unique_extremal(p, direction):
     return int(idx[0])
 
 
-def _clamp(vec_or_mat, tol):
-    """Zero out float noise in (-tol, tol); return (array, largest |x| zeroed)."""
-    arr = np.array(vec_or_mat, dtype=float)
+def _clamp(arr, tol):
+    """Zero the float noise in (-tol, tol) of ``arr`` in place; return the
+    largest |x| zeroed."""
     mask = (arr > -tol) & (arr < tol)
     magnitude = max(arr.max(initial=0.0, where=mask), -arr.min(initial=0.0, where=mask))
     arr[mask] = 0.0
-    return arr, float(magnitude)
+    return float(magnitude)
 
 
 def build_ssd(
     c, law, zm, direction="down", tol=IDENTITY_TOL, force=False,
-    mono_tol=monotonicity.MONO_TOL, transform=None,
+    mono_tol=monotonicity.MONO_TOL,
 ):
     """Construct the strong stationary dual chain (nu*, P*).
 
@@ -146,23 +150,27 @@ def build_ssd(
     raw, possibly signed, matrices are returned unclamped and unverified
     (marked ``forced=True``).
 
-    The construction gives P* transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i)
-    with R the time reversal: it is clamped and column-summed as it is, and
-    P* is written C-ordered by the normalising division (forced, by a copy).
-
-    ``transform``, the caller's ``mobius_transform(c.P, zm, direction)``,
-    is used when the time reversal is P itself (see ``reverse``), instead of
-    transforming P again.
+    When the time reversal is a cube walk (see ``reverse``), its report and
+    P* are read off the flip rates (``path`` "closed_form"); the clamp, the
+    row normalisation and the dense residuals that certify the result are
+    the same, so a flip with s_k below the clamp is dropped on both paths,
+    whereas the report's witness rule reads rates at ``mono_tol``.  Otherwise,
+    and whenever ``force`` is set, the construction gives P* transposed,
+    H(e_j)/H(e_i) (Cinv R C)(e_j, e_i) with R the time reversal: it is
+    clamped and column-summed as it is, and P* is written C-ordered by the
+    normalising division (forced, by a copy).
     """
     absorbing = _unique_extremal(zm, direction)
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)
-    if transform is not None and rev.P is c.P:
-        core = transform
+    walk = None if force else rev.walk
+    if walk is not None:
+        rev_report = monotonicity.walk_report(rev, direction, mono_tol)
     else:
         core = monotonicity.mobius_transform(rev.P, zm, direction)
-    rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
+        rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
+    del rev
     if not force:
         if not g_report.verdict:
             raise PreconditionFailed(
@@ -178,30 +186,38 @@ def build_ssd(
             )
     h = zm.zeta_right(law.pi, direction)
     nu_star = g_report.transformed * h
-    p_t = (h[:, None] * core) / h[None, :]   # P* transposed
-    del rev, core  # free two m x m arrays before the clamp and the residuals
     if force:
         return DualChain(
             nu_star=nu_star,
-            P_star=p_t.T.copy(),
+            P_star=((h[:, None] * core) / h[None, :]).T.copy(),
             absorbing_index=absorbing,
             direction=direction,
             forced=True,
             reversed_report=rev_report,
         )
-    nu_star, m_nu = _clamp(nu_star, CLAMP_TOL)
-    p_t, m_p = _clamp(p_t, CLAMP_TOL)
+    if walk is not None:
+        rows, cols, p, _ = walk_entries(walk, direction)
+    else:
+        p = (h[:, None] * core) / h[None, :]   # P* transposed
+        del core  # free an m x m array before the clamp and the residuals
+    m_nu = _clamp(nu_star, CLAMP_TOL)
+    m_p = _clamp(p, CLAMP_TOL)
     clamp_magnitude = max(m_nu, m_p)
     if clamp_magnitude > 0:
         log.info("zeroed dual noise up to %.3e", clamp_magnitude)
-    if (nu_star < 0).any() or (p_t < 0).any():
-        worst = min(float(nu_star.min()), float(p_t.min()))
+    if (nu_star < 0).any() or (p < 0).any():
+        worst = min(float(nu_star.min()), float(p.min()))
         raise NumericalFailure(
             f"dual has negative mass {worst!r} beyond the clamp tolerance"
         )
     nu_star = nu_star / nu_star.sum()
-    p_star = np.divide(p_t.T, p_t.sum(axis=0)[:, None], order="C")
-    del p_t
+    if walk is not None:
+        p_star = np.zeros((c.size, c.size))
+        p_star[rows, cols] = p / np.bincount(rows, p, c.size)[rows]
+        del rows, cols  # out of the residuals' peak
+    else:
+        p_star = np.divide(p.T, p.sum(axis=0)[:, None], order="C")
+    del p
     if abs(p_star[absorbing, absorbing] - 1.0) > tol:
         raise NumericalFailure(
             f"extremal state is not absorbing: diagonal "
@@ -223,6 +239,7 @@ def build_ssd(
         intertwine_residual=tw_res,
         clamp_magnitude=clamp_magnitude,
         reversed_report=rev_report,
+        path="transform" if walk is None else "closed_form",
     )
 
 

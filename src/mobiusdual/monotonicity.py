@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cube import walk_entries
 from .errors import DimensionMismatch, UpSetExplosion
 
 MONO_TOL = 1e-10
@@ -101,6 +102,42 @@ def _min_entry(t, tol=0.0):
     return worst, divmod(k, t.shape[1])
 
 
+def _sparse_min_entry(rows, cols, vals, m, tol=0.0):
+    """``_min_entry`` of the m x m matrix holding ``vals`` at the distinct
+    positions (rows, cols) and 0 at the others, of which there is one at
+    least, without forming it.
+
+    The witness is the first row-major position at most the bound that
+    ``_near_min`` compares against: among the listed values, and, when 0
+    is within the bound, the first position not listed.
+    """
+    worst = min(float(vals.min()), 0.0)
+    bound = worst + tol if 0 < tol and abs(worst) <= tol else worst
+    keys = rows * m + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    hit = np.flatnonzero(vals[order] <= bound)
+    first = keys[hit[0]] if hit.size else m * m
+    if bound >= 0:
+        gap = np.flatnonzero(keys != np.arange(len(keys)))
+        first = min(first, gap[0] if gap.size else len(keys))
+    return worst, divmod(int(first), m)
+
+
+def walk_report(c, direction, tol=MONO_TOL):
+    """Mobius verdict of a cube walk (``c.walk`` set) from the entries of
+    its transform that ``cube.walk_entries`` gives, with no m x m array.
+
+    The worst value and witness follow the rule of ``transform_report``,
+    so a rate at most ``tol`` counts as a zero for the witness.  A walk
+    carries no exact entries, so nothing is re-run.
+    """
+    rows, cols, _, t = walk_entries(c.walk, direction)
+    worst, (i, j) = _sparse_min_entry(cols, rows, t, c.size, tol)
+    witness = (c.poset.elements[i], c.poset.elements[j])
+    return _report(f"mobius_{direction}", worst, witness, tol)
+
+
 def transform_report(c, zm, direction, t, tol=MONO_TOL):
     """Mobius verdict of chain c from its transform t = mobius_transform(c.P, ...).
 
@@ -116,18 +153,26 @@ def transform_report(c, zm, direction, t, tol=MONO_TOL):
     return _report(f"mobius_{direction}", worst, witness, tol, exact)
 
 
+def _mobius_report(c, zm, direction, tol):
+    """``walk_report`` on a cube walk, else the report of the transform."""
+    if c.walk is not None:
+        return walk_report(c, direction, tol)
+    return transform_report(c, zm, direction, mobius_transform(c.P, zm, direction), tol)
+
+
 def mobius_monotone_down(c, zm, tol=MONO_TOL):
-    """Entrywise sign check of Cinv P C.
+    """Entrywise sign check of Cinv P C, read off the flip rates on a walk.
 
     Near-boundary verdicts (|worst| < 100 tol) are re-run in exact rational
     arithmetic when the chain carries exact entries.
     """
-    return transform_report(c, zm, "down", mobius_transform(c.P, zm, "down"), tol)
+    return _mobius_report(c, zm, "down", tol)
 
 
 def mobius_monotone_up(c, zm, tol=MONO_TOL):
-    """Entrywise sign check of (C^T)^-1 P C^T."""
-    return transform_report(c, zm, "up", mobius_transform(c.P, zm, "up"), tol)
+    """Entrywise sign check of (C^T)^-1 P C^T, read off the flip rates on a
+    walk."""
+    return _mobius_report(c, zm, "up", tol)
 
 
 def function_mobius_monotone(f, zm, direction, tol=MONO_TOL):

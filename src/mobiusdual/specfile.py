@@ -502,6 +502,7 @@ def serialize_dual(dual, poset):
     header = [
         "dual chain",
         f"direction: {dual.direction}",
+        f"dual_path: {dual.path}",
         f"absorbing_index: {dual.absorbing_index}",
         f"absorbing_state: {label_str(poset.elements[dual.absorbing_index])}",
         f"nu_residual: {fmt(dual.nu_residual)}",

@@ -656,6 +656,8 @@ class TestAvail:
         assert code == 0
         assert "mean_absorption" in out
         assert "sst_bound_ok: true" in out
+        # an availability chain carries no flip rates
+        assert "# dual_path: transform" in out.splitlines()
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(
@@ -743,8 +745,8 @@ class TestSweep:
 
 class TestCubeTransforms:
     def test_cube_transforms_the_kernel_once_per_direction(self, capsys, monkeypatch):
-        # the dual reads the verdict rows' transform, as the walk is its own
-        # time reversal
+        # the verdict rows read one transform per direction, and the dual
+        # reads the walk's flip rates
         calls = []
         transform = monotonicity.mobius_transform
         monkeypatch.setattr(monotonicity, "mobius_transform",
@@ -753,6 +755,7 @@ class TestCubeTransforms:
         assert code == 0, err
         assert calls == ["down", "up"]
         assert "# dual direction=down absorbing=1111" in out.splitlines()
+        assert "# dual_path: closed_form" in out.splitlines()
 
 
 class TestCubeRowTolerance:

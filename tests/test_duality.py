@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,7 +413,11 @@ class TestReversedReport:
         _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
         dual = build_ssd(c, law, zm, direction, force=force)
         check = mobius_monotone_down if direction == "down" else mobius_monotone_up
-        assert dual.reversed_report == check(reverse(c, law), zm)
+        rev = reverse(c, law)
+        if force:
+            # a forced build reads the transform, as a copy without rates does
+            rev = replace(rev, walk=None)
+        assert dual.reversed_report == check(rev, zm)
         assert dual.reversed_report.verdict
 
     def test_preconditions_use_the_given_tolerance(self):
@@ -434,35 +439,156 @@ class TestReversedReport:
         assert forced.reversed_report.tolerance_used == 0.2
 
 
-class TestCallerTransform:
-    """``build_ssd(transform=...)`` stands in for the transform of P only
-    when the reversal is P itself."""
+def generic_copy(c):
+    """The walk's kernel and start as a plain ``Chain``, without its rates."""
+    return replace(c, walk=None)
 
-    def test_reversible_walk_takes_the_caller_transform(self, monkeypatch):
-        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, 7))
-        expected = build_ssd(c, law, zm, "up")
-        t = mobius_transform(c.P, zm, "up")
+
+class TestClosedFormPath:
+    """A walk's Mobius reports and dual are read off its flip rates; a copy
+    of the same kernel without them takes the transform."""
+
+    @staticmethod
+    def _no_transform(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mobius_transform called")
+
+        monkeypatch.setattr(monotonicity, "mobius_transform", refuse)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_walk_never_transforms(self, monkeypatch, direction):
+        start = 0 if direction == "down" else 7
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
+        self._no_transform(monkeypatch)
+        assert mobius_monotone_down(c, zm).verdict
+        assert mobius_monotone_up(c, zm).verdict
+        dual = build_ssd(c, law, zm, direction)
+        assert dual.path == "closed_form"
+        assert dual.reversed_report.verdict
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_copy_without_rates_transforms(self, monkeypatch, direction):
+        start = 0 if direction == "down" else 7
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
+        g = generic_copy(c)
+        assert reverse(g, law) is g and g.walk is None
         calls = []
         transform = monotonicity.mobius_transform
         monkeypatch.setattr(monotonicity, "mobius_transform",
-                            lambda *a, **k: calls.append(a) or transform(*a, **k))
-        dual = build_ssd(c, law, zm, "up", transform=t)
-        assert calls == []
-        assert np.array_equal(dual.P_star, expected.P_star)
-        assert np.array_equal(dual.nu_star, expected.nu_star)
-        assert dual.reversed_report == expected.reversed_report
+                            lambda *a, **k: calls.append(a[2]) or transform(*a, **k))
+        mobius_monotone_down(g, zm)
+        mobius_monotone_up(g, zm)
+        dual = build_ssd(g, law, zm, direction)
+        assert calls == ["down", "up", direction]
+        assert dual.path == "transform"
 
-    def test_computed_reversal_ignores_it(self):
-        # a g+ walk is not reversible: its reversal is transformed anew
-        params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.07,) * 3)
-        c = axis_transformed_walk(params, 0.01, nu=delta(8, 0))
-        law = stationary(c)
-        zm = zeta_mobius(c.poset)
-        assert reverse(c, law).P is not c.P
-        expected = build_ssd(c, law, zm, force=True)
-        dual = build_ssd(c, law, zm, force=True, transform=np.zeros((8, 8)))
-        assert np.array_equal(dual.P_star, expected.P_star)
-        assert dual.reversed_report == expected.reversed_report
+    def test_force_takes_the_transform(self):
+        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, 0))
+        assert build_ssd(c, law, zm, force=True).path == "transform"
+
+    def test_constructors_carry_rates_only_from_the_walk(self):
+        params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)
+        assert c.walk is params
+        assert c.with_nu(delta(8, 0)).walk is params
+        assert reverse(c, law) is c
+        assert axis_transformed_walk(params, 0.01).walk is None
+        assert validate_chain(c.P, c.poset).walk is None
+
+
+def oracle_walks():
+    """Walks with d = 1..8, two with sum(s) below 1 and one above it per d;
+    rates within 30 % of each other keep every stay positive."""
+    rng = np.random.default_rng(19)
+    for d in range(1, 9):
+        for total in (0.4, 0.97, 1.2):
+            parts = rng.uniform(0.7, 1.3, 2 * d)
+            parts *= total / parts.sum()
+            yield d, tuple(parts[:d]), tuple(parts[d:])
+
+
+def start_law(token, c, law):
+    m = c.size
+    return {"delta_min": delta(m, 0), "delta_max": delta(m, m - 1),
+            "uniform": np.full(m, 1.0 / m), "stationary": law.pi}[token]
+
+
+class TestClosedFormOracle:
+    """The closed forms against the transform path on a plain copy of the
+    same kernel: equal verdicts and witnesses, worst values within 1e-14,
+    P* and nu* within 1e-15."""
+
+    @pytest.mark.parametrize("d,alpha,beta", list(oracle_walks()))
+    def test_reports_match_the_transform(self, d, alpha, beta):
+        _, c, _, zm = cube_setup(d, alpha, beta)
+        g = generic_copy(c)
+        for check in (mobius_monotone_down, mobius_monotone_up):
+            got, want = check(c, zm), check(g, zm)
+            assert got.verdict == want.verdict
+            assert got.witness == want.witness
+            assert abs(got.worst_value - want.worst_value) <= 1e-14
+        assert mobius_monotone_down(c, zm).verdict == (sum(alpha) + sum(beta) <= 1)
+
+    @pytest.mark.parametrize("d,alpha,beta", list(oracle_walks()))
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_duals_match_the_transform(self, d, alpha, beta, direction):
+        _, c, law, zm = cube_setup(d, alpha, beta)
+        built = 0
+        for token in ("delta_min", "uniform", "delta_max", "stationary"):
+            cw = c.with_nu(start_law(token, c, law))
+            cg = generic_copy(cw)
+            try:
+                want = build_ssd(cg, law, zm, direction)
+            except PreconditionFailed as exc:
+                with pytest.raises(PreconditionFailed) as got:
+                    build_ssd(cw, law, zm, direction)
+                assert got.value.report.notion == exc.report.notion
+                assert got.value.report.witness == exc.report.witness
+                continue
+            got = build_ssd(cw, law, zm, direction)
+            assert (got.path, want.path) == ("closed_form", "transform")
+            assert got.reversed_report.witness == want.reversed_report.witness
+            assert np.abs(got.P_star - want.P_star).max() <= 1e-15
+            assert np.abs(got.nu_star - want.nu_star).max() <= 1e-15
+            assert got.nu_residual <= 1e-10 and got.intertwine_residual <= 1e-10
+            built += 1
+        # the start at the dual's own bottom state always passes
+        assert built >= (sum(alpha) + sum(beta) <= 1)
+
+    def test_rate_below_the_mobius_tolerance(self):
+        # alpha_1 and beta_1 (s_1 = 2e-11) are below both MONO_TOL and
+        # CLAMP_TOL.  The witness rule reads alpha_1 as a zero, so the up
+        # witness moves from (000, 110) to (000, 100); the clamp drops the
+        # flip of coordinate 1 from P*, on both paths.
+        alpha, beta = (1e-11, 0.1, 0.12), (1e-11, 0.08, 0.05)
+        _, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, 0))
+        g = generic_copy(c)
+        for check in (mobius_monotone_down, mobius_monotone_up):
+            got, want = check(c, zm), check(g, zm)
+            assert (got.verdict, got.witness) == (want.verdict, want.witness)
+            assert abs(got.worst_value - want.worst_value) <= 1e-14
+        assert mobius_monotone_up(c, zm).witness == ((0, 0, 0), (1, 0, 0))
+        got, want = build_ssd(c, law, zm), build_ssd(g, law, zm)
+        assert got.P_star[0, 1] == want.P_star[0, 1] == 0.0
+        assert got.clamp_magnitude > 0 and want.clamp_magnitude > 0
+        assert np.abs(got.P_star - want.P_star).max() <= 1e-15
+
+    def test_stay_clamped_to_zero(self):
+        # stay(000) = 1 - sum(alpha) is about -3e-13 in the rates and 0 in
+        # the kernel, and the dual's diagonal 1 - sum(s) at 000 is about
+        # -5e-13, below the clamp: the closed form reads the rates, the
+        # transform the clamped kernel, so the worst values differ by about
+        # the clamped stay, and P* agrees after the clamp.
+        alpha, beta = (0.5, 0.3, 0.2 + 3e-13), (1e-13, 5e-14, 5e-14)
+        _, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, 0))
+        assert c.P[0, 0] == 0.0
+        g = generic_copy(c)
+        for check in (mobius_monotone_down, mobius_monotone_up):
+            got, want = check(c, zm), check(g, zm)
+            assert (got.verdict, got.witness) == (want.verdict, want.witness)
+            assert abs(got.worst_value - want.worst_value) <= 1e-12
+        got, want = build_ssd(c, law, zm), build_ssd(g, law, zm)
+        assert got.P_star[0, 0] == want.P_star[0, 0] == 0.0
+        assert np.abs(got.P_star - want.P_star).max() <= 1e-15
 
 
 class TestLinearOrderDual:
