@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convergence, duality, monotonicity
-from .chain import Chain, StationaryLaw, reverse, stationary, validate_chain
+from .chain import ROW_TOL, Chain, StationaryLaw, reverse, stationary, validate_chain
+from .cube import CubeWalkParams, nearest_neighbor_walk
 from .errors import (
     InputError,
     MissingSubsetValue,
@@ -138,6 +139,15 @@ class UniformizedChain:
     rate: float
 
 
+def _uniformization_rate(exit_max, multiplier):
+    """``multiplier`` times the largest total exit rate ``exit_max``."""
+    if not 1.0 <= multiplier < np.inf:
+        raise InputError(f"multiplier must be finite and >= 1, got {multiplier!r}")
+    if exit_max == 0.0:
+        raise ZeroGenerator("all transition rates are zero")
+    return multiplier * exit_max
+
+
 def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
     """Uniformize a generator into a row-stochastic kernel.
 
@@ -145,15 +155,48 @@ def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
     above 1 keep every holding probability strictly positive.  The stationary
     law is preserved: pi Q = 0 iff pi P = pi.
     """
-    if not 1.0 <= multiplier < np.inf:
-        raise InputError(f"multiplier must be finite and >= 1, got {multiplier!r}")
-    exit_max = float(np.abs(np.diag(gen.Q)).max())
-    if exit_max == 0.0:
-        raise ZeroGenerator("all transition rates are zero")
-    rate = multiplier * exit_max
+    rate = _uniformization_rate(float(np.abs(np.diag(gen.Q)).max()), multiplier)
     p = cube_poset(gen.d)
     mat = np.eye(p.size) + gen.Q / rate
     return UniformizedChain(chain=validate_chain(mat, p), rate=rate)
+
+
+def node_rates(r):
+    """Per-node breakdown and repair rates (psi_k, phi_k) of a product-form
+    network, or None.
+
+    The network is product form when, for every node k, the ratios
+    psi(D u k)/psi(D) and phi(D u k)/phi(D) over all D without k agree with
+    their value at D = {} to a relative ROW_TOL; the rates are those values
+    (the per-node values of ``pernode_family``).  Read from the tables in
+    O(d 2^d).
+    """
+    rates = []
+    for table in (r.psi, r.phi):
+        cube = table.reshape((2,) * r.d)       # node k is axis d - 1 - k
+        per_node = np.empty(r.d)
+        for k in range(r.d):
+            axis = r.d - 1 - k
+            ratio = np.take(cube, 1, axis) / np.take(cube, 0, axis)
+            per_node[k] = first = ratio.flat[0]
+            if not (np.abs(ratio - first) <= ROW_TOL * first).all():
+                return None
+        rates.append(per_node)
+    return tuple(rates)
+
+
+def uniformize_walk(d, psi, phi, multiplier=DEFAULT_MULTIPLIER):
+    """The uniformized chain of single moves at per-node rates (psi, phi),
+    built as the nearest-neighbor walk with alpha = psi/rate and
+    beta = phi/rate, which carries them as its ``walk``.
+
+    The largest total exit rate, sum_k max(psi_k, phi_k), is that of the
+    state whose down nodes are those that repair faster than they break
+    down, so the rate is the one ``uniformize`` reads off the generator.
+    """
+    rate = _uniformization_rate(float(np.maximum(psi, phi).sum()), multiplier)
+    walk = CubeWalkParams(d, tuple((psi / rate).tolist()), tuple((phi / rate).tolist()))
+    return UniformizedChain(chain=nearest_neighbor_walk(walk), rate=rate)
 
 
 @dataclass(frozen=True)
@@ -208,14 +251,24 @@ def availability_pipeline(
     each direction's Mobius transform is computed once.  Every Mobius
     verdict, the dual's preconditions included, is decided at tolerance
     ``mono_tol``.
+    A single-move network of product form (``node_rates``) is uniformized
+    as a nearest-neighbor walk (``uniformize_walk``), with no dense
+    generator: its Mobius reports and dual are read off the flip rates, and
+    certified by the same stationary, balance and duality residuals.
     Errors escaping a stage carry the stage name on their ``stage``
     attribute.
     """
     with _Stage("generator"):
-        gen = availability_generator(r, single_moves_only=single_moves_only)
+        check_cube_dim(r.d)
+        nodes = node_rates(r) if single_moves_only else None
+        if nodes is None:
+            gen = availability_generator(r, single_moves_only=single_moves_only)
     with _Stage("uniformize"):
-        uni = uniformize(gen, multiplier=multiplier)
-    del gen  # the dense generator is not read again: keep it out of every later peak
+        if nodes is None:
+            uni = uniformize(gen, multiplier=multiplier)
+            del gen  # not read again: keep it out of every later peak
+        else:
+            uni = uniformize_walk(r.d, *nodes, multiplier=multiplier)
     nu = np.zeros(uni.chain.size)
     nu[0 if direction == "down" else uni.chain.size - 1] = 1.0
     c = uni.chain.with_nu(nu)

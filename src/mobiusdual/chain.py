@@ -36,8 +36,10 @@ class Chain:
     when the input was given in exact rational form.  ``walk`` carries the
     flip rates (a ``CubeWalkParams``) of a nearest-neighbor cube walk, from
     which its Mobius reports and dual are read in closed form: only
-    ``nearest_neighbor_walk`` sets it, and ``with_nu`` and a ``reverse``
-    that returns the chain itself keep it.
+    ``nearest_neighbor_walk`` sets it, on cube walks and on the uniformized
+    chain of a single-move product-form network (see
+    ``availability.node_rates``), and ``with_nu`` and a ``reverse`` that
+    returns the chain itself keep it.
     """
 
     poset: object

@@ -132,7 +132,8 @@ def absorption_tail(dual, horizon):
     """Tail P(T* > n) and mean absorption time from the transient moves.
 
     The moves of P* off the absorbing state, read once as a nonzero triple,
-    form the transient block Q.  The tail is nu*_t Q^n 1, and the mean is
+    form the transient block Q.  The tail is nu*_t Q^n 1, clipped to [0, 1]
+    (rows of P* sum to 1 only to rounding), and the mean is
     nu*_t x for (I - Q) x = 1, solved by substitution in the order the moves
     go, or by LU on a dense I - Q when they go both ways.  A zero pivot or a
     singular I - Q signals a second absorbing class, i.e. an invalid dual.
@@ -154,6 +155,7 @@ def absorption_tail(dual, horizon):
     for k in range(1, horizon + 1):
         cur = step(cur)
         tail[k] = cur.sum()
+    np.clip(tail, 0.0, 1.0, out=tail)  # a probability, whatever the rounding
     order = move_order(rows, cols)
     if order is None:
         fundamental = np.eye(n)

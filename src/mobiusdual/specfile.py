@@ -101,6 +101,16 @@ def _numbers(tokens, line):
     return [_number(t, line) for t in tokens]
 
 
+def _positive_int(token, line, what):
+    """``token`` as an integer of at least 1, or a SchemaError at ``line``."""
+    if not (token.isdecimal() and int(token) >= 1):
+        raise SchemaError(
+            f"line {line}: {what} must be a positive integer, got {token!r}",
+            line=line,
+        )
+    return int(token)
+
+
 def _sections(text):
     """Split into {section: [(line_no, key, tokens), ...]}, preserving order."""
     out = {}
@@ -229,7 +239,7 @@ def _parse_cube(entries):
     nu_line = None
     for n, key, tokens in entries:
         if key == "d":
-            d = int(tokens[0])
+            d = _positive_int(" ".join(tokens), n, "d")
         elif key == "alpha":
             alpha = _numbers(tokens, n)
         elif key == "beta":
@@ -256,7 +266,7 @@ def _parse_rates(entries):
     single_moves = False
     for n, key, tokens in entries:
         if key == "d":
-            d = int(tokens[0])
+            d = _positive_int(" ".join(tokens), n, "d")
         elif key == "moves":
             if tokens[0] not in ("single", "all"):
                 raise SchemaError(
@@ -417,14 +427,14 @@ def parse_sweep(path):
     grids = {}
     for n, key, tokens in sections["sweep"]:
         if key == "d":
-            d = int(tokens[0])
+            d = _positive_int(" ".join(tokens), n, "d")
         elif key in ("alpha", "beta", "kappa"):
             if len(tokens) != 3:
                 raise SchemaError(
                     f"line {n}: {key} needs 'start stop count'", line=n
                 )
             start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
-            count = int(tokens[2])
+            count = _positive_int(tokens[2], n, f"the {key} count")
             grids[key] = np.linspace(start, stop, count)
         else:
             raise SchemaError(f"line {n}: unknown key {key!r} in [sweep]", line=n)

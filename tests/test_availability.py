@@ -20,9 +20,36 @@ from mobiusdual import availability, cli, duality, monotonicity
 from mobiusdual import cube as cube_module
 from mobiusdual.availability import Generator
 from mobiusdual.poset import Poset
-from mobiusdual.errors import InputError, MissingSubsetValue, ZeroGenerator
+from mobiusdual.chain import ROW_TOL
+from mobiusdual.errors import (
+    InputError,
+    MissingSubsetValue,
+    NumericalFailure,
+    ZeroGenerator,
+)
 
 FOUR_CUBE = os.path.join(os.path.dirname(__file__), "data", "four_cube.spec")
+
+
+def count_calls(monkeypatch, *targets):
+    """Calls to each ``(module, name)`` of ``targets``, counted by name."""
+    counts = {}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def off_product(table, mask=5, by=1e-10):
+    """``table`` with the value at ``mask`` moved by a relative ``by``."""
+    out = table.copy()
+    out[mask] *= 1.0 + by
+    return out
 
 
 class TestRateFunctions:
@@ -214,6 +241,127 @@ class TestWalkReduction:
         assert gen.Q[0, 3] == pytest.approx(a[0] * a[1])
 
 
+def walk_shaped_rates(kind, d, seed):
+    """A product-form network: failures rarer than repairs, so most
+    multipliers give a Mobius monotone walk and a dual."""
+    rng = np.random.default_rng(seed)
+    psi, phi = rng.uniform(0.001, 0.004, d), rng.uniform(0.05, 0.1, d)
+    if kind == "pernode":
+        return RateFunctions(d=d, psi=pernode_family(d, psi), phi=pernode_family(d, phi))
+    if kind == "power":
+        return RateFunctions(d=d, psi=power_family(d, psi[0]), phi=power_family(d, phi[0]))
+    # an explicit table, scaled so that the values at the empty set are not 1
+    return rates_from_tables(
+        d,
+        dict(enumerate(2.5 * pernode_family(d, psi))),
+        dict(enumerate(0.4 * pernode_family(d, phi))),
+    )
+
+
+class TestWalkShapedNetworks:
+    """A single-move network of product form is uniformized as the
+    nearest-neighbor walk of its per-node rates: no generator and no Mobius
+    transform, and the results of the dense generator path."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(
+            monkeypatch,
+            (availability, "availability_generator"),
+            (monotonicity, "mobius_transform"),
+        )
+
+    @staticmethod
+    def dense(monkeypatch, r, **kwargs):
+        """The pipeline on the generator path, as for any other network."""
+        with monkeypatch.context() as m:
+            m.setattr(availability, "node_rates", lambda r: None)
+            return availability_pipeline(r, single_moves_only=True, **kwargs)
+
+    def test_node_rates_read_the_tables(self):
+        a, b = (0.03, 0.05, 0.04), (0.04, 0.06, 0.05)
+        r = RateFunctions(d=3, psi=pernode_family(3, a), phi=pernode_family(3, b))
+        psi, phi = availability.node_rates(r)
+        assert psi.tolist() == list(a) and phi.tolist() == list(b)
+        # ratios off by a relative 1e-13 agree to ROW_TOL; 1e-9 does not
+        near = RateFunctions(d=3, psi=off_product(r.psi, 6, 1e-13), phi=r.phi)
+        assert availability.node_rates(near)[0].tolist() == list(a)
+        far = RateFunctions(d=3, psi=r.psi, phi=off_product(r.phi, 6))
+        assert availability.node_rates(far) is None
+        # node k's ratio is the same from every state without k
+        power = RateFunctions(d=3, psi=power_family(3, 0.5), phi=power_family(3, 2.0))
+        psi, phi = availability.node_rates(power)
+        assert psi.tolist() == [0.5] * 3 and phi.tolist() == [2.0] * 3
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("multiplier", [1.0, 1.05, 2.0])
+    @pytest.mark.parametrize("kind", ["pernode", "power", "table"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_generator_path(self, monkeypatch, calls, d, kind,
+                                        multiplier, direction):
+        # full-length curves: where a curve stops below STOP_BELOW_DEFAULT
+        # depends on its last digits
+        kwargs = {"multiplier": multiplier, "direction": direction, "stop_below": None}
+        r = walk_shaped_rates(kind, d, 70 + d)
+        want = self.dense(monkeypatch, r, **kwargs)
+        calls.clear()
+        got = availability_pipeline(r, single_moves_only=True, **kwargs)
+        assert calls == {}
+        assert got.chain.walk is not None and want.chain.walk is None
+        assert np.abs(got.chain.P - want.chain.P).max() <= ROW_TOL
+        assert abs(got.rate - want.rate) <= 1e-15 * want.rate
+        assert np.abs(got.law.pi / want.law.pi - 1.0).max() <= 1e-14
+        for g, w in zip(got.reports, want.reports):
+            assert (g.notion, g.verdict, g.witness) == (w.notion, w.verdict, w.witness)
+            assert abs(g.worst_value - w.worst_value) <= 1e-14
+        assert got.stopped_at == want.stopped_at
+        if want.dual is None:
+            assert got.dual is None
+            return
+        assert (got.dual.path, want.dual.path) == ("closed_form", "transform")
+        assert got.dual.absorbing_index == want.dual.absorbing_index
+        assert np.abs(got.dual.P_star - want.dual.P_star).max() <= 1e-15
+        assert np.abs(got.dual.nu_star - want.dual.nu_star).max() <= 1e-15
+        assert got.curve.horizon == want.curve.horizon
+        assert np.abs(got.curve.values - want.curve.values).max() <= 1e-14
+        assert np.abs(got.tail.tail - want.tail.tail).max() <= 1e-14
+
+    def test_cases_reach_the_dual(self):
+        # the oracle above compares duals, not only verdicts
+        r = walk_shaped_rates("pernode", 8, 78)
+        for multiplier in (1.05, 2.0):
+            report = availability_pipeline(r, multiplier=multiplier, single_moves_only=True)
+            assert report.dual.path == "closed_form"
+
+    @pytest.mark.parametrize("single, psi", [
+        (False, lambda t: t),               # group moves
+        (True, lambda t: off_product(t, by=1e-9)),  # one entry off the product
+    ])
+    def test_other_networks_keep_the_generator_path(self, calls, single, psi):
+        r = walk_shaped_rates("pernode", 4, 74)
+        r = RateFunctions(d=4, psi=psi(r.psi), phi=r.phi)
+        report = availability_pipeline(r, multiplier=2.0, single_moves_only=single)
+        assert report.chain.walk is None
+        assert calls["availability_generator"] == 1
+        assert calls["mobius_transform"] >= 1
+        if report.dual is not None:
+            assert report.dual.path == "transform"
+        assert single == (report.dual is not None)
+
+    def test_wrong_closed_form_fails_the_residuals(self, monkeypatch):
+        entries = duality.walk_entries
+
+        def wrong(params, direction):
+            rows, cols, p, t = entries(params, direction)
+            return rows, cols, np.where(rows == cols, p, 1.01 * p), t
+
+        monkeypatch.setattr(duality, "walk_entries", wrong)
+        r = walk_shaped_rates("pernode", 4, 74)
+        with pytest.raises(NumericalFailure, match="residuals") as exc:
+            availability_pipeline(r, multiplier=2.0, single_moves_only=True)
+        assert exc.value.stage == "dual"
+
+
 class TestPipeline:
     def test_symmetric_power_rates_give_uniform_law(self):
         r = RateFunctions(d=3, psi=power_family(3, 0.04), phi=power_family(3, 0.04))
@@ -281,26 +429,24 @@ class TestWorkRunsOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {}
-        for module, name in ((monotonicity, "mobius_transform"), (duality, "build_link")):
-            original = getattr(module, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-        return counts
-
-    def test_full_single_move_run(self, calls):
-        r = RateFunctions(
-            d=4,
-            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
-            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
+        return count_calls(
+            monkeypatch, (monotonicity, "mobius_transform"), (duality, "build_link")
         )
+
+    @staticmethod
+    def single_move_run(psi):
+        r = RateFunctions(d=4, psi=psi, phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)))
         report = availability_pipeline(r, multiplier=2.0, single_moves_only=True)
         assert report.stopped_at is None
         assert report.reports[2] is report.dual.reversed_report
+
+    def test_full_single_move_run(self, calls):
+        # a product-form network is a cube walk, read off its rates
+        self.single_move_run(pernode_family(4, (0.03, 0.05, 0.04, 0.02)))
+        assert calls == {}
+
+    def test_full_single_move_run_off_product(self, calls):
+        self.single_move_run(off_product(pernode_family(4, (0.03, 0.05, 0.04, 0.02))))
         assert calls == {"mobius_transform": 2}
 
     def test_run_stopped_at_monotonicity(self, calls):
@@ -327,8 +473,8 @@ class TestWorkRunsOnce:
 
 
 class TestGeneratorFreed:
-    @pytest.mark.parametrize("single", [True, False])
-    def test_no_later_stage_holds_the_dense_generator(self, monkeypatch, single):
+    @pytest.fixture
+    def made(self, monkeypatch):
         made = []
         generator, stationary = availability.availability_generator, availability.stationary
 
@@ -338,18 +484,27 @@ class TestGeneratorFreed:
             return gen
 
         def checked(*args, **kwargs):
-            assert made and made[0]() is None, "the generator outlived uniformize"
+            assert all(ref() is None for ref in made), "the generator outlived uniformize"
             return stationary(*args, **kwargs)
 
         monkeypatch.setattr(availability, "availability_generator", recording)
         monkeypatch.setattr(availability, "stationary", checked)
-        r = RateFunctions(
-            d=4,
-            psi=pernode_family(4, (0.03, 0.05, 0.04, 0.02)),
-            phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)),
-        )
+        return made
+
+    @staticmethod
+    def run(psi, single):
+        r = RateFunctions(d=4, psi=psi, phi=pernode_family(4, (0.04, 0.06, 0.05, 0.03)))
         availability_pipeline(r, multiplier=2.0, single_moves_only=single)
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_no_later_stage_holds_the_dense_generator(self, made, single):
+        # off the product form, single moves take the generator path too
+        self.run(off_product(pernode_family(4, (0.03, 0.05, 0.04, 0.02))), single)
         assert len(made) == 1
+
+    def test_walk_shaped_network_builds_no_generator(self, made):
+        self.run(pernode_family(4, (0.03, 0.05, 0.04, 0.02)), True)
+        assert made == []
 
 
 class TestCubePathsSkipDensePair:

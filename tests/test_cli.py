@@ -656,8 +656,11 @@ class TestAvail:
         assert code == 0
         assert "mean_absorption" in out
         assert "sst_bound_ok: true" in out
-        # an availability chain carries no flip rates
-        assert "# dual_path: transform" in out.splitlines()
+        # per-node rates with single moves make the chain a cube walk, whose
+        # reports and dual are read off its flip rates
+        assert "# dual_path: closed_form" in out.splitlines()
+        header, rows = parse_table(out.split("\n\n")[1])
+        assert [float(row[2]) for row in rows] == [0.0] * 4
 
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(
@@ -669,15 +672,23 @@ class TestAvail:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
+    @staticmethod
+    def assert_too_large(capsys, tmp_path, moves):
         big = tmp_path / "rates15.spec"
-        big.write_text("[rates]\nd: 15\npsi: power 0.5\nphi: power 2\n")
+        big.write_text(f"[rates]\nd: 15\nmoves: {moves}\npsi: power 0.5\nphi: power 2\n")
         code, out, err = run(capsys, "avail", "--input", str(big))
         assert code == 1
         block = json.loads(err)
         assert block["error"] == "DimensionTooLarge"
         assert block["stage"] == "generator"
         assert "Traceback" not in err
+
+    def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
+        self.assert_too_large(capsys, tmp_path, "all")
+
+    def test_walk_shaped_dimension_above_dense_limit(self, capsys, tmp_path):
+        # a single-move power network is walk-shaped: it fails at the same stage
+        self.assert_too_large(capsys, tmp_path, "single")
 
     def test_tolerance_mono_reaches_every_verdict(self, capsys):
         code, out, err = run(
@@ -708,6 +719,28 @@ class TestSweep:
             if float(row[2]) == 0.0:
                 assert row[4] == "true" and row[6] == "true"
             assert row[4] in ("true", "false")
+
+    @pytest.mark.parametrize("line, bad", [
+        ("d: x", "'x'"),
+        ("d: 0", "'0'"),
+        ("d: 3 4", "'3 4'"),
+        ("alpha: 0.04 0.05 x", "'x'"),
+        ("alpha: 0.04 0.05 0.1", "'0.1'"),
+        ("alpha: 0.04 0.05 0", "'0'"),
+        ("alpha: 0.04 0.05 -2", "'-2'"),
+    ])
+    def test_bad_integers_are_schema_errors(self, capsys, tmp_path, line, bad):
+        lines = ["[sweep]", "d: 3", "alpha: 0.04 0.05 2", "beta: 0.04 0.05 2"]
+        at = 1 if line.startswith("d:") else 2
+        lines[at] = line
+        sweep = tmp_path / "sweep.spec"
+        sweep.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "sweep", "--input", str(sweep))
+        assert code == 1 and out == ""
+        block = json.loads(err)
+        assert block["error"] == "SchemaError"
+        assert block["line"] == at + 1
+        assert block["detail"].endswith(f"must be a positive integer, got {bad}")
 
     def test_verdict_and_dual_agree_at_loose_tolerance(self, capsys, tmp_path):
         # at --tolerance-mono 0.2 the dual's preconditions are decided at 0.2

@@ -314,6 +314,19 @@ class TestAbsorptionTail:
         assert tail.tail[-1] < 1e-14
         assert tail.mean == pytest.approx(tail.tail.sum(), abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["two_cube", "three_cube", "four_cube"])
+    def test_fixture_tails_are_probabilities(self, name):
+        # the normalised rows of P* sum to 1 only to rounding: unclipped,
+        # the three_cube tail read 1 + 2^-52 at n = 1, 2
+        params = load_model(os.path.join(DATA, f"{name}.spec")).cube
+        m = 2**params.d
+        for direction, start in (("down", 0), ("up", m - 1)):
+            c = nearest_neighbor_walk(params, nu=delta(m, start))
+            dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), direction)
+            tail = absorption_tail(dual, 200).tail
+            assert tail.max() <= 1.0 and tail.min() >= 0.0
+            assert tail[0] == 1.0
+
     def test_second_absorbing_class_detected(self):
         bad = DualChain(
             nu_star=np.array([0.5, 0.25, 0.25]),

@@ -149,6 +149,17 @@ class TestSchemaErrors:
             parse_spec(path)
         assert exc.value.line == 5
 
+    @pytest.mark.parametrize("section, rest", [
+        ("cube", "alpha: 0.1\nbeta: 0.1\n"),
+        ("rates", "psi: power 0.5\nphi: power 2\n"),
+    ])
+    @pytest.mark.parametrize("d", ["x", "2.5", "0", "-1", ""])
+    def test_dimension_must_be_a_positive_integer(self, tmp_path, section, rest, d):
+        path = write(tmp_path, "s.spec", f"[{section}]\nd: {d}\n{rest}")
+        with pytest.raises(SchemaError, match="d must be a positive integer") as exc:
+            parse_spec(path)
+        assert exc.value.line == 2
+
     def test_bad_row_sum_is_not_schema_error(self):
         with pytest.raises(NotStochastic) as exc:
             parse_spec(os.path.join(DATA, "bad_row.spec"))
