@@ -114,7 +114,7 @@ def availability_generator(r, single_moves_only=False):
     """
     d = r.d
     check_cube_dim(d)
-    masks = np.arange(2**d, dtype=np.int16)  # d <= DENSE_CUBE_LIMIT = 14
+    masks = np.arange(2**d, dtype=np.int16)  # d <= DENSE_CUBE_LIMIT = 13
     row, col = masks[:, None], masks[None, :]
     meet = row & col
     breakdown, repair = meet == row, meet == col
@@ -152,12 +152,17 @@ def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
     """Uniformize a generator into a row-stochastic kernel.
 
     The rate is ``multiplier`` times the largest total exit rate; multipliers
-    above 1 keep every holding probability strictly positive.  The stationary
-    law is preserved: pi Q = 0 iff pi P = pi.
+    above 1 keep every holding probability strictly positive.  A holding
+    probability within ROW_TOL of 0 is exactly 0, as on the walk path
+    (``holding_probabilities``).  The stationary law is preserved:
+    pi Q = 0 iff pi P = pi.
     """
     rate = _uniformization_rate(float(np.abs(np.diag(gen.Q)).max()), multiplier)
     p = cube_poset(gen.d)
-    mat = np.eye(p.size) + gen.Q / rate
+    mat = gen.Q / rate
+    stay = 1.0 + np.diag(mat)
+    stay[np.abs(stay) <= ROW_TOL] = 0.0
+    np.fill_diagonal(mat, stay)
     return UniformizedChain(chain=validate_chain(mat, p), rate=rate)
 
 

@@ -21,8 +21,9 @@ from .errors import (
 
 ROW_TOL = 1e-12
 IDENTITY_TOL = 1e-10
-# States eliminated per block of the state reduction in ``stationary``.
-GTH_BLOCK = 32
+# Chains of more than this many states try detailed balance in ``stationary``
+# before the state reduction.
+TREE_LAW_ABOVE = 32
 # Largest detailed-balance defect |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y))
 # over the moves of P at which a stationary law certifies P as reversible.
 BALANCE_TOL = 1e-12
@@ -220,23 +221,17 @@ def _balance(P, pi, rows, cols):
 
 
 def _gth(c):
-    """Blocked Grassmann-Taksar-Heyman state reduction (see ``stationary``)."""
+    """Grassmann-Taksar-Heyman state reduction (see ``stationary``)."""
     m = c.size
     a = c.P.copy()
-    for hi in range(m, 0, -GTH_BLOCK):
-        lo = max(0, hi - GTH_BLOCK)
-        for k in range(hi - 1, max(lo, 1) - 1, -1):
-            s = a[k, :k].sum()
-            if s <= 0:
-                raise NumericalFailure(
-                    f"state reduction stalled at {c.poset.elements[k]!r}"
-                )
-            a[:k, k] /= s
-            a[lo:k, :k] += np.outer(a[lo:k, k], a[k, :k])
-            if lo > 0:
-                a[:lo, lo:k] += np.outer(a[:lo, k], a[k, lo:k])
-        if lo > 0:
-            a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
+    for k in range(m - 1, 0, -1):
+        s = a[k, :k].sum()
+        if s <= 0:
+            raise NumericalFailure(
+                f"state reduction stalled at {c.poset.elements[k]!r}"
+            )
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
     pi = np.empty(m)
     pi[0] = 1.0
     for k in range(1, m):
@@ -253,8 +248,8 @@ def stationary(c, residual_tol=IDENTITY_TOL):
 
     A reversible chain's law follows from detailed balance along any
     spanning tree of its support (Kolmogorov's criterion).  For a chain of
-    more than GTH_BLOCK states the BFS tree of the ergodicity check gives a
-    candidate in O(nnz), accepted when its certificate
+    more than TREE_LAW_ABOVE states the BFS tree of the ergodicity check
+    gives a candidate in O(nnz), accepted when its certificate
     (``StationaryLaw.balance``) is within BALANCE_TOL; cube walks and
     availability chains pass it.  An accepted pi is the exact law of a
     reversible kernel whose moves are within a relative BALANCE_TOL of
@@ -262,26 +257,21 @@ def stationary(c, residual_tol=IDENTITY_TOL):
     relative 2 m BALANCE_TOL of P's own law at worst; on walks and networks
     up to 4096 states it is within 1e-14 of the product form.
 
-    Every other chain, and every chain of at most GTH_BLOCK states, where
-    the reduction is one unblocked pass, is solved by censoring states from
-    the top down and back-substituting (Grassmann-Taksar-Heyman).  The
-    solve is subtraction-free, so every stationary mass carries full
-    relative accuracy even when masses span many orders of magnitude; that
-    accuracy is what keeps the time reversal row-stochastic to within
-    ROW_TOL downstream.  The reduction is blocked and right-looking: states
-    are censored in blocks of GTH_BLOCK, each step updating only the
-    block's row and column panels, and the leading block receives the
-    block's deferred rank updates as one matrix product.  The Schur
-    complements are those of the one-state-at-a-time reduction and every
-    update still adds nonnegative terms.  The certificate is then taken on
-    the reduced law, so a small reversible chain is certified too.
+    Every other chain, and every chain of at most TREE_LAW_ABOVE states, is
+    solved by censoring states one at a time from the top down and
+    back-substituting (Grassmann-Taksar-Heyman), in O(m^3).  The solve is
+    subtraction-free, so every stationary mass carries full relative
+    accuracy even when masses span many orders of magnitude; that accuracy
+    is what keeps the time reversal row-stochastic to within ROW_TOL
+    downstream.  The certificate is then taken on the reduced law, so a
+    small reversible chain is certified too.
 
     Both paths check the residual max|pi P - pi| against ``residual_tol``.
     """
     level, rows, cols = _check_ergodic(c.P, c.poset)
     balance = float("inf")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if c.size > GTH_BLOCK:
+        if c.size > TREE_LAW_ABOVE:
             pi = _tree_law(c.P, level, rows, cols)
             if pi is not None:
                 balance = _balance(c.P, pi, rows, cols)

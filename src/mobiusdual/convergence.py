@@ -18,6 +18,7 @@ from .errors import (
 )
 
 MAX_HORIZON = 10_000_000
+MAX_SAMPLES = 10_000_000
 STOP_BELOW_DEFAULT = 1e-14
 SUBSET_ENUM_LIMIT = 20
 # Entries per block of the binomial CDF sums behind ``binomial_band``.
@@ -411,10 +412,13 @@ def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
     (seed, samples).  Returns the empirical tail for n = 0..horizon
     (default: largest observed time) with binomial confidence bands around
     the empirical values.  The dual must be nonnegative, as any dual that
-    ``build_ssd`` returns without ``force`` is.
+    ``build_ssd`` returns without ``force`` is, and ``samples`` at most
+    MAX_SAMPLES, which is checked before anything is drawn.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise InputError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if horizon is not None and (horizon < 0 or horizon > MAX_HORIZON):
         raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
     if not ((dual.P_star >= 0).all() and (dual.nu_star >= 0).all()):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ROW_TOL, Chain, validate_chain
+from .convergence import SUBSET_ENUM_LIMIT
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
@@ -73,19 +74,22 @@ class GPlusMove:
 
 def holding_probabilities(params):
     """(rates, stay): the (2^d, d) flip rates and the holding probability of
-    each state, in mask order.  Raises DimensionTooLarge above
-    DENSE_CUBE_LIMIT, and NegativeHoldingProbability (with the first
-    offending state as witness) when a holding probability is negative."""
-    check_cube_dim(params.d)
+    each state, in mask order, O(d 2^d).  Raises DimensionTooLarge above
+    SUBSET_ENUM_LIMIT, and NegativeHoldingProbability (with the first
+    offending state as witness) when a holding probability is below
+    -ROW_TOL.  A holding probability within ROW_TOL of 0 is exactly 0, so
+    rounding does not decide whether the walk can hold."""
+    check_cube_dim(params.d, SUBSET_ENUM_LIMIT)
     bits = cube_bits(params.d)
     rates = np.where(bits, params.beta, params.alpha)
     stay = 1.0 - rates.sum(axis=1)
-    bad = np.flatnonzero(stay < -1e-12)
+    bad = np.flatnonzero(stay < -ROW_TOL)
     if bad.size:
         i = int(bad[0])
         raise NegativeHoldingProbability(
             f"holding probability at state {tuple(bits[i].tolist())!r} is {float(stay[i])!r}"
         )
+    stay[np.abs(stay) <= ROW_TOL] = 0.0
     return rates, stay
 
 
@@ -108,7 +112,7 @@ def walk_entries(params, direction):
     up in ``direction``'s order (k unset in x for "down", set for "up"),
     by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
     or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
-    ``holding_probabilities`` clamps a stay within 1e-12 below 0.
+    ``holding_probabilities`` sets a stay within ROW_TOL of 0 to 0.
     """
     free = cube_bits(params.d) == (direction == "up")
     x, k = np.nonzero(free)
@@ -121,13 +125,15 @@ def walk_entries(params, direction):
 
 
 def _walk_kernel(params):
-    """(dense walk kernel, cube poset), not yet validated."""
-    rates, stay = holding_probabilities(params)
+    """(dense walk kernel, cube poset), not yet validated; d above
+    DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is
+    allocated."""
     p = cube_poset(params.d)
+    rates, stay = holding_probabilities(params)
     x = np.arange(p.size)
     mat = np.zeros((p.size, p.size))
     mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates
-    mat[x, x] = np.maximum(stay, 0.0)
+    mat[x, x] = stay
     return mat, p
 
 

@@ -38,7 +38,12 @@ class DimensionMismatch(InputError):
 
 
 class DimensionTooLarge(InputError):
-    pass
+    """A size above what the code admits; ``line`` is the spec line that
+    set it, when one did."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 class NotStochastic(InputError):

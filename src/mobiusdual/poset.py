@@ -21,7 +21,7 @@ from .errors import (
     UnknownState,
 )
 
-DENSE_CUBE_LIMIT = 14   # dense cube kernels only up to 2^14 states
+DENSE_CUBE_LIMIT = 13   # dense cube kernels only up to 2^13 states
 PANEL = 2**16           # float64 entries per cache block of the cube butterflies
 
 
@@ -293,27 +293,17 @@ def build_poset(labels, relations):
     return Poset(elements, leq)
 
 
-def _invert_unitriangular(cf, block=256):
-    """Blocked back-substitution for an upper unitriangular float matrix.
-
-    Processing bottom-up keeps the invariant that x[lo:, lo:] inverts
-    cf[lo:, lo:]; each new block needs one small row loop plus two matrix
-    products, so large instances run at matrix-multiply speed.
-    """
-    m = cf.shape[0]
-    x = np.eye(m, dtype=np.float64)
-    hi = m
-    while hi > 0:
-        lo = max(0, hi - block)
-        for i in range(hi - 2, lo - 1, -1):
-            row = cf[i, i + 1:hi]
-            if row.any():
-                x[i, i + 1:hi] -= row @ x[i + 1:hi, i + 1:hi]
-        if hi < m:
-            x[lo:hi, hi:] = -(
-                x[lo:hi, lo:hi] @ cf[lo:hi, hi:] @ x[hi:, hi:]
-            )
-        hi = lo
+def _invert_unitriangular(c, dtype):
+    """Row-by-row back-substitution for an upper unitriangular matrix, in
+    ``dtype``: bottom-up, row i of the inverse is e_i minus c's strict row i
+    times the rows of the inverse below it."""
+    m = c.shape[0]
+    c = c.astype(dtype)
+    x = np.eye(m, dtype=dtype)
+    for i in range(m - 2, -1, -1):
+        row = c[i, i + 1:]
+        if row.any():
+            x[i, i + 1:] -= row @ x[i + 1:, i + 1:]
     return x
 
 
@@ -326,11 +316,11 @@ def zeta_mobius(p):
 def _mobius_matrix(c):
     """The exact int64 inverse of the zeta matrix c of a general poset:
     float64 back-substitution, certified exact by a magnitude bound below
-    2**53 plus the exact product C Cinv = I, with arbitrary-precision
-    integers when that fails."""
+    2**53 plus the exact product C Cinv = I, with the same back-substitution
+    over arbitrary-precision integers when that fails."""
     m = c.shape[0]
     cf = c.astype(np.float64)
-    x = _invert_unitriangular(cf)
+    x = _invert_unitriangular(c, np.float64)
     if np.abs(x).max() < 2.0**53:
         # float products are exact while every partial sum stays below 2**53;
         # bound them by max row sum of C times max column sum of |x|.  Under
@@ -339,23 +329,13 @@ def _mobius_matrix(c):
         magnitude = float(cf.sum(axis=1).max()) * float(np.abs(x).sum(axis=0).max())
         if magnitude < 2.0**53 and not (cf @ x - np.eye(m)).any():
             return np.rint(x).astype(np.int64)
-    return _invert_unitriangular_exact(c)
+    return _invert_unitriangular(c, object).astype(np.int64)
 
 
-def _invert_unitriangular_exact(c):
-    """Arbitrary-precision integer back-substitution (fallback path)."""
-    m = c.shape[0]
-    cobj = c.astype(object)
-    xobj = np.eye(m, dtype=object)
-    for i in range(m - 2, -1, -1):
-        xobj[i, :] = xobj[i, :] - cobj[i, i + 1:] @ xobj[i + 1:, :]
-    return np.array([[int(v) for v in row] for row in xobj], dtype=np.int64)
-
-
-def check_cube_dim(d):
-    """Raise DimensionTooLarge unless 1 <= d <= DENSE_CUBE_LIMIT."""
-    if not 1 <= d <= DENSE_CUBE_LIMIT:
-        raise DimensionTooLarge(f"cube dimension must be in [1, {DENSE_CUBE_LIMIT}]")
+def check_cube_dim(d, limit=DENSE_CUBE_LIMIT):
+    """Raise DimensionTooLarge unless 1 <= d <= ``limit``."""
+    if not 1 <= d <= limit:
+        raise DimensionTooLarge(f"cube dimension must be in [1, {limit}]")
 
 
 def cube_bits(d):

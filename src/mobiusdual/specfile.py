@@ -48,6 +48,7 @@ entries override family values)::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,10 +58,13 @@ import numpy as np
 from .availability import RateFunctions, pernode_family, power_family
 from .chain import ROW_TOL, Chain, validate_chain
 from .cube import CubeWalkParams
-from .errors import SchemaError
-from .poset import Poset, build_poset
+from .errors import DimensionTooLarge, SchemaError
+from .poset import DENSE_CUBE_LIMIT, Poset, build_poset
 
 NU_TOKENS = ("delta_min", "delta_max", "uniform", "stationary")
+# Most points a [sweep] grid may hold, over all its alpha, beta and kappa
+# values.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass
@@ -267,6 +271,12 @@ def _parse_rates(entries):
     for n, key, tokens in entries:
         if key == "d":
             d = _positive_int(" ".join(tokens), n, "d")
+            if d > DENSE_CUBE_LIMIT:
+                # every [rates] path builds a dense kernel
+                raise DimensionTooLarge(
+                    f"line {n}: [rates] d must be in [1, {DENSE_CUBE_LIMIT}], got {d}",
+                    line=n,
+                )
         elif key == "moves":
             if tokens[0] not in ("single", "all"):
                 raise SchemaError(
@@ -417,14 +427,16 @@ def parse_sweep(path):
     """Parse a ``[sweep]`` file into (d, alphas, betas, kappas).
 
     Keys: ``d``, and ``alpha``/``beta``/``kappa`` as ``start stop count``
-    linspace grids; kappa defaults to the single value 0.
+    linspace grids; kappa defaults to the single value 0.  A count that
+    takes the grid past MAX_SWEEP_POINTS points raises DimensionTooLarge at
+    its line, before its axis is built.
     """
     with open(path, encoding="utf-8") as fh:
         sections = _sections(fh.read())
     if set(sections) != {"sweep"}:
         raise SchemaError("sweep input must hold exactly a [sweep] section")
     d = None
-    grids = {}
+    grids, counts = {}, {}
     for n, key, tokens in sections["sweep"]:
         if key == "d":
             d = _positive_int(" ".join(tokens), n, "d")
@@ -434,8 +446,14 @@ def parse_sweep(path):
                     f"line {n}: {key} needs 'start stop count'", line=n
                 )
             start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
-            count = _positive_int(tokens[2], n, f"the {key} count")
-            grids[key] = np.linspace(start, stop, count)
+            counts[key] = _positive_int(tokens[2], n, f"the {key} count")
+            if math.prod(counts.values()) > MAX_SWEEP_POINTS:
+                raise DimensionTooLarge(
+                    f"line {n}: the sweep grid would hold more than "
+                    f"{MAX_SWEEP_POINTS} points",
+                    line=n,
+                )
+            grids[key] = np.linspace(start, stop, counts[key])
         else:
             raise SchemaError(f"line {n}: unknown key {key!r} in [sweep]", line=n)
     if d is None or "alpha" not in grids or "beta" not in grids:

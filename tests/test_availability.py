@@ -24,6 +24,7 @@ from mobiusdual.chain import ROW_TOL
 from mobiusdual.errors import (
     InputError,
     MissingSubsetValue,
+    NotAperiodic,
     NumericalFailure,
     ZeroGenerator,
 )
@@ -325,6 +326,19 @@ class TestWalkShapedNetworks:
         assert got.curve.horizon == want.curve.horizon
         assert np.abs(got.curve.values - want.curve.values).max() <= 1e-14
         assert np.abs(got.tail.tail - want.tail.tail).max() <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.03, 0.04, 0.1, 1 / 3])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equal_exit_rates_hold_nowhere_on_either_path(self, monkeypatch, d, c):
+        # at multiplier 1 every exit rate c d is the uniformization rate, so
+        # no state holds and the chain has period 2, however the holding
+        # probabilities round on either path
+        r = RateFunctions(d=d, psi=power_family(d, c), phi=power_family(d, c))
+        for run in (lambda: availability_pipeline(r, multiplier=1.0, single_moves_only=True),
+                    lambda: self.dense(monkeypatch, r, multiplier=1.0)):
+            with pytest.raises(NotAperiodic) as exc:
+                run()
+            assert exc.value.stage == "stationary" and exc.value.period == 2
 
     def test_cases_reach_the_dual(self):
         # the oracle above compares duals, not only verdicts

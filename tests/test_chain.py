@@ -27,7 +27,7 @@ from mobiusdual.availability import (
 from mobiusdual.chain import (
     BALANCE_TOL,
     Chain,
-    GTH_BLOCK,
+    TREE_LAW_ABOVE,
     StationaryLaw,
     _balance,
     _support_levels,
@@ -289,11 +289,7 @@ class TestStationary:
     def test_blocked_matches_unblocked_reduction(self, m):
         rng = np.random.default_rng(1000 + m)
         c = validate_chain(random_positive(m, rng), build_poset(list(range(m)), []))
-        pi = stationary(c).pi
-        ref = gth_unblocked(c.P)
-        if m <= GTH_BLOCK:
-            assert np.array_equal(pi, ref)
-        assert np.abs(pi / ref - 1.0).max() < 1e-13
+        assert np.array_equal(stationary(c).pi, gth_unblocked(c.P))
 
     def test_tiny_masses_keep_relative_accuracy(self):
         # the top state's mass is (alpha/(alpha+beta))^8, about 2.6e-46
@@ -303,7 +299,7 @@ class TestStationary:
         assert ref.min() < 1e-45
         assert np.abs(law.pi / ref - 1.0).max() < 1e-12
 
-    def test_stall_inside_a_block_raises(self):
+    def test_stall_after_underflow_raises(self):
         # state 20 leaves only to 39 with the smallest subnormal mass, and
         # 39 splits it between 37 and 38: both products underflow to zero
         m = 40
@@ -396,8 +392,8 @@ def shared_row(P):
 
 def solved_path(c):
     """The path ``stationary`` takes on a reversible chain: the spanning tree
-    above GTH_BLOCK states, the state reduction at or below it."""
-    return "detailed_balance" if c.size > GTH_BLOCK else "gth"
+    above TREE_LAW_ABOVE states, the state reduction at or below it."""
+    return "detailed_balance" if c.size > TREE_LAW_ABOVE else "gth"
 
 
 def with_one_way_move(c, x, y, p):
@@ -409,7 +405,7 @@ def with_one_way_move(c, x, y, p):
 
 
 class TestDetailedBalance:
-    """Chains above GTH_BLOCK states take their law from detailed balance
+    """Chains above TREE_LAW_ABOVE states take their law from detailed balance
     along a BFS tree when it certifies; every other chain falls back to the
     state reduction.  A law that certifies detailed balance, by either path,
     makes the chain its own reversal."""
@@ -508,7 +504,7 @@ class TestDetailedBalance:
 
     @pytest.mark.parametrize("p", [1e-13, 1e-300])
     def test_one_way_move_falls_back_to_gth(self, p):
-        # a walk above GTH_BLOCK states with one faint move that has no
+        # a walk above TREE_LAW_ABOVE states with one faint move that has no
         # reverse: its tree law balances every tree edge, but not that move
         params = CubeWalkParams(d=6, alpha=(0.05,) * 6, beta=(0.07,) * 6)
         c = with_one_way_move(nearest_neighbor_walk(params), 0, 63, p)

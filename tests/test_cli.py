@@ -12,6 +12,7 @@ import mobiusdual as md
 from mobiusdual import convergence, monotonicity
 from mobiusdual.cli import COMMANDS, build_parser, main
 from mobiusdual.errors import InputError, NegativeHoldingProbability, UpSetExplosion
+from mobiusdual.poset import DENSE_CUBE_LIMIT
 from mobiusdual.specfile import load_model, load_model_text, serialize_chain
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -521,17 +522,27 @@ class TestEig:
         negative.write_text("[cube]\nd: 2\nalpha: 0.6 0.6\nbeta: 0.1 0.1\n")
         with pytest.raises(NegativeHoldingProbability) as exc:
             md.nearest_neighbor_walk(load_model(str(negative)).cube)
-        big = tmp_path / "cube15.spec"
-        rates = " ".join(["0.01"] * 15)
-        big.write_text(f"[cube]\nd: 15\nalpha: {rates}\nbeta: {rates}\n")
+        # eig reads no kernel, so it refuses only past the subset enumeration
+        big = tmp_path / "cube21.spec"
+        rates = " ".join(["0.01"] * 21)
+        big.write_text(f"[cube]\nd: 21\nalpha: {rates}\nbeta: {rates}\n")
         for path, error, detail in (
             (negative, "NegativeHoldingProbability", str(exc.value)),
-            (big, "DimensionTooLarge", "cube dimension must be in [1, 14]"),
+            (big, "DimensionTooLarge", "cube dimension must be in [1, 20]"),
         ):
             code, out, err = run(capsys, "eig", "--input", str(path))
             block = json.loads(err)
             assert code == block["exit"] == 1 and out == ""
             assert block["error"] == error and block["detail"] == detail
+
+    def test_eig_reaches_past_the_dense_limit(self, capsys, tmp_path):
+        d = DENSE_CUBE_LIMIT + 1
+        rates = " ".join(["0.01"] * d)
+        path = tmp_path / "cube.spec"
+        path.write_text(f"[cube]\nd: {d}\nalpha: {rates}\nbeta: {rates}\n")
+        code, out, err = run(capsys, "eig", "--input", str(path))
+        assert code == 0, err
+        assert len([x for x in out.splitlines() if not x.startswith("#")]) == 2**d
 
     def test_dual_diagonal_for_explicit_chain(self, capsys, tmp_path):
         # serialize the admissible cube walk as a dense chain, then read the
@@ -612,9 +623,10 @@ class TestCube:
         assert code == 1
 
     def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
-        big = tmp_path / "cube15.spec"
-        rates = " ".join(["0.01"] * 15)
-        big.write_text(f"[cube]\nd: 15\nalpha: {rates}\nbeta: {rates}\nnu: delta_min\n")
+        d = DENSE_CUBE_LIMIT + 1
+        big = tmp_path / "cube.spec"
+        rates = " ".join(["0.01"] * d)
+        big.write_text(f"[cube]\nd: {d}\nalpha: {rates}\nbeta: {rates}\nnu: delta_min\n")
         code, out, err = run(capsys, "cube", "--input", str(big))
         assert code == 1
         assert json.loads(err)["error"] == "DimensionTooLarge"
@@ -674,20 +686,22 @@ class TestAvail:
 
     @staticmethod
     def assert_too_large(capsys, tmp_path, moves):
-        big = tmp_path / "rates15.spec"
-        big.write_text(f"[rates]\nd: 15\nmoves: {moves}\npsi: power 0.5\nphi: power 2\n")
+        big = tmp_path / "rates.spec"
+        big.write_text(f"[rates]\nd: {DENSE_CUBE_LIMIT + 1}\nmoves: {moves}\n"
+                       "psi: power 0.5\nphi: power 2\n")
         code, out, err = run(capsys, "avail", "--input", str(big))
         assert code == 1
         block = json.loads(err)
         assert block["error"] == "DimensionTooLarge"
-        assert block["stage"] == "generator"
+        # refused while the spec is parsed, at the line of d
+        assert block["line"] == 2 and "stage" not in block
         assert "Traceback" not in err
 
     def test_dimension_above_dense_limit_is_a_typed_error(self, capsys, tmp_path):
         self.assert_too_large(capsys, tmp_path, "all")
 
     def test_walk_shaped_dimension_above_dense_limit(self, capsys, tmp_path):
-        # a single-move power network is walk-shaped: it fails at the same stage
+        # a single-move power network is walk-shaped: it is refused the same way
         self.assert_too_large(capsys, tmp_path, "single")
 
     def test_tolerance_mono_reaches_every_verdict(self, capsys):
@@ -849,6 +863,69 @@ FLAG_VALUES = {
     "--tolerance-row": "1e-09", "--tolerance-mono": "1e-08", "--exact": None,
     "--multiplier": "2.5", "--stop-below": "0.001",
 }
+
+
+class TestSizeRefusals:
+    """User-given sizes are refused as typed input errors before anything is
+    allocated.  Each case runs in a child process whose address space is
+    capped, so a size that slipped through would fail there, not exhaust
+    the host."""
+
+    # the child caps its own address space (2 GiB) before it imports the CLI
+    CAPPED = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from mobiusdual.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+    @classmethod
+    def run_capped(cls, *argv):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", cls.CAPPED, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == "", done.stderr
+        assert "Traceback" not in done.stderr
+        block = json.loads(done.stderr)
+        assert block["exit"] == 1
+        return block
+
+    @pytest.mark.parametrize("psi", [
+        "psi: power 0.5",
+        "psi: pernode " + " ".join(["0.5"] * 40),
+        "psi: table\npsi[0]: 1",
+    ])
+    def test_rates_dimension(self, tmp_path, psi):
+        path = tmp_path / "rates.spec"
+        path.write_text(f"[rates]\nd: 40\n{psi}\nphi: power 2\n")
+        block = self.run_capped("avail", "--input", str(path))
+        assert block["error"] == "DimensionTooLarge" and block["line"] == 2
+        assert f"[1, {DENSE_CUBE_LIMIT}]" in block["detail"]
+
+    def test_simulate_samples(self):
+        block = self.run_capped("simulate", "--input", spec("two_cube.spec"),
+                                "--samples", "10000000000")
+        assert block["error"] == "InputError"
+        assert block["detail"] == (f"samples must be <= {convergence.MAX_SAMPLES}, "
+                                   "got 10000000000")
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (2, 10000000000),
+        (1001, 1000),       # each axis is within the bound, the grid is not
+    ])
+    def test_sweep_points(self, tmp_path, alpha, beta):
+        from mobiusdual.specfile import MAX_SWEEP_POINTS
+
+        path = tmp_path / "sweep.spec"
+        path.write_text(f"[sweep]\nd: 3\nalpha: 0.01 0.1 {alpha}\n"
+                        f"beta: 0.01 0.1 {beta}\n")
+        block = self.run_capped("sweep", "--input", str(path))
+        assert block["error"] == "DimensionTooLarge" and block["line"] == 4
+        assert str(MAX_SWEEP_POINTS) in block["detail"]
 
 
 class TestFlagContract:

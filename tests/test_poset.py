@@ -154,22 +154,27 @@ class TestZetaMobius:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_float_and_exact_inversions_agree(self, seed):
-        from mobiusdual.poset import _invert_unitriangular, _invert_unitriangular_exact
+        from mobiusdual.poset import _invert_unitriangular
 
         rng = np.random.default_rng(700 + seed)
         p = random_poset(12, rng, density=0.4)
         c = p.leq.astype(np.int64)
-        fast = np.rint(_invert_unitriangular(c.astype(float))).astype(np.int64)
-        assert (fast == _invert_unitriangular_exact(c)).all()
+        fast = np.rint(_invert_unitriangular(c, np.float64)).astype(np.int64)
+        assert (fast == _invert_unitriangular(c, object).astype(np.int64)).all()
 
-    def test_blocked_inversion_crosses_block_boundaries(self):
+    @pytest.mark.parametrize("m", [40, 260])
+    def test_float_loop_equals_integer_loop(self, m):
+        # m = 260 is past one 256-row block of the former blocked inversion;
+        # the inverse's entries stay below 2**33, so the float loop is exact
         from mobiusdual.poset import _invert_unitriangular
 
-        rng = np.random.default_rng(13)
-        m = 40
-        mat = np.triu((rng.random((m, m)) < 0.3).astype(float), 1) + np.eye(m)
-        inv = _invert_unitriangular(mat, block=8)
-        assert np.abs(mat @ inv - np.eye(m)).max() == 0.0
+        rng = np.random.default_rng(13 + m)
+        mat = np.triu((rng.random((m, m)) < 0.3).astype(np.int64), 1)
+        mat += np.eye(m, dtype=np.int64)
+        exact = _invert_unitriangular(mat, object)
+        inv = _invert_unitriangular(mat, np.float64)
+        assert (inv == exact.astype(np.float64)).all()
+        assert not (mat.astype(object) @ exact - np.eye(m, dtype=np.int64)).any()
 
 
 class TestOrientedPair:
@@ -544,7 +549,7 @@ class TestCubePoset:
         with pytest.raises(DimensionTooLarge):
             cube_poset(0)
         with pytest.raises(DimensionTooLarge):
-            cube_poset(15)
+            cube_poset(14)
         with pytest.raises(DimensionTooLarge):
             cube_poset(21)
 
