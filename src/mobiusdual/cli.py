@@ -26,8 +26,8 @@ from .chain import ROW_TOL, Chain, reverse, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
+    check_holding,
     cube_stationary_product,
-    holding_probabilities,
     nearest_neighbor_walk,
 )
 from .errors import (
@@ -294,19 +294,19 @@ def _mono_header(args, extra=(), loaded=None, tolerances=True, dual_of=()):
 
 
 def _all_notion_rows(chain, args):
-    """Mobius down/up, weak down/up and strong table rows, with header notes;
-    the Mobius and weak rows of a direction read one Mobius transform.
+    """Mobius down/up, weak down/up and strong table rows, as the library
+    reports them, with header notes.
 
     A strong verdict past the up-set cap is a ``skipped`` row and a note
     naming the reason, so the other rows are still reported.
     """
     tol, p = args.tolerance_mono, chain.poset
-    mobius, weak = [], []
-    for direction in ("down", "up"):
-        t = monotonicity.mobius_transform(chain.P, p, direction)
-        mobius.append(monotonicity.transform_report(chain, p, direction, t, tol))
-        weak.append(monotonicity.weak_report(chain, p, direction, t, tol))
-    rows, notes = _report_rows(mobius + weak), []
+    rows, notes = _report_rows([
+        monotonicity.mobius_monotone_down(chain, p, tol),
+        monotonicity.mobius_monotone_up(chain, p, tol),
+        monotonicity.weak_monotone(chain, p, "down", tol),
+        monotonicity.weak_monotone(chain, p, "up", tol),
+    ]), []
     try:
         rows += _report_rows([monotonicity.strong_stochastic_monotone(chain, tol=tol)])
     except UpSetExplosion as exc:
@@ -396,7 +396,7 @@ def cmd_eig(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     if loaded.kind == "cube":
         params = loaded.cube
-        holding_probabilities(params)   # refuse what the walk would refuse
+        check_holding(params)   # refuse what the walk would refuse
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
         source, dual_of = "cube_closed_form", ()
     else:
@@ -623,6 +623,11 @@ COMMANDS = (
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        # counts from the command line are refused before any model is loaded
+        if "horizon" in args:
+            convergence.check_horizon(args.horizon)
+        if "samples" in args:
+            convergence.check_samples(args.samples)
         return args.handler(args)
     except MobiusDualError as exc:
         sys.stderr.write(_error_block(exc) + "\n")

@@ -72,6 +72,20 @@ class SstBoundReport:
     ok: bool
 
 
+def check_horizon(horizon):
+    """Raise HorizonTooLarge unless 0 <= horizon <= MAX_HORIZON."""
+    if horizon < 0 or horizon > MAX_HORIZON:
+        raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
+
+
+def check_samples(samples):
+    """Raise InputError unless 1 <= samples <= MAX_SAMPLES."""
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise InputError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+
+
 def separation_curve(c, law, horizon, stop_below=None):
     """Iterate nu P^n and record s(n) = max_e (1 - nu P^n(e) / pi(e)).
 
@@ -82,8 +96,7 @@ def separation_curve(c, law, horizon, stop_below=None):
     """
     if c.nu is None:
         raise PreconditionFailed("separation curve requires an initial law nu")
-    if horizon < 0 or horizon > MAX_HORIZON:
-        raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
+    check_horizon(horizon)
     pi = law.pi
     step = _stepper(*_moves(c.P), c.size)
     dist = c.nu.astype(float)
@@ -139,8 +152,7 @@ def absorption_tail(dual, horizon):
     go, or by LU on a dense I - Q when they go both ways.  A zero pivot or a
     singular I - Q signals a second absorbing class, i.e. an invalid dual.
     """
-    if horizon < 0 or horizon > MAX_HORIZON:
-        raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
+    check_horizon(horizon)
     a = dual.absorbing_index
     rows, cols, vals = _moves(dual.P_star)
     transient = (rows != a) & (cols != a)
@@ -415,12 +427,9 @@ def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
     ``build_ssd`` returns without ``force`` is, and ``samples`` at most
     MAX_SAMPLES, which is checked before anything is drawn.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise InputError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
-    if horizon is not None and (horizon < 0 or horizon > MAX_HORIZON):
-        raise HorizonTooLarge(f"horizon must be in [0, {MAX_HORIZON}]")
+    check_samples(samples)
+    if horizon is not None:
+        check_horizon(horizon)
     if not ((dual.P_star >= 0).all() and (dual.nu_star >= 0).all()):
         raise PreconditionFailed(
             "simulation needs a nonnegative dual; P* or nu* has a negative "

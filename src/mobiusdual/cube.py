@@ -72,29 +72,38 @@ class GPlusMove:
     kappa: float
 
 
+def check_holding(params):
+    """Refuse, in O(d), the walks that ``holding_probabilities`` refuses.
+
+    The smallest holding probability is 1 - sum_k max(alpha_k, beta_k), at
+    the state with bit k set iff beta_k > alpha_k.  Raises DimensionTooLarge
+    above SUBSET_ENUM_LIMIT, and NegativeHoldingProbability (with that
+    state as witness) when it is below -ROW_TOL.
+    """
+    check_cube_dim(params.d, SUBSET_ENUM_LIMIT)
+    stay = 1.0 - np.maximum(params.alpha, params.beta).sum()
+    if stay < -ROW_TOL:
+        state = tuple(int(b > a) for a, b in zip(params.alpha, params.beta))
+        raise NegativeHoldingProbability(
+            f"holding probability at state {state!r} is {float(stay)!r}"
+        )
+
+
 def holding_probabilities(params):
     """(rates, stay): the (2^d, d) flip rates and the holding probability of
-    each state, in mask order, O(d 2^d).  Raises DimensionTooLarge above
-    SUBSET_ENUM_LIMIT, and NegativeHoldingProbability (with the first
-    offending state as witness) when a holding probability is below
-    -ROW_TOL.  A holding probability within ROW_TOL of 0 is exactly 0, so
-    rounding does not decide whether the walk can hold."""
-    check_cube_dim(params.d, SUBSET_ENUM_LIMIT)
+    each state, in mask order, O(d 2^d), once ``check_holding`` passes.  A
+    holding probability within ROW_TOL of 0 is exactly 0, so rounding does
+    not decide whether the walk can hold."""
+    check_holding(params)
     bits = cube_bits(params.d)
     rates = np.where(bits, params.beta, params.alpha)
     stay = 1.0 - rates.sum(axis=1)
-    bad = np.flatnonzero(stay < -ROW_TOL)
-    if bad.size:
-        i = int(bad[0])
-        raise NegativeHoldingProbability(
-            f"holding probability at state {tuple(bits[i].tolist())!r} is {float(stay[i])!r}"
-        )
     stay[np.abs(stay) <= ROW_TOL] = 0.0
     return rates, stay
 
 
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
-    """Single-coordinate-flip walk on the d-cube (see holding_probabilities
+    """Single-coordinate-flip walk on the d-cube (see check_holding
     for the parameter sets it rejects), validated at ``row_tol``; the chain
     carries ``params`` as its ``walk``."""
     mat, p = _walk_kernel(params)

@@ -301,33 +301,35 @@ def _ray_minimum(t, a, tol=0.0):
     return _near_min(np.minimum.reduce(values), tol)
 
 
-def weak_report(c, zm, direction, t, tol=MONO_TOL):
-    """Weak verdict of chain c from its transform t = mobius_transform(c.P, ...).
+def weak_monotone(c, zm, direction, tol=MONO_TOL):
+    """Weak (cumulative-mass) monotonicity in ``direction``, decided on the
+    Mobius transform t; on a cube walk (``c.walk`` set), on the entries of
+    t that ``cube.walk_entries`` gives, with no m x m array.
 
-    The weak (cumulative-mass) order compares laws through the
-    point-generated up-sets (up) or down-sets (down).  Write w = zeta^T d for
-    the cumulative masses of a signed difference d of laws: then d . 1 = a . w
-    with a the row sums of the oriented Mobius matrix, and the mass that d P
-    puts on generator k's set is w . t[:, k].  The kernel preserves the order
-    iff every generator is nonnegative on the cone {w >= 0 : a . w = 0}, that
-    is on its extreme rays; the worst value is the smallest ray value and the
-    witness its generator.
+    The weak order compares laws through the point-generated up-sets (up)
+    or down-sets (down).  Write w = zeta^T d for the cumulative masses of a
+    signed difference d of laws: then d . 1 = a . w with a the row sums of
+    the oriented Mobius matrix, and the mass that d P puts on generator k's
+    set is w . t[:, k].  The kernel preserves the order iff every generator
+    is nonnegative on the cone {w >= 0 : a . w = 0}, that is on its extreme
+    rays; the worst value is the smallest ray value and the witness its
+    generator.  On a cube a is 1 at the extremal state (the last for down,
+    the first for up) and 0 elsewhere, so the rays are the other rows of t.
+    Near-boundary verdicts are re-run in exact arithmetic, as the Mobius ones.
     """
+    if c.walk is not None:
+        rows, cols, _, t = walk_entries(c.walk, direction)
+        kept = cols != (c.size - 1 if direction == "down" else 0)
+        # a column listing fewer than m - 1 kept entries holds a 0
+        low = np.where(np.bincount(rows[kept], minlength=c.size) < c.size - 1, 0.0, np.inf)
+        np.minimum.at(low, rows[kept], t[kept])
+        worst, k = _near_min(low, tol)
+        return _report(f"weak_{direction}", worst, c.poset.elements[k], tol)
     a = zm.mobius_left(np.ones(zm.size, dtype=np.int64), direction, np.int64)
-    worst, k = _ray_minimum(t, a, tol)
+    worst, k = _ray_minimum(mobius_transform(c.P, zm, direction), a, tol)
     exact = _rerun_exactly(c, worst, tol)
     if exact:
         exact_p = np.array(c.exact, dtype=object)
         worst, k = _ray_minimum(mobius_transform(exact_p, zm, direction, object), a)
     witness = None if k is None else c.poset.elements[k]
     return _report(f"weak_{direction}", worst, witness, tol, exact)
-
-
-def weak_monotone(c, zm, direction, tol=MONO_TOL):
-    """Weak monotonicity in ``direction``, decided on the Mobius transform.
-
-    Near-boundary verdicts are re-run in exact arithmetic, as the Mobius
-    ones.  On a poset with one extremal element (a cube) the verdict is the
-    Mobius verdict without the extremal row.
-    """
-    return weak_report(c, zm, direction, mobius_transform(c.P, zm, direction), tol)

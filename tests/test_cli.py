@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
-from mobiusdual import convergence, monotonicity
+from mobiusdual import cli, convergence, monotonicity
 from mobiusdual.cli import COMMANDS, build_parser, main
 from mobiusdual.errors import InputError, NegativeHoldingProbability, UpSetExplosion
 from mobiusdual.poset import DENSE_CUBE_LIMIT
@@ -790,19 +790,73 @@ class TestSweep:
         assert rows["0"][0][3:] == ["NotStochastic", "-", "nan", "false"]
 
 
+def notion_rows(out):
+    """The five rows of the notion table in check or cube output."""
+    lines = out.splitlines()
+    start = lines.index("notion\tverdict\tworst_value\twitness\ttolerance") + 1
+    return [ln.split("\t") for ln in lines[start:start + 5]]
+
+
+def library_rows(chain):
+    """The notion rows of ``chain`` from the five library reports, the
+    strong one ``skipped`` past the up-set cap."""
+    zm = md.zeta_mobius(chain.poset)
+    reports = [
+        monotonicity.mobius_monotone_down(chain, zm),
+        monotonicity.mobius_monotone_up(chain, zm),
+        monotonicity.weak_monotone(chain, zm, "down"),
+        monotonicity.weak_monotone(chain, zm, "up"),
+    ]
+    try:
+        reports.append(monotonicity.strong_stochastic_monotone(chain))
+    except UpSetExplosion:
+        return cli._report_rows(reports) + [
+            ["strong_stochastic", "skipped", "nan", "-", "1e-10"]]
+    return cli._report_rows(reports)
+
+
 class TestCubeTransforms:
-    def test_cube_transforms_the_kernel_once_per_direction(self, capsys, monkeypatch):
-        # the verdict rows read one transform per direction, and the dual
-        # reads the walk's flip rates
-        calls = []
-        transform = monotonicity.mobius_transform
-        monkeypatch.setattr(monotonicity, "mobius_transform",
-                            lambda *a, **k: calls.append(a[2]) or transform(*a, **k))
-        code, out, err = run(capsys, "cube", "--input", spec("four_cube.spec"))
+    @pytest.mark.parametrize("command", ["check", "cube"])
+    def test_no_transform_on_a_walk(self, capsys, monkeypatch, command):
+        # the verdict rows and the dual read the walk's flip rates
+        def refuse(*args, **kwargs):
+            raise AssertionError("mobius_transform called")
+
+        monkeypatch.setattr(monotonicity, "mobius_transform", refuse)
+        code, out, err = run(capsys, command, "--input", spec("four_cube.spec"))
         assert code == 0, err
-        assert calls == ["down", "up"]
-        assert "# dual direction=down absorbing=1111" in out.splitlines()
-        assert "# dual_path: closed_form" in out.splitlines()
+        assert len(notion_rows(out)) == 5
+        if command == "cube":
+            assert "# dual direction=down absorbing=1111" in out.splitlines()
+            assert "# dual_path: closed_form" in out.splitlines()
+
+
+class TestNotionTable:
+    """check and cube print the notion rows exactly as the library
+    reports them."""
+
+    @pytest.mark.parametrize("command", ["check", "cube"])
+    @pytest.mark.parametrize("name", ["two_cube.spec", "three_cube.spec",
+                                      "four_cube.spec"])
+    def test_cube_specs(self, capsys, command, name):
+        code, out, err = run(capsys, command, "--input", spec(name))
+        assert code == 0, err
+        walk = md.nearest_neighbor_walk(load_model(spec(name)).cube)
+        assert notion_rows(out) == library_rows(walk)
+
+    @pytest.mark.parametrize("total", [0.6, 1.2])
+    @pytest.mark.parametrize("command", ["check", "cube"])
+    def test_eight_cube_walk(self, capsys, tmp_path, command, total):
+        w = np.random.default_rng(8).uniform(0.5, 1.5, 16)
+        w *= total / w.sum()
+        alpha, beta = (" ".join(repr(float(v)) for v in half) for half in (w[:8], w[8:]))
+        path = tmp_path / "cube8.spec"
+        path.write_text(f"[cube]\nd: 8\nalpha: {alpha}\nbeta: {beta}\n")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 0, err
+        rows = notion_rows(out)
+        assert rows == library_rows(md.nearest_neighbor_walk(load_model(str(path)).cube))
+        assert [r[1] for r in rows] == [str(total <= 1).lower()] * 4 + ["skipped"]
 
 
 class TestCubeRowTolerance:
@@ -926,6 +980,42 @@ class TestSizeRefusals:
         block = self.run_capped("sweep", "--input", str(path))
         assert block["error"] == "DimensionTooLarge" and block["line"] == 4
         assert str(MAX_SWEEP_POINTS) in block["detail"]
+
+
+class TestCountRefusals:
+    """--horizon and --samples out of range are refused before any model
+    is loaded, with the library's error classes and details."""
+
+    HORIZON = f"horizon must be in [0, {convergence.MAX_HORIZON}]"
+
+    @pytest.mark.parametrize("command, flag, value, error, detail", [
+        ("sep", "--horizon", "-1", "HorizonTooLarge", HORIZON),
+        ("cube", "--horizon", "-1", "HorizonTooLarge", HORIZON),
+        ("avail", "--horizon", "20000000", "HorizonTooLarge", HORIZON),
+        ("simulate", "--horizon", "-1", "HorizonTooLarge", HORIZON),
+        ("simulate", "--samples", "20000000", "InputError",
+         f"samples must be <= {convergence.MAX_SAMPLES}, got 20000000"),
+        ("simulate", "--samples", "0", "InputError", "samples must be >= 1"),
+    ])
+    def test_refused_before_loading(self, capsys, monkeypatch, command, flag,
+                                    value, error, detail):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model called")
+
+        monkeypatch.setattr(cli, "load_model", refuse)
+        model = spec("rates.spec" if command == "avail" else "two_cube.spec")
+        code, out, err = run(capsys, command, "--input", model, flag, value)
+        block = json.loads(err)
+        assert code == block["exit"] == 1 and out == ""
+        assert block["error"] == error and block["detail"] == detail
+
+    @pytest.mark.parametrize("command", ["sep", "cube", "simulate"])
+    def test_bounds_are_admitted(self, capsys, command):
+        argv = [command, "--input", spec("two_cube.spec"), "--horizon", "0"]
+        if command == "simulate":
+            argv += ["--samples", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
 
 
 class TestFlagContract:

@@ -96,6 +96,25 @@ class TestWalkGenerator:
             nearest_neighbor_walk(CubeWalkParams(d=2, alpha=(0.6, 0.6), beta=(0.1, 0.1)))
         assert "(0, 0)" in str(exc.value)
 
+    def test_refusal_names_the_least_holding_state(self, monkeypatch):
+        # bit k is set iff beta_k > alpha_k (the tie at k = 2 leaves it
+        # unset); the first negative state in mask order is (0, 0, 0, 0)
+        params = CubeWalkParams(d=4, alpha=(0.5, 0.1, 0.2, 0.3),
+                                beta=(0.1, 0.4, 0.2, 0.2))
+        bits = cube.cube_bits(4)
+        stay = 1.0 - np.where(bits, params.beta, params.alpha).sum(axis=1)
+        assert stay[0] < 0 and stay[0b0010] <= stay.min() + 1e-15
+        with pytest.raises(NegativeHoldingProbability) as exc:
+            nearest_neighbor_walk(params)
+        assert str(exc.value) == ("holding probability at state (0, 1, 0, 0) "
+                                  f"is {float(stay[0b0010])!r}")
+        # the check reads the d rates alone, at any dimension it admits
+        monkeypatch.setattr(cube, "cube_bits", None)
+        big = CubeWalkParams(d=20, alpha=(0.1,) * 20, beta=(0.01,) * 20)
+        with pytest.raises(NegativeHoldingProbability, match=r"\(0, 0,"):
+            cube.check_holding(big)
+        cube.check_holding(CubeWalkParams(d=20, alpha=(0.01,) * 20, beta=(0.02,) * 20))
+
     def test_rates_must_be_positive(self):
         with pytest.raises(NegativeHoldingProbability):
             CubeWalkParams(d=2, alpha=(0.0, 0.1), beta=(0.1, 0.1))

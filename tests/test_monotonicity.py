@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mobiusdual import (
+    Chain,
     CubeWalkParams,
     build_link,
     build_poset,
@@ -33,12 +34,12 @@ from mobiusdual.monotonicity import (
     MONO_TOL,
     UPSET_BYTES,
     _exact_margin,
+    _ray_minimum,
     _report,
     _rerun_exactly,
     enumerate_up_sets,
     mobius_transform,
     transform_report,
-    weak_report,
 )
 from mobiusdual.poset import Poset
 from mobiusdual.specfile import load_model, load_model_text
@@ -199,8 +200,12 @@ class TestCubeTransforms:
             i, j = (c.poset.index(e) for e in rep.witness)
             assert t[i, j] <= rep.worst_value + MONO_TOL
             assert (t.ravel()[: i * c.size + j] > rep.worst_value + MONO_TOL).all()
-            weak = weak_report(c, zm, direction, t)
-            assert weak.witness == weak_report(c, zm, direction, dense).witness
+            # the weak witness is the same off the butterflies, the dense
+            # product and the walk's flip rates
+            weak = weak_monotone(Chain(poset=c.poset, P=c.P), zm, direction)
+            a = zm.mobius_left(np.ones(c.size, dtype=np.int64), direction, np.int64)
+            assert weak.witness == c.poset.elements[_ray_minimum(dense, a, MONO_TOL)[1]]
+            assert weak_monotone(c, zm, direction).witness == weak.witness
             # the Mobius transform of 1 is the point mass at the extremal
             # state (the last for down, the first for up): the first zero
             flat = function_mobius_monotone(np.ones(c.size), zm, direction)
@@ -515,11 +520,16 @@ class TestWeakMonotone:
             zm = zeta_mobius(c.poset)
             for direction in ("down", "up"):
                 t = mobius_transform(c.P, zm, direction)
-                mob = transform_report(c, zm, direction, t)
+                dense = transform_report(c, zm, direction, t)
+                mob = (mobius_monotone_down if direction == "down"
+                       else mobius_monotone_up)(c, zm)
                 wk = weak_monotone(c, zm, direction)
-                assert wk.verdict == mob.verdict == (total <= 1)
+                assert wk.verdict == mob.verdict == dense.verdict == (total <= 1)
                 if not wk.verdict:
+                    # both walk reports read the flip rates; the transform
+                    # agrees to rounding
                     assert wk.worst_value == mob.worst_value
+                    assert abs(wk.worst_value - dense.worst_value) <= 1e-14
 
     def test_no_rays_means_vacuous(self):
         # an antichain: w = d >= 0 with d . 1 = 0 leaves only d = 0
@@ -528,6 +538,52 @@ class TestWeakMonotone:
         for direction in ("down", "up"):
             rep = weak_monotone(c, zeta_mobius(p), direction)
             assert rep.verdict and rep.worst_value == 0.0 and rep.witness is None
+
+
+def seeded_walk(d, total, seed):
+    """A walk whose flip rates, drawn with ``seed``, sum to ``total``."""
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, 2 * d)
+    w *= total / w.sum()
+    return nearest_neighbor_walk(CubeWalkParams(d=d, alpha=tuple(w[:d]), beta=tuple(w[d:])))
+
+
+class TestWeakWalk:
+    """The weak reports of a walk, read off its flip rates, against the
+    transform path of a ``Chain(poset, P)`` copy."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rates_match_the_transform(self, monkeypatch, d, direction):
+        for total in (0.4, 0.8, 1.0, 1.1, 1.3):
+            for seed in range(3):
+                c = seeded_walk(d, total, 100 * d + seed)
+                copy = Chain(poset=c.poset, P=c.P)
+                zm = zeta_mobius(c.poset)
+                dense = weak_monotone(copy, zm, direction)
+                with monkeypatch.context() as patch:
+                    patch.setattr(monotonicity, "mobius_transform", None)
+                    walk = weak_monotone(c, zm, direction)
+                assert walk.verdict == dense.verdict == (total <= 1), (total, seed)
+                assert walk.witness == dense.witness
+                assert abs(walk.worst_value - dense.worst_value) <= 1e-14
+                if walk.verdict:
+                    assert walk.worst_value == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_implicit_zeros_on_small_cubes(self, d):
+        # the column of the state opposite the extremal one lists all m - 1
+        # kept entries, all positive on a true verdict, so it holds no 0:
+        # down names the next column; up names column 0, whose only entry
+        # sits in the extremal row
+        c = seeded_walk(d, 0.6, d)
+        zm = zeta_mobius(c.poset)
+        m = c.size
+        for direction, extremal, far in (("down", m - 1, 0), ("up", 0, m - 1)):
+            t = mobius_transform(c.P, zm, direction)
+            assert (np.delete(t[:, far], extremal) > 0).all()
+            rep = weak_monotone(c, zm, direction)
+            assert rep.verdict and rep.worst_value == 0.0
+            assert rep.witness == c.poset.elements[1 if direction == "down" else 0]
 
 
 class TestClosureAndEquivalences:
