@@ -1,8 +1,10 @@
 """Stochastic kernels over a poset and the cumulative/difference operators.
 
 Vectors are row vectors acting on the left of matrices throughout (law times
-kernel).  All tolerances can be overridden per call; defaults are the global
-ROW_TOL for validation and IDENTITY_TOL for derived identities.
+kernel).  Only the validation tolerance is set per call, as ``row_tol`` of
+``validate_chain`` and ``Chain.with_nu`` (default ROW_TOL); a time reversal
+is validated at ROW_TOL, and the stationary residual is checked at
+IDENTITY_TOL.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def _gth(c):
     return pi / pi.sum()
 
 
-def stationary(c, residual_tol=IDENTITY_TOL):
+def stationary(c):
     """Stationary law of an ergodic chain: by detailed balance along a
     spanning tree when that certifies, by dense state reduction otherwise.
 
@@ -266,7 +268,7 @@ def stationary(c, residual_tol=IDENTITY_TOL):
     downstream.  The certificate is then taken on the reduced law, so a
     small reversible chain is certified too.
 
-    Both paths check the residual max|pi P - pi| against ``residual_tol``.
+    Both paths check the residual max|pi P - pi| against IDENTITY_TOL.
     """
     level, rows, cols = _check_ergodic(c.P, c.poset)
     balance = float("inf")
@@ -287,9 +289,9 @@ def stationary(c, residual_tol=IDENTITY_TOL):
             f"positive ({float(pi[j])!r})"
         )
     residual = float(np.abs(pi @ c.P - pi).max())
-    if not residual <= residual_tol:
+    if not residual <= IDENTITY_TOL:
         raise NumericalFailure(
-            f"stationary residual {residual!r} exceeds {residual_tol}"
+            f"stationary residual {residual!r} exceeds {IDENTITY_TOL}"
         )
     return StationaryLaw(pi=pi, residual=residual, balance=balance, path=path)
 
@@ -308,8 +310,9 @@ def _exactly_balanced(c):
     )
 
 
-def reverse(c, law, row_tol=ROW_TOL):
-    """Time reversal diag(pi)^-1 P^T diag(pi), revalidated as stochastic.
+def reverse(c, law):
+    """Time reversal diag(pi)^-1 P^T diag(pi), revalidated as stochastic at
+    ROW_TOL.
 
     A law whose certificate ``balance`` is within BALANCE_TOL makes the
     reversal P itself, move by move, to that relative precision, so the
@@ -325,7 +328,7 @@ def reverse(c, law, row_tol=ROW_TOL):
         return Chain(poset=c.poset, P=c.P, nu=c.nu)
     pi = law.pi
     rev = np.divide(c.P.T * pi[None, :], pi[:, None], order="C")
-    return validate_chain(rev, c.poset, nu=c.nu, row_tol=row_tol)
+    return validate_chain(rev, c.poset, nu=c.nu)
 
 
 def _as_row(f, m):

@@ -72,7 +72,10 @@ FLAGS = {
     "--multiplier": dict(type=float, default=1.05,
                          help="uniformization multiplier"),
     "--stop-below": dict(type=float, default=None,
-                         help="truncate curves once s(n) falls below this"),
+                         help="truncate curves once s(n) falls below this "
+                              "(default: avail at "
+                              f"{convergence.STOP_BELOW_DEFAULT:g}, "
+                              "sep and cube never)"),
 }
 
 

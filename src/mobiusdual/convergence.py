@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import IDENTITY_TOL, ROW_TOL
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -16,11 +17,13 @@ from .errors import (
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
+from .poset import SUBSET_ENUM_LIMIT
 
 MAX_HORIZON = 10_000_000
 MAX_SAMPLES = 10_000_000
 STOP_BELOW_DEFAULT = 1e-14
-SUBSET_ENUM_LIMIT = 20
+# Two-sided confidence of the bands around a simulated absorption tail.
+SIM_CONFIDENCE = 0.99
 # Entries per block of the binomial CDF sums behind ``binomial_band``.
 QUANTILE_BLOCK = 2**20
 
@@ -212,8 +215,8 @@ def _substitute(rows, cols, vals, n, order):
     return x
 
 
-def sst_bound_check(curve, absorption, tol=1e-10):
-    """Assert the strong stationary bound s(n) <= P(T* > n) + tol."""
+def sst_bound_check(curve, absorption):
+    """Assert the strong stationary bound s(n) <= P(T* > n) + IDENTITY_TOL."""
     s = curve.values
     t = absorption.tail
     if s.shape != t.shape:
@@ -224,12 +227,12 @@ def sst_bound_check(curve, absorption, tol=1e-10):
     max_violation = float(diff.max())
     return SstBoundReport(
         max_violation=max_violation,
-        equality=bool(np.abs(diff).max() <= tol),
-        ok=bool(max_violation <= tol),
+        equality=bool(np.abs(diff).max() <= IDENTITY_TOL),
+        ok=bool(max_violation <= IDENTITY_TOL),
     )
 
 
-def cube_separation_formula(alpha, beta, n, tol=1e-12):
+def cube_separation_formula(alpha, beta, n):
     """Inclusion-exclusion separation value for the cube walk from all-zeros.
 
     sum over nonempty coordinate subsets gamma of (-1)^(|gamma|-1)
@@ -246,7 +249,7 @@ def cube_separation_formula(alpha, beta, n, tol=1e-12):
             f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
         )
     rates = alpha + beta
-    if rates.sum() > 1.0 + tol:
+    if rates.sum() > 1.0 + ROW_TOL:
         raise PreconditionFailed(
             f"total flip rate {float(rates.sum())!r} exceeds 1; the closed form needs "
             "nonnegative eigenvalues"
@@ -415,16 +418,16 @@ def _count_below(cum, rows, u):
     return k
 
 
-def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
+def simulate_absorption(dual, samples, seed, horizon=None):
     """Simulate absorption times by inverse-CDF categorical sampling.
 
     All trajectories advance in lockstep, each step placing one uniform draw
     among the cumulants of its row at the row's nonzero columns; the
     generator is seeded, so output is bit-reproducible for a fixed
     (seed, samples).  Returns the empirical tail for n = 0..horizon
-    (default: largest observed time) with binomial confidence bands around
-    the empirical values.  The dual must be nonnegative, as any dual that
-    ``build_ssd`` returns without ``force`` is, and ``samples`` at most
+    (default: largest observed time) with SIM_CONFIDENCE binomial bands
+    around the empirical values.  The dual must be nonnegative, as any dual
+    that ``build_ssd`` returns is, and ``samples`` at most
     MAX_SAMPLES, which is checked before anything is drawn.
     """
     check_samples(samples)
@@ -460,12 +463,12 @@ def simulate_absorption(dual, samples, seed, horizon=None, confidence=0.99):
         horizon = int(times.max())
     absorbed_by = np.cumsum(np.bincount(times, minlength=horizon + 1)[:horizon + 1])
     empirical = (samples - absorbed_by) / samples
-    lower, upper = binomial_band(empirical, samples, confidence)
+    lower, upper = binomial_band(empirical, samples, SIM_CONFIDENCE)
     return EmpiricalTail(
         tail=empirical,
         lower=lower,
         upper=upper,
         samples=samples,
         seed=seed,
-        confidence=confidence,
+        confidence=SIM_CONFIDENCE,
     )

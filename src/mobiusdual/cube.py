@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import ROW_TOL, Chain, validate_chain
-from .convergence import SUBSET_ENUM_LIMIT
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
@@ -24,7 +23,7 @@ from .errors import (
     NotLattice,
     NumericalFailure,
 )
-from .poset import check_cube_dim, cube_bits, cube_poset, meet_join
+from .poset import SUBSET_ENUM_LIMIT, check_cube_dim, cube_bits, cube_poset, meet_join
 
 
 @dataclass(frozen=True)
@@ -225,14 +224,13 @@ def axis_moves(kappa):
     )
 
 
-def axis_transformed_walk(params, kappa, nu=None, row_tol=ROW_TOL):
+def axis_transformed_walk(params, kappa, row_tol=ROW_TOL):
     """3-cube walk with the four symmetry-axis rows g+ transformed; the
     transformed kernel is validated once, at ``row_tol``."""
     if params.d != 3:
         raise DimensionMismatch("the symmetry-axis transform is defined on the 3-cube")
     mat, p = _walk_kernel(params)
-    c = gplus_transform(Chain(poset=p, P=mat), *axis_moves(kappa), row_tol=row_tol)
-    return c if nu is None else c.with_nu(nu, row_tol)
+    return gplus_transform(Chain(poset=p, P=mat), *axis_moves(kappa), row_tol=row_tol)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ class DualChain:
     nu_residual: float = float("nan")
     intertwine_residual: float = float("nan")
     clamp_magnitude: float = 0.0
-    forced: bool = False
     reversed_report: monotonicity.MonotonicityReport | None = None
     path: str = "transform"
 
@@ -134,67 +133,46 @@ def _clamp(arr, tol):
     return float(magnitude)
 
 
-def build_ssd(
-    c, law, zm, direction="down", tol=IDENTITY_TOL, force=False,
-    mono_tol=monotonicity.MONO_TOL,
-):
+def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     """Construct the strong stationary dual chain (nu*, P*).
 
     Decides the two Mobius-monotonicity preconditions at tolerance
-    ``mono_tol`` (raising PreconditionFailed with the offending report unless
-    ``force``; the reversed-kernel report is kept as ``reversed_report``),
-    requires a unique extremal state, and certifies the duality identities
-    nu = nu* Lambda and Lambda P = P* Lambda to within ``tol``.  Entries of
-    magnitude below 1e-10, of either sign, are zeroed and rows renormalized;
-    the largest zeroed magnitude is logged and recorded.  With ``force`` the
-    raw, possibly signed, matrices are returned unclamped and unverified
-    (marked ``forced=True``).
+    ``mono_tol`` (raising PreconditionFailed with the offending report; the
+    reversed-kernel report is kept as ``reversed_report``), requires a
+    unique extremal state, and certifies the duality identities
+    nu = nu* Lambda and Lambda P = P* Lambda to within IDENTITY_TOL.  Entries
+    of magnitude below 1e-10, of either sign, are zeroed and rows
+    renormalized; the largest zeroed magnitude is logged and recorded.
 
     When the time reversal is a cube walk (see ``reverse``), its report and
     P* are read off the flip rates (``path`` "closed_form"); the clamp, the
     row normalisation and the dense residuals that certify the result are
     the same, so a flip with s_k below the clamp is dropped on both paths,
-    whereas the report's witness rule reads rates at ``mono_tol``.  Otherwise,
-    and whenever ``force`` is set, the construction gives P* transposed,
-    H(e_j)/H(e_i) (Cinv R C)(e_j, e_i) with R the time reversal: it is
-    clamped and column-summed as it is, and P* is written C-ordered by the
-    normalising division (forced, by a copy).
+    whereas the report's witness rule reads rates at ``mono_tol``.  Otherwise
+    the construction gives P* transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i)
+    with R the time reversal: it is clamped and column-summed as it is, and
+    P* is written C-ordered by the normalising division.
     """
     absorbing = _unique_extremal(zm, direction)
     g = g_ratio(c, law)
     g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
     rev = reverse(c, law)
-    walk = None if force else rev.walk
+    walk = rev.walk
     if walk is not None:
         rev_report = monotonicity.walk_report(rev, direction, mono_tol)
     else:
         core = monotonicity.mobius_transform(rev.P, zm, direction)
         rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
     del rev
-    if not force:
-        if not g_report.verdict:
+    for report, what in ((g_report, "nu/pi"), (rev_report, "time-reversed kernel")):
+        if not report.verdict:
             raise PreconditionFailed(
-                f"nu/pi is not {direction}-Mobius monotone "
-                f"(worst {g_report.worst_value!r})",
-                report=g_report,
-            )
-        if not rev_report.verdict:
-            raise PreconditionFailed(
-                f"time-reversed kernel is not {direction}-Mobius monotone "
-                f"(worst {rev_report.worst_value!r})",
-                report=rev_report,
+                f"{what} is not {direction}-Mobius monotone "
+                f"(worst {report.worst_value!r})",
+                report=report,
             )
     h = zm.zeta_right(law.pi, direction)
     nu_star = g_report.transformed * h
-    if force:
-        return DualChain(
-            nu_star=nu_star,
-            P_star=((h[:, None] * core) / h[None, :]).T.copy(),
-            absorbing_index=absorbing,
-            direction=direction,
-            forced=True,
-            reversed_report=rev_report,
-        )
     if walk is not None:
         rows, cols, p, _ = walk_entries(walk, direction)
     else:
@@ -218,7 +196,7 @@ def build_ssd(
     else:
         p_star = np.divide(p.T, p.sum(axis=0)[:, None], order="C")
     del p
-    if abs(p_star[absorbing, absorbing] - 1.0) > tol:
+    if abs(p_star[absorbing, absorbing] - 1.0) > IDENTITY_TOL:
         raise NumericalFailure(
             f"extremal state is not absorbing: diagonal "
             f"{float(p_star[absorbing, absorbing])!r}"
@@ -226,9 +204,10 @@ def build_ssd(
     p_star[absorbing] = 0.0
     p_star[absorbing, absorbing] = 1.0
     nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
-    if not (nu_res <= tol and tw_res <= tol):
+    if not (nu_res <= IDENTITY_TOL and tw_res <= IDENTITY_TOL):
         raise NumericalFailure(
-            f"duality residuals exceed {tol}: nu {nu_res!r}, intertwining {tw_res!r}"
+            f"duality residuals exceed {IDENTITY_TOL}: nu {nu_res!r}, "
+            f"intertwining {tw_res!r}"
         )
     return DualChain(
         nu_star=nu_star,

@@ -256,14 +256,14 @@ def _exact_margin(exact, upsets, pairs, elements):
     return Fraction(worst, den), witness
 
 
-def strong_stochastic_monotone(c, tol=MONO_TOL, cap=UPSET_CAP):
+def strong_stochastic_monotone(c, tol=MONO_TOL):
     """P(e_i, A) <= P(e_j, A) over all up-sets A and comparable pairs e_i <= e_j.
 
     When the float worst value is zero up to ``tol``, the witness is the
     first (up-set, pair) within ``tol`` of it, by the ``_near_min`` rule.
     """
     p = c.poset
-    upsets = enumerate_up_sets(p, cap=cap)
+    upsets = enumerate_up_sets(p, cap=UPSET_CAP)
     pairs = np.argwhere(p.leq & ~np.eye(p.size, dtype=bool))
     if len(pairs) == 0:
         witness = None

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DENSE_CUBE_LIMIT = 13   # dense cube kernels only up to 2^13 states
+SUBSET_ENUM_LIMIT = 20  # subset enumerations of the cube walk's rates up to d=20
 PANEL = 2**16           # float64 entries per cache block of the cube butterflies
 
 

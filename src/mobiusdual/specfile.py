@@ -90,19 +90,35 @@ class LoadedModel:
 
 
 def _number(token, line):
+    """``token`` as an exact Fraction whose float is finite, or a
+    SchemaError at ``line``."""
     try:
-        return Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         try:
-            return Fraction(float(token))
+            value = Fraction(float(token))
         except (ValueError, OverflowError):
             raise SchemaError(
                 f"line {line}: expected a number, got {token!r}", line=line
             ) from None
+    try:
+        float(value)
+    except OverflowError:
+        raise SchemaError(
+            f"line {line}: {token!r} is beyond the float range", line=line
+        ) from None
+    return value
 
 
 def _numbers(tokens, line):
     return [_number(t, line) for t in tokens]
+
+
+def _first(tokens, line, what):
+    """The first value token of a line, or a SchemaError when it has none."""
+    if not tokens:
+        raise SchemaError(f"line {line}: {what} needs a value", line=line)
+    return tokens[0]
 
 
 def _positive_int(token, line, what):
@@ -113,6 +129,20 @@ def _positive_int(token, line, what):
             line=line,
         )
     return int(token)
+
+
+def _read(path):
+    """The text of the spec file at ``path``; a byte that is not UTF-8 is a
+    SchemaError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(
+            f"line {line}: byte {data[exc.start]:#04x} is not UTF-8", line=line
+        ) from None
 
 
 def _sections(text):
@@ -278,11 +308,12 @@ def _parse_rates(entries):
                     line=n,
                 )
         elif key == "moves":
-            if tokens[0] not in ("single", "all"):
+            moves = _first(tokens, n, key)
+            if moves not in ("single", "all"):
                 raise SchemaError(
                     f"line {n}: moves must be 'single' or 'all'", line=n
                 )
-            single_moves = tokens[0] == "single"
+            single_moves = moves == "single"
     if d is None:
         raise SchemaError("[rates] needs d")
     families = {}
@@ -307,7 +338,7 @@ def _parse_rates(entries):
                 raise SchemaError(
                     f"line {n}: mask {mask} outside the {d}-node powerset", line=n
                 )
-            tables[base][mask] = float(_number(tokens[0], n))
+            tables[base][mask] = float(_number(_first(tokens, n, key), n))
         else:
             families[key] = (n, tokens)
 
@@ -317,17 +348,19 @@ def _parse_rates(entries):
         values = None
         if fam is not None:
             n, tokens = fam
-            if tokens[0] == "table":
+            family = _first(tokens, n, name)
+            if family == "table":
                 values = None
-            elif tokens[0] == "power":
-                values = power_family(d, float(_number(tokens[1], n)))
-            elif tokens[0] == "pernode":
+            elif family == "power":
+                base = _first(tokens[1:], n, "power")
+                values = power_family(d, float(_number(base, n)))
+            elif family == "pernode":
                 values = pernode_family(
                     d, [float(v) for v in _numbers(tokens[1:], n)]
                 )
             else:
                 raise SchemaError(
-                    f"line {n}: unknown family {tokens[0]!r} "
+                    f"line {n}: unknown family {family!r} "
                     "(expected table, power or pernode)",
                     line=n,
                 )
@@ -348,9 +381,9 @@ def _parse_rates(entries):
 
 def load_model(path, row_tol=ROW_TOL):
     """Parse a spec file into a LoadedModel (strict schema)."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return load_model_text(text, base_dir=os.path.dirname(path), row_tol=row_tol)
+    return load_model_text(
+        _read(path), base_dir=os.path.dirname(path), row_tol=row_tol
+    )
 
 
 def load_model_text(text, base_dir="", row_tol=ROW_TOL):
@@ -390,12 +423,12 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
         if poset_file:
             n, tokens = poset_file[0]
             ref = os.path.join(base_dir, " ".join(tokens))
-            loaded = load_model(ref, row_tol=row_tol)
-            if loaded.kind != "poset":
+            ref_sections = _sections(_read(ref))
+            if set(ref_sections) != {"poset"}:
                 raise SchemaError(
                     f"line {n}: poset_file {ref!r} does not hold a poset", line=n
                 )
-            poset, states_order = loaded.poset, loaded.states_order
+            poset, states_order = _parse_poset(ref_sections["poset"])
         elif "poset" in sections:
             poset, states_order = _parse_poset(sections["poset"])
         else:
@@ -431,8 +464,7 @@ def parse_sweep(path):
     takes the grid past MAX_SWEEP_POINTS points raises DimensionTooLarge at
     its line, before its axis is built.
     """
-    with open(path, encoding="utf-8") as fh:
-        sections = _sections(fh.read())
+    sections = _sections(_read(path))
     if set(sections) != {"sweep"}:
         raise SchemaError("sweep input must hold exactly a [sweep] section")
     d = None
@@ -537,7 +569,5 @@ def serialize_dual(dual, poset):
         f"intertwine_residual: {fmt(dual.intertwine_residual)}",
         f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
     ]
-    if dual.forced:
-        header.append("forced: raw unverified matrices (research inspection)")
     chain = Chain(poset=poset, P=dual.P_star, nu=dual.nu_star)
     return serialize_chain(chain, header=header)

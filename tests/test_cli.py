@@ -227,11 +227,7 @@ class TestStationaryPath:
                                                     monkeypatch, command, name):
         # the 6-cube has 7,828,354 up-sets: a small cap reaches the same
         # skipped strong row without enumerating 2^20 of them first
-        strong = monotonicity.strong_stochastic_monotone
-        monkeypatch.setattr(
-            monotonicity, "strong_stochastic_monotone",
-            lambda c, tol: strong(c, tol=tol, cap=1000),
-        )
+        monkeypatch.setattr(monotonicity, "UPSET_CAP", 1000)
         path = tmp_path / "model.spec"
         path.write_text(self.SPECS[name])
         code, out, err = run(capsys, command, "--input", str(path))
@@ -895,6 +891,42 @@ class TestUsageErrors:
             main(["check", "--help"])
         assert exc.value.code == 0
         assert "--input" in capsys.readouterr().out
+
+
+RATES = b"[rates]\nd: 2\nphi: power 2\n"
+WALK = b"[cube]\nd: 2\nalpha: 0.1 0.1\nbeta: 0.1 0.1\nnu: delta_min\n"
+GRID = b"[sweep]\nd: 2\nalpha: 0.01 0.02 3\nbeta: 0.01 0.02 2\n"
+
+
+class TestMalformedSpecs:
+    """A spec that cannot be read as numbers, values or text is a
+    SchemaError, at its line where one is known, never a traceback."""
+
+    @pytest.mark.parametrize("command, body, line", [
+        ("avail", RATES + b"psi: power 0.5\nmoves:\n", 5),
+        ("avail", RATES + b"psi:\n", 4),
+        ("avail", RATES + b"psi: power\n", 4),
+        ("avail", RATES + b"psi: power 0.5\npsi[1]:\n", 5),
+        ("cube", WALK.replace(b"alpha: 0.1", b"alpha: 1e400"), 3),
+        ("check", b"[poset]\nstates: a b\ncover: a b\n\n[chain]\n"
+                  b"row: 1e400 0.5\nrow: 0.5 0.5\n", 6),
+        ("avail", RATES + b"psi: power 1e400\n", 4),
+        ("avail", RATES + b"psi: power 0.5\npsi[1]: 1e400\n", 5),
+        ("sweep", GRID.replace(b"0.02 3", b"1e400 3"), 3),
+        ("cube", WALK.replace(b"nu:", b"# caf\xe9\nnu:"), 5),
+        ("sweep", b"# caf\xe9\n" + GRID, 1),
+        ("check", b"[chain]\nposet_file: model.spec\nrow: 1\n", 2),
+    ], ids=["moves", "family", "power_base", "mask_value", "cube_rate",
+            "chain_row", "power_overflow", "mask_overflow", "sweep_grid",
+            "spec_bytes", "sweep_bytes", "poset_file_self"])
+    def test_schema_error_block(self, capsys, tmp_path, command, body, line):
+        path = tmp_path / "model.spec"
+        path.write_bytes(body)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.count("\n") == 1
+        block = json.loads(err)
+        assert block["error"] == "SchemaError" and block["line"] == line
 
 
 # The flags each command reads besides --input and --output; every other

@@ -207,12 +207,12 @@ class TestNonzeroSteps:
         tail = absorption_tail(dual, 200)
         assert np.abs(tail.tail - dense_tail_loop(dual, 200)).max() <= self.NOISE
 
-    def test_dense_general_kernel(self):
+    def test_dense_general_kernel(self, raw_dual):
         c = load_model(os.path.join(DATA, "strong_not_mobius.spec")).chain
         law = stationary(c)
         curve = separation_curve(c, law, 50, stop_below=None)
         assert np.abs(curve.values - dense_curve_loop(c, law, 50)).max() <= 1e-15
-        dual = build_ssd(c, law, zeta_mobius(c.poset), "down", force=True)
+        dual = raw_dual(c, law, zeta_mobius(c.poset), "down")
         tail = absorption_tail(dual, 50)
         assert np.abs(tail.tail - dense_tail_loop(dual, 50)).max() <= 1e-15
 
@@ -663,12 +663,11 @@ class TestSimulation:
             simulate_absorption(two_state_dual(0.2, 0.2), 10, seed=1,
                                 horizon=horizon)
 
-    def test_signed_forced_dual_is_refused(self):
+    def test_signed_forced_dual_is_refused(self, raw_dual):
         model = load_model(os.path.join(DATA, "strong_not_mobius.spec"))
         c = model.chain
-        dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down",
-                         force=True)
-        assert dual.forced and (dual.P_star < 0).any()
+        dual = raw_dual(c, stationary(c), zeta_mobius(c.poset), "down")
+        assert (dual.P_star < 0).any()
         with pytest.raises(PreconditionFailed, match="nonnegative"):
             simulate_absorption(dual, 10, seed=1)
 

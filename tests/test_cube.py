@@ -265,7 +265,7 @@ class TestAxisTransformedWalk:
 
     def test_transformed_chain_admits_upper_triangular_dual(self):
         params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.05,) * 3)
-        c = axis_transformed_walk(params, 0.02, nu=delta(8, 0))
+        c = axis_transformed_walk(params, 0.02).with_nu(delta(8, 0))
         law = stationary(c)
         zm = zeta_mobius(c.poset)
         rev = reverse(c, law)
@@ -284,7 +284,7 @@ class TestAxisTransformedWalk:
         monkeypatch.setattr(cube, "validate_chain",
                             lambda *a, **k: calls.append(k["row_tol"]) or validate(*a, **k))
         params = CubeWalkParams(d=3, alpha=(0.1,) * 3, beta=(0.05,) * 3)
-        c = axis_transformed_walk(params, 0.02, nu=delta(8, 0), row_tol=1e-9)
+        c = axis_transformed_walk(params, 0.02, row_tol=1e-9).with_nu(delta(8, 0))
         assert calls == [1e-9]
         assert c.nu.tolist() == delta(8, 0).tolist()
         assert "leq" not in vars(c.poset)

@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -242,12 +243,6 @@ class TestBuildSsdDown:
             build_ssd(c, law, zm, "up")
         assert exc.value.report == mobius_monotone_up(reverse(c, law), zm)
 
-    def test_force_returns_raw_signed_matrices(self):
-        _, c, law, zm = cube_setup(2, (0.3, 0.3), (0.3, 0.3), nu=delta(4, 0))
-        dual = build_ssd(c, law, zm, "down", force=True)
-        assert dual.forced
-        assert dual.P_star.min() < -1e-3
-
     def test_bad_start_law_rejected(self):
         # nu concentrated at the top makes g = nu/pi increase upward
         _, c, law, zm = cube_setup(2, (0.1, 0.1), (0.1, 0.1), nu=delta(4, 3))
@@ -270,20 +265,24 @@ class TestBuildSsdDown:
 
 
 class TestDualNoise:
-    def test_diagonal_message_shows_a_plain_float(self):
+    def test_diagonal_message_shows_a_plain_float(self, monkeypatch):
         # a negative tolerance fails every diagonal, here the exact 1.0
         _, c, law, zm = cube_setup(2, (0.1, 0.1), (0.1, 0.1), nu=delta(4, 0))
+        monkeypatch.setattr(duality, "IDENTITY_TOL", -1.0)
         with pytest.raises(NumericalFailure) as exc:
-            build_ssd(c, law, zm, "down", tol=-1.0)
+            build_ssd(c, law, zm, "down")
         assert str(exc.value).endswith("diagonal 1.0")
 
-    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("generic", [False, True])
     @pytest.mark.parametrize("direction", ["down", "up"])
-    def test_dual_is_row_major(self, direction, force):
+    def test_dual_is_row_major(self, direction, generic):
+        # on both paths: a walk's closed form, and the transform of a copy
+        # without its rates
         start = 0 if direction == "down" else 7
         _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
-        dual = build_ssd(c, law, zm, direction, force=force)
-        assert dual.P_star.flags.c_contiguous and dual.forced == force
+        dual = build_ssd(generic_copy(c) if generic else c, law, zm, direction)
+        assert dual.P_star.flags.c_contiguous
+        assert dual.path == ("transform" if generic else "closed_form")
 
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("d", range(3, 9))
@@ -299,21 +298,20 @@ class TestDualNoise:
         assert (dual.nu_star != 0).sum() == 1
         assert dual.clamp_magnitude < 1e-14
 
-    def test_forced_build_stays_raw(self):
+    def test_forced_build_stays_raw(self, raw_dual):
         # a g+ walk is not reversible, so its dual is built from the computed
         # reversal and carries float noise
         params = CubeWalkParams(d=3, alpha=(0.05,) * 3, beta=(0.07,) * 3)
         c = axis_transformed_walk(params, 0.01).with_nu(delta(8, 0))
         law = stationary(c)
-        raw = build_ssd(c, law, zeta_mobius(c.poset), "down", force=True)
-        assert raw.clamp_magnitude == 0.0
+        raw = raw_dual(c, law, zeta_mobius(c.poset), "down")
         assert ((raw.P_star != 0) & (np.abs(raw.P_star) < 1e-14)).any()
 
-    def test_reversible_walk_dual_has_no_noise(self):
+    def test_reversible_walk_dual_has_no_noise(self, raw_dual):
         # the reversal of a detailed-balance law is the kernel itself, so the
         # raw dual of a walk is its move pattern exactly
         _, c, law, zm = cube_setup(4, (0.05,) * 4, (0.07,) * 4, nu=delta(16, 0))
-        raw = build_ssd(c, law, zm, "down", force=True)
+        raw = raw_dual(c, law, zm, "down")
         assert (raw.P_star != 0).sum() == 4 * 2**3 + 2**4
 
 
@@ -407,23 +405,22 @@ class TestDualInitialLaw:
 
 class TestReversedReport:
     @pytest.mark.parametrize("direction", ["down", "up"])
-    @pytest.mark.parametrize("force", [False, True])
-    def test_dual_carries_reversed_kernel_report(self, direction, force):
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_dual_carries_reversed_kernel_report(self, direction, generic):
+        # a walk's report is read off its rates, a copy's off the transform
         start = 0 if direction == "down" else 7
         _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
-        dual = build_ssd(c, law, zm, direction, force=force)
+        if generic:
+            c = generic_copy(c)
+        dual = build_ssd(c, law, zm, direction)
         check = mobius_monotone_down if direction == "down" else mobius_monotone_up
-        rev = reverse(c, law)
-        if force:
-            # a forced build reads the transform, as a copy without rates does
-            rev = replace(rev, walk=None)
-        assert dual.reversed_report == check(rev, zm)
+        assert dual.reversed_report == check(reverse(c, law), zm)
         assert dual.reversed_report.verdict
 
-    def test_preconditions_use_the_given_tolerance(self):
+    def test_preconditions_use_the_given_tolerance(self, raw_dual):
         # transformed walk whose reversal has a transform entry near -0.063
         params = CubeWalkParams(d=3, alpha=(0.02,) * 3, beta=(0.08,) * 3)
-        c = axis_transformed_walk(params, 0.01, nu=delta(8, 0))
+        c = axis_transformed_walk(params, 0.01).with_nu(delta(8, 0))
         law = stationary(c)
         zm = zeta_mobius(c.poset)
         with pytest.raises(PreconditionFailed) as exc:
@@ -431,12 +428,12 @@ class TestReversedReport:
         assert exc.value.report.tolerance_used == 1e-10
         assert -0.07 < exc.value.report.worst_value < -0.06
         # at 0.2 both preconditions pass and the dual itself carries the
-        # negative mass
-        with pytest.raises(NumericalFailure, match="negative mass"):
+        # negative mass: the formula's most negative entry
+        raw = raw_dual(c, law, zm)
+        worst = float(min(raw.nu_star.min(), raw.P_star.min()))
+        assert -0.07 < worst < -0.06
+        with pytest.raises(NumericalFailure, match=re.escape(f"mass {worst!r} ")):
             build_ssd(c, law, zm, mono_tol=0.2)
-        forced = build_ssd(c, law, zm, force=True, mono_tol=0.2)
-        assert forced.reversed_report.verdict
-        assert forced.reversed_report.tolerance_used == 0.2
 
 
 def generic_copy(c):
@@ -481,10 +478,6 @@ class TestClosedFormPath:
         dual = build_ssd(g, law, zm, direction)
         assert calls == ["down", "up", direction]
         assert dual.path == "transform"
-
-    def test_force_takes_the_transform(self):
-        _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, 0))
-        assert build_ssd(c, law, zm, force=True).path == "transform"
 
     def test_constructors_carry_rates_only_from_the_walk(self):
         params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)

@@ -242,8 +242,6 @@ def serialize_dual_every_entry(dual, poset):
         f"intertwine_residual: {fmt(dual.intertwine_residual)}",
         f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
     ]
-    if dual.forced:
-        header.append("forced: raw unverified matrices (research inspection)")
     lines = [f"# {h}" for h in header] + ["[poset]"]
     lines.append("states: " + " ".join(label_str(e) for e in poset.elements))
     for x, y in sorted(dense_cover_pairs(poset),
@@ -266,8 +264,8 @@ class TestSerializeNonzeros:
         assert cover_pairs(p) == dense_cover_pairs(p)
 
     @pytest.mark.parametrize("d", range(2, 11))
-    @pytest.mark.parametrize("force", [False, True])
-    def test_walk_duals_match_every_entry_text(self, d, force):
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_walk_duals_match_every_entry_text(self, raw_dual, d, raw):
         rng = np.random.default_rng([d, 5])
         alpha, beta = 0.25 / d * rng.uniform(0.7, 1.3, (2, d))
         nu = np.zeros(2**d)
@@ -275,15 +273,16 @@ class TestSerializeNonzeros:
         c = md.nearest_neighbor_walk(
             md.CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta)), nu=nu
         )
-        dual = md.build_ssd(c, md.stationary(c), md.zeta_mobius(c.poset), force=force)
+        build = raw_dual if raw else md.build_ssd
+        dual = build(c, md.stationary(c), md.zeta_mobius(c.poset))
         assert serialize_dual(dual, c.poset) == serialize_dual_every_entry(dual, c.poset)
 
     @pytest.mark.parametrize("name", ["two_cube", "four_cube", "three_cube"])
-    def test_fixture_duals_match_every_entry_text(self, name):
+    def test_fixture_duals_match_every_entry_text(self, raw_dual, name):
         loaded = load_model(os.path.join(DATA, f"{name}.spec"))
         c = md.nearest_neighbor_walk(loaded.cube).with_nu(
             np.eye(2**loaded.cube.d)[0])
-        dual = md.build_ssd(c, md.stationary(c), md.zeta_mobius(c.poset), force=True)
+        dual = raw_dual(c, md.stationary(c), md.zeta_mobius(c.poset))
         assert serialize_dual(dual, c.poset) == serialize_dual_every_entry(dual, c.poset)
 
     @pytest.mark.parametrize("make", [
@@ -305,7 +304,7 @@ class TestSerializeNonzeros:
         p = md.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         P = np.array([[0.5, -0.0, 0.5], [0.0, 1.0, -0.0], [1e-300, 0.25, 0.75]])
         dual = DualChain(nu_star=np.array([-0.0, 1.0, 0.0]), P_star=P,
-                         absorbing_index=1, direction="down", forced=True)
+                         absorbing_index=1, direction="down")
         text = serialize_dual(dual, p)
         assert text == serialize_dual_every_entry(dual, p)
         assert "row: 0.5 -0 0.5\n" in text and "nu: -0 1 0\n" in text
