@@ -2,8 +2,8 @@
 
 Commands: check, dual, sep, eig, cube, avail, sweep, simulate.  Inputs are
 spec files (see :mod:`mobiusdual.specfile`); outputs are plot-ready
-delimiter-separated tables whose header comments name the model, parameters
-and tolerances.  Exit codes: 0 success, 1 input/schema error, 2 structural
+delimiter-separated tables under ``# key: value`` header lines that name the
+model, parameters, tolerances and the dual's construction facts.  Exit codes: 0 success, 1 input/schema error, 2 structural
 precondition failure, 3 numerical failure; every failure writes a
 machine-readable JSON error block to stderr.
 
@@ -40,6 +40,7 @@ from .errors import (
     exit_code,
 )
 from .specfile import (
+    dual_header,
     fmt,
     label_str,
     load_model,
@@ -48,6 +49,7 @@ from .specfile import (
     serialize_dual,
 )
 
+NOTION_COLUMNS = ("notion", "verdict", "worst_value", "witness", "tolerance")
 CURVE_COLUMNS = ("n", "s", "tail", "formula", "empirical", "band_lo", "band_hi")
 
 
@@ -224,16 +226,15 @@ def _table(header_lines, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _curve_table(header, n_values, s=None, tail=None, formula=None,
-                 empirical=None, lo=None, hi=None):
-    cols = {"s": s, "tail": tail, "formula": formula,
-            "empirical": empirical, "band_lo": lo, "band_hi": hi}
+def _curve_table(header, horizon, **cols):
+    """The CURVE_COLUMNS table for n = 0..horizon; a column that is not
+    given, or ends before n, reads nan."""
     rows = []
-    for k, n in enumerate(n_values):
-        row = [str(int(n))]
+    for n in range(horizon + 1):
+        row = [str(n)]
         for name in CURVE_COLUMNS[1:]:
-            v = cols[name]
-            row.append(fmt(v[k]) if v is not None and k < len(v) else "nan")
+            v = cols.get(name)
+            row.append(fmt(v[n]) if v is not None and n < len(v) else "nan")
         rows.append(row)
     return _table(header, CURVE_COLUMNS, rows)
 
@@ -280,31 +281,39 @@ def _law_lines(law):
 
 
 def _mono_header(args, extra=(), loaded=None, tolerances=True, dual_of=()):
-    """Header lines; ``tolerances=False`` leaves out the tolerance line of a
-    result that reads neither tolerance, and ``dual_of`` holds the chain and
-    law of the dual a result is read from."""
+    """The header of every command but ``dual``, one ``key: value`` fact per
+    line: the command, input, model, the tolerance flags the command reads,
+    the exact notes, then ``extra`` (the command's own facts, the law's, the
+    dual's, and the horizon of a curve).  ``tolerances=False`` leaves out
+    the tolerance line of a result that reads neither tolerance, and
+    ``dual_of`` holds the chain and law of the dual a result is read from."""
     lines = [f"mobiusdual {args.command}", f"input: {args.input}"]
-    if tolerances:
-        lines.append(
-            f"tolerances: row={fmt(args.tolerance_row)} mono={fmt(args.tolerance_mono)}"
-        )
-    lines += _exact_notes(args, loaded, *dual_of)
     model = _model_line(loaded)
     if model is not None:
-        lines.insert(2, model)
+        lines.append(model)
+    if tolerances:
+        lines.append("tolerances: " + " ".join(
+            f"{k}={fmt(getattr(args, 'tolerance_' + k))}"
+            for k in ("row", "mono") if "tolerance_" + k in args))
+    lines += _exact_notes(args, loaded, *dual_of)
     lines.extend(extra)
     return tuple(lines)
 
 
+def _skipped(reasons):
+    """The one header line naming what a run went on without, and why."""
+    return [f"skipped: {'; '.join(reasons)}"] if reasons else []
+
+
 def _all_notion_rows(chain, args):
     """Mobius down/up, weak down/up and strong table rows, as the library
-    reports them, with header notes.
+    reports them, with the reasons of skipped rows.
 
-    A strong verdict past the up-set cap is a ``skipped`` row and a note
-    naming the reason, so the other rows are still reported.
+    A strong verdict past the up-set cap is a ``skipped`` row and a reason,
+    so the other rows are still reported.
     """
     tol, p = args.tolerance_mono, chain.poset
-    rows, notes = _report_rows([
+    rows, skipped = _report_rows([
         monotonicity.mobius_monotone_down(chain, p, tol),
         monotonicity.mobius_monotone_up(chain, p, tol),
         monotonicity.weak_monotone(chain, p, "down", tol),
@@ -314,8 +323,8 @@ def _all_notion_rows(chain, args):
         rows += _report_rows([monotonicity.strong_stochastic_monotone(chain, tol=tol)])
     except UpSetExplosion as exc:
         rows.append(["strong_stochastic", "skipped", fmt(float("nan")), "-", fmt(tol)])
-        notes.append(f"skipped: strong_stochastic ({type(exc).__name__}: {exc})")
-    return rows, notes
+        skipped.append(f"strong_stochastic ({type(exc).__name__}: {exc})")
+    return rows, skipped
 
 
 def _report_rows(reports):
@@ -334,13 +343,9 @@ def _report_rows(reports):
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, _, _ = _resolve_chain(loaded, args, need_nu=False, need_law=False)
-    rows, notes = _all_notion_rows(chain, args)
-    text = _table(
-        _mono_header(args, extra=notes, loaded=loaded),
-        ("notion", "verdict", "worst_value", "witness", "tolerance"),
-        rows,
-    )
-    _emit(args, text)
+    rows, skipped = _all_notion_rows(chain, args)
+    header = _mono_header(args, extra=_skipped(skipped), loaded=loaded)
+    _emit(args, _table(header, NOTION_COLUMNS, rows))
     return 0
 
 
@@ -360,38 +365,49 @@ def cmd_dual(args):
     return 0
 
 
-def _formula_column(params, chain, horizon):
-    """Closed-form separation values for n = 0..horizon, or None.
+def _optional_ssd(chain, law, args, skipped):
+    """The dual as ``_ssd`` builds it and its header lines, or, when a
+    precondition fails, None and no lines: the reason goes on ``skipped``
+    and the run goes on without a dual."""
+    try:
+        dual = _ssd(chain, law, args)
+    except PreconditionError as exc:
+        skipped.append(f"dual ({type(exc).__name__}: {exc})")
+        return None, ()
+    return dual, dual_header(dual, chain.poset)
 
-    Only an admissible cube walk started from all-zeros has the closed form.
-    """
-    if params is None or chain.nu[0] != 1.0 or not params.admissible:
-        return None
-    return [
-        convergence.cube_separation_formula(params.alpha, params.beta, n)
-        for n in range(horizon + 1)
-    ]
+
+def _sep_columns(chain, params, law, dual, args):
+    """The horizon and the curve columns: the separation curve, the dual's
+    absorption tail when there is a dual, and the closed form, which only an
+    admissible cube walk started from all-zeros has."""
+    curve = convergence.separation_curve(
+        chain, law, args.horizon, stop_below=args.stop_below
+    )
+    horizon = curve.horizon
+    cols = {"s": curve.values}
+    if dual is not None:
+        cols["tail"] = convergence.absorption_tail(dual, horizon).tail
+    if params is not None and chain.nu[0] == 1.0 and params.admissible:
+        cols["formula"] = [
+            convergence.cube_separation_formula(params.alpha, params.beta, n)
+            for n in range(horizon + 1)
+        ]
+    return horizon, cols
 
 
 def cmd_sep(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
-    curve = convergence.separation_curve(
-        chain, law, args.horizon, stop_below=args.stop_below
-    )
-    n_values = range(curve.horizon + 1)
-    try:
-        dual = _ssd(chain, law, args)
-        tail = convergence.absorption_tail(dual, curve.horizon).tail
-    except PreconditionError:
-        tail = None     # curve is still valid without a dual
-    formula = _formula_column(params, chain, curve.horizon)
+    skipped = []
+    dual, dual_lines = _optional_ssd(chain, law, args, skipped)
+    horizon, cols = _sep_columns(chain, params, law, dual, args)
     header = _mono_header(
-        args, extra=(f"horizon: {curve.horizon}", *_law_lines(law)),
+        args, extra=(*_law_lines(law), *dual_lines, *_skipped(skipped),
+                     f"horizon: {horizon}"),
         loaded=loaded, dual_of=(chain, law),
     )
-    _emit(args, _curve_table(header, n_values, s=curve.values,
-                             tail=tail, formula=formula))
+    _emit(args, _curve_table(header, horizon, **cols))
     return 0
 
 
@@ -401,7 +417,7 @@ def cmd_eig(args):
         params = loaded.cube
         check_holding(params)   # refuse what the walk would refuse
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
-        source, dual_of = "cube_closed_form", ()
+        facts, dual_of = ("source: cube_closed_form",), ()
     else:
         chain, _, law = _resolve_chain(loaded, args, need_nu=False)
         if chain.nu is None:
@@ -413,9 +429,11 @@ def cmd_eig(args):
                 "dual is not triangular; eigenvalue read-off unavailable"
             )
         values = np.sort(np.diag(dual.P_star))[::-1]
-        source, dual_of = "dual_diagonal", (chain, law)
-    header = _mono_header(args, extra=(f"source: {source}",), loaded=loaded,
-                          tolerances=source != "cube_closed_form", dual_of=dual_of)
+        facts = ("source: dual_diagonal", *_law_lines(law),
+                 *dual_header(dual, chain.poset))
+        dual_of = (chain, law)
+    header = _mono_header(args, extra=facts, loaded=loaded,
+                          tolerances=loaded.kind != "cube", dual_of=dual_of)
     lines = [f"# {h}" for h in header] + [fmt(v) for v in values]
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -427,49 +445,24 @@ def cmd_cube(args):
         raise InputError("the cube command needs a [cube] generator spec")
     chain, params, law = _resolve_chain(loaded, args, need_nu=True)
     product_law = cube_stationary_product(params)
-    rows, notes = _all_notion_rows(chain, args)
-    sections = [
-        f"# mobiusdual cube d={params.d}",
-        "# alpha: " + " ".join(fmt(a) for a in params.alpha),
-        "# beta: " + " ".join(fmt(b) for b in params.beta),
-        f"# admissible: {str(params.admissible).lower()}",
-        *(f"# {h}" for h in _exact_notes(args, loaded) + _law_lines(law)),
-        f"# product_form_deviation: {fmt(float(np.abs(law.pi - product_law).max()))}",
-        "",
-        _table(("monotonicity", *notes),
-               ("notion", "verdict", "worst_value", "witness", "tolerance"),
-               rows).rstrip("\n"),
-        "",
-        "# eigenvalues (closed form, descending)",
-        " ".join(fmt(v) for v in convergence.cube_eigenvalues(
-            params.alpha, params.beta)),
+    rows, skipped = _all_notion_rows(chain, args)
+    dual, dual_lines = _optional_ssd(chain, law, args, skipped)
+    eigenvalues = convergence.cube_eigenvalues(params.alpha, params.beta)
+    facts = [
+        f"admissible: {str(params.admissible).lower()}",
+        f"product_form_deviation: {fmt(float(np.abs(law.pi - product_law).max()))}",
+        "eigenvalues: " + " ".join(fmt(v) for v in eigenvalues),
+        *_law_lines(law),
+        *dual_lines,
+        *_skipped(skipped),
     ]
-    try:
-        dual = _ssd(chain, law, args)
-    except PreconditionFailed as exc:
-        sections += ["", f"# dual: precondition failed ({exc.report.notion})"]
-        dual = None
+    curve = ""
     if dual is not None:
-        sections += [
-            "",
-            f"# dual direction={dual.direction} absorbing="
-            f"{label_str(chain.poset.elements[dual.absorbing_index])}",
-            f"# dual_path: {dual.path}",
-            f"# nu_residual: {fmt(dual.nu_residual)}",
-            f"# intertwine_residual: {fmt(dual.intertwine_residual)}",
-        ]
-        curve = convergence.separation_curve(
-            chain, law, args.horizon, stop_below=args.stop_below
-        )
-        tail = convergence.absorption_tail(dual, curve.horizon)
-        formula = _formula_column(params, chain, curve.horizon)
-        sections += [
-            "",
-            _curve_table((f"curve horizon={curve.horizon}",),
-                         range(curve.horizon + 1), s=curve.values,
-                         tail=tail.tail, formula=formula).rstrip("\n"),
-        ]
-    _emit(args, "\n".join(sections) + "\n")
+        horizon, cols = _sep_columns(chain, params, law, dual, args)
+        facts.append(f"horizon: {horizon}")
+        curve = "\n" + _curve_table((), horizon, **cols)
+    header = _mono_header(args, extra=facts, loaded=loaded)
+    _emit(args, _table(header, NOTION_COLUMNS, rows) + curve)
     return 0
 
 
@@ -488,42 +481,30 @@ def cmd_avail(args):
         single_moves_only=loaded.rates_single_moves,
         mono_tol=args.tolerance_mono,
     )
-    sections = [
-        f"# mobiusdual avail d={report.d}",
-        f"# uniformization_rate: {fmt(report.rate)}",
-        f"# multiplier: {fmt(args.multiplier)}",
-        *(f"# {h}" for h in _exact_notes(args, loaded) + _law_lines(report.law)),
-        "# stationary: " + " ".join(fmt(v) for v in report.law.pi),
-        "",
-        _table(
-            ("monotonicity (kernel and its reversal)",),
-            ("notion", "verdict", "worst_value", "witness", "tolerance"),
-            _report_rows(report.reports[:2])
-            + [
-                ["reversed_" + row[0]] + row[1:]
-                for row in _report_rows(report.reports[2:])
-            ],
-        ).rstrip("\n"),
+    rows = _report_rows(report.reports)
+    for row in rows[2:]:
+        row[0] = "reversed_" + row[0]
+    facts = [
+        f"uniformization_rate: {fmt(report.rate)}",
+        f"multiplier: {fmt(args.multiplier)}",
+        "stationary: " + " ".join(fmt(v) for v in report.law.pi),
+        *_law_lines(report.law),
     ]
+    curve = ""
     if report.stopped_at is not None:
-        sections += ["", f"# pipeline stopped at: {report.stopped_at}"]
+        facts.append(f"pipeline stopped at: {report.stopped_at}")
     else:
-        sections += [
-            "",
-            f"# dual absorbing_index={report.dual.absorbing_index} "
-            f"direction={report.dual.direction}",
-            f"# dual_path: {report.dual.path}",
-            f"# nu_residual: {fmt(report.dual.nu_residual)}",
-            f"# intertwine_residual: {fmt(report.dual.intertwine_residual)}",
-            f"# mean_absorption: {fmt(report.tail.mean)}",
-            f"# sst_bound_ok: {str(report.bound.ok).lower()}",
-            "",
-            _curve_table((f"curve horizon={report.curve.horizon}",),
-                         range(report.curve.horizon + 1),
-                         s=report.curve.values,
-                         tail=report.tail.tail).rstrip("\n"),
+        horizon = report.curve.horizon
+        facts += [
+            *dual_header(report.dual, report.chain.poset),
+            f"mean_absorption: {fmt(report.tail.mean)}",
+            f"sst_bound_ok: {str(report.bound.ok).lower()}",
+            f"horizon: {horizon}",
         ]
-    _emit(args, "\n".join(sections) + "\n")
+        curve = "\n" + _curve_table((), horizon, s=report.curve.values,
+                                     tail=report.tail.tail)
+    header = _mono_header(args, extra=facts, loaded=loaded)
+    _emit(args, _table(header, NOTION_COLUMNS, rows) + curve)
     return 0
 
 
@@ -587,15 +568,16 @@ def cmd_simulate(args):
             f"samples: {args.samples}",
             f"seed: {args.seed}",
             f"confidence: {fmt(result.confidence)}",
+            *_law_lines(law),
+            *dual_header(dual, chain.poset),
+            f"horizon: {args.horizon}",
         ),
         loaded=loaded, dual_of=(chain, law),
     )
-    text = _curve_table(
-        header, range(args.horizon + 1),
-        tail=analytic.tail, empirical=result.tail,
-        lo=result.lower, hi=result.upper,
-    )
-    _emit(args, text)
+    _emit(args, _curve_table(
+        header, args.horizon, tail=analytic.tail, empirical=result.tail,
+        band_lo=result.lower, band_hi=result.upper,
+    ))
     return 0
 
 

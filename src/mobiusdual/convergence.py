@@ -244,10 +244,6 @@ def cube_separation_formula(alpha, beta, n):
     d = len(alpha)
     if len(beta) != d:
         raise DimensionMismatch("alpha and beta must have equal length")
-    if d > SUBSET_ENUM_LIMIT:
-        raise DimensionTooLarge(
-            f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
-        )
     rates = alpha + beta
     if rates.sum() > 1.0 + ROW_TOL:
         raise PreconditionFailed(
@@ -264,10 +260,6 @@ def cube_eigenvalues(alpha, beta):
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != beta.shape:
         raise DimensionMismatch("alpha and beta must have equal length")
-    if len(alpha) > SUBSET_ENUM_LIMIT:
-        raise DimensionTooLarge(
-            f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
-        )
     sums, _ = _subset_rates(alpha + beta)
     return np.sort(1.0 - sums)[::-1]
 
@@ -276,8 +268,13 @@ def _subset_rates(rates):
     """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate subset.
 
     Built by doubling: subset mask k holds coordinate i iff bit i of k is set,
-    so entry 0 is the empty subset.
+    so entry 0 is the empty subset.  More than SUBSET_ENUM_LIMIT rates raise
+    DimensionTooLarge before the 2^d arrays are allocated.
     """
+    if len(rates) > SUBSET_ENUM_LIMIT:
+        raise DimensionTooLarge(
+            f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
+        )
     size = 1 << len(rates)
     sums = np.zeros(size)
     signs = np.empty(size)

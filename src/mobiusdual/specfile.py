@@ -131,6 +131,12 @@ def _positive_int(token, line, what):
     return int(token)
 
 
+def _lines(text):
+    """The lines of ``text``, which end at LF, CRLF and CR only: a form feed
+    or U+2028 in a comment is part of its line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read(path):
     """The text of the spec file at ``path``; a byte that is not UTF-8 is a
     SchemaError at its line."""
@@ -139,7 +145,8 @@ def _read(path):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the bytes before the first bad one decode
+        line = len(_lines(data[:exc.start].decode("utf-8")))
         raise SchemaError(
             f"line {line}: byte {data[exc.start]:#04x} is not UTF-8", line=line
         ) from None
@@ -149,7 +156,7 @@ def _sections(text):
     """Split into {section: [(line_no, key, tokens), ...]}, preserving order."""
     out = {}
     current = None
-    for n, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -557,10 +564,10 @@ def serialize_chain(c, header=()):
     return text + "\n".join(lines) + "\n"
 
 
-def serialize_dual(dual, poset):
-    """Dual chain in chain-spec format with construction metadata up front."""
-    header = [
-        "dual chain",
+def dual_header(dual, poset):
+    """A dual's construction facts as ``key: value`` header lines: the one
+    form every command prints them in."""
+    return (
         f"direction: {dual.direction}",
         f"dual_path: {dual.path}",
         f"absorbing_index: {dual.absorbing_index}",
@@ -568,6 +575,10 @@ def serialize_dual(dual, poset):
         f"nu_residual: {fmt(dual.nu_residual)}",
         f"intertwine_residual: {fmt(dual.intertwine_residual)}",
         f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
-    ]
+    )
+
+
+def serialize_dual(dual, poset):
+    """Dual chain in chain-spec format with construction metadata up front."""
     chain = Chain(poset=poset, P=dual.P_star, nu=dual.nu_star)
-    return serialize_chain(chain, header=header)
+    return serialize_chain(chain, header=("dual chain", *dual_header(dual, poset)))

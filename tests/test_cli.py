@@ -667,7 +667,9 @@ class TestAvail:
         # per-node rates with single moves make the chain a cube walk, whose
         # reports and dual are read off its flip rates
         assert "# dual_path: closed_form" in out.splitlines()
-        header, rows = parse_table(out.split("\n\n")[1])
+        # the header, then the notion table, then the curve after a blank line
+        header, rows = parse_table(out.split("\n\n")[0])
+        assert header[0] == "notion"
         assert [float(row[2]) for row in rows] == [0.0] * 4
 
     def test_deterministic_output(self, capsys):
@@ -706,7 +708,8 @@ class TestAvail:
             "--multiplier", "2.0", "--tolerance-mono", "1e-9",
         )
         assert code == 0
-        header, rows = parse_table(out.split("\n\n")[1])
+        header, rows = parse_table(out.split("\n\n")[0])
+        assert header[0] == "notion"
         assert len(rows) == 4
         assert all(float(row[4]) == 1e-9 for row in rows)
 
@@ -823,8 +826,10 @@ class TestCubeTransforms:
         assert code == 0, err
         assert len(notion_rows(out)) == 5
         if command == "cube":
-            assert "# dual direction=down absorbing=1111" in out.splitlines()
-            assert "# dual_path: closed_form" in out.splitlines()
+            lines = out.splitlines()
+            assert "# direction: down" in lines
+            assert "# absorbing_state: 1111" in lines
+            assert "# dual_path: closed_form" in lines
 
 
 class TestNotionTable:
@@ -1289,3 +1294,155 @@ class TestOutputRouting:
         )
         assert code == 0
         assert target.exists()
+
+
+SPECS = sorted(os.path.basename(p) for p in glob.glob(os.path.join(DATA, "*.spec")))
+SWEEP = "[sweep]\nd: 3\nalpha: 0.04 0.05 2\nbeta: 0.04 0.05 2\nkappa: 0 0.02 2\n"
+
+
+def header_facts(out):
+    """The ``# key: value`` header lines after ``# mobiusdual <command>``,
+    as (key, value) pairs in order."""
+    lines = [ln[2:] for ln in out.splitlines() if ln.startswith("# ")]
+    assert lines[0].startswith("mobiusdual ")
+    facts = [ln.split(": ", 1) for ln in lines[1:]]
+    assert all(len(f) == 2 and f[0] for f in facts), lines
+    return [tuple(f) for f in facts]
+
+
+def dual_block(out):
+    """The seven dual lines of a command's header, from ``# direction:``."""
+    lines = out.splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("# direction: "))
+    return lines[at:at + 7]
+
+
+def dual_output_block(capsys, path, *flags):
+    """The header that ``dual --output`` writes, without ``# dual chain``
+    and after any exact note."""
+    code, out, err = run(capsys, "dual", "--input", str(path), *flags)
+    assert code == 0, err
+    lines = out.splitlines()
+    at = lines.index("# dual chain")
+    return lines[at + 1:lines.index("[poset]")]
+
+
+class TestOneFormat:
+    """Every command but dual prints one ``key: value`` fact per header line,
+    and a dual's facts as ``dual --output`` writes them."""
+
+    VARIANTS = ((), ("--direction", "up"), ("--exact",))
+
+    @pytest.mark.parametrize("command", ["check", "sep", "eig", "cube", "avail",
+                                         "simulate"])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_header_lines_are_unique_facts(self, capsys, command, name):
+        extra = {"avail": ("--multiplier", "2"), "simulate": ("--samples", "200")}
+        takes_direction = "--direction" in {c[0]: c[3] for c in COMMANDS}[command]
+        for variant in self.VARIANTS:
+            if variant[:1] == ("--direction",) and not takes_direction:
+                continue
+            code, out, err = run(capsys, command, "--input", spec(name),
+                                 *extra.get(command, ()), *variant)
+            if code != 0:
+                assert out == ""
+                continue
+            keys = [k for k, _ in header_facts(out)]
+            assert len(keys) == len(set(keys)), keys
+
+    def test_sweep_header(self, capsys, tmp_path):
+        path = tmp_path / "sweep.spec"
+        path.write_text(SWEEP)
+        code, out, err = run(capsys, "sweep", "--input", str(path))
+        assert code == 0, err
+        assert [k for k, _ in header_facts(out)] == ["input", "tolerances", "d"]
+
+    @pytest.mark.parametrize("command", ["sep", "cube", "simulate"])
+    @pytest.mark.parametrize("name", ["two_cube.spec", "three_cube.spec",
+                                      "four_cube.spec"])
+    @pytest.mark.parametrize("flags", [(), ("--exact",)])
+    def test_dual_block_is_the_dual_output_header(self, capsys, command, name,
+                                                  flags):
+        samples = ("--samples", "200") if command == "simulate" else ()
+        code, out, err = run(capsys, command, "--input", spec(name),
+                             *samples, *flags)
+        assert code == 0, err
+        assert dual_block(out) == dual_output_block(capsys, spec(name), *flags)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_eig_dual_block_on_a_chain(self, capsys, tmp_path, direction):
+        params = md.CubeWalkParams(d=3, alpha=(0.05, 0.1, 0.08),
+                                   beta=(0.07, 0.04, 0.1))
+        path = tmp_path / "chain.spec"
+        path.write_text(serialize_chain(md.nearest_neighbor_walk(params)))
+        flags = ("--direction", direction)
+        code, out, err = run(capsys, "eig", "--input", str(path), *flags)
+        assert code == 0, err
+        # eig gives the chain the stationary law as nu; so does the spec here
+        with_nu = tmp_path / "with_nu.spec"
+        with_nu.write_text(path.read_text() + "nu: stationary\n")
+        assert dual_block(out) == dual_output_block(capsys, with_nu, *flags)
+        keys = [k for k, _ in header_facts(out)]
+        assert keys.index("source") < keys.index("stationary_path") < keys.index(
+            "direction")
+
+    def test_avail_dual_block(self, capsys):
+        code, out, err = run(capsys, "avail", "--input", spec("rates_single.spec"),
+                             "--multiplier", "2")
+        assert code == 0, err
+        report = md.availability_pipeline(
+            load_model(spec("rates_single.spec")).rates, multiplier=2.0,
+            single_moves_only=True,
+        )
+        text = md.specfile.serialize_dual(report.dual, report.chain.poset)
+        assert dual_block(out) == text.splitlines()[1:8]
+
+    def test_sep_without_a_dual_says_why(self, capsys):
+        code, out, err = run(capsys, "sep", "--input", spec("strong_not_mobius.spec"))
+        assert code == 0, err
+        facts = dict(header_facts(out))
+        assert facts["skipped"].startswith("dual (PreconditionFailed: ")
+        assert "direction" not in facts
+        header, rows = parse_table(out)
+        assert {row[header.index("tail")] for row in rows} == {"nan"}
+
+    def test_cube_without_a_dual_prints_no_curve(self, capsys):
+        code, out, err = run(capsys, "cube", "--input", spec("two_cube.spec"),
+                             "--direction", "up")
+        assert code == 0, err
+        facts = dict(header_facts(out))
+        assert facts["skipped"].startswith("dual (PreconditionFailed: ")
+        assert "horizon" not in facts
+        assert len(notion_rows(out)) == 5 and "\n\n" not in out
+
+    def test_skipped_reasons_share_one_line(self, capsys, tmp_path, monkeypatch):
+        # a small cap skips the strong row of the 6-cube; the up dual of a
+        # walk from delta_min fails its initial-law precondition
+        monkeypatch.setattr(monotonicity, "UPSET_CAP", 1000)
+        path = tmp_path / "cube.spec"
+        path.write_text(TestStationaryPath.SPECS["cube"])
+        code, out, err = run(capsys, "cube", "--input", str(path),
+                             "--direction", "up")
+        assert code == 0, err
+        skipped = [v for k, v in header_facts(out) if k == "skipped"]
+        assert len(skipped) == 1
+        assert skipped[0].startswith(
+            "strong_stochastic (UpSetExplosion: more than 1000 up-sets); "
+            "dual (PreconditionFailed: ")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sep", ()), ("cube", ()), ("simulate", ("--samples", "200")),
+        ("avail", ("--multiplier", "2")),
+    ])
+    def test_header_order(self, capsys, command, flags):
+        name = "rates_single.spec" if command == "avail" else "three_cube.spec"
+        code, out, err = run(capsys, command, "--input", spec(name), *flags,
+                             "--exact")
+        assert code == 0, err
+        keys = [k for k, _ in header_facts(out)]
+        assert keys[:4] == ["input", "model", "tolerances", "exact"]
+        assert keys.index("stationary_path") < keys.index("direction")
+        assert keys[-1] == "horizon"
+        tables = out.split("\n\n")
+        assert len(tables) == (2 if command in ("cube", "avail") else 1)
+        assert parse_table(tables[-1])[0] == list(cli.CURVE_COLUMNS)

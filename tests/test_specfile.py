@@ -8,7 +8,7 @@ import mobiusdual as md
 from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset, specfile
 from mobiusdual.chain import Chain
 from mobiusdual.cube import CubeWalkParams
-from mobiusdual.errors import NotStochastic, SchemaError
+from mobiusdual.errors import MobiusDualError, NotStochastic, SchemaError
 from mobiusdual.poset import Poset
 from mobiusdual.availability import RateFunctions
 from mobiusdual.duality import DualChain
@@ -308,3 +308,56 @@ class TestSerializeNonzeros:
         text = serialize_dual(dual, p)
         assert text == serialize_dual_every_entry(dual, p)
         assert "row: 0.5 -0 0.5\n" in text and "nu: -0 1 0\n" in text
+
+
+def loaded_facts(path):
+    """What ``load_model`` makes of ``path``, in comparable form: the
+    model's text and exact entries, or the error it raises."""
+    try:
+        loaded = load_model(path)
+    except SchemaError as exc:
+        return type(exc), str(exc), exc.line
+    except MobiusDualError as exc:
+        return type(exc), str(exc)
+    model = loaded.primary
+    if loaded.kind == "chain":
+        model = (serialize_chain(model), model.exact, loaded.states_order)
+    elif loaded.kind == "rates":
+        model = (model.d, model.psi.tolist(), model.phi.tolist(),
+                 loaded.rates_single_moves)
+    return loaded.kind, model, loaded.nu_token, loaded.exact_nu
+
+
+class TestLineBreaks:
+    """A spec line ends at \\n, \\r\\n or \\r, and nowhere else."""
+
+    @pytest.mark.parametrize("mark", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028",
+                                      "\u2029"])
+    def test_other_breaks_stay_inside_a_comment(self, tmp_path, mark):
+        text = open(os.path.join(DATA, "strong_not_mobius.spec"),
+                    encoding="utf-8").read()
+        path = write(tmp_path, "m.spec", f"# one{mark}two\n" + text)
+        assert loaded_facts(path) == loaded_facts(
+            os.path.join(DATA, "strong_not_mobius.spec"))
+        loaded = load_model_text(f"# one{mark}two\n" + text)
+        assert loaded.kind == "chain"
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n", b"\n"])
+    def test_bad_byte_line_counts_every_newline(self, tmp_path, newline):
+        path = tmp_path / "bad.spec"
+        path.write_bytes(newline.join([b"[poset]", b"states: a b", b"\xe9", b""]))
+        with pytest.raises(SchemaError) as exc:
+            load_model(str(path))
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: byte 0xe9 is not UTF-8"
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(DATA) if n.endswith(".spec")))
+    def test_crlf_copy_loads_as_the_original(self, tmp_path, name):
+        original = os.path.join(DATA, name)
+        with open(original, "rb") as fh:
+            data = fh.read()
+        assert b"\r" not in data
+        copy = tmp_path / name
+        copy.write_bytes(data.replace(b"\n", b"\r\n"))
+        assert loaded_facts(str(copy)) == loaded_facts(original)
