@@ -247,7 +247,9 @@ def availability_pipeline(
     """Generator -> uniformize -> stationary -> monotonicity -> dual -> curves.
 
     The initial law is the point mass at the empty down-set (all servers up),
-    which always satisfies the start condition of the down-direction dual.
+    which always satisfies the start condition of the down-direction dual;
+    with ``direction="up"`` it is the point mass at the full set (all
+    servers down).
     The requested direction's reversed-kernel verdict comes from
     ``build_ssd``; when it fails, the pipeline stops after the monotonicity
     stage and returns the verdicts.  When the law certifies detailed balance

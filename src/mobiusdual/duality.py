@@ -168,7 +168,7 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         if not report.verdict:
             raise PreconditionFailed(
                 f"{what} is not {direction}-Mobius monotone "
-                f"(worst {report.worst_value!r})",
+                f"(worst {report.worst_value:.17g})",
                 report=report,
             )
     h = zm.zeta_right(law.pi, direction)

@@ -3,8 +3,11 @@
 Grammar: ``[section]`` headers, ``key: value ...`` lines, ``#`` comments.
 Numbers are decimals or exact rationals ``p/q``.  A file holds exactly one
 model: ``[poset]`` alone, ``[poset]`` (or ``poset_file:``) plus ``[chain]``,
-``[cube]``, or ``[rates]``.  Unknown sections or keys are rejected with the
-offending line.
+``[cube]``, or ``[rates]``.  Unknown sections are rejected.  Each key
+appears at most once per section, except ``cover`` and ``row``, which
+repeat, and ``psi[mask]``/``phi[mask]``, once per mask; an unknown key, a
+subscript on any other key or a second line of a key is rejected at its
+line.
 
 Example chain spec::
 
@@ -177,38 +180,67 @@ def _sections(text):
     return out
 
 
-def _only_keys(entries, allowed, section):
-    for n, key, _ in entries:
-        base = key.split("[", 1)[0]
-        if base not in allowed:
+def _keys(entries, section, single, repeated=()):
+    """A section's lines by key: the one ``(line, tokens)`` of each key in
+    ``single`` that is present, and the file-ordered list of lines of each
+    key in ``repeated``.  A repeated ``name[]`` takes the subscripted keys
+    ``name[mask]``, one line per mask, as {mask: (line, tokens)}.  An
+    unknown key, or a second line of a single key or of one mask, is a
+    SchemaError at its line with ``field`` set to the key."""
+    table = {key: {} if key.endswith("[]") else [] for key in repeated}
+    for n, key, tokens in entries:
+        base, bracket, sub = key.partition("[")
+        name = base + "[]" if sub.endswith("]") else key
+        if name not in single and name not in repeated:
             raise SchemaError(
                 f"line {n}: unknown key {key!r} in [{section}]",
                 line=n,
                 field=key,
             )
+        if name in repeated and not bracket:
+            table[key].append((n, tokens))
+            continue
+        slot, at = table, key
+        if bracket:
+            try:
+                slot, at = table[name], int(sub[:-1], 0)
+            except ValueError:
+                raise SchemaError(
+                    f"line {n}: bad subset mask {sub[:-1]!r}", line=n, field=key
+                ) from None
+        if at in slot:
+            raise SchemaError(
+                f"line {n}: repeated key {key!r} in [{section}]", line=n, field=key
+            )
+        slot[at] = (n, tokens)
+    return table
+
+
+def _dimension(keys):
+    """The ``d`` of a section's key table, and its line."""
+    n, tokens = keys["d"]
+    return _positive_int(" ".join(tokens), n, "d"), n
 
 
 def _parse_poset(entries):
-    states = None
-    covers = []
-    _only_keys(entries, {"states", "cover"}, "poset")
-    for n, key, tokens in entries:
-        if key == "states":
-            if states is not None:
-                raise SchemaError(f"line {n}: repeated states line", line=n)
-            states = tokens
-        elif key == "cover":
-            if len(tokens) != 2:
-                raise SchemaError(
-                    f"line {n}: cover needs exactly two labels", line=n
-                )
-            covers.append((tokens[0], tokens[1]))
-    if states is None:
+    keys = _keys(entries, "poset", ("states",), ("cover",))
+    if "states" not in keys:
         raise SchemaError("[poset] needs a states line")
-    return build_poset(states, covers), tuple(states)
+    for n, tokens in keys["cover"]:
+        if len(tokens) != 2:
+            raise SchemaError(
+                f"line {n}: cover needs exactly two labels", line=n
+            )
+    states = keys["states"][1]
+    return build_poset(states, [tuple(t) for _, t in keys["cover"]]), tuple(states)
 
 
-def _resolve_nu(tokens, m, line):
+def _resolve_nu(keys, m):
+    """A key table's nu line as (token, None) or (None, numbers); (None,
+    None) when it has none."""
+    if "nu" not in keys:
+        return None, None
+    line, tokens = keys["nu"]
     if len(tokens) == 1 and tokens[0] in NU_TOKENS:
         return tokens[0], None
     if len(tokens) != m:
@@ -235,37 +267,26 @@ def nu_vector(token, poset):
     raise SchemaError(f"nu token {token!r} must be resolved by the caller")
 
 
-def _parse_chain(entries, poset, states_order, row_tol):
-    _only_keys(entries, {"row", "nu", "poset_file"}, "chain")
-    rows = []
-    nu_token = None
-    nu_exact = None
-    for n, key, tokens in entries:
-        if key == "row":
-            rows.append((n, _numbers(tokens, n)))
-        elif key == "nu":
-            nu_token, nu_exact = _resolve_nu(tokens, poset.size, n)
+def _parse_chain(keys, poset, states_order, row_tol):
     m = poset.size
+    rows = keys["row"]
     if len(rows) != m:
         raise SchemaError(f"[chain] needs exactly {m} row lines, got {len(rows)}")
-    for n, row in rows:
-        if len(row) != m:
+    values = []
+    for n, tokens in rows:
+        values.append(_numbers(tokens, n))
+        if len(tokens) != m:
             raise SchemaError(f"line {n}: row needs {m} entries", line=n)
+    nu_token, nu_exact = _resolve_nu(keys, m)
     # rows/columns follow the states line; permute into enumeration order
-    perm = [poset.index(lab) for lab in states_order]
-    exact = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            exact[perm[i]][perm[j]] = rows[i][1][j]
-    exact = tuple(tuple(row) for row in exact)
-    mat = np.array([[float(v) for v in row] for row in exact])
+    order = np.argsort([poset.index(lab) for lab in states_order])
+    exact = np.array(values, dtype=object)[np.ix_(order, order)]
+    mat = exact.astype(float)
+    exact = tuple(map(tuple, exact.tolist()))
     nu = None
     if nu_exact is not None:
-        permuted = [None] * m
-        for i in range(m):
-            permuted[perm[i]] = nu_exact[i]
-        nu_exact = tuple(permuted)
-        nu = np.array([float(v) for v in nu_exact])
+        nu_exact = tuple(np.array(nu_exact, dtype=object)[order])
+        nu = np.array(nu_exact, dtype=float)
     elif nu_token in ("delta_min", "delta_max", "uniform"):
         nu = nu_vector(nu_token, poset)
     chain = validate_chain(mat, poset, nu=nu, row_tol=row_tol, exact=exact)
@@ -273,22 +294,11 @@ def _parse_chain(entries, poset, states_order, row_tol):
 
 
 def _parse_cube(entries):
-    _only_keys(entries, {"d", "alpha", "beta", "nu"}, "cube")
-    d = alpha = beta = None
-    nu_token = None
-    nu_exact = None
-    nu_line = None
-    for n, key, tokens in entries:
-        if key == "d":
-            d = _positive_int(" ".join(tokens), n, "d")
-        elif key == "alpha":
-            alpha = _numbers(tokens, n)
-        elif key == "beta":
-            beta = _numbers(tokens, n)
-        elif key == "nu":
-            nu_line = (n, tokens)
-    if d is None or alpha is None or beta is None:
+    keys = _keys(entries, "cube", ("d", "alpha", "beta", "nu"))
+    if not {"d", "alpha", "beta"} <= keys.keys():
         raise SchemaError("[cube] needs d, alpha and beta")
+    d, _ = _dimension(keys)
+    alpha, beta = (_numbers(keys[k][1], keys[k][0]) for k in ("alpha", "beta"))
     if len(alpha) != d or len(beta) != d:
         raise SchemaError(f"[cube] alpha and beta need exactly d={d} entries")
     params = CubeWalkParams(
@@ -296,85 +306,62 @@ def _parse_cube(entries):
         alpha=tuple(float(v) for v in alpha),
         beta=tuple(float(v) for v in beta),
     )
-    if nu_line is not None:
-        nu_token, nu_exact = _resolve_nu(nu_line[1], 2**d, nu_line[0])
-    return params, nu_token, nu_exact
+    return params, *_resolve_nu(keys, 2**d)
 
 
 def _parse_rates(entries):
-    _only_keys(entries, {"d", "psi", "phi", "moves"}, "rates")
-    d = None
-    single_moves = False
-    for n, key, tokens in entries:
-        if key == "d":
-            d = _positive_int(" ".join(tokens), n, "d")
-            if d > DENSE_CUBE_LIMIT:
-                # every [rates] path builds a dense kernel
-                raise DimensionTooLarge(
-                    f"line {n}: [rates] d must be in [1, {DENSE_CUBE_LIMIT}], got {d}",
-                    line=n,
-                )
-        elif key == "moves":
-            moves = _first(tokens, n, key)
-            if moves not in ("single", "all"):
-                raise SchemaError(
-                    f"line {n}: moves must be 'single' or 'all'", line=n
-                )
-            single_moves = moves == "single"
-    if d is None:
+    keys = _keys(
+        entries, "rates", ("d", "moves", "psi", "phi"), ("psi[]", "phi[]")
+    )
+    if "d" not in keys:
         raise SchemaError("[rates] needs d")
-    families = {}
-    tables = {"psi": {}, "phi": {}}
-    for n, key, tokens in entries:
-        if key in ("d", "moves"):
-            continue
-        if "[" in key:
-            base, idx = key[:-1].split("[", 1)
-            if base not in tables:
-                raise SchemaError(
-                    f"line {n}: only psi/phi take subset masks, got {key!r}",
-                    line=n,
-                )
-            try:
-                mask = int(idx, 0)
-            except ValueError:
-                raise SchemaError(
-                    f"line {n}: bad subset mask {idx!r}", line=n
-                ) from None
-            if not 0 <= mask < 2**d:
-                raise SchemaError(
-                    f"line {n}: mask {mask} outside the {d}-node powerset", line=n
-                )
-            tables[base][mask] = float(_number(_first(tokens, n, key), n))
-        else:
-            families[key] = (n, tokens)
+    d, n = _dimension(keys)
+    if d > DENSE_CUBE_LIMIT:
+        # every [rates] path builds a dense kernel
+        raise DimensionTooLarge(
+            f"line {n}: [rates] d must be in [1, {DENSE_CUBE_LIMIT}], got {d}",
+            line=n,
+        )
+    single_moves = False
+    if "moves" in keys:
+        n, tokens = keys["moves"]
+        moves = _first(tokens, n, "moves")
+        if moves not in ("single", "all"):
+            raise SchemaError(
+                f"line {n}: moves must be 'single' or 'all'", line=n
+            )
+        single_moves = moves == "single"
 
     def build(name):
-        fam = families.get(name)
-        table = tables[name]
-        values = None
-        if fam is not None:
-            n, tokens = fam
+        values = np.full(2**d, np.nan)
+        if name in keys:
+            n, tokens = keys[name]
             family = _first(tokens, n, name)
-            if family == "table":
-                values = None
-            elif family == "power":
+            if family == "power":
                 base = _first(tokens[1:], n, "power")
                 values = power_family(d, float(_number(base, n)))
             elif family == "pernode":
-                values = pernode_family(
-                    d, [float(v) for v in _numbers(tokens[1:], n)]
-                )
-            else:
+                per_node = _numbers(tokens[1:], n)
+                if len(per_node) != d:
+                    raise SchemaError(
+                        f"line {n}: pernode needs {d} values, got {len(per_node)}",
+                        line=n,
+                        field=name,
+                    )
+                values = pernode_family(d, [float(v) for v in per_node])
+            elif family != "table":
                 raise SchemaError(
                     f"line {n}: unknown family {family!r} "
                     "(expected table, power or pernode)",
                     line=n,
                 )
-        if values is None:
-            values = np.full(2**d, np.nan)
-        for mask, v in table.items():
-            values[mask] = v      # explicit table entries win
+        for mask, (n, tokens) in keys[name + "[]"].items():
+            if not 0 <= mask < 2**d:
+                raise SchemaError(
+                    f"line {n}: mask {mask} outside the {d}-node powerset", line=n
+                )
+            # explicit table entries win
+            values[mask] = float(_number(_first(tokens, n, f"{name}[{mask}]"), n))
         if np.isnan(values).any():
             missing = int(np.flatnonzero(np.isnan(values))[0])
             raise SchemaError(
@@ -420,15 +407,11 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
             kind="rates", rates=rates, rates_single_moves=single_moves
         )
     if "chain" in sections:
-        poset_file = [
-            (n, tokens)
-            for n, key, tokens in sections["chain"]
-            if key == "poset_file"
-        ]
-        if poset_file and "poset" in sections:
+        keys = _keys(sections["chain"], "chain", ("nu", "poset_file"), ("row",))
+        if "poset_file" in keys and "poset" in sections:
             raise SchemaError("ambiguous spec: inline [poset] and poset_file")
-        if poset_file:
-            n, tokens = poset_file[0]
+        if "poset_file" in keys:
+            n, tokens = keys["poset_file"]
             ref = os.path.join(base_dir, " ".join(tokens))
             ref_sections = _sections(_read(ref))
             if set(ref_sections) != {"poset"}:
@@ -441,7 +424,7 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
         else:
             raise SchemaError("[chain] needs an inline [poset] or poset_file")
         chain, nu_token, nu_exact = _parse_chain(
-            sections["chain"], poset, states_order, row_tol
+            keys, poset, states_order, row_tol
         )
         return LoadedModel(
             kind="chain",
@@ -474,29 +457,27 @@ def parse_sweep(path):
     sections = _sections(_read(path))
     if set(sections) != {"sweep"}:
         raise SchemaError("sweep input must hold exactly a [sweep] section")
-    d = None
-    grids, counts = {}, {}
-    for n, key, tokens in sections["sweep"]:
-        if key == "d":
-            d = _positive_int(" ".join(tokens), n, "d")
-        elif key in ("alpha", "beta", "kappa"):
-            if len(tokens) != 3:
-                raise SchemaError(
-                    f"line {n}: {key} needs 'start stop count'", line=n
-                )
-            start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
-            counts[key] = _positive_int(tokens[2], n, f"the {key} count")
-            if math.prod(counts.values()) > MAX_SWEEP_POINTS:
-                raise DimensionTooLarge(
-                    f"line {n}: the sweep grid would hold more than "
-                    f"{MAX_SWEEP_POINTS} points",
-                    line=n,
-                )
-            grids[key] = np.linspace(start, stop, counts[key])
-        else:
-            raise SchemaError(f"line {n}: unknown key {key!r} in [sweep]", line=n)
-    if d is None or "alpha" not in grids or "beta" not in grids:
+    keys = _keys(sections["sweep"], "sweep", ("d", "alpha", "beta", "kappa"))
+    if not {"d", "alpha", "beta"} <= keys.keys():
         raise SchemaError("[sweep] needs d, alpha and beta grids")
+    d, _ = _dimension(keys)
+    grids, counts = {}, {}
+    # in file order, so the refusal names the line that crosses the bound
+    for key in sorted(keys.keys() - {"d"}, key=lambda k: keys[k][0]):
+        n, tokens = keys[key]
+        if len(tokens) != 3:
+            raise SchemaError(
+                f"line {n}: {key} needs 'start stop count'", line=n
+            )
+        start, stop = float(_number(tokens[0], n)), float(_number(tokens[1], n))
+        counts[key] = _positive_int(tokens[2], n, f"the {key} count")
+        if math.prod(counts.values()) > MAX_SWEEP_POINTS:
+            raise DimensionTooLarge(
+                f"line {n}: the sweep grid would hold more than "
+                f"{MAX_SWEEP_POINTS} points",
+                line=n,
+            )
+        grids[key] = np.linspace(start, stop, counts[key])
     kappas = grids.get("kappa", np.array([0.0]))
     return d, grids["alpha"], grids["beta"], kappas
 

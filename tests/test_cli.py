@@ -1446,3 +1446,46 @@ class TestOneFormat:
         tables = out.split("\n\n")
         assert len(tables) == (2 if command in ("cube", "avail") else 1)
         assert parse_table(tables[-1])[0] == list(cli.CURVE_COLUMNS)
+
+
+class TestKeyRuleBlocks:
+    """A repeated or stray key is a SchemaError block with its line and key."""
+
+    @pytest.mark.parametrize("command, body, line, field", [
+        ("check", "[poset]\nstates: a b\nstates: a b\n", 3, "states"),
+        ("cube", WALK.decode() + "d: 3\n", 6, "d"),
+        ("avail", RATES.decode() + "psi[3]: 1\npsi[0b11]: 7\n", 5, "psi[0b11]"),
+        ("cube", WALK.decode() + "alpha[0]: 0.5\n", 6, "alpha[0]"),
+        ("sweep", GRID.decode() + "d: 2\n", 5, "d"),
+        ("avail", "[rates]\nd: 2\npsi: pernode 0.1\nphi: power 2\n", 3, "psi"),
+    ], ids=["states", "cube_d", "mask", "subscript", "sweep_d", "pernode"])
+    def test_block_carries_line_and_field(self, capsys, tmp_path, command, body,
+                                          line, field):
+        path = tmp_path / "model.spec"
+        path.write_text(body)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 1 and out == ""
+        block = json.loads(err)
+        assert block["error"] == "SchemaError"
+        assert (block["line"], block["field"]) == (line, field)
+
+
+class TestPreconditionDetail:
+    """The worst value in a failed dual's message is the block's worst_value."""
+
+    @pytest.mark.parametrize("name, flags", [
+        ("two_cube.spec", ("--direction", "up")),
+        ("strong_not_mobius.spec", ()),
+    ])
+    def test_detail_number_is_worst_value(self, capsys, name, flags):
+        code, out, err = run(capsys, "dual", "--input", spec(name), *flags)
+        block = json.loads(err)
+        assert code == 2 and block["error"] == "PreconditionFailed"
+        assert block["detail"].endswith(f"(worst {block['worst_value']})")
+
+    def test_skipped_line_prints_the_same_value(self, capsys):
+        code, out, _ = run(capsys, "sep", "--input", spec("two_cube.spec"),
+                           "--direction", "up")
+        assert code == 0
+        assert ("# skipped: dual (PreconditionFailed: nu/pi is not "
+                "up-Mobius monotone (worst -4))\n") in out

@@ -8,7 +8,7 @@ import mobiusdual as md
 from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset, specfile
 from mobiusdual.chain import Chain
 from mobiusdual.cube import CubeWalkParams
-from mobiusdual.errors import MobiusDualError, NotStochastic, SchemaError
+from mobiusdual.errors import DimensionTooLarge, MobiusDualError, NotStochastic, SchemaError
 from mobiusdual.poset import Poset
 from mobiusdual.availability import RateFunctions
 from mobiusdual.duality import DualChain
@@ -361,3 +361,133 @@ class TestLineBreaks:
         copy = tmp_path / name
         copy.write_bytes(data.replace(b"\n", b"\r\n"))
         assert loaded_facts(str(copy)) == loaded_facts(original)
+
+
+# One spec per section that loads, each line a key that the section takes.
+SECTIONS = {
+    "poset": "[poset]\nstates: a b\ncover: a b\n",
+    "chain": "[chain]\nposet_file: p.spec\nrow: 0.7 0.3\nrow: 0.4 0.6\n"
+             "nu: delta_min\n",
+    "cube": "[cube]\nd: 2\nalpha: 0.1 0.1\nbeta: 0.1 0.1\nnu: delta_min\n",
+    "rates": "[rates]\nd: 2\nmoves: single\npsi: power 0.5\nphi: power 2\n",
+    "sweep": "[sweep]\nd: 3\nalpha: 0.04 0.05 2\nbeta: 0.04 0.05 2\n"
+             "kappa: 0 0.02 2\n",
+}
+SINGLE_KEYS = {
+    "poset": ("states",),
+    "chain": ("nu", "poset_file"),
+    "cube": ("d", "alpha", "beta", "nu"),
+    "rates": ("d", "moves", "psi", "phi"),
+    "sweep": ("d", "alpha", "beta", "kappa"),
+}
+
+
+def load_section(tmp_path, section, text):
+    """Load ``text`` as the spec of ``section``; a chain's poset_file is
+    ``p.spec`` beside it."""
+    write(tmp_path, "p.spec", SECTIONS["poset"])
+    path = write(tmp_path, "s.spec", text)
+    if section == "sweep":
+        return specfile.parse_sweep(path)
+    return load_model(path)
+
+
+class TestKeyRule:
+    """Each key at most once per section, except cover, row and one
+    psi[mask]/phi[mask] per mask; anything else is refused at its line."""
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_every_section_spec_loads(self, tmp_path, section):
+        load_section(tmp_path, section, SECTIONS[section])
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in SINGLE_KEYS.items() for key in keys
+    ])
+    def test_second_line_of_a_single_key(self, tmp_path, section, key):
+        lines = SECTIONS[section].splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key}:"))
+        lines.insert(at + 1, lines[at])
+        with pytest.raises(SchemaError) as exc:
+            load_section(tmp_path, section, "\n".join(lines) + "\n")
+        assert exc.value.line == at + 2 and exc.value.field == key
+        assert str(exc.value) == f"line {at + 2}: repeated key {key!r} in [{section}]"
+
+    @pytest.mark.parametrize("section, line", [
+        ("cube", "alpha[0]: 0.5"),
+        ("cube", "nu[1]: 3"),
+        ("chain", "row[7]: 1 0"),
+        ("poset", "states[2]: c"),
+        ("rates", "d[1]: 2"),
+        ("rates", "psi[1: 2"),
+        ("sweep", "d[1]: 2"),
+    ])
+    def test_subscript_outside_psi_phi_is_unknown(self, tmp_path, section, line):
+        text = SECTIONS[section] + line + "\n"
+        key = line.split(":")[0]
+        with pytest.raises(SchemaError) as exc:
+            load_section(tmp_path, section, text)
+        assert exc.value.line == text.count("\n") and exc.value.field == key
+        assert f"unknown key {key!r} in [{section}]" in str(exc.value)
+
+    @pytest.mark.parametrize("first, second", [
+        ("psi[3]", "psi[0b11]"), ("phi[1]", "phi[1]"), ("psi[0x2]", "psi[2]"),
+    ])
+    def test_one_line_per_mask(self, tmp_path, first, second):
+        text = SECTIONS["rates"] + f"{first}: 1\n{second}: 7\n"
+        with pytest.raises(SchemaError) as exc:
+            load_section(tmp_path, "rates", text)
+        assert exc.value.line == 7 and exc.value.field == second
+        assert "repeated key" in str(exc.value)
+
+    def test_bad_mask_is_refused_at_its_line(self, tmp_path):
+        text = SECTIONS["rates"] + "psi[x]: 1\n"
+        with pytest.raises(SchemaError, match="bad subset mask 'x'") as exc:
+            load_section(tmp_path, "rates", text)
+        assert exc.value.line == 6 and exc.value.field == "psi[x]"
+
+    def test_distinct_masks_load(self, tmp_path):
+        text = SECTIONS["rates"] + "psi[1]: 0.25\npsi[0b10]: 0.125\nphi[1]: 3\n"
+        rates = load_section(tmp_path, "rates", text).rates
+        assert rates.psi.tolist() == [1.0, 0.25, 0.125, 0.25]
+        assert rates.phi.tolist() == [1.0, 3.0, 2.0, 4.0]
+
+    def test_pernode_count_is_refused_at_its_line(self, tmp_path):
+        text = "[rates]\nd: 2\npsi: pernode 0.1\nphi: power 2\n"
+        with pytest.raises(SchemaError) as exc:
+            load_section(tmp_path, "rates", text)
+        assert exc.value.line == 3 and exc.value.field == "psi"
+        assert str(exc.value) == "line 3: pernode needs 2 values, got 1"
+
+
+class TestChainOrder:
+    def test_rows_and_nu_are_permuted_by_label(self):
+        # states listed against the enumeration order; every entry must land
+        # at the positions of its labels
+        states = ["d", "b", "a", "c"]
+        rows = [[Fraction(10 * i + j + 1, 1000) for j in range(4)] for i in range(4)]
+        rows = [row[:-1] + [1 - sum(row[:-1])] for row in rows]
+        nu = [Fraction(k + 1, 10) for k in range(4)]
+        text = ("[poset]\nstates: " + " ".join(states) + "\ncover: a b\n"
+                "cover: a c\ncover: b d\ncover: c d\n\n[chain]\n"
+                + "".join("row: " + " ".join(map(str, row)) + "\n" for row in rows)
+                + "nu: " + " ".join(map(str, nu)) + "\n")
+        loaded = load_model_text(text)
+        c, index = loaded.chain, loaded.poset.index
+        for i, x in enumerate(states):
+            assert loaded.exact_nu[index(x)] == nu[i]
+            assert c.nu[index(x)] == float(nu[i])
+            for j, y in enumerate(states):
+                assert c.exact[index(x)][index(y)] == rows[i][j]
+                assert c.P[index(x), index(y)] == float(rows[i][j])
+        assert all(type(row) is tuple for row in c.exact)
+        assert type(loaded.exact_nu) is tuple
+
+
+def test_sweep_refusal_names_the_crossing_line_in_file_order(tmp_path):
+    # alphabetically, alpha x beta stays small and kappa (line 2) crosses;
+    # in file order kappa x beta crosses at the beta line
+    path = write(tmp_path, "s.sweep", "[sweep]\nkappa: 0 0.02 1001\n"
+                 "beta: 0.04 0.05 1000\nalpha: 0.04 0.05 2\nd: 3\n")
+    with pytest.raises(DimensionTooLarge) as exc:
+        specfile.parse_sweep(path)
+    assert exc.value.line == 3
