@@ -9,18 +9,13 @@ from .availability import (
     availability_pipeline,
     pernode_family,
     power_family,
-    rates_from_tables,
     uniformize,
 )
 from .chain import (
     Chain,
     StationaryLaw,
-    diff_down,
-    diff_up,
     reverse,
     stationary,
-    sum_down,
-    sum_up,
     validate_chain,
 )
 from .convergence import (
@@ -42,7 +37,6 @@ from .cube import (
     cube_stationary_product,
     gplus_transform,
     nearest_neighbor_walk,
-    power_chain,
     supermodular_order_witness,
 )
 from .duality import (
@@ -66,12 +60,9 @@ from .poset import (
     Poset,
     build_poset,
     cube_poset,
-    down_set,
-    is_lattice,
     meet_join,
-    up_set,
     zeta_mobius,
 )
-from .specfile import load_model, parse_spec, serialize_chain, serialize_poset
+from .specfile import load_model, serialize_chain, serialize_poset
 
 __version__ = "0.1.0"

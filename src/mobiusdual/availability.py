@@ -56,28 +56,6 @@ class RateFunctions:
             table.flags.writeable = False
 
 
-def rates_from_tables(d, psi_table, phi_table):
-    """Build RateFunctions from {bitmask: value} mappings (must be complete)."""
-    m = 2**d
-
-    def fill(name, mapping):
-        out = np.full(m, np.nan)
-        for mask, value in mapping.items():
-            if not 0 <= int(mask) < m:
-                raise MissingSubsetValue(
-                    f"{name}[{mask}] is outside the {d}-node powerset"
-                )
-            out[int(mask)] = float(value)
-        missing = np.flatnonzero(np.isnan(out))
-        if missing.size:
-            raise MissingSubsetValue(
-                f"{name} is undefined on subset mask {int(missing[0]):#b}"
-            )
-        return out
-
-    return RateFunctions(d=d, psi=fill("psi", psi_table), phi=fill("phi", phi_table))
-
-
 def power_family(d, c):
     """Set function D -> c^|D|."""
     return float(c) ** cube_bits(d).sum(axis=1)

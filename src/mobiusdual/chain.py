@@ -1,4 +1,4 @@
-"""Stochastic kernels over a poset and the cumulative/difference operators.
+"""Stochastic kernels over a poset.
 
 Vectors are row vectors acting on the left of matrices throughout (law times
 kernel).  Only the validation tolerance is set per call, as ``row_tol`` of
@@ -136,10 +136,15 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
 
 
 def _raise_violations(violations):
-    """Raise NotStochastic listing ``violations``, if there are any."""
+    """Raise NotStochastic listing ``violations``, if there are any; its
+    message names the initial law when every violation is of ``nu``."""
     if violations:
         detail = "; ".join(msg for _, msg in violations)
-        raise NotStochastic(f"kernel is not stochastic: {detail}", violations)
+        if all(what == "nu" for what, _ in violations):
+            prefix = "initial law nu is not a probability vector"
+        else:
+            prefix = "kernel is not stochastic"
+        raise NotStochastic(f"{prefix}: {detail}", violations)
 
 
 def _support_levels(src, dst, m):
@@ -330,29 +335,3 @@ def reverse(c, law):
     rev = np.divide(c.P.T * pi[None, :], pi[:, None], order="C")
     return validate_chain(rev, c.poset, nu=c.nu)
 
-
-def _as_row(f, m):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (m,):
-        raise DimensionMismatch(f"vector must have length {m}, got {f.shape}")
-    return f
-
-
-def sum_down(f, zm):
-    """Down-cumulative sums F(e_i) = sum of f over {e : e <= e_i}."""
-    return zm.zeta_right(_as_row(f, zm.size), "down")
-
-
-def sum_up(f, zm):
-    """Up-cumulative sums over {e : e >= e_i}."""
-    return zm.zeta_right(_as_row(f, zm.size), "up")
-
-
-def diff_down(f, zm):
-    """Inverse of sum_down (Mobius inversion from below)."""
-    return zm.mobius_right(_as_row(f, zm.size), "down")
-
-
-def diff_up(f, zm):
-    """Inverse of sum_up (Mobius inversion from above)."""
-    return zm.mobius_right(_as_row(f, zm.size), "up")

@@ -11,13 +11,12 @@ import numpy as np
 from .chain import IDENTITY_TOL, ROW_TOL
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     HorizonTooLarge,
     InputError,
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
-from .poset import SUBSET_ENUM_LIMIT
+from .poset import SUBSET_ENUM_LIMIT, check_cube_dim
 
 MAX_HORIZON = 10_000_000
 MAX_SAMPLES = 10_000_000
@@ -268,13 +267,11 @@ def _subset_rates(rates):
     """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate subset.
 
     Built by doubling: subset mask k holds coordinate i iff bit i of k is set,
-    so entry 0 is the empty subset.  More than SUBSET_ENUM_LIMIT rates raise
-    DimensionTooLarge before the 2^d arrays are allocated.
+    so entry 0 is the empty subset.  Unless 1 <= d <= SUBSET_ENUM_LIMIT for
+    the d rates, DimensionTooLarge is raised before the 2^d arrays are
+    allocated.
     """
-    if len(rates) > SUBSET_ENUM_LIMIT:
-        raise DimensionTooLarge(
-            f"subset enumeration is exact and rejected above d={SUBSET_ENUM_LIMIT}"
-        )
+    check_cube_dim(len(rates), SUBSET_ENUM_LIMIT)
     size = 1 << len(rates)
     sums = np.zeros(size)
     signs = np.empty(size)

@@ -1,4 +1,4 @@
-"""Cube chain generators: nearest-neighbor walks, powers, g+ transforms.
+"""Cube chain generators: nearest-neighbor walks and g+ transforms.
 
 The nearest-neighbor walk flips coordinate i up with rate alpha_i and down
 with rate beta_i; it is reversible with a product-form stationary law.  The
@@ -23,7 +23,7 @@ from .errors import (
     NotLattice,
     NumericalFailure,
 )
-from .poset import SUBSET_ENUM_LIMIT, check_cube_dim, cube_bits, cube_poset, meet_join
+from .poset import cube_bits, cube_poset, meet_join
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,10 @@ def check_holding(params):
     """Refuse, in O(d), the walks that ``holding_probabilities`` refuses.
 
     The smallest holding probability is 1 - sum_k max(alpha_k, beta_k), at
-    the state with bit k set iff beta_k > alpha_k.  Raises DimensionTooLarge
-    above SUBSET_ENUM_LIMIT, and NegativeHoldingProbability (with that
-    state as witness) when it is below -ROW_TOL.
+    the state with bit k set iff beta_k > alpha_k.  Raises
+    NegativeHoldingProbability (with that state as witness) when it is
+    below -ROW_TOL.
     """
-    check_cube_dim(params.d, SUBSET_ENUM_LIMIT)
     stay = 1.0 - np.maximum(params.alpha, params.beta).sum()
     if stay < -ROW_TOL:
         state = tuple(int(b > a) for a, b in zip(params.alpha, params.beta))
@@ -149,22 +148,13 @@ def cube_stationary_product(params):
     """Product-form stationary law of the nearest-neighbor walk.
 
     pi(e) multiplies alpha_i/(alpha_i+beta_i) over set coordinates and
-    beta_i/(alpha_i+beta_i) over unset ones; exact closed form used as an
-    oracle for the dense solver.
+    beta_i/(alpha_i+beta_i) over unset ones: the closed form against which
+    ``cube`` reports the solved law's ``product_form_deviation``.
     """
     alpha = np.asarray(params.alpha, dtype=float)
     beta = np.asarray(params.beta, dtype=float)
     bits = cube_bits(params.d)
     return np.prod(np.where(bits, alpha, beta) / (alpha + beta), axis=1)
-
-
-def power_chain(c, k):
-    """k-step kernel P^k (stationary law unchanged)."""
-    if k < 1:
-        raise DimensionMismatch(f"power must be >= 1, got {k}")
-    return validate_chain(
-        np.linalg.matrix_power(c.P, k), c.poset, nu=c.nu, row_tol=1e-10
-    )
 
 
 def gplus_transform(c, *moves, row_tol=1e-12):

@@ -359,18 +359,6 @@ def cube_poset(d):
     return Poset([tuple(row) for row in cube_bits(d).tolist()], cube_dim=d)
 
 
-def up_set(p, e):
-    """All states e' with e <= e', in enumeration order."""
-    i = p.index(e)
-    return tuple(p.elements[j] for j in np.flatnonzero(p.leq[i, :]))
-
-
-def down_set(p, e):
-    """All states e' with e' <= e, in enumeration order."""
-    i = p.index(e)
-    return tuple(p.elements[j] for j in np.flatnonzero(p.leq[:, i]))
-
-
 def _greatest(p, mask):
     """Index of the greatest element of the masked subset, or None."""
     members = np.flatnonzero(mask)
@@ -401,15 +389,3 @@ def meet_join(p, x, y):
     join = p.elements[ji] if ji is not None else None
     return meet, join
 
-
-def is_lattice(p):
-    """True iff every pair of states has both a meet and a join."""
-    if p.cube_dim is not None:
-        return True
-    for i in range(p.size):
-        for j in range(i + 1, p.size):
-            x, y = p.elements[i], p.elements[j]
-            meet, join = meet_join(p, x, y)
-            if meet is None or join is None:
-                return False
-    return True

@@ -82,15 +82,6 @@ class LoadedModel:
     states_order: tuple | None = None   # labels in file order
     rates_single_moves: bool = False
 
-    @property
-    def primary(self):
-        return {
-            "poset": self.poset,
-            "chain": self.chain,
-            "cube": self.cube,
-            "rates": self.rates,
-        }[self.kind]
-
 
 def _number(token, line):
     """``token`` as an exact Fraction whose float is finite, or a
@@ -299,8 +290,12 @@ def _parse_cube(entries):
         raise SchemaError("[cube] needs d, alpha and beta")
     d, _ = _dimension(keys)
     alpha, beta = (_numbers(keys[k][1], keys[k][0]) for k in ("alpha", "beta"))
-    if len(alpha) != d or len(beta) != d:
-        raise SchemaError(f"[cube] alpha and beta need exactly d={d} entries")
+    for key, values in (("alpha", alpha), ("beta", beta)):
+        if len(values) != d:
+            n = keys[key][0]
+            raise SchemaError(
+                f"line {n}: {key} needs exactly d={d} entries", line=n, field=key
+            )
     params = CubeWalkParams(
         d=d,
         alpha=tuple(float(v) for v in alpha),
@@ -438,12 +433,6 @@ def load_model_text(text, base_dir="", row_tol=ROW_TOL):
         poset, states_order = _parse_poset(sections["poset"])
         return LoadedModel(kind="poset", poset=poset, states_order=states_order)
     raise SchemaError("spec holds no model section")
-
-
-def parse_spec(path):
-    """Parse a spec file into its domain object (Poset, Chain, CubeWalkParams
-    or RateFunctions)."""
-    return load_model(path).primary
 
 
 def parse_sweep(path):

@@ -12,7 +12,6 @@ from mobiusdual import (
     nearest_neighbor_walk,
     pernode_family,
     power_family,
-    rates_from_tables,
     stationary,
     uniformize,
 )
@@ -56,13 +55,11 @@ def off_product(table, mask=5, by=1e-10):
 class TestRateFunctions:
     def test_tables_must_be_complete(self):
         with pytest.raises(MissingSubsetValue):
-            rates_from_tables(2, {0: 1.0, 1: 2.0, 2: 1.5}, {k: 1.0 for k in range(4)})
+            RateFunctions(d=2, psi=np.array([1.0, 2.0, 1.5]), phi=np.ones(4))
 
     def test_tables_must_be_positive(self):
         with pytest.raises(MissingSubsetValue):
-            rates_from_tables(
-                1, {0: 1.0, 1: 0.0}, {0: 1.0, 1: 1.0}
-            )
+            RateFunctions(d=1, psi=np.array([1.0, 0.0]), phi=np.ones(2))
 
     def test_power_family(self):
         psi = power_family(2, 0.5)
@@ -124,7 +121,7 @@ class TestGenerator:
 
     def test_single_node_rates(self):
         # d = 1: breakdown rate a = psi({1})/psi({}) and repair rate b
-        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
         gen = availability_generator(r)
         assert np.allclose(gen.Q, [[-0.3, 0.3], [0.7, -0.7]])
 
@@ -172,7 +169,7 @@ class TestGenerator:
 class TestUniformize:
     def test_two_state_embedding(self):
         a, b = 0.3, 0.7
-        r = rates_from_tables(1, {0: 1.0, 1: a}, {0: 1.0, 1: b})
+        r = RateFunctions(d=1, psi=np.array([1.0, a]), phi=np.array([1.0, b]))
         gen = availability_generator(r)
         uni = uniformize(gen, multiplier=1.0)
         m = max(a, b)
@@ -182,7 +179,7 @@ class TestUniformize:
         )
 
     def test_multiplier_scales_off_diagonals(self):
-        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
         gen = availability_generator(r)
         p1 = uniformize(gen, multiplier=1.0).chain.P
         p2 = uniformize(gen, multiplier=2.0).chain.P
@@ -207,13 +204,13 @@ class TestUniformize:
             uniformize(gen)
 
     def test_multiplier_below_one_rejected(self):
-        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
         with pytest.raises(InputError):
             uniformize(availability_generator(r), multiplier=0.5)
 
     @pytest.mark.parametrize("multiplier", [np.nan, np.inf])
     def test_non_finite_multiplier_rejected(self, multiplier):
-        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
         with pytest.raises(InputError, match="finite"):
             uniformize(availability_generator(r), multiplier=multiplier)
 
@@ -252,10 +249,8 @@ def walk_shaped_rates(kind, d, seed):
     if kind == "power":
         return RateFunctions(d=d, psi=power_family(d, psi[0]), phi=power_family(d, phi[0]))
     # an explicit table, scaled so that the values at the empty set are not 1
-    return rates_from_tables(
-        d,
-        dict(enumerate(2.5 * pernode_family(d, psi))),
-        dict(enumerate(0.4 * pernode_family(d, phi))),
+    return RateFunctions(
+        d=d, psi=2.5 * pernode_family(d, psi), phi=0.4 * pernode_family(d, phi)
     )
 
 
@@ -417,7 +412,7 @@ class TestPipeline:
         assert np.array_equal(r1.tail.tail, r2.tail.tail)
 
     def test_errors_carry_stage_labels(self):
-        r = rates_from_tables(1, {0: 1.0, 1: 0.3}, {0: 1.0, 1: 0.7})
+        r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
         with pytest.raises(InputError) as exc:
             availability_pipeline(r, multiplier=0.2)
         assert exc.value.stage == "uniformize"

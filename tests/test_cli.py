@@ -1449,7 +1449,8 @@ class TestOneFormat:
 
 
 class TestKeyRuleBlocks:
-    """A repeated or stray key is a SchemaError block with its line and key."""
+    """A repeated or stray key, or a [cube] rate line of the wrong length,
+    is a SchemaError block with its line and key."""
 
     @pytest.mark.parametrize("command, body, line, field", [
         ("check", "[poset]\nstates: a b\nstates: a b\n", 3, "states"),
@@ -1458,7 +1459,11 @@ class TestKeyRuleBlocks:
         ("cube", WALK.decode() + "alpha[0]: 0.5\n", 6, "alpha[0]"),
         ("sweep", GRID.decode() + "d: 2\n", 5, "d"),
         ("avail", "[rates]\nd: 2\npsi: pernode 0.1\nphi: power 2\n", 3, "psi"),
-    ], ids=["states", "cube_d", "mask", "subscript", "sweep_d", "pernode"])
+        ("check", "[cube]\nd: 2\nalpha: 0.1\nbeta: 0.1 0.1\n", 3, "alpha"),
+        ("check", "[cube]\nd: 2\nalpha: 0.1 0.1\nbeta: 0.1 0.1 0.1\n", 4, "beta"),
+        ("check", "[cube]\nd: 2\nalpha: 0.1\nbeta: 0.1\n", 3, "alpha"),
+    ], ids=["states", "cube_d", "mask", "subscript", "sweep_d", "pernode",
+            "short_alpha", "long_beta", "alpha_first"])
     def test_block_carries_line_and_field(self, capsys, tmp_path, command, body,
                                           line, field):
         path = tmp_path / "model.spec"

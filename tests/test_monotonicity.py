@@ -19,7 +19,6 @@ from mobiusdual import (
     mobius_monotone_down,
     mobius_monotone_up,
     nearest_neighbor_walk,
-    power_chain,
     reverse,
     stationary,
     strong_stochastic_monotone,
@@ -604,7 +603,9 @@ class TestClosureAndEquivalences:
         assert mobius_monotone_down(prod, zm).verdict
         assert mobius_monotone_up(prod, zm).verdict
         for k in (2, 3, 4):
-            assert mobius_monotone_down(power_chain(c1, k), zm).verdict
+            assert mobius_monotone_down(
+                validate_chain(np.linalg.matrix_power(c1.P, k), p, row_tol=1e-10), zm
+            ).verdict
         for t in (0.25, 0.5, 0.75):
             mix = validate_chain(t * c1.P + (1 - t) * c2.P, p, row_tol=1e-10)
             assert mobius_monotone_down(mix, zm).verdict

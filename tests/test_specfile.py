@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
-from mobiusdual import load_model, parse_spec, serialize_chain, serialize_poset, specfile
+from mobiusdual import load_model, serialize_chain, serialize_poset, specfile
 from mobiusdual.chain import Chain
 from mobiusdual.cube import CubeWalkParams
 from mobiusdual.errors import DimensionTooLarge, MobiusDualError, NotStochastic, SchemaError
@@ -49,13 +49,13 @@ nu: delta_min
 class TestParsing:
     def test_poset_only(self, tmp_path):
         path = write(tmp_path, "p.spec", "[poset]\nstates: x y\ncover: x y\n")
-        p = parse_spec(path)
+        p = load_model(path).poset
         assert isinstance(p, Poset)
         assert p.elements == ("x", "y")
 
     def test_chain_spec(self, tmp_path):
         path = write(tmp_path, "c.spec", DIAMOND_CHAIN)
-        c = parse_spec(path)
+        c = load_model(path).chain
         assert isinstance(c, Chain)
         assert c.nu is not None and c.nu[0] == 1.0
         assert c.P[2, 2] == pytest.approx(0.6)
@@ -78,27 +78,27 @@ row: 0.9 0.1
 row: 0.4 0.6
 """
         path = write(tmp_path, "c.spec", text)
-        c = parse_spec(path)
+        c = load_model(path).chain
         assert c.poset.elements == ("bottom", "top")
         # row for 'bottom' is the second file row, diagonal first
         assert c.P[0, 0] == pytest.approx(0.6)
         assert c.P[1, 1] == pytest.approx(0.9)
 
     def test_cube_spec(self):
-        params = parse_spec(os.path.join(DATA, "two_cube.spec"))
+        params = load_model(os.path.join(DATA, "two_cube.spec")).cube
         assert isinstance(params, CubeWalkParams)
         assert params.alpha == (0.2, 0.2)
         assert params.beta == (0.2, 0.2)
 
     def test_rates_spec(self):
-        rates = parse_spec(os.path.join(DATA, "rates.spec"))
+        rates = load_model(os.path.join(DATA, "rates.spec")).rates
         assert isinstance(rates, RateFunctions)
         assert rates.psi[3] == pytest.approx(0.03 * 0.05)
 
     def test_rates_table_overrides_family(self, tmp_path):
         text = "[rates]\nd: 1\npsi: power 0.5\npsi[1]: 0.25\nphi: power 2\n"
         path = write(tmp_path, "r.spec", text)
-        rates = parse_spec(path)
+        rates = load_model(path).rates
         assert rates.psi[1] == pytest.approx(0.25)
 
     def test_poset_file_reference(self, tmp_path):
@@ -108,7 +108,7 @@ row: 0.4 0.6
             "c.spec",
             "[chain]\nposet_file: p.spec\nrow: 0.7 0.3\nrow: 0.4 0.6\n",
         )
-        c = parse_spec(path)
+        c = load_model(path).chain
         assert c.poset.elements == ("x", "y")
         assert c.P[0, 1] == pytest.approx(0.3)
 
@@ -117,19 +117,19 @@ class TestSchemaErrors:
     def test_unknown_section(self, tmp_path):
         path = write(tmp_path, "s.spec", "[nonsense]\nd: 2\n")
         with pytest.raises(SchemaError):
-            parse_spec(path)
+            load_model(path)
 
     def test_unknown_key_carries_line(self, tmp_path):
         path = write(tmp_path, "s.spec", "[poset]\nstates: a\nwhat: 3\n")
         with pytest.raises(SchemaError) as exc:
-            parse_spec(path)
+            load_model(path)
         assert exc.value.line == 3
 
     def test_dense_matrix_and_generator_are_ambiguous(self, tmp_path):
         text = DIAMOND_CHAIN + "\n[cube]\nd: 2\nalpha: 0.1 0.1\nbeta: 0.1 0.1\n"
         path = write(tmp_path, "s.spec", text)
         with pytest.raises(SchemaError) as exc:
-            parse_spec(path)
+            load_model(path)
         assert "ambiguous" in str(exc.value)
 
     def test_wrong_row_count(self, tmp_path):
@@ -138,7 +138,7 @@ class TestSchemaErrors:
             "[poset]\nstates: x y\ncover: x y\n\n[chain]\nrow: 1 0\n",
         )
         with pytest.raises(SchemaError):
-            parse_spec(path)
+            load_model(path)
 
     def test_bad_number(self, tmp_path):
         path = write(
@@ -146,7 +146,7 @@ class TestSchemaErrors:
             "[poset]\nstates: x y\n\n[chain]\nrow: one 0\nrow: 0 1\n",
         )
         with pytest.raises(SchemaError) as exc:
-            parse_spec(path)
+            load_model(path)
         assert exc.value.line == 5
 
     @pytest.mark.parametrize("section, rest", [
@@ -157,34 +157,34 @@ class TestSchemaErrors:
     def test_dimension_must_be_a_positive_integer(self, tmp_path, section, rest, d):
         path = write(tmp_path, "s.spec", f"[{section}]\nd: {d}\n{rest}")
         with pytest.raises(SchemaError, match="d must be a positive integer") as exc:
-            parse_spec(path)
+            load_model(path)
         assert exc.value.line == 2
 
     def test_bad_row_sum_is_not_schema_error(self):
         with pytest.raises(NotStochastic) as exc:
-            parse_spec(os.path.join(DATA, "bad_row.spec"))
+            load_model(os.path.join(DATA, "bad_row.spec"))
         assert any(row == 0 for row, _ in exc.value.violations)
 
     def test_content_before_section(self, tmp_path):
         path = write(tmp_path, "s.spec", "states: a\n")
         with pytest.raises(SchemaError):
-            parse_spec(path)
+            load_model(path)
 
 
 class TestRoundTrip:
     def test_poset_round_trip(self, tmp_path):
         path = write(tmp_path, "p.spec", "[poset]\nstates: a b c d\ncover: a b\ncover: a c\ncover: b d\ncover: c d\n")
-        p = parse_spec(path)
+        p = load_model(path).poset
         text = serialize_poset(p)
-        p2 = load_model_text(text).primary
+        p2 = load_model_text(text).poset
         assert p2.elements == p.elements
         assert (p2.leq == p.leq).all()
 
     def test_chain_round_trip(self, tmp_path):
         path = write(tmp_path, "c.spec", DIAMOND_CHAIN)
-        c = parse_spec(path)
+        c = load_model(path).chain
         text = serialize_chain(c)
-        c2 = load_model_text(text).primary
+        c2 = load_model_text(text).chain
         assert c2.poset.elements == c.poset.elements
         assert np.array_equal(c2.P, c.P)
         assert np.array_equal(c2.nu, c.nu)
@@ -199,7 +199,7 @@ class TestRoundTrip:
             tmp_path, "p.spec",
             "[poset]\nstates: x y z\ncover: x y\ncover: y z\ncover: x z\n",
         )
-        p = parse_spec(path)
+        p = load_model(path).poset
         pairs = set(cover_pairs(p))
         assert pairs == {("x", "y"), ("y", "z")}
 
@@ -319,7 +319,7 @@ def loaded_facts(path):
         return type(exc), str(exc), exc.line
     except MobiusDualError as exc:
         return type(exc), str(exc)
-    model = loaded.primary
+    model = getattr(loaded, loaded.kind)
     if loaded.kind == "chain":
         model = (serialize_chain(model), model.exact, loaded.states_order)
     elif loaded.kind == "rates":
