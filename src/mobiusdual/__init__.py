@@ -2,9 +2,7 @@
 
 from .availability import (
     AvailabilityReport,
-    Generator,
     RateFunctions,
-    UniformizedChain,
     availability_generator,
     availability_pipeline,
     pernode_family,

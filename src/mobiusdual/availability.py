@@ -33,7 +33,7 @@ class RateFunctions:
 
     Values are indexed by node bitmask (bit i = node i down); both tables
     have length 2^d and must be strictly positive so every rate ratio is
-    well defined.
+    well defined.  Each table is kept as a read-only float copy.
     """
 
     d: int
@@ -42,7 +42,11 @@ class RateFunctions:
 
     def __post_init__(self):
         m = 2**self.d
-        for name, table in (("psi", self.psi), ("phi", self.phi)):
+        for name in ("psi", "phi"):
+            try:
+                table = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise MissingSubsetValue(f"{name} must be a table of numbers: {exc}") from None
             if table.shape != (m,):
                 raise MissingSubsetValue(
                     f"{name} must assign a value to all {m} subsets"
@@ -54,6 +58,7 @@ class RateFunctions:
                     f"{mask:#b}"
                 )
             table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 def power_family(d, c):
@@ -69,19 +74,9 @@ def pernode_family(d, values):
     return np.prod(np.where(cube_bits(d), values, 1.0), axis=1)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Conservative rate matrix on the subset poset; state k is node mask k."""
-
-    Q: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        self.Q.flags.writeable = False
-
-
 def availability_generator(r, single_moves_only=False):
-    """Breakdown/repair generator from the rate functions.
+    """Breakdown/repair generator from the rate functions: the conservative
+    rate matrix on the subset poset, read-only, with state k the node mask k.
 
     Q(D, D u I) = psi(D u I)/psi(D) for nonempty up groups I, Q(D, D \\ H) =
     phi(D)/phi(D \\ H) for nonempty down groups H; diagonal balances each
@@ -106,15 +101,8 @@ def availability_generator(r, single_moves_only=False):
     np.divide(r.phi[:, None], r.phi[None, :], out=q, where=repair)
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return Generator(Q=q, d=d)
-
-
-@dataclass(frozen=True)
-class UniformizedChain:
-    """Discrete-time embedding P = I + Q/rate, with the rate kept for rescaling."""
-
-    chain: Chain
-    rate: float
+    q.flags.writeable = False
+    return q
 
 
 def _uniformization_rate(exit_max, multiplier):
@@ -126,8 +114,9 @@ def _uniformization_rate(exit_max, multiplier):
     return multiplier * exit_max
 
 
-def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
-    """Uniformize a generator into a row-stochastic kernel.
+def uniformize(q, multiplier=DEFAULT_MULTIPLIER):
+    """(chain, rate): the generator ``q`` on the 2^d subsets uniformized into
+    the kernel P = I + q/rate.
 
     The rate is ``multiplier`` times the largest total exit rate; multipliers
     above 1 keep every holding probability strictly positive.  A holding
@@ -135,13 +124,13 @@ def uniformize(gen, multiplier=DEFAULT_MULTIPLIER):
     (``holding_probabilities``).  The stationary law is preserved:
     pi Q = 0 iff pi P = pi.
     """
-    rate = _uniformization_rate(float(np.abs(np.diag(gen.Q)).max()), multiplier)
-    p = cube_poset(gen.d)
-    mat = gen.Q / rate
+    rate = _uniformization_rate(float(np.abs(np.diag(q)).max()), multiplier)
+    p = cube_poset(len(q).bit_length() - 1)
+    mat = q / rate
     stay = 1.0 + np.diag(mat)
     stay[np.abs(stay) <= ROW_TOL] = 0.0
     np.fill_diagonal(mat, stay)
-    return UniformizedChain(chain=validate_chain(mat, p), rate=rate)
+    return validate_chain(mat, p), rate
 
 
 def node_rates(r):
@@ -169,8 +158,8 @@ def node_rates(r):
 
 
 def uniformize_walk(d, psi, phi, multiplier=DEFAULT_MULTIPLIER):
-    """The uniformized chain of single moves at per-node rates (psi, phi),
-    built as the nearest-neighbor walk with alpha = psi/rate and
+    """(chain, rate): the uniformized chain of single moves at per-node rates
+    (psi, phi), built as the nearest-neighbor walk with alpha = psi/rate and
     beta = phi/rate, which carries them as its ``walk``.
 
     The largest total exit rate, sum_k max(psi_k, phi_k), is that of the
@@ -179,7 +168,7 @@ def uniformize_walk(d, psi, phi, multiplier=DEFAULT_MULTIPLIER):
     """
     rate = _uniformization_rate(float(np.maximum(psi, phi).sum()), multiplier)
     walk = CubeWalkParams(d, tuple((psi / rate).tolist()), tuple((phi / rate).tolist()))
-    return UniformizedChain(chain=nearest_neighbor_walk(walk), rate=rate)
+    return nearest_neighbor_walk(walk), rate
 
 
 @dataclass(frozen=True)
@@ -222,7 +211,7 @@ def availability_pipeline(
     single_moves_only=False,
     mono_tol=monotonicity.MONO_TOL,
 ):
-    """Generator -> uniformize -> stationary -> monotonicity -> dual -> curves.
+    """generator -> uniformize -> stationary -> monotonicity -> dual -> curves.
 
     The initial law is the point mass at the empty down-set (all servers up),
     which always satisfies the start condition of the down-direction dual;
@@ -247,16 +236,16 @@ def availability_pipeline(
         check_cube_dim(r.d)
         nodes = node_rates(r) if single_moves_only else None
         if nodes is None:
-            gen = availability_generator(r, single_moves_only=single_moves_only)
+            q = availability_generator(r, single_moves_only=single_moves_only)
     with _Stage("uniformize"):
         if nodes is None:
-            uni = uniformize(gen, multiplier=multiplier)
-            del gen  # not read again: keep it out of every later peak
+            chain, rate = uniformize(q, multiplier=multiplier)
+            del q  # not read again: keep it out of every later peak
         else:
-            uni = uniformize_walk(r.d, *nodes, multiplier=multiplier)
-    nu = np.zeros(uni.chain.size)
-    nu[0 if direction == "down" else uni.chain.size - 1] = 1.0
-    c = uni.chain.with_nu(nu)
+            chain, rate = uniformize_walk(r.d, *nodes, multiplier=multiplier)
+    nu = np.zeros(chain.size)
+    nu[0 if direction == "down" else chain.size - 1] = 1.0
+    c = chain.with_nu(nu)
     with _Stage("stationary"):
         law = stationary(c)
     mobius = {
@@ -296,7 +285,7 @@ def availability_pipeline(
             bound = convergence.sst_bound_check(curve, tail)
     return AvailabilityReport(
         d=r.d,
-        rate=uni.rate,
+        rate=rate,
         chain=c,
         law=law,
         reports=reports,

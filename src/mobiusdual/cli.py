@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import convergence, duality, monotonicity
-from .availability import availability_pipeline
+from .availability import DEFAULT_MULTIPLIER, availability_pipeline
 from .chain import ROW_TOL, Chain, reverse, stationary
 from .cube import (
     CubeWalkParams,
@@ -71,7 +71,7 @@ FLAGS = {
     "--tolerance-mono": dict(type=float, default=monotonicity.MONO_TOL),
     "--exact": dict(action="store_true",
                     help="re-run near-boundary verdicts in exact arithmetic"),
-    "--multiplier": dict(type=float, default=1.05,
+    "--multiplier": dict(type=float, default=DEFAULT_MULTIPLIER,
                          help="uniformization multiplier"),
     "--stop-below": dict(type=float, default=None,
                          help="truncate curves once s(n) falls below this "
@@ -124,21 +124,19 @@ def _emit(args, text):
 
 
 def _error_block(exc):
-    """The JSON error block; a label pair is a list of label strings."""
+    """The JSON error block, with the set fields the error's class declares
+    and its pipeline stage; a tuple is a list of label strings."""
     block = {
         "error": type(exc).__name__,
         "exit": exit_code(exc),
         "detail": str(exc),
     }
-    for attr in ("line", "field", "witness", "pair", "period", "stage", "row", "exact_sum"):
-        value = getattr(exc, attr, None)
-        if value is not None:
-            pair = attr in ("witness", "pair")
-            block[attr] = [label_str(e) for e in value] if pair else value
-    report = getattr(exc, "report", None)
-    if report is not None:
-        block["notion"] = report.notion
-        block["worst_value"] = fmt(report.worst_value)
+    for name in (*exc.fields, "stage"):
+        value = getattr(exc, name, None)
+        if name == "report" and value is not None:
+            block.update(notion=value.notion, worst_value=fmt(value.worst_value))
+        elif value is not None:
+            block[name] = [label_str(e) for e in value] if isinstance(value, tuple) else value
     return json.dumps(block, sort_keys=True)
 
 
@@ -159,15 +157,14 @@ def _witness_str(witness):
 
 
 def _resolve_chain(loaded, args, need_nu, need_law=True):
-    """Turn a loaded model into (chain, cube_params_or_None, law).
+    """Turn a loaded model into (chain, law); a walk's rates are ``chain.walk``.
 
     The law is the stationary law, solved once when ``nu: stationary`` or
     ``need_law`` needs it, else None.
     """
-    law = params = None
+    law = None
     if loaded.kind == "cube":
-        params = loaded.cube
-        chain = nearest_neighbor_walk(params, row_tol=args.tolerance_row)
+        chain = nearest_neighbor_walk(loaded.cube, row_tol=args.tolerance_row)
         token = loaded.nu_token
         nu = None
         if loaded.exact_nu is not None:
@@ -196,7 +193,7 @@ def _resolve_chain(loaded, args, need_nu, need_law=True):
         raise InputError(f"command {args.command!r} needs a chain or cube spec")
     if need_law and law is None:
         law = stationary(chain)
-    return chain, params, law
+    return chain, law
 
 
 def _check_exact_sums(loaded):
@@ -342,7 +339,7 @@ def _report_rows(reports):
 
 def cmd_check(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _, _ = _resolve_chain(loaded, args, need_nu=False, need_law=False)
+    chain, _ = _resolve_chain(loaded, args, need_nu=False, need_law=False)
     rows, skipped = _all_notion_rows(chain, args)
     header = _mono_header(args, extra=_skipped(skipped), loaded=loaded)
     _emit(args, _table(header, NOTION_COLUMNS, rows))
@@ -358,7 +355,7 @@ def _ssd(chain, law, args):
 
 def cmd_dual(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _, law = _resolve_chain(loaded, args, need_nu=True)
+    chain, law = _resolve_chain(loaded, args, need_nu=True)
     dual = _ssd(chain, law, args)
     notes = "".join(f"# {h}\n" for h in _exact_notes(args, loaded, chain, law))
     _emit(args, notes + serialize_dual(dual, chain.poset))
@@ -377,10 +374,10 @@ def _optional_ssd(chain, law, args, skipped):
     return dual, dual_header(dual, chain.poset)
 
 
-def _sep_columns(chain, params, law, dual, args):
+def _sep_columns(chain, law, dual, args):
     """The horizon and the curve columns: the separation curve, the dual's
     absorption tail when there is a dual, and the closed form, which only an
-    admissible cube walk started from all-zeros has."""
+    admissible [cube] walk started from all-zeros has."""
     curve = convergence.separation_curve(
         chain, law, args.horizon, stop_below=args.stop_below
     )
@@ -388,20 +385,20 @@ def _sep_columns(chain, params, law, dual, args):
     cols = {"s": curve.values}
     if dual is not None:
         cols["tail"] = convergence.absorption_tail(dual, horizon).tail
+    params = chain.walk
     if params is not None and chain.nu[0] == 1.0 and params.admissible:
-        cols["formula"] = [
-            convergence.cube_separation_formula(params.alpha, params.beta, n)
-            for n in range(horizon + 1)
-        ]
+        cols["formula"] = convergence.cube_separation_formula(
+            params.alpha, params.beta, np.arange(horizon + 1)
+        )
     return horizon, cols
 
 
 def cmd_sep(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, params, law = _resolve_chain(loaded, args, need_nu=True)
+    chain, law = _resolve_chain(loaded, args, need_nu=True)
     skipped = []
     dual, dual_lines = _optional_ssd(chain, law, args, skipped)
-    horizon, cols = _sep_columns(chain, params, law, dual, args)
+    horizon, cols = _sep_columns(chain, law, dual, args)
     header = _mono_header(
         args, extra=(*_law_lines(law), *dual_lines, *_skipped(skipped),
                      f"horizon: {horizon}"),
@@ -419,7 +416,7 @@ def cmd_eig(args):
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
         facts, dual_of = ("source: cube_closed_form",), ()
     else:
-        chain, _, law = _resolve_chain(loaded, args, need_nu=False)
+        chain, law = _resolve_chain(loaded, args, need_nu=False)
         if chain.nu is None:
             chain = chain.with_nu(law.pi)
         dual = _ssd(chain, law, args)
@@ -443,7 +440,8 @@ def cmd_cube(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     if loaded.kind != "cube":
         raise InputError("the cube command needs a [cube] generator spec")
-    chain, params, law = _resolve_chain(loaded, args, need_nu=True)
+    chain, law = _resolve_chain(loaded, args, need_nu=True)
+    params = loaded.cube
     product_law = cube_stationary_product(params)
     rows, skipped = _all_notion_rows(chain, args)
     dual, dual_lines = _optional_ssd(chain, law, args, skipped)
@@ -458,7 +456,7 @@ def cmd_cube(args):
     ]
     curve = ""
     if dual is not None:
-        horizon, cols = _sep_columns(chain, params, law, dual, args)
+        horizon, cols = _sep_columns(chain, law, dual, args)
         facts.append(f"horizon: {horizon}")
         curve = "\n" + _curve_table((), horizon, **cols)
     header = _mono_header(args, extra=facts, loaded=loaded)
@@ -556,7 +554,7 @@ def _sweep_point(d, a, b, k, args):
 
 def cmd_simulate(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
-    chain, _, law = _resolve_chain(loaded, args, need_nu=True)
+    chain, law = _resolve_chain(loaded, args, need_nu=True)
     dual = _ssd(chain, law, args)
     result = convergence.simulate_absorption(
         dual, args.samples, args.seed, horizon=args.horizon

@@ -236,7 +236,8 @@ def cube_separation_formula(alpha, beta, n):
 
     sum over nonempty coordinate subsets gamma of (-1)^(|gamma|-1)
     (1 - s_gamma)^n with s_gamma the subset's total flip rate, as one dot
-    product over the subset rates and signs built by doubling.
+    product over the subset rates and signs built by doubling.  A 1-D array
+    of n gives the array of those floats, from one build of the subsets.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -250,7 +251,10 @@ def cube_separation_formula(alpha, beta, n):
             "nonnegative eigenvalues"
         )
     sums, signs = _subset_rates(rates)
-    return float(signs[1:] @ (1.0 - sums[1:]) ** n)
+    signs, base = signs[1:], 1.0 - sums[1:]
+    if np.ndim(n) == 0:
+        return float(signs @ base**n)
+    return np.array([signs @ base**k for k in np.asarray(n).tolist()])
 
 
 def cube_eigenvalues(alpha, beta):

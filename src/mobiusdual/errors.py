@@ -8,7 +8,20 @@ broke down).
 
 
 class MobiusDualError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``fields`` names the keywords a class keeps as attributes (None when not
+    given), which the CLI's JSON error block writes; any other is a TypeError.
+    """
+
+    fields = ()
+
+    def __init__(self, message, **fields):
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, fields.pop(name, None))
+        if fields:
+            raise TypeError(f"{type(self).__name__} takes no keyword {min(fields)!r}")
 
 
 class InputError(MobiusDualError):
@@ -41,9 +54,7 @@ class DimensionTooLarge(InputError):
     """A size above what the code admits; ``line`` is the spec line that
     set it, when one did."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    fields = ("line",)
 
 
 class NotStochastic(InputError):
@@ -62,10 +73,7 @@ class InexactSum(InputError):
     """An exact run's kernel row or nu does not sum to exactly 1; ``row``
     names it and ``exact_sum`` is its rational sum."""
 
-    def __init__(self, message, row=None, exact_sum=None):
-        super().__init__(message)
-        self.row = row
-        self.exact_sum = exact_sum
+    fields = ("row", "exact_sum")
 
 
 class NegativeHoldingProbability(InputError):
@@ -87,10 +95,7 @@ class HorizonTooLarge(InputError):
 class SchemaError(InputError):
     """Spec-file parse failure; carries the offending line number and field."""
 
-    def __init__(self, message, line=None, field=None):
-        super().__init__(message)
-        self.line = line
-        self.field = field
+    fields = ("line", "field")
 
 
 # --- structural preconditions ------------------------------------------------
@@ -98,21 +103,15 @@ class SchemaError(InputError):
 class CycleError(PreconditionError):
     """Antisymmetry violation; ``witness`` is a pair of mutually related labels."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    fields = ("witness",)
 
 
 class NotIrreducible(PreconditionError):
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    fields = ("pair",)
 
 
 class NotAperiodic(PreconditionError):
-    def __init__(self, message, period=None):
-        super().__init__(message)
-        self.period = period
+    fields = ("period",)
 
 
 class UpSetExplosion(PreconditionError):
@@ -122,9 +121,7 @@ class UpSetExplosion(PreconditionError):
 class PreconditionFailed(PreconditionError):
     """A duality precondition fails; carries the offending MonotonicityReport."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    fields = ("report",)
 
 
 class NoUniqueExtremalState(PreconditionError):

@@ -424,13 +424,13 @@ class TestAcceptance:
             r = RateFunctions(
                 d=d, psi=pernode_family(d, a), phi=pernode_family(d, b)
             )
-            uni = uniformize(availability_generator(r, single_moves_only=True))
+            chain, rate = uniformize(availability_generator(r, single_moves_only=True))
             walk = md.nearest_neighbor_walk(
                 md.CubeWalkParams(
-                    d=d, alpha=tuple(a / uni.rate), beta=tuple(b / uni.rate)
+                    d=d, alpha=tuple(a / rate), beta=tuple(b / rate)
                 )
             )
-            worst = max(worst, np.abs(uni.chain.P - walk.P).max())
+            worst = max(worst, np.abs(chain.P - walk.P).max())
         report(
             11,
             worst <= 1e-12,

@@ -17,7 +17,6 @@ from mobiusdual import (
 )
 from mobiusdual import availability, cli, duality, monotonicity
 from mobiusdual import cube as cube_module
-from mobiusdual.availability import Generator
 from mobiusdual.poset import Poset
 from mobiusdual.chain import ROW_TOL
 from mobiusdual.errors import (
@@ -60,6 +59,26 @@ class TestRateFunctions:
     def test_tables_must_be_positive(self):
         with pytest.raises(MissingSubsetValue):
             RateFunctions(d=1, psi=np.array([1.0, 0.0]), phi=np.ones(2))
+
+    def test_tables_are_read_only_float_copies(self):
+        psi = np.array([1, 3])
+        r = RateFunctions(d=1, psi=psi, phi=[1.0, 0.7])
+        assert r.psi.dtype == np.float64 and r.psi.tolist() == [1.0, 3.0]
+        assert r.phi.tolist() == [1.0, 0.7]
+        assert not r.psi.flags.writeable and not r.phi.flags.writeable
+        assert psi.flags.writeable
+        psi[1] = 5
+        assert r.psi[1] == 3.0
+        chain, rate = uniformize(availability_generator(r))
+        assert rate == 1.05 * 3.0 and chain.size == 2
+
+    @pytest.mark.parametrize("table", [
+        [[1.0, 2.0], [3.0]],            # ragged
+        np.array(["a", "b"]),           # strings
+    ])
+    def test_tables_numpy_cannot_read_are_refused(self, table):
+        with pytest.raises(MissingSubsetValue, match="phi must be a table of numbers"):
+            RateFunctions(d=1, psi=np.ones(2), phi=table)
 
     def test_power_family(self):
         psi = power_family(2, 0.5)
@@ -116,19 +135,20 @@ class TestGenerator:
         r = RateFunctions(
             d=d, psi=np.exp(rng.normal(size=2**d)), phi=np.exp(rng.normal(size=2**d))
         )
-        q = availability_generator(r, single_moves_only=single).Q
+        q = availability_generator(r, single_moves_only=single)
+        assert q.dtype == np.float64 and not q.flags.writeable
         assert np.array_equal(q, submask_loop_generator(r, single))
 
     def test_single_node_rates(self):
         # d = 1: breakdown rate a = psi({1})/psi({}) and repair rate b
         r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
-        gen = availability_generator(r)
-        assert np.allclose(gen.Q, [[-0.3, 0.3], [0.7, -0.7]])
+        q = availability_generator(r)
+        assert np.allclose(q, [[-0.3, 0.3], [0.7, -0.7]])
 
     def test_unit_rate_functions_give_unit_rates(self):
         r = RateFunctions(d=2, psi=np.ones(4), phi=np.ones(4))
-        gen = availability_generator(r)
-        off = gen.Q - np.diag(np.diag(gen.Q))
+        q = availability_generator(r)
+        off = q - np.diag(np.diag(q))
         assert np.all((off == 0) | (off == 1.0))
         # moves are pure breakdowns (supersets) or pure repairs (subsets):
         # 3 each from the empty and full sets, 2 from each singleton
@@ -137,14 +157,14 @@ class TestGenerator:
     def test_power_family_group_rates(self):
         c = 0.4
         r = RateFunctions(d=2, psi=power_family(2, c), phi=power_family(2, 2.0))
-        gen = availability_generator(r)
+        q = availability_generator(r)
         # enumeration: {}, {1}, {2}, {1,2}
-        assert gen.Q[0, 1] == pytest.approx(c)
-        assert gen.Q[0, 2] == pytest.approx(c)
-        assert gen.Q[0, 3] == pytest.approx(c**2)
-        assert gen.Q[3, 0] == pytest.approx(4.0)   # phi({1,2})/phi({}) = 2^2
-        assert gen.Q[3, 1] == pytest.approx(2.0)
-        assert gen.Q[1, 0] == pytest.approx(2.0)
+        assert q[0, 1] == pytest.approx(c)
+        assert q[0, 2] == pytest.approx(c)
+        assert q[0, 3] == pytest.approx(c**2)
+        assert q[3, 0] == pytest.approx(4.0)   # phi({1,2})/phi({}) = 2^2
+        assert q[3, 1] == pytest.approx(2.0)
+        assert q[1, 0] == pytest.approx(2.0)
 
     def test_rows_sum_to_zero_offdiag_nonneg(self):
         rng = np.random.default_rng(4)
@@ -153,36 +173,35 @@ class TestGenerator:
             psi=np.exp(rng.normal(size=8)),
             phi=np.exp(rng.normal(size=8)),
         )
-        gen = availability_generator(r)
-        assert np.abs(gen.Q.sum(axis=1)).max() < 1e-12
-        off = gen.Q - np.diag(np.diag(gen.Q))
+        q = availability_generator(r)
+        assert np.abs(q.sum(axis=1)).max() < 1e-12
+        off = q - np.diag(np.diag(q))
         assert off.min() >= 0
 
     def test_single_moves_only(self):
         r = RateFunctions(d=2, psi=np.ones(4), phi=np.ones(4))
-        gen = availability_generator(r, single_moves_only=True)
-        assert gen.Q[0, 3] == 0.0
-        assert gen.Q[3, 0] == 0.0
-        assert gen.Q[0, 1] == 1.0
+        q = availability_generator(r, single_moves_only=True)
+        assert q[0, 3] == 0.0
+        assert q[3, 0] == 0.0
+        assert q[0, 1] == 1.0
 
 
 class TestUniformize:
     def test_two_state_embedding(self):
         a, b = 0.3, 0.7
         r = RateFunctions(d=1, psi=np.array([1.0, a]), phi=np.array([1.0, b]))
-        gen = availability_generator(r)
-        uni = uniformize(gen, multiplier=1.0)
+        chain, rate = uniformize(availability_generator(r), multiplier=1.0)
         m = max(a, b)
-        assert uni.rate == pytest.approx(m)
+        assert rate == pytest.approx(m)
         assert np.allclose(
-            uni.chain.P, [[1 - a / m, a / m], [b / m, 1 - b / m]]
+            chain.P, [[1 - a / m, a / m], [b / m, 1 - b / m]]
         )
 
     def test_multiplier_scales_off_diagonals(self):
         r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
-        gen = availability_generator(r)
-        p1 = uniformize(gen, multiplier=1.0).chain.P
-        p2 = uniformize(gen, multiplier=2.0).chain.P
+        q = availability_generator(r)
+        p1 = uniformize(q, multiplier=1.0)[0].P
+        p2 = uniformize(q, multiplier=2.0)[0].P
         assert p2[0, 1] == pytest.approx(p1[0, 1] / 2.0)
         assert p2[1, 0] == pytest.approx(p1[1, 0] / 2.0)
 
@@ -193,15 +212,14 @@ class TestUniformize:
             psi=np.exp(rng.normal(size=4)),
             phi=np.exp(rng.normal(size=4)),
         )
-        gen = availability_generator(r)
-        uni = uniformize(gen)
-        law = stationary(uni.chain)
-        assert np.abs(law.pi @ gen.Q).max() < 1e-10
+        q = availability_generator(r)
+        chain, _ = uniformize(q)
+        law = stationary(chain)
+        assert np.abs(law.pi @ q).max() < 1e-10
 
     def test_zero_generator_rejected(self):
-        gen = Generator(Q=np.zeros((2, 2)), d=1)
         with pytest.raises(ZeroGenerator):
-            uniformize(gen)
+            uniformize(np.zeros((2, 2)))
 
     def test_multiplier_below_one_rejected(self):
         r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
@@ -222,21 +240,21 @@ class TestWalkReduction:
         a = rng.uniform(0.01, 0.08, size=d)
         b = rng.uniform(0.01, 0.08, size=d)
         r = RateFunctions(d=d, psi=pernode_family(d, a), phi=pernode_family(d, b))
-        uni = uniformize(availability_generator(r, single_moves_only=True))
+        chain, rate = uniformize(availability_generator(r, single_moves_only=True))
         walk = nearest_neighbor_walk(
             CubeWalkParams(
                 d=d,
-                alpha=tuple(a / uni.rate),
-                beta=tuple(b / uni.rate),
+                alpha=tuple(a / rate),
+                beta=tuple(b / rate),
             )
         )
-        assert np.abs(uni.chain.P - walk.P).max() <= 1e-12
+        assert np.abs(chain.P - walk.P).max() <= 1e-12
 
     def test_group_moves_are_products_of_node_rates(self):
         a = (0.05, 0.07)
         r = RateFunctions(d=2, psi=pernode_family(2, a), phi=pernode_family(2, (0.1, 0.1)))
-        gen = availability_generator(r)
-        assert gen.Q[0, 3] == pytest.approx(a[0] * a[1])
+        q = availability_generator(r)
+        assert q[0, 3] == pytest.approx(a[0] * a[1])
 
 
 def walk_shaped_rates(kind, d, seed):

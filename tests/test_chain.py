@@ -439,8 +439,8 @@ class TestDetailedBalance:
         # chain with pi proportional to psi/phi
         rng = np.random.default_rng([d, int(single), 12])
         psi, phi = rng.uniform(0.5, 2.0, (2, 2**d))
-        gen = availability_generator(RateFunctions(d=d, psi=psi, phi=phi), single)
-        c = uniformize(gen, multiplier=2.0).chain
+        q = availability_generator(RateFunctions(d=d, psi=psi, phi=phi), single)
+        c, _ = uniformize(q, multiplier=2.0)
         law = stationary(c)
         assert law.path == solved_path(c) and law.balance <= BALANCE_TOL
         target = psi / phi / (psi / phi).sum()

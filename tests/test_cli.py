@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mobiusdual as md
-from mobiusdual import cli, convergence, monotonicity
+from mobiusdual import cli, convergence, errors, monotonicity
 from mobiusdual.cli import COMMANDS, build_parser, main
 from mobiusdual.errors import InputError, NegativeHoldingProbability, UpSetExplosion
 from mobiusdual.poset import DENSE_CUBE_LIMIT
@@ -1135,6 +1135,68 @@ class TestExitCodes:
         assert exit_code(UpSetExplosion("x")) == 2
         assert exit_code(SingularFundamentalMatrix("x")) == 3
         assert exit_code(NumericalFailure("x")) == 3
+
+
+def _error_classes(cls=errors.MobiusDualError):
+    """``cls`` and every class below it."""
+    return [cls] + [sub for c in cls.__subclasses__() for sub in _error_classes(c)]
+
+
+# A value for every field some error class declares, and the JSON keys and
+# values the error block writes for it.
+FIELD_VALUES = {
+    "line": (3, {"line": 3}),
+    "field": ("alpha", {"field": "alpha"}),
+    "row": ("a", {"row": "a"}),
+    "exact_sum": ("7/6", {"exact_sum": "7/6"}),
+    "witness": (("a", (0, 1)), {"witness": ["a", "01"]}),
+    "pair": (((1, 0), "b"), {"pair": ["10", "b"]}),
+    "period": (2, {"period": 2}),
+    "report": (
+        md.MonotonicityReport("mobius_down", False, -0.25, None, 1e-12),
+        {"notion": "mobius_down", "worst_value": "-0.25"},
+    ),
+}
+
+
+class TestErrorFields:
+    """Each error class declares the fields it keeps, and the JSON error
+    block writes exactly those that are set, plus the pipeline stage."""
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_block_holds_the_declared_fields(self, cls):
+        exc = cls("boom", **{name: FIELD_VALUES[name][0] for name in cls.fields})
+        want = {"error": cls.__name__, "exit": errors.exit_code(exc), "detail": "boom"}
+        for name in cls.fields:
+            want.update(FIELD_VALUES[name][1])
+        assert json.loads(cli._error_block(exc)) == want
+        exc.stage = "dual"
+        assert json.loads(cli._error_block(exc)) == {**want, "stage": "dual"}
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_unset_fields_are_none_and_left_out(self, cls):
+        exc = cls("boom")
+        assert all(getattr(exc, name) is None for name in cls.fields)
+        assert json.loads(cli._error_block(exc)) == {
+            "error": cls.__name__, "exit": errors.exit_code(exc), "detail": "boom"}
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_undeclared_keyword_is_a_type_error(self, cls):
+        for name in ("bogus", *FIELD_VALUES.keys() - set(cls.fields)):
+            with pytest.raises(TypeError):
+                cls("boom", **{name: FIELD_VALUES.get(name, (1,))[0]})
+
+    def test_fields_are_declared_where_the_package_sets_them(self):
+        declared = {c.__name__: c.fields for c in _error_classes() if c.fields}
+        assert declared == {
+            "DimensionTooLarge": ("line",),
+            "InexactSum": ("row", "exact_sum"),
+            "SchemaError": ("line", "field"),
+            "CycleError": ("witness",),
+            "NotIrreducible": ("pair",),
+            "NotAperiodic": ("period",),
+            "PreconditionFailed": ("report",),
+        }
 
 
 # Runs each argv list of argv[2] (JSON) through main in one process, with

@@ -513,6 +513,16 @@ class TestCubeClosedForms:
             assert isinstance(value, float)
             assert abs(value - separation_gray_loop(alpha, beta, n)) < 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 14))
+    def test_array_of_n_is_the_per_n_floats(self, d):
+        rng = np.random.default_rng(d)
+        alpha, beta = (0.125 / d) * (0.5 + rng.uniform(size=(2, d)))
+        values = cube_separation_formula(alpha, beta, np.arange(201))
+        assert values.dtype == np.float64 and values.shape == (201,)
+        assert np.array_equal(
+            values, [cube_separation_formula(alpha, beta, n) for n in range(201)]
+        )
+
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             cube_separation_formula((0.4, 0.4), (0.3, 0.3), 2)
