@@ -32,8 +32,9 @@ class RateFunctions:
     """Positive set functions psi (breakdown) and phi (repair) on P(J).
 
     Values are indexed by node bitmask (bit i = node i down); both tables
-    have length 2^d and must be strictly positive so every rate ratio is
-    well defined.  Each table is kept as a read-only float copy.
+    have length 2^d and must be finite (a None reads as NaN) and strictly
+    positive so every rate ratio is well defined.  Each table is kept as a
+    read-only float copy.
     """
 
     d: int
@@ -51,12 +52,13 @@ class RateFunctions:
                 raise MissingSubsetValue(
                     f"{name} must assign a value to all {m} subsets"
                 )
-            if not (table > 0).all():
-                mask = int(np.flatnonzero(table <= 0)[0])
-                raise MissingSubsetValue(
-                    f"{name} must be strictly positive; offending subset mask "
-                    f"{mask:#b}"
-                )
+            for bad, what in ((~np.isfinite(table), "finite"),
+                              (table <= 0, "strictly positive")):
+                if bad.any():
+                    raise MissingSubsetValue(
+                        f"{name} must be {what}; offending subset mask "
+                        f"{int(np.flatnonzero(bad)[0]):#b}"
+                    )
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
@@ -120,8 +122,8 @@ def uniformize(q, multiplier=DEFAULT_MULTIPLIER):
 
     The rate is ``multiplier`` times the largest total exit rate; multipliers
     above 1 keep every holding probability strictly positive.  A holding
-    probability within ROW_TOL of 0 is exactly 0, as on the walk path
-    (``holding_probabilities``).  The stationary law is preserved:
+    probability within ROW_TOL of 0 is exactly 0, as on the walk path.
+    The stationary law is preserved:
     pi Q = 0 iff pi P = pi.
     """
     rate = _uniformization_rate(float(np.abs(np.diag(q)).max()), multiplier)
@@ -175,7 +177,6 @@ def uniformize_walk(d, psi, phi, multiplier=DEFAULT_MULTIPLIER):
 class AvailabilityReport:
     """Composite pipeline output; ``stopped_at`` is None on a full run."""
 
-    d: int
     rate: float
     chain: Chain
     law: StationaryLaw
@@ -284,7 +285,6 @@ def availability_pipeline(
             tail = convergence.absorption_tail(dual, curve.horizon)
             bound = convergence.sst_bound_check(curve, tail)
     return AvailabilityReport(
-        d=r.d,
         rate=rate,
         chain=c,
         law=law,

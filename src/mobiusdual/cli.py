@@ -26,7 +26,6 @@ from .chain import ROW_TOL, Chain, reverse, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
-    check_holding,
     cube_stationary_product,
     nearest_neighbor_walk,
 )
@@ -248,11 +247,7 @@ def _model_line(loaded):
         )
     if loaded.kind == "chain":
         return f"model: chain M={loaded.chain.size}"
-    if loaded.kind == "rates":
-        return f"model: rates d={loaded.rates.d}"
-    if loaded.kind == "poset":
-        return f"model: poset M={loaded.poset.size}"
-    return None
+    return f"model: rates d={loaded.rates.d}"
 
 
 def _exact_notes(args, loaded, chain=None, law=None):
@@ -412,7 +407,6 @@ def cmd_eig(args):
     loaded = load_model(args.input, row_tol=args.tolerance_row)
     if loaded.kind == "cube":
         params = loaded.cube
-        check_holding(params)   # refuse what the walk would refuse
         values = convergence.cube_eigenvalues(params.alpha, params.beta)
         facts, dual_of = ("source: cube_closed_form",), ()
     else:

@@ -287,7 +287,7 @@ def _subset_rates(rates):
     return sums, signs
 
 
-def binomial_band(p, samples, confidence=0.99):
+def binomial_band(p, samples, confidence=SIM_CONFIDENCE):
     """Two-sided binomial confidence band for a tail probability.
 
     The equal-tail interval of Binomial(samples, p), divided by ``samples``:

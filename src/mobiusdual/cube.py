@@ -31,8 +31,12 @@ class CubeWalkParams:
     """Flip rates of a nearest-neighbor cube walk.
 
     alpha[i] is the 0->1 rate of coordinate i+1, beta[i] the 1->0 rate; all
-    must be strictly positive.  ``admissible`` flags sum(alpha+beta) <= 1,
-    under which the walk is Mobius monotone in both directions.
+    must be strictly positive, and the walk must be able to hold: its
+    smallest holding probability, 1 - sum_k max(alpha_k, beta_k) at the
+    state with bit k set iff beta_k > alpha_k, is refused in O(d) below
+    -ROW_TOL, with that state as witness.  ``admissible`` flags
+    sum(alpha+beta) <= 1, under which the walk is Mobius monotone in both
+    directions.
     """
 
     d: int
@@ -50,6 +54,12 @@ class CubeWalkParams:
         if any(r <= 0 for r in rates):
             raise NegativeHoldingProbability(
                 "flip rates must be strictly positive"
+            )
+        stay = 1.0 - np.maximum(self.alpha, self.beta).sum()
+        if stay < -ROW_TOL:
+            state = tuple(int(b > a) for a, b in zip(self.alpha, self.beta))
+            raise NegativeHoldingProbability(
+                f"holding probability at state {state!r} is {float(stay)!r}"
             )
 
     @property
@@ -71,39 +81,9 @@ class GPlusMove:
     kappa: float
 
 
-def check_holding(params):
-    """Refuse, in O(d), the walks that ``holding_probabilities`` refuses.
-
-    The smallest holding probability is 1 - sum_k max(alpha_k, beta_k), at
-    the state with bit k set iff beta_k > alpha_k.  Raises
-    NegativeHoldingProbability (with that state as witness) when it is
-    below -ROW_TOL.
-    """
-    stay = 1.0 - np.maximum(params.alpha, params.beta).sum()
-    if stay < -ROW_TOL:
-        state = tuple(int(b > a) for a, b in zip(params.alpha, params.beta))
-        raise NegativeHoldingProbability(
-            f"holding probability at state {state!r} is {float(stay)!r}"
-        )
-
-
-def holding_probabilities(params):
-    """(rates, stay): the (2^d, d) flip rates and the holding probability of
-    each state, in mask order, O(d 2^d), once ``check_holding`` passes.  A
-    holding probability within ROW_TOL of 0 is exactly 0, so rounding does
-    not decide whether the walk can hold."""
-    check_holding(params)
-    bits = cube_bits(params.d)
-    rates = np.where(bits, params.beta, params.alpha)
-    stay = 1.0 - rates.sum(axis=1)
-    stay[np.abs(stay) <= ROW_TOL] = 0.0
-    return rates, stay
-
-
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
-    """Single-coordinate-flip walk on the d-cube (see check_holding
-    for the parameter sets it rejects), validated at ``row_tol``; the chain
-    carries ``params`` as its ``walk``."""
+    """Single-coordinate-flip walk on the d-cube, validated at ``row_tol``;
+    the chain carries ``params`` as its ``walk``."""
     mat, p = _walk_kernel(params)
     return replace(validate_chain(mat, p, nu=nu, row_tol=row_tol), walk=params)
 
@@ -119,7 +99,7 @@ def walk_entries(params, direction):
     up in ``direction``'s order (k unset in x for "down", set for "up"),
     by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
     or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
-    ``holding_probabilities`` sets a stay within ROW_TOL of 0 to 0.
+    ``_walk_kernel`` sets a stay within ROW_TOL of 0 to 0.
     """
     free = cube_bits(params.d) == (direction == "up")
     x, k = np.nonzero(free)
@@ -134,9 +114,12 @@ def walk_entries(params, direction):
 def _walk_kernel(params):
     """(dense walk kernel, cube poset), not yet validated; d above
     DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is
-    allocated."""
+    allocated.  A holding probability within ROW_TOL of 0 is exactly 0, so
+    rounding does not decide whether the walk can hold."""
     p = cube_poset(params.d)
-    rates, stay = holding_probabilities(params)
+    rates = np.where(cube_bits(params.d), params.beta, params.alpha)
+    stay = 1.0 - rates.sum(axis=1)
+    stay[np.abs(stay) <= ROW_TOL] = 0.0
     x = np.arange(p.size)
     mat = np.zeros((p.size, p.size))
     mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates
@@ -157,7 +140,7 @@ def cube_stationary_product(params):
     return np.prod(np.where(bits, alpha, beta) / (alpha + beta), axis=1)
 
 
-def gplus_transform(c, *moves, row_tol=1e-12):
+def gplus_transform(c, *moves, row_tol=ROW_TOL):
     """Apply pairwise g+ moves, in order, to one copy of the kernel.
 
     Each move requires x and y incomparable with an existing meet and join,

@@ -296,12 +296,13 @@ def _parse_cube(entries):
             raise SchemaError(
                 f"line {n}: {key} needs exactly d={d} entries", line=n, field=key
             )
+    nu = _resolve_nu(keys, 2**d)
     params = CubeWalkParams(
         d=d,
         alpha=tuple(float(v) for v in alpha),
         beta=tuple(float(v) for v in beta),
     )
-    return params, *_resolve_nu(keys, 2**d)
+    return params, *nu
 
 
 def _parse_rates(entries):

@@ -9,9 +9,12 @@ from mobiusdual import (
     RateFunctions,
     availability_generator,
     availability_pipeline,
+    mobius_monotone_down,
+    mobius_monotone_up,
     nearest_neighbor_walk,
     pernode_family,
     power_family,
+    reverse,
     stationary,
     uniformize,
 )
@@ -79,6 +82,16 @@ class TestRateFunctions:
     def test_tables_numpy_cannot_read_are_refused(self, table):
         with pytest.raises(MissingSubsetValue, match="phi must be a table of numbers"):
             RateFunctions(d=1, psi=np.ones(2), phi=table)
+
+    @pytest.mark.parametrize("name", ["psi", "phi"])
+    @pytest.mark.parametrize("value", [np.nan, None, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, name, value):
+        # the first non-finite mask is named, before the zero at mask 3
+        tables = {"psi": np.ones(4), "phi": np.ones(4)}
+        tables[name] = [1.0, 2.0, value, 0.0]
+        with pytest.raises(MissingSubsetValue) as exc:
+            RateFunctions(d=2, **tables)
+        assert str(exc.value) == f"{name} must be finite; offending subset mask 0b10"
 
     def test_power_family(self):
         psi = power_family(2, 0.5)
@@ -447,6 +460,30 @@ class TestPipeline:
         assert report.stopped_at is None
         assert report.dual.absorbing_index == 0
         assert report.chain.nu[-1] == 1.0
+
+
+def report_facts(rep):
+    return (rep.notion, rep.verdict, rep.worst_value, rep.witness,
+            rep.tolerance_used, rep.exact)
+
+
+# a network whose stationary law spans 300 orders of magnitude, so the
+# balance certificate fails (balance inf) and the reversal is computed
+UNBALANCED = dict(d=2, psi=[1.0, 1.0, 1.0, 1e150], phi=[1e150, 1.0, 1.0, 1.0])
+
+
+class TestComputedReversal:
+    def test_reports_are_the_kernel_and_its_computed_reversal(self):
+        report = availability_pipeline(RateFunctions(**UNBALANCED), multiplier=2.0)
+        c, law = report.chain, report.law
+        rev = reverse(c, law)
+        assert law.path == "gth" and law.balance == np.inf and rev is not c
+        assert report.stopped_at is None and report.bound.ok
+        expected = (mobius_monotone_down(c, c.poset), mobius_monotone_up(c, c.poset),
+                    mobius_monotone_down(rev, c.poset), mobius_monotone_up(rev, c.poset))
+        for got, want in zip(report.reports, expected, strict=True):
+            assert report_facts(got) == report_facts(want)
+            assert np.array_equal(got.transformed, want.transformed)
 
 
 class TestWorkRunsOnce:

@@ -514,22 +514,33 @@ class TestEig:
         )
 
     def test_cube_refuses_what_the_walk_refuses(self, capsys, tmp_path):
+        # a walk that cannot hold is refused when its spec is read, by every
+        # command that reads one, past the dense limit too
         negative = tmp_path / "negative.spec"
         negative.write_text("[cube]\nd: 2\nalpha: 0.6 0.6\nbeta: 0.1 0.1\n")
-        with pytest.raises(NegativeHoldingProbability) as exc:
-            md.nearest_neighbor_walk(load_model(str(negative)).cube)
+        with pytest.raises(NegativeHoldingProbability):
+            load_model(str(negative))
+        over = tmp_path / "cube14.spec"
+        rates = " ".join(["0.5"] * (DENSE_CUBE_LIMIT + 1))
+        over.write_text(f"[cube]\nd: {DENSE_CUBE_LIMIT + 1}\nalpha: {rates}\nbeta: {rates}\n")
+        for path, detail in (
+            (negative, "holding probability at state (0, 0) is -0.19999999999999996"),
+            (over, f"holding probability at state {(0,) * 14!r} is -6.0"),
+        ):
+            for command in ("check", "dual", "sep", "eig", "cube", "avail", "simulate"):
+                code, out, err = run(capsys, command, "--input", str(path))
+                assert (code, out) == (1, ""), command
+                assert json.loads(err) == {"error": "NegativeHoldingProbability",
+                                           "exit": 1, "detail": detail}, command
         # eig reads no kernel, so it refuses only past the subset enumeration
         big = tmp_path / "cube21.spec"
         rates = " ".join(["0.01"] * 21)
         big.write_text(f"[cube]\nd: 21\nalpha: {rates}\nbeta: {rates}\n")
-        for path, error, detail in (
-            (negative, "NegativeHoldingProbability", str(exc.value)),
-            (big, "DimensionTooLarge", "cube dimension must be in [1, 20]"),
-        ):
-            code, out, err = run(capsys, "eig", "--input", str(path))
-            block = json.loads(err)
-            assert code == block["exit"] == 1 and out == ""
-            assert block["error"] == error and block["detail"] == detail
+        code, out, err = run(capsys, "eig", "--input", str(big))
+        block = json.loads(err)
+        assert code == block["exit"] == 1 and out == ""
+        assert block["error"] == "DimensionTooLarge"
+        assert block["detail"] == "cube dimension must be in [1, 20]"
 
     def test_eig_reaches_past_the_dense_limit(self, capsys, tmp_path):
         d = DENSE_CUBE_LIMIT + 1
@@ -701,6 +712,26 @@ class TestAvail:
     def test_walk_shaped_dimension_above_dense_limit(self, capsys, tmp_path):
         # a single-move power network is walk-shaped: it is refused the same way
         self.assert_too_large(capsys, tmp_path, "single")
+
+    def test_computed_reversal_reports(self, capsys, tmp_path):
+        # the law spans 300 orders of magnitude, so the balance certificate
+        # fails and the reversed rows are read off the computed reversal
+        path = tmp_path / "unbalanced.spec"
+        path.write_text("[rates]\nd: 2\nmoves: all\n"
+                        "psi: table\npsi[0]: 1\npsi[1]: 1\npsi[2]: 1\npsi[3]: 1e150\n"
+                        "phi: table\nphi[0]: 1e150\nphi[1]: 1\nphi[2]: 1\nphi[3]: 1\n")
+        code, out, err = run(capsys, "avail", "--input", str(path), "--multiplier", "2")
+        assert code == 0, err
+        assert "# stationary_path: gth" in out.splitlines()
+        assert "# sst_bound_ok: true" in out.splitlines()
+        header, rows = parse_table(out.split("\n\n")[0])
+        assert header == list(cli.NOTION_COLUMNS)
+        assert rows == [
+            ["mobius_down", "true", "-5e-151", "00,10", "1e-10"],
+            ["mobius_up", "true", "-5e-151", "10,00", "1e-10"],
+            ["reversed_mobius_down", "true", "-5.0000000000000007e-151", "00,10", "1e-10"],
+            ["reversed_mobius_up", "true", "-5.5511151231257827e-17", "10,00", "1e-10"],
+        ]
 
     def test_tolerance_mono_reaches_every_verdict(self, capsys):
         code, out, err = run(

@@ -63,10 +63,28 @@ def product_law_by_state(params):
 
 class TestWalkGenerator:
     def test_negative_holding_shows_a_plain_float(self):
-        params = CubeWalkParams(d=3, alpha=(0.5,) * 3, beta=(0.5,) * 3)
         with pytest.raises(NegativeHoldingProbability) as exc:
-            nearest_neighbor_walk(params)
+            CubeWalkParams(d=3, alpha=(0.5,) * 3, beta=(0.5,) * 3)
         assert str(exc.value) == "holding probability at state (0, 0, 0) is -0.5"
+
+    @pytest.mark.parametrize("alpha, beta, detail", [
+        ((0.6, 0.6), (0.1, 0.1), "(0, 0) is -0.19999999999999996"),
+        ((0.2, 0.45, 0.1), (0.3, 0.1, 0.4), "(1, 0, 1) is -0.1499999999999999"),
+        ((0.5, 0.1, 0.2, 0.3), (0.1, 0.4, 0.2, 0.2),
+         "(0, 1, 0, 0) is -0.40000000000000013"),
+        ((1 / 3 + 0.6e-12,) * 3, (1 / 6,) * 3, "(0, 0, 0) is -1.7998935675223038e-12"),
+    ])
+    def test_params_refuse_a_walk_that_cannot_hold(self, alpha, beta, detail):
+        # sum_k max(alpha_k, beta_k) > 1 + ROW_TOL: refused where the walk
+        # is made, before any kernel, with the least-holding state
+        with pytest.raises(NegativeHoldingProbability) as exc:
+            CubeWalkParams(d=len(alpha), alpha=alpha, beta=beta)
+        assert str(exc.value) == f"holding probability at state {detail}"
+
+    def test_stay_within_row_tol_of_zero_is_exactly_zero(self):
+        # sum max = 1 + 0.3e-12 is admitted, and its stay reads exactly 0
+        params = CubeWalkParams(d=3, alpha=(1 / 3 + 1e-13,) * 3, beta=(0.1,) * 3)
+        assert nearest_neighbor_walk(params).P[0, 0] == 0.0
 
     def test_two_cube_matrix_entries(self):
         a1, a2, b1, b2 = 0.11, 0.21, 0.08, 0.13
@@ -92,27 +110,27 @@ class TestWalkGenerator:
 
     def test_negative_holding_rejected_with_witness(self):
         with pytest.raises(NegativeHoldingProbability) as exc:
-            nearest_neighbor_walk(CubeWalkParams(d=2, alpha=(0.6, 0.6), beta=(0.1, 0.1)))
+            CubeWalkParams(d=2, alpha=(0.6, 0.6), beta=(0.1, 0.1))
         assert "(0, 0)" in str(exc.value)
 
     def test_refusal_names_the_least_holding_state(self, monkeypatch):
         # bit k is set iff beta_k > alpha_k (the tie at k = 2 leaves it
         # unset); the first negative state in mask order is (0, 0, 0, 0)
-        params = CubeWalkParams(d=4, alpha=(0.5, 0.1, 0.2, 0.3),
-                                beta=(0.1, 0.4, 0.2, 0.2))
+        alpha, beta = (0.5, 0.1, 0.2, 0.3), (0.1, 0.4, 0.2, 0.2)
         bits = cube.cube_bits(4)
-        stay = 1.0 - np.where(bits, params.beta, params.alpha).sum(axis=1)
+        stay = 1.0 - np.where(bits, beta, alpha).sum(axis=1)
         assert stay[0] < 0 and stay[0b0010] <= stay.min() + 1e-15
         with pytest.raises(NegativeHoldingProbability) as exc:
-            nearest_neighbor_walk(params)
+            CubeWalkParams(d=4, alpha=alpha, beta=beta)
         assert str(exc.value) == ("holding probability at state (0, 1, 0, 0) "
                                   f"is {float(stay[0b0010])!r}")
-        # the check reads the d rates alone, at any dimension it admits
+        # the check reads the d rates alone, at any dimension
         monkeypatch.setattr(cube, "cube_bits", None)
-        big = CubeWalkParams(d=20, alpha=(0.1,) * 20, beta=(0.01,) * 20)
-        with pytest.raises(NegativeHoldingProbability, match=r"\(0, 0,"):
-            cube.check_holding(big)
-        cube.check_holding(CubeWalkParams(d=20, alpha=(0.01,) * 20, beta=(0.02,) * 20))
+        with pytest.raises(NegativeHoldingProbability) as exc:
+            CubeWalkParams(d=20, alpha=(0.1,) * 20, beta=(0.01,) * 20)
+        assert str(exc.value) == ("holding probability at state "
+                                  f"{(0,) * 20!r} is {float(1.0 - np.full(20, 0.1).sum())!r}")
+        CubeWalkParams(d=20, alpha=(0.01,) * 20, beta=(0.02,) * 20)
 
     def test_rates_must_be_positive(self):
         with pytest.raises(NegativeHoldingProbability):

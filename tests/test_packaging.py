@@ -65,3 +65,28 @@ def test_every_export_is_reached_outside_the_tests():
     paths += glob.glob(os.path.join(ROOT, "tools", "**", "*.py"), recursive=True)
     reached = set().union(*map(referenced_names, paths))
     assert sorted(exported_names() - reached - TEST_ONLY_EXPORTS) == []
+
+
+def readme_blocks(language):
+    """The fenced blocks of README.md opened with ```<language>, in order."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.M | re.S)
+
+
+def test_readme_commands_run(monkeypatch, tmp_path):
+    from mobiusdual import cli
+
+    commands = [line.split()[1:] for block in readme_blocks("sh")
+                for line in block.splitlines() if line.startswith("mobiusdual ")]
+    assert [argv[0] for argv in commands] == ["check", "dual", "sep", "avail"]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("MOBIUSDUAL_OUTPUT_DIR", str(tmp_path))
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert (tmp_path / "dual.spec").is_file()
+
+
+def test_readme_library_example_runs():
+    (example,) = readme_blocks("python")
+    exec(compile(example, "README.md", "exec"), {})

@@ -160,6 +160,15 @@ class TestSchemaErrors:
             load_model(path)
         assert exc.value.line == 2
 
+    def test_malformed_nu_is_refused_before_the_rates(self, tmp_path):
+        # a walk that cannot hold, with a nu line of the wrong length: the
+        # line is refused first, at its line
+        path = write(tmp_path, "s.spec",
+                     "[cube]\nd: 2\nalpha: 0.6 0.6\nbeta: 0.1 0.1\nnu: 1 0\n")
+        with pytest.raises(SchemaError, match="nu needs 4 numbers") as exc:
+            load_model(path)
+        assert exc.value.line == 5
+
     def test_bad_row_sum_is_not_schema_error(self):
         with pytest.raises(NotStochastic) as exc:
             load_model(os.path.join(DATA, "bad_row.spec"))
