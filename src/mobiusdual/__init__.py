@@ -12,6 +12,7 @@ from .availability import (
 from .chain import (
     Chain,
     StationaryLaw,
+    cube_stationary_product,
     reverse,
     stationary,
     validate_chain,
@@ -32,7 +33,6 @@ from .cube import (
     GPlusMove,
     axis_moves,
     axis_transformed_walk,
-    cube_stationary_product,
     gplus_transform,
     nearest_neighbor_walk,
     supermodular_order_witness,

@@ -10,6 +10,7 @@ IDENTITY_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     NotStochastic,
     NumericalFailure,
 )
+from .poset import cube_bits
 
 ROW_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -29,6 +31,9 @@ TREE_LAW_ABOVE = 32
 # Largest detailed-balance defect |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y))
 # over the moves of P at which a stationary law certifies P as reversible.
 BALANCE_TOL = 1e-12
+# Relative slack, per term summed, within which ``walk_chain`` sums a
+# kernel row densely: twice the machine epsilon.
+SUM_SLACK = 2 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,9 @@ class Chain:
     ``exact`` optionally carries the kernel entries as Fractions (same shape)
     when the input was given in exact rational form.  ``walk`` carries the
     flip rates (a ``CubeWalkParams``) of a nearest-neighbor cube walk, from
-    which its Mobius reports and dual are read in closed form: only
-    ``nearest_neighbor_walk`` sets it, on cube walks and on the uniformized
+    which its law, its Mobius reports and its dual are read in closed form,
+    and its curve is stepped over its moves: only ``walk_chain``
+    (``nearest_neighbor_walk``) sets it, on cube walks and on the uniformized
     chain of a single-move product-form network (see
     ``availability.node_rates``), and ``with_nu`` and a ``reverse`` that
     returns the chain itself keep it.
@@ -63,11 +69,7 @@ class Chain:
     def with_nu(self, nu, row_tol=ROW_TOL):
         """This chain started from ``nu``, which alone is checked, at
         ``row_tol``: P was validated when the chain was built."""
-        nu = np.array(nu, dtype=float)
-        violations = []
-        _check_prob_vector(nu, self.size, "nu", row_tol, violations)
-        _raise_violations(violations)
-        return replace(self, nu=nu)
+        return replace(self, nu=_checked([], nu, self.size, row_tol))
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ class StationaryLaw:
     P: a move without its reverse scores 1, and inf means not computed (or
     pi under- or overflowed).  Within BALANCE_TOL it certifies that P is
     its own time reversal, move by move, to that relative precision.
-    ``path`` names the solve that gave pi, "detailed_balance" or "gth".
+    ``path`` names the solve that gave pi: "product_form" (a walk's),
+    "detailed_balance" or "gth".
     """
 
     pi: np.ndarray
@@ -114,30 +117,102 @@ def validate_chain(P, poset, nu=None, row_tol=ROW_TOL, exact=None):
     m = poset.size
     if P.shape != (m, m):
         raise DimensionMismatch(f"kernel must be {m}x{m}, got {P.shape}")
-    violations = []
-    neg = P < 0
-    bad = ~np.isfinite(P)
-    sums = P.sum(axis=1)
+    nu = _checked(_row_violations(P, np.arange(m), row_tol), nu, m, row_tol)
+    return Chain(poset=poset, P=P, nu=nu, exact=exact)
+
+
+def _row_violations(block, index, row_tol):
+    """The violations of the kernel rows ``block``, whose row r is row
+    index[r] of the kernel: per row, its non-finite entries, its negative
+    entries, then its sum when off 1 by more than ``row_tol``."""
+    neg = block < 0
+    bad = ~np.isfinite(block)
+    sums = block.sum(axis=1)
     off = np.abs(sums - 1.0) > row_tol
-    for i in np.flatnonzero(neg.any(axis=1) | bad.any(axis=1) | off).tolist():
-        for j in np.flatnonzero(bad[i]).tolist():
-            violations.append((i, f"entry ({i},{j}) is not finite ({float(P[i, j])!r})"))
-        for j in np.flatnonzero(neg[i]).tolist():
-            violations.append((i, f"entry ({i},{j}) is negative ({float(P[i, j])!r})"))
-        if off[i]:
-            s = float(sums[i])
+    violations = []
+    for r in np.flatnonzero(neg.any(axis=1) | bad.any(axis=1) | off).tolist():
+        i = int(index[r])
+        for j in np.flatnonzero(bad[r]).tolist():
+            violations.append((i, f"entry ({i},{j}) is not finite ({float(block[r, j])!r})"))
+        for j in np.flatnonzero(neg[r]).tolist():
+            violations.append((i, f"entry ({i},{j}) is negative ({float(block[r, j])!r})"))
+        if off[r]:
+            s = float(sums[r])
             violations.append((i, f"row {i} sums to {s!r}, off by more than {row_tol}"))
-    nu_arr = None
+    return violations
+
+
+@lru_cache(maxsize=1)
+def walk_moves(walk):
+    """The (d+1) 2^d moves of the cube walk with flip rates ``walk`` (a
+    ``CubeWalkParams``) as a read-only row-major triple (rows, cols, vals):
+    per state x, its flips x -> x ^ 2^k, k = 0..d-1, at rate beta_k when
+    bit k is set in x and alpha_k when not, then its stay, 1 minus those
+    rates.  A stay within ROW_TOL of 0 is exactly 0, so rounding does not
+    decide whether the walk can hold.  The triple of the last walk is kept,
+    so the kernel, the law, the curve and the dual of one walk read one
+    build."""
+    rates = np.where(cube_bits(walk.d), walk.beta, walk.alpha)
+    stay = 1.0 - rates.sum(axis=1)
+    stay[np.abs(stay) <= ROW_TOL] = 0.0
+    m = stay.size
+    x = np.arange(m)
+    moves = (np.repeat(x, walk.d + 1),
+             np.column_stack((x[:, None] ^ (1 << np.arange(walk.d)), x)).ravel(),
+             np.column_stack((rates, stay)).ravel())
+    for a in moves:
+        a.flags.writeable = False
+    return moves
+
+
+def walk_kernel(walk):
+    """The dense kernel of the cube walk with flip rates ``walk``, written
+    from ``walk_moves`` and not checked."""
+    rows, cols, vals = walk_moves(walk)
+    mat = np.zeros((2**walk.d, 2**walk.d))
+    mat[rows, cols] = vals
+    return mat
+
+
+def walk_chain(walk, poset, nu=None, row_tol=ROW_TOL):
+    """The chain of the cube walk with flip rates ``walk`` on its cube
+    ``poset``, started from ``nu``, carrying ``walk``.
+
+    Its dense kernel is written from ``walk_moves`` and checked as
+    ``validate_chain`` checks a kernel, raising the same violations, but
+    read at the moves: a row is summed densely only when it has a
+    non-finite or negative move, or when the sum of its moves is within
+    SUM_SLACK of being off 1 by more than ``row_tol`` (any two orders of
+    summing n terms differ by less than n eps times their absolute sum).
+    """
+    rows, _, vals = walk_moves(walk)
+    m = poset.size
+    mat = walk_kernel(walk)
+    slack = SUM_SLACK * (walk.d + 1) * np.bincount(rows, np.abs(vals), m)
+    near = np.abs(np.bincount(rows, vals, m) - 1.0) > row_tol - slack
+    bad = np.bincount(rows, ~np.isfinite(vals) | (vals < 0), m) > 0
+    check = np.flatnonzero(near | bad)
+    violations = _row_violations(mat[check], check, row_tol) if check.size else []
+    return Chain(poset=poset, P=mat, nu=_checked(violations, nu, m, row_tol), walk=walk)
+
+
+def cube_stationary_product(walk):
+    """Product-form stationary law of the cube walk with flip rates
+    ``walk``: pi(x) multiplies alpha_k/(alpha_k+beta_k) over the bits k set
+    in x and beta_k/(alpha_k+beta_k) over the others."""
+    alpha = np.asarray(walk.alpha, dtype=float)
+    beta = np.asarray(walk.beta, dtype=float)
+    return np.prod(np.where(cube_bits(walk.d), alpha, beta) / (alpha + beta), axis=1)
+
+
+def _checked(violations, nu, m, row_tol):
+    """``nu`` as a float array (or None), once it is checked at ``row_tol``
+    as a law on m states after the kernel's ``violations``: raise
+    NotStochastic listing them all, if there are any; its message names the
+    initial law when every violation is of ``nu``."""
     if nu is not None:
-        nu_arr = np.array(nu, dtype=float)
-        _check_prob_vector(nu_arr, m, "nu", row_tol, violations)
-    _raise_violations(violations)
-    return Chain(poset=poset, P=P, nu=nu_arr, exact=exact)
-
-
-def _raise_violations(violations):
-    """Raise NotStochastic listing ``violations``, if there are any; its
-    message names the initial law when every violation is of ``nu``."""
+        nu = np.array(nu, dtype=float)
+        _check_prob_vector(nu, m, "nu", row_tol, violations)
     if violations:
         detail = "; ".join(msg for _, msg in violations)
         if all(what == "nu" for what, _ in violations):
@@ -145,6 +220,7 @@ def _raise_violations(violations):
         else:
             prefix = "kernel is not stochastic"
         raise NotStochastic(f"{prefix}: {detail}", violations)
+    return nu
 
 
 def _support_levels(src, dst, m):
@@ -246,23 +322,49 @@ def _gth(c):
     return pi / pi.sum()
 
 
-def stationary(c):
-    """Stationary law of an ergodic chain: by detailed balance along a
-    spanning tree when that certifies, by dense state reduction otherwise.
+def _walk_law(walk):
+    """(pi, residual, balance) of the cube walk with flip rates ``walk``,
+    from its rates alone: pi is the product form, and the residual
+    max|pi P - pi| and the balance certificate are taken over its moves
+    (``walk_moves``; a stay balances itself).  A walk is irreducible, its
+    rates being positive; it is aperiodic iff it can stay somewhere, which
+    its largest stay 1 - sum_k min(alpha_k, beta_k), summed as
+    ``walk_moves`` sums that state's rates, decides in O(d)."""
+    if not 1.0 - np.minimum(walk.alpha, walk.beta).sum() > ROW_TOL:
+        raise NotAperiodic("chain has period 2", period=2)
+    d = walk.d
+    rows, cols, vals = walk_moves(walk)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pi = cube_stationary_product(walk)
+        flow = pi[rows] * vals
+        residual = float(np.abs(np.bincount(cols, flow, pi.size) - pi).max())
+        flips = flow.reshape(-1, d + 1)[:, :d]
+        back = flips[cols.reshape(-1, d + 1)[:, :d], np.arange(d)]
+        worst = float((np.abs(flips - back) / flips).max())
+    return pi, residual, float("inf") if np.isnan(worst) else worst
 
-    Irreducibility (strong connectivity of the support digraph) and
-    aperiodicity (gcd of cycle lengths) are verified structurally first.
+
+def stationary(c):
+    """Stationary law of an ergodic chain: in product form on a cube walk,
+    else by detailed balance along a spanning tree when that certifies, by
+    dense state reduction otherwise.
+
+    A chain that carries ``walk`` takes its law, its ergodicity and its
+    certificates from the flip rates (``_walk_law``, path "product_form"),
+    reading no dense array.  On every other chain, irreducibility (strong
+    connectivity of the support digraph) and aperiodicity (gcd of cycle
+    lengths) are verified structurally first.
 
     A reversible chain's law follows from detailed balance along any
     spanning tree of its support (Kolmogorov's criterion).  For a chain of
     more than TREE_LAW_ABOVE states the BFS tree of the ergodicity check
     gives a candidate in O(nnz), accepted when its certificate
-    (``StationaryLaw.balance``) is within BALANCE_TOL; cube walks and
-    availability chains pass it.  An accepted pi is the exact law of a
-    reversible kernel whose moves are within a relative BALANCE_TOL of
-    those of P, so by the Markov chain tree theorem each mass is within a
-    relative 2 m BALANCE_TOL of P's own law at worst; on walks and networks
-    up to 4096 states it is within 1e-14 of the product form.
+    (``StationaryLaw.balance``) is within BALANCE_TOL; availability chains
+    pass it.  An accepted pi is the exact law of a reversible kernel whose
+    moves are within a relative BALANCE_TOL of those of P, so by the Markov
+    chain tree theorem each mass is within a relative 2 m BALANCE_TOL of
+    P's own law at worst; on the kernels of walks and networks up to 4096
+    states it is within 1e-14 of the product form.
 
     Every other chain, and every chain of at most TREE_LAW_ABOVE states, is
     solved by censoring states one at a time from the top down and
@@ -273,8 +375,29 @@ def stationary(c):
     downstream.  The certificate is then taken on the reduced law, so a
     small reversible chain is certified too.
 
-    Both paths check the residual max|pi P - pi| against IDENTITY_TOL.
+    Every path checks the residual max|pi P - pi| against IDENTITY_TOL.
     """
+    if c.walk is not None:
+        pi, residual, balance = _walk_law(c.walk)
+        path = "product_form"
+    else:
+        pi, balance, path = _solve(c)
+        residual = float(np.abs(pi @ c.P - pi).max())
+    if (pi <= 0).any():
+        j = int(np.argmin(pi))
+        raise NumericalFailure(
+            f"computed stationary mass at {c.poset.elements[j]!r} is not "
+            f"positive ({float(pi[j])!r})"
+        )
+    if not residual <= IDENTITY_TOL:
+        raise NumericalFailure(
+            f"stationary residual {residual!r} exceeds {IDENTITY_TOL}"
+        )
+    return StationaryLaw(pi=pi, residual=residual, balance=balance, path=path)
+
+
+def _solve(c):
+    """(pi, balance, path) of a chain without ``walk`` (see ``stationary``)."""
     level, rows, cols = _check_ergodic(c.P, c.poset)
     balance = float("inf")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -283,22 +406,9 @@ def stationary(c):
             if pi is not None:
                 balance = _balance(c.P, pi, rows, cols)
         if balance <= BALANCE_TOL:
-            pi, path = pi / pi.sum(), "detailed_balance"
-        else:
-            pi, path = _gth(c), "gth"
-            balance = _balance(c.P, pi, rows, cols)
-    if (pi <= 0).any():
-        j = int(np.argmin(pi))
-        raise NumericalFailure(
-            f"computed stationary mass at {c.poset.elements[j]!r} is not "
-            f"positive ({float(pi[j])!r})"
-        )
-    residual = float(np.abs(pi @ c.P - pi).max())
-    if not residual <= IDENTITY_TOL:
-        raise NumericalFailure(
-            f"stationary residual {residual!r} exceeds {IDENTITY_TOL}"
-        )
-    return StationaryLaw(pi=pi, residual=residual, balance=balance, path=path)
+            return pi / pi.sum(), balance, "detailed_balance"
+        pi = _gth(c)
+        return pi, _balance(c.P, pi, rows, cols), "gth"
 
 
 def _exactly_balanced(c):

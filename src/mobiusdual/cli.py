@@ -26,7 +26,6 @@ from .chain import ROW_TOL, Chain, reverse, stationary
 from .cube import (
     CubeWalkParams,
     axis_transformed_walk,
-    cube_stationary_product,
     nearest_neighbor_walk,
 )
 from .errors import (
@@ -436,13 +435,11 @@ def cmd_cube(args):
         raise InputError("the cube command needs a [cube] generator spec")
     chain, law = _resolve_chain(loaded, args, need_nu=True)
     params = loaded.cube
-    product_law = cube_stationary_product(params)
     rows, skipped = _all_notion_rows(chain, args)
     dual, dual_lines = _optional_ssd(chain, law, args, skipped)
     eigenvalues = convergence.cube_eigenvalues(params.alpha, params.beta)
     facts = [
         f"admissible: {str(params.admissible).lower()}",
-        f"product_form_deviation: {fmt(float(np.abs(law.pi - product_law).max()))}",
         "eigenvalues: " + " ".join(fmt(v) for v in eigenvalues),
         *_law_lines(law),
         *dual_lines,
@@ -522,8 +519,6 @@ def _sweep_point(d, a, b, k, args):
     try:
         params = CubeWalkParams(d=d, alpha=(a,) * d, beta=(b,) * d)
         if k > 0:
-            if d != 3:
-                raise InputError("kappa > 0 needs d = 3 (symmetry-axis moves)")
             chain = axis_transformed_walk(params, k, row_tol=args.tolerance_row)
         else:
             chain = nearest_neighbor_walk(params, row_tol=args.tolerance_row)

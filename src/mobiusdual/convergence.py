@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import IDENTITY_TOL, ROW_TOL
+from .chain import IDENTITY_TOL, ROW_TOL, walk_moves
 from .errors import (
     DimensionMismatch,
     HorizonTooLarge,
@@ -92,7 +93,9 @@ def separation_curve(c, law, horizon, stop_below=None):
     """Iterate nu P^n and record s(n) = max_e (1 - nu P^n(e) / pi(e)).
 
     ``stop_below`` truncates the curve once s(n) drops under the threshold
-    (geometric decay makes longer horizons numerically meaningless).  A
+    (geometric decay makes longer horizons numerically meaningless).  Each
+    step is one pass over the kernel's moves: a walk's (d+1) 2^d, read off
+    its rates (``chain.walk_moves``), else the nonzeros of P.  A
     non-monotone step beyond 1e-12 slack is reported as a warning, not an
     error: starts that violate the duality preconditions may produce one.
     """
@@ -100,7 +103,8 @@ def separation_curve(c, law, horizon, stop_below=None):
         raise PreconditionFailed("separation curve requires an initial law nu")
     check_horizon(horizon)
     pi = law.pi
-    step = _stepper(*_moves(c.P), c.size)
+    moves = walk_moves(c.walk) if c.walk is not None else _moves(c.P)
+    step = _stepper(*moves, c.size)
     dist = c.nu.astype(float)
     values = [float((1.0 - dist / pi).max())]
     for _ in range(horizon):
@@ -250,7 +254,7 @@ def cube_separation_formula(alpha, beta, n):
             f"total flip rate {float(rates.sum())!r} exceeds 1; the closed form needs "
             "nonnegative eigenvalues"
         )
-    sums, signs = _subset_rates(rates)
+    sums, signs = _subset_rates(tuple(rates.tolist()))
     signs, base = signs[1:], 1.0 - sums[1:]
     if np.ndim(n) == 0:
         return float(signs @ base**n)
@@ -263,27 +267,32 @@ def cube_eigenvalues(alpha, beta):
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != beta.shape:
         raise DimensionMismatch("alpha and beta must have equal length")
-    sums, _ = _subset_rates(alpha + beta)
+    sums, _ = _subset_rates(tuple((alpha + beta).tolist()))
     return np.sort(1.0 - sums)[::-1]
 
 
+@lru_cache(maxsize=1)
 def _subset_rates(rates):
-    """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate subset.
+    """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate
+    subset of the tuple ``rates``, as read-only arrays.
 
     Built by doubling: subset mask k holds coordinate i iff bit i of k is set,
     so entry 0 is the empty subset.  Unless 1 <= d <= SUBSET_ENUM_LIMIT for
     the d rates, DimensionTooLarge is raised before the 2^d arrays are
-    allocated.
+    allocated.  The arrays of the last rates are kept, so a curve that asks
+    for the closed form once per n builds them once.
     """
     check_cube_dim(len(rates), SUBSET_ENUM_LIMIT)
     size = 1 << len(rates)
     sums = np.zeros(size)
     signs = np.empty(size)
     signs[0] = -1.0
-    for i, r in enumerate(rates.tolist()):
+    for i, r in enumerate(rates):
         k = 1 << i
         np.add(sums[:k], r, out=sums[k:2 * k])
         np.negative(signs[:k], out=signs[k:2 * k])
+    sums.flags.writeable = False
+    signs.flags.writeable = False
     return sums, signs
 
 

@@ -9,11 +9,11 @@ its meet and join, which increases the row law in the supermodular order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ROW_TOL, Chain, validate_chain
+from .chain import ROW_TOL, Chain, validate_chain, walk_chain, walk_kernel
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
@@ -82,10 +82,11 @@ class GPlusMove:
 
 
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
-    """Single-coordinate-flip walk on the d-cube, validated at ``row_tol``;
-    the chain carries ``params`` as its ``walk``."""
-    mat, p = _walk_kernel(params)
-    return replace(validate_chain(mat, p, nu=nu, row_tol=row_tol), walk=params)
+    """Single-coordinate-flip walk on the d-cube, checked at ``row_tol``
+    from its moves (``chain.walk_chain``); the chain carries ``params`` as
+    its ``walk``.  d above DENSE_CUBE_LIMIT raises DimensionTooLarge before
+    anything is allocated."""
+    return walk_chain(params, cube_poset(params.d), nu=nu, row_tol=row_tol)
 
 
 def walk_entries(params, direction):
@@ -99,7 +100,7 @@ def walk_entries(params, direction):
     up in ``direction``'s order (k unset in x for "down", set for "up"),
     by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
     or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
-    ``_walk_kernel`` sets a stay within ROW_TOL of 0 to 0.
+    ``chain.walk_moves`` sets a stay within ROW_TOL of 0 to 0.
     """
     free = cube_bits(params.d) == (direction == "up")
     x, k = np.nonzero(free)
@@ -109,35 +110,6 @@ def walk_entries(params, direction):
     return (np.concatenate((diag, x)), np.concatenate((diag, x ^ (1 << k))),
             np.concatenate((rest, params.rates[k])),
             np.concatenate((rest, toward[k])))
-
-
-def _walk_kernel(params):
-    """(dense walk kernel, cube poset), not yet validated; d above
-    DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is
-    allocated.  A holding probability within ROW_TOL of 0 is exactly 0, so
-    rounding does not decide whether the walk can hold."""
-    p = cube_poset(params.d)
-    rates = np.where(cube_bits(params.d), params.beta, params.alpha)
-    stay = 1.0 - rates.sum(axis=1)
-    stay[np.abs(stay) <= ROW_TOL] = 0.0
-    x = np.arange(p.size)
-    mat = np.zeros((p.size, p.size))
-    mat[x[:, None], x[:, None] ^ (1 << np.arange(params.d))] = rates
-    mat[x, x] = stay
-    return mat, p
-
-
-def cube_stationary_product(params):
-    """Product-form stationary law of the nearest-neighbor walk.
-
-    pi(e) multiplies alpha_i/(alpha_i+beta_i) over set coordinates and
-    beta_i/(alpha_i+beta_i) over unset ones: the closed form against which
-    ``cube`` reports the solved law's ``product_form_deviation``.
-    """
-    alpha = np.asarray(params.alpha, dtype=float)
-    beta = np.asarray(params.beta, dtype=float)
-    bits = cube_bits(params.d)
-    return np.prod(np.where(bits, alpha, beta) / (alpha + beta), axis=1)
 
 
 def gplus_transform(c, *moves, row_tol=ROW_TOL):
@@ -202,8 +174,8 @@ def axis_transformed_walk(params, kappa, row_tol=ROW_TOL):
     transformed kernel is validated once, at ``row_tol``."""
     if params.d != 3:
         raise DimensionMismatch("the symmetry-axis transform is defined on the 3-cube")
-    mat, p = _walk_kernel(params)
-    return gplus_transform(Chain(poset=p, P=mat), *axis_moves(kappa), row_tol=row_tol)
+    walk = Chain(poset=cube_poset(3), P=walk_kernel(params))
+    return gplus_transform(walk, *axis_moves(kappa), row_tol=row_tol)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ g = nu/pi to be down-Mobius monotone and (ii) the time-reversed kernel to be
 down-Mobius monotone; it yields an absorbing dual whose absorption time is a
 strong stationary time for the original chain.  The up direction mirrors
 everything through the transposed zeta matrix.  Duality is certified on every
-build through the residuals ||nu - nu* Lambda|| and ||Lambda P - P* Lambda||.
+build through the residuals ||nu - nu* Lambda|| and ||Lambda P - P* Lambda||,
+the latter by a bound read off the flip rates on a cube walk's closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import monotonicity
-from .chain import IDENTITY_TOL, reverse
+from .chain import IDENTITY_TOL, reverse, walk_moves
 from .cube import walk_entries
 from .errors import (
     DimensionMismatch,
@@ -24,6 +25,7 @@ from .errors import (
     NumericalFailure,
     PreconditionFailed,
 )
+from .poset import cube_bits
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +54,8 @@ class DualChain:
     """Dual kernel and initial law; ``reversed_report`` is the Mobius report
     of the time-reversed kernel in ``direction`` that decided the build, and
     ``path`` names how P* was built: "closed_form" from a walk's flip rates,
-    or "transform" from the reversal's Mobius transform."""
+    where ``intertwine_residual`` holds a bound on the residual, or
+    "transform" from the reversal's Mobius transform."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -145,10 +148,12 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     renormalized; the largest zeroed magnitude is logged and recorded.
 
     When the time reversal is a cube walk (see ``reverse``), its report and
-    P* are read off the flip rates (``path`` "closed_form"); the clamp, the
-    row normalisation and the dense residuals that certify the result are
-    the same, so a flip with s_k below the clamp is dropped on both paths,
-    whereas the report's witness rule reads rates at ``mono_tol``.  Otherwise
+    P* are read off the flip rates (``path`` "closed_form"); the clamp and
+    the row normalisation are the same, so a flip with s_k below the clamp
+    is dropped on both paths, whereas the report's witness rule reads rates
+    at ``mono_tol``.  There the intertwining is certified by a bound on its
+    residual read off the rates (``_walk_bound``), and elsewhere by the
+    residual itself; nu's residual is exact on both paths.  Otherwise
     the construction gives P* transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i)
     with R the time reversal: it is clamped and column-summed as it is, and
     P* is written C-ordered by the normalising division.
@@ -203,7 +208,11 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         )
     p_star[absorbing] = 0.0
     p_star[absorbing, absorbing] = 1.0
-    nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
+    if walk is None:
+        nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
+    else:
+        nu_res = _nu_residual(c, law, zm, direction, h, nu_star)
+        tw_res = _walk_bound(walk, law.pi, direction, p_star)
     if not (nu_res <= IDENTITY_TOL and tw_res <= IDENTITY_TOL):
         raise NumericalFailure(
             f"duality residuals exceed {IDENTITY_TOL}: nu {nu_res!r}, "
@@ -222,22 +231,90 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     )
 
 
+def _nu_residual(c, law, zm, direction, h, nu_star):
+    """max|nu - nu* Lambda| for the link Lambda = diag(1/H) Z^T diag(pi) of
+    ``build_link``, never formed: Z^T is the other direction's zeta action
+    (butterflies on a cube)."""
+    other = "up" if direction == "down" else "down"
+    nu_lam = zm.zeta_right(nu_star / h, other) * law.pi
+    return float(np.abs(c.nu - nu_lam).max())
+
+
 def _residuals(c, law, zm, direction, h, nu_star, p_star):
-    """max|nu - nu* Lambda| and max|Lambda P - P* Lambda| for the link
-    Lambda = diag(1/H) Z^T diag(pi) of ``build_link``, never formed: with
-    Z^T the other direction's zeta action (butterflies on a cube), Lambda P
-    is diag(1/H) (Z^T (diag(pi) P)) and P* Lambda is ((P* diag(1/H)) Z^T)
-    diag(pi).
+    """max|nu - nu* Lambda| and max|Lambda P - P* Lambda| for the link of
+    ``_nu_residual``, never formed: Lambda P is diag(1/H) (Z^T (diag(pi) P))
+    and P* Lambda is ((P* diag(1/H)) Z^T) diag(pi).
     """
     pi = law.pi
     other = "up" if direction == "down" else "down"
-    nu_lam = zm.zeta_right(nu_star / h, other) * pi
     p_lam = zm.zeta_right(p_star / h, other)
     p_lam *= pi
     lam_p = zm.zeta_left(pi[:, None] * c.P, other)
     lam_p /= h[:, None]
     lam_p -= p_lam
-    return float(np.abs(c.nu - nu_lam).max()), float(np.abs(lam_p, out=lam_p).max())
+    return (_nu_residual(c, law, zm, direction, h, nu_star),
+            float(np.abs(lam_p, out=lam_p).max()))
+
+
+def _walk_bound(walk, pi, direction, p_star):
+    """A bound B >= max|Lambda P - P* Lambda| for the dual ``p_star`` of
+    the cube walk with flip rates ``walk`` and the link of its law ``pi``,
+    from the rates, in O(d 2^d) and with no m x m array.
+
+    The walk's kernel is I + sum_k G_k, with G_k = [[-alpha_k, alpha_k],
+    [beta_k, -beta_k]] acting on bit k.  Were pi the product of its
+    marginals (pi_k(0), pi_k(1)) and P* = I + sum_k G*_k, with
+    G*_k = [[-s_k, s_k], [0, 0]] ("down"; [[0, 0], [s_k, -s_k]] "up") and
+    s_k = alpha_k + beta_k, the link would be the product of
+    Lambda_k = [[1, 0], [pi_k(0), pi_k(1)]] ("down"; [[pi_k(0), pi_k(1)],
+    [0, 1]] "up"), and Lambda P - P* Lambda the sum over k of
+    Lambda_k G_k - G*_k Lambda_k tensored with the other Lambda_j, whose
+    entries lie in [0, 1].  B adds up what separates the emitted arrays
+    from that:
+
+    - sum_k max|Lambda_k G_k - G*_k Lambda_k|, one 2 x 2 term per bit;
+    - the deviation of ``p_star`` from I + sum_k G*_k: per row, the larger
+      of the sums of its positive and of its negative entries, which bounds
+      the row times any column of the link, its entries lying in [0, 1].
+      It is read at the walk's moves, x and its d flips x ^ 2^k, of each
+      row x; the mass of the row off those positions, a positive deviation,
+      is at most 1 minus the mass read there, since the emitted rows are
+      nonnegative and sum to 1;
+    - the largest stay that ``chain.walk_moves`` set to 0, by which the
+      kernel's diagonal leaves I + sum_k G_k;
+    - 4 eps, with eps the largest relative deviation of pi from the
+      product of its marginals, up to the scale that makes it least (the
+      link does not depend on the scale of pi): each entry of the link
+      then moves by a relative 2 eps at most, and so each of Lambda P and
+      P* Lambda by 2 eps, rows of Lambda and P* summing to 1;
+    - (d + 1) machine epsilons, the rounding of a float evaluation of the
+      residual, whose terms lie in [0, 1], so that B also bounds what the
+      dense residual (``_residuals``) would report.
+    """
+    d = walk.d
+    bits = cube_bits(d)
+    up = pi @ bits
+    down = pi @ (1 - bits)
+    ratio = pi / np.prod(np.where(bits, up, down), axis=1)
+    eps = (ratio.max() - ratio.min()) / (ratio.max() + ratio.min())
+    alpha = np.asarray(walk.alpha, dtype=float)
+    beta = np.asarray(walk.beta, dtype=float)
+    s = walk.rates
+    # the entries of Lambda_k G_k - G*_k Lambda_k, up to sign
+    if direction == "down":
+        per_bit = (s - s * down - alpha, alpha - s * up, up * beta - down * alpha)
+    else:
+        per_bit = (up * beta - down * alpha, beta - s * down, s - s * up - beta)
+    rows, cols, vals = walk_moves(walk)
+    want = np.where(bits == (direction == "up"), s, 0.0)
+    read = p_star[rows, cols].reshape(-1, d + 1)
+    dev = read - np.column_stack((want, 1.0 - want.sum(axis=1)))
+    over = np.maximum(dev, 0.0).sum(axis=1) + np.maximum(1.0 - read.sum(axis=1), 0.0)
+    under = np.maximum(-dev, 0.0).sum(axis=1)
+    moves = vals.reshape(-1, d + 1)
+    zeroed = np.abs(1.0 - moves[moves[:, d] == 0, :d].sum(axis=1)).max(initial=0.0)
+    return float(np.abs(per_bit).max(axis=0).sum() + np.maximum(over, under).max()
+                 + zeroed + 4.0 * eps + (d + 1) * np.finfo(float).eps)
 
 
 def verify_duality(link, c, dual):

@@ -61,7 +61,7 @@ import numpy as np
 from .availability import RateFunctions, pernode_family, power_family
 from .chain import ROW_TOL, Chain, validate_chain
 from .cube import CubeWalkParams
-from .errors import DimensionTooLarge, SchemaError
+from .errors import DimensionTooLarge, InputError, SchemaError
 from .poset import DENSE_CUBE_LIMIT, Poset, build_poset
 
 NU_TOKENS = ("delta_min", "delta_max", "uniform", "stationary")
@@ -442,7 +442,9 @@ def parse_sweep(path):
     Keys: ``d``, and ``alpha``/``beta``/``kappa`` as ``start stop count``
     linspace grids; kappa defaults to the single value 0.  A count that
     takes the grid past MAX_SWEEP_POINTS points raises DimensionTooLarge at
-    its line, before its axis is built.
+    its line, before its axis is built, as does a d above DENSE_CUBE_LIMIT;
+    a kappa grid holding a value above 0 needs d = 3 (the symmetry-axis
+    moves), else InputError names its line.
     """
     sections = _sections(_read(path))
     if set(sections) != {"sweep"}:
@@ -450,7 +452,13 @@ def parse_sweep(path):
     keys = _keys(sections["sweep"], "sweep", ("d", "alpha", "beta", "kappa"))
     if not {"d", "alpha", "beta"} <= keys.keys():
         raise SchemaError("[sweep] needs d, alpha and beta grids")
-    d, _ = _dimension(keys)
+    d, n = _dimension(keys)
+    if d > DENSE_CUBE_LIMIT:
+        # every sweep point builds a dense kernel
+        raise DimensionTooLarge(
+            f"line {n}: [sweep] d must be in [1, {DENSE_CUBE_LIMIT}], got {d}",
+            line=n,
+        )
     grids, counts = {}, {}
     # in file order, so the refusal names the line that crosses the bound
     for key in sorted(keys.keys() - {"d"}, key=lambda k: keys[k][0]):
@@ -469,6 +477,10 @@ def parse_sweep(path):
             )
         grids[key] = np.linspace(start, stop, counts[key])
     kappas = grids.get("kappa", np.array([0.0]))
+    if d != 3 and (kappas > 0).any():
+        raise InputError(
+            f"line {keys['kappa'][0]}: kappa > 0 needs d = 3 (symmetry-axis moves)"
+        )
     return d, grids["alpha"], grids["beta"], kappas
 
 
@@ -537,14 +549,16 @@ def serialize_chain(c, header=()):
 
 def dual_header(dual, poset):
     """A dual's construction facts as ``key: value`` header lines: the one
-    form every command prints them in."""
+    form every command prints them in.  A closed-form dual's intertwining
+    certificate is a bound, printed as ``intertwine_bound``."""
     return (
         f"direction: {dual.direction}",
         f"dual_path: {dual.path}",
         f"absorbing_index: {dual.absorbing_index}",
         f"absorbing_state: {label_str(poset.elements[dual.absorbing_index])}",
         f"nu_residual: {fmt(dual.nu_residual)}",
-        f"intertwine_residual: {fmt(dual.intertwine_residual)}",
+        f"intertwine_{'bound' if dual.path == 'closed_form' else 'residual'}: "
+        f"{fmt(dual.intertwine_residual)}",
         f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
     )
 

@@ -421,15 +421,20 @@ class TestDetailedBalance:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8, 10, 12])
     def test_walk_law_is_the_product_form(self, d):
+        # a walk's law is its product form, read off the rates; the same
+        # kernel without its rates is solved by the tree or the reduction
         rng = np.random.default_rng([d, 11])
         alpha, beta = 0.5 / d * rng.uniform(0.2, 1.0, (2, d))
         params = CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))
         c = nearest_neighbor_walk(params)
         law = stationary(c)
-        assert law.path == solved_path(c) and law.balance <= BALANCE_TOL
+        assert law.path == "product_form" and law.balance <= BALANCE_TOL
         assert law.residual <= 1e-15
-        product = cube_stationary_product(params)
-        assert np.abs(law.pi / product - 1.0).max() <= 1e-14
+        assert np.array_equal(law.pi, cube_stationary_product(params))
+        dense = Chain(poset=c.poset, P=c.P)
+        solved = stationary(dense)
+        assert solved.path == solved_path(dense) and solved.balance <= BALANCE_TOL
+        assert np.abs(law.pi / solved.pi - 1.0).max() <= 1e-14
         assert reverse(c, law) is c
 
     @pytest.mark.parametrize("single", [True, False])
@@ -450,7 +455,8 @@ class TestDetailedBalance:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_small_chains_keep_the_state_reduction(self, d):
         params = CubeWalkParams(d=d, alpha=(0.05,) * d, beta=(0.07,) * d)
-        c = nearest_neighbor_walk(params)
+        walk = nearest_neighbor_walk(params)
+        c = Chain(poset=walk.poset, P=walk.P)   # the kernel without its rates
         law = stationary(c)
         assert np.array_equal(law.pi, gth_unblocked(c.P))
 
@@ -574,3 +580,59 @@ class TestSumDiffOperators:
         zm = zeta_mobius(p)
         f = np.array([3.0, -2.0, 5.0, 7.0])
         assert np.array_equal(zm.mobius_right(zm.zeta_right(f, "down"), "down"), f)
+
+
+def raised(f, *args, **kwargs):
+    """(type, message, attributes) of what f raises, or None."""
+    try:
+        f(*args, **kwargs)
+    except Exception as exc:   # compared, not handled
+        return type(exc), str(exc), vars(exc)
+    return None
+
+
+class TestWalkFromRates:
+    """A walk's kernel is checked, and its law solved and certified, from its
+    flip rates, with the outcome of the dense path on the same kernel."""
+
+    @pytest.mark.parametrize("params", [
+        CubeWalkParams(d=1, alpha=(1.0,), beta=(1.0,)),
+        CubeWalkParams(d=2, alpha=(0.5, 0.5), beta=(0.5, 0.5)),
+        CubeWalkParams(d=2, alpha=(0.5, 0.5), beta=(0.5, 0.5 - 1e-13)),
+    ], ids=["d1", "d2", "d2_stay_within_row_tol"])
+    def test_walks_that_cannot_stay_have_period_two(self, params):
+        c = nearest_neighbor_walk(params)
+        with pytest.raises(NotAperiodic) as exc:
+            stationary(c)
+        assert exc.value.period == 2
+        assert raised(stationary, Chain(poset=c.poset, P=c.P)) == raised(stationary, c)
+
+    def test_a_stay_just_past_row_tol_is_aperiodic(self):
+        params = CubeWalkParams(d=2, alpha=(0.5, 0.5), beta=(0.5, 0.5 - 2e-12))
+        law = stationary(nearest_neighbor_walk(params))
+        assert law.path == "product_form"
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_product_form_is_the_solved_law(self, d):
+        rng = np.random.default_rng([d, 29])
+        w = rng.dirichlet(np.ones(2 * d))
+        for alpha, beta in ((0.6 * w[:d], 0.6 * w[d:]), (w[:d], w[d:])):
+            c = nearest_neighbor_walk(CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta)))
+            law = stationary(c)
+            solved = stationary(Chain(poset=c.poset, P=c.P))
+            assert law.path == "product_form" and solved.path != "product_form"
+            assert np.abs(law.pi / solved.pi - 1.0).max() <= 1e-14
+            assert law.residual <= 1e-15 and law.balance <= 1e-14
+
+    @pytest.mark.parametrize("row_tol", [0.0, 1e-17, 1e-16, 2.3e-16, 5e-16, 1e-15])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_tight_row_tol_raises_what_the_dense_check_raises(self, d, row_tol):
+        rng = np.random.default_rng([d, 31])
+        for total in (0.3, 1.0, 1.0 + 5e-13):
+            w = total * rng.dirichlet(np.ones(2 * d))
+            params = CubeWalkParams(d=d, alpha=tuple(w[:d]), beta=tuple(w[d:]))
+            for nu in (None, np.full(2**d, 1.0 / 2**d), np.eye(2**d)[-1] * 1.5):
+                walk = raised(nearest_neighbor_walk, params, nu=nu, row_tol=row_tol)
+                c = nearest_neighbor_walk(params)
+                dense = raised(validate_chain, c.P, c.poset, nu=nu, row_tol=row_tol)
+                assert walk == dense

@@ -233,7 +233,9 @@ class TestStationaryPath:
         code, out, err = run(capsys, command, "--input", str(path))
         assert code == 0, err
         lines = out.splitlines()
-        at = lines.index("# stationary_path: detailed_balance")
+        # a walk, and a network built as one, takes the product form
+        path = "detailed_balance" if name == "rates" else "product_form"
+        at = lines.index(f"# stationary_path: {path}")
         assert lines[at - 1].startswith("# stationary_residual: ")
         if command == "cube":
             assert ("# skipped: strong_stochastic (UpSetExplosion: more than "
@@ -247,7 +249,10 @@ class TestStationaryPath:
     def test_small_or_irreversible_chains_use_gth(self, capsys, command, name):
         code, out, err = run(capsys, command, "--input", spec(name))
         assert code == 0, err
-        assert "# stationary_path: gth" in out.splitlines()
+        # walks, small or not, and networks built as walks take the product
+        # form
+        path = "gth" if name == "strong_not_mobius.spec" else "product_form"
+        assert f"# stationary_path: {path}" in out.splitlines()
 
 
 class TestStrongNoiseWitness:
@@ -620,7 +625,9 @@ class TestCube:
         )
         assert code == 0
         assert "admissible: true" in out
-        assert "product_form_deviation" in out
+        # the law is the product form, so there is no deviation to print
+        assert "product_form_deviation" not in out
+        assert "# stationary_path: product_form" in out.splitlines()
         assert "eigenvalues" in out
         assert "nu_residual" in out
         assert "\tformula\t" in out
@@ -806,6 +813,31 @@ class TestSweep:
             assert (row[4] == "true") == (row[6] == "true"), row
         assert {"ok", "NumericalFailure"} <= {row[3] for row in rows}
         assert any(row[3] == "ok" and row[4] == "false" for row in rows)
+
+    def test_dimension_beyond_the_dense_limit_is_refused_at_its_line(
+            self, capsys, tmp_path):
+        sweep = tmp_path / "sweep.spec"
+        sweep.write_text("[sweep]\nalpha: 0.01 0.02 2\nd: 14\nbeta: 0.01 0.02 2\n")
+        code, out, err = run(capsys, "sweep", "--input", str(sweep))
+        assert code == 1 and out == ""
+        block = json.loads(err)
+        assert block["error"] == "DimensionTooLarge" and block["line"] == 3
+        assert block["detail"] == "line 3: [sweep] d must be in [1, 13], got 14"
+
+    def test_kappa_above_zero_needs_the_three_cube(self, capsys, tmp_path):
+        sweep = tmp_path / "sweep.spec"
+        grid = "[sweep]\nd: 2\nalpha: 0.04 0.05 2\nbeta: 0.04 0.05 2\n"
+        sweep.write_text(grid + "kappa: 0 0.02 2\n")
+        code, out, err = run(capsys, "sweep", "--input", str(sweep))
+        assert code == 1 and out == ""
+        block = json.loads(err)
+        assert block["error"] == "InputError"
+        assert block["detail"] == "line 5: kappa > 0 needs d = 3 (symmetry-axis moves)"
+        # a grid of kappa = 0 alone runs on any cube
+        sweep.write_text(grid + "kappa: 0 0 3\n")
+        code, out, err = run(capsys, "sweep", "--input", str(sweep))
+        assert code == 0, err
+        assert [row[3] for row in parse_table(out)[1]] == ["ok"] * 12
 
     def test_row_tolerance_is_honoured(self, capsys, tmp_path):
         # the walk's rows sum to 1 only within rounding, as check reports

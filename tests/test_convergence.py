@@ -483,6 +483,16 @@ class TestSstBound:
             sst_bound_check(curve, tail)
 
 
+def subset_sums(rates):
+    """(s_gamma, (-1)^(|gamma|-1)) over the subsets gamma of the rates,
+    subset mask k holding rate i iff bit i of k is set, built afresh by
+    doubling (oracle)."""
+    sums, signs = np.zeros(1), -np.ones(1)
+    for r in np.asarray(rates, dtype=float).tolist():
+        sums, signs = np.concatenate((sums, sums + r)), np.concatenate((signs, -signs))
+    return sums, signs
+
+
 class TestCubeClosedForms:
     def test_time_zero_is_one(self):
         assert cube_separation_formula((0.1, 0.2), (0.05, 0.1), 0) == pytest.approx(1.0)
@@ -522,6 +532,34 @@ class TestCubeClosedForms:
         assert np.array_equal(
             values, [cube_separation_formula(alpha, beta, n) for n in range(201)]
         )
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 13])
+    def test_per_n_values_are_the_uncached_sums(self, d):
+        rng = np.random.default_rng([d, 29])
+        alpha, beta = (0.125 / d) * (0.5 + rng.uniform(size=(2, d)))
+        for n in range(201):
+            sums, signs = subset_sums(alpha + beta)
+            want = float(signs[1:] @ (1.0 - sums[1:]) ** n)
+            assert cube_separation_formula(alpha, beta, n) == want
+
+    def test_a_new_rate_vector_never_reads_a_stale_table(self):
+        rng = np.random.default_rng(29)
+        walks = [(0.1 / 6) * (0.5 + rng.uniform(size=(2, 6))) for _ in range(3)]
+        walks.append((walks[0][0][::-1], walks[0][1][::-1]))  # same d, permuted
+        walks.append((walks[0][0][:4], walks[0][1][:4]))      # fewer bits
+        for alpha, beta in walks + walks[::-1]:
+            sums, signs = subset_sums(alpha + beta)
+            for n in (0, 1, 7, 200):
+                want = float(signs[1:] @ (1.0 - sums[1:]) ** n)
+                assert cube_separation_formula(alpha, beta, n) == want
+            assert np.array_equal(cube_eigenvalues(alpha, beta), np.sort(1.0 - sums)[::-1])
+
+    def test_kept_tables_are_read_only(self):
+        cube_separation_formula((0.1, 0.2), (0.05, 0.1), 3)
+        sums, signs = convergence._subset_rates((0.1 + 0.05, 0.2 + 0.1))
+        for table in (sums, signs):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):

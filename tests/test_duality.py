@@ -172,7 +172,7 @@ class TestBuildSsdDown:
 
     def test_nan_residual_is_refused(self, monkeypatch):
         _, c, law, zm = cube_setup(2, (0.1, 0.1), (0.2, 0.2), nu=delta(4, 0))
-        monkeypatch.setattr(duality, "_residuals", lambda *a: (np.nan, 0.0))
+        monkeypatch.setattr(duality, "_nu_residual", lambda *a: np.nan)
         with pytest.raises(NumericalFailure, match="nu nan"):
             build_ssd(c, law, zm, "down")
 
@@ -838,3 +838,99 @@ class TestLinkActions:
                 np.abs(lam @ c.P - p_star @ lam).max(),
             )
             assert got == pytest.approx(want, rel=1e-13)
+
+
+def walk_cases(d, seed):
+    """(alpha, beta) of walks on the d-cube: random admissible rates, rates
+    on the admissible boundary sum(alpha + beta) = 1, and one bit whose
+    s_k lies below the clamp, which the dual drops."""
+    rng = np.random.default_rng([d, seed])
+    w = rng.dirichlet(np.ones(2 * d))
+    tiny = w.copy()
+    tiny[[0, d]] = 10.0 ** rng.uniform(-16, -10.5, 2)
+    return [random_admissible(d, rng), (w[:d], w[d:]), (tiny[:d], tiny[d:])]
+
+
+def dense_intertwining(c, law, dual):
+    """max|Lambda P - P* Lambda| of a built dual, through ``_residuals``."""
+    h = c.poset.zeta_right(law.pi, dual.direction)
+    return _residuals(c, law, c.poset, dual.direction, h, dual.nu_star, dual.P_star)[1]
+
+
+def walk_dual(c, direction):
+    start = delta(c.size, 0 if direction == "down" else c.size - 1)
+    c = c.with_nu(start)
+    law = stationary(c)
+    return c, law, build_ssd(c, law, c.poset, direction)
+
+
+class TestWalkBound:
+    """On the closed-form path the intertwining is certified by a bound read
+    off the flip rates, which dominates the dense residual and catches a
+    wrong closed form."""
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_bound_dominates_the_dense_residual(self, d, direction):
+        for seed in range(3):
+            for alpha, beta in walk_cases(d, seed):
+                walk = CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))
+                c, law, dual = walk_dual(nearest_neighbor_walk(walk), direction)
+                assert dual.path == "closed_form"
+                dense = dense_intertwining(c, law, dual)
+                assert dense <= dual.intertwine_residual <= 1e-10
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    def test_bound_dominates_on_walk_shaped_networks(self, d, direction):
+        from mobiusdual.availability import uniformize_walk
+
+        rng = np.random.default_rng([d, 7])
+        psi, phi = rng.uniform(0.02, 0.08, (2, d))
+        # from multiplier 2 on, a single-move network is Mobius monotone
+        for multiplier in (2.0, 3.0):
+            chain, _ = uniformize_walk(d, psi, phi, multiplier)
+            c, law, dual = walk_dual(chain, direction)
+            assert dual.path == "closed_form"
+            assert dense_intertwining(c, law, dual) <= dual.intertwine_residual <= 1e-10
+
+    @pytest.mark.parametrize("corrupt", ["swapped", "off_pattern"])
+    def test_wrong_closed_form_is_refused(self, monkeypatch, corrupt):
+        # test_availability's test_wrong_closed_form_fails_the_residuals
+        # scales the flips instead
+        entries = duality.walk_entries
+
+        def wrong(params, direction):
+            rows, cols, p, t = entries(params, direction)
+            flips = np.flatnonzero(rows != cols)
+            cols = cols.copy()
+            if corrupt == "swapped":
+                # the two flips out of state 0 trade columns
+                cols[flips[:2]] = cols[flips[1::-1]]
+            else:
+                # one flip out of state 0 lands two bits away
+                cols[flips[0]] ^= 0b10
+            return rows, cols, p, t
+
+        monkeypatch.setattr(duality, "walk_entries", wrong)
+        _, c, law, zm = cube_setup(3, (0.05, 0.1, 0.15), (0.04, 0.03, 0.02), nu=delta(8, 0))
+        with pytest.raises(NumericalFailure, match="residuals"):
+            build_ssd(c, law, zm, "down")
+
+    def test_no_dense_residual_and_no_square_array(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense residual computed")
+
+        monkeypatch.setattr(duality, "_residuals", refuse)
+        d = 10
+        alpha, beta = random_admissible(d, np.random.default_rng(3))
+        c, law, dual = walk_dual(nearest_neighbor_walk(
+            CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))), "down")
+        tracemalloc.start()
+        try:
+            bound = duality._walk_bound(c.walk, law.pi, "down", dual.P_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == dual.intertwine_residual
+        assert peak < c.size**2   # an eighth of one m x m float array

@@ -248,7 +248,8 @@ def serialize_dual_every_entry(dual, poset):
         f"absorbing_index: {dual.absorbing_index}",
         f"absorbing_state: {label_str(poset.elements[dual.absorbing_index])}",
         f"nu_residual: {fmt(dual.nu_residual)}",
-        f"intertwine_residual: {fmt(dual.intertwine_residual)}",
+        f"intertwine_{'bound' if dual.path == 'closed_form' else 'residual'}: "
+        f"{fmt(dual.intertwine_residual)}",
         f"clamp_magnitude: {fmt(dual.clamp_magnitude)}",
     ]
     lines = [f"# {h}" for h in header] + ["[poset]"]
@@ -500,3 +501,16 @@ def test_sweep_refusal_names_the_crossing_line_in_file_order(tmp_path):
     with pytest.raises(DimensionTooLarge) as exc:
         specfile.parse_sweep(path)
     assert exc.value.line == 3
+
+
+def test_dual_header_names_the_closed_form_certificate_a_bound():
+    c = md.nearest_neighbor_walk(CubeWalkParams(d=2, alpha=(0.1, 0.2), beta=(0.15, 0.05)),
+                                 nu=np.eye(4)[0])
+    closed = md.build_ssd(c, md.stationary(c), c.poset)
+    dense = Chain(poset=c.poset, P=c.P, nu=c.nu)   # the kernel without its rates
+    transform = md.build_ssd(dense, md.stationary(dense), c.poset)
+    assert (closed.path, transform.path) == ("closed_form", "transform")
+    assert specfile.dual_header(closed, c.poset)[5] == (
+        f"intertwine_bound: {specfile.fmt(closed.intertwine_residual)}")
+    assert specfile.dual_header(transform, c.poset)[5] == (
+        f"intertwine_residual: {specfile.fmt(transform.intertwine_residual)}")
