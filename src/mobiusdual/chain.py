@@ -44,7 +44,8 @@ class Chain:
     when the input was given in exact rational form.  ``walk`` carries the
     flip rates (a ``CubeWalkParams``) of a nearest-neighbor cube walk, from
     which its law, its Mobius reports and its dual are read in closed form,
-    and its curve is stepped over its moves: only ``walk_chain``
+    and its curve is stepped through two Kronecker factors of the rates
+    (``convergence.separation_curve``): only ``walk_chain``
     (``nearest_neighbor_walk``) sets it, on cube walks and on the uniformized
     chain of a single-move product-form network (see
     ``availability.node_rates``), and ``with_nu`` and a ``reverse`` that
@@ -150,8 +151,8 @@ def walk_moves(walk):
     bit k is set in x and alpha_k when not, then its stay, 1 minus those
     rates.  A stay within ROW_TOL of 0 is exactly 0, so rounding does not
     decide whether the walk can hold.  The triple of the last walk is kept,
-    so the kernel, the law, the curve and the dual of one walk read one
-    build."""
+    so the kernel, the law, the curve's zeroed stays and the dual of one
+    walk read one build."""
     rates = np.where(cube_bits(walk.d), walk.beta, walk.alpha)
     stay = 1.0 - rates.sum(axis=1)
     stay[np.abs(stay) <= ROW_TOL] = 0.0

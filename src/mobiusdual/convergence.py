@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import IDENTITY_TOL, ROW_TOL, walk_moves
+from .cube import check_flip_rates
 from .errors import (
     DimensionMismatch,
     HorizonTooLarge,
@@ -17,7 +18,7 @@ from .errors import (
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
-from .poset import SUBSET_ENUM_LIMIT, check_cube_dim
+from .poset import SUBSET_ENUM_LIMIT, check_cube_dim, cube_bits
 
 MAX_HORIZON = 10_000_000
 MAX_SAMPLES = 10_000_000
@@ -93,18 +94,21 @@ def separation_curve(c, law, horizon, stop_below=None):
     """Iterate nu P^n and record s(n) = max_e (1 - nu P^n(e) / pi(e)).
 
     ``stop_below`` truncates the curve once s(n) drops under the threshold
-    (geometric decay makes longer horizons numerically meaningless).  Each
-    step is one pass over the kernel's moves: a walk's (d+1) 2^d, read off
-    its rates (``chain.walk_moves``), else the nonzeros of P.  A
-    non-monotone step beyond 1e-12 slack is reported as a warning, not an
-    error: starts that violate the duality preconditions may produce one.
+    (geometric decay makes longer horizons numerically meaningless).  A
+    walk's law is stepped through two Kronecker factors built from its flip
+    rates (``_walk_stepper``), reading no dense array; every other kernel
+    is stepped over the nonzeros of P.  A non-monotone step beyond 1e-12
+    slack is reported as a warning, not an error: starts that violate the
+    duality preconditions may produce one.
     """
     if c.nu is None:
         raise PreconditionFailed("separation curve requires an initial law nu")
     check_horizon(horizon)
     pi = law.pi
-    moves = walk_moves(c.walk) if c.walk is not None else _moves(c.P)
-    step = _stepper(*moves, c.size)
+    if c.walk is not None:
+        step = _walk_stepper(c.walk)
+    else:
+        step = _stepper(*_moves(c.P), c.size)
     dist = c.nu.astype(float)
     values = [float((1.0 - dist / pi).max())]
     for _ in range(horizon):
@@ -121,6 +125,66 @@ def separation_curve(c, law, horizon, stop_below=None):
             stacklevel=2,
         )
     return SeparationCurve(values=values, horizon=len(values) - 1)
+
+
+def _flip_rates(alpha, beta):
+    """(R, out) for the len(alpha) bits of one Kronecker factor: the dense
+    rate matrix R[x, x ^ 2^k] = alpha_k when bit k is unset in x, beta_k
+    when set, 0 elsewhere, and each state's total rate out, the row sums
+    of R.  Its generator, sum_k G_k over these bits, is R - diag(out)."""
+    rates = np.where(cube_bits(len(alpha)), beta, alpha)
+    x = np.arange(rates.shape[0])[:, None]
+    mat = np.zeros((rates.shape[0],) * 2)
+    mat[x, x ^ (1 << np.arange(len(alpha)))] = rates
+    return mat, rates.sum(axis=1)
+
+
+def _split(alpha, beta):
+    """The flip rates of the high factor, the ceil(d/2) top bits of a
+    mask, and of the low factor, the floor(d/2) others, as ``_flip_rates``
+    gives them: a vector x on the 2^d masks, reshaped C-ordered to
+    (2^ceil(d/2), 2^floor(d/2)), has the high bits as row index and the
+    low bits as column index, and the kernel I + sum_k G_k of the flips is
+    H (x) I + I (x) L, with H = I + sum_{high k} G_k, L = sum_{low k} G_k.
+    The factors are built per call: at most 2^ceil(d/2) squared entries."""
+    lo = len(alpha) // 2
+    return _flip_rates(alpha[lo:], beta[lo:]), _flip_rates(alpha[:lo], beta[:lo])
+
+
+def _row_action(factors):
+    """The map x -> x P for the kernel P = I + sum_k G_k whose ``_split``
+    is ``factors``: H^T X + X L on x reshaped to X, two matmuls of at most
+    2^ceil(d/2) squared per step.  The identity is added last, so each
+    entry rounds the small generator terms once against x."""
+    (r_h, out_h), (r_l, out_l) = factors
+    high_t = r_h.T - np.diag(out_h)
+    low = r_l - np.diag(out_l)
+    shape = (out_h.size, out_l.size)
+
+    def step(x):
+        mat = x.reshape(shape)
+        out = high_t @ mat
+        out += mat @ low
+        out += mat
+        return out.ravel()
+
+    return step
+
+
+def _walk_stepper(walk):
+    """x -> x P for the kernel of the cube walk with flip rates ``walk``
+    as ``chain.walk_moves`` gives it, through two Kronecker factors
+    (``_row_action``).  Where ``walk_moves`` set a stay within ROW_TOL of
+    0 to 0, the step adds x times that stay minus its raw value, so the
+    curve is that of the emitted ``Chain.P``."""
+    step = _row_action(_split(np.asarray(walk.alpha, dtype=float),
+                              np.asarray(walk.beta, dtype=float)))
+    stay = walk_moves(walk)[2][walk.d::walk.d + 1]
+    if stay.all():
+        return step
+    raw = 1.0 - np.where(cube_bits(walk.d), walk.beta, walk.alpha).sum(axis=1)
+    delta = stay - raw
+    return lambda x: step(x) + x * delta
 
 
 def _moves(mat):
@@ -151,14 +215,19 @@ def move_order(rows, cols):
 def absorption_tail(dual, horizon):
     """Tail P(T* > n) and mean absorption time from the transient moves.
 
-    The moves of P* off the absorbing state, read once as a nonzero triple,
-    form the transient block Q.  The tail is nu*_t Q^n 1, clipped to [0, 1]
-    (rows of P* sum to 1 only to rounding), and the mean is
+    A closed-form dual (``dual.walk`` set) that no clamp touched is
+    stepped through two Kronecker factors from the walk's rates
+    (``_walk_tail``), reading no dense array.  On every other dual the
+    moves of P* off the absorbing state, read once as a nonzero triple,
+    form the transient block Q.  The tail is nu*_t Q^n 1, clipped to
+    [0, 1] (rows of P* sum to 1 only to rounding), and the mean is
     nu*_t x for (I - Q) x = 1, solved by substitution in the order the moves
     go, or by LU on a dense I - Q when they go both ways.  A zero pivot or a
     singular I - Q signals a second absorbing class, i.e. an invalid dual.
     """
     check_horizon(horizon)
+    if dual.walk is not None and dual.clamp_magnitude == 0:
+        return _walk_tail(dual, horizon)
     a = dual.absorbing_index
     rows, cols, vals = _moves(dual.P_star)
     transient = (rows != a) & (cols != a)
@@ -189,14 +258,75 @@ def absorption_tail(dual, horizon):
     else:
         expected_steps = _substitute(rows, cols, vals, n, order)
     q_x = np.bincount(rows, weights=vals * expected_steps[cols], minlength=n)
-    residual = np.abs(expected_steps - q_x - 1.0).max(initial=0.0)
-    if not np.isfinite(expected_steps).all() or not residual <= 1e-8:
+    _check_solve(expected_steps, expected_steps - q_x - 1.0)
+    return AbsorptionLaw(tail=tail, mean=float(v @ expected_steps))
+
+
+def _check_solve(x, residual):
+    """Raise SingularFundamentalMatrix unless the solve x of (I - Q) x = 1
+    is finite and its ``residual`` x - Q x - 1 is within 1e-8."""
+    if not np.isfinite(x).all() or not np.abs(residual).max(initial=0.0) <= 1e-8:
         raise SingularFundamentalMatrix(
             "fundamental matrix solve lost accuracy; the dual has a second "
             "absorbing class"
         )
-    mean = float(v @ expected_steps)
-    return AbsorptionLaw(tail=tail, mean=mean)
+
+
+def _zero_pivot():
+    """The error of a transient state that cannot leave: a zero pivot."""
+    return SingularFundamentalMatrix(
+        "fundamental matrix has a zero pivot; the dual has a second "
+        "absorbing class"
+    )
+
+
+def _walk_tail(dual, horizon):
+    """``absorption_tail`` of a closed-form dual that no clamp touched,
+    P* = I + sum_k G*_k with G*_k the flip of bit k at rates (s_k, 0)
+    ("down") or (0, s_k) ("up"), s_k = alpha_k + beta_k of ``dual.walk``.
+
+    The tail steps nu* through the factors of P* (``_row_action``),
+    zeroing the absorbing mass after each step.  The mean solves
+    x = (1 + Q_off x) / pivot, with Q_off = R_H (x) I + I (x) R_L the
+    moves of P* off its diagonal and pivot = 1 - P*(x, x) the total rate
+    out of x, by sweeps of the column action R_H X + X R_L^T.  Every move
+    takes one bit towards the absorbing state, so starting from 0 each
+    sweep makes one more rank exact, and d sweeps solve it.
+    """
+    walk, a = dual.walk, dual.absorbing_index
+    zero = np.zeros(walk.d)
+    factors = _split(*((walk.rates, zero) if dual.direction == "down"
+                       else (zero, walk.rates)))
+    step = _row_action(factors)
+    tail = np.empty(horizon + 1)
+    cur = dual.nu_star.astype(float)
+    cur[a] = 0.0
+    tail[0] = cur.sum()
+    for k in range(1, horizon + 1):
+        cur = step(cur)
+        cur[a] = 0.0
+        tail[k] = cur.sum()
+    np.clip(tail, 0.0, 1.0, out=tail)  # a probability, whatever the rounding
+    (r_h, out_h), (r_l, out_l) = factors
+    r_l_t = r_l.T
+
+    def off(x):
+        mat = x.reshape(out_h.size, out_l.size)
+        out = r_h @ mat
+        out += mat @ r_l_t
+        return out.ravel()
+
+    pivots = np.add.outer(out_h, out_l).ravel()
+    transient = np.arange(pivots.size) != a
+    if (pivots[transient] == 0).any():
+        raise _zero_pivot()
+    x = np.zeros(pivots.size)
+    for _ in range(walk.d):
+        x = np.divide(1.0 + off(x), pivots, out=np.zeros(pivots.size), where=transient)
+    residual = pivots * x - off(x) - 1.0
+    residual[a] = 0.0
+    _check_solve(x, residual)
+    return AbsorptionLaw(tail=tail, mean=float(dual.nu_star @ x))
 
 
 def _substitute(rows, cols, vals, n, order):
@@ -205,10 +335,7 @@ def _substitute(rows, cols, vals, n, order):
     on = rows == cols
     pivots = 1.0 - np.bincount(rows[on], weights=vals[on], minlength=n)
     if (pivots == 0).any():
-        raise SingularFundamentalMatrix(
-            "fundamental matrix has a zero pivot; the dual has a second "
-            "absorbing class"
-        )
+        raise _zero_pivot()
     rows, cols, vals = rows[~on], cols[~on], vals[~on]
     starts = np.searchsorted(rows, np.arange(n + 1))
     x = np.empty(n)
@@ -242,19 +369,19 @@ def cube_separation_formula(alpha, beta, n):
     (1 - s_gamma)^n with s_gamma the subset's total flip rate, as one dot
     product over the subset rates and signs built by doubling.  A 1-D array
     of n gives the array of those floats, from one build of the subsets.
+    The rates are refused as ``CubeWalkParams`` refuses them.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    d = len(alpha)
-    if len(beta) != d:
+    if len(beta) != len(alpha):
         raise DimensionMismatch("alpha and beta must have equal length")
+    sums, signs = _subset_rates(tuple(alpha.tolist()), tuple(beta.tolist()))
     rates = alpha + beta
     if rates.sum() > 1.0 + ROW_TOL:
         raise PreconditionFailed(
             f"total flip rate {float(rates.sum())!r} exceeds 1; the closed form needs "
             "nonnegative eigenvalues"
         )
-    sums, signs = _subset_rates(tuple(rates.tolist()))
     signs, base = signs[1:], 1.0 - sums[1:]
     if np.ndim(n) == 0:
         return float(signs @ base**n)
@@ -262,32 +389,37 @@ def cube_separation_formula(alpha, beta, n):
 
 
 def cube_eigenvalues(alpha, beta):
-    """All 2^d eigenvalues {1 - s_gamma} of the cube walk, sorted descending."""
+    """All 2^d eigenvalues {1 - s_gamma} of the cube walk, sorted descending.
+    The rates are refused as ``CubeWalkParams`` refuses them."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != beta.shape:
         raise DimensionMismatch("alpha and beta must have equal length")
-    sums, _ = _subset_rates(tuple((alpha + beta).tolist()))
+    sums, _ = _subset_rates(tuple(alpha.tolist()), tuple(beta.tolist()))
     return np.sort(1.0 - sums)[::-1]
 
 
 @lru_cache(maxsize=1)
-def _subset_rates(rates):
+def _subset_rates(alpha, beta):
     """Total rate s_gamma and sign (-1)^(|gamma|-1) of every coordinate
-    subset of the tuple ``rates``, as read-only arrays.
+    subset of the flip rates s_i = alpha_i + beta_i of the tuples ``alpha``
+    and ``beta``, as read-only arrays.
 
     Built by doubling: subset mask k holds coordinate i iff bit i of k is set,
-    so entry 0 is the empty subset.  Unless 1 <= d <= SUBSET_ENUM_LIMIT for
-    the d rates, DimensionTooLarge is raised before the 2^d arrays are
-    allocated.  The arrays of the last rates are kept, so a curve that asks
-    for the closed form once per n builds them once.
+    so entry 0 is the empty subset.  Non-finite or nonpositive rates are
+    refused first (``cube.check_flip_rates``), then, unless
+    1 <= d <= SUBSET_ENUM_LIMIT, DimensionTooLarge is raised before the 2^d
+    arrays are allocated.  The arrays of the last rates are kept, so a
+    curve that asks for the closed form once per n checks and builds them
+    once.
     """
-    check_cube_dim(len(rates), SUBSET_ENUM_LIMIT)
-    size = 1 << len(rates)
+    check_flip_rates((*alpha, *beta))
+    check_cube_dim(len(alpha), SUBSET_ENUM_LIMIT)
+    size = 1 << len(alpha)
     sums = np.zeros(size)
     signs = np.empty(size)
     signs[0] = -1.0
-    for i, r in enumerate(rates):
+    for i, r in enumerate(np.add(alpha, beta).tolist()):
         k = 1 << i
         np.add(sums[:k], r, out=sums[k:2 * k])
         np.negative(signs[:k], out=signs[k:2 * k])

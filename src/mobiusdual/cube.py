@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,13 +49,7 @@ class CubeWalkParams:
             raise DimensionMismatch(
                 f"alpha and beta must have length d={self.d}"
             )
-        rates = (*self.alpha, *self.beta)
-        if not all(math.isfinite(r) for r in rates):
-            raise InputError(f"flip rates must be finite, got {rates!r}")
-        if any(r <= 0 for r in rates):
-            raise NegativeHoldingProbability(
-                "flip rates must be strictly positive"
-            )
+        check_flip_rates((*self.alpha, *self.beta))
         stay = 1.0 - np.maximum(self.alpha, self.beta).sum()
         if stay < -ROW_TOL:
             state = tuple(int(b > a) for a, b in zip(self.alpha, self.beta))
@@ -69,6 +64,18 @@ class CubeWalkParams:
     @property
     def rates(self):
         return np.asarray(self.alpha, dtype=float) + np.asarray(self.beta, dtype=float)
+
+
+def check_flip_rates(rates):
+    """Raise InputError unless every flip rate in the tuple ``rates`` is
+    finite, and NegativeHoldingProbability unless each is strictly
+    positive."""
+    if not all(math.isfinite(r) for r in rates):
+        raise InputError(f"flip rates must be finite, got {rates!r}")
+    if any(r <= 0 for r in rates):
+        raise NegativeHoldingProbability(
+            "flip rates must be strictly positive"
+        )
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,7 @@ def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     return walk_chain(params, cube_poset(params.d), nu=nu, row_tol=row_tol)
 
 
+@lru_cache(maxsize=2)
 def walk_entries(params, direction):
     """(rows, cols, dual, transform): the entries of the walk's strong
     stationary dual in ``direction`` that can be nonzero,
@@ -100,16 +108,21 @@ def walk_entries(params, direction):
     up in ``direction``'s order (k unset in x for "down", set for "up"),
     by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
     or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
-    ``chain.walk_moves`` sets a stay within ROW_TOL of 0 to 0.
+    ``chain.walk_moves`` sets a stay within ROW_TOL of 0 to 0.  The arrays
+    are read-only and kept for the last two (walk, direction) pairs, so the
+    report and the dual of one build read one list.
     """
     free = cube_bits(params.d) == (direction == "up")
     x, k = np.nonzero(free)
     diag = np.arange(2**params.d)
     rest = 1.0 - (free * params.rates).sum(axis=1)
     toward = np.asarray(params.beta if direction == "down" else params.alpha)
-    return (np.concatenate((diag, x)), np.concatenate((diag, x ^ (1 << k))),
-            np.concatenate((rest, params.rates[k])),
-            np.concatenate((rest, toward[k])))
+    entries = (np.concatenate((diag, x)), np.concatenate((diag, x ^ (1 << k))),
+               np.concatenate((rest, params.rates[k])),
+               np.concatenate((rest, toward[k])))
+    for a in entries:
+        a.flags.writeable = False
+    return entries
 
 
 def gplus_transform(c, *moves, row_tol=ROW_TOL):

@@ -55,7 +55,10 @@ class DualChain:
     of the time-reversed kernel in ``direction`` that decided the build, and
     ``path`` names how P* was built: "closed_form" from a walk's flip rates,
     where ``intertwine_residual`` holds a bound on the residual, or
-    "transform" from the reversal's Mobius transform."""
+    "transform" from the reversal's Mobius transform.  ``walk`` holds the
+    reversal's flip rates (a ``CubeWalkParams``) on the closed-form path
+    only; from them ``absorption_tail`` steps an unclamped dual without
+    reading P*."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -66,6 +69,7 @@ class DualChain:
     clamp_magnitude: float = 0.0
     reversed_report: monotonicity.MonotonicityReport | None = None
     path: str = "transform"
+    walk: object | None = None
 
     def __post_init__(self):
         self.nu_star.flags.writeable = False
@@ -180,6 +184,7 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     nu_star = g_report.transformed * h
     if walk is not None:
         rows, cols, p, _ = walk_entries(walk, direction)
+        p = p.copy()  # the kept entries are read-only; the clamp writes
     else:
         p = (h[:, None] * core) / h[None, :]   # P* transposed
         del core  # free an m x m array before the clamp and the residuals
@@ -228,6 +233,7 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         clamp_magnitude=clamp_magnitude,
         reversed_report=rev_report,
         path="transform" if walk is None else "closed_form",
+        walk=walk,
     )
 
 

@@ -536,12 +536,19 @@ def serialize_chain(c, header=()):
     text = serialize_poset(c.poset, header=header)
     lines = ["", "[chain]"]
     # the same text as fmt on each float entry: every +0.0 is "0", and only
-    # the other entries (-0.0 included) are formatted
-    for row in c.P:
-        tokens = ["0"] * row.size
-        for j in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
-            tokens[j] = "{:.17g}".format(float(row[j]))
-        lines.append("row: " + " ".join(tokens))
+    # the other entries (-0.0 included) are formatted, in one pass; each is
+    # written after the run of zeros before it in its row, as "0 " * gap
+    mat = c.P
+    rows, cols = np.divmod(np.flatnonzero((mat != 0) | np.signbit(mat)), mat.shape[1])
+    after = np.concatenate(([0], cols[:-1] + 1))  # the previous entry's end
+    after[np.flatnonzero(np.diff(rows, prepend=-1))] = 0  # a row's first
+    texts = map("{:.17g}".format, mat[rows, cols].tolist())
+    pieces = ["0 " * gap + text + " " for gap, text in zip((cols - after).tolist(), texts)]
+    ends = (cols + 1).tolist()
+    bounds = np.searchsorted(rows, np.arange(mat.shape[0] + 1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rest = mat.shape[1] - (ends[hi - 1] if hi > lo else 0)
+        lines.append("row: " + ("".join(pieces[lo:hi]) + "0 " * rest)[:-1])
     if c.nu is not None:
         lines.append("nu: " + " ".join(map("{:.17g}".format, c.nu.tolist())))
     return text + "\n".join(lines) + "\n"

@@ -350,8 +350,10 @@ class TestWalkShapedNetworks:
         assert np.abs(got.dual.P_star - want.dual.P_star).max() <= 1e-15
         assert np.abs(got.dual.nu_star - want.dual.nu_star).max() <= 1e-15
         assert got.curve.horizon == want.curve.horizon
-        assert np.abs(got.curve.values - want.curve.values).max() <= 1e-14
-        assert np.abs(got.tail.tail - want.tail.tail).max() <= 1e-14
+        # the walk's curve and tail step through its Kronecker factors, a
+        # summation order of its own (about 1e-14 from either one here)
+        assert np.abs(got.curve.values - want.curve.values).max() <= 1e-13
+        assert np.abs(got.tail.tail - want.tail.tail).max() <= 1e-13
 
     @pytest.mark.parametrize("c", [0.03, 0.04, 0.1, 1 / 3])
     @pytest.mark.parametrize("d", range(2, 9))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 from itertools import combinations
@@ -23,6 +24,7 @@ from mobiusdual import (
     zeta_mobius,
 )
 from mobiusdual import convergence
+from mobiusdual.availability import uniformize_walk
 from mobiusdual.convergence import (
     MAX_HORIZON,
     _count_below,
@@ -35,6 +37,7 @@ from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
     DimensionMismatch,
     HorizonTooLarge,
+    MobiusDualError,
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
@@ -185,14 +188,18 @@ def dense_tail_loop(dual, horizon):
 
 
 class TestNonzeroSteps:
-    """Curves and tails step over the kernel's nonzeros; the dense loops they
-    replaced are the oracles."""
+    """Curves and tails step over the kernel's nonzeros, or a walk's through
+    its Kronecker factors; the dense loops they replaced are the oracles."""
 
     # Both summation orders lose a few ulps of mass: over 120 seeded 3-cube
     # walks (this generator, seeds 0-59, both starts) with the state
     # reduction law and the spanning-tree law, the curves differ by at most
     # 7 eps and the tails by at most 1.5 eps.
     NOISE = 16 * np.finfo(float).eps
+    # A walk's factors sum in another order again: its curves and tails
+    # differ from the dense loops by up to about 27 eps here, and each
+    # path is as far from a long-double loop on the same kernel.
+    KRON_NOISE = 1e-13
 
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("d", [3, 6, 10])
@@ -203,9 +210,9 @@ class TestNonzeroSteps:
         c = c.with_nu(delta(m, 0 if direction == "down" else m - 1))
         law = stationary(c)
         curve = separation_curve(c, law, 200, stop_below=None)
-        assert np.abs(curve.values - dense_curve_loop(c, law, 200)).max() <= self.NOISE
+        assert np.abs(curve.values - dense_curve_loop(c, law, 200)).max() <= self.KRON_NOISE
         tail = absorption_tail(dual, 200)
-        assert np.abs(tail.tail - dense_tail_loop(dual, 200)).max() <= self.NOISE
+        assert np.abs(tail.tail - dense_tail_loop(dual, 200)).max() <= self.KRON_NOISE
 
     def test_dense_general_kernel(self, raw_dual):
         c = load_model(os.path.join(DATA, "strong_not_mobius.spec")).chain
@@ -448,6 +455,134 @@ class TestAbsorptionMean:
             absorption_tail(bad, 5)
 
 
+def nonzero_curve(c, law, horizon):
+    """Oracle: s(n) with nu P^n stepped over the nonzeros of the emitted P."""
+    rows, cols = np.nonzero(c.P)
+    vals = c.P[rows, cols]
+    dist = c.nu.astype(float)
+    values = [(1.0 - dist / law.pi).max()]
+    for _ in range(horizon):
+        dist = np.bincount(cols, dist[rows] * vals, c.size)
+        values.append((1.0 - dist / law.pi).max())
+    return np.array(values)
+
+
+def nonzero_tail(dual, horizon):
+    """Oracle: (tail, mean) of the emitted P*, its tail stepped over the
+    nonzeros with the absorbing mass zeroed after each step, its mean by LU
+    on the dense I - Q."""
+    a = dual.absorbing_index
+    rows, cols = np.nonzero(dual.P_star)
+    vals = dual.P_star[rows, cols]
+    cur = dual.nu_star.astype(float)
+    cur[a] = 0.0
+    tail = [cur.sum()]
+    for _ in range(horizon):
+        cur = np.bincount(cols, cur[rows] * vals, dual.size)
+        cur[a] = 0.0
+        tail.append(cur.sum())
+    keep = np.arange(dual.size) != a
+    q = dual.P_star[np.ix_(keep, keep)]
+    mean = dual.nu_star[keep] @ np.linalg.solve(np.eye(q.shape[0]) - q, np.ones(q.shape[0]))
+    return np.clip(tail, 0.0, 1.0), mean
+
+
+def start_laws(m, seed):
+    """delta_min, delta_max, the uniform law and a random law on m states."""
+    rng = np.random.default_rng([m, seed])
+    random = rng.uniform(size=m)
+    return delta(m, 0), delta(m, m - 1), np.full(m, 1.0 / m), random / random.sum()
+
+
+class TestKroneckerSteps:
+    """A walk's curve and an unclamped closed-form dual's tail and mean step
+    through two Kronecker factors of the rates; the emitted dense P and P*,
+    stepped over their nonzeros, are the oracles."""
+
+    HORIZON = 200
+
+    def assert_curves(self, c, law, seed=0):
+        for nu in start_laws(c.size, seed):
+            started = c.with_nu(nu)
+            got = separation_curve(started, law, self.HORIZON).values
+            want = nonzero_curve(started, law, self.HORIZON)
+            assert np.abs(got - want).max() <= 1e-13
+
+    def assert_tails(self, dual, seed=0):
+        assert dual.walk is not None and dual.clamp_magnitude == 0
+        for nu in start_laws(dual.size, seed):
+            restarted = dataclasses.replace(dual, nu_star=nu)
+            got = absorption_tail(restarted, self.HORIZON)
+            tail, mean = nonzero_tail(restarted, self.HORIZON)
+            assert np.abs(got.tail - tail).max() <= 1e-13
+            assert got.mean == pytest.approx(mean, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_walks_match_the_emitted_kernels(self, d, direction):
+        params, dual = extreme_walk_dual(d, direction)
+        c = nearest_neighbor_walk(params)
+        self.assert_curves(c, stationary(c), d)
+        self.assert_tails(dual, d)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [1, 4, 7, 10])
+    def test_walk_shaped_networks_match_the_emitted_kernels(self, d, direction):
+        rng = np.random.default_rng(d)
+        psi, phi = rng.uniform(0.001, 0.004, d), rng.uniform(0.05, 0.1, d)
+        c, _ = uniformize_walk(d, psi, phi, multiplier=2.0)
+        m = c.size
+        c = c.with_nu(delta(m, 0 if direction == "down" else m - 1))
+        law = stationary(c)
+        self.assert_curves(c, law, d)
+        self.assert_tails(build_ssd(c, law, zeta_mobius(c.poset), direction), d)
+
+    def test_a_zeroed_stay_is_stepped_as_emitted(self):
+        # stay(000) = 1 - 3 (1/3 + 1e-13) is about -3e-13 in the rates and
+        # exactly 0 in the kernel; the step adds the difference back
+        params = CubeWalkParams(d=3, alpha=(1 / 3 + 1e-13,) * 3, beta=(0.1,) * 3)
+        c = nearest_neighbor_walk(params)
+        assert c.P[0, 0] == 0.0
+        assert 1.0 - sum(params.alpha) != 0.0
+        self.assert_curves(c, stationary(c))
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_the_dense_arrays_are_not_read(self, d, direction):
+        params, dual = extreme_walk_dual(d, direction)
+        m = 2**d
+        c = nearest_neighbor_walk(params, nu=delta(m, 0 if direction == "down" else m - 1))
+        law = stationary(c)
+        blind = dataclasses.replace(c, P=np.full((m, m), np.nan))
+        assert (separation_curve(blind, law, 100).values.tobytes()
+                == separation_curve(c, law, 100).values.tobytes())
+        blind = dataclasses.replace(dual, P_star=np.full((m, m), np.nan))
+        got, want = absorption_tail(blind, 100), absorption_tail(dual, 100)
+        assert got.tail.tobytes() == want.tail.tobytes() and got.mean == want.mean
+
+    def test_a_clamped_dual_keeps_the_move_path(self, monkeypatch):
+        # s_0 lies below the clamp, so the dual drops bit 0: the states
+        # without it whose other bits are all set absorb as well
+        alpha, beta = (1e-12, 0.2, 0.15), (1e-12, 0.1, 0.2)
+        params = CubeWalkParams(d=3, alpha=alpha, beta=beta)
+        c = nearest_neighbor_walk(params, nu=delta(8, 0))
+        law = stationary(c)
+        dual = build_ssd(c, law, zeta_mobius(c.poset), "down")
+        assert dual.walk is params and dual.clamp_magnitude > 0
+
+        def refuse(*args):
+            raise AssertionError("a clamped dual stepped through the factors")
+
+        monkeypatch.setattr(convergence, "_walk_tail", refuse)
+        with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
+            absorption_tail(dual, 5)
+
+    def test_transform_duals_carry_no_walk(self):
+        c = load_model_text(BIRTH_DEATH).chain
+        dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down")
+        assert (dual.path, dual.walk) == ("transform", None)
+
+
 class TestSstBound:
     def test_equality_on_cube_models(self):
         c, law = cube_chain(2, (0.08, 0.1), (0.07, 0.06))
@@ -556,10 +691,39 @@ class TestCubeClosedForms:
 
     def test_kept_tables_are_read_only(self):
         cube_separation_formula((0.1, 0.2), (0.05, 0.1), 3)
-        sums, signs = convergence._subset_rates((0.1 + 0.05, 0.2 + 0.1))
+        sums, signs = convergence._subset_rates((0.1, 0.2), (0.05, 0.1))
         for table in (sums, signs):
             with pytest.raises(ValueError):
                 table[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 0.0])
+    @pytest.mark.parametrize("where", ["alpha", "beta"])
+    def test_rates_are_refused_as_the_walk_refuses_them(self, bad, where):
+        alpha, beta = [0.1, 0.2], [0.15, 0.05]
+        (alpha if where == "alpha" else beta)[1] = bad
+        with pytest.raises(MobiusDualError) as want:
+            CubeWalkParams(d=2, alpha=tuple(alpha), beta=tuple(beta))
+        for call in (lambda: cube_separation_formula(alpha, beta, 3),
+                     lambda: cube_separation_formula(alpha, beta, np.arange(4)),
+                     lambda: cube_eigenvalues(alpha, beta)):
+            with pytest.raises(type(want.value)) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_rates_are_checked_once_per_tables(self, monkeypatch):
+        calls = []
+        check = convergence.check_flip_rates
+        monkeypatch.setattr(convergence, "check_flip_rates",
+                            lambda rates: calls.append(rates) or check(rates))
+        convergence._subset_rates.cache_clear()
+        alpha, beta = (0.011, 0.012, 0.013), (0.021, 0.022, 0.023)
+        for n in range(201):
+            cube_separation_formula(alpha, beta, n)
+        cube_eigenvalues(alpha, beta)
+        assert calls == [(*alpha, *beta)]
+        # the tables are the key: the same sums from other tables are checked
+        cube_separation_formula(beta, alpha, 5)
+        assert calls == [(*alpha, *beta), (*beta, *alpha)]
 
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):

@@ -25,6 +25,7 @@ from mobiusdual import (
     verify_duality,
     zeta_mobius,
 )
+from mobiusdual import cube as cube_module
 from mobiusdual import duality, monotonicity
 from mobiusdual.duality import DualChain, _residuals
 from mobiusdual.monotonicity import mobius_transform
@@ -478,6 +479,26 @@ class TestClosedFormPath:
         dual = build_ssd(g, law, zm, direction)
         assert calls == ["down", "up", direction]
         assert dual.path == "transform"
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("alpha, beta", [
+        ((0.05, 0.1, 0.15), (0.04, 0.03, 0.02)),
+        ((1e-12, 0.2, 0.15), (1e-12, 0.1, 0.2)),  # s_0 below the clamp
+    ], ids=["admissible", "clamped"])
+    def test_entries_are_built_once_per_walk_and_direction(self, direction, alpha, beta):
+        start = 0 if direction == "down" else 7
+        params, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, start))
+        cube_module.walk_entries.cache_clear()
+        first = build_ssd(c, law, zm, direction)
+        second = build_ssd(c, law, zm, direction)
+        info = cube_module.walk_entries.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert (first.clamp_magnitude > 0) == (alpha[0] < 1e-10)
+        for a, b in ((first.P_star, second.P_star), (first.nu_star, second.nu_star)):
+            assert a.tobytes() == b.tobytes()
+        assert first.intertwine_residual == second.intertwine_residual
+        for entries in cube_module.walk_entries(params, direction):
+            assert not entries.flags.writeable
 
     def test_constructors_carry_rates_only_from_the_walk(self):
         params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)

@@ -310,6 +310,27 @@ class TestSerializeNonzeros:
         assert serialize_poset(p, header=["h"]) == "\n".join(lines) + "\n"
         assert calls == list(p.elements)
 
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.5], [0.25, 0.0, 0.75], [0.0, 0.0, 0.0]],
+        [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.125, 0.0]],
+        [[0.5, 0.25, 0.25], [1e-300, 1.0, 3.0], [0.0, 0.0, 1.0]],
+        [[-0.0, 0.0, -0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]],
+    ], ids=["all_zero", "ends_in_nonzero", "ends_in_zeros", "dense", "signed_zeros"])
+    def test_zero_runs_give_the_every_entry_text(self, rows):
+        p = md.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        dual = DualChain(nu_star=np.array([0.25, 0.75, 0.0]), P_star=np.array(rows),
+                         absorbing_index=2, direction="down")
+        assert serialize_dual(dual, p) == serialize_dual_every_entry(dual, p)
+
+    @pytest.mark.parametrize("name", ["two_cube", "four_cube"])
+    def test_golden_dual_rows_are_written_back_byte_for_byte(self, name):
+        path = os.path.join(DATA, "golden", f"{name}.dual.spec")
+        text = open(path, encoding="utf-8").read()
+        rows = [line for line in text.splitlines() if line.startswith("row: ")]
+        again = serialize_chain(load_model(path).chain).splitlines()
+        assert [line for line in again if line.startswith("row: ")] == rows
+
     def test_signed_zeros_keep_their_sign(self):
         p = md.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         P = np.array([[0.5, -0.0, 0.5], [0.0, 1.0, -0.0], [1e-300, 0.25, 0.75]])
