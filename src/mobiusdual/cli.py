@@ -555,6 +555,7 @@ def cmd_simulate(args):
             f"samples: {args.samples}",
             f"seed: {args.seed}",
             f"confidence: {fmt(result.confidence)}",
+            f"sampler: {result.sampler}",
             *_law_lines(law),
             *dual_header(dual, chain.poset),
             f"horizon: {args.horizon}",

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import IDENTITY_TOL, ROW_TOL, walk_moves
-from .cube import check_flip_rates
+from .cube import check_flip_rates, owed_bits
 from .errors import (
     DimensionMismatch,
     HorizonTooLarge,
@@ -27,6 +27,8 @@ STOP_BELOW_DEFAULT = 1e-14
 SIM_CONFIDENCE = 0.99
 # Entries per block of the binomial CDF sums behind ``binomial_band``.
 QUANTILE_BLOCK = 2**20
+# Start states per block of the rate sampler's (samples, d) draws.
+RATE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,9 @@ class AbsorptionLaw:
 
 @dataclass(frozen=True)
 class EmpiricalTail:
-    """Simulated absorption tail with binomial confidence bands."""
+    """Simulated absorption tail with binomial confidence bands;
+    ``sampler`` names how the times were drawn: "rates" or "moves"
+    (``simulate_absorption``)."""
 
     tail: np.ndarray
     lower: np.ndarray
@@ -61,6 +65,7 @@ class EmpiricalTail:
     samples: int
     seed: int
     confidence: float
+    sampler: str
 
     def __post_init__(self):
         for a in (self.tail, self.lower, self.upper):
@@ -557,34 +562,14 @@ def _count_below(cum, rows, u):
     return k
 
 
-def simulate_absorption(dual, samples, seed, horizon=None):
-    """Simulate absorption times by inverse-CDF categorical sampling.
-
-    All trajectories advance in lockstep, each step placing one uniform draw
-    among the cumulants of its row at the row's nonzero columns; the
-    generator is seeded, so output is bit-reproducible for a fixed
-    (seed, samples).  Returns the empirical tail for n = 0..horizon
-    (default: largest observed time) with SIM_CONFIDENCE binomial bands
-    around the empirical values.  The dual must be nonnegative, as any dual
-    that ``build_ssd`` returns is, and ``samples`` at most
-    MAX_SAMPLES, which is checked before anything is drawn.
-    """
-    check_samples(samples)
-    if horizon is not None:
-        check_horizon(horizon)
-    if not ((dual.P_star >= 0).all() and (dual.nu_star >= 0).all()):
-        raise PreconditionFailed(
-            "simulation needs a nonnegative dual; P* or nu* has a negative "
-            "or NaN entry"
-        )
-    rng = np.random.default_rng(seed)
+def _move_times(dual, start, rng):
+    """Absorption times of the trajectories from the states ``start``,
+    advanced in lockstep, each step placing one uniform draw among the
+    cumulants of its row at the row's nonzero columns (``_sparse_rows``)."""
     cum, cols = _sparse_rows(dual.P_star)
-    start_cum = np.cumsum(dual.nu_star)
-    state = np.searchsorted(start_cum, rng.random(samples), side="right")
-    state = np.minimum(state, dual.size - 1)
-    times = np.zeros(samples, dtype=np.int64)
-    idx = np.flatnonzero(state != dual.absorbing_index)
-    state = state[idx]
+    times = np.zeros(start.size, dtype=np.int64)
+    idx = np.flatnonzero(start != dual.absorbing_index)
+    state = start[idx]
     step = 0
     while idx.size:
         step += 1
@@ -598,6 +583,76 @@ def simulate_absorption(dual, samples, seed, horizon=None):
         times[idx[~live]] = step
         idx = idx[live]
         state = state[live]
+    return times
+
+
+def _rate_times(dual, start, rng):
+    """Absorption times from the states ``start`` of a closed-form dual
+    that no clamp touched, drawn from the flip rates s_k of ``dual.walk``
+    in blocks of RATE_BLOCK starts, reading no P*.
+
+    Bit k of a state is owed while it is not at its absorbing value (1 for
+    "down", 0 for "up").  Each step collects at most one owed bit, bit k
+    with probability s_k, and a collected bit stays.  So the owed bits are
+    collected in the order of a weighted random permutation, drawn by the
+    exponential keys E_k / s_k (Efraimidis and Spirakis 2006), and T* is
+    the sum of Geometric(S_r) waits, S_r the total rate still owed before
+    the r-th collection (the coupon-collector time of Diaconis and Fill
+    1990).  A wait is floor(log U / log(1 - S_r)) + 1 for U in (0, 1], so
+    none is infinite; the sums are checked against MAX_HORIZON as floats,
+    before the cast.
+    """
+    rates = dual.walk.rates
+    times = np.empty(start.size, dtype=np.int64)
+    for lo in range(0, start.size, RATE_BLOCK):
+        block = start[lo:lo + RATE_BLOCK]
+        owed = owed_bits(block, rates.size, dual.direction)
+        rate = np.where(owed, rates, 0.0)
+        keys = np.where(owed, rng.standard_exponential(owed.shape) / rates, np.inf)
+        order = np.take_along_axis(rate, np.argsort(keys, axis=1), axis=1)
+        left = np.cumsum(order[:, ::-1], axis=1)[:, ::-1]
+        np.minimum(left, 1.0, out=left)  # sum s_k <= 1 only to rounding
+        waits = np.zeros(owed.shape)
+        np.divide(np.log(1.0 - rng.random(owed.shape)), np.log1p(-left),
+                  out=waits, where=left > 0)
+        total = (np.floor(waits) + (left > 0)).sum(axis=1)
+        if total.max(initial=0.0) > MAX_HORIZON:
+            raise HorizonTooLarge(
+                f"simulation exceeded {MAX_HORIZON} steps before absorption"
+            )
+        times[lo:lo + RATE_BLOCK] = total
+    return times
+
+
+def simulate_absorption(dual, samples, seed, horizon=None):
+    """Simulate absorption times from start states drawn from nu*.
+
+    A closed-form dual that no clamp touched (``dual.walk`` set,
+    ``clamp_magnitude`` 0) is sampled from its flip rates (``_rate_times``,
+    sampler "rates"), in O(samples d) and reading no P*.  Every other dual
+    is stepped through P* by inverse-CDF categorical sampling
+    (``_move_times``, sampler "moves").  The generator is seeded, so output
+    is bit-reproducible for a fixed (seed, samples).  Returns the empirical
+    tail for n = 0..horizon (default: largest observed time) with
+    SIM_CONFIDENCE binomial bands around the empirical values.  The dual
+    must be nonnegative, as any dual that ``build_ssd`` returns is, and
+    ``samples`` at most MAX_SAMPLES, which is checked before anything is
+    drawn.  Any T* beyond MAX_HORIZON raises HorizonTooLarge.
+    """
+    check_samples(samples)
+    if horizon is not None:
+        check_horizon(horizon)
+    by_rates = dual.walk is not None and dual.clamp_magnitude == 0
+    if not ((by_rates or (dual.P_star >= 0).all()) and (dual.nu_star >= 0).all()):
+        raise PreconditionFailed(
+            "simulation needs a nonnegative dual; P* or nu* has a negative "
+            "or NaN entry"
+        )
+    rng = np.random.default_rng(seed)
+    start_cum = np.cumsum(dual.nu_star)
+    start = np.searchsorted(start_cum, rng.random(samples), side="right")
+    start = np.minimum(start, dual.nu_star.size - 1)
+    times = (_rate_times if by_rates else _move_times)(dual, start, rng)
     if horizon is None:
         horizon = int(times.max())
     absorbed_by = np.cumsum(np.bincount(times, minlength=horizon + 1)[:horizon + 1])
@@ -610,4 +665,5 @@ def simulate_absorption(dual, samples, seed, horizon=None):
         samples=samples,
         seed=seed,
         confidence=SIM_CONFIDENCE,
+        sampler="rates" if by_rates else "moves",
     )

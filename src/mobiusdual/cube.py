@@ -96,6 +96,13 @@ def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     return walk_chain(params, cube_poset(params.d), nu=nu, row_tol=row_tol)
 
 
+def owed_bits(states, d, direction):
+    """(len(states), d) mask of the bits that each state of the d-cube owes
+    its strong stationary dual in ``direction``: the bits not yet at their
+    value in the absorbing state, unset for "down", set for "up"."""
+    return ((np.asarray(states)[:, None] >> np.arange(d)) & 1) == (direction == "up")
+
+
 @lru_cache(maxsize=2)
 def walk_entries(params, direction):
     """(rows, cols, dual, transform): the entries of the walk's strong
@@ -112,7 +119,7 @@ def walk_entries(params, direction):
     are read-only and kept for the last two (walk, direction) pairs, so the
     report and the dual of one build read one list.
     """
-    free = cube_bits(params.d) == (direction == "up")
+    free = owed_bits(np.arange(2**params.d), params.d, direction)
     x, k = np.nonzero(free)
     diag = np.arange(2**params.d)
     rest = 1.0 - (free * params.rates).sum(axis=1)

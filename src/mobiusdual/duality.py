@@ -18,8 +18,9 @@ import numpy as np
 
 from . import monotonicity
 from .chain import IDENTITY_TOL, reverse, walk_moves
-from .cube import walk_entries
+from .cube import owed_bits, walk_entries
 from .errors import (
+    AbsorbingStateUnreachable,
     DimensionMismatch,
     NoUniqueExtremalState,
     NumericalFailure,
@@ -57,8 +58,8 @@ class DualChain:
     where ``intertwine_residual`` holds a bound on the residual, or
     "transform" from the reversal's Mobius transform.  ``walk`` holds the
     reversal's flip rates (a ``CubeWalkParams``) on the closed-form path
-    only; from them ``absorption_tail`` steps an unclamped dual without
-    reading P*."""
+    only; from them ``absorption_tail`` steps, and ``simulate_absorption``
+    samples, an unclamped dual without reading P*."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -150,6 +151,9 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     nu = nu* Lambda and Lambda P = P* Lambda to within IDENTITY_TOL.  Entries
     of magnitude below 1e-10, of either sign, are zeroed and rows
     renormalized; the largest zeroed magnitude is logged and recorded.
+    After the clamp, every state that P* reaches from supp nu* must reach
+    the absorbing state, or AbsorbingStateUnreachable is raised: the clamp
+    can drop a move that the absorption needs.
 
     When the time reversal is a cube walk (see ``reverse``), its report and
     P* are read off the flip rates (``path`` "closed_form"); the clamp and
@@ -214,8 +218,10 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     p_star[absorbing] = 0.0
     p_star[absorbing, absorbing] = 1.0
     if walk is None:
+        _check_absorbs(p_star, nu_star, absorbing, zm.elements)
         nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
     else:
+        _check_walk_absorbs(walk, nu_star, absorbing, direction, zm.elements)
         nu_res = _nu_residual(c, law, zm, direction, h, nu_star)
         tw_res = _walk_bound(walk, law.pi, direction, p_star)
     if not (nu_res <= IDENTITY_TOL and tw_res <= IDENTITY_TOL):
@@ -235,6 +241,63 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         path="transform" if walk is None else "closed_form",
         walk=walk,
     )
+
+
+def _unreachable(elements, state, absorbing, why):
+    return AbsorbingStateUnreachable(
+        f"the absorbing state {elements[absorbing]!r} cannot be reached from "
+        f"state {elements[state]!r}, {why}; the dual has a second absorbing class",
+        pair=(elements[state], elements[absorbing]),
+    )
+
+
+def _check_walk_absorbs(walk, nu_star, absorbing, direction, elements):
+    """Raise AbsorbingStateUnreachable unless every flip that the dual of
+    ``walk`` owes from supp nu* survived the clamp, in O(d) per state of
+    supp nu*.
+
+    The dual collects each bit k at rate s_k from every state that owes it
+    (``cube.owed_bits``), whatever the other bits, and the clamp drops
+    exactly the flips with s_k below CLAMP_TOL (the rates are positive).
+    So the absorbing state is reached from every reached state iff no bit
+    owed by a state of supp nu* has a dropped flip."""
+    supp = np.flatnonzero(nu_star)
+    lost = owed_bits(supp, walk.d, direction) & (walk.rates < CLAMP_TOL)
+    if lost.any():
+        i, k = np.argwhere(lost)[0]
+        raise _unreachable(
+            elements, supp[i], absorbing,
+            f"which owes coordinate {k + 1}, whose flip rate "
+            f"{float(walk.rates[k])!r} the clamp dropped",
+        )
+
+
+def _closure(start, src, dst):
+    """The mask of states reached from the mask ``start`` along the moves
+    src[i] -> dst[i], one breadth-first level per O(moves) pass."""
+    reached = start.copy()
+    frontier = start
+    while frontier.any():
+        step = np.zeros_like(reached)
+        step[dst[frontier[src]]] = True
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
+
+
+def _check_absorbs(p_star, nu_star, absorbing, elements):
+    """Raise AbsorbingStateUnreachable unless every state that ``p_star``
+    reaches from supp nu* reaches ``absorbing``: one pass forward from the
+    support and one backward from the absorbing state over the moves of
+    P*.  On a dual whose moves go one way this is the zero-pivot rule of
+    ``convergence.absorption_tail`` restricted to the reached states."""
+    rows, cols = np.nonzero(p_star)
+    target = np.zeros(nu_star.size, dtype=bool)
+    target[absorbing] = True
+    stuck = _closure(nu_star > 0, rows, cols) & ~_closure(target, cols, rows)
+    if stuck.any():
+        raise _unreachable(elements, int(np.argmax(stuck)), absorbing,
+                           "which P* reaches from supp nu*")
 
 
 def _nu_residual(c, law, zm, direction, h, nu_star):

@@ -128,6 +128,13 @@ class NoUniqueExtremalState(PreconditionError):
     pass
 
 
+class AbsorbingStateUnreachable(PreconditionError):
+    """A state the dual reaches from supp nu* cannot reach its absorbing
+    state; ``pair`` is (that state, the absorbing state)."""
+
+    fields = ("pair",)
+
+
 class NotLattice(PreconditionError):
     pass
 

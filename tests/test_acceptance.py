@@ -405,14 +405,15 @@ class TestAcceptance:
             and np.array_equal(r1.lower, r2.lower)
             and np.array_equal(r1.upper, r2.upper)
         )
-        lo, hi = binomial_band(analytic.tail, samples, 0.99)
+        # 51 bands at once: each at 1 - 1%/51, so all hold with 99 %
+        lo, hi = binomial_band(analytic.tail, samples, 1 - 0.01 / 51)
         inside = bool(((r1.tail >= lo) & (r1.tail <= hi)).all())
         elapsed = time.perf_counter() - start
         report(
             10,
             identical and inside and elapsed < 60.0,
-            f"10^5 simulated absorptions inside the 99% bands of the analytic "
-            f"tail for n<=50, seeded reruns identical, {elapsed:.1f}s",
+            f"10^5 simulated absorptions inside the family-wise 99% bands of "
+            f"the analytic tail for n<=50, seeded reruns identical, {elapsed:.1f}s",
         )
 
     def test_criterion_11_availability_reduction(self):

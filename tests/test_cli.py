@@ -1181,6 +1181,37 @@ class TestSimulate:
             assert float(row[lo]) <= float(row[e]) <= float(row[hi])
         assert abs(float(rows[3][t]) - float(rows[3][e])) < 0.02
 
+    def test_header_names_the_sampler(self, capsys, tmp_path):
+        # a [chain] copy of a walk carries no rates, so its dual takes the
+        # transform and is stepped through P*
+        chain = tmp_path / "chain.spec"
+        params = md.CubeWalkParams(d=3, alpha=(0.05, 0.1, 0.08), beta=(0.07, 0.04, 0.1))
+        chain.write_text(serialize_chain(md.nearest_neighbor_walk(params))
+                         + "nu: delta_min\n")
+        for path, sampler in ((spec("three_cube.spec"), "rates"), (str(chain), "moves")):
+            code, out, err = run(capsys, "simulate", "--input", path, "--samples", "200")
+            assert code == 0, err
+            keys = [k for k, _ in header_facts(out)]
+            assert keys[keys.index("confidence") + 1] == "sampler"
+            assert dict(header_facts(out))["sampler"] == sampler
+
+    def test_a_dual_that_cannot_absorb_is_refused_alike(self, capsys, tmp_path):
+        # s_1 = 2e-12 is below the clamp and owed from 000
+        path = tmp_path / "clamped.spec"
+        path.write_text("[cube]\nd: 3\nalpha: 1e-12 0.1 0.1\n"
+                        "beta: 1e-12 0.1 0.1\nnu: delta_min\n")
+        blocks = []
+        for command in ("dual", "simulate"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert (code, out) == (2, "")
+            blocks.append(json.loads(err))
+        assert blocks[0] == blocks[1]
+        assert (blocks[0]["error"], blocks[0]["pair"]) == ("AbsorbingStateUnreachable",
+                                                           ["000", "111"])
+        code, out, err = run(capsys, "sep", "--input", str(path), "--horizon", "5")
+        assert code == 0, err
+        assert "# skipped: dual (AbsorbingStateUnreachable: " in out
+
 
 class TestExitCodes:
     def test_error_classes_partition_codes(self):
@@ -1259,6 +1290,7 @@ class TestErrorFields:
             "NotIrreducible": ("pair",),
             "NotAperiodic": ("period",),
             "PreconditionFailed": ("report",),
+            "AbsorbingStateUnreachable": ("pair",),
         }
 
 

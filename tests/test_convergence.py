@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -150,6 +151,7 @@ def dense_simulate(dual, samples, seed, horizon=None, confidence=0.99):
 def assert_same_simulation(dual, samples, seed, horizon=None):
     result = simulate_absorption(dual, samples, seed, horizon=horizon)
     tail, lower, upper = dense_simulate(dual, samples, seed, horizon=horizon)
+    assert result.sampler == "moves"
     assert result.tail.tobytes() == tail.tobytes()
     assert result.lower.tobytes() == lower.tobytes()
     assert result.upper.tobytes() == upper.tobytes()
@@ -562,20 +564,24 @@ class TestKroneckerSteps:
 
     def test_a_clamped_dual_keeps_the_move_path(self, monkeypatch):
         # s_0 lies below the clamp, so the dual drops bit 0: the states
-        # without it whose other bits are all set absorb as well
+        # without it whose other bits are all set absorb as well.  From 000,
+        # which owes bit 0, build_ssd refuses the dual; from pi, whose nu*
+        # is the absorbing point mass, it builds the same P*
         alpha, beta = (1e-12, 0.2, 0.15), (1e-12, 0.1, 0.2)
         params = CubeWalkParams(d=3, alpha=alpha, beta=beta)
         c = nearest_neighbor_walk(params, nu=delta(8, 0))
         law = stationary(c)
-        dual = build_ssd(c, law, zeta_mobius(c.poset), "down")
+        dual = build_ssd(c.with_nu(law.pi), law, zeta_mobius(c.poset), "down")
         assert dual.walk is params and dual.clamp_magnitude > 0
 
         def refuse(*args):
-            raise AssertionError("a clamped dual stepped through the factors")
+            raise AssertionError("a clamped dual read the walk's rates")
 
         monkeypatch.setattr(convergence, "_walk_tail", refuse)
+        monkeypatch.setattr(convergence, "_rate_times", refuse)
+        assert simulate_absorption(dual, 100, seed=1).sampler == "moves"
         with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
-            absorption_tail(dual, 5)
+            absorption_tail(dataclasses.replace(dual, nu_star=delta(8, 0)), 5)
 
     def test_transform_duals_carry_no_walk(self):
         c = load_model_text(BIRTH_DEATH).chain
@@ -799,7 +805,8 @@ class TestSimulation:
         dual = build_ssd(c, law, zm, "down")
         analytic = absorption_tail(dual, 50)
         result = simulate_absorption(dual, 20000, seed=11, horizon=50)
-        lo, hi = binomial_band(analytic.tail, result.samples, 0.99)
+        # 51 bands at once: each at 1 - 1%/51, so all hold with 99 %
+        lo, hi = binomial_band(analytic.tail, result.samples, 1 - 0.01 / 51)
         assert ((result.tail >= lo) & (result.tail <= hi)).all()
 
     def test_band_contains_empirical_tail(self):
@@ -811,7 +818,9 @@ class TestSimulation:
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 8])
     def test_sparse_sampler_matches_dense_comparison(self, d, direction):
         for mixed in (False, True):
+            # without its rates a walk dual takes the move sampler
             _, dual = extreme_walk_dual(d, direction, mixed=mixed)
+            dual = dataclasses.replace(dual, walk=None)
             for seed in (1, 2, 3):
                 for horizon in (None, 50):
                     assert_same_simulation(dual, 2000, seed, horizon)
@@ -823,6 +832,7 @@ class TestSimulation:
         for direction, start in (("down", 0), ("up", m - 1)):
             c = nearest_neighbor_walk(params, nu=delta(m, start))
             dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), direction)
+            dual = dataclasses.replace(dual, walk=None)
             for seed, horizon in ((5, 25), (9, None)):
                 assert_same_simulation(dual, 3000, seed, horizon)
 
@@ -889,6 +899,76 @@ class TestSimulation:
                          absorbing_index=1, direction="down")
         with pytest.raises(PreconditionFailed, match="nonnegative"):
             simulate_absorption(dual, 10, seed=1)
+
+
+class TestRateSampler:
+    """An unclamped closed-form dual is sampled from its flip rates: the
+    empirical law of T* against its exact tail and mean."""
+
+    SAMPLES = 20000
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["extreme", "mixed"])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_law_matches_the_exact_tail(self, d, direction, mixed):
+        _, dual = extreme_walk_dual(d, direction, mixed=mixed)
+        result = simulate_absorption(dual, self.SAMPLES, seed=d)
+        assert result.sampler == "rates"
+        horizon = result.tail.size - 1
+        exact = absorption_tail(dual, horizon)
+        # E T = sum_n P(T > n) and E T^2 = sum_n (2n + 1) P(T > n), both
+        # exact on the empirical law up to its largest time
+        mean = result.tail.sum()
+        var = (2 * np.arange(horizon + 1) + 1) @ result.tail - mean**2
+        assert abs(mean - exact.mean) <= 5 * np.sqrt(var / self.SAMPLES)
+        # Dvoretzky-Kiefer-Wolfowitz at delta = 1e-6
+        dkw = np.sqrt(np.log(2 / 1e-6) / (2 * self.SAMPLES))
+        assert np.abs(result.tail - exact.tail).max() <= dkw
+
+    def test_three_cube_mean_is_eleven(self):
+        # three rates of 1/6: 6/3 + 6/2 + 6/1 = 11 steps, where the last
+        # of three independent Geometric(1/6) times would give 10.56
+        c, law = cube_chain(3, (1 / 12,) * 3, (1 / 12,) * 3)
+        dual = build_ssd(c, law, c.poset, "down")
+        assert absorption_tail(dual, 1).mean == pytest.approx(11.0, rel=1e-12)
+        samples = 200000
+        result = simulate_absorption(dual, samples, seed=5)
+        var = (2 * np.arange(result.tail.size) + 1) @ result.tail - 11.0**2
+        assert abs(result.tail.sum() - 11.0) <= 5 * np.sqrt(var / samples)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_seeded_reruns_are_identical_and_read_no_p_star(self, direction):
+        _, dual = extreme_walk_dual(5, direction, mixed=True)
+        m = dual.size
+        blind = dataclasses.replace(dual, P_star=np.full((m, m), np.nan))
+        for horizon in (None, 40):
+            first, *again = (simulate_absorption(x, 3000, seed=7, horizon=horizon)
+                             for x in (dual, dual, blind))
+            for run in again:
+                for a, b in ((first.tail, run.tail), (first.lower, run.lower),
+                             (first.upper, run.upper)):
+                    assert a.tobytes() == b.tobytes()
+        other = simulate_absorption(dual, 3000, seed=8, horizon=40)
+        assert not np.array_equal(other.tail, first.tail)
+
+    def test_blocks_fill_every_time(self, monkeypatch):
+        monkeypatch.setattr(convergence, "RATE_BLOCK", 7)
+        _, dual = extreme_walk_dual(3, "down")
+        result = simulate_absorption(dual, 10000, seed=2)
+        exact = absorption_tail(dual, result.tail.size - 1)
+        assert np.abs(result.tail - exact.tail).max() <= np.sqrt(
+            np.log(2 / 1e-6) / (2 * 10000))
+
+    def test_slow_flip_exceeds_the_horizon_at_once(self):
+        # s_0 = 1e-9 survives the clamp; its wait alone is about 10^9 steps
+        alpha, beta = (5e-10, 0.1, 0.15), (5e-10, 0.2, 0.1)
+        c, law = cube_chain(3, alpha, beta)
+        dual = build_ssd(c, law, c.poset, "down")
+        assert dual.walk is not None and dual.clamp_magnitude == 0
+        start = time.perf_counter()
+        with pytest.raises(HorizonTooLarge, match="exceeded"):
+            simulate_absorption(dual, 1000, seed=1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBinomialBand:

@@ -30,6 +30,7 @@ from mobiusdual import duality, monotonicity
 from mobiusdual.duality import DualChain, _residuals
 from mobiusdual.monotonicity import mobius_transform
 from mobiusdual.errors import (
+    AbsorbingStateUnreachable,
     NoUniqueExtremalState,
     NumericalFailure,
     PreconditionFailed,
@@ -486,8 +487,10 @@ class TestClosedFormPath:
         ((1e-12, 0.2, 0.15), (1e-12, 0.1, 0.2)),  # s_0 below the clamp
     ], ids=["admissible", "clamped"])
     def test_entries_are_built_once_per_walk_and_direction(self, direction, alpha, beta):
-        start = 0 if direction == "down" else 7
-        params, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, start))
+        # from pi, nu* is the absorbing point mass, which owes no bit, so
+        # the clamped dual is built as well
+        params, c, law, zm = cube_setup(3, alpha, beta)
+        c = c.with_nu(law.pi)
         cube_module.walk_entries.cache_clear()
         first = build_ssd(c, law, zm, direction)
         second = build_ssd(c, law, zm, direction)
@@ -507,6 +510,46 @@ class TestClosedFormPath:
         assert reverse(c, law) is c
         assert axis_transformed_walk(params, 0.01).walk is None
         assert validate_chain(c.P, c.poset).walk is None
+
+
+class TestAbsorbingStateReachable:
+    """After the clamp, ``build_ssd`` refuses a dual in which a state
+    reached from supp nu* cannot reach the absorbing state, on both paths."""
+
+    CLAMPED = ((1e-12, 0.1, 0.1), (1e-12, 0.1, 0.1))  # s_1 = 2e-12 is dropped
+
+    @pytest.mark.parametrize("path", ["closed_form", "transform"])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_a_dropped_flip_owed_from_the_start_is_refused(self, direction, path):
+        start, absorbing = (0, 7) if direction == "down" else (7, 0)
+        _, c, law, zm = cube_setup(3, *self.CLAMPED, nu=delta(8, start))
+        if path == "transform":
+            c = generic_copy(c)
+        with pytest.raises(AbsorbingStateUnreachable, match="second absorbing") as exc:
+            build_ssd(c, law, zm, direction)
+        stuck, target = exc.value.pair
+        assert target == zm.elements[absorbing]
+        # the stuck state still owes coordinate 1
+        assert stuck[0] == zm.elements[start][0]
+        if path == "closed_form":
+            assert stuck == zm.elements[start]
+            assert "coordinate 1" in str(exc.value)
+
+    def test_only_states_reached_from_the_start_are_checked(self):
+        # 1 <-> 2 is a closed class without a zero pivot; from 0 it is
+        # reached through 1, and from 3 not at all
+        p_star = np.array([
+            [0.5, 0.25, 0.0, 0.25],
+            [0.0, 0.5, 0.5, 0.0],
+            [0.0, 0.5, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        labels = ["a", "b", "c", "d"]
+        with pytest.raises(AbsorbingStateUnreachable) as exc:
+            duality._check_absorbs(p_star, delta(4, 0), 3, labels)
+        assert exc.value.pair == ("b", "d")
+        p_star[0] = [0.5, 0.0, 0.0, 0.5]
+        duality._check_absorbs(p_star, delta(4, 0), 3, labels)
 
 
 def oracle_walks():
@@ -572,7 +615,9 @@ class TestClosedFormOracle:
         # alpha_1 and beta_1 (s_1 = 2e-11) are below both MONO_TOL and
         # CLAMP_TOL.  The witness rule reads alpha_1 as a zero, so the up
         # witness moves from (000, 110) to (000, 100); the clamp drops the
-        # flip of coordinate 1 from P*, on both paths.
+        # flip of coordinate 1 from P*, on both paths.  From 000 that flip
+        # is owed, so both paths refuse; from pi, whose nu* is the
+        # absorbing point mass, both build.
         alpha, beta = (1e-11, 0.1, 0.12), (1e-11, 0.08, 0.05)
         _, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, 0))
         g = generic_copy(c)
@@ -581,7 +626,10 @@ class TestClosedFormOracle:
             assert (got.verdict, got.witness) == (want.verdict, want.witness)
             assert abs(got.worst_value - want.worst_value) <= 1e-14
         assert mobius_monotone_up(c, zm).witness == ((0, 0, 0), (1, 0, 0))
-        got, want = build_ssd(c, law, zm), build_ssd(g, law, zm)
+        for chain in (c, g):
+            with pytest.raises(AbsorbingStateUnreachable):
+                build_ssd(chain, law, zm)
+        got, want = build_ssd(c.with_nu(law.pi), law, zm), build_ssd(g.with_nu(law.pi), law, zm)
         assert got.P_star[0, 1] == want.P_star[0, 1] == 0.0
         assert got.clamp_magnitude > 0 and want.clamp_magnitude > 0
         assert np.abs(got.P_star - want.P_star).max() <= 1e-15
@@ -879,9 +927,13 @@ def dense_intertwining(c, law, dual):
 
 
 def walk_dual(c, direction):
-    start = delta(c.size, 0 if direction == "down" else c.size - 1)
-    c = c.with_nu(start)
+    """The dual from the extremal point mass of ``direction``, which owes
+    every bit, or, when the clamp drops a flip, from pi, which owes none."""
     law = stationary(c)
+    if (c.walk.rates < duality.CLAMP_TOL).any():
+        c = c.with_nu(law.pi)
+    else:
+        c = c.with_nu(delta(c.size, 0 if direction == "down" else c.size - 1))
     return c, law, build_ssd(c, law, c.poset, direction)
 
 
