@@ -12,7 +12,6 @@ from .availability import (
 from .chain import (
     Chain,
     StationaryLaw,
-    cube_stationary_product,
     reverse,
     stationary,
     validate_chain,

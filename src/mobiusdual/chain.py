@@ -10,7 +10,6 @@ IDENTITY_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import (
     NotStochastic,
     NumericalFailure,
 )
-from .poset import cube_bits
 
 ROW_TOL = 1e-12
 IDENTITY_TOL = 1e-10
@@ -41,11 +39,10 @@ class Chain:
     """Row-stochastic kernel P over a poset, with optional initial law nu.
 
     ``exact`` optionally carries the kernel entries as Fractions (same shape)
-    when the input was given in exact rational form.  ``walk`` carries the
-    flip rates (a ``CubeWalkParams``) of a nearest-neighbor cube walk, from
-    which its law, its Mobius reports and its dual are read in closed form,
-    and its curve is stepped through two Kronecker factors of the rates
-    (``convergence.separation_curve``): only ``walk_chain``
+    when the input was given in exact rational form.  ``flips`` carries the
+    operator (a ``cube.Flips``) of a nearest-neighbor cube walk, I plus the
+    generators of its flips, from which its law, its Mobius reports, its
+    dual and its curve are read without a dense array: only ``walk_chain``
     (``nearest_neighbor_walk``) sets it, on cube walks and on the uniformized
     chain of a single-move product-form network (see
     ``availability.node_rates``), and ``with_nu`` and a ``reverse`` that
@@ -56,7 +53,7 @@ class Chain:
     P: np.ndarray
     nu: np.ndarray | None = None
     exact: tuple | None = None
-    walk: object | None = None
+    flips: object | None = None
 
     def __post_init__(self):
         self.P.flags.writeable = False
@@ -143,67 +140,26 @@ def _row_violations(block, index, row_tol):
     return violations
 
 
-@lru_cache(maxsize=1)
-def walk_moves(walk):
-    """The (d+1) 2^d moves of the cube walk with flip rates ``walk`` (a
-    ``CubeWalkParams``) as a read-only row-major triple (rows, cols, vals):
-    per state x, its flips x -> x ^ 2^k, k = 0..d-1, at rate beta_k when
-    bit k is set in x and alpha_k when not, then its stay, 1 minus those
-    rates.  A stay within ROW_TOL of 0 is exactly 0, so rounding does not
-    decide whether the walk can hold.  The triple of the last walk is kept,
-    so the kernel, the law, the curve's zeroed stays and the dual of one
-    walk read one build."""
-    rates = np.where(cube_bits(walk.d), walk.beta, walk.alpha)
-    stay = 1.0 - rates.sum(axis=1)
-    stay[np.abs(stay) <= ROW_TOL] = 0.0
-    m = stay.size
-    x = np.arange(m)
-    moves = (np.repeat(x, walk.d + 1),
-             np.column_stack((x[:, None] ^ (1 << np.arange(walk.d)), x)).ravel(),
-             np.column_stack((rates, stay)).ravel())
-    for a in moves:
-        a.flags.writeable = False
-    return moves
+def walk_chain(flips, poset, nu=None, row_tol=ROW_TOL):
+    """The chain of the cube walk whose kernel is the operator ``flips``
+    (a ``cube.Flips``) on its cube ``poset``, started from ``nu``.
 
-
-def walk_kernel(walk):
-    """The dense kernel of the cube walk with flip rates ``walk``, written
-    from ``walk_moves`` and not checked."""
-    rows, cols, vals = walk_moves(walk)
-    mat = np.zeros((2**walk.d, 2**walk.d))
-    mat[rows, cols] = vals
-    return mat
-
-
-def walk_chain(walk, poset, nu=None, row_tol=ROW_TOL):
-    """The chain of the cube walk with flip rates ``walk`` on its cube
-    ``poset``, started from ``nu``, carrying ``walk``.
-
-    Its dense kernel is written from ``walk_moves`` and checked as
+    Its dense kernel is written from ``flips.kernel_moves()`` and checked as
     ``validate_chain`` checks a kernel, raising the same violations, but
     read at the moves: a row is summed densely only when it has a
     non-finite or negative move, or when the sum of its moves is within
     SUM_SLACK of being off 1 by more than ``row_tol`` (any two orders of
     summing n terms differ by less than n eps times their absolute sum).
     """
-    rows, _, vals = walk_moves(walk)
+    rows, _, vals = flips.kernel_moves()
     m = poset.size
-    mat = walk_kernel(walk)
-    slack = SUM_SLACK * (walk.d + 1) * np.bincount(rows, np.abs(vals), m)
+    mat = flips.kernel()
+    slack = SUM_SLACK * (flips.d + 1) * np.bincount(rows, np.abs(vals), m)
     near = np.abs(np.bincount(rows, vals, m) - 1.0) > row_tol - slack
     bad = np.bincount(rows, ~np.isfinite(vals) | (vals < 0), m) > 0
     check = np.flatnonzero(near | bad)
     violations = _row_violations(mat[check], check, row_tol) if check.size else []
-    return Chain(poset=poset, P=mat, nu=_checked(violations, nu, m, row_tol), walk=walk)
-
-
-def cube_stationary_product(walk):
-    """Product-form stationary law of the cube walk with flip rates
-    ``walk``: pi(x) multiplies alpha_k/(alpha_k+beta_k) over the bits k set
-    in x and beta_k/(alpha_k+beta_k) over the others."""
-    alpha = np.asarray(walk.alpha, dtype=float)
-    beta = np.asarray(walk.beta, dtype=float)
-    return np.prod(np.where(cube_bits(walk.d), alpha, beta) / (alpha + beta), axis=1)
+    return Chain(poset=poset, P=mat, nu=_checked(violations, nu, m, row_tol), flips=flips)
 
 
 def _checked(violations, nu, m, row_tol):
@@ -323,35 +279,13 @@ def _gth(c):
     return pi / pi.sum()
 
 
-def _walk_law(walk):
-    """(pi, residual, balance) of the cube walk with flip rates ``walk``,
-    from its rates alone: pi is the product form, and the residual
-    max|pi P - pi| and the balance certificate are taken over its moves
-    (``walk_moves``; a stay balances itself).  A walk is irreducible, its
-    rates being positive; it is aperiodic iff it can stay somewhere, which
-    its largest stay 1 - sum_k min(alpha_k, beta_k), summed as
-    ``walk_moves`` sums that state's rates, decides in O(d)."""
-    if not 1.0 - np.minimum(walk.alpha, walk.beta).sum() > ROW_TOL:
-        raise NotAperiodic("chain has period 2", period=2)
-    d = walk.d
-    rows, cols, vals = walk_moves(walk)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        pi = cube_stationary_product(walk)
-        flow = pi[rows] * vals
-        residual = float(np.abs(np.bincount(cols, flow, pi.size) - pi).max())
-        flips = flow.reshape(-1, d + 1)[:, :d]
-        back = flips[cols.reshape(-1, d + 1)[:, :d], np.arange(d)]
-        worst = float((np.abs(flips - back) / flips).max())
-    return pi, residual, float("inf") if np.isnan(worst) else worst
-
-
 def stationary(c):
     """Stationary law of an ergodic chain: in product form on a cube walk,
     else by detailed balance along a spanning tree when that certifies, by
     dense state reduction otherwise.
 
-    A chain that carries ``walk`` takes its law, its ergodicity and its
-    certificates from the flip rates (``_walk_law``, path "product_form"),
+    A chain that carries ``flips`` takes its law, its ergodicity and its
+    certificates from its operator (``Flips.law``, path "product_form"),
     reading no dense array.  On every other chain, irreducibility (strong
     connectivity of the support digraph) and aperiodicity (gcd of cycle
     lengths) are verified structurally first.
@@ -378,27 +312,27 @@ def stationary(c):
 
     Every path checks the residual max|pi P - pi| against IDENTITY_TOL.
     """
-    if c.walk is not None:
-        pi, residual, balance = _walk_law(c.walk)
-        path = "product_form"
+    if c.flips is not None:
+        law = c.flips.law()
     else:
         pi, balance, path = _solve(c)
-        residual = float(np.abs(pi @ c.P - pi).max())
-    if (pi <= 0).any():
-        j = int(np.argmin(pi))
+        law = StationaryLaw(pi=pi, residual=float(np.abs(pi @ c.P - pi).max()),
+                            balance=balance, path=path)
+    if (law.pi <= 0).any():
+        j = int(np.argmin(law.pi))
         raise NumericalFailure(
             f"computed stationary mass at {c.poset.elements[j]!r} is not "
-            f"positive ({float(pi[j])!r})"
+            f"positive ({float(law.pi[j])!r})"
         )
-    if not residual <= IDENTITY_TOL:
+    if not law.residual <= IDENTITY_TOL:
         raise NumericalFailure(
-            f"stationary residual {residual!r} exceeds {IDENTITY_TOL}"
+            f"stationary residual {law.residual!r} exceeds {IDENTITY_TOL}"
         )
-    return StationaryLaw(pi=pi, residual=residual, balance=balance, path=path)
+    return law
 
 
 def _solve(c):
-    """(pi, balance, path) of a chain without ``walk`` (see ``stationary``)."""
+    """(pi, balance, path) of a chain without ``flips`` (see ``stationary``)."""
     level, rows, cols = _check_ergodic(c.P, c.poset)
     balance = float("inf")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -155,7 +155,8 @@ def _witness_str(witness):
 
 
 def _resolve_chain(loaded, args, need_nu, need_law=True):
-    """Turn a loaded model into (chain, law); a walk's rates are ``chain.walk``.
+    """Turn a loaded model into (chain, law); a [cube] walk's chain carries
+    the operator of its rates as ``chain.flips``.
 
     The law is the stationary law, solved once when ``nu: stationary`` or
     ``need_law`` needs it, else None.
@@ -368,10 +369,11 @@ def _optional_ssd(chain, law, args, skipped):
     return dual, dual_header(dual, chain.poset)
 
 
-def _sep_columns(chain, law, dual, args):
+def _sep_columns(chain, law, dual, args, params):
     """The horizon and the curve columns: the separation curve, the dual's
     absorption tail when there is a dual, and the closed form, which only an
-    admissible [cube] walk started from all-zeros has."""
+    admissible [cube] walk (its rates ``params``, else None) started from
+    all-zeros has."""
     curve = convergence.separation_curve(
         chain, law, args.horizon, stop_below=args.stop_below
     )
@@ -379,7 +381,6 @@ def _sep_columns(chain, law, dual, args):
     cols = {"s": curve.values}
     if dual is not None:
         cols["tail"] = convergence.absorption_tail(dual, horizon).tail
-    params = chain.walk
     if params is not None and chain.nu[0] == 1.0 and params.admissible:
         cols["formula"] = convergence.cube_separation_formula(
             params.alpha, params.beta, np.arange(horizon + 1)
@@ -392,7 +393,7 @@ def cmd_sep(args):
     chain, law = _resolve_chain(loaded, args, need_nu=True)
     skipped = []
     dual, dual_lines = _optional_ssd(chain, law, args, skipped)
-    horizon, cols = _sep_columns(chain, law, dual, args)
+    horizon, cols = _sep_columns(chain, law, dual, args, loaded.cube)
     header = _mono_header(
         args, extra=(*_law_lines(law), *dual_lines, *_skipped(skipped),
                      f"horizon: {horizon}"),
@@ -447,7 +448,7 @@ def cmd_cube(args):
     ]
     curve = ""
     if dual is not None:
-        horizon, cols = _sep_columns(chain, law, dual, args)
+        horizon, cols = _sep_columns(chain, law, dual, args, params)
         facts.append(f"horizon: {horizon}")
         curve = "\n" + _curve_table((), horizon, **cols)
     header = _mono_header(args, extra=facts, loaded=loaded)

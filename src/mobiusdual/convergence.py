@@ -9,8 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import IDENTITY_TOL, ROW_TOL, walk_moves
-from .cube import check_flip_rates, owed_bits
+from .chain import IDENTITY_TOL, ROW_TOL
+from .cube import check_flip_rates
 from .errors import (
     DimensionMismatch,
     HorizonTooLarge,
@@ -18,7 +18,7 @@ from .errors import (
     PreconditionFailed,
     SingularFundamentalMatrix,
 )
-from .poset import SUBSET_ENUM_LIMIT, check_cube_dim, cube_bits
+from .poset import SUBSET_ENUM_LIMIT, check_cube_dim
 
 MAX_HORIZON = 10_000_000
 MAX_SAMPLES = 10_000_000
@@ -100,9 +100,9 @@ def separation_curve(c, law, horizon, stop_below=None):
 
     ``stop_below`` truncates the curve once s(n) drops under the threshold
     (geometric decay makes longer horizons numerically meaningless).  A
-    walk's law is stepped through two Kronecker factors built from its flip
-    rates (``_walk_stepper``), reading no dense array; every other kernel
-    is stepped over the nonzeros of P.  A non-monotone step beyond 1e-12
+    walk's law is stepped by its operator through two Kronecker factors
+    (``Flips.row_step``), reading no dense array; every other kernel is
+    stepped over the nonzeros of P.  A non-monotone step beyond 1e-12
     slack is reported as a warning, not an error: starts that violate the
     duality preconditions may produce one.
     """
@@ -110,8 +110,8 @@ def separation_curve(c, law, horizon, stop_below=None):
         raise PreconditionFailed("separation curve requires an initial law nu")
     check_horizon(horizon)
     pi = law.pi
-    if c.walk is not None:
-        step = _walk_stepper(c.walk)
+    if c.flips is not None:
+        step = c.flips.row_step()
     else:
         step = _stepper(*_moves(c.P), c.size)
     dist = c.nu.astype(float)
@@ -130,66 +130,6 @@ def separation_curve(c, law, horizon, stop_below=None):
             stacklevel=2,
         )
     return SeparationCurve(values=values, horizon=len(values) - 1)
-
-
-def _flip_rates(alpha, beta):
-    """(R, out) for the len(alpha) bits of one Kronecker factor: the dense
-    rate matrix R[x, x ^ 2^k] = alpha_k when bit k is unset in x, beta_k
-    when set, 0 elsewhere, and each state's total rate out, the row sums
-    of R.  Its generator, sum_k G_k over these bits, is R - diag(out)."""
-    rates = np.where(cube_bits(len(alpha)), beta, alpha)
-    x = np.arange(rates.shape[0])[:, None]
-    mat = np.zeros((rates.shape[0],) * 2)
-    mat[x, x ^ (1 << np.arange(len(alpha)))] = rates
-    return mat, rates.sum(axis=1)
-
-
-def _split(alpha, beta):
-    """The flip rates of the high factor, the ceil(d/2) top bits of a
-    mask, and of the low factor, the floor(d/2) others, as ``_flip_rates``
-    gives them: a vector x on the 2^d masks, reshaped C-ordered to
-    (2^ceil(d/2), 2^floor(d/2)), has the high bits as row index and the
-    low bits as column index, and the kernel I + sum_k G_k of the flips is
-    H (x) I + I (x) L, with H = I + sum_{high k} G_k, L = sum_{low k} G_k.
-    The factors are built per call: at most 2^ceil(d/2) squared entries."""
-    lo = len(alpha) // 2
-    return _flip_rates(alpha[lo:], beta[lo:]), _flip_rates(alpha[:lo], beta[:lo])
-
-
-def _row_action(factors):
-    """The map x -> x P for the kernel P = I + sum_k G_k whose ``_split``
-    is ``factors``: H^T X + X L on x reshaped to X, two matmuls of at most
-    2^ceil(d/2) squared per step.  The identity is added last, so each
-    entry rounds the small generator terms once against x."""
-    (r_h, out_h), (r_l, out_l) = factors
-    high_t = r_h.T - np.diag(out_h)
-    low = r_l - np.diag(out_l)
-    shape = (out_h.size, out_l.size)
-
-    def step(x):
-        mat = x.reshape(shape)
-        out = high_t @ mat
-        out += mat @ low
-        out += mat
-        return out.ravel()
-
-    return step
-
-
-def _walk_stepper(walk):
-    """x -> x P for the kernel of the cube walk with flip rates ``walk``
-    as ``chain.walk_moves`` gives it, through two Kronecker factors
-    (``_row_action``).  Where ``walk_moves`` set a stay within ROW_TOL of
-    0 to 0, the step adds x times that stay minus its raw value, so the
-    curve is that of the emitted ``Chain.P``."""
-    step = _row_action(_split(np.asarray(walk.alpha, dtype=float),
-                              np.asarray(walk.beta, dtype=float)))
-    stay = walk_moves(walk)[2][walk.d::walk.d + 1]
-    if stay.all():
-        return step
-    raw = 1.0 - np.where(cube_bits(walk.d), walk.beta, walk.alpha).sum(axis=1)
-    delta = stay - raw
-    return lambda x: step(x) + x * delta
 
 
 def _moves(mat):
@@ -220,35 +160,47 @@ def move_order(rows, cols):
 def absorption_tail(dual, horizon):
     """Tail P(T* > n) and mean absorption time from the transient moves.
 
-    A closed-form dual (``dual.walk`` set) that no clamp touched is
-    stepped through two Kronecker factors from the walk's rates
-    (``_walk_tail``), reading no dense array.  On every other dual the
-    moves of P* off the absorbing state, read once as a nonzero triple,
-    form the transient block Q.  The tail is nu*_t Q^n 1, clipped to
-    [0, 1] (rows of P* sum to 1 only to rounding), and the mean is
-    nu*_t x for (I - Q) x = 1, solved by substitution in the order the moves
-    go, or by LU on a dense I - Q when they go both ways.  A zero pivot or a
-    singular I - Q signals a second absorbing class, i.e. an invalid dual.
+    A dual that carries its operator (``dual.flips``) is stepped by it
+    (``Flips.row_step``, ``_flip_mean``), reading no dense array; every
+    other dual by the nonzeros of P* (``_move_path``).  The tail at n is
+    the tail at n - 1 less the mass entering the absorbing state at step
+    n, so it never rises (rows of P* sum to 1 only to rounding) and is
+    exactly 1 until mass can be absorbed; it is clipped to [0, 1].
     """
     check_horizon(horizon)
-    if dual.walk is not None and dual.clamp_magnitude == 0:
-        return _walk_tail(dual, horizon)
+    if dual.flips is not None:
+        step, mean = dual.flips.row_step(), _flip_mean(dual)
+    else:
+        step, mean = _move_path(dual)
+    a = dual.absorbing_index
+    cur = dual.nu_star.astype(float)
+    cur[a] = 0.0
+    tail = np.empty(horizon + 1)
+    tail[0] = cur.sum()
+    for k in range(1, horizon + 1):
+        cur = step(cur)
+        tail[k] = tail[k - 1] - cur[a]
+        cur[a] = 0.0
+    np.clip(tail, 0.0, 1.0, out=tail)
+    return AbsorptionLaw(tail=tail, mean=mean)
+
+
+def _move_path(dual):
+    """(step, mean) over the moves of P* out of the transient states: the
+    step x -> x P*, and nu*_t x for (I - Q) x = 1, Q the moves among them,
+    solved by substitution in the order the moves go, or by LU on a dense
+    I - Q when they go both ways.  A zero pivot or a singular I - Q signals
+    a second absorbing class, i.e. an invalid dual."""
     a = dual.absorbing_index
     rows, cols, vals = _moves(dual.P_star)
-    transient = (rows != a) & (cols != a)
+    out = rows != a
+    rows, cols, vals = rows[out], cols[out], vals[out]
+    step = _stepper(rows, cols, vals, dual.size)
+    transient = cols != a
     rows, cols, vals = rows[transient], cols[transient], vals[transient]
     rows -= rows > a
     cols -= cols > a
     n = dual.size - 1
-    v = np.delete(dual.nu_star, a).astype(float)
-    step = _stepper(rows, cols, vals, n)
-    tail = np.empty(horizon + 1)
-    cur = v
-    tail[0] = cur.sum()
-    for k in range(1, horizon + 1):
-        cur = step(cur)
-        tail[k] = cur.sum()
-    np.clip(tail, 0.0, 1.0, out=tail)  # a probability, whatever the rounding
     order = move_order(rows, cols)
     if order is None:
         fundamental = np.eye(n)
@@ -264,7 +216,7 @@ def absorption_tail(dual, horizon):
         expected_steps = _substitute(rows, cols, vals, n, order)
     q_x = np.bincount(rows, weights=vals * expected_steps[cols], minlength=n)
     _check_solve(expected_steps, expected_steps - q_x - 1.0)
-    return AbsorptionLaw(tail=tail, mean=float(v @ expected_steps))
+    return step, float(np.delete(dual.nu_star, a).astype(float) @ expected_steps)
 
 
 def _check_solve(x, residual):
@@ -285,53 +237,23 @@ def _zero_pivot():
     )
 
 
-def _walk_tail(dual, horizon):
-    """``absorption_tail`` of a closed-form dual that no clamp touched,
-    P* = I + sum_k G*_k with G*_k the flip of bit k at rates (s_k, 0)
-    ("down") or (0, s_k) ("up"), s_k = alpha_k + beta_k of ``dual.walk``.
-
-    The tail steps nu* through the factors of P* (``_row_action``),
-    zeroing the absorbing mass after each step.  The mean solves
-    x = (1 + Q_off x) / pivot, with Q_off = R_H (x) I + I (x) R_L the
-    moves of P* off its diagonal and pivot = 1 - P*(x, x) the total rate
-    out of x, by sweeps of the column action R_H X + X R_L^T.  Every move
-    takes one bit towards the absorbing state, so starting from 0 each
-    sweep makes one more rank exact, and d sweeps solve it.
-    """
-    walk, a = dual.walk, dual.absorbing_index
-    zero = np.zeros(walk.d)
-    factors = _split(*((walk.rates, zero) if dual.direction == "down"
-                       else (zero, walk.rates)))
-    step = _row_action(factors)
-    tail = np.empty(horizon + 1)
-    cur = dual.nu_star.astype(float)
-    cur[a] = 0.0
-    tail[0] = cur.sum()
-    for k in range(1, horizon + 1):
-        cur = step(cur)
-        cur[a] = 0.0
-        tail[k] = cur.sum()
-    np.clip(tail, 0.0, 1.0, out=tail)  # a probability, whatever the rounding
-    (r_h, out_h), (r_l, out_l) = factors
-    r_l_t = r_l.T
-
-    def off(x):
-        mat = x.reshape(out_h.size, out_l.size)
-        out = r_h @ mat
-        out += mat @ r_l_t
-        return out.ravel()
-
-    pivots = np.add.outer(out_h, out_l).ravel()
+def _flip_mean(dual):
+    """The mean of T* on a dual that carries its operator: x solves
+    x = (1 + Q_off x) / pivot off the absorbing state (``Flips.off_action``).
+    Every move takes one bit towards the absorbing state, so from 0 each
+    sweep makes one more rank exact, and d sweeps solve it."""
+    a = dual.absorbing_index
+    off, pivots = dual.flips.off_action()
     transient = np.arange(pivots.size) != a
     if (pivots[transient] == 0).any():
         raise _zero_pivot()
     x = np.zeros(pivots.size)
-    for _ in range(walk.d):
+    for _ in range(dual.flips.d):
         x = np.divide(1.0 + off(x), pivots, out=np.zeros(pivots.size), where=transient)
     residual = pivots * x - off(x) - 1.0
     residual[a] = 0.0
     _check_solve(x, residual)
-    return AbsorptionLaw(tail=tail, mean=float(dual.nu_star @ x))
+    return float(dual.nu_star @ x)
 
 
 def _substitute(rows, cols, vals, n, order):
@@ -587,14 +509,13 @@ def _move_times(dual, start, rng):
 
 
 def _rate_times(dual, start, rng):
-    """Absorption times from the states ``start`` of a closed-form dual
-    that no clamp touched, drawn from the flip rates s_k of ``dual.walk``
-    in blocks of RATE_BLOCK starts, reading no P*.
+    """Absorption times from the states ``start`` of a dual that carries
+    its operator, drawn from the rates s_k of the bits each start owes
+    (``Flips.out_rates``) in blocks of RATE_BLOCK starts, reading no P*.
 
-    Bit k of a state is owed while it is not at its absorbing value (1 for
-    "down", 0 for "up").  Each step collects at most one owed bit, bit k
-    with probability s_k, and a collected bit stays.  So the owed bits are
-    collected in the order of a weighted random permutation, drawn by the
+    Each step collects at most one owed bit, bit k with probability s_k,
+    and a collected bit stays.  So the owed bits are collected in the order
+    of a weighted random permutation, drawn by the
     exponential keys E_k / s_k (Efraimidis and Spirakis 2006), and T* is
     the sum of Geometric(S_r) waits, S_r the total rate still owed before
     the r-th collection (the coupon-collector time of Diaconis and Fill
@@ -602,13 +523,12 @@ def _rate_times(dual, start, rng):
     none is infinite; the sums are checked against MAX_HORIZON as floats,
     before the cast.
     """
-    rates = dual.walk.rates
     times = np.empty(start.size, dtype=np.int64)
     for lo in range(0, start.size, RATE_BLOCK):
-        block = start[lo:lo + RATE_BLOCK]
-        owed = owed_bits(block, rates.size, dual.direction)
-        rate = np.where(owed, rates, 0.0)
-        keys = np.where(owed, rng.standard_exponential(owed.shape) / rates, np.inf)
+        rate = dual.flips.out_rates(start[lo:lo + RATE_BLOCK])
+        owed = rate > 0
+        keys = np.divide(rng.standard_exponential(owed.shape), rate,
+                         out=np.full(owed.shape, np.inf), where=owed)
         order = np.take_along_axis(rate, np.argsort(keys, axis=1), axis=1)
         left = np.cumsum(order[:, ::-1], axis=1)[:, ::-1]
         np.minimum(left, 1.0, out=left)  # sum s_k <= 1 only to rounding
@@ -627,9 +547,9 @@ def _rate_times(dual, start, rng):
 def simulate_absorption(dual, samples, seed, horizon=None):
     """Simulate absorption times from start states drawn from nu*.
 
-    A closed-form dual that no clamp touched (``dual.walk`` set,
-    ``clamp_magnitude`` 0) is sampled from its flip rates (``_rate_times``,
-    sampler "rates"), in O(samples d) and reading no P*.  Every other dual
+    A dual that carries its operator (``dual.flips``, an unclamped closed
+    form) is sampled from its flip rates (``_rate_times``, sampler
+    "rates"), in O(samples d) and reading no P*.  Every other dual
     is stepped through P* by inverse-CDF categorical sampling
     (``_move_times``, sampler "moves").  The generator is seeded, so output
     is bit-reproducible for a fixed (seed, samples).  Returns the empirical
@@ -642,7 +562,7 @@ def simulate_absorption(dual, samples, seed, horizon=None):
     check_samples(samples)
     if horizon is not None:
         check_horizon(horizon)
-    by_rates = dual.walk is not None and dual.clamp_magnitude == 0
+    by_rates = dual.flips is not None
     if not ((by_rates or (dual.P_star >= 0).all()) and (dual.nu_star >= 0).all()):
         raise PreconditionFailed(
             "simulation needs a nonnegative dual; P* or nu* has a negative "

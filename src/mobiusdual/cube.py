@@ -14,13 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ROW_TOL, Chain, validate_chain, walk_chain, walk_kernel
+from .chain import ROW_TOL, Chain, StationaryLaw, validate_chain, walk_chain
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
     InputError,
     InsufficientMass,
     NegativeHoldingProbability,
+    NotAperiodic,
     NotLattice,
     NumericalFailure,
 )
@@ -62,8 +63,9 @@ class CubeWalkParams:
         return sum(self.alpha) + sum(self.beta) <= 1.0
 
     @property
-    def rates(self):
-        return np.asarray(self.alpha, dtype=float) + np.asarray(self.beta, dtype=float)
+    def flips(self):
+        """The operator of the walk's kernel, from these rates (``Flips``)."""
+        return Flips(tuple(map(float, self.alpha)), tuple(map(float, self.beta)))
 
 
 def check_flip_rates(rates):
@@ -88,48 +90,236 @@ class GPlusMove:
     kappa: float
 
 
+@dataclass(frozen=True)
+class Flips:
+    """The kernel K = I + sum_k G_k on the d-cube, G_k = [[-up_k, up_k],
+    [down_k, -down_k]] acting on bit k: bit k flips up at rate up_k while
+    unset and down at rate down_k while set.  A walk's operator holds its
+    checked rates (alpha, beta) (``CubeWalkParams.flips``), and that of its
+    strong stationary dual (s, 0) for "down" or (0, s) for "up",
+    s_k = alpha_k + beta_k (``dual``).  Cached results are kept by value,
+    so the operators of equal rates share one build.
+    """
+
+    up: tuple
+    down: tuple
+
+    @property
+    def d(self):
+        return len(self.up)
+
+    def out_rates(self, states):
+        """(len(states), d): the rate at which each of the masks ``states``
+        flips bit k; on a dual, nonzero at the bits a state owes, those not
+        yet at their value in the absorbing state."""
+        bits = (np.asarray(states)[:, None] >> np.arange(self.d)) & 1
+        return np.where(bits, self.down, self.up)
+
+    @lru_cache(maxsize=4)
+    def moves(self):
+        """The (d+1) 2^d entries of K that can be nonzero, row-major, as a
+        read-only triple (rows, cols, vals): per state x, its stay, 1 minus
+        its out-rates, as computed (K holds it as ``held`` says), then its
+        flips x -> x ^ 2^k, k = 0..d-1, at its out-rates.  A dual's rows
+        are normalised by their sums in this order (``duality``)."""
+        x = np.arange(2**self.d)
+        out = self.out_rates(x)
+        return _read_only(np.repeat(x, self.d + 1),
+                          np.column_stack((x, x[:, None] ^ (1 << np.arange(self.d)))).ravel(),
+                          np.column_stack((1.0 - out.sum(axis=1), out)).ravel())
+
+    @lru_cache(maxsize=4)
+    def held(self):
+        """What K adds to each stay of ``moves``, read-only: minus the stay
+        where it lies within ROW_TOL of 0, so that K holds it at exactly 0
+        and rounding does not decide whether a state can hold; 0 elsewhere."""
+        stay = self.moves()[2][::self.d + 1]
+        return _read_only(np.where(np.abs(stay) <= ROW_TOL, -stay, 0.0))[0]
+
+    def kernel_moves(self):
+        """``moves`` with each stay as K holds it (``held``)."""
+        rows, cols, vals = self.moves()
+        vals = vals.copy()
+        vals[::self.d + 1] += self.held()
+        return rows, cols, vals
+
+    def kernel(self):
+        """The dense K, written from ``kernel_moves`` and not checked."""
+        rows, cols, vals = self.kernel_moves()
+        mat = np.zeros((2**self.d,) * 2)
+        mat[rows, cols] = vals
+        return mat
+
+    def law(self):
+        """A walk's law in product form, pi(x) multiplying up_k/(up_k+down_k)
+        over the bits k set in x and down_k/(up_k+down_k) over the others,
+        with its residual max|pi K - pi| and balance certificate taken over
+        ``kernel_moves``; path "product_form".  Positive rates make K
+        irreducible, and it is aperiodic iff its largest stay,
+        1 - sum_k min(up_k, down_k), is positive."""
+        if not 1.0 - np.minimum(self.up, self.down).sum() > ROW_TOL:
+            raise NotAperiodic("chain has period 2", period=2)
+        d = self.d
+        up = np.asarray(self.up, dtype=float)
+        down = np.asarray(self.down, dtype=float)
+        rows, cols, vals = self.kernel_moves()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            pi = np.prod(np.where(cube_bits(d), up, down) / (up + down), axis=1)
+            flow = pi[rows] * vals
+            residual = float(np.abs(np.bincount(cols, flow, pi.size) - pi).max())
+            flips = flow.reshape(-1, d + 1)[:, 1:]
+            back = flips[cols.reshape(-1, d + 1)[:, 1:], np.arange(d)]
+            worst = float((np.abs(flips - back) / flips).max())
+        return StationaryLaw(pi=pi, residual=residual, path="product_form",
+                             balance=float("inf") if np.isnan(worst) else worst)
+
+    def dual(self, direction):
+        """The operator of a walk's strong stationary dual in ``direction``:
+        bit k flips towards its absorbing value (set for "down", unset for
+        "up") at rate s_k = up_k + down_k, and never back."""
+        s = tuple(u + w for u, w in zip(self.up, self.down))
+        zero = (0.0,) * self.d
+        return Flips(s, zero) if direction == "down" else Flips(zero, s)
+
+    @lru_cache(maxsize=2)
+    def transform(self, direction):
+        """A walk's Mobius transform in ``direction`` as the read-only triple
+        (rows, cols, vals) of its nonzero entries, at (y, x) for the moves
+        x -> y of the dual's ``moves``: the dual's stay, or the rate of K's
+        flip y -> x where the dual flips (down_k for "down", up_k for
+        "up")."""
+        rows, cols, vals = self.dual(direction).moves()
+        t = vals.reshape(-1, self.d + 1).copy()
+        t[:, 1:] = np.where(t[:, 1:] > 0, np.where(cube_bits(self.d), self.up, self.down), 0.0)
+        keep = t.ravel() != 0
+        return _read_only(cols[keep], rows[keep], t.ravel()[keep])
+
+    def intertwine_bound(self, direction, pi, p_star):
+        """A bound B >= max|Lambda K - P* Lambda| for the dual ``p_star``
+        of a walk's K in ``direction`` and the link of its law ``pi``, from
+        the rates, in O(d 2^d) and with no m x m array.
+
+        Were pi the product of its marginals (pi_k(0), pi_k(1)) and P* the
+        dual's own kernel (``dual``), I + sum_k G*_k with
+        G*_k = [[-s_k, s_k], [0, 0]] ("down"; [[0, 0], [s_k, -s_k]] "up"),
+        the link would be the product of Lambda_k = [[1, 0],
+        [pi_k(0), pi_k(1)]] ("down"; [[pi_k(0), pi_k(1)], [0, 1]] "up"),
+        and Lambda K - P* Lambda the sum over k of
+        Lambda_k G_k - G*_k Lambda_k tensored with the other Lambda_j,
+        whose entries lie in [0, 1].  B adds up what separates the emitted
+        arrays from that:
+
+        - sum_k max|Lambda_k G_k - G*_k Lambda_k|, one 2 x 2 term per bit;
+        - the deviation of ``p_star`` from the dual's ``moves``: per row,
+          the larger of the sums of its positive and of its negative
+          entries, which bounds the row times any column of the link, its
+          entries lying in [0, 1].  It is read at the positions of the
+          moves, x and its d flips x ^ 2^k, of each row x; the mass of the
+          row off those positions, a positive deviation, is at most 1 minus
+          the mass read there, since the emitted rows are nonnegative and
+          sum to 1;
+        - the largest stay that K holds at 0 (``held``), by which the
+          kernel's diagonal leaves I + sum_k G_k;
+        - 4 eps, with eps the largest relative deviation of pi from the
+          product of its marginals, up to the scale that makes it least (the
+          link does not depend on the scale of pi): each entry of the link
+          then moves by a relative 2 eps at most, and so each of Lambda K
+          and P* Lambda by 2 eps, rows of Lambda and P* summing to 1;
+        - (d + 1) machine epsilons, the rounding of a float evaluation of
+          the residual, whose terms lie in [0, 1], so that B also bounds
+          what the dense residual (``duality._residuals``) would report.
+        """
+        d = self.d
+        bits = cube_bits(d)
+        one = pi @ bits
+        zero = pi @ (1 - bits)
+        ratio = pi / np.prod(np.where(bits, one, zero), axis=1)
+        eps = (ratio.max() - ratio.min()) / (ratio.max() + ratio.min())
+        alpha = np.asarray(self.up, dtype=float)
+        beta = np.asarray(self.down, dtype=float)
+        s = alpha + beta
+        # the entries of Lambda_k G_k - G*_k Lambda_k, up to sign
+        if direction == "down":
+            per_bit = (s - s * zero - alpha, alpha - s * one, one * beta - zero * alpha)
+        else:
+            per_bit = (one * beta - zero * alpha, beta - s * zero, s - s * one - beta)
+        rows, cols, want = self.dual(direction).moves()
+        # flips first, stay last: the summation order that fixes the printed
+        # bound to its last bit
+        last = np.roll(np.arange(d + 1), -1)
+        read = p_star[rows, cols].reshape(-1, d + 1)[:, last]
+        dev = read - want.reshape(-1, d + 1)[:, last]
+        over = np.maximum(dev, 0.0).sum(axis=1) + np.maximum(1.0 - read.sum(axis=1), 0.0)
+        under = np.maximum(-dev, 0.0).sum(axis=1)
+        return float(np.abs(per_bit).max(axis=0).sum() + np.maximum(over, under).max()
+                     + np.abs(self.held()).max(initial=0.0) + 4.0 * eps
+                     + (d + 1) * np.finfo(float).eps)
+
+    def _split(self):
+        """(R, out) of the high factor, the ceil(d/2) top bits of a mask,
+        and of the low factor, the floor(d/2) others: the dense R[x, x ^ 2^k]
+        = ``out_rates`` and its row sums.  On x reshaped C-ordered to
+        (2^ceil(d/2), 2^floor(d/2)), K is H (x) I + I (x) L with
+        H = I + R_H - diag(out_H) and L = R_L - diag(out_L)."""
+        lo = self.d // 2
+        factors = []
+        for part in (Flips(self.up[lo:], self.down[lo:]), Flips(self.up[:lo], self.down[:lo])):
+            x = np.arange(2**part.d)
+            rates = part.out_rates(x)
+            mat = np.zeros((x.size, x.size))
+            mat[x[:, None], x[:, None] ^ (1 << np.arange(part.d))] = rates
+            factors.append((mat, rates.sum(axis=1)))
+        return factors
+
+    def row_step(self):
+        """The map x -> x K through the factors of ``_split``: H^T X + X L,
+        two matmuls of at most 2^ceil(d/2) squared, the identity added last
+        so each entry rounds the small generator terms once against x, plus
+        x times ``held`` where a stay is held."""
+        (r_h, out_h), (r_l, out_l) = self._split()
+        high_t = r_h.T - np.diag(out_h)
+        low = r_l - np.diag(out_l)
+        shape = (out_h.size, out_l.size)
+        fix = self.held() if self.held().any() else None
+
+        def step(x):
+            mat = x.reshape(shape)
+            out = high_t @ mat
+            out += mat @ low
+            out += mat
+            return out.ravel() if fix is None else out.ravel() + x * fix
+
+        return step
+
+    def off_action(self):
+        """(off, pivots): x -> Q x for Q the moves of K off its diagonal,
+        R_H X + X R_L^T through the factors of ``_split``, and each state's
+        total rate out."""
+        (r_h, out_h), (r_l, out_l) = self._split()
+        r_l_t = r_l.T
+        shape = (out_h.size, out_l.size)
+
+        def off(x):
+            mat = x.reshape(shape)
+            out = r_h @ mat
+            out += mat @ r_l_t
+            return out.ravel()
+
+        return off, np.add.outer(out_h, out_l).ravel()
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     """Single-coordinate-flip walk on the d-cube, checked at ``row_tol``
-    from its moves (``chain.walk_chain``); the chain carries ``params`` as
-    its ``walk``.  d above DENSE_CUBE_LIMIT raises DimensionTooLarge before
-    anything is allocated."""
-    return walk_chain(params, cube_poset(params.d), nu=nu, row_tol=row_tol)
-
-
-def owed_bits(states, d, direction):
-    """(len(states), d) mask of the bits that each state of the d-cube owes
-    its strong stationary dual in ``direction``: the bits not yet at their
-    value in the absorbing state, unset for "down", set for "up"."""
-    return ((np.asarray(states)[:, None] >> np.arange(d)) & 1) == (direction == "up")
-
-
-@lru_cache(maxsize=2)
-def walk_entries(params, direction):
-    """(rows, cols, dual, transform): the entries of the walk's strong
-    stationary dual in ``direction`` that can be nonzero,
-    P*(rows, cols) = dual, and its Mobius transform in ``direction``, which
-    holds ``transform`` at (cols, rows) and 0 elsewhere.
-
-    The diagonal comes first, 1 - sum of s_k = alpha_k + beta_k over the
-    flips of x in both, then each flip x -> y of a coordinate k that goes
-    up in ``direction``'s order (k unset in x for "down", set for "up"),
-    by x, then k: P*(x, y) = s_k, and the transform holds beta_k ("down")
-    or alpha_k ("up") at (y, x).  The diagonal is that of the rates, before
-    ``chain.walk_moves`` sets a stay within ROW_TOL of 0 to 0.  The arrays
-    are read-only and kept for the last two (walk, direction) pairs, so the
-    report and the dual of one build read one list.
-    """
-    free = owed_bits(np.arange(2**params.d), params.d, direction)
-    x, k = np.nonzero(free)
-    diag = np.arange(2**params.d)
-    rest = 1.0 - (free * params.rates).sum(axis=1)
-    toward = np.asarray(params.beta if direction == "down" else params.alpha)
-    entries = (np.concatenate((diag, x)), np.concatenate((diag, x ^ (1 << k))),
-               np.concatenate((rest, params.rates[k])),
-               np.concatenate((rest, toward[k])))
-    for a in entries:
-        a.flags.writeable = False
-    return entries
+    from its moves (``chain.walk_chain``); the chain carries the operator
+    of its rates as ``flips``.  d above DENSE_CUBE_LIMIT raises
+    DimensionTooLarge before anything is allocated."""
+    return walk_chain(params.flips, cube_poset(params.d), nu=nu, row_tol=row_tol)
 
 
 def gplus_transform(c, *moves, row_tol=ROW_TOL):
@@ -194,7 +384,7 @@ def axis_transformed_walk(params, kappa, row_tol=ROW_TOL):
     transformed kernel is validated once, at ``row_tol``."""
     if params.d != 3:
         raise DimensionMismatch("the symmetry-axis transform is defined on the 3-cube")
-    walk = Chain(poset=cube_poset(3), P=walk_kernel(params))
+    walk = Chain(poset=cube_poset(3), P=params.flips.kernel())
     return gplus_transform(walk, *axis_moves(kappa), row_tol=row_tol)
 
 

@@ -6,19 +6,19 @@ down-Mobius monotone; it yields an absorbing dual whose absorption time is a
 strong stationary time for the original chain.  The up direction mirrors
 everything through the transposed zeta matrix.  Duality is certified on every
 build through the residuals ||nu - nu* Lambda|| and ||Lambda P - P* Lambda||,
-the latter by a bound read off the flip rates on a cube walk's closed form.
+the latter by a bound read off the flip rates on a cube walk's closed form
+(``cube.Flips.intertwine_bound``).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import monotonicity
-from .chain import IDENTITY_TOL, reverse, walk_moves
-from .cube import owed_bits, walk_entries
+from .chain import IDENTITY_TOL, reverse
 from .errors import (
     AbsorbingStateUnreachable,
     DimensionMismatch,
@@ -26,7 +26,6 @@ from .errors import (
     NumericalFailure,
     PreconditionFailed,
 )
-from .poset import cube_bits
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +55,10 @@ class DualChain:
     of the time-reversed kernel in ``direction`` that decided the build, and
     ``path`` names how P* was built: "closed_form" from a walk's flip rates,
     where ``intertwine_residual`` holds a bound on the residual, or
-    "transform" from the reversal's Mobius transform.  ``walk`` holds the
-    reversal's flip rates (a ``CubeWalkParams``) on the closed-form path
-    only; from them ``absorption_tail`` steps, and ``simulate_absorption``
-    samples, an unclamped dual without reading P*."""
+    "transform" from the reversal's Mobius transform.  ``flips`` holds the
+    dual's own operator (``cube.Flips.dual``) on the closed-form path when
+    no clamp touched it, else None; from it ``absorption_tail`` steps, and
+    ``simulate_absorption`` samples, the dual without reading P*."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -70,7 +69,7 @@ class DualChain:
     clamp_magnitude: float = 0.0
     reversed_report: monotonicity.MonotonicityReport | None = None
     path: str = "transform"
-    walk: object | None = None
+    flips: object | None = None
 
     def __post_init__(self):
         self.nu_star.flags.writeable = False
@@ -155,28 +154,67 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     the absorbing state, or AbsorbingStateUnreachable is raised: the clamp
     can drop a move that the absorption needs.
 
-    When the time reversal is a cube walk (see ``reverse``), its report and
-    P* are read off the flip rates (``path`` "closed_form"); the clamp and
-    the row normalisation are the same, so a flip with s_k below the clamp
-    is dropped on both paths, whereas the report's witness rule reads rates
-    at ``mono_tol``.  There the intertwining is certified by a bound on its
-    residual read off the rates (``_walk_bound``), and elsewhere by the
-    residual itself; nu's residual is exact on both paths.  Otherwise
-    the construction gives P* transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i)
-    with R the time reversal: it is clamped and column-summed as it is, and
-    P* is written C-ordered by the normalising division.
+    When the time reversal is a cube walk (see ``reverse``), the dual is
+    its operator's (``_closed_form``).  Otherwise the construction gives P*
+    transposed, H(e_j)/H(e_i) (Cinv R C)(e_j, e_i) with R the time
+    reversal: it is clamped and column-summed as it is, and P* is written
+    C-ordered by the normalising division; the intertwining is certified
+    by its residual.  nu's residual is exact on both paths.
     """
     absorbing = _unique_extremal(zm, direction)
-    g = g_ratio(c, law)
-    g_report = monotonicity.function_mobius_monotone(g, zm, direction, mono_tol)
+    g_report = monotonicity.function_mobius_monotone(g_ratio(c, law), zm, direction, mono_tol)
     rev = reverse(c, law)
-    walk = rev.walk
-    if walk is not None:
+    if rev.flips is not None:
         rev_report = monotonicity.walk_report(rev, direction, mono_tol)
-    else:
-        core = monotonicity.mobius_transform(rev.P, zm, direction)
-        rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
+        return _closed_form(c, law, zm, direction, absorbing, g_report, rev_report)
+    core = monotonicity.mobius_transform(rev.P, zm, direction)
+    rev_report = monotonicity.transform_report(rev, zm, direction, core, mono_tol)
     del rev
+    h, nu_star = _start(zm, law, direction, g_report, rev_report)
+    p = (h[:, None] * core) / h[None, :]   # P* transposed
+    del core  # free an m x m array before the clamp and the residuals
+    nu_star, clamp_magnitude = _clamped(nu_star, p)
+    p_star = np.divide(p.T, p.sum(axis=0)[:, None], order="C")
+    del p
+    _absorb(p_star, absorbing)
+    _check_absorbs(p_star, nu_star, absorbing, zm.elements)
+    return _certified(
+        DualChain(nu_star=nu_star, P_star=p_star, absorbing_index=absorbing,
+                  direction=direction, clamp_magnitude=clamp_magnitude,
+                  reversed_report=rev_report),
+        *_residuals(c, law, zm, direction, h, nu_star, p_star),
+    )
+
+
+def _closed_form(c, law, zm, direction, absorbing, g_report, rev_report):
+    """``build_ssd`` on a cube walk ``c``, its own time reversal: P* is
+    written from the moves of its dual's operator (``Flips.dual``), with
+    the clamp and row normalisation of the transform path, and certified
+    by ``Flips.intertwine_bound``; the dual keeps the operator when no
+    clamp touched it."""
+    h, nu_star = _start(zm, law, direction, g_report, rev_report)
+    dual = c.flips.dual(direction)
+    rows, cols, raw = dual.moves()
+    live = np.flatnonzero(raw)
+    p = raw[live]  # a copy, which the clamp writes
+    nu_star, clamp_magnitude = _clamped(nu_star, p)
+    p_star = np.zeros((c.size, c.size))
+    p_star[rows[live], cols[live]] = p / np.bincount(rows[live], p, c.size)[rows[live]]
+    _absorb(p_star, absorbing)
+    _check_flips_absorb(cols, raw, p_star, nu_star, absorbing, zm.elements)
+    return _certified(
+        DualChain(nu_star=nu_star, P_star=p_star, absorbing_index=absorbing,
+                  direction=direction, clamp_magnitude=clamp_magnitude,
+                  reversed_report=rev_report, path="closed_form",
+                  flips=dual if clamp_magnitude == 0 else None),
+        _nu_residual(c, law, zm, direction, h, nu_star),
+        c.flips.intertwine_bound(direction, law.pi, p_star),
+    )
+
+
+def _start(zm, law, direction, g_report, rev_report):
+    """(H, nu*) once both preconditions hold: raise PreconditionFailed
+    with the first report whose verdict fails, nu/pi's first."""
     for report, what in ((g_report, "nu/pi"), (rev_report, "time-reversed kernel")):
         if not report.verdict:
             raise PreconditionFailed(
@@ -185,16 +223,14 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
                 report=report,
             )
     h = zm.zeta_right(law.pi, direction)
-    nu_star = g_report.transformed * h
-    if walk is not None:
-        rows, cols, p, _ = walk_entries(walk, direction)
-        p = p.copy()  # the kept entries are read-only; the clamp writes
-    else:
-        p = (h[:, None] * core) / h[None, :]   # P* transposed
-        del core  # free an m x m array before the clamp and the residuals
-    m_nu = _clamp(nu_star, CLAMP_TOL)
-    m_p = _clamp(p, CLAMP_TOL)
-    clamp_magnitude = max(m_nu, m_p)
+    return h, g_report.transformed * h
+
+
+def _clamped(nu_star, p):
+    """(nu*, magnitude): zero the noise of ``nu_star`` and of P*'s entries
+    ``p`` below CLAMP_TOL in place, log the largest magnitude zeroed, refuse
+    a negative mass beyond it, and normalise nu*."""
+    clamp_magnitude = max(_clamp(nu_star, CLAMP_TOL), _clamp(p, CLAMP_TOL))
     if clamp_magnitude > 0:
         log.info("zeroed dual noise up to %.3e", clamp_magnitude)
     if (nu_star < 0).any() or (p < 0).any():
@@ -202,14 +238,12 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         raise NumericalFailure(
             f"dual has negative mass {worst!r} beyond the clamp tolerance"
         )
-    nu_star = nu_star / nu_star.sum()
-    if walk is not None:
-        p_star = np.zeros((c.size, c.size))
-        p_star[rows, cols] = p / np.bincount(rows, p, c.size)[rows]
-        del rows, cols  # out of the residuals' peak
-    else:
-        p_star = np.divide(p.T, p.sum(axis=0)[:, None], order="C")
-    del p
+    return nu_star / nu_star.sum(), clamp_magnitude
+
+
+def _absorb(p_star, absorbing):
+    """Make the extremal row of ``p_star`` exactly absorbing, refusing it
+    when its diagonal is not 1 to within IDENTITY_TOL."""
     if abs(p_star[absorbing, absorbing] - 1.0) > IDENTITY_TOL:
         raise NumericalFailure(
             f"extremal state is not absorbing: diagonal "
@@ -217,30 +251,16 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
         )
     p_star[absorbing] = 0.0
     p_star[absorbing, absorbing] = 1.0
-    if walk is None:
-        _check_absorbs(p_star, nu_star, absorbing, zm.elements)
-        nu_res, tw_res = _residuals(c, law, zm, direction, h, nu_star, p_star)
-    else:
-        _check_walk_absorbs(walk, nu_star, absorbing, direction, zm.elements)
-        nu_res = _nu_residual(c, law, zm, direction, h, nu_star)
-        tw_res = _walk_bound(walk, law.pi, direction, p_star)
+
+
+def _certified(dual, nu_res, tw_res):
+    """``dual`` with its residuals, once both are within IDENTITY_TOL."""
     if not (nu_res <= IDENTITY_TOL and tw_res <= IDENTITY_TOL):
         raise NumericalFailure(
             f"duality residuals exceed {IDENTITY_TOL}: nu {nu_res!r}, "
             f"intertwining {tw_res!r}"
         )
-    return DualChain(
-        nu_star=nu_star,
-        P_star=p_star,
-        absorbing_index=absorbing,
-        direction=direction,
-        nu_residual=nu_res,
-        intertwine_residual=tw_res,
-        clamp_magnitude=clamp_magnitude,
-        reversed_report=rev_report,
-        path="transform" if walk is None else "closed_form",
-        walk=walk,
-    )
+    return replace(dual, nu_residual=nu_res, intertwine_residual=tw_res)
 
 
 def _unreachable(elements, state, absorbing, why):
@@ -251,24 +271,22 @@ def _unreachable(elements, state, absorbing, why):
     )
 
 
-def _check_walk_absorbs(walk, nu_star, absorbing, direction, elements):
-    """Raise AbsorbingStateUnreachable unless every flip that the dual of
-    ``walk`` owes from supp nu* survived the clamp, in O(d) per state of
-    supp nu*.
-
-    The dual collects each bit k at rate s_k from every state that owes it
-    (``cube.owed_bits``), whatever the other bits, and the clamp drops
-    exactly the flips with s_k below CLAMP_TOL (the rates are positive).
-    So the absorbing state is reached from every reached state iff no bit
-    owed by a state of supp nu* has a dropped flip."""
+def _check_flips_absorb(cols, raw, p_star, nu_star, absorbing, elements):
+    """Raise AbsorbingStateUnreachable unless ``p_star`` keeps every flip
+    of the dual operator's moves (``cols``, ``raw``) owed by a state of
+    supp nu*, in O(d) per such state: the clamp drops bit k everywhere or
+    nowhere, so the absorbing state is reached from every reached state iff
+    no bit owed in supp nu* was dropped."""
     supp = np.flatnonzero(nu_star)
-    lost = owed_bits(supp, walk.d, direction) & (walk.rates < CLAMP_TOL)
+    owed = raw.reshape(nu_star.size, -1)[supp, 1:]
+    kept = p_star[supp[:, None], cols.reshape(nu_star.size, -1)[supp, 1:]]
+    lost = (owed > 0) & (kept == 0)
     if lost.any():
         i, k = np.argwhere(lost)[0]
         raise _unreachable(
             elements, supp[i], absorbing,
             f"which owes coordinate {k + 1}, whose flip rate "
-            f"{float(walk.rates[k])!r} the clamp dropped",
+            f"{float(owed[i, k])!r} the clamp dropped",
         )
 
 
@@ -323,67 +341,6 @@ def _residuals(c, law, zm, direction, h, nu_star, p_star):
     lam_p -= p_lam
     return (_nu_residual(c, law, zm, direction, h, nu_star),
             float(np.abs(lam_p, out=lam_p).max()))
-
-
-def _walk_bound(walk, pi, direction, p_star):
-    """A bound B >= max|Lambda P - P* Lambda| for the dual ``p_star`` of
-    the cube walk with flip rates ``walk`` and the link of its law ``pi``,
-    from the rates, in O(d 2^d) and with no m x m array.
-
-    The walk's kernel is I + sum_k G_k, with G_k = [[-alpha_k, alpha_k],
-    [beta_k, -beta_k]] acting on bit k.  Were pi the product of its
-    marginals (pi_k(0), pi_k(1)) and P* = I + sum_k G*_k, with
-    G*_k = [[-s_k, s_k], [0, 0]] ("down"; [[0, 0], [s_k, -s_k]] "up") and
-    s_k = alpha_k + beta_k, the link would be the product of
-    Lambda_k = [[1, 0], [pi_k(0), pi_k(1)]] ("down"; [[pi_k(0), pi_k(1)],
-    [0, 1]] "up"), and Lambda P - P* Lambda the sum over k of
-    Lambda_k G_k - G*_k Lambda_k tensored with the other Lambda_j, whose
-    entries lie in [0, 1].  B adds up what separates the emitted arrays
-    from that:
-
-    - sum_k max|Lambda_k G_k - G*_k Lambda_k|, one 2 x 2 term per bit;
-    - the deviation of ``p_star`` from I + sum_k G*_k: per row, the larger
-      of the sums of its positive and of its negative entries, which bounds
-      the row times any column of the link, its entries lying in [0, 1].
-      It is read at the walk's moves, x and its d flips x ^ 2^k, of each
-      row x; the mass of the row off those positions, a positive deviation,
-      is at most 1 minus the mass read there, since the emitted rows are
-      nonnegative and sum to 1;
-    - the largest stay that ``chain.walk_moves`` set to 0, by which the
-      kernel's diagonal leaves I + sum_k G_k;
-    - 4 eps, with eps the largest relative deviation of pi from the
-      product of its marginals, up to the scale that makes it least (the
-      link does not depend on the scale of pi): each entry of the link
-      then moves by a relative 2 eps at most, and so each of Lambda P and
-      P* Lambda by 2 eps, rows of Lambda and P* summing to 1;
-    - (d + 1) machine epsilons, the rounding of a float evaluation of the
-      residual, whose terms lie in [0, 1], so that B also bounds what the
-      dense residual (``_residuals``) would report.
-    """
-    d = walk.d
-    bits = cube_bits(d)
-    up = pi @ bits
-    down = pi @ (1 - bits)
-    ratio = pi / np.prod(np.where(bits, up, down), axis=1)
-    eps = (ratio.max() - ratio.min()) / (ratio.max() + ratio.min())
-    alpha = np.asarray(walk.alpha, dtype=float)
-    beta = np.asarray(walk.beta, dtype=float)
-    s = walk.rates
-    # the entries of Lambda_k G_k - G*_k Lambda_k, up to sign
-    if direction == "down":
-        per_bit = (s - s * down - alpha, alpha - s * up, up * beta - down * alpha)
-    else:
-        per_bit = (up * beta - down * alpha, beta - s * down, s - s * up - beta)
-    rows, cols, vals = walk_moves(walk)
-    want = np.where(bits == (direction == "up"), s, 0.0)
-    read = p_star[rows, cols].reshape(-1, d + 1)
-    dev = read - np.column_stack((want, 1.0 - want.sum(axis=1)))
-    over = np.maximum(dev, 0.0).sum(axis=1) + np.maximum(1.0 - read.sum(axis=1), 0.0)
-    under = np.maximum(-dev, 0.0).sum(axis=1)
-    moves = vals.reshape(-1, d + 1)
-    zeroed = np.abs(1.0 - moves[moves[:, d] == 0, :d].sum(axis=1)).max(initial=0.0)
-    return float(np.abs(per_bit).max(axis=0).sum() + np.maximum(over, under).max()
-                 + zeroed + 4.0 * eps + (d + 1) * np.finfo(float).eps)
 
 
 def verify_duality(link, c, dual):

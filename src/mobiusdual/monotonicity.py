@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cube import walk_entries
 from .errors import DimensionMismatch, UpSetExplosion
 
 MONO_TOL = 1e-10
@@ -125,15 +124,14 @@ def _sparse_min_entry(rows, cols, vals, m, tol=0.0):
 
 
 def walk_report(c, direction, tol=MONO_TOL):
-    """Mobius verdict of a cube walk (``c.walk`` set) from the entries of
-    its transform that ``cube.walk_entries`` gives, with no m x m array.
+    """Mobius verdict of a cube walk (``c.flips`` set) from the entries of
+    its transform that ``Flips.transform`` gives, with no m x m array.
 
     The worst value and witness follow the rule of ``transform_report``,
     so a rate at most ``tol`` counts as a zero for the witness.  A walk
     carries no exact entries, so nothing is re-run.
     """
-    rows, cols, _, t = walk_entries(c.walk, direction)
-    worst, (i, j) = _sparse_min_entry(cols, rows, t, c.size, tol)
+    worst, (i, j) = _sparse_min_entry(*c.flips.transform(direction), c.size, tol)
     witness = (c.poset.elements[i], c.poset.elements[j])
     return _report(f"mobius_{direction}", worst, witness, tol)
 
@@ -155,7 +153,7 @@ def transform_report(c, zm, direction, t, tol=MONO_TOL):
 
 def _mobius_report(c, zm, direction, tol):
     """``walk_report`` on a cube walk, else the report of the transform."""
-    if c.walk is not None:
+    if c.flips is not None:
         return walk_report(c, direction, tol)
     return transform_report(c, zm, direction, mobius_transform(c.P, zm, direction), tol)
 
@@ -303,8 +301,8 @@ def _ray_minimum(t, a, tol=0.0):
 
 def weak_monotone(c, zm, direction, tol=MONO_TOL):
     """Weak (cumulative-mass) monotonicity in ``direction``, decided on the
-    Mobius transform t; on a cube walk (``c.walk`` set), on the entries of
-    t that ``cube.walk_entries`` gives, with no m x m array.
+    Mobius transform t; on a cube walk (``c.flips`` set), on the entries of
+    t that ``Flips.transform`` gives, with no m x m array.
 
     The weak order compares laws through the point-generated up-sets (up)
     or down-sets (down).  Write w = zeta^T d for the cumulative masses of a
@@ -317,12 +315,12 @@ def weak_monotone(c, zm, direction, tol=MONO_TOL):
     the first for up) and 0 elsewhere, so the rays are the other rows of t.
     Near-boundary verdicts are re-run in exact arithmetic, as the Mobius ones.
     """
-    if c.walk is not None:
-        rows, cols, _, t = walk_entries(c.walk, direction)
-        kept = cols != (c.size - 1 if direction == "down" else 0)
+    if c.flips is not None:
+        rows, cols, t = c.flips.transform(direction)
+        kept = rows != (c.size - 1 if direction == "down" else 0)
         # a column listing fewer than m - 1 kept entries holds a 0
-        low = np.where(np.bincount(rows[kept], minlength=c.size) < c.size - 1, 0.0, np.inf)
-        np.minimum.at(low, rows[kept], t[kept])
+        low = np.where(np.bincount(cols[kept], minlength=c.size) < c.size - 1, 0.0, np.inf)
+        np.minimum.at(low, cols[kept], t[kept])
         worst, k = _near_min(low, tol)
         return _report(f"weak_{direction}", worst, c.poset.elements[k], tol)
     a = zm.mobius_left(np.ones(zm.size, dtype=np.int64), direction, np.int64)

@@ -334,7 +334,7 @@ class TestWalkShapedNetworks:
         calls.clear()
         got = availability_pipeline(r, single_moves_only=True, **kwargs)
         assert calls == {}
-        assert got.chain.walk is not None and want.chain.walk is None
+        assert got.chain.flips is not None and want.chain.flips is None
         assert np.abs(got.chain.P - want.chain.P).max() <= ROW_TOL
         assert abs(got.rate - want.rate) <= 1e-15 * want.rate
         assert np.abs(got.law.pi / want.law.pi - 1.0).max() <= 1e-14
@@ -383,7 +383,7 @@ class TestWalkShapedNetworks:
         r = walk_shaped_rates("pernode", 4, 74)
         r = RateFunctions(d=4, psi=psi(r.psi), phi=r.phi)
         report = availability_pipeline(r, multiplier=2.0, single_moves_only=single)
-        assert report.chain.walk is None
+        assert report.chain.flips is None
         assert calls["availability_generator"] == 1
         assert calls["mobius_transform"] >= 1
         if report.dual is not None:
@@ -391,13 +391,16 @@ class TestWalkShapedNetworks:
         assert single == (report.dual is not None)
 
     def test_wrong_closed_form_fails_the_residuals(self, monkeypatch):
-        entries = duality.walk_entries
+        # the flips of P* are scaled after it is written from the dual
+        # operator's moves, so only the certificate can refuse it
+        absorb = duality._absorb
 
-        def wrong(params, direction):
-            rows, cols, p, t = entries(params, direction)
-            return rows, cols, np.where(rows == cols, p, 1.01 * p), t
+        def wrong(p_star, absorbing):
+            absorb(p_star, absorbing)
+            off = ~np.eye(p_star.shape[0], dtype=bool)
+            p_star[off] *= 1.01
 
-        monkeypatch.setattr(duality, "walk_entries", wrong)
+        monkeypatch.setattr(duality, "_absorb", wrong)
         r = walk_shaped_rates("pernode", 4, 74)
         with pytest.raises(NumericalFailure, match="residuals") as exc:
             availability_pipeline(r, multiplier=2.0, single_moves_only=True)

@@ -274,6 +274,36 @@ class TestSeparationCurve:
             separation_curve(c, law, 5)
 
 
+class TestTailNeverRises:
+    """Both paths subtract each step's absorbed mass from the last tail
+    value, so no tail rises, even at its last bit, and a tail is exactly 1
+    until mass can reach the absorbing state."""
+
+    HORIZON = 300
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_walk_duals_on_both_paths(self, d):
+        # ten walks per d, from the extremal point mass of each direction
+        for seed in range(10):
+            direction = ("down", "up")[seed % 2]
+            _, dual = extreme_walk_dual(d, direction, seed=seed)
+            assert dual.flips is not None
+            tails = [absorption_tail(x, self.HORIZON).tail
+                     for x in (dual, dataclasses.replace(dual, flips=None))]
+            for tail in tails:
+                assert (np.diff(tail) <= 0).all()
+                assert (tail[:d] == 1.0).all()
+            assert np.abs(tails[0] - tails[1]).max() <= 1e-13
+
+    def test_three_cube_holds_one_until_three_steps(self):
+        c = load_model(os.path.join(DATA, "three_cube.spec")).cube
+        c = nearest_neighbor_walk(c, nu=delta(8, 0))
+        dual = build_ssd(c, stationary(c), c.poset, "down")
+        for x in (dual, dataclasses.replace(dual, flips=None)):
+            tail = absorption_tail(x, 5).tail
+            assert tail[1] == tail[2] == 1.0 and tail[3] < 1.0
+
+
 class TestAbsorptionTail:
     def test_immediate_absorption(self):
         dual = DualChain(
@@ -511,7 +541,7 @@ class TestKroneckerSteps:
             assert np.abs(got - want).max() <= 1e-13
 
     def assert_tails(self, dual, seed=0):
-        assert dual.walk is not None and dual.clamp_magnitude == 0
+        assert dual.flips is not None and dual.clamp_magnitude == 0
         for nu in start_laws(dual.size, seed):
             restarted = dataclasses.replace(dual, nu_star=nu)
             got = absorption_tail(restarted, self.HORIZON)
@@ -572,12 +602,13 @@ class TestKroneckerSteps:
         c = nearest_neighbor_walk(params, nu=delta(8, 0))
         law = stationary(c)
         dual = build_ssd(c.with_nu(law.pi), law, zeta_mobius(c.poset), "down")
-        assert dual.walk is params and dual.clamp_magnitude > 0
+        assert dual.path == "closed_form" and dual.clamp_magnitude > 0
+        assert dual.flips is None   # the clamp left P* that is not the operator's
 
         def refuse(*args):
             raise AssertionError("a clamped dual read the walk's rates")
 
-        monkeypatch.setattr(convergence, "_walk_tail", refuse)
+        monkeypatch.setattr(convergence, "_flip_mean", refuse)
         monkeypatch.setattr(convergence, "_rate_times", refuse)
         assert simulate_absorption(dual, 100, seed=1).sampler == "moves"
         with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
@@ -586,7 +617,7 @@ class TestKroneckerSteps:
     def test_transform_duals_carry_no_walk(self):
         c = load_model_text(BIRTH_DEATH).chain
         dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down")
-        assert (dual.path, dual.walk) == ("transform", None)
+        assert (dual.path, dual.flips) == ("transform", None)
 
 
 class TestSstBound:
@@ -820,7 +851,7 @@ class TestSimulation:
         for mixed in (False, True):
             # without its rates a walk dual takes the move sampler
             _, dual = extreme_walk_dual(d, direction, mixed=mixed)
-            dual = dataclasses.replace(dual, walk=None)
+            dual = dataclasses.replace(dual, flips=None)
             for seed in (1, 2, 3):
                 for horizon in (None, 50):
                     assert_same_simulation(dual, 2000, seed, horizon)
@@ -832,7 +863,7 @@ class TestSimulation:
         for direction, start in (("down", 0), ("up", m - 1)):
             c = nearest_neighbor_walk(params, nu=delta(m, start))
             dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), direction)
-            dual = dataclasses.replace(dual, walk=None)
+            dual = dataclasses.replace(dual, flips=None)
             for seed, horizon in ((5, 25), (9, None)):
                 assert_same_simulation(dual, 3000, seed, horizon)
 
@@ -964,7 +995,7 @@ class TestRateSampler:
         alpha, beta = (5e-10, 0.1, 0.15), (5e-10, 0.2, 0.1)
         c, law = cube_chain(3, alpha, beta)
         dual = build_ssd(c, law, c.poset, "down")
-        assert dual.walk is not None and dual.clamp_magnitude == 0
+        assert dual.flips is not None and dual.clamp_magnitude == 0
         start = time.perf_counter()
         with pytest.raises(HorizonTooLarge, match="exceeded"):
             simulate_absorption(dual, 1000, seed=1)

@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ class TestReversedReport:
 
 def generic_copy(c):
     """The walk's kernel and start as a plain ``Chain``, without its rates."""
-    return replace(c, walk=None)
+    return replace(c, flips=None)
 
 
 class TestClosedFormPath:
@@ -470,7 +471,7 @@ class TestClosedFormPath:
         start = 0 if direction == "down" else 7
         _, c, law, zm = cube_setup(3, (0.05,) * 3, (0.07,) * 3, nu=delta(8, start))
         g = generic_copy(c)
-        assert reverse(g, law) is g and g.walk is None
+        assert reverse(g, law) is g and g.flips is None
         calls = []
         transform = monotonicity.mobius_transform
         monkeypatch.setattr(monotonicity, "mobius_transform",
@@ -488,28 +489,38 @@ class TestClosedFormPath:
     ], ids=["admissible", "clamped"])
     def test_entries_are_built_once_per_walk_and_direction(self, direction, alpha, beta):
         # from pi, nu* is the absorbing point mass, which owes no bit, so
-        # the clamped dual is built as well
+        # the clamped dual is built as well.  The second build is of a new
+        # walk with equal rates, as each pass of a network run makes one:
+        # the operators' caches are keyed by value, so it builds nothing
+        cached = (cube_module.Flips.moves, cube_module.Flips.held,
+                  cube_module.Flips.transform)
+        for f in cached:
+            f.cache_clear()
         params, c, law, zm = cube_setup(3, alpha, beta)
-        c = c.with_nu(law.pi)
-        cube_module.walk_entries.cache_clear()
-        first = build_ssd(c, law, zm, direction)
-        second = build_ssd(c, law, zm, direction)
-        info = cube_module.walk_entries.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        first = build_ssd(c.with_nu(law.pi), law, zm, direction)
+        misses = [f.cache_info().misses for f in cached]
+        # the walk's moves and stays, the dual's moves, one transform
+        assert misses == [2, 1, 1]
+        _, c, law, zm = cube_setup(3, tuple(alpha), tuple(beta))
+        second = build_ssd(c.with_nu(law.pi), law, zm, direction)
+        assert [f.cache_info().misses for f in cached] == misses
         assert (first.clamp_magnitude > 0) == (alpha[0] < 1e-10)
+        assert (first.flips is None) == (alpha[0] < 1e-10)
         for a, b in ((first.P_star, second.P_star), (first.nu_star, second.nu_star)):
             assert a.tobytes() == b.tobytes()
         assert first.intertwine_residual == second.intertwine_residual
-        for entries in cube_module.walk_entries(params, direction):
+        for entries in (*params.flips.dual(direction).moves(),
+                        *params.flips.transform(direction), params.flips.held()):
             assert not entries.flags.writeable
 
     def test_constructors_carry_rates_only_from_the_walk(self):
         params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)
-        assert c.walk is params
-        assert c.with_nu(delta(8, 0)).walk is params
+        assert c.flips == params.flips
+        assert (c.flips.up, c.flips.down) == (params.alpha, params.beta)
+        assert c.with_nu(delta(8, 0)).flips is c.flips
         assert reverse(c, law) is c
-        assert axis_transformed_walk(params, 0.01).walk is None
-        assert validate_chain(c.P, c.poset).walk is None
+        assert axis_transformed_walk(params, 0.01).flips is None
+        assert validate_chain(c.P, c.poset).flips is None
 
 
 class TestAbsorbingStateReachable:
@@ -930,7 +941,7 @@ def walk_dual(c, direction):
     """The dual from the extremal point mass of ``direction``, which owes
     every bit, or, when the clamp drops a flip, from pi, which owes none."""
     law = stationary(c)
-    if (c.walk.rates < duality.CLAMP_TOL).any():
+    if (np.add(c.flips.up, c.flips.down) < duality.CLAMP_TOL).any():
         c = c.with_nu(law.pi)
     else:
         c = c.with_nu(delta(c.size, 0 if direction == "down" else c.size - 1))
@@ -969,23 +980,24 @@ class TestWalkBound:
 
     @pytest.mark.parametrize("corrupt", ["swapped", "off_pattern"])
     def test_wrong_closed_form_is_refused(self, monkeypatch, corrupt):
-        # test_availability's test_wrong_closed_form_fails_the_residuals
-        # scales the flips instead
-        entries = duality.walk_entries
+        # P* is corrupted after it is written from the dual operator's
+        # moves and checked for absorption, so only the certificate stands
+        # between it and the caller; test_availability's
+        # test_wrong_closed_form_fails_the_residuals scales the flips instead
+        check = duality._check_flips_absorb
 
-        def wrong(params, direction):
-            rows, cols, p, t = entries(params, direction)
-            flips = np.flatnonzero(rows != cols)
-            cols = cols.copy()
+        def wrong(cols, raw, p_star, *args):
+            check(cols, raw, p_star, *args)
+            flips = np.flatnonzero(p_star[0])[1:]   # the flips out of state 0
             if corrupt == "swapped":
                 # the two flips out of state 0 trade columns
-                cols[flips[:2]] = cols[flips[1::-1]]
+                p_star[0, flips[:2]] = p_star[0, flips[1::-1]]
             else:
                 # one flip out of state 0 lands two bits away
-                cols[flips[0]] ^= 0b10
-            return rows, cols, p, t
+                p_star[0, flips[0] ^ 0b10] = p_star[0, flips[0]]
+                p_star[0, flips[0]] = 0.0
 
-        monkeypatch.setattr(duality, "walk_entries", wrong)
+        monkeypatch.setattr(duality, "_check_flips_absorb", wrong)
         _, c, law, zm = cube_setup(3, (0.05, 0.1, 0.15), (0.04, 0.03, 0.02), nu=delta(8, 0))
         with pytest.raises(NumericalFailure, match="residuals"):
             build_ssd(c, law, zm, "down")
@@ -1001,9 +1013,67 @@ class TestWalkBound:
             CubeWalkParams(d=d, alpha=tuple(alpha), beta=tuple(beta))), "down")
         tracemalloc.start()
         try:
-            bound = duality._walk_bound(c.walk, law.pi, "down", dual.P_star)
+            bound = c.flips.intertwine_bound("down", law.pi, dual.P_star)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert bound == dual.intertwine_residual
         assert peak < c.size**2   # an eighth of one m x m float array
+
+
+def rational_walks(seed, count=10):
+    """``count`` walks with rational rates k/D, d cycling over 1..6 with
+    the middle sizes twice as often, each admissible: sum(alpha + beta) is
+    at most 1, and exactly 1 for a quarter of them.  Every fourth walk sits
+    within 1e-9 of the holding boundary instead: one rate of each bit is
+    below 1e-10, and its largest stay 1 - sum_k max(alpha_k, beta_k) is at
+    most 1e-9.  Its dual then stays at the extremal state with probability
+    0 or 2..4e-10, clear of the clamp, which would refuse the dual."""
+    rng = np.random.default_rng([seed, 29])
+    for i in range(count):
+        d = (1, 2, 3, 4, 5, 6, 2, 3, 4, 5)[i % 10]
+        if i % 4 == 3:
+            tiny = [Fraction(int(k), 10**11) for k in rng.integers(1, 10, d)]
+            weights = [int(w) for w in rng.integers(1, 20, d)]
+            room = 1 - sum(tiny) - Fraction(int(rng.choice([0, 2, 3, 4])), 10**10)
+            big = [room * w / sum(weights) for w in weights]
+            up = rng.random(d) < 0.5
+            rates = [b if u else t for b, t, u in zip(big, tiny, up)]
+            rates += [t if u else b for b, t, u in zip(big, tiny, up)]
+        else:
+            nums = [int(k) for k in rng.integers(1, 50, 2 * d)]
+            den = sum(nums) + (0 if i % 4 == 1 else int(rng.integers(1, 40)))
+            rates = [Fraction(k, den) for k in nums]
+        yield CubeWalkParams(d=d, alpha=tuple(map(float, rates[:d])),
+                             beta=tuple(map(float, rates[d:])))
+
+
+def exact_intertwining(c, law, dual):
+    """max|Lambda P - P* Lambda| in Fractions from the emitted float P,
+    P* and pi, each read exactly, through the poset's zeta actions on
+    object arrays (the link as ``build_link`` forms it); zeros stay the
+    int 0, which is faster to add."""
+    exact = np.vectorize(lambda x: Fraction(x) if x else 0, otypes=[object])
+    pi, kernel, p_star = exact(law.pi), exact(c.P), exact(dual.P_star)
+    other = "up" if dual.direction == "down" else "down"
+    h = c.poset.zeta_right(pi, dual.direction, object)
+    lam_p = c.poset.zeta_left(pi[:, None] * kernel, other, object) / h[:, None]
+    p_lam = c.poset.zeta_right(p_star / h, other, object) * pi
+    return max(abs(v) for v in (lam_p - p_lam).ravel())
+
+
+class TestExactIntertwining:
+    """The closed form's printed bound against the exact residual of the
+    arrays it certifies, on 200 walks with rational rates, half of them
+    in each direction."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bound_dominates_the_exact_residual(self, seed):
+        for i, params in enumerate(rational_walks(seed)):
+            direction = ("down", "up")[(seed + i) % 2]
+            m = 2**params.d
+            c = nearest_neighbor_walk(params, nu=delta(m, 0 if direction == "down" else m - 1))
+            law = stationary(c)
+            dual = build_ssd(c, law, c.poset, direction)
+            assert dual.path == "closed_form"
+            assert exact_intertwining(c, law, dual) <= Fraction(dual.intertwine_residual)
