@@ -10,11 +10,12 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import convergence, duality, monotonicity
-from .chain import ROW_TOL, Chain, StationaryLaw, reverse, stationary, validate_chain
+from .chain import ROW_TOL, Chain, StationaryLaw, chain_from_moves, reverse, stationary
 from .cube import CubeWalkParams, nearest_neighbor_walk
 from .errors import (
     InputError,
@@ -78,33 +79,83 @@ def pernode_family(d, values):
 
 def availability_generator(r, single_moves_only=False):
     """Breakdown/repair generator from the rate functions: the conservative
-    rate matrix on the subset poset, read-only, with state k the node mask k.
+    rate matrix Q on the subset poset, with state k the node mask k, as the
+    read-only row-major triple (rows, cols, vals) of its entries that can
+    be nonzero (``_inclusions``).
 
     Q(D, D u I) = psi(D u I)/psi(D) for nonempty up groups I, Q(D, D \\ H) =
-    phi(D)/phi(D \\ H) for nonempty down groups H; diagonal balances each
-    row.  ``single_moves_only`` keeps only |I| = |H| = 1 transitions, the
-    regime in which uniformization reproduces the nearest-neighbor walk.
-    Both ratio tables are written in one pass each, over the pairs of masks
-    related by inclusion.
+    phi(D)/phi(D \\ H) for nonempty down groups H; each diagonal entry is
+    minus the sum of its row's moves (``_row_sums``).  ``single_moves_only``
+    keeps only |I| = |H| = 1 transitions, the regime in which
+    uniformization reproduces the nearest-neighbor walk.
     """
     d = r.d
     check_cube_dim(d)
-    masks = np.arange(2**d, dtype=np.int16)  # d <= DENSE_CUBE_LIMIT = 13
-    row, col = masks[:, None], masks[None, :]
-    meet = row & col
-    breakdown, repair = meet == row, meet == col
-    if single_moves_only:
-        flip = row ^ col
-        one = (flip & (flip - 1)) == 0
-        breakdown &= one
-        repair &= one
-    q = np.zeros((masks.size, masks.size))
-    np.divide(r.psi[None, :], r.psi[:, None], out=q, where=breakdown)
-    np.divide(r.phi[:, None], r.phi[None, :], out=q, where=repair)
-    np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    q.flags.writeable = False
-    return q
+    rows, cols, (up, down, sub, sup), diag, lanes = _inclusions(d, single_moves_only)
+    vals = np.zeros(rows.size)
+    vals[up] = r.psi[sup] / r.psi[sub]
+    vals[down] = r.phi[sup] / r.phi[sub]
+    vals[diag] = -_row_sums(vals, lanes, 2**d)
+    vals.flags.writeable = False
+    return rows, cols, vals
+
+
+@lru_cache(maxsize=2)
+def _inclusions(d, single_moves_only):
+    """(rows, cols, (up, down, sub, sup), diag, lanes), read-only and kept
+    for the last two layouts asked for: the positions (rows, cols),
+    row-major with columns ascending, of the entries of a generator on the
+    d-cube that can be nonzero.  Those are, for every pair of masks
+    sub < sup related by inclusion (3^d - 2^d of them), or only for those
+    one node apart, a breakdown sub -> sup at index ``up`` and a repair
+    sup -> sub at index ``down``, and the diagonal at ``diag``; ``lanes``
+    are the partial sums of ``_row_sums`` that the entries fall in.
+
+    The pairs are listed bit by bit, the blocks of a bit outermost in the
+    order neither, sup only, both, so that for each mask the supersets it
+    breaks down to and the subsets it is repaired to come in ascending
+    order; listing the repairs, the diagonal, then the breakdowns, a stable
+    sort by row alone lays them out.
+    """
+    sub = sup = np.zeros(1, dtype=np.intp)
+    for k in range(d):
+        bit = 1 << k
+        gain = sub == sup if single_moves_only else slice(None)
+        sub, sup = (np.concatenate((sub, sub[gain], sub | bit)),
+                    np.concatenate((sup, sup[gain] | bit, sup | bit)))
+    apart = sub != sup
+    sub, sup = sub[apart], sup[apart]
+    m, n = 1 << d, sub.size
+    rows = np.concatenate((sup, np.arange(m), sub))
+    order = np.argsort(rows.astype(np.int16), kind="stable")  # a radix sort
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    rows, cols = rows[order], np.concatenate((sub, np.arange(m), sup))[order]
+    # eight interleaved lanes per block of 128 columns, or of m below that
+    blocks = max(m >> 7, 1)
+    lanes = ((rows * blocks + (cols >> 7)) << 3) | (cols & 7)
+    up, down, diag = at[n + m:], at[:n], at[n:n + m]
+    for a in (rows, cols, up, down, sub, sup, diag, lanes):
+        a.flags.writeable = False
+    return rows, cols, (up, down, sub, sup), diag, lanes
+
+
+def _row_sums(vals, lanes, m):
+    """The row sums of the m x m generator whose entries ``vals`` fall in
+    the partial sums ``lanes`` of ``_inclusions``, added in the order in
+    which numpy sums a C-ordered row of the dense array, so that they are
+    bit-identical to a dense sum: pairwise, the entries of each block of
+    min(m, 128) columns in eight interleaved lanes, each in column order,
+    and the blocks then added in pairs; below 8 columns, one lane."""
+    if m < 8:
+        return np.bincount(lanes >> 3, vals, m)
+    part = np.bincount(lanes, vals, 8 * max(m >> 7, 1) * m).reshape(-1, 8)
+    total = ((part[:, 0] + part[:, 1]) + (part[:, 2] + part[:, 3])) + (
+        (part[:, 4] + part[:, 5]) + (part[:, 6] + part[:, 7]))
+    total = total.reshape(m, -1)
+    while total.shape[1] > 1:
+        total = total[:, 0::2] + total[:, 1::2]
+    return total[:, 0]
 
 
 def _uniformization_rate(exit_max, multiplier):
@@ -117,22 +168,25 @@ def _uniformization_rate(exit_max, multiplier):
 
 
 def uniformize(q, multiplier=DEFAULT_MULTIPLIER):
-    """(chain, rate): the generator ``q`` on the 2^d subsets uniformized into
-    the kernel P = I + q/rate.
+    """(chain, rate): the generator ``q`` on the 2^d subsets, a row-major
+    triple (rows, cols, vals) as ``availability_generator`` gives it,
+    uniformized into the kernel P = I + q/rate.
 
     The rate is ``multiplier`` times the largest total exit rate; multipliers
-    above 1 keep every holding probability strictly positive.  A holding
-    probability within ROW_TOL of 0 is exactly 0, as on the walk path.
-    The stationary law is preserved:
-    pi Q = 0 iff pi P = pi.
+    above 1 keep every holding probability strictly positive.  Only the
+    listed entries are divided, and a holding probability within ROW_TOL
+    of 0 is exactly 0, as on the walk path.  The chain is built and checked
+    from those moves (``chain.chain_from_moves``).  The stationary law is
+    preserved: pi Q = 0 iff pi P = pi.
     """
-    rate = _uniformization_rate(float(np.abs(np.diag(q)).max()), multiplier)
-    p = cube_poset(len(q).bit_length() - 1)
-    mat = q / rate
-    stay = 1.0 + np.diag(mat)
+    rows, cols, vals = q
+    diag = np.flatnonzero(rows == cols)
+    rate = _uniformization_rate(float(np.abs(vals[diag]).max()), multiplier)
+    p = vals / rate
+    stay = 1.0 + p[diag]
     stay[np.abs(stay) <= ROW_TOL] = 0.0
-    np.fill_diagonal(mat, stay)
-    return validate_chain(mat, p), rate
+    p[diag] = stay
+    return chain_from_moves((rows, cols, p), cube_poset(diag.size.bit_length() - 1)), rate
 
 
 def node_rates(r):

@@ -29,7 +29,7 @@ TREE_LAW_ABOVE = 32
 # Largest detailed-balance defect |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y))
 # over the moves of P at which a stationary law certifies P as reversible.
 BALANCE_TOL = 1e-12
-# Relative slack, per term summed, within which ``walk_chain`` sums a
+# Relative slack, per term summed, within which ``chain_from_moves`` sums a
 # kernel row densely: twice the machine epsilon.
 SUM_SLACK = 2 * np.finfo(float).eps
 
@@ -42,11 +42,14 @@ class Chain:
     when the input was given in exact rational form.  ``flips`` carries the
     operator (a ``cube.Flips``) of a nearest-neighbor cube walk, I plus the
     generators of its flips, from which its law, its Mobius reports, its
-    dual and its curve are read without a dense array: only ``walk_chain``
-    (``nearest_neighbor_walk``) sets it, on cube walks and on the uniformized
+    dual and its curve are read without a dense array: only
+    ``nearest_neighbor_walk`` sets it, on cube walks and on the uniformized
     chain of a single-move product-form network (see
-    ``availability.node_rates``), and ``with_nu`` and a ``reverse`` that
-    returns the chain itself keep it.
+    ``availability.node_rates``).  ``moves`` holds the positive entries of
+    P as a read-only triple (rows, cols, vals), row by row in row order,
+    on a chain built from its moves (``chain_from_moves``); every other
+    chain finds them by a scan of P (``positive_moves``).  ``with_nu`` and
+    a ``reverse`` that returns the chain itself keep both.
     """
 
     poset: object
@@ -54,6 +57,7 @@ class Chain:
     nu: np.ndarray | None = None
     exact: tuple | None = None
     flips: object | None = None
+    moves: tuple | None = None
 
     def __post_init__(self):
         self.P.flags.writeable = False
@@ -68,6 +72,15 @@ class Chain:
         """This chain started from ``nu``, which alone is checked, at
         ``row_tol``: P was validated when the chain was built."""
         return replace(self, nu=_checked([], nu, self.size, row_tol))
+
+    def positive_moves(self):
+        """(rows, cols, vals): the positive entries of P, row by row in row
+        order: ``moves`` when the chain keeps them, else found by a scan of
+        P, row-major."""
+        if self.moves is not None:
+            return self.moves
+        rows, cols = np.nonzero(self.P > 0)
+        return rows, cols, self.P[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -140,26 +153,40 @@ def _row_violations(block, index, row_tol):
     return violations
 
 
-def walk_chain(flips, poset, nu=None, row_tol=ROW_TOL):
-    """The chain of the cube walk whose kernel is the operator ``flips``
-    (a ``cube.Flips``) on its cube ``poset``, started from ``nu``.
+def chain_from_moves(moves, poset, nu=None, row_tol=ROW_TOL, flips=None):
+    """The chain on ``poset`` whose kernel holds the entries ``moves``, a
+    row-major triple (rows, cols, vals) that lists each entry of a row that
+    can be nonzero once, row by row in row order, started from ``nu``;
+    ``flips`` is the operator of the cube walk whose ``kernel_moves`` they
+    are (``nearest_neighbor_walk``), if any.
 
-    Its dense kernel is written from ``flips.kernel_moves()`` and checked as
+    Its dense kernel is written from the moves and checked as
     ``validate_chain`` checks a kernel, raising the same violations, but
     read at the moves: a row is summed densely only when it has a
-    non-finite or negative move, or when the sum of its moves is within
-    SUM_SLACK of being off 1 by more than ``row_tol`` (any two orders of
-    summing n terms differ by less than n eps times their absolute sum).
+    non-finite or negative move, or when the sum of its n moves is within
+    SUM_SLACK n times itself of being off 1 by more than ``row_tol`` (any
+    two orders of summing n nonnegative terms differ by less than n eps
+    times their sum).  The chain keeps the positive moves (``Chain.moves``),
+    whose arrays it marks read-only.
     """
-    rows, _, vals = flips.kernel_moves()
+    rows, cols, vals = moves
     m = poset.size
-    mat = flips.kernel()
-    slack = SUM_SLACK * (flips.d + 1) * np.bincount(rows, np.abs(vals), m)
-    near = np.abs(np.bincount(rows, vals, m) - 1.0) > row_tol - slack
-    bad = np.bincount(rows, ~np.isfinite(vals) | (vals < 0), m) > 0
-    check = np.flatnonzero(near | bad)
+    mat = np.zeros((m, m))
+    mat[rows, cols] = vals
+    sums = np.bincount(rows, vals, m)
+    count = np.diff(np.searchsorted(rows, np.arange(m + 1)))
+    check = np.flatnonzero(np.abs(sums - 1.0) > row_tol - SUM_SLACK * count * np.abs(sums))
+    bad = ~np.isfinite(vals) | (vals < 0)
+    if bad.any():
+        check = np.union1d(check, rows[bad])
     violations = _row_violations(mat[check], check, row_tol) if check.size else []
-    return Chain(poset=poset, P=mat, nu=_checked(violations, nu, m, row_tol), flips=flips)
+    nu = _checked(violations, nu, m, row_tol)
+    positive = vals > 0
+    if not positive.all():
+        rows, cols, vals = rows[positive], cols[positive], vals[positive]
+    for a in (rows, cols, vals):
+        a.flags.writeable = False
+    return Chain(poset=poset, P=mat, nu=nu, flips=flips, moves=(rows, cols, vals))
 
 
 def _checked(violations, nu, m, row_tol):
@@ -182,12 +209,13 @@ def _checked(violations, nu, m, row_tol):
 
 def _support_levels(src, dst, m):
     """BFS levels from state 0 along the edges src[k] -> dst[k] of an
-    m-state digraph (-1 if unreachable), one pass over the edges per level."""
+    m-state digraph (-1 if unreachable), one pass over the edges per level
+    until every state is reached."""
     level = np.full(m, -1, dtype=np.int64)
     level[0] = 0
     frontier = level == 0
     depth = 0
-    while frontier.any():
+    while frontier.any() and (level < 0).any():
         depth += 1
         reached = np.zeros(m, dtype=bool)
         reached[dst[frontier[src]]] = True
@@ -196,12 +224,10 @@ def _support_levels(src, dst, m):
     return level
 
 
-def _check_ergodic(P, poset):
-    """Raise unless the support digraph of P is strongly connected and
-    aperiodic; return the BFS levels from state 0 and the nonzeros
-    (rows, cols) of P, row-major."""
-    m = P.shape[0]
-    rows, cols = np.nonzero(P > 0)
+def _check_ergodic(rows, cols, poset):
+    """Raise unless the support digraph of the moves rows[k] -> cols[k] is
+    strongly connected and aperiodic; return the BFS levels from state 0."""
+    m = poset.size
     fwd = _support_levels(rows, cols, m)
     if (fwd < 0).any():
         j = int(np.flatnonzero(fwd < 0)[0])
@@ -218,10 +244,11 @@ def _check_ergodic(P, poset):
             f"{poset.elements[j]!r}",
             pair=(poset.elements[j], poset.elements[0]),
         )
-    period = int(np.gcd.reduce(fwd[rows] + 1 - fwd[cols]))
+    # a positive stay is a cycle of length 1
+    period = 1 if (rows == cols).any() else int(np.gcd.reduce(fwd[rows] + 1 - fwd[cols]))
     if period != 1:
         raise NotAperiodic(f"chain has period {period}", period=period)
-    return fwd, rows, cols
+    return fwd
 
 
 def _tree_law(P, level, rows, cols):
@@ -251,11 +278,12 @@ def _tree_law(P, level, rows, cols):
     return pi
 
 
-def _balance(P, pi, rows, cols):
+def _balance(P, pi, rows, cols, vals):
     """max |pi_x P(x,y) - pi_y P(y,x)| / (pi_x P(x,y)) over the nonzeros
-    (x, y) of P: 0 on the diagonal, 1 for a move without its reverse, inf
-    where pi under- or overflowed.  Free of the scale of pi."""
-    flow = pi[rows] * P[rows, cols]
+    P(x, y) = vals at (x, y) = (rows, cols): 0 on the diagonal, 1 for a move
+    without its reverse, inf where pi under- or overflowed.  Free of the
+    scale of pi."""
+    flow = pi[rows] * vals
     worst = float((np.abs(flow - pi[cols] * P[cols, rows]) / flow).max())
     return float("inf") if np.isnan(worst) else worst
 
@@ -288,7 +316,9 @@ def stationary(c):
     certificates from its operator (``Flips.law``, path "product_form"),
     reading no dense array.  On every other chain, irreducibility (strong
     connectivity of the support digraph) and aperiodicity (gcd of cycle
-    lengths) are verified structurally first.
+    lengths) are verified structurally first, over the positive moves of
+    the kernel (``Chain.positive_moves``), which also carry the tree law
+    and the certificate.
 
     A reversible chain's law follows from detailed balance along any
     spanning tree of its support (Kolmogorov's criterion).  For a chain of
@@ -333,24 +363,25 @@ def stationary(c):
 
 def _solve(c):
     """(pi, balance, path) of a chain without ``flips`` (see ``stationary``)."""
-    level, rows, cols = _check_ergodic(c.P, c.poset)
+    rows, cols, vals = c.positive_moves()
+    level = _check_ergodic(rows, cols, c.poset)
     balance = float("inf")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if c.size > TREE_LAW_ABOVE:
             pi = _tree_law(c.P, level, rows, cols)
             if pi is not None:
-                balance = _balance(c.P, pi, rows, cols)
+                balance = _balance(c.P, pi, rows, cols, vals)
         if balance <= BALANCE_TOL:
             return pi / pi.sum(), balance, "detailed_balance"
         pi = _gth(c)
-        return pi, _balance(c.P, pi, rows, cols), "gth"
+        return pi, _balance(c.P, pi, rows, cols, vals), "gth"
 
 
 def _exactly_balanced(c):
     """Whether the exact entries of c satisfy detailed balance exactly over
     their nonzeros, along the tree ``stationary`` uses, in Fractions."""
     exact = np.array(c.exact, dtype=object)
-    rows, cols = np.nonzero(c.P > 0)
+    rows, cols, _ = c.positive_moves()
     level = _support_levels(rows, cols, c.size)
     if (level < 0).any():
         return False

@@ -102,9 +102,9 @@ def separation_curve(c, law, horizon, stop_below=None):
     (geometric decay makes longer horizons numerically meaningless).  A
     walk's law is stepped by its operator through two Kronecker factors
     (``Flips.row_step``), reading no dense array; every other kernel is
-    stepped over the nonzeros of P.  A non-monotone step beyond 1e-12
-    slack is reported as a warning, not an error: starts that violate the
-    duality preconditions may produce one.
+    stepped over its positive moves (``Chain.positive_moves``).  A
+    non-monotone step beyond 1e-12 slack is reported as a warning, not an
+    error: starts that violate the duality preconditions may produce one.
     """
     if c.nu is None:
         raise PreconditionFailed("separation curve requires an initial law nu")
@@ -113,7 +113,7 @@ def separation_curve(c, law, horizon, stop_below=None):
     if c.flips is not None:
         step = c.flips.row_step()
     else:
-        step = _stepper(*_moves(c.P), c.size)
+        step = _stepper(*c.positive_moves(), c.size)
     dist = c.nu.astype(float)
     values = [float((1.0 - dist / pi).max())]
     for _ in range(horizon):
@@ -533,7 +533,9 @@ def _rate_times(dual, start, rng):
         left = np.cumsum(order[:, ::-1], axis=1)[:, ::-1]
         np.minimum(left, 1.0, out=left)  # sum s_k <= 1 only to rounding
         waits = np.zeros(owed.shape)
-        np.divide(np.log(1.0 - rng.random(owed.shape)), np.log1p(-left),
+        # log(1 - S_r) is -inf where all that is owed is collected at once
+        log_stay = np.log1p(-left, out=np.full(owed.shape, -np.inf), where=left < 1)
+        np.divide(np.log(1.0 - rng.random(owed.shape)), log_stay,
                   out=waits, where=left > 0)
         total = (np.floor(waits) + (left > 0)).sum(axis=1)
         if total.max(initial=0.0) > MAX_HORIZON:

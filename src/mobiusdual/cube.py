@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ROW_TOL, Chain, StationaryLaw, validate_chain, walk_chain
+from .chain import ROW_TOL, Chain, StationaryLaw, chain_from_moves, validate_chain
 from .errors import (
     DimensionMismatch,
     IncomparableRequired,
@@ -316,10 +316,13 @@ def _read_only(*arrays):
 
 def nearest_neighbor_walk(params, nu=None, row_tol=ROW_TOL):
     """Single-coordinate-flip walk on the d-cube, checked at ``row_tol``
-    from its moves (``chain.walk_chain``); the chain carries the operator
-    of its rates as ``flips``.  d above DENSE_CUBE_LIMIT raises
-    DimensionTooLarge before anything is allocated."""
-    return walk_chain(params.flips, cube_poset(params.d), nu=nu, row_tol=row_tol)
+    from its moves (``chain.chain_from_moves`` of ``Flips.kernel_moves``);
+    the chain carries the operator of its rates as ``flips``.  d above
+    DENSE_CUBE_LIMIT raises DimensionTooLarge before anything is
+    allocated."""
+    poset, flips = cube_poset(params.d), params.flips
+    return chain_from_moves(flips.kernel_moves(), poset, nu=nu, row_tol=row_tol,
+                            flips=flips)
 
 
 def gplus_transform(c, *moves, row_tol=ROW_TOL):

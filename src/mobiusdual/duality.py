@@ -173,7 +173,7 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     h, nu_star = _start(zm, law, direction, g_report, rev_report)
     p = (h[:, None] * core) / h[None, :]   # P* transposed
     del core  # free an m x m array before the clamp and the residuals
-    nu_star, clamp_magnitude = _clamped(nu_star, p)
+    nu_star, clamp_magnitude = _clamped(nu_star, p, _clamp(p, CLAMP_TOL))
     p_star = np.divide(p.T, p.sum(axis=0)[:, None], order="C")
     del p
     _absorb(p_star, absorbing)
@@ -189,17 +189,24 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
 def _closed_form(c, law, zm, direction, absorbing, g_report, rev_report):
     """``build_ssd`` on a cube walk ``c``, its own time reversal: P* is
     written from the moves of its dual's operator (``Flips.dual``), with
-    the clamp and row normalisation of the transform path, and certified
-    by ``Flips.intertwine_bound``; the dual keeps the operator when no
-    clamp touched it."""
+    the row normalisation of the transform path, and certified by
+    ``Flips.intertwine_bound``; the dual keeps the operator when no clamp
+    touched it.  Each stay is zeroed only as the dual's kernel holds it,
+    within ROW_TOL of 0 (``Flips.held``), and only the flips are clamped:
+    a stay in (ROW_TOL, CLAMP_TOL) is a legitimate entry."""
     h, nu_star = _start(zm, law, direction, g_report, rev_report)
     dual = c.flips.dual(direction)
     rows, cols, raw = dual.moves()
     live = np.flatnonzero(raw)
-    p = raw[live]  # a copy, which the clamp writes
-    nu_star, clamp_magnitude = _clamped(nu_star, p)
+    src, dst = rows[live], cols[live]
+    p = dual.kernel_moves()[2][live]  # a copy, which the clamp writes
+    flip = src != dst
+    noise = p[flip]
+    zeroed = max(_clamp(noise, CLAMP_TOL), float(np.abs(dual.held()).max(initial=0.0)))
+    p[flip] = noise
+    nu_star, clamp_magnitude = _clamped(nu_star, p, zeroed)
     p_star = np.zeros((c.size, c.size))
-    p_star[rows[live], cols[live]] = p / np.bincount(rows[live], p, c.size)[rows[live]]
+    p_star[src, dst] = p / np.bincount(src, p, c.size)[src]
     _absorb(p_star, absorbing)
     _check_flips_absorb(cols, raw, p_star, nu_star, absorbing, zm.elements)
     return _certified(
@@ -226,11 +233,12 @@ def _start(zm, law, direction, g_report, rev_report):
     return h, g_report.transformed * h
 
 
-def _clamped(nu_star, p):
-    """(nu*, magnitude): zero the noise of ``nu_star`` and of P*'s entries
-    ``p`` below CLAMP_TOL in place, log the largest magnitude zeroed, refuse
-    a negative mass beyond it, and normalise nu*."""
-    clamp_magnitude = max(_clamp(nu_star, CLAMP_TOL), _clamp(p, CLAMP_TOL))
+def _clamped(nu_star, p, zeroed):
+    """(nu*, magnitude): zero the noise of ``nu_star`` below CLAMP_TOL in
+    place, log the largest magnitude zeroed there or, ``zeroed``, among
+    P*'s entries ``p``, refuse a negative mass beyond it, and normalise
+    nu*."""
+    clamp_magnitude = max(_clamp(nu_star, CLAMP_TOL), zeroed)
     if clamp_magnitude > 0:
         log.info("zeroed dual noise up to %.3e", clamp_magnitude)
     if (nu_star < 0).any() or (p < 0).any():

@@ -75,7 +75,7 @@ def mobius_transform(P, zm, direction, dtype=float):
     Fractions the transform is exact.
     """
     _check_square(P, zm.size)
-    return zm.zeta_right(zm.mobius_left(P, direction, dtype), direction, dtype)
+    return zm.similarity(P, direction, dtype)
 
 
 def _near_min(values, tol=0.0):

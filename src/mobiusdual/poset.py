@@ -158,8 +158,21 @@ class Poset:
         if self.cube_dim is None:
             mat = self.zeta(direction, dtype) if sign > 0 else self.mobius(direction, dtype)
             return mat @ x if left else x @ mat
+        return self._passes(np.array(x, dtype=dtype, order="C"), direction, left, sign)
+
+    def similarity(self, x, direction, dtype=float):
+        """mobius(direction) @ x @ zeta(direction), as a new array of
+        ``dtype``; on a cube the right action runs in place on the left
+        action's output, which is already a copy."""
+        out = self.mobius_left(x, direction, dtype)
+        if self.cube_dim is None:
+            return self.zeta_right(out, direction, dtype)
+        return self._passes(out, direction, left=False, sign=1)
+
+    def _passes(self, out, direction, left, sign):
+        """The butterflies of ``_act`` on a cube, in place on the C-ordered
+        array ``out``, which is returned."""
         supersets = left == _is_down(direction)
-        out = np.array(x, dtype=dtype, order="C")
         m = self.size
         if left or out.ndim == 1:
             _row_blocks(out.reshape(m, -1), self.cube_dim, supersets, sign)

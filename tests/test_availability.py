@@ -20,12 +20,13 @@ from mobiusdual import (
 )
 from mobiusdual import availability, cli, duality, monotonicity
 from mobiusdual import cube as cube_module
-from mobiusdual.poset import Poset
-from mobiusdual.chain import ROW_TOL
+from mobiusdual.poset import Poset, cube_poset
+from mobiusdual.chain import ROW_TOL, chain_from_moves, validate_chain
 from mobiusdual.errors import (
     InputError,
     MissingSubsetValue,
     NotAperiodic,
+    NotStochastic,
     NumericalFailure,
     ZeroGenerator,
 )
@@ -116,6 +117,64 @@ class TestRateFunctions:
         assert np.abs(pernode_family(d, values) / pernode - 1).max() <= d * 2.0**-53
 
 
+def dense(moves, m):
+    """The m x m array holding the row-major triple ``moves``."""
+    rows, cols, vals = moves
+    out = np.zeros((m, m))
+    out[rows, cols] = vals
+    return out
+
+
+def generator(r, single_moves_only=False):
+    """``availability_generator`` as a dense array."""
+    return dense(availability_generator(r, single_moves_only), 2**r.d)
+
+
+def meet_matrix_generator(r, single_moves_only=False):
+    """Oracle: the generator written densely over all 4^d pairs of masks,
+    breakdowns where the meet of (row, col) is the row and repairs where it
+    is the column, each diagonal entry minus its dense row sum."""
+    masks = np.arange(2**r.d, dtype=np.int16)
+    row, col = masks[:, None], masks[None, :]
+    meet = row & col
+    breakdown, repair = meet == row, meet == col
+    if single_moves_only:
+        flip = row ^ col
+        one = (flip & (flip - 1)) == 0
+        breakdown &= one
+        repair &= one
+    q = np.zeros((masks.size, masks.size))
+    np.divide(r.psi[None, :], r.psi[:, None], out=q, where=breakdown)
+    np.divide(r.phi[:, None], r.phi[None, :], out=q, where=repair)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def dense_uniformize(q, multiplier=availability.DEFAULT_MULTIPLIER):
+    """Oracle: ``uniformize`` of the dense generator ``q``, dividing all of
+    it and validating the kernel by a dense scan, so that the chain keeps
+    no moves."""
+    rate = availability._uniformization_rate(float(np.abs(np.diag(q)).max()), multiplier)
+    mat = q / rate
+    stay = 1.0 + np.diag(mat)
+    stay[np.abs(stay) <= ROW_TOL] = 0.0
+    np.fill_diagonal(mat, stay)
+    return validate_chain(mat, cube_poset(len(q).bit_length() - 1)), rate
+
+
+def assert_same_generator(moves, want):
+    """``moves`` holds the dense generator ``want`` bit for bit: the same
+    divisions off the diagonal, and each diagonal entry summed in numpy's
+    order for a dense row."""
+    rows, cols, vals = moves
+    assert vals.dtype == np.float64
+    assert not any(a.flags.writeable for a in moves)
+    assert (np.diff(rows * len(want) + cols) > 0).all()   # row-major, columns ascending
+    assert np.array_equal(dense(moves, len(want)), want)
+    assert np.count_nonzero(want) == np.count_nonzero(vals)
+
+
 def submask_loop_generator(r, single_moves_only=False):
     """Oracle: the generator filled state by state over submask loops."""
 
@@ -149,18 +208,17 @@ class TestGenerator:
             d=d, psi=np.exp(rng.normal(size=2**d)), phi=np.exp(rng.normal(size=2**d))
         )
         q = availability_generator(r, single_moves_only=single)
-        assert q.dtype == np.float64 and not q.flags.writeable
-        assert np.array_equal(q, submask_loop_generator(r, single))
+        assert_same_generator(q, submask_loop_generator(r, single))
 
     def test_single_node_rates(self):
         # d = 1: breakdown rate a = psi({1})/psi({}) and repair rate b
         r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
-        q = availability_generator(r)
+        q = generator(r)
         assert np.allclose(q, [[-0.3, 0.3], [0.7, -0.7]])
 
     def test_unit_rate_functions_give_unit_rates(self):
         r = RateFunctions(d=2, psi=np.ones(4), phi=np.ones(4))
-        q = availability_generator(r)
+        q = generator(r)
         off = q - np.diag(np.diag(q))
         assert np.all((off == 0) | (off == 1.0))
         # moves are pure breakdowns (supersets) or pure repairs (subsets):
@@ -170,7 +228,7 @@ class TestGenerator:
     def test_power_family_group_rates(self):
         c = 0.4
         r = RateFunctions(d=2, psi=power_family(2, c), phi=power_family(2, 2.0))
-        q = availability_generator(r)
+        q = generator(r)
         # enumeration: {}, {1}, {2}, {1,2}
         assert q[0, 1] == pytest.approx(c)
         assert q[0, 2] == pytest.approx(c)
@@ -186,17 +244,133 @@ class TestGenerator:
             psi=np.exp(rng.normal(size=8)),
             phi=np.exp(rng.normal(size=8)),
         )
-        q = availability_generator(r)
+        q = generator(r)
         assert np.abs(q.sum(axis=1)).max() < 1e-12
         off = q - np.diag(np.diag(q))
         assert off.min() >= 0
 
     def test_single_moves_only(self):
         r = RateFunctions(d=2, psi=np.ones(4), phi=np.ones(4))
-        q = availability_generator(r, single_moves_only=True)
+        q = generator(r, single_moves_only=True)
         assert q[0, 3] == 0.0
         assert q[3, 0] == 0.0
         assert q[0, 1] == 1.0
+
+
+def oracle_rates(kind, d, seed):
+    """Rate tables of three kinds: per-node, ``power`` and random."""
+    rng = np.random.default_rng(seed)
+    if kind == "pernode":
+        return RateFunctions(d=d, psi=pernode_family(d, rng.uniform(0.02, 0.08, d)),
+                             phi=pernode_family(d, rng.uniform(0.02, 0.08, d)))
+    if kind == "power":
+        return RateFunctions(d=d, psi=power_family(d, rng.uniform(0.02, 0.08)),
+                             phi=power_family(d, rng.uniform(0.02, 0.08)))
+    return RateFunctions(d=d, psi=np.exp(rng.normal(size=2**d)),
+                         phi=np.exp(rng.normal(size=2**d)))
+
+
+ORACLE_CASES = [(d, single, kind) for d in range(1, 9) for single in (False, True)
+                for kind in ("pernode", "power", "random")]
+
+
+class TestMovesAgainstDenseOracle:
+    """The generator's moves, the chain built from them and its law match
+    the dense builder over all 4^d pairs and the dense scans of P."""
+
+    @staticmethod
+    def kernel_moves(r, single, multiplier=2.0):
+        """The triple ``uniformize`` builds its chain from, and the chain."""
+        rows, cols, _ = q = availability_generator(r, single)
+        chain, _ = uniformize(q, multiplier)
+        return (rows, cols, chain.P[rows, cols]), chain
+
+    @pytest.mark.parametrize("d, single, kind", ORACLE_CASES)
+    def test_generator_and_kernel(self, d, single, kind):
+        r = oracle_rates(kind, d, 900 + d)
+        want = meet_matrix_generator(r, single)
+        assert_same_generator(availability_generator(r, single), want)
+        moves, chain = self.kernel_moves(r, single)
+        ref, rate = dense_uniformize(want, 2.0)
+        assert chain.P.tobytes() == ref.P.tobytes()
+        assert chain.moves is not None and ref.moves is None
+        rows, cols, vals = chain.moves
+        assert (vals > 0).all() and np.array_equal(chain.P[rows, cols], vals)
+        assert np.count_nonzero(chain.P) == vals.size
+
+    @pytest.mark.parametrize("d, single, kind", ORACLE_CASES)
+    def test_same_violations_at_a_tight_row_tol(self, d, single, kind):
+        r = oracle_rates(kind, d, 910 + d)
+        moves, chain = self.kernel_moves(r, single)
+        rows, cols, vals = moves
+        poset = chain.poset
+        broken = vals.copy()
+        off = np.flatnonzero(rows != cols)
+        broken[off[0]] = -broken[off[0]]
+        broken[off[-1]] = np.nan
+        for row_tol, entries in ((0.0, vals), (2e-16, vals), (1e-15, vals), (ROW_TOL, broken)):
+            outcomes = []
+            for build in (lambda: chain_from_moves((rows, cols, entries), poset, row_tol=row_tol),
+                          lambda: validate_chain(dense((rows, cols, entries), poset.size),
+                                                 poset, row_tol=row_tol)):
+                try:
+                    build()
+                    outcomes.append(None)
+                except NotStochastic as exc:
+                    outcomes.append((str(exc), exc.violations))
+            assert outcomes[0] == outcomes[1]
+        assert outcomes[0] is not None
+
+    @pytest.mark.parametrize("d, single, kind", ORACLE_CASES)
+    def test_same_law_as_the_dense_scan(self, d, single, kind):
+        r = oracle_rates(kind, d, 920 + d)
+        _, chain = self.kernel_moves(r, single)
+        got = stationary(chain)
+        want = stationary(validate_chain(chain.P, chain.poset))
+        assert got.path == want.path
+        assert got.pi.tobytes() == want.pi.tobytes()
+        assert (got.balance, got.residual) == (want.balance, want.residual)
+        old = stationary(dense_uniformize(meet_matrix_generator(r, single), 2.0)[0])
+        assert (old.path, old.pi.tobytes()) == (got.path, got.pi.tobytes())
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d, single, kind", ORACLE_CASES)
+    def test_same_pipeline_verdicts(self, monkeypatch, d, single, kind, direction):
+        r = oracle_rates(kind, d, 930 + d)
+        kwargs = {"multiplier": 1.05 if d % 2 else 2.0, "direction": direction,
+                  "single_moves_only": single}
+        monkeypatch.setattr(availability, "node_rates", lambda r: None)
+        got = availability_pipeline(r, **kwargs)
+        monkeypatch.setattr(availability, "availability_generator", meet_matrix_generator)
+        monkeypatch.setattr(availability, "uniformize", dense_uniformize)
+        want = availability_pipeline(r, **kwargs)
+        assert got.chain.moves is not None and want.chain.moves is None
+        assert got.stopped_at == want.stopped_at
+        assert (got.law.path, got.rate) == (want.law.path, want.rate)
+        assert got.law.pi.tobytes() == want.law.pi.tobytes()
+        for g, w in zip(got.reports, want.reports, strict=True):
+            assert report_facts(g) == report_facts(w)
+        assert (got.dual is None) == (want.dual is None)
+        if got.dual is not None:
+            assert got.dual.P_star.tobytes() == want.dual.P_star.tobytes()
+            assert got.curve.values.tobytes() == want.curve.values.tobytes()
+            assert got.tail.tail.tobytes() == want.tail.tail.tobytes()
+
+    def test_the_network_path_scans_no_dense_array(self, monkeypatch):
+        # the group network of the benchmark's shape stops at monotonicity;
+        # up to there no stage looks for the nonzeros of a square array
+        nonzero = np.nonzero
+
+        def one_dimensional(a):
+            assert np.ndim(a) < 2, "a dense scan of a square array"
+            return nonzero(a)
+
+        r = oracle_rates("pernode", 8, 940)
+        monkeypatch.setattr(np, "nonzero", one_dimensional)
+        report = availability_pipeline(r, multiplier=2.0)
+        assert report.chain.moves is not None and report.chain.flips is None
+        assert report.law.path == "detailed_balance"
+        assert report.stopped_at == "monotonicity"
 
 
 class TestUniformize:
@@ -228,11 +402,12 @@ class TestUniformize:
         q = availability_generator(r)
         chain, _ = uniformize(q)
         law = stationary(chain)
-        assert np.abs(law.pi @ q).max() < 1e-10
+        assert np.abs(law.pi @ dense(q, 4)).max() < 1e-10
 
     def test_zero_generator_rejected(self):
+        states = np.arange(2)
         with pytest.raises(ZeroGenerator):
-            uniformize(np.zeros((2, 2)))
+            uniformize((states, states, np.zeros(2)))
 
     def test_multiplier_below_one_rejected(self):
         r = RateFunctions(d=1, psi=np.array([1.0, 0.3]), phi=np.array([1.0, 0.7]))
@@ -266,7 +441,7 @@ class TestWalkReduction:
     def test_group_moves_are_products_of_node_rates(self):
         a = (0.05, 0.07)
         r = RateFunctions(d=2, psi=pernode_family(2, a), phi=pernode_family(2, (0.1, 0.1)))
-        q = availability_generator(r)
+        q = generator(r)
         assert q[0, 3] == pytest.approx(a[0] * a[1])
 
 
@@ -549,7 +724,7 @@ class TestGeneratorFreed:
 
         def recording(*args, **kwargs):
             gen = generator(*args, **kwargs)
-            made.append(weakref.ref(gen))
+            made.append(weakref.ref(gen[2]))   # its rates; the positions are shared
             return gen
 
         def checked(*args, **kwargs):

@@ -519,7 +519,7 @@ class TestDetailedBalance:
         c = validate_chain(mat, p)
         rows, cols = np.nonzero(mat)
         tree = _tree_law(mat, _support_levels(rows, cols, 3), rows, cols)
-        assert _balance(mat, tree, rows, cols) > 0.3
+        assert _balance(mat, tree, rows, cols, mat[rows, cols]) > 0.3
         law = stationary(c)
         assert law.path == "gth" and law.balance > 0.3
         assert np.array_equal(law.pi, gth_unblocked(mat))

@@ -1,6 +1,8 @@
 import glob
+import hashlib
 import json
 import os
+import warnings
 from fractions import Fraction
 import subprocess
 import sys
@@ -1165,6 +1167,41 @@ class TestSimulate:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_the_admissible_boundary_warns_nothing(self, capsys, tmp_path):
+        # sum(alpha + beta) = 1: the state owing every bit collects all of it
+        # in one step, where log(1 - S) is -inf and the wait is 1.  The
+        # digest is of the output without its input line, as before the log
+        # was taken only where S < 1
+        path = tmp_path / "boundary.spec"
+        sixth = " 0.16666666666666666" * 3
+        path.write_text(f"[cube]\nd: 3\nalpha:{sixth}\nbeta:{sixth}\nnu: delta_min\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--input", str(path),
+                                 "--samples", "2000", "--seed", "5", "--horizon", "25")
+        assert (code, err) == (0, "")
+        body = "".join(line for line in out.splitlines(True) if not line.startswith("# input:"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "c9938633d67c7aacc1622ba20eef48ced289a33de0e183d202d06591006d12ed")
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_a_stay_below_the_clamp_runs_every_command(self, capsys, tmp_path, direction):
+        # the dual's stay at the state owing every bit is about 9e-11
+        fast = "0.3720930231851163 0.32558139528697677 0.302325581337907"
+        slow = "2e-11 2e-11 5e-11"
+        alpha, beta, nu = ((fast, slow, "delta_min") if direction == "down"
+                           else (slow, fast, "delta_max"))
+        path = tmp_path / "walk.spec"
+        path.write_text(f"[cube]\nd: 3\nalpha: {alpha}\nbeta: {beta}\nnu: {nu}\n")
+        for command in ("dual", "sep", "cube", "simulate"):
+            extra = ("--samples", "200") if command == "simulate" else ()
+            code, out, err = run(capsys, command, "--input", str(path),
+                                 "--direction", direction, *extra)
+            assert code == 0, (command, err)
+            if command != "dual":
+                assert "# skipped" not in out
+        assert dict(header_facts(out))["clamp_magnitude"] == "0"
 
     def test_empirical_near_analytic(self, capsys):
         code, out, err = run(

@@ -36,6 +36,7 @@ from mobiusdual.errors import (
     NumericalFailure,
     PreconditionFailed,
 )
+from mobiusdual.chain import ROW_TOL
 from mobiusdual.poset import Poset
 from mobiusdual.specfile import load_model, load_model_text
 
@@ -499,8 +500,9 @@ class TestClosedFormPath:
         params, c, law, zm = cube_setup(3, alpha, beta)
         first = build_ssd(c.with_nu(law.pi), law, zm, direction)
         misses = [f.cache_info().misses for f in cached]
-        # the walk's moves and stays, the dual's moves, one transform
-        assert misses == [2, 1, 1]
+        # the walk's and the dual's moves and stays (P* holds the dual's
+        # stays as its kernel does), one transform
+        assert misses == [2, 2, 1]
         _, c, law, zm = cube_setup(3, tuple(alpha), tuple(beta))
         second = build_ssd(c.with_nu(law.pi), law, zm, direction)
         assert [f.cache_info().misses for f in cached] == misses
@@ -512,6 +514,25 @@ class TestClosedFormPath:
         for entries in (*params.flips.dual(direction).moves(),
                         *params.flips.transform(direction), params.flips.held()):
             assert not entries.flags.writeable
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_a_stay_below_the_clamp_is_kept(self, direction):
+        # the flips are far above CLAMP_TOL, but the state owing every bit
+        # stays with 1 - sum s_k, about 9e-11: a legitimate entry, which
+        # only the ROW_TOL rule of a kernel's stays would hold at 0
+        fast = (0.3720930231851163, 0.32558139528697677, 0.302325581337907)
+        slow = (2e-11, 2e-11, 5e-11)
+        alpha, beta = (fast, slow) if direction == "down" else (slow, fast)
+        owing = 0 if direction == "down" else 7
+        start = np.zeros(8)
+        start[owing] = 1.0
+        _, c, law, zm = cube_setup(3, alpha, beta, nu=start)
+        dual = build_ssd(c, law, zm, direction)
+        stay = dual.P_star[owing, owing]
+        assert 0 < stay < duality.CLAMP_TOL and stay > ROW_TOL
+        assert dual.clamp_magnitude == 0 and dual.flips is not None
+        assert dual.intertwine_residual <= 1e-10
+        assert abs(stay - (1.0 - sum(np.add(alpha, beta)))) <= 1e-15
 
     def test_constructors_carry_rates_only_from_the_walk(self):
         params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)
