@@ -85,31 +85,30 @@ def availability_generator(r, single_moves_only=False):
 
     Q(D, D u I) = psi(D u I)/psi(D) for nonempty up groups I, Q(D, D \\ H) =
     phi(D)/phi(D \\ H) for nonempty down groups H; each diagonal entry is
-    minus the sum of its row's moves (``_row_sums``).  ``single_moves_only``
+    minus the sum of its row's moves.  ``single_moves_only``
     keeps only |I| = |H| = 1 transitions, the regime in which
     uniformization reproduces the nearest-neighbor walk.
     """
     d = r.d
     check_cube_dim(d)
-    rows, cols, (up, down, sub, sup), diag, lanes = _inclusions(d, single_moves_only)
+    rows, cols, (up, down, sub, sup), diag = _inclusions(d, single_moves_only)
     vals = np.zeros(rows.size)
     vals[up] = r.psi[sup] / r.psi[sub]
     vals[down] = r.phi[sup] / r.phi[sub]
-    vals[diag] = -_row_sums(vals, lanes, 2**d)
+    vals[diag] = -np.bincount(rows, vals, 2**d)
     vals.flags.writeable = False
     return rows, cols, vals
 
 
 @lru_cache(maxsize=2)
 def _inclusions(d, single_moves_only):
-    """(rows, cols, (up, down, sub, sup), diag, lanes), read-only and kept
+    """(rows, cols, (up, down, sub, sup), diag), read-only and kept
     for the last two layouts asked for: the positions (rows, cols),
     row-major with columns ascending, of the entries of a generator on the
     d-cube that can be nonzero.  Those are, for every pair of masks
     sub < sup related by inclusion (3^d - 2^d of them), or only for those
     one node apart, a breakdown sub -> sup at index ``up`` and a repair
-    sup -> sub at index ``down``, and the diagonal at ``diag``; ``lanes``
-    are the partial sums of ``_row_sums`` that the entries fall in.
+    sup -> sub at index ``down``, and the diagonal at ``diag``.
 
     The pairs are listed bit by bit, the blocks of a bit outermost in the
     order neither, sup only, both, so that for each mask the supersets it
@@ -131,31 +130,10 @@ def _inclusions(d, single_moves_only):
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
     rows, cols = rows[order], np.concatenate((sub, np.arange(m), sup))[order]
-    # eight interleaved lanes per block of 128 columns, or of m below that
-    blocks = max(m >> 7, 1)
-    lanes = ((rows * blocks + (cols >> 7)) << 3) | (cols & 7)
     up, down, diag = at[n + m:], at[:n], at[n:n + m]
-    for a in (rows, cols, up, down, sub, sup, diag, lanes):
+    for a in (rows, cols, up, down, sub, sup, diag):
         a.flags.writeable = False
-    return rows, cols, (up, down, sub, sup), diag, lanes
-
-
-def _row_sums(vals, lanes, m):
-    """The row sums of the m x m generator whose entries ``vals`` fall in
-    the partial sums ``lanes`` of ``_inclusions``, added in the order in
-    which numpy sums a C-ordered row of the dense array, so that they are
-    bit-identical to a dense sum: pairwise, the entries of each block of
-    min(m, 128) columns in eight interleaved lanes, each in column order,
-    and the blocks then added in pairs; below 8 columns, one lane."""
-    if m < 8:
-        return np.bincount(lanes >> 3, vals, m)
-    part = np.bincount(lanes, vals, 8 * max(m >> 7, 1) * m).reshape(-1, 8)
-    total = ((part[:, 0] + part[:, 1]) + (part[:, 2] + part[:, 3])) + (
-        (part[:, 4] + part[:, 5]) + (part[:, 6] + part[:, 7]))
-    total = total.reshape(m, -1)
-    while total.shape[1] > 1:
-        total = total[:, 0::2] + total[:, 1::2]
-    return total[:, 0]
+    return rows, cols, (up, down, sub, sup), diag
 
 
 def _uniformization_rate(exit_max, multiplier):

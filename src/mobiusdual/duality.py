@@ -131,10 +131,10 @@ def _unique_extremal(p, direction):
     return int(idx[0])
 
 
-def _clamp(arr, tol):
-    """Zero the float noise in (-tol, tol) of ``arr`` in place; return the
-    largest |x| zeroed."""
-    mask = (arr > -tol) & (arr < tol)
+def _clamp(arr, tol, top=None):
+    """Zero the float noise in (-tol, top) of ``arr`` in place, ``top``
+    defaulting to tol; return the largest |x| zeroed."""
+    mask = (arr > -tol) & (arr < (tol if top is None else top))
     magnitude = max(arr.max(initial=0.0, where=mask), -arr.min(initial=0.0, where=mask))
     arr[mask] = 0.0
     return float(magnitude)
@@ -148,8 +148,9 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     reversed-kernel report is kept as ``reversed_report``), requires a
     unique extremal state, and certifies the duality identities
     nu = nu* Lambda and Lambda P = P* Lambda to within IDENTITY_TOL.  Entries
-    of magnitude below 1e-10, of either sign, are zeroed and rows
-    renormalized; the largest zeroed magnitude is logged and recorded.
+    of magnitude below 1e-10, of either sign, are zeroed (on the closed
+    form, a positive stay only within ROW_TOL of 0) and rows renormalized;
+    the largest zeroed magnitude is logged and recorded.
     After the clamp, every state that P* reaches from supp nu* must reach
     the absorbing state, or AbsorbingStateUnreachable is raised: the clamp
     can drop a move that the absorption needs.
@@ -191,9 +192,10 @@ def _closed_form(c, law, zm, direction, absorbing, g_report, rev_report):
     written from the moves of its dual's operator (``Flips.dual``), with
     the row normalisation of the transform path, and certified by
     ``Flips.intertwine_bound``; the dual keeps the operator when no clamp
-    touched it.  Each stay is zeroed only as the dual's kernel holds it,
-    within ROW_TOL of 0 (``Flips.held``), and only the flips are clamped:
-    a stay in (ROW_TOL, CLAMP_TOL) is a legitimate entry."""
+    touched it.  The flips are clamped as on the transform path, but a
+    stay only on its negative side: a positive stay is zeroed only as the
+    dual's kernel holds it, within ROW_TOL of 0 (``Flips.held``), since a
+    stay in (ROW_TOL, CLAMP_TOL) is a legitimate entry."""
     h, nu_star = _start(zm, law, direction, g_report, rev_report)
     dual = c.flips.dual(direction)
     rows, cols, raw = dual.moves()
@@ -201,9 +203,10 @@ def _closed_form(c, law, zm, direction, absorbing, g_report, rev_report):
     src, dst = rows[live], cols[live]
     p = dual.kernel_moves()[2][live]  # a copy, which the clamp writes
     flip = src != dst
-    noise = p[flip]
-    zeroed = max(_clamp(noise, CLAMP_TOL), float(np.abs(dual.held()).max(initial=0.0)))
-    p[flip] = noise
+    noise, stays = p[flip], p[~flip]
+    zeroed = max(_clamp(noise, CLAMP_TOL), _clamp(stays, CLAMP_TOL, 0.0),
+                 float(np.abs(dual.held()).max(initial=0.0)))
+    p[flip], p[~flip] = noise, stays
     nu_star, clamp_magnitude = _clamped(nu_star, p, zeroed)
     p_star = np.zeros((c.size, c.size))
     p_star[src, dst] = p / np.bincount(src, p, c.size)[src]

@@ -71,11 +71,15 @@ def mobius_transform(P, zm, direction, dtype=float):
     """Similarity transform whose entrywise sign decides Mobius monotonicity.
 
     down: Cinv P C; up: (C^T)^-1 P C^T, applied through the zeta/Mobius
-    actions (butterflies on a cube).  With ``dtype=object`` and a kernel of
+    actions (butterflies on a cube, the right pass in place on the left
+    pass's output, already a copy).  With ``dtype=object`` and a kernel of
     Fractions the transform is exact.
     """
     _check_square(P, zm.size)
-    return zm.similarity(P, direction, dtype)
+    out = zm.mobius_left(P, direction, dtype)
+    if zm.cube_dim is None:
+        return zm.zeta_right(out, direction, dtype)
+    return zm._passes(out, direction, left=False, sign=1)
 
 
 def _near_min(values, tol=0.0):

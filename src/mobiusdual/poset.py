@@ -160,15 +160,6 @@ class Poset:
             return mat @ x if left else x @ mat
         return self._passes(np.array(x, dtype=dtype, order="C"), direction, left, sign)
 
-    def similarity(self, x, direction, dtype=float):
-        """mobius(direction) @ x @ zeta(direction), as a new array of
-        ``dtype``; on a cube the right action runs in place on the left
-        action's output, which is already a copy."""
-        out = self.mobius_left(x, direction, dtype)
-        if self.cube_dim is None:
-            return self.zeta_right(out, direction, dtype)
-        return self._passes(out, direction, left=False, sign=1)
-
     def _passes(self, out, direction, left, sign):
         """The butterflies of ``_act`` on a cube, in place on the C-ordered
         array ``out``, which is returned."""

@@ -18,7 +18,7 @@ from mobiusdual import (
     stationary,
     uniformize,
 )
-from mobiusdual import availability, cli, duality, monotonicity
+from mobiusdual import availability, cli, convergence, duality, monotonicity
 from mobiusdual import cube as cube_module
 from mobiusdual.poset import Poset, cube_poset
 from mobiusdual.chain import ROW_TOL, chain_from_moves, validate_chain
@@ -163,15 +163,22 @@ def dense_uniformize(q, multiplier=availability.DEFAULT_MULTIPLIER):
     return validate_chain(mat, cube_poset(len(q).bit_length() - 1)), rate
 
 
+EPS = np.finfo(float).eps
+
+
 def assert_same_generator(moves, want):
-    """``moves`` holds the dense generator ``want`` bit for bit: the same
-    divisions off the diagonal, and each diagonal entry summed in numpy's
-    order for a dense row."""
+    """``moves`` holds the dense generator ``want``: the same divisions off
+    the diagonal, bit for bit, and each diagonal entry, a sum of the row's
+    moves in another order, within (row terms) eps of it."""
     rows, cols, vals = moves
     assert vals.dtype == np.float64
     assert not any(a.flags.writeable for a in moves)
     assert (np.diff(rows * len(want) + cols) > 0).all()   # row-major, columns ascending
-    assert np.array_equal(dense(moves, len(want)), want)
+    got = dense(moves, len(want))
+    off = ~np.eye(len(want), dtype=bool)
+    assert np.array_equal(got[off], want[off])
+    terms = np.count_nonzero(want[off].reshape(len(want), -1), axis=1)
+    assert (np.abs(np.diag(got) - np.diag(want)) <= terms * EPS * np.abs(np.diag(want))).all()
     assert np.count_nonzero(want) == np.count_nonzero(vals)
 
 
@@ -274,9 +281,37 @@ ORACLE_CASES = [(d, single, kind) for d in range(1, 9) for single in (False, Tru
                 for kind in ("pernode", "power", "random")]
 
 
+def assert_close_curves(got, want):
+    """The separation curves ``got`` and ``want`` agree to 1e-14 where both
+    run.  A curve stops once it is under STOP_BELOW_DEFAULT, 1e-14, where
+    rounding can move that step by a step or two; past the shorter curve's
+    end the longer stays within 1e-14 of the threshold."""
+    n = min(got.size, want.size)
+    assert np.abs(got[:n] - want[:n]).max() <= 1e-14
+    longer = got if got.size > n else want
+    assert (longer[n:] <= convergence.STOP_BELOW_DEFAULT + 1e-14).all()
+
+
+def assert_same_verdict(got, want, c):
+    """The Mobius reports ``got`` and ``want`` of the same kernel, rounded
+    apart, agree: the same verdict, and the worst value to 1e-14.  The
+    witness is ``want``'s, or, where rounding alone split a tie for the
+    worst entry, one whose entry in the transform of c's kernel is within
+    1e-14 of ``want``'s worst."""
+    facts, old = report_facts(got), report_facts(want)
+    assert facts[:2] + facts[4:] == old[:2] + old[4:]
+    assert abs(got.worst_value - want.worst_value) <= 1e-14
+    if got.witness != want.witness:
+        direction = got.notion.removeprefix("mobius_")
+        t = monotonicity.mobius_transform(c.P, c.poset, direction)
+        i, j = (c.poset.elements.index(e) for e in got.witness)
+        assert abs(t[i, j] - want.worst_value) <= 1e-14
+
+
 class TestMovesAgainstDenseOracle:
-    """The generator's moves, the chain built from them and its law match
-    the dense builder over all 4^d pairs and the dense scans of P."""
+    """The generator's moves match the dense builder over all 4^d pairs,
+    and the chain built from them and its law match the dense scans of the
+    same P bit for bit, and those of the oracle's P to its last digits."""
 
     @staticmethod
     def kernel_moves(r, single, multiplier=2.0):
@@ -289,11 +324,16 @@ class TestMovesAgainstDenseOracle:
     def test_generator_and_kernel(self, d, single, kind):
         r = oracle_rates(kind, d, 900 + d)
         want = meet_matrix_generator(r, single)
-        assert_same_generator(availability_generator(r, single), want)
+        q = availability_generator(r, single)
+        assert_same_generator(q, want)
         moves, chain = self.kernel_moves(r, single)
-        ref, rate = dense_uniformize(want, 2.0)
+        ref, rate = dense_uniformize(dense(q, 2**d), 2.0)
         assert chain.P.tobytes() == ref.P.tobytes()
         assert chain.moves is not None and ref.moves is None
+        # P = I + Q/rate: the oracle's diagonal moves it by eps per row term
+        old, old_rate = dense_uniformize(want, 2.0)
+        assert abs(rate - old_rate) <= 2**d * EPS * old_rate
+        assert np.abs(chain.P - old.P).max() <= 2**d * EPS
         rows, cols, vals = chain.moves
         assert (vals > 0).all() and np.array_equal(chain.P[rows, cols], vals)
         assert np.count_nonzero(chain.P) == vals.size
@@ -331,7 +371,8 @@ class TestMovesAgainstDenseOracle:
         assert got.pi.tobytes() == want.pi.tobytes()
         assert (got.balance, got.residual) == (want.balance, want.residual)
         old = stationary(dense_uniformize(meet_matrix_generator(r, single), 2.0)[0])
-        assert (old.path, old.pi.tobytes()) == (got.path, got.pi.tobytes())
+        assert old.path == got.path
+        assert np.abs(got.pi / old.pi - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("d, single, kind", ORACLE_CASES)
@@ -341,8 +382,10 @@ class TestMovesAgainstDenseOracle:
                   "single_moves_only": single}
         monkeypatch.setattr(availability, "node_rates", lambda r: None)
         got = availability_pipeline(r, **kwargs)
-        monkeypatch.setattr(availability, "availability_generator", meet_matrix_generator)
         monkeypatch.setattr(availability, "uniformize", dense_uniformize)
+        # the same generator, densely: every stage scans P, bit for bit
+        monkeypatch.setattr(availability, "availability_generator",
+                            lambda r, single_moves_only: generator(r, single_moves_only))
         want = availability_pipeline(r, **kwargs)
         assert got.chain.moves is not None and want.chain.moves is None
         assert got.stopped_at == want.stopped_at
@@ -355,6 +398,19 @@ class TestMovesAgainstDenseOracle:
             assert got.dual.P_star.tobytes() == want.dual.P_star.tobytes()
             assert got.curve.values.tobytes() == want.curve.values.tobytes()
             assert got.tail.tail.tobytes() == want.tail.tail.tobytes()
+        # the oracle's generator: the same verdicts, values to 1e-14
+        monkeypatch.setattr(availability, "availability_generator", meet_matrix_generator)
+        old = availability_pipeline(r, **kwargs)
+        assert (old.stopped_at, old.law.path) == (got.stopped_at, got.law.path)
+        assert np.abs(got.law.pi / old.law.pi - 1.0).max() <= 1e-14
+        rev = reverse(old.chain, old.law)
+        for g, w, c in zip(got.reports, old.reports, (old.chain,) * 2 + (rev,) * 2, strict=True):
+            assert_same_verdict(g, w, c)
+        if got.dual is not None:
+            assert np.abs(got.dual.P_star - old.dual.P_star).max() <= 1e-14
+            assert_close_curves(got.curve.values, old.curve.values)
+            n = min(got.curve.horizon, old.curve.horizon) + 1
+            assert np.abs(got.tail.tail[:n] - old.tail.tail[:n]).max() <= 1e-14
 
     def test_the_network_path_scans_no_dense_array(self, monkeypatch):
         # the group network of the benchmark's shape stops at monotonicity;

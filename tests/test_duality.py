@@ -534,6 +534,23 @@ class TestClosedFormPath:
         assert dual.intertwine_residual <= 1e-10
         assert abs(stay - (1.0 - sum(np.add(alpha, beta)))) <= 1e-15
 
+    @pytest.mark.parametrize("generic", [False, True])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_a_negative_stay_above_the_clamp_is_zeroed(self, direction, generic):
+        # sum(alpha + beta) = 1 + 5e-11: Mobius monotone at MONO_TOL, and
+        # the state owing every bit stays with about -5e-11, which both
+        # paths zero and record as the clamp
+        alpha, beta = (0.2, 0.15, 0.15 + 5e-11), (0.2, 0.15, 0.15)
+        owing = 0 if direction == "down" else 7
+        _, c, law, zm = cube_setup(3, alpha, beta, nu=delta(8, owing))
+        if generic:
+            c = generic_copy(c)
+        dual = build_ssd(c, law, zm, direction)
+        assert dual.path == ("transform" if generic else "closed_form")
+        assert dual.P_star[owing, owing] == 0.0 and dual.flips is None
+        assert dual.clamp_magnitude == -(1.0 - sum(np.add(alpha, beta)))
+        assert 0 < dual.clamp_magnitude < duality.CLAMP_TOL
+
     def test_constructors_carry_rates_only_from_the_walk(self):
         params, c, law, _ = cube_setup(3, (0.05,) * 3, (0.07,) * 3)
         assert c.flips == params.flips
