@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import IDENTITY_TOL, ROW_TOL
+from .chain import IDENTITY_TOL, ROW_TOL, nonzeros
 from .cube import check_flip_rates
 from .errors import (
     DimensionMismatch,
@@ -132,14 +132,6 @@ def separation_curve(c, law, horizon, stop_below=None):
     return SeparationCurve(values=values, horizon=len(values) - 1)
 
 
-def _moves(mat):
-    """The nonzeros of ``mat`` as a row-major COO triple (rows, cols, values),
-    found through the mask ``mat != 0``, faster than a float ``np.nonzero``,
-    in one scan of a dual's C-ordered P*."""
-    rows, cols = np.nonzero(mat != 0)
-    return rows, cols, mat[rows, cols]
-
-
 def _stepper(rows, cols, vals, m):
     """The map x -> x @ mat over the nonzero triple of an m-column ``mat``:
     one gather, one product and one ``np.bincount`` per step, O(nnz)."""
@@ -161,15 +153,17 @@ def absorption_tail(dual, horizon):
     """Tail P(T* > n) and mean absorption time from the transient moves.
 
     A dual that carries its operator (``dual.flips``) is stepped by it
-    (``Flips.row_step``, ``_flip_mean``), reading no dense array; every
-    other dual by the nonzeros of P* (``_move_path``).  The tail at n is
+    (``Flips.row_step``), and its mean read from the same step
+    (``_flip_mean``), reading no dense array; every other dual by the
+    nonzeros of P* (``_move_path``).  The tail at n is
     the tail at n - 1 less the mass entering the absorbing state at step
     n, so it never rises (rows of P* sum to 1 only to rounding) and is
     exactly 1 until mass can be absorbed; it is clipped to [0, 1].
     """
     check_horizon(horizon)
     if dual.flips is not None:
-        step, mean = dual.flips.row_step(), _flip_mean(dual)
+        step = dual.flips.row_step()
+        mean = _flip_mean(dual, step)
     else:
         step, mean = _move_path(dual)
     a = dual.absorbing_index
@@ -192,7 +186,7 @@ def _move_path(dual):
     I - Q when they go both ways.  A zero pivot or a singular I - Q signals
     a second absorbing class, i.e. an invalid dual."""
     a = dual.absorbing_index
-    rows, cols, vals = _moves(dual.P_star)
+    rows, cols, vals = nonzeros(dual.P_star)
     out = rows != a
     rows, cols, vals = rows[out], cols[out], vals[out]
     step = _stepper(rows, cols, vals, dual.size)
@@ -220,8 +214,9 @@ def _move_path(dual):
 
 
 def _check_solve(x, residual):
-    """Raise SingularFundamentalMatrix unless the solve x of (I - Q) x = 1
-    is finite and its ``residual`` x - Q x - 1 is within 1e-8."""
+    """Raise SingularFundamentalMatrix unless the solve x of (I - Q) x = 1,
+    or of its row form x (I - Q) = nu*_T, is finite and its ``residual``,
+    x - Q x - 1 or x - x Q - nu*_T, is within 1e-8."""
     if not np.isfinite(x).all() or not np.abs(residual).max(initial=0.0) <= 1e-8:
         raise SingularFundamentalMatrix(
             "fundamental matrix solve lost accuracy; the dual has a second "
@@ -237,23 +232,29 @@ def _zero_pivot():
     )
 
 
-def _flip_mean(dual):
-    """The mean of T* on a dual that carries its operator: x solves
-    x = (1 + Q_off x) / pivot off the absorbing state (``Flips.off_action``).
-    Every move takes one bit towards the absorbing state, so from 0 each
-    sweep makes one more rank exact, and d sweeps solve it."""
-    a = dual.absorbing_index
-    off, pivots = dual.flips.off_action()
+def _flip_mean(dual, step):
+    """The mean of T* on a dual that carries its operator, from its row
+    step x -> x K (``Flips.row_step``): sum y for y (I - Q) = nu*_T, Q the
+    moves among the transient states.  Each sweep sets
+    y = (nu* + y K - y K_diag) / (1 - K_diag) off the absorbing state and
+    0 on it, K_diag the stays of ``Flips.moves`` as K holds them
+    (``Flips.held``).  Every move takes one bit towards the absorbing
+    state, so from 0 each sweep makes one more rank exact, and d sweeps
+    solve it."""
+    flips, a = dual.flips, dual.absorbing_index
+    stays = flips.moves()[2][::flips.d + 1] + flips.held()
+    pivots = 1.0 - stays
     transient = np.arange(pivots.size) != a
     if (pivots[transient] == 0).any():
         raise _zero_pivot()
-    x = np.zeros(pivots.size)
-    for _ in range(dual.flips.d):
-        x = np.divide(1.0 + off(x), pivots, out=np.zeros(pivots.size), where=transient)
-    residual = pivots * x - off(x) - 1.0
+    y = np.zeros(pivots.size)
+    for _ in range(flips.d):
+        y = np.divide(dual.nu_star + step(y) - y * stays, pivots,
+                      out=np.zeros(pivots.size), where=transient)
+    residual = y - step(y) - dual.nu_star
     residual[a] = 0.0
-    _check_solve(x, residual)
-    return float(dual.nu_star @ x)
+    _check_solve(y, residual)
+    return float(y.sum())
 
 
 def _substitute(rows, cols, vals, n, order):

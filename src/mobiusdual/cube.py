@@ -97,8 +97,10 @@ class Flips:
     unset and down at rate down_k while set.  A walk's operator holds its
     checked rates (alpha, beta) (``CubeWalkParams.flips``), and that of its
     strong stationary dual (s, 0) for "down" or (0, s) for "up",
-    s_k = alpha_k + beta_k (``dual``).  Cached results are kept by value,
-    so the operators of equal rates share one build.
+    s_k = alpha_k + beta_k (``dual``).  Its one action is the row step
+    x -> x K (``row_step``), from which a walk's curve and a dual's tail
+    and mean are read.  Cached results are kept by value, so the operators
+    of equal rates share one build.
     """
 
     up: tuple
@@ -255,12 +257,17 @@ class Flips:
                      + np.abs(self.held()).max(initial=0.0) + 4.0 * eps
                      + (d + 1) * np.finfo(float).eps)
 
-    def _split(self):
-        """(R, out) of the high factor, the ceil(d/2) top bits of a mask,
-        and of the low factor, the floor(d/2) others: the dense R[x, x ^ 2^k]
-        = ``out_rates`` and its row sums.  On x reshaped C-ordered to
+    def row_step(self):
+        """The map x -> x K through two Kronecker factors, the high one on
+        the ceil(d/2) top bits of a mask and the low one on the floor(d/2)
+        others: with R[x, x ^ 2^k] = ``out_rates`` and out its row sums per
+        factor, and x reshaped C-ordered to X of shape
         (2^ceil(d/2), 2^floor(d/2)), K is H (x) I + I (x) L with
-        H = I + R_H - diag(out_H) and L = R_L - diag(out_L)."""
+        H = I + R_H - diag(out_H) and L = R_L - diag(out_L), so x K is
+        H^T X + X L: two matmuls of at most 2^ceil(d/2) squared, the
+        identity added last so each entry rounds the small generator terms
+        once against x, plus x times ``held`` where a stay is held.  The
+        factors are built once per call."""
         lo = self.d // 2
         factors = []
         for part in (Flips(self.up[lo:], self.down[lo:]), Flips(self.up[:lo], self.down[:lo])):
@@ -268,18 +275,11 @@ class Flips:
             rates = part.out_rates(x)
             mat = np.zeros((x.size, x.size))
             mat[x[:, None], x[:, None] ^ (1 << np.arange(part.d))] = rates
-            factors.append((mat, rates.sum(axis=1)))
-        return factors
-
-    def row_step(self):
-        """The map x -> x K through the factors of ``_split``: H^T X + X L,
-        two matmuls of at most 2^ceil(d/2) squared, the identity added last
-        so each entry rounds the small generator terms once against x, plus
-        x times ``held`` where a stay is held."""
-        (r_h, out_h), (r_l, out_l) = self._split()
-        high_t = r_h.T - np.diag(out_h)
-        low = r_l - np.diag(out_l)
-        shape = (out_h.size, out_l.size)
+            factors.append((mat, np.diag(rates.sum(axis=1))))
+        (r_h, out_h), (r_l, out_l) = factors
+        high_t = r_h.T - out_h
+        low = r_l - out_l
+        shape = (r_h.shape[0], r_l.shape[0])
         fix = self.held() if self.held().any() else None
 
         def step(x):
@@ -290,22 +290,6 @@ class Flips:
             return out.ravel() if fix is None else out.ravel() + x * fix
 
         return step
-
-    def off_action(self):
-        """(off, pivots): x -> Q x for Q the moves of K off its diagonal,
-        R_H X + X R_L^T through the factors of ``_split``, and each state's
-        total rate out."""
-        (r_h, out_h), (r_l, out_l) = self._split()
-        r_l_t = r_l.T
-        shape = (out_h.size, out_l.size)
-
-        def off(x):
-            mat = x.reshape(shape)
-            out = r_h @ mat
-            out += mat @ r_l_t
-            return out.ravel()
-
-        return off, np.add.outer(out_h, out_l).ravel()
 
 
 def _read_only(*arrays):

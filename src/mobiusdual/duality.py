@@ -12,13 +12,12 @@ the latter by a bound read off the flip rates on a cube walk's closed form
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import monotonicity
-from .chain import IDENTITY_TOL, reverse
+from .chain import IDENTITY_TOL, _support_levels, nonzeros, reverse
 from .errors import (
     AbsorbingStateUnreachable,
     DimensionMismatch,
@@ -26,8 +25,6 @@ from .errors import (
     NumericalFailure,
     PreconditionFailed,
 )
-
-log = logging.getLogger(__name__)
 
 CLAMP_TOL = 1e-10
 
@@ -150,7 +147,7 @@ def build_ssd(c, law, zm, direction="down", mono_tol=monotonicity.MONO_TOL):
     nu = nu* Lambda and Lambda P = P* Lambda to within IDENTITY_TOL.  Entries
     of magnitude below 1e-10, of either sign, are zeroed (on the closed
     form, a positive stay only within ROW_TOL of 0) and rows renormalized;
-    the largest zeroed magnitude is logged and recorded.
+    the largest zeroed magnitude is recorded as ``clamp_magnitude``.
     After the clamp, every state that P* reaches from supp nu* must reach
     the absorbing state, or AbsorbingStateUnreachable is raised: the clamp
     can drop a move that the absorption needs.
@@ -238,12 +235,10 @@ def _start(zm, law, direction, g_report, rev_report):
 
 def _clamped(nu_star, p, zeroed):
     """(nu*, magnitude): zero the noise of ``nu_star`` below CLAMP_TOL in
-    place, log the largest magnitude zeroed there or, ``zeroed``, among
+    place, take the largest magnitude zeroed there or, ``zeroed``, among
     P*'s entries ``p``, refuse a negative mass beyond it, and normalise
     nu*."""
     clamp_magnitude = max(_clamp(nu_star, CLAMP_TOL), zeroed)
-    if clamp_magnitude > 0:
-        log.info("zeroed dual noise up to %.3e", clamp_magnitude)
     if (nu_star < 0).any() or (p < 0).any():
         worst = min(float(nu_star.min()), float(p.min()))
         raise NumericalFailure(
@@ -301,29 +296,17 @@ def _check_flips_absorb(cols, raw, p_star, nu_star, absorbing, elements):
         )
 
 
-def _closure(start, src, dst):
-    """The mask of states reached from the mask ``start`` along the moves
-    src[i] -> dst[i], one breadth-first level per O(moves) pass."""
-    reached = start.copy()
-    frontier = start
-    while frontier.any():
-        step = np.zeros_like(reached)
-        step[dst[frontier[src]]] = True
-        frontier = step & ~reached
-        reached |= frontier
-    return reached
-
-
 def _check_absorbs(p_star, nu_star, absorbing, elements):
     """Raise AbsorbingStateUnreachable unless every state that ``p_star``
-    reaches from supp nu* reaches ``absorbing``: one pass forward from the
-    support and one backward from the absorbing state over the moves of
-    P*.  On a dual whose moves go one way this is the zero-pivot rule of
+    reaches from supp nu* reaches ``absorbing``: one breadth-first walk
+    (``chain._support_levels``) forward from the support and one backward
+    from the absorbing state over the nonzeros of P*.  On a dual whose
+    moves go one way this is the zero-pivot rule of
     ``convergence.absorption_tail`` restricted to the reached states."""
-    rows, cols = np.nonzero(p_star)
-    target = np.zeros(nu_star.size, dtype=bool)
-    target[absorbing] = True
-    stuck = _closure(nu_star > 0, rows, cols) & ~_closure(target, cols, rows)
+    rows, cols, _ = nonzeros(p_star)
+    reached = _support_levels(rows, cols, nu_star > 0) >= 0
+    target = np.arange(nu_star.size) == absorbing
+    stuck = reached & (_support_levels(cols, rows, target) < 0)
     if stuck.any():
         raise _unreachable(elements, int(np.argmax(stuck)), absorbing,
                            "which P* reaches from supp nu*")

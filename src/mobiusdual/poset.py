@@ -9,7 +9,7 @@ first read, as is a cube's relation; a cube's actions read none of them.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -246,16 +246,18 @@ def _transitive_closure(rel):
 
 
 def _topological_order(rel, m):
-    """Deterministic topological sort, ties broken by input position."""
-    placed = np.zeros(m, dtype=bool)
-    order = []
+    """Deterministic topological sort, ties broken by input position: each
+    step places the first state in input order with no unplaced strict
+    predecessor, kept as a count per state, and takes its row off the
+    counts."""
     strict = rel & ~np.eye(m, dtype=bool)
+    waiting = strict.sum(axis=0)
+    order = []
     for _ in range(m):
-        for i in range(m):
-            if not placed[i] and not (strict[:, i] & ~placed).any():
-                order.append(i)
-                placed[i] = True
-                break
+        i = int(np.argmax(waiting == 0))
+        order.append(i)
+        waiting -= strict[i]
+        waiting[i] = -1
     return order
 
 
@@ -349,8 +351,10 @@ def cube_bits(d):
     return (np.arange(2**d)[:, None] >> np.arange(d)) & 1
 
 
+@lru_cache(maxsize=4)
 def cube_poset(d):
-    """The cube {0,1}^d with coordinatewise order.
+    """The cube {0,1}^d with coordinatewise order, built once per d of the
+    last four asked for (a Poset is immutable).
 
     State k is the d-bit tuple of mask k (bit i is coordinate i+1); this
     bitmask order is a linear extension, since A <= B implies

@@ -5,6 +5,15 @@ import pytest
 from mobiusdual.chain import reverse
 from mobiusdual.duality import DualChain, _unique_extremal, g_ratio
 from mobiusdual.monotonicity import function_mobius_monotone, mobius_transform
+from mobiusdual.poset import cube_poset
+
+
+@pytest.fixture(autouse=True)
+def fresh_cube_posets():
+    """Start each test from cube posets that have read nothing: the package
+    keeps one per dimension (``poset.cube_poset``), so a relation or zeta
+    pair that one test reads would otherwise stay for the next."""
+    cube_poset.cache_clear()
 
 
 def raw_dual_pair(c, law, zm, direction="down"):

@@ -89,11 +89,12 @@ def gth_unblocked(P):
     return pi / pi.sum()
 
 
-def bfs_levels_loop(adj):
-    """Reference: breadth-first levels from state 0, one vertex at a time."""
+def bfs_levels_loop(adj, start=(0,)):
+    """Reference: breadth-first levels from the states ``start``, one
+    vertex at a time."""
     level = np.full(adj.shape[0], -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
+    frontier = [int(u) for u in start]
+    level[frontier] = 0
     while frontier:
         nxt = []
         for u in frontier:
@@ -270,9 +271,12 @@ class TestStationary:
     def test_support_levels_match_vertex_bfs(self, seed):
         rng = np.random.default_rng(700 + seed)
         adj = rng.random((60, 60)) < 0.04
+        starts = (np.arange(60) == 0, rng.random(60) < 0.1, np.arange(60) == 59,
+                  np.zeros(60, dtype=bool), np.ones(60, dtype=bool))
         for graph in (adj, adj.T):
-            levels = _support_levels(*np.nonzero(graph), graph.shape[0])
-            assert np.array_equal(levels, bfs_levels_loop(graph))
+            for start in starts:
+                levels = _support_levels(*np.nonzero(graph), start)
+                assert np.array_equal(levels, bfs_levels_loop(graph, np.flatnonzero(start)))
 
     def test_two_cycle_not_aperiodic(self):
         p = build_poset(["x", "y"], [("x", "y")])
@@ -503,7 +507,7 @@ class TestDetailedBalance:
         p = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
         mat = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
         rows, cols = np.nonzero(mat)
-        assert _tree_law(mat, _support_levels(rows, cols, 3), rows, cols) is None
+        assert _tree_law(mat, _support_levels(rows, cols, np.arange(3) == 0), rows, cols) is None
         law = stationary(validate_chain(mat, p))
         assert law.path == "gth" and law.balance == 1.0
         assert np.abs(law.pi - 1 / 3).max() < 1e-15
@@ -518,7 +522,7 @@ class TestDetailedBalance:
                         [0.25, 0.25, 0.5]])
         c = validate_chain(mat, p)
         rows, cols = np.nonzero(mat)
-        tree = _tree_law(mat, _support_levels(rows, cols, 3), rows, cols)
+        tree = _tree_law(mat, _support_levels(rows, cols, np.arange(3) == 0), rows, cols)
         assert _balance(mat, tree, rows, cols, mat[rows, cols]) > 0.3
         law = stationary(c)
         assert law.path == "gth" and law.balance > 0.3

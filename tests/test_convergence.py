@@ -26,14 +26,15 @@ from mobiusdual import (
 )
 from mobiusdual import convergence
 from mobiusdual.availability import uniformize_walk
+from mobiusdual.chain import nonzeros
 from mobiusdual.convergence import (
     MAX_HORIZON,
     _count_below,
-    _moves,
     _sparse_rows,
     binomial_band,
     move_order,
 )
+from mobiusdual.cube import Flips
 from mobiusdual.duality import DualChain
 from mobiusdual.errors import (
     DimensionMismatch,
@@ -401,7 +402,7 @@ class TestAbsorptionMean:
         assert dual.P_star.flags.c_contiguous
         rows, cols = np.nonzero(dual.P_star != 0)
         for mat in (dual.P_star, np.asfortranarray(dual.P_star)):
-            got = _moves(mat)
+            got = nonzeros(mat)
             want = (rows, cols, mat[rows, cols])
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -410,7 +411,7 @@ class TestAbsorptionMean:
         # a down dual moves up the mask enumeration, an up dual down it
         for direction, order in (("down", "ascending"), ("up", "descending")):
             _, dual = extreme_walk_dual(5, direction)
-            rows, cols, _ = _moves(dual.P_star)
+            rows, cols, _ = nonzeros(dual.P_star)
             assert move_order(rows, cols) == order
 
     @pytest.mark.parametrize("direction", ["down", "up"])
@@ -443,7 +444,7 @@ class TestAbsorptionMean:
         ])
         dual = DualChain(nu_star=np.array([0.6, 0.4, 0.0]), P_star=p_star,
                          absorbing_index=2, direction="down")
-        rows, cols, _ = _moves(p_star)
+        rows, cols, _ = nonzeros(p_star)
         assert move_order(rows, cols) is None
         q = p_star[:2, :2]
         expected = np.array([0.6, 0.4]) @ np.linalg.solve(np.eye(2) - q, np.ones(2))
@@ -460,7 +461,7 @@ class TestAbsorptionMean:
         # moves go both ways, so the mean takes the LU path
         c = load_model_text(BIRTH_DEATH).chain
         dual = build_ssd(c, stationary(c), zeta_mobius(c.poset), "down")
-        rows, cols, _ = _moves(dual.P_star)
+        rows, cols, _ = nonzeros(dual.P_star)
         assert move_order(rows, cols) is None
         law = absorption_tail(dual, 40)
         assert np.abs(law.tail - dense_tail_loop(dual, 40)).max() <= 1e-15
@@ -485,6 +486,60 @@ class TestAbsorptionMean:
         )
         with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
             absorption_tail(bad, 5)
+
+
+class TestRowFormMean:
+    """A dual that carries its operator takes its mean from the row step
+    that steps its tail: y (I - Q) = nu*_T by d sweeps, against the dense
+    (I - Q) x = 1 on the transient block of the emitted P*."""
+
+    # total flip rates: inside the admissible region, and within 1e-9 of
+    # its boundary sum(alpha + beta) = 1, where the start's stay is 1e-9
+    # or 2e-12, above the ROW_TOL at which it would be held at 0
+    TOTALS = (0.5, 1.0 - 1e-9, 1.0 - 2e-12)
+
+    @staticmethod
+    def walk_duals(d, direction, total):
+        rng = np.random.default_rng([d, 34])
+        parts = rng.uniform(0.5, 1.5, 2 * d)
+        parts *= total / parts.sum()
+        params = CubeWalkParams(d=d, alpha=tuple(parts[:d]), beta=tuple(parts[d:]))
+        c = nearest_neighbor_walk(params)
+        law = stationary(c)
+        m = c.size
+        for nu in (delta(m, 0), delta(m, m - 1), np.full(m, 1.0 / m), law.pi):
+            try:
+                yield build_ssd(c.with_nu(nu), law, zeta_mobius(c.poset), direction)
+            except PreconditionFailed:
+                continue
+
+    @pytest.mark.parametrize("total", TOTALS)
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_the_dense_solve(self, d, direction, total):
+        duals = list(self.walk_duals(d, direction, total))
+        # the extremal start of the direction and pi always qualify
+        assert len(duals) >= 2
+        # P* does not depend on the start, so one solve serves every start
+        keep = np.arange(duals[0].size) != duals[0].absorbing_index
+        q = duals[0].P_star[np.ix_(keep, keep)]
+        steps = np.linalg.solve(np.eye(q.shape[0]) - q, np.ones(q.shape[0]))
+        for dual in duals:
+            assert dual.flips is not None
+            assert np.array_equal(dual.P_star, duals[0].P_star)
+            want = dual.nu_star[keep] @ steps
+            got = absorption_tail(dual, 0).mean
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_the_factors_are_built_once(self, monkeypatch, direction):
+        params, dual = extreme_walk_dual(6, direction)
+        calls = []
+        row_step = Flips.row_step
+        monkeypatch.setattr(Flips, "row_step", lambda self: calls.append(self) or row_step(self))
+        law = absorption_tail(dual, 50)
+        assert calls == [dual.flips]
+        assert law.mean == pytest.approx(inclusion_exclusion_mean(params), rel=1e-12)
 
 
 def nonzero_curve(c, law, horizon):

@@ -43,6 +43,21 @@ def random_poset(m, rng, density=0.3):
     return build_poset(labels, rels)
 
 
+def topological_order_loop(rel, m):
+    """Reference: the sort as one scan per placement, each state's strict
+    predecessors read afresh from the relation."""
+    placed = np.zeros(m, dtype=bool)
+    order = []
+    strict = rel & ~np.eye(m, dtype=bool)
+    for _ in range(m):
+        for i in range(m):
+            if not placed[i] and not (strict[:, i] & ~placed).any():
+                order.append(i)
+                placed[i] = True
+                break
+    return order
+
+
 class TestBuildPoset:
     def test_singleton(self):
         p = build_poset(["a"], [])
@@ -77,6 +92,19 @@ class TestBuildPoset:
     def test_ties_broken_by_input_order(self):
         p = build_poset(["q", "m", "z"], [])
         assert p.elements == ("q", "m", "z")
+
+    @pytest.mark.parametrize("density", [0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("m", [18, 32, 100, 300])
+    def test_topological_order_matches_the_loop(self, m, density):
+        # a random order on the labels, not their input order, so that the
+        # sort moves states and breaks ties among the incomparable ones
+        rng = np.random.default_rng([m, int(100 * density)])
+        rank = rng.permutation(m)
+        rel = (rank[:, None] < rank[None, :]) & (rng.random((m, m)) < density)
+        closure = poset_module._transitive_closure(rel)
+        order = poset_module._topological_order(closure, m)
+        assert order == topological_order_loop(closure, m)
+        assert sorted(order) == list(range(m))
 
 
 class TestZetaMobius:
@@ -544,6 +572,17 @@ class TestCubePoset:
         assert bits.shape == (2**d, d)
         assert [tuple(row) for row in bits.tolist()] == list(p.elements)
         assert (bits @ (1 << np.arange(d)) == k).all()
+
+    @pytest.mark.parametrize("d", [1, 4, 13])
+    def test_built_once_per_dimension(self, d):
+        p = cube_poset(d)
+        assert cube_poset(d) is p
+        assert cube_poset(d % 13 + 1) is not p
+
+    def test_a_refused_dimension_raises_on_every_call(self):
+        for d in (0, 14, 0, 14):
+            with pytest.raises(DimensionTooLarge):
+                cube_poset(d)
 
     def test_dimension_guards(self):
         with pytest.raises(DimensionTooLarge):
