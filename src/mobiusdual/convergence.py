@@ -235,25 +235,37 @@ def _zero_pivot():
 def _flip_mean(dual, step):
     """The mean of T* on a dual that carries its operator, from its row
     step x -> x K (``Flips.row_step``): sum y for y (I - Q) = nu*_T, Q the
-    moves among the transient states.  Each sweep sets
-    y = (nu* + y K - y K_diag) / (1 - K_diag) off the absorbing state and
-    0 on it, K_diag the stays of ``Flips.moves`` as K holds them
-    (``Flips.held``).  Every move takes one bit towards the absorbing
-    state, so from 0 each sweep makes one more rank exact, and d sweeps
-    solve it."""
+    moves among the transient states.  Every move takes one bit towards
+    the absorbing state, so the states that owe k bits are entered only
+    from those that owe k + 1, and y is solved one layer at a time, from
+    the state that owes all d: y = (nu* + inflow) / pivot, the inflow read
+    off the step of the layer above alone.  No step carries the stay of a
+    state it solves, so a slow flip's y, about 1/s, is never the
+    difference of two such terms.  The pivots are the out-rate sums, not
+    1 minus the rounded stays; a dual keeps its operator only when no
+    stay is held (``duality``).  The residual y pivot - inflow - nu*_T
+    reads its inflow the same way: that of the states owing an odd count
+    of bits off the step of those owing an even count, and back."""
     flips, a = dual.flips, dual.absorbing_index
-    stays = flips.moves()[2][::flips.d + 1] + flips.held()
-    pivots = 1.0 - stays
-    transient = np.arange(pivots.size) != a
+    # per state, doubled up bit by bit: its out-rate sum, and the count of
+    # bits it owes, those not yet at their value in the absorbing state
+    pivots, owed = np.zeros(1), np.zeros(1, dtype=np.int64)
+    for k, rates in enumerate(zip(flips.up, flips.down)):
+        bit = a >> k & 1
+        pivots = np.concatenate([pivots + r for r in rates])
+        owed = np.concatenate((owed + bit, owed + 1 - bit))
+    transient = owed > 0
     if (pivots[transient] == 0).any():
         raise _zero_pivot()
-    y = np.zeros(pivots.size)
-    for _ in range(flips.d):
-        y = np.divide(dual.nu_star + step(y) - y * stays, pivots,
-                      out=np.zeros(pivots.size), where=transient)
-    residual = y - step(y) - dual.nu_star
-    residual[a] = 0.0
-    _check_solve(y, residual)
+    layer = np.divide(dual.nu_star, pivots, out=np.zeros(owed.size), where=owed == flips.d)
+    y = layer.copy()
+    for k in range(flips.d - 1, 0, -1):
+        layer = np.divide(dual.nu_star + step(layer), pivots,
+                          out=np.zeros(owed.size), where=owed == k)
+        y += layer
+    odd = owed % 2 == 1
+    inflow = np.where(odd, step(np.where(odd, 0.0, y)), step(np.where(odd, y, 0.0)))
+    _check_solve(y, np.where(transient, y * pivots - inflow - dual.nu_star, 0.0))
     return float(y.sum())
 
 

@@ -354,7 +354,9 @@ def cube_bits(d):
 @lru_cache(maxsize=4)
 def cube_poset(d):
     """The cube {0,1}^d with coordinatewise order, built once per d of the
-    last four asked for (a Poset is immutable).
+    last four asked for and shared: each caller gets the same Poset, with
+    the relation and zeta pair (``leq``, ``C``, ``Cinv``) that any caller
+    has read, kept alive for as long as it stays cached.
 
     State k is the d-bit tuple of mask k (bit i is coordinate i+1); this
     bitmask order is a linear extension, since A <= B implies

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import binom
 
 from mobiusdual import (
@@ -490,8 +491,8 @@ class TestAbsorptionMean:
 
 class TestRowFormMean:
     """A dual that carries its operator takes its mean from the row step
-    that steps its tail: y (I - Q) = nu*_T by d sweeps, against the dense
-    (I - Q) x = 1 on the transient block of the emitted P*."""
+    that steps its tail: y (I - Q) = nu*_T layer by layer, against the
+    dense (I - Q) x = 1 on the transient block of the emitted P*."""
 
     # total flip rates: inside the admissible region, and within 1e-9 of
     # its boundary sum(alpha + beta) = 1, where the start's stay is 1e-9
@@ -499,10 +500,14 @@ class TestRowFormMean:
     TOTALS = (0.5, 1.0 - 1e-9, 1.0 - 2e-12)
 
     @staticmethod
-    def walk_duals(d, direction, total):
+    def walk_duals(d, direction, total, slow=None):
+        """The duals of a d-cube walk from each start that admits one;
+        bit 0 flips at rate ``slow`` when given."""
         rng = np.random.default_rng([d, 34])
         parts = rng.uniform(0.5, 1.5, 2 * d)
         parts *= total / parts.sum()
+        if slow is not None:
+            parts[[0, d]] = slow / 2
         params = CubeWalkParams(d=d, alpha=tuple(parts[:d]), beta=tuple(parts[d:]))
         c = nearest_neighbor_walk(params)
         law = stationary(c)
@@ -527,6 +532,29 @@ class TestRowFormMean:
         for dual in duals:
             assert dual.flips is not None
             assert np.array_equal(dual.P_star, duals[0].P_star)
+            want = dual.nu_star[keep] @ steps
+            got = absorption_tail(dual, 0).mean
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("slow", [1e-9, 1e-4])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_a_slow_flip_matches_the_dense_solve(self, d, direction, slow):
+        # bit 0 flips at s_0 = slow, so the mean is about 1/s_0.  P* holds
+        # the stay 1 - s_0 rounded, off by up to eps/s_0 relative, so the
+        # dense I - Q takes its diagonal from each row's moves out, as a
+        # stochastic row's 1 - stay, and is solved triangular: the moves go
+        # one way, up the enumeration for "down" and down it for "up"
+        duals = list(self.walk_duals(d, direction, 0.5, slow))
+        assert len(duals) >= 2
+        p_star = duals[0].P_star
+        keep = np.arange(p_star.shape[0]) != duals[0].absorbing_index
+        off = p_star - np.diag(np.diag(p_star))
+        lhs = np.diag(off.sum(axis=1)) - off
+        steps = solve_triangular(lhs[np.ix_(keep, keep)], np.ones(keep.sum()),
+                                 lower=direction == "up")
+        for dual in duals:
+            assert dual.flips is not None
             want = dual.nu_star[keep] @ steps
             got = absorption_tail(dual, 0).mean
             assert abs(got - want) <= 1e-13 * abs(want)
