@@ -6,7 +6,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 from scipy.stats import binom
 
 from mobiusdual import (
@@ -494,15 +493,17 @@ class TestRowFormMean:
     that steps its tail: y (I - Q) = nu*_T layer by layer, against the
     dense (I - Q) x = 1 on the transient block of the emitted P*."""
 
-    # total flip rates: inside the admissible region, and within 1e-9 of
-    # its boundary sum(alpha + beta) = 1, where the start's stay is 1e-9
-    # or 2e-12, above the ROW_TOL at which it would be held at 0
-    TOTALS = (0.5, 1.0 - 1e-9, 1.0 - 2e-12)
+    # walks as (total flip rate, rate of bit 0): inside the admissible
+    # region; within 1e-9 of its boundary sum(alpha + beta) = 1, where the
+    # start's stay is 1e-9 or 2e-12, above the ROW_TOL at which it would be
+    # held at 0; and with a slow bit 0, s_0 = 1e-9 or 1e-4, whose wait of
+    # about 1/s_0 steps dominates the mean
+    WALKS = ((0.5, None), (1.0 - 1e-9, None), (1.0 - 2e-12, None), (0.5, 1e-9), (0.5, 1e-4))
 
     @staticmethod
-    def walk_duals(d, direction, total, slow=None):
+    def walk_duals(d, direction, total, slow):
         """The duals of a d-cube walk from each start that admits one;
-        bit 0 flips at rate ``slow`` when given."""
+        bit 0 flips at rate ``slow`` unless it is None."""
         rng = np.random.default_rng([d, 34])
         parts = rng.uniform(0.5, 1.5, 2 * d)
         parts *= total / parts.sum()
@@ -518,43 +519,25 @@ class TestRowFormMean:
             except PreconditionFailed:
                 continue
 
-    @pytest.mark.parametrize("total", TOTALS)
+    @pytest.mark.parametrize("total, slow", WALKS)
     @pytest.mark.parametrize("direction", ["down", "up"])
     @pytest.mark.parametrize("d", range(1, 11))
-    def test_matches_the_dense_solve(self, d, direction, total):
-        duals = list(self.walk_duals(d, direction, total))
+    def test_matches_the_dense_solve(self, d, direction, total, slow):
+        duals = list(self.walk_duals(d, direction, total, slow))
         # the extremal start of the direction and pi always qualify
         assert len(duals) >= 2
-        # P* does not depend on the start, so one solve serves every start
-        keep = np.arange(duals[0].size) != duals[0].absorbing_index
-        q = duals[0].P_star[np.ix_(keep, keep)]
-        steps = np.linalg.solve(np.eye(q.shape[0]) - q, np.ones(q.shape[0]))
-        for dual in duals:
-            assert dual.flips is not None
-            assert np.array_equal(dual.P_star, duals[0].P_star)
-            want = dual.nu_star[keep] @ steps
-            got = absorption_tail(dual, 0).mean
-            assert abs(got - want) <= 1e-13 * abs(want)
-
-    @pytest.mark.parametrize("slow", [1e-9, 1e-4])
-    @pytest.mark.parametrize("direction", ["down", "up"])
-    @pytest.mark.parametrize("d", range(1, 11))
-    def test_a_slow_flip_matches_the_dense_solve(self, d, direction, slow):
-        # bit 0 flips at s_0 = slow, so the mean is about 1/s_0.  P* holds
-        # the stay 1 - s_0 rounded, off by up to eps/s_0 relative, so the
-        # dense I - Q takes its diagonal from each row's moves out, as a
-        # stochastic row's 1 - stay, and is solved triangular: the moves go
-        # one way, up the enumeration for "down" and down it for "up"
-        duals = list(self.walk_duals(d, direction, 0.5, slow))
-        assert len(duals) >= 2
+        # P* does not depend on the start, so one solve serves every start.
+        # P* holds a slow flip's stay as 1 - s_0 rounded, off by up to
+        # eps/s_0 relative, so the diagonal of I - Q is taken as each row's
+        # moves out, which is 1 - stay on a stochastic row
         p_star = duals[0].P_star
         keep = np.arange(p_star.shape[0]) != duals[0].absorbing_index
         off = p_star - np.diag(np.diag(p_star))
-        lhs = np.diag(off.sum(axis=1)) - off
-        steps = solve_triangular(lhs[np.ix_(keep, keep)], np.ones(keep.sum()),
-                                 lower=direction == "up")
+        fundamental = (np.diag(off.sum(axis=1)) - off)[np.ix_(keep, keep)]
+        steps = np.linalg.solve(fundamental, np.ones(keep.sum()))
         for dual in duals:
             assert dual.flips is not None
+            assert np.array_equal(dual.P_star, p_star)
             want = dual.nu_star[keep] @ steps
             got = absorption_tail(dual, 0).mean
             assert abs(got - want) <= 1e-13 * abs(want)
