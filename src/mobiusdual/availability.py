@@ -194,7 +194,7 @@ def node_rates(r):
 def uniformize_walk(d, psi, phi, multiplier=DEFAULT_MULTIPLIER):
     """(chain, rate): the uniformized chain of single moves at per-node rates
     (psi, phi), built as the nearest-neighbor walk with alpha = psi/rate and
-    beta = phi/rate, which carries them as its ``walk``.
+    beta = phi/rate, which carries them as its operator, ``flips``.
 
     The largest total exit rate, sum_k max(psi_k, phi_k), is that of the
     state whose down nodes are those that repair faster than they break

@@ -150,23 +150,26 @@ def move_order(rows, cols):
 
 
 def absorption_tail(dual, horizon):
-    """Tail P(T* > n) and mean absorption time from the transient moves.
+    """Tail P(T* > n) and mean absorption time from the dual's moves.
 
     A dual that carries its operator (``dual.flips``) is stepped by it
-    (``Flips.row_step``), and its mean read from the same step
-    (``_flip_mean``), reading no dense array; every other dual by the
-    nonzeros of P* (``_move_path``).  The tail at n is
+    (``Flips.row_step``) and its mean read from its moves
+    (``Flips.moves``), reading no dense array; every other dual is stepped
+    over, and its mean read from, the nonzeros of P*.  One solver takes
+    the mean from either triple (``_mean``).  The tail at n is
     the tail at n - 1 less the mass entering the absorbing state at step
     n, so it never rises (rows of P* sum to 1 only to rounding) and is
     exactly 1 until mass can be absorbed; it is clipped to [0, 1].
     """
     check_horizon(horizon)
+    a = dual.absorbing_index
     if dual.flips is not None:
         step = dual.flips.row_step()
-        mean = _flip_mean(dual, step)
+        moves = dual.flips.moves()
     else:
-        step, mean = _move_path(dual)
-    a = dual.absorbing_index
+        moves = nonzeros(dual.P_star)
+        step = _stepper(*moves, dual.size)
+    mean = _mean(*moves, dual.nu_star, a)
     cur = dual.nu_star.astype(float)
     cur[a] = 0.0
     tail = np.empty(horizon + 1)
@@ -179,110 +182,71 @@ def absorption_tail(dual, horizon):
     return AbsorptionLaw(tail=tail, mean=mean)
 
 
-def _move_path(dual):
-    """(step, mean) over the moves of P* out of the transient states: the
-    step x -> x P*, and nu*_t x for (I - Q) x = 1, Q the moves among them,
-    solved by substitution in the order the moves go, or by LU on a dense
-    I - Q when they go both ways.  A zero pivot or a singular I - Q signals
-    a second absorbing class, i.e. an invalid dual."""
-    a = dual.absorbing_index
-    rows, cols, vals = nonzeros(dual.P_star)
-    out = rows != a
-    rows, cols, vals = rows[out], cols[out], vals[out]
-    step = _stepper(rows, cols, vals, dual.size)
-    transient = cols != a
-    rows, cols, vals = rows[transient], cols[transient], vals[transient]
-    rows -= rows > a
-    cols -= cols > a
-    n = dual.size - 1
-    order = move_order(rows, cols)
-    if order is None:
-        fundamental = np.eye(n)
-        fundamental[rows, cols] -= vals
-        try:
-            expected_steps = np.linalg.solve(fundamental, np.ones(n))
-        except np.linalg.LinAlgError as exc:
-            raise SingularFundamentalMatrix(
-                "fundamental matrix is singular; the dual has a second "
-                "absorbing class"
-            ) from exc
-    else:
-        expected_steps = _substitute(rows, cols, vals, n, order)
-    q_x = np.bincount(rows, weights=vals * expected_steps[cols], minlength=n)
-    _check_solve(expected_steps, expected_steps - q_x - 1.0)
-    return step, float(np.delete(dual.nu_star, a).astype(float) @ expected_steps)
+def _mean(rows, cols, vals, nu_star, a):
+    """The mean of T*, sum y for y (I - Q) = nu*_T, from the row-major
+    moves (rows, cols, vals) of a dual with absorbing state ``a``, Q the
+    moves among its transient states.
 
-
-def _check_solve(x, residual):
-    """Raise SingularFundamentalMatrix unless the solve x of (I - Q) x = 1,
-    or of its row form x (I - Q) = nu*_T, is finite and its ``residual``,
-    x - Q x - 1 or x - x Q - nu*_T, is within 1e-8."""
-    if not np.isfinite(x).all() or not np.abs(residual).max(initial=0.0) <= 1e-8:
+    Each pivot, the diagonal of I - Q, is the sum of the state's moves
+    out, into ``a`` included, not 1 minus its rounded stay, so a slow
+    move's y, about 1/rate, keeps its precision.  y is solved in rounds
+    (Kahn's order): each round takes the states whose every move in comes
+    from a state already solved, y = (nu* + inflow) / pivot.  On a walk's
+    dual a round is one layer of owed bits; any dual whose moves go one
+    way is solved so, whatever its enumeration.  Only when a round is
+    empty, the moves going both ways, is the transposed dense I - Q solved
+    by LU.  Moves of value 0, such as the rate-0 flips an operator lists,
+    are no moves.  A zero pivot, a singular I - Q or a residual
+    y pivot - y Q - nu*_T beyond 1e-8 signals a second absorbing class,
+    i.e. an invalid dual."""
+    live = (vals != 0) & (rows != cols) & (rows != a)
+    rows, cols, vals = rows[live], cols[live], vals[live]
+    n = nu_star.size
+    transient = np.arange(n) != a
+    pivots = np.bincount(rows, weights=vals, minlength=n)
+    if (pivots[transient] == 0).any():
+        raise SingularFundamentalMatrix(
+            "fundamental matrix has a zero pivot; the dual has a second "
+            "absorbing class"
+        )
+    inner = cols != a
+    rows, cols, vals = rows[inner], cols[inner], vals[inner]
+    nu = np.where(transient, nu_star, 0.0)
+    y, inflow = np.zeros(n), np.zeros(n)
+    waiting = np.bincount(cols, minlength=n)
+    left = transient
+    while left.any():
+        ready = left & (waiting == 0)
+        if not ready.any():
+            # the absorbing state's row and column are the identity's
+            y = _lu_row_solve(rows, cols, vals, np.where(transient, pivots, 1.0), nu)
+            break
+        y[ready] = (nu[ready] + inflow[ready]) / pivots[ready]
+        left = left & ~ready
+        out = ready[rows]
+        inflow += np.bincount(cols[out], weights=y[rows[out]] * vals[out], minlength=n)
+        waiting -= np.bincount(cols[out], minlength=n)
+    residual = y * pivots - np.bincount(cols, weights=y[rows] * vals, minlength=n) - nu
+    if not np.abs(residual).max(initial=0.0) <= 1e-8:
         raise SingularFundamentalMatrix(
             "fundamental matrix solve lost accuracy; the dual has a second "
             "absorbing class"
         )
-
-
-def _zero_pivot():
-    """The error of a transient state that cannot leave: a zero pivot."""
-    return SingularFundamentalMatrix(
-        "fundamental matrix has a zero pivot; the dual has a second "
-        "absorbing class"
-    )
-
-
-def _flip_mean(dual, step):
-    """The mean of T* on a dual that carries its operator, from its row
-    step x -> x K (``Flips.row_step``): sum y for y (I - Q) = nu*_T, Q the
-    moves among the transient states.  Every move takes one bit towards
-    the absorbing state, so the states that owe k bits are entered only
-    from those that owe k + 1, and y is solved one layer at a time, from
-    the state that owes all d: y = (nu* + inflow) / pivot, the inflow read
-    off the step of the layer above alone.  No step carries the stay of a
-    state it solves, so a slow flip's y, about 1/s, is never the
-    difference of two such terms.  The pivots are the out-rate sums, not
-    1 minus the rounded stays; a dual keeps its operator only when no
-    stay is held (``duality``).  The residual y pivot - inflow - nu*_T
-    reads its inflow the same way: that of the states owing an odd count
-    of bits off the step of those owing an even count, and back."""
-    flips, a = dual.flips, dual.absorbing_index
-    # per state, doubled up bit by bit: its out-rate sum, and the count of
-    # bits it owes, those not yet at their value in the absorbing state
-    pivots, owed = np.zeros(1), np.zeros(1, dtype=np.int64)
-    for k, rates in enumerate(zip(flips.up, flips.down)):
-        bit = a >> k & 1
-        pivots = np.concatenate([pivots + r for r in rates])
-        owed = np.concatenate((owed + bit, owed + 1 - bit))
-    transient = owed > 0
-    if (pivots[transient] == 0).any():
-        raise _zero_pivot()
-    layer = np.divide(dual.nu_star, pivots, out=np.zeros(owed.size), where=owed == flips.d)
-    y = layer.copy()
-    for k in range(flips.d - 1, 0, -1):
-        layer = np.divide(dual.nu_star + step(layer), pivots,
-                          out=np.zeros(owed.size), where=owed == k)
-        y += layer
-    odd = owed % 2 == 1
-    inflow = np.where(odd, step(np.where(odd, 0.0, y)), step(np.where(odd, y, 0.0)))
-    _check_solve(y, np.where(transient, y * pivots - inflow - dual.nu_star, 0.0))
     return float(y.sum())
 
 
-def _substitute(rows, cols, vals, n, order):
-    """Solve (I - Q) x = 1 over the row-major triple of a one-way Q:
-    x_i = (1 + sum_j Q_ij x_j) / (1 - Q_ii), after every x_j it reads."""
-    on = rows == cols
-    pivots = 1.0 - np.bincount(rows[on], weights=vals[on], minlength=n)
-    if (pivots == 0).any():
-        raise _zero_pivot()
-    rows, cols, vals = rows[~on], cols[~on], vals[~on]
-    starts = np.searchsorted(rows, np.arange(n + 1))
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1) if order == "ascending" else range(n):
-        lo, hi = starts[i], starts[i + 1]
-        x[i] = (1.0 + vals[lo:hi] @ x[cols[lo:hi]]) / pivots[i]
-    return x
+def _lu_row_solve(rows, cols, vals, diagonal, nu):
+    """y for y A = nu by LU, A dense with ``diagonal`` on its diagonal and
+    minus the moves (rows, cols, vals) off it."""
+    mat = np.diag(diagonal)
+    mat[cols, rows] -= vals
+    try:
+        return np.linalg.solve(mat, nu)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFundamentalMatrix(
+            "fundamental matrix is singular; the dual has a second "
+            "absorbing class"
+        ) from exc
 
 
 def sst_bound_check(curve, absorption):

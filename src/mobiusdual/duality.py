@@ -54,8 +54,9 @@ class DualChain:
     where ``intertwine_residual`` holds a bound on the residual, or
     "transform" from the reversal's Mobius transform.  ``flips`` holds the
     dual's own operator (``cube.Flips.dual``) on the closed-form path when
-    no clamp touched it, else None; from it ``absorption_tail`` steps, and
-    ``simulate_absorption`` samples, the dual without reading P*."""
+    no clamp touched it, else None; from it ``absorption_tail`` steps the
+    dual and solves its mean over the operator's moves, and
+    ``simulate_absorption`` samples it, without reading P*."""
 
     nu_star: np.ndarray
     P_star: np.ndarray
@@ -301,8 +302,9 @@ def _check_absorbs(p_star, nu_star, absorbing, elements):
     reaches from supp nu* reaches ``absorbing``: one breadth-first walk
     (``chain._support_levels``) forward from the support and one backward
     from the absorbing state over the nonzeros of P*.  On a dual whose
-    moves go one way this is the zero-pivot rule of
-    ``convergence.absorption_tail`` restricted to the reached states."""
+    moves go one way, a state that cannot reach the absorbing state leads
+    to one with no move out: the zero pivot that ``convergence._mean``
+    refuses, here looked for only among the states reached from supp nu*."""
     rows, cols, _ = nonzeros(p_star)
     reached = _support_levels(rows, cols, nu_star > 0) >= 0
     target = np.arange(nu_star.size) == absorbing

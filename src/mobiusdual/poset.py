@@ -44,7 +44,8 @@ class Poset:
     ``zeta_right``/``mobius_left``/``mobius_right`` apply the oriented matrix
     on either side of a vector or a matrix: a dense product in general, and
     on a cube in-place Yates butterflies, O(d 2^d) per vector, that read no
-    dense matrix.  Instances are immutable.
+    dense matrix.  Its arrays are read-only; those built on first read are
+    kept and shared by every holder of a cached cube (``cube_poset``).
     """
 
     def __init__(self, elements, leq=None, cube_dim=None):

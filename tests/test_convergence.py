@@ -472,6 +472,28 @@ class TestAbsorptionMean:
         )
         assert law.mean == pytest.approx(expected, rel=1e-14)
 
+    def test_one_way_moves_off_the_enumeration_are_substituted(self, monkeypatch):
+        # the transient moves go 2 -> 0 -> 1, against the enumeration at
+        # 2 -> 0 and along it at 0 -> 1; state 3 absorbs
+        p_star = np.array([
+            [0.5, 0.3, 0.0, 0.2],
+            [0.0, 0.6, 0.0, 0.4],
+            [0.25, 0.0, 0.7, 0.05],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        dual = DualChain(nu_star=np.array([0.2, 0.3, 0.5, 0.0]), P_star=p_star,
+                         absorbing_index=3, direction="down")
+        rows, cols, _ = nonzeros(p_star)
+        assert move_order(rows, cols) is None
+        q = p_star[:3, :3]
+        expected = dual.nu_star[:3] @ np.linalg.solve(np.eye(3) - q, np.ones(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LU solve on a one-way dual")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        assert absorption_tail(dual, 3).mean == pytest.approx(expected, rel=1e-14)
+
     def test_triangular_second_absorbing_state_is_a_zero_pivot(self):
         # state 1 absorbs as well as state 2
         bad = DualChain(
@@ -539,8 +561,9 @@ class TestRowFormMean:
             assert dual.flips is not None
             assert np.array_equal(dual.P_star, p_star)
             want = dual.nu_star[keep] @ steps
-            got = absorption_tail(dual, 0).mean
-            assert abs(got - want) <= 1e-13 * abs(want)
+            for solved in (dual, dataclasses.replace(dual, flips=None)):
+                got = absorption_tail(solved, 0).mean
+                assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("direction", ["down", "up"])
     def test_the_factors_are_built_once(self, monkeypatch, direction):
@@ -674,7 +697,8 @@ class TestKroneckerSteps:
         def refuse(*args):
             raise AssertionError("a clamped dual read the walk's rates")
 
-        monkeypatch.setattr(convergence, "_flip_mean", refuse)
+        monkeypatch.setattr(Flips, "row_step", refuse)
+        monkeypatch.setattr(Flips, "moves", refuse)
         monkeypatch.setattr(convergence, "_rate_times", refuse)
         assert simulate_absorption(dual, 100, seed=1).sampler == "moves"
         with pytest.raises(SingularFundamentalMatrix, match="zero pivot"):
