@@ -33,8 +33,19 @@ class TestSummarise:
         assert metric["relative_median_change"] == pytest.approx(-0.1 / 1.15)
         # inclusive quartiles of 1.0, 1.1, 1.2, 1.4: 1.075 and 1.25
         assert metric["parent_iqr"] == pytest.approx(0.175)
+        assert metric["resolved"] is False     # |1.05 - 1.15| < 0.175
         assert metric["change_lower_in_pairs"] == 2     # a tie counts for neither
         assert metric["pairs"] == 4
+
+    def test_a_shift_beyond_the_parent_spread_is_resolved(self):
+        runs = [run(side, seed, value) for seed, (a, b) in
+                enumerate(((1.0, 0.7), (1.1, 0.8), (1.2, 0.9), (1.4, 1.3)), 1)
+                for side, value in (("parent", a), ("change", b))]
+        metric = summarise(runs)["cube_walk"]["analysis_s"]
+        # medians 1.15 and 0.85 lie 0.3 apart, beyond the parent's 0.175
+        assert metric["resolved"] is True
+        ties = [run(side, seed, 1.0) for seed in (1, 2) for side in ("parent", "change")]
+        assert summarise(ties)["cube_walk"]["analysis_s"]["resolved"] is False
 
     def test_unpaired_run_is_left_out(self):
         runs = [run("parent", 1, 1.0), run("change", 1, 0.5), run("parent", 2, 9.0)]
@@ -79,5 +90,7 @@ def test_every_bench_summary_uses_one_schema(path):
         assert not {"parent_median", "change_median", "relative_change_of_median"} & set(block)
         for key in ("median_parent", "median_change", "relative_median_change"):
             assert type(block[key]) in (int, float), key
+        # files written before the field was recorded lack it
+        assert type(block.get("resolved", False)) is bool
         lower, pairs = block["change_lower_in_pairs"], block["pairs"]
         assert type(lower) is int and type(pairs) is int and 0 <= lower <= pairs

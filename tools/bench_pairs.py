@@ -19,12 +19,12 @@ the parent first on odd seeds and the change first on even ones.
 
 The output holds one summary per workload and metric (``median_parent``,
 ``median_change``, ``relative_median_change``, ``parent_iqr``,
-``change_lower_in_pairs`` and ``pairs``), the failed and attempted
-operation counts per side, and the raw result line of every run.  With
-``--traced-seed N``, one run per side and workload with ``--trace 1`` on
-seed N follows the pairs; its result lines, per-layer self times included,
-go under ``traced`` and into no summary.  The file is rewritten after each
-run, so an interrupted batch keeps what it has.
+``resolved``, ``change_lower_in_pairs`` and ``pairs``), the failed and
+attempted operation counts per side, and the raw result line of every
+run.  With ``--traced-seed N``, one run per side and workload with
+``--trace 1`` on seed N follows the pairs; its result lines, per-layer
+self times included, go under ``traced`` and into no summary.  The file
+is rewritten after each run, so an interrupted batch keeps what it has.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def run_once(root, command, workload, seed, seconds, trace=0):
 def summarise(runs):
     """Per workload: operation counts per side, and per metric the medians,
     the parent's interquartile range and the pairwise comparison.  A pair
-    is the two runs of one (workload, seed)."""
+    is the two runs of one (workload, seed).  A metric is ``resolved`` when
+    its medians differ by more than the parent's interquartile range."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -133,6 +134,7 @@ def summarise(runs):
                 "median_change": median_change,
                 "relative_median_change": (median_change - median_parent) / median_parent,
                 "parent_iqr": q3 - q1,
+                "resolved": abs(median_change - median_parent) > q3 - q1,
                 "change_lower_in_pairs": sum(b < a for a, b in both),
                 "pairs": len(both),
             }
